@@ -45,6 +45,7 @@ from .kernel import (
     boundary_limit,
     find_kernel_poles,
     formal_green,
+    kernel_grid,
     kernel_pole_residual,
     resolvent_kernel,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "boundary_limit",
     "find_kernel_poles",
     "formal_green",
+    "kernel_grid",
     "kernel_pole_residual",
     "resolvent_kernel",
     "ResidualReport",

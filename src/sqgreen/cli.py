@@ -12,15 +12,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import re
 import sys
 
-from .errors import ConfigError, DomainError, NonConvergenceError
+from .errors import ConfigError, DomainError, NonConvergenceError, PoleError
 from .kernel import (
     boundary_limit,
     find_kernel_poles,
     formal_green,
+    kernel_grid,
     kernel_pole_residual,
-    resolvent_kernel,
 )
 from .model import SquareBarrier
 from .piecewise import PiecewisePotential
@@ -49,6 +51,8 @@ def parse_grid(text: str) -> list[float]:
         start, stop, step = (float(x) for x in parts)
     except ValueError as exc:
         raise ConfigError(f"non-numeric grid spec {text!r}") from exc
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ConfigError(f"grid spec entries must be finite, got {text!r}")
     if step <= 0.0 or stop <= start:
         raise ConfigError(f"grid spec needs stop > start and step > 0, got {text!r}")
     n = int((stop - start) / step * (1.0 + 1e-12))
@@ -95,7 +99,11 @@ def _points(args, flag_scalar: str, flag_grid: str) -> list[float]:
     grid = getattr(args, flag_grid.replace("-", "_"))
     if (scalar is None) == (grid is None):
         raise ConfigError(f"exactly one of --{flag_scalar} / --{flag_grid} is required")
-    return [scalar] if scalar is not None else parse_grid(grid)
+    if grid is not None:
+        return parse_grid(grid)
+    if not math.isfinite(scalar):
+        raise ConfigError(f"--{flag_scalar} must be finite, got {scalar}")
+    return [scalar]
 
 
 def _directions(args) -> list[str]:
@@ -123,29 +131,30 @@ def cmd_eval(args) -> int:
     rs = _points(args, "r", "r-grid")
     ss = _points(args, "s", "s-grid")
 
-    header = ["r", "s", "e_re", "e_im", "g_re", "g_im", "provenance"]
-    rows = []
     if energy.imag != 0.0:
-        for r in rs:
-            for s in ss:
-                sample = resolvent_kernel(p, energy, r, s)
-                rows.append(
-                    [_fmt(r), _fmt(s), _fmt(energy.real), _fmt(energy.imag),
-                     _fmt(sample.value.real), _fmt(sample.value.imag), sample.provenance]
-                )
+        e, directions = energy, [None]
     else:
         if not isinstance(p, SquareBarrier):
             raise ConfigError("real-energy kernels are defined for square barriers only")
         if energy.real <= 0.0:
             raise ConfigError("real energies must be positive for the formal kernels")
-        for r in rs:
-            for s in ss:
-                for direction in _directions(args):
-                    sample = formal_green(p, energy.real, r, s, direction)
-                    rows.append(
-                        [_fmt(r), _fmt(s), _fmt(energy.real), _fmt(0.0),
-                         _fmt(sample.value.real), _fmt(sample.value.imag), sample.provenance]
-                    )
+        e, directions = energy.real, _directions(args)
+    # one grid per direction, each from a single wave pair
+    grids = [
+        (kernel_grid(p, e, rs, ss, d).tolist(), "resolvent_kernel" if d is None else f"formal_{d}")
+        for d in directions
+    ]
+
+    header = ["r", "s", "e_re", "e_im", "g_re", "g_im", "provenance"]
+    e_fields = [_fmt(e.real), _fmt(e.imag)]
+    s_fields = [_fmt(s) for s in ss]
+    rows = []
+    for i, r in enumerate(rs):
+        r_field = _fmt(r)
+        for j, s_field in enumerate(s_fields):
+            for values, provenance in grids:
+                g = values[i][j]
+                rows.append([r_field, s_field, *e_fields, _fmt(g.real), _fmt(g.imag), provenance])
 
     if args.format == "csv":
         _write_csv(args.out, header, rows)
@@ -227,10 +236,7 @@ def cmd_pole_scan(args) -> int:
         box = tuple(float(x) for x in parts)
     except ValueError as exc:
         raise ConfigError(f"non-numeric --box entry in {args.box!r}") from exc
-    try:
-        roots = find_kernel_poles(p, box, seed_density=args.seed_density)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    roots = find_kernel_poles(p, box, seed_density=args.seed_density)
 
     header = ["re", "im", "residual"]
     rows = [[_fmt(z.real), _fmt(z.imag), _fmt(kernel_pole_residual(p, z))] for z in roots]
@@ -298,12 +304,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: a token such as -0.7,1,0 or -1.5+0.2i, which can only be an option's value
+_DASH_VALUE = re.compile(r"-[0-9.]")
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--opt -0.7,1,0`` as ``--opt=-0.7,1,0``.
+
+    argparse takes a token that starts with '-' for an option unless it is a
+    plain negative number, so comma lists and complex energies with a leading
+    minus would otherwise be refused.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and prev != "--" and "=" not in prev and _DASH_VALUE.match(token):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     BranchPointError,
     ContractError,
@@ -109,39 +111,77 @@ def wave_pair(p, e: complex, direction: str) -> tuple[PiecewiseWave, PiecewiseWa
     return chi, om, w
 
 
-def resolvent_kernel(p, e: complex, r: float, s: float) -> KernelSample:
-    """Kernel of (E - H)^{-1} at complex E; omega_plus above the axis, omega_minus below."""
-    e = complex(e)
-    if e.imag == 0.0:
-        raise ContractError(
-            "resolvent_kernel requires Im E != 0; use formal_green or boundary_limit on the axis"
-        )
-    if r < 0.0 or s < 0.0:
-        raise DomainError("radii must be nonnegative")
-    direction = "plus" if e.imag > 0.0 else "minus"
+def _kernel_request(p, e, radii, direction: str | None) -> tuple[complex, str, str]:
+    """Validate one kernel request and return (E, omega direction, provenance).
+
+    ``direction=None`` asks for the resolvent kernel at Im E != 0, whose tail
+    solution follows the sign of Im E.  "plus"/"minus" ask for the formal
+    kernel at real E > 0, which raises :class:`PoleError` where its
+    denominator c4(J) (plus) or c3(J) (minus) vanishes.  Every radius must be
+    finite and nonnegative.
+    """
+    formal = direction is not None
+    if formal:
+        e = float(e)
+        if not math.isfinite(e) or e <= 0.0:
+            raise DomainError(f"formal kernels require real E > 0, got {e}")
+    else:
+        e = complex(e)
+        if e.imag == 0.0:
+            raise ContractError(
+                "resolvent_kernel requires Im E != 0; use formal_green or boundary_limit on the axis"
+            )
+        direction = "plus" if e.imag > 0.0 else "minus"
+    if not all(0.0 <= x < math.inf for x in radii):
+        raise DomainError("radii must be finite and nonnegative")
+    if formal:
+        if direction not in ("plus", "minus"):
+            raise ContractError(f"direction must be 'plus' or 'minus', got {direction!r}")
+        cs = chi_coefficients(p, complex(e))
+        denom_coeff = cs.c4 if direction == "plus" else cs.c3
+        if abs(denom_coeff) < 1e-14:
+            raise PoleError(f"kernel denominator vanishes at E={e} (direction {direction})")
+    return complex(e), direction, f"formal_{direction}" if formal else "resolvent_kernel"
+
+
+def _sample(p, e, r: float, s: float, direction: str | None) -> KernelSample:
+    e, direction, provenance = _kernel_request(p, e, (r, s), direction)
     chi, om, w = wave_pair(p, e, direction)
     lo, hi = (r, s) if r <= s else (s, r)
     value = chi.value(lo) * om.value(hi) / w
-    return KernelSample(r, s, e, value, "resolvent_kernel")
+    return KernelSample(r, s, e, value, provenance)
+
+
+def resolvent_kernel(p, e: complex, r: float, s: float) -> KernelSample:
+    """Kernel of (E - H)^{-1} at complex E; omega_plus above the axis, omega_minus below."""
+    return _sample(p, e, r, s, None)
 
 
 def formal_green(p: SquareBarrier, e: float, r: float, s: float, direction: str) -> KernelSample:
     """Outgoing/incoming kernel at real E > 0 with real-axis momenta."""
-    e = float(e)
-    if not math.isfinite(e) or e <= 0.0:
-        raise DomainError(f"formal kernels require real E > 0, got {e}")
-    if r < 0.0 or s < 0.0:
-        raise DomainError("radii must be nonnegative")
-    if direction not in ("plus", "minus"):
-        raise ContractError(f"direction must be 'plus' or 'minus', got {direction!r}")
-    cs = chi_coefficients(p, complex(e))
-    denom_coeff = cs.c4 if direction == "plus" else cs.c3
-    if abs(denom_coeff) < 1e-14:
-        raise PoleError(f"kernel denominator vanishes at E={e} (direction {direction})")
-    chi, om, w = wave_pair(p, complex(e), direction)
-    lo, hi = (r, s) if r <= s else (s, r)
-    value = chi.value(lo) * om.value(hi) / w
-    return KernelSample(r, s, complex(e), value, f"formal_{direction}")
+    return _sample(p, e, r, s, direction)
+
+
+def kernel_grid(p, e, rs, ss, direction: str | None = None) -> np.ndarray:
+    """Kernel values on the grid ``rs`` x ``ss``, as an array of shape (len(rs), len(ss)).
+
+    ``direction=None`` gives the resolvent kernel at complex E, as
+    :func:`resolvent_kernel`; "plus"/"minus" give the formal kernels at real
+    E > 0, as :func:`formal_green`.  The waves are built once for the whole
+    grid and each is evaluated in one array call, chi at min(r, s) and omega
+    at max(r, s).  The quotient is formed in Python complex arithmetic, so
+    every entry equals the scalar function's value bit for bit.
+    """
+    r = np.asarray(rs, dtype=float).ravel()
+    s = np.asarray(ss, dtype=float).ravel()
+    e, direction, _ = _kernel_request(p, e, np.concatenate((r, s)), direction)
+    chi, om, w = wave_pair(p, e, direction)
+    rr, sg = np.meshgrid(r, s, indexing="ij")
+    below = rr <= sg
+    lo = np.where(below, rr, sg).ravel()
+    hi = np.where(below, sg, rr).ravel()
+    values = [a * b / w for a, b in zip(chi.value(lo).tolist(), om.value(hi).tolist())]
+    return np.array(values, dtype=complex).reshape(rr.shape)
 
 
 #: mu halving stops once mu < MU_FLOOR and successive samples differ by < CAUCHY_TOL.

@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from sqgreen import formal_green, resolvent_kernel
+from sqgreen import PiecewisePotential, SquareBarrier, formal_green, resolvent_kernel
 from sqgreen.cli import main, parse_complex, parse_grid
-from sqgreen.errors import ConfigError
+from sqgreen.errors import ConfigError, PoleError
 
 
 def read_csv(path):
@@ -33,7 +33,7 @@ class TestParsing:
         assert pts[99] == 99 * 0.05  # no accumulation drift
 
     def test_bad_grids(self):
-        for spec in ("0:1", "1:0:0.1", "0:1:-0.1", "a:b:c"):
+        for spec in ("0:1", "1:0:0.1", "0:1:-0.1", "a:b:c", "0:inf:1", "nan:1:0.1", "0:1:nan"):
             with pytest.raises(ConfigError):
                 parse_grid(spec)
 
@@ -107,8 +107,87 @@ class TestEval:
             ["eval", "--breakpoints", "1,2", "--heights", "0,4,-1",
              "--energy", "1", "--r", "1", "--s", "1", "--out", out],  # real E + staircase
         ]
+        barrier = ["--v0=5", "--a=1", "--b=2"]
+        complex_e = ["eval", *barrier, "--energy=1.5+0.2i"]
+        bad += [
+            complex_e + ["--r=1", "--s=nan", f"--out={out}"],  # non-finite radii
+            complex_e + ["--r=1", "--s=inf", f"--out={out}"],
+            complex_e + ["--r-grid=0:inf:1", "--s=1", f"--out={out}"],
+            complex_e + ["--r-grid=nan:1:0.1", "--s=1", f"--out={out}"],
+            complex_e + ["--r-grid=0:1:nan", "--s=1", f"--out={out}"],
+            complex_e + ["--r-grid=-1:1:0.5", "--s=1", f"--out={out}"],  # DomainError
+            ["eval", *barrier, "--energy=5", "--r=1", "--s=1", f"--out={out}"],  # BranchPointError
+            ["limit-study", *barrier, "--energy=5", "--r=1", "--s=1", f"--out={out}"],
+        ]
         for argv in bad:
-            assert main(argv) == 2
+            assert main(argv) == 2, argv
+
+    def test_pole_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        def vanishing(*args):
+            raise PoleError("kernel denominator vanishes")
+
+        monkeypatch.setattr("sqgreen.cli.kernel_grid", vanishing)
+        rc = main(["eval", "--v0=5", "--a=1", "--b=2", "--energy=1.5", "--r=1", "--s=1",
+                   f"--out={tmp_path / 'x.csv'}"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: kernel denominator vanishes\n"
+
+    def test_values_with_leading_minus(self, tmp_path):
+        out = tmp_path / "neg.csv"
+        rc = main(["eval", "--breakpoints", "1,2", "--heights", "-0.7,1,0",
+                   "--energy", "-1.5+0.2i", "--r", "0.5", "--s", "1.5", "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        expect = resolvent_kernel(PiecewisePotential((1, 2), (-0.7, 1, 0)), -1.5 + 0.2j, 0.5, 1.5)
+        assert rows == [["0.5", "1.5", "-1.5", "0.20000000000000001",
+                         format(expect.value.real, ".17g"), format(expect.value.imag, ".17g"),
+                         "resolvent_kernel"]]
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+GRID_CASES = {
+    # r and s cross the barrier edges 1 and 2 and meet on the diagonal
+    "barrier_complex": (
+        ["--v0", "5", "--a", "1", "--b", "2", "--energy", "1.5+0.2i",
+         "--r-grid", "0:3:0.25", "--s-grid", "0:3:0.5"],
+        SquareBarrier(5.0, 1.0, 2.0), 1.5 + 0.2j, None,
+    ),
+    "staircase_complex": (
+        ["--breakpoints", "1,2,3", "--heights", "0,4,-1,0", "--energy", "2-0.5i",
+         "--r-grid", "0:4:0.2", "--s-grid", "0.5:4:0.5"],
+        PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -1.0, 0.0)), 2.0 - 0.5j, None,
+    ),
+    "barrier_real_both": (
+        ["--v0", "5", "--a", "1", "--b", "2", "--energy", "1.5", "--direction", "both",
+         "--r-grid", "0:3:0.25", "--s-grid", "0:3:0.5"],
+        SquareBarrier(5.0, 1.0, 2.0), 1.5, ("plus", "minus"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+def test_eval_grid_matches_per_sample_rows(tmp_path, case):
+    """A whole eval grid, byte for byte, against rows built from scalar kernel calls."""
+    argv, p, e, directions = GRID_CASES[case]
+    out = tmp_path / "grid.csv"
+    assert main(["eval", *argv, "--out", str(out)]) == 0
+    rs = parse_grid(argv[argv.index("--r-grid") + 1])
+    ss = parse_grid(argv[argv.index("--s-grid") + 1])
+    lines = ["r,s,e_re,e_im,g_re,g_im,provenance"]
+    for r in rs:
+        for s in ss:
+            if directions is None:
+                samples = [resolvent_kernel(p, e, r, s)]
+            else:
+                samples = [formal_green(p, e, r, s, d) for d in directions]
+            for sample in samples:
+                g = sample.value
+                lines.append(",".join([_fmt(r), _fmt(s), _fmt(e.real), _fmt(e.imag),
+                                       _fmt(g.real), _fmt(g.imag), sample.provenance]))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestLimitStudy:

@@ -11,6 +11,7 @@ from sqgreen import (
     branch_sqrt,
     find_kernel_poles,
     formal_green,
+    kernel_grid,
     kernel_pole_residual,
     resolvent_kernel,
 )
@@ -62,6 +63,48 @@ class TestResolventKernel:
         for dr in (1.0, 2.5, 4.0):
             val = abs(resolvent_kernel(barrier, e, r0 + dr, s).value)
             assert val <= 1.0000001 * base * np.exp(-im_k * dr)
+
+
+class TestKernelGrid:
+    RS = [0.0, 0.5, 1.0, 1.5, 2.0, 2.75]
+    SS = [0.25, 1.0, 2.0, 3.5]
+
+    def test_entries_equal_scalar_resolvent_kernel(self, barrier):
+        stair = PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -1.0, 0.0))
+        for p in (barrier, stair):
+            for e in (1.5 + 0.2j, 2.0 - 0.7j):
+                grid = kernel_grid(p, e, self.RS, self.SS)
+                assert grid.shape == (len(self.RS), len(self.SS))
+                for i, r in enumerate(self.RS):
+                    for j, s in enumerate(self.SS):
+                        assert grid[i, j] == resolvent_kernel(p, e, r, s).value
+
+    @pytest.mark.parametrize("direction", ["plus", "minus"])
+    def test_entries_equal_scalar_formal_green(self, barrier, direction):
+        grid = kernel_grid(barrier, 1.5, self.RS, self.SS, direction)
+        for i, r in enumerate(self.RS):
+            for j, s in enumerate(self.SS):
+                assert grid[i, j] == formal_green(barrier, 1.5, r, s, direction).value
+
+    def test_empty_axis(self, barrier):
+        assert kernel_grid(barrier, 1.0 + 1.0j, [], self.SS).shape == (0, len(self.SS))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_bad_radius_rejected(self, barrier, bad):
+        with pytest.raises(DomainError):
+            kernel_grid(barrier, 1.0 + 1.0j, [0.5, bad], self.SS)
+        with pytest.raises(DomainError):
+            kernel_grid(barrier, 1.5, self.RS, [bad], "plus")
+        with pytest.raises(DomainError):
+            resolvent_kernel(barrier, 1.0 + 1.0j, 0.5, bad)
+
+    def test_energy_contracts(self, barrier):
+        with pytest.raises(ContractError):
+            kernel_grid(barrier, 1.5, self.RS, self.SS)
+        with pytest.raises(DomainError):
+            kernel_grid(barrier, -1.5, self.RS, self.SS, "plus")
+        with pytest.raises(ContractError):
+            kernel_grid(barrier, 1.5, self.RS, self.SS, "up")
 
 
 class TestKernelSample:
