@@ -42,6 +42,10 @@ def parse_complex(text: str) -> complex:
         raise ConfigError(f"cannot parse complex number from {text!r}") from exc
 
 
+#: a grid on one axis must have fewer points than this
+MAX_GRID_POINTS = 10**6
+
+
 def parse_grid(text: str) -> list[float]:
     """closed-open start:stop:step grid; points are start + j*step, never accumulated."""
     parts = text.split(":")
@@ -55,7 +59,10 @@ def parse_grid(text: str) -> list[float]:
         raise ConfigError(f"grid spec entries must be finite, got {text!r}")
     if step <= 0.0 or stop <= start:
         raise ConfigError(f"grid spec needs stop > start and step > 0, got {text!r}")
-    n = int((stop - start) / step * (1.0 + 1e-12))
+    count = (stop - start) / step * (1.0 + 1e-12)
+    if not count < MAX_GRID_POINTS:
+        raise ConfigError(f"grid spec {text!r} asks for {MAX_GRID_POINTS} points or more")
+    n = int(count)
     if start + n * step >= stop - 1e-12 * step:
         n -= 1
     return [start + j * step for j in range(n + 1)]
@@ -109,7 +116,7 @@ def _points(args, flag_scalar: str, flag_grid: str) -> list[float]:
 def _directions(args) -> list[str]:
     if args.direction == "both":
         return ["plus", "minus"]
-    return [args.direction]
+    return [args.direction or "plus"]
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
@@ -132,6 +139,11 @@ def cmd_eval(args) -> int:
     ss = _points(args, "s", "s-grid")
 
     if energy.imag != 0.0:
+        if args.direction is not None:
+            raise ConfigError(
+                "--direction applies to real energies; at complex E the tail solution "
+                "follows the sign of Im E"
+            )
         e, directions = energy, [None]
     else:
         if not isinstance(p, SquareBarrier):
@@ -261,7 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--r-grid", type=str, default=None, help="start:stop:step")
     p_eval.add_argument("--s", type=float, default=None)
     p_eval.add_argument("--s-grid", type=str, default=None, help="start:stop:step")
-    p_eval.add_argument("--direction", choices=["plus", "minus", "both"], default="plus")
+    p_eval.add_argument(
+        "--direction",
+        choices=["plus", "minus", "both"],
+        default=None,
+        help="formal kernel at real E (default plus); not allowed at complex E",
+    )
     p_eval.add_argument("--format", choices=["csv", "json"], default="csv")
     p_eval.add_argument("--out", required=True)
     p_eval.set_defaults(func=cmd_eval)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BranchPointError, ContractError, DomainError, EPS_BRANCH
-from .model import SquareBarrier, branch_sqrt, momenta
+from .model import SquareBarrier, _branch_sqrt_array, branch_sqrt, momenta
 
 _TWO_I = 2j
 
@@ -185,6 +185,27 @@ def chi_coefficients(p: SquareBarrier, e: complex) -> CoefficientSet:
     db = 1j * q * (c1 * eb - c2 * emb)
     c3, c4 = _match_plane(vb, db, k, p.b)
     return CoefficientSet("J", c1, c2, c3, c4)
+
+
+def _chi_c4_array(p: SquareBarrier, e: np.ndarray) -> np.ndarray:
+    """c4(J) of :func:`chi_coefficients` over an array of energies.
+
+    The same two continuity solves in numpy arithmetic, for the batched pole
+    screen.  Branch points are not checked here, and entries whose
+    exponentials overflow come out non-finite instead of raising; callers
+    mask both and run under ``np.errstate``.
+    """
+    k = _branch_sqrt_array(e)
+    q = _branch_sqrt_array(e - p.v0)
+    va = np.sin(k * p.a)
+    slope = k * np.cos(k * p.a) / (1j * q)
+    c1 = 0.5 * (va + slope) * np.exp(-1j * q * p.a)
+    c2 = 0.5 * (va - slope) * np.exp(1j * q * p.a)
+    eb = np.exp(1j * q * p.b)
+    emb = np.exp(-1j * q * p.b)
+    vb = c1 * eb + c2 * emb
+    slope = 1j * q * (c1 * eb - c2 * emb) / (1j * k)
+    return 0.5 * (vb - slope) * np.exp(1j * k * p.b)
 
 
 def omega_plus_coefficients(p: SquareBarrier, e: complex) -> CoefficientSet:

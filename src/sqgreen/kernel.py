@@ -14,12 +14,14 @@ kernel as E approaches the axis.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    EPS_BRANCH,
     BranchPointError,
     ContractError,
     DomainError,
@@ -28,6 +30,7 @@ from .errors import (
 )
 from .eigenfunctions import (
     PiecewiseWave,
+    _chi_c4_array,
     chi_coefficients,
     chi_wave,
     omega_wave,
@@ -144,11 +147,18 @@ def _kernel_request(p, e, radii, direction: str | None) -> tuple[complex, str, s
     return complex(e), direction, f"formal_{direction}" if formal else "resolvent_kernel"
 
 
+def _require_finite(finite: bool, e: complex) -> None:
+    if not finite:
+        raise DomainError(f"kernel at E={e} is not finite: a wave overflows at these radii")
+
+
 def _sample(p, e, r: float, s: float, direction: str | None) -> KernelSample:
     e, direction, provenance = _kernel_request(p, e, (r, s), direction)
     chi, om, w = wave_pair(p, e, direction)
     lo, hi = (r, s) if r <= s else (s, r)
-    value = chi.value(lo) * om.value(hi) / w
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = chi.value(lo) * om.value(hi) / w
+    _require_finite(cmath.isfinite(value), e)
     return KernelSample(r, s, e, value, provenance)
 
 
@@ -170,7 +180,9 @@ def kernel_grid(p, e, rs, ss, direction: str | None = None) -> np.ndarray:
     E > 0, as :func:`formal_green`.  The waves are built once for the whole
     grid and each is evaluated in one array call, chi at min(r, s) and omega
     at max(r, s).  The quotient is formed in Python complex arithmetic, so
-    every entry equals the scalar function's value bit for bit.
+    every entry equals the scalar function's value bit for bit.  Like the
+    scalar functions, it raises :class:`DomainError` where a value is not
+    finite.
     """
     r = np.asarray(rs, dtype=float).ravel()
     s = np.asarray(ss, dtype=float).ravel()
@@ -180,8 +192,11 @@ def kernel_grid(p, e, rs, ss, direction: str | None = None) -> np.ndarray:
     below = rr <= sg
     lo = np.where(below, rr, sg).ravel()
     hi = np.where(below, sg, rr).ravel()
-    values = [a * b / w for a, b in zip(chi.value(lo).tolist(), om.value(hi).tolist())]
-    return np.array(values, dtype=complex).reshape(rr.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        chi_lo, om_hi = chi.value(lo).tolist(), om.value(hi).tolist()
+    values = np.array([a * b / w for a, b in zip(chi_lo, om_hi)], dtype=complex)
+    _require_finite(bool(np.isfinite(values).all()), e)
+    return values.reshape(rr.shape)
 
 
 #: mu halving stops once mu < MU_FLOOR and successive samples differ by < CAUCHY_TOL.
@@ -245,6 +260,107 @@ def boundary_limit(
     return study
 
 
+#: Newton seeds screened together as arrays; bounds the screen's memory.
+SCREEN_BLOCK = 1024
+#: the most seeds a pole scan lays; a larger box or a finer spacing raises.
+MAX_SEEDS = 10**6
+#: roots nearer than this to 0, to v0 or to an accepted root are dropped
+_ROOT_MARGIN = 1e-6
+_NEWTON_H = 1e-7
+_NEWTON_STEPS = 60
+
+
+def _newton_root(p: SquareBarrier, z: complex, box, accepted: list[complex]) -> complex | None:
+    """The Newton run from one seed in scalar arithmetic, with every acceptance rule.
+
+    Returns the root, or None if the seed finds nothing or only a root
+    within 1e-6 of one in ``accepted``.
+    """
+    re_min, re_max, im_min, im_max = box
+    branch_points = (0.0 + 0j, complex(p.v0, 0.0))
+
+    def denominator(z: complex) -> complex:
+        return chi_coefficients(p, z).c4
+
+    def far_from_branch_points(z: complex) -> bool:
+        return all(abs(z - bp) >= _ROOT_MARGIN for bp in branch_points)
+
+    if not far_from_branch_points(z):
+        return None
+    h = _NEWTON_H
+    last_step = math.inf
+    ok = False
+    try:
+        for _ in range(_NEWTON_STEPS):
+            fz = denominator(z)
+            dfz = (denominator(z + h) - denominator(z - h)) / (2.0 * h)
+            if dfz == 0 or not (math.isfinite(dfz.real) and math.isfinite(dfz.imag)):
+                break
+            dz = fz / dfz
+            z = z - dz
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                break
+            last_step = abs(dz)
+            if last_step < 1e-13 * max(1.0, abs(z)):
+                ok = True
+                break
+    except (BranchPointError, OverflowError, ZeroDivisionError, ValueError):
+        # the iterate escaped to where the coefficients overflow or
+        # degenerate; this seed finds nothing
+        return None
+    if not ok or last_step >= 1e-12:
+        return None
+    if not (re_min <= z.real <= re_max and im_min <= z.imag <= im_max):
+        return None
+    if not far_from_branch_points(z):
+        return None
+    try:
+        resid = abs(denominator(z))
+    except (BranchPointError, OverflowError, ValueError):
+        return None
+    if resid >= 1e-10:
+        return None
+    if any(abs(z - root) < _ROOT_MARGIN for root in accepted):
+        return None
+    return z
+
+
+def _screen(p: SquareBarrier, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The iteration of :func:`_newton_root` run on all ``seeds`` at once.
+
+    Returns the final iterates and a mask of the seeds that converged with a
+    last step below 1e-12.  A seed leaves the active set when it converges
+    or dies: an iterate or z +- h within ``EPS_BRANCH`` of 0 or v0, a
+    non-finite value, or a zero derivative.  Seeds within 1e-6 of 0 or v0
+    never start.
+    """
+    z = seeds.copy()
+    last_step = np.full(z.shape, np.inf)
+    ok = np.zeros(z.shape, dtype=bool)
+    active = np.flatnonzero((np.abs(z) >= _ROOT_MARGIN) & (np.abs(z - p.v0) >= _ROOT_MARGIN))
+    h = _NEWTON_H
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            if active.size == 0:
+                break
+            za = z[active]
+            trio = np.concatenate((za, za + h, za - h))
+            near = (np.abs(trio) < EPS_BRANCH) | (np.abs(trio - p.v0) < EPS_BRANCH)
+            fz, f_plus, f_minus = np.split(_chi_c4_array(p, trio), 3)
+            dfz = (f_plus - f_minus) / (2.0 * h)
+            dz = fz / dfz
+            za = za - dz
+            step = np.abs(dz)
+            live = ~near.reshape(3, -1).any(axis=0) & (dfz != 0) & np.isfinite(dfz)
+            live &= np.isfinite(za)
+            done = live & (step < 1e-13 * np.maximum(1.0, np.abs(za)))
+            z[active[live]] = za[live]
+            last_step[active[live]] = step[live]
+            ok[active[done]] = True
+            active = active[live & ~done]
+    return z, ok & (last_step < 1e-12)
+
+
 def find_kernel_poles(
     p: SquareBarrier,
     box: tuple[float, float, float, float],
@@ -253,74 +369,65 @@ def find_kernel_poles(
     """Newton search for zeros of the outgoing-kernel denominator over a box.
 
     Seeds are laid on a grid of spacing ``seed_density`` over
-    ``box = (re_min, re_max, im_min, im_max)``; each runs a damped-free Newton
-    iteration on c4(J)(E) with the derivative taken by a central complex
-    difference of step 1e-7.  A root is kept only if the final Newton step is
-    below 1e-12, |c4| is below 1e-10, it lies inside the box, and it is at
-    least 1e-6 away from the branch points 0 and v0.  Roots within 1e-6 of an
-    already accepted one are dropped.  An empty list is a valid outcome.
+    ``box = (re_min, re_max, im_min, im_max)``; each runs an undamped Newton
+    iteration on c4(J)(E), at most 60 steps, with the derivative taken by a
+    central complex difference of step 1e-7.  A root is kept only if the
+    final Newton step is below 1e-12, |c4| is below 1e-10, it lies inside
+    the box, and it is at least 1e-6 away from the branch points 0 and v0.
+    Roots within 1e-6 of an already accepted one are dropped.  An empty list
+    is a valid outcome.
+
+    The search runs in two stages.  The screen runs the iteration on
+    ``SCREEN_BLOCK`` seeds at a time as numpy arrays, in seed order.  The
+    confirm step takes the seeds whose screened root converged inside the
+    box, skips any within 1e-6 of a root already accepted, and re-runs each
+    of the rest from its seed in scalar arithmetic under every rule above.
+    The returned digits are therefore those of the scalar iteration; the
+    screen, whose last digits may differ, only picks the seeds to re-run.
+
+    Raises :class:`DomainError` for a non-finite or degenerate box, a
+    non-finite or non-positive ``seed_density``, or more than ``MAX_SEEDS``
+    seeds.
     """
-    re_min, re_max, im_min, im_max = (float(x) for x in box)
+    bounds = tuple(float(x) for x in box)
+    re_min, re_max, im_min, im_max = bounds
+    if not all(math.isfinite(x) for x in bounds):
+        raise DomainError(f"search box entries must be finite, got {box}")
     if not (re_min < re_max and im_min < im_max):
         raise DomainError(f"degenerate search box {box}")
-    if seed_density <= 0.0:
-        raise DomainError("seed_density must be positive")
+    seed_density = float(seed_density)
+    if not (math.isfinite(seed_density) and seed_density > 0.0):
+        raise DomainError(f"seed_density must be finite and positive, got {seed_density}")
+    # a side of MAX_SEEDS spacings or more (inf included) is too long by itself
+    n_re, n_im = (
+        int(span) + 1 if span < MAX_SEEDS else MAX_SEEDS + 1
+        for span in ((re_max - re_min) / seed_density, (im_max - im_min) / seed_density)
+    )
+    n_seeds = n_re * n_im
+    if n_seeds > MAX_SEEDS:
+        raise DomainError(
+            f"box {box} at seed spacing {seed_density} needs more than {MAX_SEEDS} seeds"
+        )
 
-    branch_points = (0.0 + 0j, complex(p.v0, 0.0))
-    margin = 1e-6
-
-    def denominator(z: complex) -> complex:
-        return chi_coefficients(p, z).c4
-
-    def far_from_branch_points(z: complex) -> bool:
-        return all(abs(z - bp) >= margin for bp in branch_points)
-
-    h = 1e-7
     accepted: list[complex] = []
-    n_re = int(math.floor((re_max - re_min) / seed_density)) + 1
-    n_im = int(math.floor((im_max - im_min) / seed_density)) + 1
-    for i in range(n_re):
-        for jdx in range(n_im):
-            z = complex(re_min + i * seed_density, im_min + jdx * seed_density)
-            if not far_from_branch_points(z):
+    for start in range(0, n_seeds, SCREEN_BLOCK):
+        i, j = np.divmod(np.arange(start, min(start + SCREEN_BLOCK, n_seeds)), n_im)
+        seeds = np.empty(i.shape, dtype=complex)
+        seeds.real = re_min + i * seed_density
+        seeds.imag = im_min + j * seed_density
+        roots, converged = _screen(p, seeds)
+        inside = (
+            converged
+            & (re_min <= roots.real) & (roots.real <= re_max)
+            & (im_min <= roots.imag) & (roots.imag <= im_max)
+        )
+        for n in np.flatnonzero(inside):
+            screened = complex(roots[n])
+            if any(abs(screened - root) < _ROOT_MARGIN for root in accepted):
                 continue
-            last_step = math.inf
-            ok = False
-            try:
-                for _ in range(60):
-                    fz = denominator(z)
-                    dfz = (denominator(z + h) - denominator(z - h)) / (2.0 * h)
-                    if dfz == 0 or not (
-                        math.isfinite(dfz.real) and math.isfinite(dfz.imag)
-                    ):
-                        break
-                    dz = fz / dfz
-                    z = z - dz
-                    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                        break
-                    last_step = abs(dz)
-                    if last_step < 1e-13 * max(1.0, abs(z)):
-                        ok = True
-                        break
-            except (BranchPointError, OverflowError, ZeroDivisionError, ValueError):
-                # the iterate escaped to where the coefficients overflow or
-                # degenerate; this seed finds nothing
-                continue
-            if not ok or last_step >= 1e-12:
-                continue
-            if not (re_min <= z.real <= re_max and im_min <= z.imag <= im_max):
-                continue
-            if not far_from_branch_points(z):
-                continue
-            try:
-                resid = abs(denominator(z))
-            except (BranchPointError, OverflowError, ValueError):
-                continue
-            if resid >= 1e-10:
-                continue
-            if any(abs(z - root) < 1e-6 for root in accepted):
-                continue
-            accepted.append(z)
+            root = _newton_root(p, complex(seeds[n]), bounds, accepted)
+            if root is not None:
+                accepted.append(root)
     accepted.sort(key=lambda w: (w.real, w.imag))
     return accepted
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -44,6 +46,27 @@ def branch_sqrt(z: complex) -> complex:
     rho = math.sqrt(abs(z))
     half = 0.5 * theta
     return complex(rho * math.cos(half), rho * math.sin(half))
+
+
+def _branch_sqrt_array(z) -> np.ndarray:
+    """:func:`branch_sqrt` over an array of finite complex numbers.
+
+    On the real axis, for either sign of a zero imaginary part, every entry
+    equals the scalar result bit for bit: the root is taken of the real part
+    alone and the other part is exactly +0.0.  Off the axis the same halved
+    angle is used, with numpy's transcendental functions.
+    """
+    z = np.asarray(z, dtype=complex)
+    re, im = z.real, z.imag
+    rho = np.sqrt(np.abs(z))
+    half = 0.5 * np.arctan2(im, re)
+    axis = im == 0.0
+    neg = axis & (re < 0.0)
+    root = np.sqrt(np.where(neg, -re, np.where(axis, re, 0.0)))
+    out = np.empty(z.shape, dtype=complex)
+    out.real = np.where(neg, 0.0, np.where(axis, root, rho * np.cos(half)))
+    out.imag = np.where(neg, root, np.where(axis, 0.0, rho * np.sin(half)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,8 @@ class TestParsing:
         assert pts[99] == 99 * 0.05  # no accumulation drift
 
     def test_bad_grids(self):
-        for spec in ("0:1", "1:0:0.1", "0:1:-0.1", "a:b:c", "0:inf:1", "nan:1:0.1", "0:1:nan"):
+        for spec in ("0:1", "1:0:0.1", "0:1:-0.1", "a:b:c", "0:inf:1", "nan:1:0.1", "0:1:nan",
+                     "0:1:1e-300"):  # about 1e300 points
             with pytest.raises(ConfigError):
                 parse_grid(spec)
 
@@ -118,9 +119,21 @@ class TestEval:
             complex_e + ["--r-grid=-1:1:0.5", "--s=1", f"--out={out}"],  # DomainError
             ["eval", *barrier, "--energy=5", "--r=1", "--s=1", f"--out={out}"],  # BranchPointError
             ["limit-study", *barrier, "--energy=5", "--r=1", "--s=1", f"--out={out}"],
+            # chi overflows at r = 600; the kernel would be nan
+            ["eval", *barrier, "--energy=1.5+5i", "--r=600", "--s=600", f"--out={out}"],
+            # the tail at complex E follows Im E, so a direction cannot be honoured
+            ["eval", *barrier, "--energy=1+1i", "--direction=minus", "--r=1", "--s=1",
+             f"--out={out}"],
         ]
         for argv in bad:
             assert main(argv) == 2, argv
+
+    def test_real_energy_default_direction_is_plus(self, tmp_path):
+        out = tmp_path / "plus.csv"
+        assert main(["eval", "--v0=5", "--a=1", "--b=2", "--energy=1.5", "--r=0.8", "--s=2",
+                     f"--out={out}"]) == 0
+        _, rows = read_csv(out)
+        assert [row[6] for row in rows] == ["formal_plus"]
 
     def test_pole_error_exits_2(self, tmp_path, monkeypatch, capsys):
         def vanishing(*args):
@@ -274,3 +287,12 @@ class TestPoleScan:
         rc = main(["pole-scan", "--v0", "5", "--a", "1", "--b", "2",
                    "--box", "1:2:3", "--out", str(tmp_path / "p.csv")])
         assert rc == 2
+        for flags in (
+            ["--box=0:inf:-1:0"],
+            ["--box=3:6:-1:-0.01", "--seed-density=nan"],
+            ["--box=3:6:-1:-0.01", "--seed-density=inf"],
+            ["--box=1:1e300:-1:0"],  # about 4e300 seeds
+        ):
+            argv = ["pole-scan", "--v0=5", "--a=1", "--b=2", *flags,
+                    f"--out={tmp_path / 'p.csv'}"]
+            assert main(argv) == 2, flags

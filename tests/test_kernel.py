@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sqgreen.kernel as kernel_module
 from sqgreen import (
     ContractError,
     DomainError,
@@ -15,6 +16,7 @@ from sqgreen import (
     kernel_pole_residual,
     resolvent_kernel,
 )
+from sqgreen.model import _branch_sqrt_array
 
 from conftest import close, random_instances
 
@@ -53,6 +55,13 @@ class TestResolventKernel:
             g_closed = resolvent_kernel(p, energy, r, s).value
             g_engine = resolvent_kernel(pw, energy, r, s).value
             assert abs(g_closed - g_engine) <= 1e-12 * (1.0 + abs(g_closed))
+
+    def test_overflowing_waves_raise(self, barrier):
+        # chi overflows at r = 600 far above the axis; the product would be nan
+        with pytest.raises(DomainError):
+            resolvent_kernel(barrier, 1.5 + 5j, 600.0, 600.0)
+        with pytest.raises(DomainError):
+            kernel_grid(barrier, 1.5 + 5j, [1.0, 600.0], [600.0])
 
     def test_offdiagonal_decay_above_axis(self, barrier):
         e = 2.0 + 1.2j
@@ -209,15 +218,14 @@ class TestPoleScan:
 
     def test_barrier_resonance(self, barrier):
         roots = find_kernel_poles(barrier, (3.0, 6.0, -1.0, -0.01), seed_density=0.25)
-        assert len(roots) == 1
-        assert abs(roots[0] - (4.202900 - 0.255644j)) < 1e-4
+        assert roots == [4.202900168796607 - 0.25564393159876414j]
         for z in roots:
             assert kernel_pole_residual(barrier, z) < 1e-10
 
     def test_well_bound_state(self):
         well = SquareBarrier(-4.0, 1.0, 2.0)
         roots = find_kernel_poles(well, (-3.9, -0.05, -0.5, 0.5), seed_density=0.25)
-        assert any(abs(z - (-1.72912722)) < 1e-4 for z in roots)
+        assert roots == [-1.7291272192208234 + 0j]
         for z in roots:
             assert kernel_pole_residual(well, z) < 1e-10
 
@@ -234,3 +242,46 @@ class TestPoleScan:
     def test_degenerate_box_rejected(self, barrier):
         with pytest.raises(DomainError):
             find_kernel_poles(barrier, (1.0, 1.0, -1.0, 1.0))
+
+    def test_screening_blocks_do_not_change_roots(self, monkeypatch):
+        p = SquareBarrier(12.0, 1.0, 3.0)
+        box = (0.5, 40.0, -6.0, -0.01)
+        n_seeds = (int(39.5 / 0.25) + 1) * (int(5.99 / 0.25) + 1)
+        assert n_seeds > 3 * kernel_module.SCREEN_BLOCK
+        roots = find_kernel_poles(p, box)
+        assert len(roots) == 4
+        for block in (37, n_seeds):
+            monkeypatch.setattr(kernel_module, "SCREEN_BLOCK", block)
+            assert find_kernel_poles(p, box) == roots
+        # two sub-boxes on the same seed lattice, overlapping by one column;
+        # a root may come from another first seed, so its last digits may differ
+        monkeypatch.undo()
+        pieces = find_kernel_poles(p, (0.5, 20.5, -6.0, -0.01)) + find_kernel_poles(
+            p, (20.0, 40.0, -6.0, -0.01)
+        )
+        assert len(pieces) == len(roots)
+        for z, w in zip(pieces, roots):
+            assert abs(z - w) < 1e-12 * abs(w)
+
+    @pytest.mark.parametrize(
+        "box, density",
+        [
+            ((0.0, np.inf, -1.0, 0.0), 0.25),
+            ((3.0, 6.0, -1.0, -0.01), np.nan),
+            ((3.0, 6.0, -1.0, -0.01), np.inf),
+            ((1.0, 1e300, -1.0, 0.0), 0.25),  # about 4e300 seeds
+        ],
+    )
+    def test_unbounded_requests_rejected(self, barrier, box, density):
+        with pytest.raises(DomainError):
+            find_kernel_poles(barrier, box, seed_density=density)
+
+
+def test_array_branch_sqrt_is_scalar_on_real_axis():
+    reals = [-1e300, -4.0, -1.7291272192208234, -1e-300, -0.0, 0.0, 1e-300, 2.5, 1e300]
+    zs = [complex(x, zero) for x in reals for zero in (0.0, -0.0)]
+    got = _branch_sqrt_array(np.array(zs))
+    for z, g in zip(zs, got.tolist()):
+        want = branch_sqrt(z)
+        # compare the bits, so that the sign of a zero counts
+        assert np.array([g.real, g.imag]).tobytes() == np.array([want.real, want.imag]).tobytes(), z
