@@ -128,7 +128,7 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 
 def _write_json(path: str, payload) -> None:
     with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -226,6 +226,12 @@ def cmd_verify(args) -> int:
     energy = parse_complex(args.energy)
     if energy.imag != 0.0 or energy.real <= 0.0:
         raise ConfigError("verification needs a real positive --energy")
+    if not (math.isfinite(args.corrupt_wronskian) and args.corrupt_wronskian != 0.0):
+        raise ConfigError(
+            f"--corrupt-wronskian must be finite and nonzero, got {args.corrupt_wronskian}"
+        )
+    if args.n_random < 0:
+        raise ConfigError(f"--n-random must be nonnegative, got {args.n_random}")
     report = run_verification(
         p,
         energy.real,
@@ -296,16 +302,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_limit.add_argument("--out", required=True)
     p_limit.set_defaults(func=cmd_limit_study)
 
-    p_verify = sub.add_parser("verify", help="run the full invariant suite")
+    p_verify = sub.add_parser(
+        "verify",
+        help="run the full invariant suite",
+        description="Run the full invariant suite on one barrier. The RK4 oracle steps "
+        "by 1e-3, so --a and --b must be multiples of 1e-3.",
+    )
     _add_potential_args(p_verify)
     p_verify.add_argument("--energy", required=True, help="real positive energy")
     p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized instances")
-    p_verify.add_argument("--n-random", type=int, default=2)
+    p_verify.add_argument(
+        "--n-random", type=int, default=2, help="number of seeded random instances (>= 0)"
+    )
     p_verify.add_argument(
         "--corrupt-wronskian",
         type=float,
         default=1.0,
-        help="test hook: scale the kernel normalization so the jump check must fail",
+        help="test hook: scale the kernel normalization (finite, nonzero) so the jump "
+        "check must fail",
     )
     p_verify.add_argument("--out", required=True)
     p_verify.set_defaults(func=cmd_verify)

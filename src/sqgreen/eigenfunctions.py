@@ -17,6 +17,8 @@ solves are kept alongside as an independent cross-check.
 from __future__ import annotations
 
 import cmath
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,6 +110,13 @@ class PiecewiseWave:
     def _eval(self, r, side: str, what: str):
         if side not in ("+", "-"):
             raise ContractError(f"side must be '+' or '-', got {side!r}")
+        if isinstance(r, (float, int)) and 0.0 <= r < math.inf:
+            # a finite scalar: bisect picks the index searchsorted would, and
+            # the region formula runs on a one-element array as below
+            find = bisect_right if side == "+" else bisect_left
+            reg = self.regions[find(self.breakpoints, r)]
+            arr = np.array([r], dtype=float)
+            return complex((reg.value(arr) if what == "value" else reg.derivative(arr))[0])
         arr = np.asarray(r, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
@@ -159,6 +168,10 @@ def _require_off_branch_points(p: SquareBarrier, e: complex) -> None:
         raise BranchPointError(f"energy {e} is within {EPS_BRANCH} of the branch point v0={p.v0}")
 
 
+def _overflow(e: complex) -> DomainError:
+    return DomainError(f"wave amplitudes at E={e} overflow double precision")
+
+
 def _match_plane(value: complex, deriv: complex, k: complex, x: float) -> tuple[complex, complex]:
     """Coefficients (c+, c-) of c+ e^{ikr} + c- e^{-ikr} hitting (value, deriv) at r=x."""
     slope = deriv / (1j * k)
@@ -176,14 +189,17 @@ def chi_coefficients(p: SquareBarrier, e: complex) -> CoefficientSet:
     e = complex(e)
     _require_off_branch_points(p, e)
     k, q = momenta(p, e)
-    va = cmath.sin(k * p.a)
-    da = k * cmath.cos(k * p.a)
-    c1, c2 = _match_plane(va, da, q, p.a)
-    eb = cmath.exp(1j * q * p.b)
-    emb = cmath.exp(-1j * q * p.b)
-    vb = c1 * eb + c2 * emb
-    db = 1j * q * (c1 * eb - c2 * emb)
-    c3, c4 = _match_plane(vb, db, k, p.b)
+    try:
+        va = cmath.sin(k * p.a)
+        da = k * cmath.cos(k * p.a)
+        c1, c2 = _match_plane(va, da, q, p.a)
+        eb = cmath.exp(1j * q * p.b)
+        emb = cmath.exp(-1j * q * p.b)
+        vb = c1 * eb + c2 * emb
+        db = 1j * q * (c1 * eb - c2 * emb)
+        c3, c4 = _match_plane(vb, db, k, p.b)
+    except OverflowError as exc:
+        raise _overflow(e) from exc
     return CoefficientSet("J", c1, c2, c3, c4)
 
 
@@ -213,14 +229,17 @@ def omega_plus_coefficients(p: SquareBarrier, e: complex) -> CoefficientSet:
     e = complex(e)
     _require_off_branch_points(p, e)
     k, q = momenta(p, e)
-    vb = cmath.exp(1j * k * p.b)
-    db = 1j * k * vb
-    c3, c4 = _match_plane(vb, db, q, p.b)
-    ea = cmath.exp(1j * q * p.a)
-    ema = cmath.exp(-1j * q * p.a)
-    va = c3 * ea + c4 * ema
-    da = 1j * q * (c3 * ea - c4 * ema)
-    c1, c2 = _match_plane(va, da, k, p.a)
+    try:
+        vb = cmath.exp(1j * k * p.b)
+        db = 1j * k * vb
+        c3, c4 = _match_plane(vb, db, q, p.b)
+        ea = cmath.exp(1j * q * p.a)
+        ema = cmath.exp(-1j * q * p.a)
+        va = c3 * ea + c4 * ema
+        da = 1j * q * (c3 * ea - c4 * ema)
+        c1, c2 = _match_plane(va, da, k, p.a)
+    except OverflowError as exc:
+        raise _overflow(e) from exc
     return CoefficientSet("A+", c1, c2, c3, c4)
 
 
@@ -229,14 +248,17 @@ def omega_minus_coefficients(p: SquareBarrier, e: complex) -> CoefficientSet:
     e = complex(e)
     _require_off_branch_points(p, e)
     k, q = momenta(p, e)
-    vb = cmath.exp(-1j * k * p.b)
-    db = -1j * k * vb
-    c3, c4 = _match_plane(vb, db, q, p.b)
-    ea = cmath.exp(1j * q * p.a)
-    ema = cmath.exp(-1j * q * p.a)
-    va = c3 * ea + c4 * ema
-    da = 1j * q * (c3 * ea - c4 * ema)
-    c1, c2 = _match_plane(va, da, k, p.a)
+    try:
+        vb = cmath.exp(-1j * k * p.b)
+        db = -1j * k * vb
+        c3, c4 = _match_plane(vb, db, q, p.b)
+        ea = cmath.exp(1j * q * p.a)
+        ema = cmath.exp(-1j * q * p.a)
+        va = c3 * ea + c4 * ema
+        da = 1j * q * (c3 * ea - c4 * ema)
+        c1, c2 = _match_plane(va, da, k, p.a)
+    except OverflowError as exc:
+        raise _overflow(e) from exc
     return CoefficientSet("A-", c1, c2, c3, c4)
 
 

@@ -174,31 +174,36 @@ def integrate_schrodinger(
 
     The step must divide the interval and every breakpoint strictly inside it
     must land on a grid node, so no step straddles a potential jump; the
-    potential of each step is read at the step midpoint.
+    potential of each step is read at the step midpoint.  The regions of all
+    midpoints are looked up at once, before the first step.
     """
     pw = as_piecewise(p)
     e = complex(e)
     n, h = _aligned_steps(r_from, r_to, step, pw.breakpoints)
 
     r = r_from + h * np.arange(n + 1)
-    ys = np.empty(n + 1, dtype=complex)
-    ds = np.empty(n + 1, dtype=complex)
+    mid = r_from + (np.arange(n) + 0.5) * h
+    if mid.min() < 0.0:
+        raise DomainError(f"radius must be nonnegative, got {mid.min()}")
+    v_minus_e = [v - e for v in pw.heights]
+    coeffs = [v_minus_e[j] for j in np.searchsorted(pw.breakpoints, mid, side="right").tolist()]
+    half, sixth = 0.5 * h, h / 6.0
     y, d = complex(y0), complex(dy0)
-    ys[0], ds[0] = y, d
-    for j in range(n):
-        c = pw.value_at(r_from + (j + 0.5) * h) - e
+    ys, ds = [y], [d]
+    for c in coeffs:
         # RK4 stages for (y, d)' = (d, c y)
         k1y, k1d = d, c * y
-        k2y = d + 0.5 * h * k1d
-        k2d = c * (y + 0.5 * h * k1y)
-        k3y = d + 0.5 * h * k2d
-        k3d = c * (y + 0.5 * h * k2y)
+        k2y = d + half * k1d
+        k2d = c * (y + half * k1y)
+        k3y = d + half * k2d
+        k3d = c * (y + half * k2y)
         k4y = d + h * k3d
         k4d = c * (y + h * k3y)
-        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        d = d + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        ys[j + 1], ds[j + 1] = y, d
-    return Trajectory(r, ys, ds)
+        y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        d = d + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        ys.append(y)
+        ds.append(d)
+    return Trajectory(r, np.array(ys, dtype=complex), np.array(ds, dtype=complex))
 
 
 def apply_hamiltonian_fd(
@@ -373,37 +378,17 @@ def check_resolvent_identity(
             f"{im_k * (r_max - hi):.3f} < 20"
         )
     h = float(quad_step)
-    if lo - h <= 0.0:
-        raise ContractError("support must leave room for one grid step above the origin")
-
-    direction = "plus" if e.imag > 0.0 else "minus"
-    chi, om, w = wave_pair(p, e, direction)
-
-    n = int(math.ceil((hi - lo) / h - 1e-9))
-    s_grid = lo + h * np.arange(n + 1)
-    chi_s = chi.value(s_grid)
-    om_s = om.value(s_grid)
-    f_s = f(s_grid)
-
-    pre_chi = _cumulative_simpson(chi_s * f_s, h)
-    pre_om = _cumulative_simpson(om_s * f_s, h)
-    total_chi = pre_chi[-1]
-    total_om = pre_om[-1]
-
-    r_grid = np.concatenate(([s_grid[0] - h], s_grid, [s_grid[-1] + h]))
-    u = np.empty(r_grid.size, dtype=complex)
-    u[1:-1] = (om_s * pre_chi + chi_s * (total_om - pre_om)) / w
-    u[0] = chi.value(r_grid[0]) * total_om / w
-    u[-1] = om.value(r_grid[-1]) * total_chi / w
+    r_grid, u = _resolvent_image(p, e, f, h)
+    f_r = f(r_grid)
 
     # the declared support truncates the source, so u'' has a (tiny) jump at
     # the two support edges; flag their collars exactly like potential jumps
     hu, valid = apply_hamiltonian_fd(
-        r_grid, u, p, h, exclude_near=(float(s_grid[0]), float(s_grid[-1]))
+        r_grid, u, p, h, exclude_near=(float(r_grid[1]), float(r_grid[-2]))
     )
-    resid = np.abs(e * u - hu - f(r_grid))
-    scale = float(np.max(np.abs(f_s)))
-    inside = (r_grid >= lo) & (r_grid <= s_grid[-1]) & valid
+    resid = np.abs(e * u - hu - f_r)
+    scale = float(np.max(np.abs(f_r[1:-1])))
+    inside = (r_grid >= lo) & (r_grid <= r_grid[-2]) & valid
     max_resid = float(np.max(resid[inside])) / scale
     return ResidualReport.build(
         "resolvent_identity",
@@ -414,13 +399,15 @@ def check_resolvent_identity(
     )
 
 
-def apply_resolvent_quadrature(p, e: complex, f: TestFunction, quad_step: float = 1e-3):
-    """(r_grid, u) with u the Simpson image of f under the resolvent kernel."""
-    e = complex(e)
-    if e.imag == 0.0:
-        raise ContractError("resolvent quadrature requires Im E != 0")
+def _resolvent_image(p, e: complex, f: TestFunction, h: float):
+    """(r_grid, u): the Simpson image of f under the resolvent kernel, at step h.
+
+    r_grid is the support grid of f plus one node beyond each end, where only
+    one of the two partial integrals is nonzero.
+    """
     lo, hi = f.support
-    h = float(quad_step)
+    if lo - h <= 0.0:
+        raise ContractError("support must leave room for one grid step above the origin")
     direction = "plus" if e.imag > 0.0 else "minus"
     chi, om, w = wave_pair(p, e, direction)
     n = int(math.ceil((hi - lo) / h - 1e-9))
@@ -430,8 +417,30 @@ def apply_resolvent_quadrature(p, e: complex, f: TestFunction, quad_step: float 
     f_s = f(s_grid)
     pre_chi = _cumulative_simpson(chi_s * f_s, h)
     pre_om = _cumulative_simpson(om_s * f_s, h)
-    u = (om_s * pre_chi + chi_s * (pre_om[-1] - pre_om)) / w
-    return s_grid, u
+    total_chi = pre_chi[-1]
+    total_om = pre_om[-1]
+
+    r_grid = np.concatenate(([s_grid[0] - h], s_grid, [s_grid[-1] + h]))
+    u = np.empty(r_grid.size, dtype=complex)
+    u[1:-1] = (om_s * pre_chi + chi_s * (total_om - pre_om)) / w
+    u[0] = chi.value(r_grid[0]) * total_om / w
+    u[-1] = om.value(r_grid[-1]) * total_chi / w
+    return r_grid, u
+
+
+def apply_resolvent_quadrature(p, e: complex, f: TestFunction, quad_step: float = 1e-3):
+    """(s_grid, u) with u the Simpson image of f under the resolvent kernel."""
+    e = complex(e)
+    if e.imag == 0.0:
+        raise ContractError("resolvent quadrature requires Im E != 0")
+    r_grid, u = _resolvent_image(p, e, f, float(quad_step))
+    return r_grid[1:-1], u[1:-1]
+
+
+def on_lattice(x: float, step: float) -> bool:
+    """Whether x is a multiple of step, to a relative 1e-9."""
+    t = x / step
+    return abs(t - round(t)) <= 1e-9 * max(1.0, abs(t))
 
 
 def check_distributional_equation(
@@ -456,8 +465,7 @@ def check_distributional_equation(
     pw = as_piecewise(p)
     outer = pw.breakpoints[-1] if pw.breakpoints else 1.0
     for x, nm in ((s, "s"),) + tuple((bp, "breakpoint") for bp in pw.breakpoints):
-        t = x / step
-        if abs(t - round(t)) > 1e-9 * max(1.0, abs(t)):
+        if not on_lattice(x, step):
             raise ContractError(f"{nm}={x} must sit on the step lattice (step {step})")
 
     jump_report = check_jump(p, e, s, direction, wronskian_scale)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchPointError, ContractError, DomainError, EPS_BRANCH
-from .eigenfunctions import PiecewiseWave, Region
+from .eigenfunctions import PiecewiseWave, Region, _overflow
 from .model import SquareBarrier, branch_sqrt
 
 
@@ -128,18 +128,21 @@ def build_chi(p: PiecewisePotential, e: complex) -> PiecewiseWave:
     regions = [Region(0.0, edges[1], ks[0], "sin", 1.0 + 0j)]
     if n > 0:
         x = p.breakpoints[0]
-        value = cmath.sin(ks[0] * x)
-        deriv = ks[0] * cmath.cos(ks[0] * x)
-        for j in range(1, n + 1):
-            lo, hi = edges[j], edges[j + 1]
-            cp, cm = _amplitudes_at(value, deriv, ks[j])
-            regions.append(Region(lo, hi, ks[j], "exp", cp, cm, ref=lo))
-            if j < n:
-                width = hi - lo
-                grow = cmath.exp(1j * ks[j] * width)
-                decay = cmath.exp(-1j * ks[j] * width)
-                value = cp * grow + cm * decay
-                deriv = 1j * ks[j] * (cp * grow - cm * decay)
+        try:
+            value = cmath.sin(ks[0] * x)
+            deriv = ks[0] * cmath.cos(ks[0] * x)
+            for j in range(1, n + 1):
+                lo, hi = edges[j], edges[j + 1]
+                cp, cm = _amplitudes_at(value, deriv, ks[j])
+                regions.append(Region(lo, hi, ks[j], "exp", cp, cm, ref=lo))
+                if j < n:
+                    width = hi - lo
+                    grow = cmath.exp(1j * ks[j] * width)
+                    decay = cmath.exp(-1j * ks[j] * width)
+                    value = cp * grow + cm * decay
+                    deriv = 1j * ks[j] * (cp * grow - cm * decay)
+        except OverflowError as exc:
+            raise _overflow(e) from exc
     return PiecewiseWave(tuple(regions), p.breakpoints, p.heights, e, "chi")
 
 
@@ -159,25 +162,28 @@ def build_omega(p: PiecewisePotential, e: complex, direction: str) -> PiecewiseW
 
     edges = (0.0,) + p.breakpoints + (np.inf,)
     x_last = p.breakpoints[-1]
-    phase = cmath.exp(sign * 1j * ks[n] * x_last)
-    if direction == "plus":
-        outer = Region(x_last, np.inf, ks[n], "exp", phase, 0j, ref=x_last)
-    else:
-        outer = Region(x_last, np.inf, ks[n], "exp", 0j, phase, ref=x_last)
-    value = phase
-    deriv = sign * 1j * ks[n] * phase
+    try:
+        phase = cmath.exp(sign * 1j * ks[n] * x_last)
+        if direction == "plus":
+            outer = Region(x_last, np.inf, ks[n], "exp", phase, 0j, ref=x_last)
+        else:
+            outer = Region(x_last, np.inf, ks[n], "exp", 0j, phase, ref=x_last)
+        value = phase
+        deriv = sign * 1j * ks[n] * phase
 
-    regions = [outer]
-    for j in range(n - 1, -1, -1):
-        lo, hi = edges[j], edges[j + 1]
-        cp_at_hi, cm_at_hi = _amplitudes_at(value, deriv, ks[j])
-        width = hi - lo
-        cp = cp_at_hi * cmath.exp(-1j * ks[j] * width)
-        cm = cm_at_hi * cmath.exp(1j * ks[j] * width)
-        regions.append(Region(lo, hi, ks[j], "exp", cp, cm, ref=lo))
-        if j > 0:
-            value = cp + cm
-            deriv = 1j * ks[j] * (cp - cm)
+        regions = [outer]
+        for j in range(n - 1, -1, -1):
+            lo, hi = edges[j], edges[j + 1]
+            cp_at_hi, cm_at_hi = _amplitudes_at(value, deriv, ks[j])
+            width = hi - lo
+            cp = cp_at_hi * cmath.exp(-1j * ks[j] * width)
+            cm = cm_at_hi * cmath.exp(1j * ks[j] * width)
+            regions.append(Region(lo, hi, ks[j], "exp", cp, cm, ref=lo))
+            if j > 0:
+                value = cp + cm
+                deriv = 1j * ks[j] * (cp - cm)
+    except OverflowError as exc:
+        raise _overflow(e) from exc
     regions.reverse()
     return PiecewiseWave(tuple(regions), p.breakpoints, p.heights, e, label)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .eigenfunctions import chi_wave, omega_wave, wronskian, wronskian_closed_form
+from .errors import DomainError
 from .kernel import boundary_limit, formal_green, resolvent_kernel
 from .model import SquareBarrier
 from .oracle import (
@@ -19,8 +20,12 @@ from .oracle import (
     TestFunction,
     check_distributional_equation,
     check_resolvent_identity,
+    on_lattice,
 )
 from .piecewise import PiecewisePotential, build_chi, build_omega
+
+#: step of the RK4 oracle; the barrier edges and the diagonal point sit on its lattice
+LATTICE = 1e-3
 
 
 def _wave_continuity(p: SquareBarrier, e: complex) -> float:
@@ -103,11 +108,20 @@ def run_verification(
     n_random: int = 2,
     wronskian_scale: float = 1.0,
 ) -> dict:
-    """Run the whole suite; returns the report dictionary used by the CLI."""
+    """Run the whole suite; returns the report dictionary used by the CLI.
+
+    Raises :class:`DomainError` if a barrier edge is off the ``LATTICE``
+    (1e-3) that the RK4 re-integration steps on.
+    """
+    off = [x for x in p.breakpoints if not on_lattice(x, LATTICE)]
+    if off:
+        raise DomainError(
+            f"barrier edges {off} must sit on the {LATTICE} lattice of the RK4 oracle"
+        )
     rng = np.random.default_rng(seed)
     e = float(e)
     ec = complex(e, 1.0)
-    s_mid = round((0.5 * (p.a + p.b)) / 1e-3) * 1e-3
+    s_mid = round((0.5 * (p.a + p.b)) / LATTICE) * LATTICE
 
     checks: list[ResidualReport] = []
     checks.append(
@@ -122,7 +136,7 @@ def run_verification(
     )
     for direction in ("plus", "minus"):
         dist = check_distributional_equation(
-            p, e, s_mid, direction, wronskian_scale=wronskian_scale
+            p, e, s_mid, direction, step=LATTICE, wronskian_scale=wronskian_scale
         )
         for comp in dist.components:
             checks.append(

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sqgreen import PiecewisePotential, SquareBarrier, formal_green, resolvent_kernel
-from sqgreen.cli import main, parse_complex, parse_grid
+from sqgreen.cli import _write_json, main, parse_complex, parse_grid
 from sqgreen.errors import ConfigError, PoleError
 
 
@@ -222,6 +226,12 @@ class TestLimitStudy:
             assert float(row[12]) <= 1e-8  # |extrapolated - formal|
             assert row[13] == "true"
 
+    def test_overflowing_energy_exits_2(self, tmp_path, capsys):
+        rc = main(["limit-study", "--v0=5", "--a=1", "--b=2", "--energy=1e300", "--r=1",
+                   "--s=1", f"--out={tmp_path / 'x.csv'}"])
+        assert rc == 2
+        assert "overflow" in capsys.readouterr().err
+
     def test_complex_energy_rejected(self, tmp_path):
         rc = main(["limit-study", "--v0", "5", "--a", "1", "--b", "2",
                    "--energy", "1+1i", "--r", "1", "--s", "1", "--out", str(tmp_path / "x.csv")])
@@ -252,6 +262,26 @@ class TestVerify:
         assert report["pass"] is False
         failed = {c["name"] for c in report["checks"] if not c["pass"]}
         assert "derivative_jump_plus" in failed
+
+    def test_bad_requests_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        base = ["verify", "--v0=5", "--a=1", "--b=2", "--energy=1"]
+        bad = [
+            # a zero scale divided by zero; nan and inf wrote NaN tokens into the JSON
+            base + ["--corrupt-wronskian=0"],
+            base + ["--corrupt-wronskian=nan"],
+            base + ["--corrupt-wronskian=inf"],
+            base + ["--n-random=-3"],
+            # the closed-form amplitudes overflow in cmath
+            ["verify", "--v0=5", "--a=1", "--b=2", "--energy=1e300"],
+            ["verify", "--v0=1e6", "--a=1", "--b=2", "--energy=1"],
+            # a barrier edge off the 1e-3 lattice of the RK4 oracle
+            ["verify", "--v0=5", "--a=1.0004", "--b=2", "--energy=1"],
+        ]
+        for argv in bad:
+            assert main(argv + [f"--out={out}"]) == 2, argv
+            assert capsys.readouterr().err.startswith("error: "), argv
+        assert not out.exists()
 
     def test_seed_changes_random_draws_not_outcome(self, tmp_path):
         outs = []
@@ -296,3 +326,23 @@ class TestPoleScan:
             argv = ["pole-scan", "--v0=5", "--a=1", "--b=2", *flags,
                     f"--out={tmp_path / 'p.csv'}"]
             assert main(argv) == 2, flags
+
+
+def test_write_json_refuses_non_finite_values(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(str(tmp_path / "x.json"), {"max_residual": float("nan")})
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # the package runs as a module from a source checkout, without an install
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / "k.csv"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "sqgreen", "eval", "--v0=5", "--a=1", "--b=2",
+         "--energy=1.5+0.2i", "--r=0.8", "--s=2", f"--out={out}"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    header, rows = read_csv(out)
+    assert header[0] == "r" and len(rows) == 1

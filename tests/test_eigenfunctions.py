@@ -6,8 +6,11 @@ import pytest
 from sqgreen import (
     BranchPointError,
     ContractError,
+    PiecewisePotential,
     SquareBarrier,
     branch_sqrt,
+    build_chi,
+    build_omega,
     chi_coefficients,
     chi_wave,
     omega_minus_coefficients,
@@ -154,8 +157,39 @@ class TestDerivatives:
         from sqgreen import DomainError
 
         wave = chi_wave(barrier, 1.0 + 0j)
-        with pytest.raises(DomainError):
-            wave.value(-0.5)
+        for r in (-0.5, -1e-300, -np.inf, np.float64(-2.0)):
+            with pytest.raises(DomainError):
+                wave.value(r)
+            with pytest.raises(DomainError):
+                wave.derivative(r, "-")
+
+
+def _scalar_probe_waves():
+    barrier = SquareBarrier(5.0, 1.0, 2.0)
+    stair = PiecewisePotential((0.6, 1.3, 2.1), (1.5, -2.0, 4.0, 0.0))
+    for e in (1.0 + 0j, 2.3 + 0.9j):
+        yield barrier, chi_wave(barrier, e)
+        for direction in ("plus", "minus"):
+            yield barrier, omega_wave(barrier, e, direction)
+        yield stair, build_chi(stair, e)
+        for direction in ("plus", "minus"):
+            yield stair, build_omega(stair, e, direction)
+
+
+def test_scalar_lookups_equal_one_element_arrays():
+    # the scalar fast path must pick the same region and return the same bits
+    # as the array path, at the origin, inside every region and on both sides
+    # of every breakpoint
+    for p, wave in _scalar_probe_waves():
+        edges = (0.0,) + tuple(p.breakpoints)
+        inner = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])] + [edges[-1] + 1.3]
+        for r in [0.0, 0, *inner, *p.breakpoints]:
+            for side in ("+", "-"):
+                for fn in (wave.value, wave.derivative):
+                    scalar = fn(r, side)
+                    array = fn(np.array([r]), side)[0]
+                    assert type(scalar) is complex
+                    assert np.complex128(scalar).tobytes() == array.tobytes(), (wave.label, r)
 
 
 class TestWronskian:

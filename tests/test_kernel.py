@@ -63,6 +63,19 @@ class TestResolventKernel:
         with pytest.raises(DomainError):
             kernel_grid(barrier, 1.5 + 5j, [1.0, 600.0], [600.0])
 
+    @pytest.mark.parametrize(
+        "p, e",
+        [
+            (SquareBarrier(5.0, 1.0, 2.0), complex(1e300, 5e298)),
+            (SquareBarrier(1e6, 1.0, 2.0), 1.0 + 1.0j),
+            (PiecewisePotential((1.0, 3.0), (0.0, 1e6, 0.0)), 1.0 + 1.0j),
+        ],
+    )
+    def test_overflowing_amplitudes_raise(self, p, e):
+        # cmath raised a bare OverflowError while the waves were matched
+        with pytest.raises(DomainError, match="overflow"):
+            resolvent_kernel(p, e, 1.0, 1.0)
+
     def test_offdiagonal_decay_above_axis(self, barrier):
         e = 2.0 + 1.2j
         im_k = branch_sqrt(e).imag

@@ -17,7 +17,9 @@ from sqgreen import (
     integrate_schrodinger,
     omega_wave,
 )
+import sqgreen.verification as verification
 from sqgreen.kernel import wave_pair
+from sqgreen.verification import run_verification
 from sqgreen.oracle import _cumulative_simpson, apply_resolvent_quadrature
 
 from conftest import random_instances
@@ -89,6 +91,55 @@ class TestIntegrateSchrodinger:
         chi = build_chi(pw, e)
         traj = integrate_schrodinger(pw, e, 0.0, chi.derivative(0.0), 0.0, 5.0, 1e-3)
         assert np.max(np.abs(traj.values - chi.value(traj.r))) <= 1e-8
+
+
+def _reference_rk4(p, e, y0, dy0, r_from, r_to, step):
+    """The per-step RK4 loop as it was before the region lookup was batched."""
+    pw = p if isinstance(p, PiecewisePotential) else PiecewisePotential.from_square_barrier(p)
+    e = complex(e)
+    n = int(round(abs(r_to - r_from) / step))
+    h = math.copysign(step, r_to - r_from)
+    ys = np.empty(n + 1, dtype=complex)
+    ds = np.empty(n + 1, dtype=complex)
+    y, d = complex(y0), complex(dy0)
+    ys[0], ds[0] = y, d
+    for j in range(n):
+        c = pw.value_at(r_from + (j + 0.5) * h) - e
+        k1y, k1d = d, c * y
+        k2y = d + 0.5 * h * k1d
+        k2d = c * (y + 0.5 * h * k1y)
+        k3y = d + 0.5 * h * k2d
+        k3d = c * (y + 0.5 * h * k2y)
+        k4y = d + h * k3d
+        k4d = c * (y + h * k3y)
+        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        d = d + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        ys[j + 1], ds[j + 1] = y, d
+    return r_from + h * np.arange(n + 1), ys, ds
+
+
+@pytest.mark.parametrize(
+    "potential, e, y0, dy0, r_from, r_to",
+    [
+        (SquareBarrier(5.0, 1.0, 2.0), 1.0, 0.0, 0.83, 0.0, 1.5),  # forward 0 -> s
+        (SquareBarrier(5.0, 1.0, 2.0), 1.0, 0.2 - 0.7j, 0.4 + 0.1j, 7.0, 1.5),  # backward
+        (SquareBarrier(-3.0, 0.7, 1.9), 2.3 + 0.9j, 0.0, 1.0, 0.0, 4.0),  # complex E
+        (PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -2.0, 0.0)), 1.5, 0.0, 1.0, 0.0, 5.0),
+        (PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -2.0, 0.0)), 1.5 - 0.5j, 1.0, -1j, 5.0,
+         0.25),
+    ],
+)
+def test_rk4_trajectory_is_bit_identical_to_per_step_loop(potential, e, y0, dy0, r_from, r_to):
+    traj = integrate_schrodinger(potential, e, y0, dy0, r_from, r_to, 1e-3)
+    r, ys, ds = _reference_rk4(potential, e, y0, dy0, r_from, r_to, 1e-3)
+    assert traj.r.tobytes() == r.tobytes()
+    assert traj.values.tobytes() == ys.tobytes()
+    assert traj.derivatives.tobytes() == ds.tobytes()
+
+
+def test_rk4_negative_radius_rejected(barrier):
+    with pytest.raises(DomainError):
+        integrate_schrodinger(barrier, 1.0, 0.0, 1.0, -0.5, 1.5, 1e-3)
 
 
 class TestApplyHamiltonianFd:
@@ -303,3 +354,22 @@ class TestDistributionalEquation:
             )
         jr = check_jump(pw, 1.0, 1.5, "minus")
         assert jr.passed
+
+
+class TestRunVerification:
+    @pytest.mark.parametrize(
+        "p, e",
+        [(SquareBarrier(5.0, 1.0, 2.0), 1e300), (SquareBarrier(1e6, 1.0, 2.0), 1.0)],
+    )
+    def test_overflowing_amplitudes_raise(self, p, e):
+        with pytest.raises(DomainError, match="overflow"):
+            run_verification(p, e)
+
+    def test_edge_off_the_lattice_raises_before_any_check(self, monkeypatch):
+        def no_checks(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verification, "check_distributional_equation", no_checks)
+        monkeypatch.setattr(verification, "chi_wave", no_checks)
+        with pytest.raises(DomainError, match="lattice"):
+            run_verification(SquareBarrier(5.0, 1.0004, 2.0), 1.0)
