@@ -1,0 +1,54 @@
+"""Byte identity of the CLI with the golden corpus in ``tests/golden/``.
+
+A change that moves printed digits on purpose regenerates the corpus with
+``tests/golden_corpus.py`` and records the drift table it prints.
+"""
+
+import json
+import shutil
+
+import pytest
+
+from golden_corpus import CASES, GOLDEN, drift, format_drift, read_case, run_case, ulp_distance
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_corpus(tmp_path, name):
+    got = run_case(name, tmp_path)
+    want = read_case(GOLDEN, name)
+    assert got[0] == want[0], f"exit code {want[0]} -> {got[0]}: {got[2]}"
+    assert got[2] == want[2]
+    assert got[1] == want[1]
+
+
+def test_corpus_covers_every_exit_code():
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert set(codes) == set(CASES)
+    assert set(codes.values()) == {0, 1, 2}
+
+
+def test_ulp_distance():
+    assert ulp_distance(1.0, 1.0) == 0
+    assert ulp_distance(1.0, 1.0000000000000002) == 1
+    assert ulp_distance(-0.0, 0.0) == 0
+    assert ulp_distance(-5e-324, 5e-324) == 2
+
+
+def test_drift_report_finds_a_one_ulp_change(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    shutil.copytree(GOLDEN, old)
+    shutil.copytree(GOLDEN, new)
+    assert drift(old, new) == ([], [])
+    path = new / "eval_barrier_complex.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[-1].split(",")
+    bumped = float(fields[4]) * (1.0 + 2.0**-52)
+    fields[4] = format(bumped, ".17g")
+    lines[-1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    table, notes = drift(old, new)
+    assert notes == []
+    assert [(row["case"], row["column"], row["differ"], row["ulp"]) for row in table] == [
+        ("eval_barrier_complex", "g_re", 1, 1)
+    ]
+    assert "| eval_barrier_complex | g_re | 25 | 1 |" in format_drift(old, new)
