@@ -2,8 +2,9 @@
 
 The package builds the resolvent kernel G(r, s; E) of -d^2/dr^2 + V on
 [0, inf) with a Dirichlet condition at the origin, for square-barrier and
-staircase potentials, both from matched closed-form waves and from a
-transfer-matrix engine, and ships the machinery to verify that the kernel's
+staircase potentials, from waves matched by one staircase engine.  The
+square-barrier closed forms are kept as the oracle that engine is checked
+against, and the package ships the machinery to verify that the kernel's
 boundary values on the positive real axis coincide with the formal
 outgoing/incoming kernels.
 """
@@ -16,15 +17,14 @@ from .errors import (
     NonConvergenceError,
     PoleError,
 )
-from .model import SquareBarrier, branch_sqrt, momenta, potential_at
+from .model import SquareBarrier, branch_sqrt, momenta
 from .eigenfunctions import (
     CoefficientSet,
     PiecewiseWave,
     Region,
     chi_coefficients,
     chi_wave,
-    eval_wave,
-    eval_wave_derivative,
+    kernel_closed_form,
     omega_minus_coefficients,
     omega_plus_coefficients,
     omega_wave,
@@ -33,10 +33,9 @@ from .eigenfunctions import (
 )
 from .piecewise import (
     PiecewisePotential,
-    TransferMatrix,
     build_chi,
     build_omega,
-    interface_matrix,
+    chi_outer_amplitudes,
     outer_wronskian,
 )
 from .kernel import (
@@ -70,24 +69,21 @@ __all__ = [
     "SquareBarrier",
     "branch_sqrt",
     "momenta",
-    "potential_at",
     "CoefficientSet",
     "PiecewiseWave",
     "Region",
     "chi_coefficients",
     "chi_wave",
-    "eval_wave",
-    "eval_wave_derivative",
+    "kernel_closed_form",
     "omega_minus_coefficients",
     "omega_plus_coefficients",
     "omega_wave",
     "wronskian",
     "wronskian_closed_form",
     "PiecewisePotential",
-    "TransferMatrix",
     "build_chi",
     "build_omega",
-    "interface_matrix",
+    "chi_outer_amplitudes",
     "outer_wronskian",
     "KernelSample",
     "LimitStudy",

@@ -132,6 +132,14 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
+def _write_rows(args, header: list[str], rows: list[list[str]]) -> None:
+    """Write a table to ``args.out`` as CSV or as JSON rows, per ``args.format``."""
+    if args.format == "csv":
+        _write_csv(args.out, header, rows)
+    else:
+        _write_json(args.out, {"rows": [dict(zip(header, row)) for row in rows]})
+
+
 def cmd_eval(args) -> int:
     p = _build_potential(args)
     energy = parse_complex(args.energy)
@@ -146,8 +154,6 @@ def cmd_eval(args) -> int:
             )
         e, directions = energy, [None]
     else:
-        if not isinstance(p, SquareBarrier):
-            raise ConfigError("real-energy kernels are defined for square barriers only")
         if energy.real <= 0.0:
             raise ConfigError("real energies must be positive for the formal kernels")
         e, directions = energy.real, _directions(args)
@@ -168,17 +174,12 @@ def cmd_eval(args) -> int:
                 g = values[i][j]
                 rows.append([r_field, s_field, *e_fields, _fmt(g.real), _fmt(g.imag), provenance])
 
-    if args.format == "csv":
-        _write_csv(args.out, header, rows)
-    else:
-        _write_json(args.out, {"rows": [dict(zip(header, row)) for row in rows]})
+    _write_rows(args, header, rows)
     return 0
 
 
 def cmd_limit_study(args) -> int:
     p = _build_potential(args)
-    if not isinstance(p, SquareBarrier):
-        raise ConfigError("limit studies compare against the square-barrier formal kernels")
     energy = parse_complex(args.energy)
     if energy.imag != 0.0 or energy.real <= 0.0:
         raise ConfigError("limit studies need a real positive --energy")
@@ -212,16 +213,14 @@ def cmd_limit_study(args) -> int:
                          _fmt(diff), str(study.converged).lower()]
                     )
 
-    if args.format == "csv":
-        _write_csv(args.out, header, rows)
-    else:
-        _write_json(args.out, {"rows": [dict(zip(header, row)) for row in rows]})
+    _write_rows(args, header, rows)
     return 1 if any_flagged else 0
 
 
 def cmd_verify(args) -> int:
     p = _build_potential(args)
     if not isinstance(p, SquareBarrier):
+        # the report schema and its closed-form checks are barrier-specific
         raise ConfigError("verification currently runs on square barriers")
     energy = parse_complex(args.energy)
     if energy.imag != 0.0 or energy.real <= 0.0:
@@ -245,8 +244,6 @@ def cmd_verify(args) -> int:
 
 def cmd_pole_scan(args) -> int:
     p = _build_potential(args)
-    if not isinstance(p, SquareBarrier):
-        raise ConfigError("pole scans are defined for square barriers")
     parts = args.box.split(":")
     if len(parts) != 4:
         raise ConfigError("--box must be re_min:re_max:im_min:im_max")
@@ -258,17 +255,15 @@ def cmd_pole_scan(args) -> int:
 
     header = ["re", "im", "residual"]
     rows = [[_fmt(z.real), _fmt(z.imag), _fmt(kernel_pole_residual(p, z))] for z in roots]
-    if args.format == "csv":
-        _write_csv(args.out, header, rows)
-    else:
-        _write_json(args.out, {"rows": [dict(zip(header, row)) for row in rows]})
+    _write_rows(args, header, rows)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqgreen",
-        description="Green functions of the s-wave square-barrier Schrodinger operator",
+        description="Green functions of the s-wave Schrodinger operator with a square-barrier "
+        "or staircase potential",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

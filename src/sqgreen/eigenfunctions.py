@@ -8,10 +8,12 @@ Three solutions matter here:
   barrier (outgoing / decaying for Im E > 0);
 * ``omega_minus`` -- the solution that is exactly exp(-i sqrt(E) r) there.
 
-Each wave is a plane-wave pair per region.  The four matching amplitudes are
-obtained by solving the two 2x2 continuity systems (value and derivative) at
-r = a and r = b in closed form; the algebraically expanded products of those
-solves are kept alongside as an independent cross-check.
+Each wave is a plane-wave pair per region, stored as a :class:`PiecewiseWave`.
+The kernels are built by the staircase engine in :mod:`sqgreen.piecewise`.
+The closed forms here are its oracle: the four matching amplitudes of each
+square-barrier wave come from solving the two 2x2 continuity systems (value
+and derivative) at r = a and r = b by hand, and the algebraically expanded
+products of those solves are kept alongside as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BranchPointError, ContractError, DomainError, EPS_BRANCH
-from .model import SquareBarrier, _branch_sqrt_array, branch_sqrt, momenta
+from .model import SquareBarrier, branch_sqrt, momenta
 
 _TWO_I = 2j
 
@@ -120,8 +122,8 @@ class PiecewiseWave:
         arr = np.asarray(r, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        if np.any(arr < 0.0):
-            raise DomainError("radius must be nonnegative")
+        if not np.all((arr >= 0.0) & (arr < np.inf)):
+            raise DomainError("radius must be finite and nonnegative")
         idx = self._region_indices(arr, side)
         out = np.empty(arr.shape, dtype=complex)
         for j, reg in enumerate(self.regions):
@@ -142,14 +144,6 @@ class PiecewiseWave:
 
     def outer_plane_pair(self) -> tuple[complex, complex, float]:
         return self.regions[-1].plane_pair()
-
-
-def eval_wave(w: PiecewiseWave, r, side: str = "+"):
-    return w.value(r, side)
-
-
-def eval_wave_derivative(w: PiecewiseWave, r, side: str = "+"):
-    return w.derivative(r, side)
 
 
 def wronskian(f: PiecewiseWave, g: PiecewiseWave, r: float) -> complex:
@@ -203,63 +197,33 @@ def chi_coefficients(p: SquareBarrier, e: complex) -> CoefficientSet:
     return CoefficientSet("J", c1, c2, c3, c4)
 
 
-def _chi_c4_array(p: SquareBarrier, e: np.ndarray) -> np.ndarray:
-    """c4(J) of :func:`chi_coefficients` over an array of energies.
-
-    The same two continuity solves in numpy arithmetic, for the batched pole
-    screen.  Branch points are not checked here, and entries whose
-    exponentials overflow come out non-finite instead of raising; callers
-    mask both and run under ``np.errstate``.
-    """
-    k = _branch_sqrt_array(e)
-    q = _branch_sqrt_array(e - p.v0)
-    va = np.sin(k * p.a)
-    slope = k * np.cos(k * p.a) / (1j * q)
-    c1 = 0.5 * (va + slope) * np.exp(-1j * q * p.a)
-    c2 = 0.5 * (va - slope) * np.exp(1j * q * p.a)
-    eb = np.exp(1j * q * p.b)
-    emb = np.exp(-1j * q * p.b)
-    vb = c1 * eb + c2 * emb
-    slope = 1j * q * (c1 * eb - c2 * emb) / (1j * k)
-    return 0.5 * (vb - slope) * np.exp(1j * k * p.b)
+def _omega_coefficients(p: SquareBarrier, e: complex, sign: float, label: str) -> CoefficientSet:
+    """Amplitudes of the wave pinned to exp(sign * i k r) beyond b, matched inward."""
+    e = complex(e)
+    _require_off_branch_points(p, e)
+    k, q = momenta(p, e)
+    try:
+        vb = cmath.exp(sign * 1j * k * p.b)
+        db = sign * 1j * k * vb
+        c3, c4 = _match_plane(vb, db, q, p.b)
+        ea = cmath.exp(1j * q * p.a)
+        ema = cmath.exp(-1j * q * p.a)
+        va = c3 * ea + c4 * ema
+        da = 1j * q * (c3 * ea - c4 * ema)
+        c1, c2 = _match_plane(va, da, k, p.a)
+    except OverflowError as exc:
+        raise _overflow(e) from exc
+    return CoefficientSet(label, c1, c2, c3, c4)
 
 
 def omega_plus_coefficients(p: SquareBarrier, e: complex) -> CoefficientSet:
     """Amplitudes of the wave pinned to exp(+i k r) beyond b, matched inward."""
-    e = complex(e)
-    _require_off_branch_points(p, e)
-    k, q = momenta(p, e)
-    try:
-        vb = cmath.exp(1j * k * p.b)
-        db = 1j * k * vb
-        c3, c4 = _match_plane(vb, db, q, p.b)
-        ea = cmath.exp(1j * q * p.a)
-        ema = cmath.exp(-1j * q * p.a)
-        va = c3 * ea + c4 * ema
-        da = 1j * q * (c3 * ea - c4 * ema)
-        c1, c2 = _match_plane(va, da, k, p.a)
-    except OverflowError as exc:
-        raise _overflow(e) from exc
-    return CoefficientSet("A+", c1, c2, c3, c4)
+    return _omega_coefficients(p, e, 1.0, "A+")
 
 
 def omega_minus_coefficients(p: SquareBarrier, e: complex) -> CoefficientSet:
     """Amplitudes of the wave pinned to exp(-i k r) beyond b, matched inward."""
-    e = complex(e)
-    _require_off_branch_points(p, e)
-    k, q = momenta(p, e)
-    try:
-        vb = cmath.exp(-1j * k * p.b)
-        db = -1j * k * vb
-        c3, c4 = _match_plane(vb, db, q, p.b)
-        ea = cmath.exp(1j * q * p.a)
-        ema = cmath.exp(-1j * q * p.a)
-        va = c3 * ea + c4 * ema
-        da = 1j * q * (c3 * ea - c4 * ema)
-        c1, c2 = _match_plane(va, da, k, p.a)
-    except OverflowError as exc:
-        raise _overflow(e) from exc
-    return CoefficientSet("A-", c1, c2, c3, c4)
+    return _omega_coefficients(p, e, -1.0, "A-")
 
 
 def chi_wave(p: SquareBarrier, e: complex) -> PiecewiseWave:
@@ -307,6 +271,13 @@ def wronskian_closed_form(p: SquareBarrier, e: complex, which: str) -> complex:
     raise ContractError(f"which must be 'plus' or 'minus', got {which!r}")
 
 
+def kernel_closed_form(p: SquareBarrier, e: complex, r: float, s: float, direction: str) -> complex:
+    """chi(r<) omega(r>) / W from the closed forms alone: the oracle for the engine's kernels."""
+    lo, hi = min(r, s), max(r, s)
+    chi, om = chi_wave(p, e), omega_wave(p, e, direction)
+    return chi.value(lo) * om.value(hi) / wronskian_closed_form(p, e, direction)
+
+
 # ---------------------------------------------------------------------------
 # Expanded closed forms.  These are the continuity solves carried out
 # symbolically and written as nested products; they must agree with the
@@ -330,33 +301,25 @@ def chi_coefficients_expanded(p: SquareBarrier, e: complex) -> CoefficientSet:
     return CoefficientSet("J", c1, c2, c3, c4)
 
 
-def omega_plus_coefficients_expanded(p: SquareBarrier, e: complex) -> CoefficientSet:
+def _omega_coefficients_expanded(p: SquareBarrier, e: complex, sign: float, label: str) -> CoefficientSet:
     e = complex(e)
     _require_off_branch_points(p, e)
     k, q = momenta(p, e)
     a, b = p.a, p.b
-    c3 = 0.5 * cmath.exp(-1j * q * b) * (1 + k / q) * cmath.exp(1j * k * b)
-    c4 = 0.5 * cmath.exp(1j * q * b) * (1 - k / q) * cmath.exp(1j * k * b)
+    c3 = 0.5 * cmath.exp(-1j * q * b) * (1 + sign * k / q) * cmath.exp(sign * 1j * k * b)
+    c4 = 0.5 * cmath.exp(1j * q * b) * (1 - sign * k / q) * cmath.exp(sign * 1j * k * b)
     c1 = 0.5 * cmath.exp(-1j * k * a) * (
         (1 + q / k) * cmath.exp(1j * q * a) * c3 + (1 - q / k) * cmath.exp(-1j * q * a) * c4
     )
     c2 = 0.5 * cmath.exp(1j * k * a) * (
         (1 - q / k) * cmath.exp(1j * q * a) * c3 + (1 + q / k) * cmath.exp(-1j * q * a) * c4
     )
-    return CoefficientSet("A+", c1, c2, c3, c4)
+    return CoefficientSet(label, c1, c2, c3, c4)
+
+
+def omega_plus_coefficients_expanded(p: SquareBarrier, e: complex) -> CoefficientSet:
+    return _omega_coefficients_expanded(p, e, 1.0, "A+")
 
 
 def omega_minus_coefficients_expanded(p: SquareBarrier, e: complex) -> CoefficientSet:
-    e = complex(e)
-    _require_off_branch_points(p, e)
-    k, q = momenta(p, e)
-    a, b = p.a, p.b
-    c3 = 0.5 * cmath.exp(-1j * q * b) * (1 - k / q) * cmath.exp(-1j * k * b)
-    c4 = 0.5 * cmath.exp(1j * q * b) * (1 + k / q) * cmath.exp(-1j * k * b)
-    c1 = 0.5 * cmath.exp(-1j * k * a) * (
-        (1 + q / k) * cmath.exp(1j * q * a) * c3 + (1 - q / k) * cmath.exp(-1j * q * a) * c4
-    )
-    c2 = 0.5 * cmath.exp(1j * k * a) * (
-        (1 - q / k) * cmath.exp(1j * q * a) * c3 + (1 + q / k) * cmath.exp(-1j * q * a) * c4
-    )
-    return CoefficientSet("A-", c1, c2, c3, c4)
+    return _omega_coefficients_expanded(p, e, -1.0, "A-")

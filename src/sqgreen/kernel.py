@@ -5,11 +5,12 @@ For Im E != 0 the kernel is
     G(r, s; E) = chi(r_<) * omega(r_>) / W(chi, omega),
 
 with omega the exponentially bounded tail solution of the matching
-half-plane (omega_plus above the axis, omega_minus below) and the Wronskian
-taken in closed form.  On the positive real axis the same quotient with
-real-axis momenta gives the formal outgoing/incoming kernels, and
-:func:`boundary_limit` verifies that they are the limits of the complex
-kernel as E approaches the axis.
+half-plane (omega_plus above the axis, omega_minus below).  Both waves and
+the Wronskian come from the staircase engine of :mod:`sqgreen.piecewise`,
+for a square barrier as for any other staircase.  On the positive real axis
+the same quotient with real-axis momenta gives the formal outgoing/incoming
+kernels, and :func:`boundary_limit` verifies that they are the limits of the
+complex kernel as E approaches the axis.
 """
 
 from __future__ import annotations
@@ -28,16 +29,14 @@ from .errors import (
     NonConvergenceError,
     PoleError,
 )
-from .eigenfunctions import (
-    PiecewiseWave,
-    _chi_c4_array,
-    chi_coefficients,
-    chi_wave,
-    omega_wave,
-    wronskian_closed_form,
+from .eigenfunctions import PiecewiseWave
+from .piecewise import (
+    build_chi,
+    build_omega,
+    chi_outer_amplitudes,
+    chi_outer_amplitudes_array,
+    outer_wronskian,
 )
-from .model import SquareBarrier
-from .piecewise import PiecewisePotential, build_chi, build_omega, outer_wronskian
 
 PROVENANCES = (
     "resolvent_kernel",
@@ -99,19 +98,10 @@ class LimitStudy:
 
 
 def wave_pair(p, e: complex, direction: str) -> tuple[PiecewiseWave, PiecewiseWave, complex]:
-    """(chi, omega, W) for a potential; closed forms for a square barrier,
-    transfer-matrix construction for a staircase."""
-    if isinstance(p, SquareBarrier):
-        chi = chi_wave(p, e)
-        om = omega_wave(p, e, direction)
-        w = wronskian_closed_form(p, e, direction)
-    elif isinstance(p, PiecewisePotential):
-        chi = build_chi(p, e)
-        om = build_omega(p, e, direction)
-        w = outer_wronskian(chi, om)
-    else:
-        raise ContractError(f"unsupported potential type {type(p).__name__}")
-    return chi, om, w
+    """(chi, omega, W) for a staircase potential (a square barrier is one)."""
+    chi = build_chi(p, e)
+    om = build_omega(p, e, direction)
+    return chi, om, outer_wronskian(chi, om)
 
 
 def _kernel_request(p, e, radii, direction: str | None) -> tuple[complex, str, str]:
@@ -120,8 +110,8 @@ def _kernel_request(p, e, radii, direction: str | None) -> tuple[complex, str, s
     ``direction=None`` asks for the resolvent kernel at Im E != 0, whose tail
     solution follows the sign of Im E.  "plus"/"minus" ask for the formal
     kernel at real E > 0, which raises :class:`PoleError` where its
-    denominator c4(J) (plus) or c3(J) (minus) vanishes.  Every radius must be
-    finite and nonnegative.
+    denominator vanishes: chi's outer amplitude c- (plus) or c+ (minus).
+    Every radius must be finite and nonnegative.
     """
     formal = direction is not None
     if formal:
@@ -140,9 +130,8 @@ def _kernel_request(p, e, radii, direction: str | None) -> tuple[complex, str, s
     if formal:
         if direction not in ("plus", "minus"):
             raise ContractError(f"direction must be 'plus' or 'minus', got {direction!r}")
-        cs = chi_coefficients(p, complex(e))
-        denom_coeff = cs.c4 if direction == "plus" else cs.c3
-        if abs(denom_coeff) < 1e-14:
+        c_plus, c_minus = chi_outer_amplitudes(p, e)
+        if abs(c_minus if direction == "plus" else c_plus) < 1e-14:
             raise PoleError(f"kernel denominator vanishes at E={e} (direction {direction})")
     return complex(e), direction, f"formal_{direction}" if formal else "resolvent_kernel"
 
@@ -167,7 +156,7 @@ def resolvent_kernel(p, e: complex, r: float, s: float) -> KernelSample:
     return _sample(p, e, r, s, None)
 
 
-def formal_green(p: SquareBarrier, e: float, r: float, s: float, direction: str) -> KernelSample:
+def formal_green(p, e: float, r: float, s: float, direction: str) -> KernelSample:
     """Outgoing/incoming kernel at real E > 0 with real-axis momenta."""
     return _sample(p, e, r, s, direction)
 
@@ -264,23 +253,30 @@ def boundary_limit(
 SCREEN_BLOCK = 1024
 #: the most seeds a pole scan lays; a larger box or a finer spacing raises.
 MAX_SEEDS = 10**6
-#: roots nearer than this to 0, to v0 or to an accepted root are dropped
+#: roots nearer than this to a branch point or to an accepted root are dropped
 _ROOT_MARGIN = 1e-6
 _NEWTON_H = 1e-7
 _NEWTON_STEPS = 60
 
 
-def _newton_root(p: SquareBarrier, z: complex, box, accepted: list[complex]) -> complex | None:
+def _branch_points(p) -> tuple[float, ...]:
+    """The region heights, where the momenta branch."""
+    return tuple(sorted(set(p.heights)))
+
+
+def _pole_function(p, z: complex) -> complex:
+    """chi's incoming outer amplitude c-(z), whose zeros are the kernel's poles."""
+    return chi_outer_amplitudes(p, z)[1]
+
+
+def _newton_root(p, z: complex, box, accepted: list[complex]) -> complex | None:
     """The Newton run from one seed in scalar arithmetic, with every acceptance rule.
 
     Returns the root, or None if the seed finds nothing or only a root
     within 1e-6 of one in ``accepted``.
     """
     re_min, re_max, im_min, im_max = box
-    branch_points = (0.0 + 0j, complex(p.v0, 0.0))
-
-    def denominator(z: complex) -> complex:
-        return chi_coefficients(p, z).c4
+    branch_points = _branch_points(p)
 
     def far_from_branch_points(z: complex) -> bool:
         return all(abs(z - bp) >= _ROOT_MARGIN for bp in branch_points)
@@ -292,8 +288,8 @@ def _newton_root(p: SquareBarrier, z: complex, box, accepted: list[complex]) -> 
     ok = False
     try:
         for _ in range(_NEWTON_STEPS):
-            fz = denominator(z)
-            dfz = (denominator(z + h) - denominator(z - h)) / (2.0 * h)
+            fz = _pole_function(p, z)
+            dfz = (_pole_function(p, z + h) - _pole_function(p, z - h)) / (2.0 * h)
             if dfz == 0 or not (math.isfinite(dfz.real) and math.isfinite(dfz.imag)):
                 break
             dz = fz / dfz
@@ -315,7 +311,7 @@ def _newton_root(p: SquareBarrier, z: complex, box, accepted: list[complex]) -> 
     if not far_from_branch_points(z):
         return None
     try:
-        resid = abs(denominator(z))
+        resid = abs(_pole_function(p, z))
     except (BranchPointError, OverflowError, ValueError):
         return None
     if resid >= 1e-10:
@@ -325,19 +321,28 @@ def _newton_root(p: SquareBarrier, z: complex, box, accepted: list[complex]) -> 
     return z
 
 
-def _screen(p: SquareBarrier, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _near(z: np.ndarray, branch_points, margin: float) -> np.ndarray:
+    """Mask of the entries of ``z`` within ``margin`` of a branch point."""
+    out = np.zeros(z.shape, dtype=bool)
+    for bp in branch_points:
+        out |= np.abs(z - bp) < margin
+    return out
+
+
+def _screen(p, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The iteration of :func:`_newton_root` run on all ``seeds`` at once.
 
     Returns the final iterates and a mask of the seeds that converged with a
     last step below 1e-12.  A seed leaves the active set when it converges
-    or dies: an iterate or z +- h within ``EPS_BRANCH`` of 0 or v0, a
-    non-finite value, or a zero derivative.  Seeds within 1e-6 of 0 or v0
-    never start.
+    or dies: an iterate or z +- h within ``EPS_BRANCH`` of a branch point, a
+    non-finite value, or a zero derivative.  Seeds within 1e-6 of a branch
+    point never start.
     """
+    branch_points = _branch_points(p)
     z = seeds.copy()
     last_step = np.full(z.shape, np.inf)
     ok = np.zeros(z.shape, dtype=bool)
-    active = np.flatnonzero((np.abs(z) >= _ROOT_MARGIN) & (np.abs(z - p.v0) >= _ROOT_MARGIN))
+    active = np.flatnonzero(~_near(z, branch_points, _ROOT_MARGIN))
     h = _NEWTON_H
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
@@ -345,8 +350,8 @@ def _screen(p: SquareBarrier, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray
                 break
             za = z[active]
             trio = np.concatenate((za, za + h, za - h))
-            near = (np.abs(trio) < EPS_BRANCH) | (np.abs(trio - p.v0) < EPS_BRANCH)
-            fz, f_plus, f_minus = np.split(_chi_c4_array(p, trio), 3)
+            near = _near(trio, branch_points, EPS_BRANCH)
+            fz, f_plus, f_minus = np.split(chi_outer_amplitudes_array(p, trio)[1], 3)
             dfz = (f_plus - f_minus) / (2.0 * h)
             dz = fz / dfz
             za = za - dz
@@ -362,7 +367,7 @@ def _screen(p: SquareBarrier, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def find_kernel_poles(
-    p: SquareBarrier,
+    p,
     box: tuple[float, float, float, float],
     seed_density: float = 0.25,
 ) -> list[complex]:
@@ -370,10 +375,12 @@ def find_kernel_poles(
 
     Seeds are laid on a grid of spacing ``seed_density`` over
     ``box = (re_min, re_max, im_min, im_max)``; each runs an undamped Newton
-    iteration on c4(J)(E), at most 60 steps, with the derivative taken by a
-    central complex difference of step 1e-7.  A root is kept only if the
-    final Newton step is below 1e-12, |c4| is below 1e-10, it lies inside
-    the box, and it is at least 1e-6 away from the branch points 0 and v0.
+    iteration on the pole function c-(E), chi's incoming amplitude beyond
+    the last step (:func:`chi_outer_amplitudes`), at most 60 steps, with the
+    derivative taken by a central complex difference of step 1e-7.  A root
+    is kept only if the final Newton step is below 1e-12, |c-| is below
+    1e-10, it lies inside the box, and it is at least 1e-6 away from every
+    branch point, the region heights.
     Roots within 1e-6 of an already accepted one are dropped.  An empty list
     is a valid outcome.
 
@@ -432,6 +439,6 @@ def find_kernel_poles(
     return accepted
 
 
-def kernel_pole_residual(p: SquareBarrier, z: complex) -> float:
-    """|c4(J)(z)|, the quantity driven to zero by :func:`find_kernel_poles`."""
-    return abs(chi_coefficients(p, z).c4)
+def kernel_pole_residual(p, z: complex) -> float:
+    """|c-(z)|, the quantity driven to zero by :func:`find_kernel_poles`."""
+    return abs(_pole_function(p, z))

@@ -100,11 +100,6 @@ class SquareBarrier:
         return 0.0
 
 
-def potential_at(p, r: float) -> float:
-    """Potential value at radius ``r`` (right-limit convention at jumps)."""
-    return p.value_at(r)
-
-
 def momenta(p: SquareBarrier, e: complex) -> tuple[complex, complex]:
     """The exterior and interior momenta (sqrt(E), sqrt(E - v0)) of an energy.
 

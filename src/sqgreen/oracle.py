@@ -1,12 +1,13 @@
 """Independent checks of the kernel construction.
 
-Nothing in this module reuses the closed-form matching algebra: waves are
-re-derived by fixed-step RK4 integration of the radial equation, the operator
-is applied by a central second difference, one-sided kernel derivatives come
-from Richardson-extrapolated difference quotients of kernel *values*, and the
+Nothing in this module reuses the matching algebra: waves are re-derived by
+fixed-step RK4 integration of the radial equation, the operator is applied
+by a central second difference, one-sided kernel derivatives come from
+Richardson-extrapolated difference quotients of kernel *values*, and the
 resolvent is rebuilt as an integral operator with composite Simpson panels
-split at the diagonal.  Agreement of these reconstructions with the
-closed-form kernels is the package's evidence that the construction is right.
+split at the diagonal.  Agreement of these reconstructions with the kernels
+of matched waves is the package's evidence that the construction is right.
+A potential is read only through its ``breakpoints`` and ``heights``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .kernel import wave_pair
 from .model import branch_sqrt
-from .piecewise import as_piecewise
 
 #: Gaussian bumps count as supported within this many widths of the center.
 GAUSSIAN_SUPPORT_WIDTHS = 5.5
@@ -177,16 +177,15 @@ def integrate_schrodinger(
     potential of each step is read at the step midpoint.  The regions of all
     midpoints are looked up at once, before the first step.
     """
-    pw = as_piecewise(p)
     e = complex(e)
-    n, h = _aligned_steps(r_from, r_to, step, pw.breakpoints)
+    n, h = _aligned_steps(r_from, r_to, step, p.breakpoints)
 
     r = r_from + h * np.arange(n + 1)
     mid = r_from + (np.arange(n) + 0.5) * h
     if mid.min() < 0.0:
         raise DomainError(f"radius must be nonnegative, got {mid.min()}")
-    v_minus_e = [v - e for v in pw.heights]
-    coeffs = [v_minus_e[j] for j in np.searchsorted(pw.breakpoints, mid, side="right").tolist()]
+    v_minus_e = [v - e for v in p.heights]
+    coeffs = [v_minus_e[j] for j in np.searchsorted(p.breakpoints, mid, side="right").tolist()]
     half, sixth = 0.5 * h, h / 6.0
     y, d = complex(y0), complex(dy0)
     ys, ds = [y], [d]
@@ -221,7 +220,6 @@ def apply_hamiltonian_fd(
     points must stay out of residual norms, and the count of exclusions is
     reported by the callers.
     """
-    pw = as_piecewise(p)
     r = np.asarray(r, dtype=float)
     u = np.asarray(u)
     if r.ndim != 1 or r.shape != u.shape or r.size < 3:
@@ -230,20 +228,20 @@ def apply_hamiltonian_fd(
     h = float(steps[0]) if step is None else float(step)
     if h <= 0.0 or np.any(np.abs(steps - h) > 1e-9 * h):
         raise ContractError("grid must be uniform with the declared step")
-    gaps = np.diff((0.0,) + pw.breakpoints)
+    gaps = np.diff((0.0,) + p.breakpoints)
     if gaps.size and h > gaps.min() / 16.0:
         raise ContractError(
             f"grid step {h} too coarse for the narrowest region (width {gaps.min()})"
         )
 
-    v = np.asarray(pw.heights)[np.searchsorted(pw.breakpoints, r, side="right")]
+    v = np.asarray(p.heights)[np.searchsorted(p.breakpoints, r, side="right")]
     hu = np.zeros_like(u, dtype=complex)
     hu[1:-1] = -(u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h) + v[1:-1] * u[1:-1]
 
     valid = np.ones(r.shape, dtype=bool)
     valid[0] = valid[-1] = False
     collar = h * (1.0 - 1e-6)
-    for x in tuple(pw.breakpoints) + tuple(exclude_near):
+    for x in tuple(p.breakpoints) + tuple(exclude_near):
         valid &= np.abs(r - x) >= collar
     return hu, valid
 
@@ -284,8 +282,7 @@ def _kernel_slice(p, e: float, direction: str, wronskian_scale: float = 1.0):
 
 def _momentum_scale(p, e: complex) -> float:
     """Largest |sqrt(E - v_j)| over the regions; sets resolvable probe steps."""
-    pw = as_piecewise(p)
-    return max(abs(branch_sqrt(complex(e) - v)) for v in pw.heights)
+    return max(abs(branch_sqrt(complex(e) - v)) for v in p.heights)
 
 
 def check_jump(p, e: float, s: float, direction: str, wronskian_scale: float = 1.0) -> ResidualReport:
@@ -298,8 +295,7 @@ def check_jump(p, e: float, s: float, direction: str, wronskian_scale: float = 1
     e = float(e)
     if e <= 0.0:
         raise DomainError("jump check runs on the formal kernel, E > 0 required")
-    pw = as_piecewise(p)
-    dist = min([abs(s - bp) for bp in pw.breakpoints] + [s])
+    dist = min([abs(s - bp) for bp in p.breakpoints] + [s])
     if dist < 1e-3:
         raise ContractError(f"s={s} is within 1e-3 of a potential breakpoint or the origin")
     g, _, _, _ = _kernel_slice(p, e, direction, wronskian_scale)
@@ -340,8 +336,7 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
 
 def default_r_max(p, e: complex, f: TestFunction) -> float:
     """Truncation radius leaving at least 20 decay lengths beyond the bump."""
-    pw = as_piecewise(p)
-    outer = pw.breakpoints[-1] if pw.breakpoints else 0.0
+    outer = p.breakpoints[-1] if p.breakpoints else 0.0
     im_k = abs(branch_sqrt(complex(e)).imag)
     if im_k == 0.0:
         raise ContractError("default_r_max needs Im sqrt(E) != 0")
@@ -462,9 +457,8 @@ def check_distributional_equation(
     e = float(e)
     if e <= 0.0:
         raise DomainError("the distributional check runs at real E > 0")
-    pw = as_piecewise(p)
-    outer = pw.breakpoints[-1] if pw.breakpoints else 1.0
-    for x, nm in ((s, "s"),) + tuple((bp, "breakpoint") for bp in pw.breakpoints):
+    outer = p.breakpoints[-1] if p.breakpoints else 1.0
+    for x, nm in ((s, "s"),) + tuple((bp, "breakpoint") for bp in p.breakpoints):
         if not on_lattice(x, step):
             raise ContractError(f"{nm}={x} must sit on the step lattice (step {step})")
 
@@ -473,7 +467,7 @@ def check_distributional_equation(
     probe_cap = 2.0 / (1.0 + _momentum_scale(p, e))
 
     # left of the diagonal: start from G(0, s) = 0 with a measured slope
-    dist0 = min(s, min(pw.breakpoints) if pw.breakpoints else s)
+    dist0 = min(s, min(p.breakpoints) if p.breakpoints else s)
     slope0 = _richardson_derivative(lambda r: g(r, s), 0.0, +1, min(dist0, probe_cap) / 4.0)
     traj = integrate_schrodinger(p, complex(e), 0.0, slope0, 0.0, s, step)
     kern = g(traj.r, s)
@@ -504,7 +498,7 @@ def check_distributional_equation(
     # continuity at the potential jumps, value and slope, both as one-sided limits;
     # G(., s) varies through chi left of the diagonal and through omega right of it
     interface_resid = 0.0
-    for bp in pw.breakpoints:
+    for bp in p.breakpoints:
         radial = chi if bp < s else om
         frozen = om.value(s) if bp < s else chi.value(s)
         g_here = abs(radial.value(bp) * frozen / w)
@@ -515,13 +509,13 @@ def check_distributional_equation(
             interface_resid = max(interface_resid, num / (1.0 + g_here))
     interface_report = ResidualReport.build(
         "interface_continuity",
-        samples=4 * len(pw.breakpoints),
+        samples=4 * len(p.breakpoints),
         max_residual=interface_resid,
         tolerance=1e-10,
     )
 
     # continuity across the diagonal: the gap must vanish linearly in h
-    dist_s = min([abs(s - bp) for bp in pw.breakpoints] + [s, 1.0, probe_cap])
+    dist_s = min([abs(s - bp) for bp in p.breakpoints] + [s, 1.0, probe_cap])
     slope_right = _richardson_derivative(lambda r: g(r, s), s, +1, dist_s / 4.0)
     slope_left = _richardson_derivative(lambda r: g(r, s), s, -1, dist_s / 4.0)
     probes = np.array([1e-2, 1e-3, 1e-4]) * min(1.0, dist_s)

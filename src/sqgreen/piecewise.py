@@ -1,12 +1,13 @@
-"""Transfer-matrix construction of the basic waves on N-step potentials.
+"""The wave engine: the basic waves of any finite staircase potential.
 
-Generalizes the square-barrier closed forms to any finite staircase potential
-that vanishes beyond its last breakpoint.  The regular solution is propagated
-outward from the origin and the exponential-tail solutions inward from the
-last step, each by solving the value/derivative continuity pair at every
-interface.  Region amplitudes are stored relative to the region's own left
-edge so that strongly evanescent segments never exponentiate an absolute
-position.
+The regular solution is propagated outward from the origin and the
+exponential-tail solutions inward from the last step, each by solving the
+value/derivative continuity pair at every interface.  Region amplitudes are
+stored relative to the region's own left edge so that strongly evanescent
+segments never exponentiate an absolute position.
+
+The engine reads only a potential's ``breakpoints`` and ``heights``, so it
+serves a :class:`PiecewisePotential` and a ``SquareBarrier`` alike.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import BranchPointError, ContractError, DomainError, EPS_BRANCH
 from .eigenfunctions import PiecewiseWave, Region, _overflow
-from .model import SquareBarrier, branch_sqrt
+from .model import _branch_sqrt_array, branch_sqrt
 
 
 @dataclass(frozen=True)
@@ -50,23 +51,13 @@ class PiecewisePotential:
         if hts[-1] != 0.0:
             raise DomainError("the outermost height must be 0 (potential vanishes at infinity)")
 
-    @classmethod
-    def from_square_barrier(cls, p: SquareBarrier) -> "PiecewisePotential":
-        return cls((p.a, p.b), (0.0, p.v0, 0.0))
-
     def value_at(self, r: float) -> float:
         if r < 0.0:
             raise DomainError(f"radius must be nonnegative, got {r}")
         return self.heights[int(np.searchsorted(self.breakpoints, r, side="right"))]
 
 
-def as_piecewise(p) -> PiecewisePotential:
-    if isinstance(p, PiecewisePotential):
-        return p
-    return PiecewisePotential.from_square_barrier(p)
-
-
-def region_momenta(p: PiecewisePotential, e: complex) -> tuple[complex, ...]:
+def region_momenta(p, e: complex) -> tuple[complex, ...]:
     """branch_sqrt(E - v_j) for every region, refusing degenerate regions."""
     e = complex(e)
     ks = []
@@ -77,76 +68,92 @@ def region_momenta(p: PiecewisePotential, e: complex) -> tuple[complex, ...]:
     return tuple(ks)
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """2x2 map of (c+, c-) amplitudes across one interface, absolute phase convention."""
-
-    m: tuple[tuple[complex, complex], tuple[complex, complex]]
-
-    def apply(self, c: tuple[complex, complex]) -> tuple[complex, complex]:
-        (m11, m12), (m21, m22) = self.m
-        return (m11 * c[0] + m12 * c[1], m21 * c[0] + m22 * c[1])
-
-    def det(self) -> complex:
-        (m11, m12), (m21, m22) = self.m
-        return m11 * m22 - m12 * m21
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.m, dtype=complex)
-
-
-def interface_matrix(k_left: complex, k_right: complex, r: float) -> TransferMatrix:
-    """Matrix sending left-region (c+, c-) to right-region (c+, c-) at radius r.
-
-    Both sides use the absolute convention c+ e^{ikr} + c- e^{-ikr}.  The map
-    preserves value and derivative at r; its determinant is k_left / k_right.
-    """
-    if abs(k_right) < 1e-300:
-        raise BranchPointError("interface with vanishing right momentum")
-    kappa = k_left / k_right
-    ep = cmath.exp(1j * (k_left - k_right) * r)
-    es = cmath.exp(1j * (k_left + k_right) * r)
-    m = (
-        (0.5 * (1 + kappa) * ep, 0.5 * (1 - kappa) / es),
-        (0.5 * (1 - kappa) * es, 0.5 * (1 + kappa) / ep),
-    )
-    return TransferMatrix(m)
-
-
 def _amplitudes_at(value: complex, deriv: complex, k: complex) -> tuple[complex, complex]:
     """(c+, c-) relative to the evaluation point itself (ref = that point)."""
     slope = deriv / (1j * k)
     return 0.5 * (value + slope), 0.5 * (value - slope)
 
 
-def build_chi(p: PiecewisePotential, e: complex) -> PiecewiseWave:
+def _chi_amplitudes(ks, breakpoints, lib) -> list:
+    """(c+, c-) of the regular solution in every region beyond the innermost one.
+
+    Each pair is relative to its region's left edge; the innermost region
+    holds sin(k0 r).  ``lib`` is ``cmath`` for one energy, where an overflow
+    raises ``OverflowError``, or ``numpy`` for arrays of momenta, where it
+    leaves non-finite entries.
+    """
+    value = lib.sin(ks[0] * breakpoints[0])
+    deriv = ks[0] * lib.cos(ks[0] * breakpoints[0])
+    amps = []
+    n = len(breakpoints)
+    for j in range(1, n + 1):
+        cp, cm = _amplitudes_at(value, deriv, ks[j])
+        amps.append((cp, cm))
+        if j < n:
+            width = breakpoints[j] - breakpoints[j - 1]
+            grow = lib.exp(1j * ks[j] * width)
+            decay = lib.exp(-1j * ks[j] * width)
+            value = cp * grow + cm * decay
+            deriv = 1j * ks[j] * (cp * grow - cm * decay)
+    return amps
+
+
+def _chi_outer(ks, breakpoints, lib):
+    """(c+, c-) of the regular solution beyond the last step, absolute convention."""
+    if breakpoints:
+        (cp, cm), x = _chi_amplitudes(ks, breakpoints, lib)[-1], breakpoints[-1]
+    else:
+        # sin(k r) = (exp(ikr) - exp(-ikr)) / 2i, anchored at the origin
+        cp, cm, x = -0.5j, 0.5j, 0.0
+    phase = lib.exp(1j * ks[-1] * x)
+    return cp / phase, cm * phase
+
+
+def chi_outer_amplitudes(p, e: complex) -> tuple[complex, complex]:
+    """(c+, c-) of chi beyond the last step in the form c+ exp(ikr) + c- exp(-ikr).
+
+    The kernel denominators are W(chi, omega_plus) = 2ik c- and
+    W(chi, omega_minus) = -2ik c+, so c-(E) is the pole function whose zeros
+    are the bound states and resonances.  For a square barrier (c+, c-) are
+    the closed-form (c3, c4) of the regular solution, to rounding.
+    """
+    e = complex(e)
+    ks = region_momenta(p, e)
+    try:
+        return _chi_outer(ks, p.breakpoints, cmath)
+    except OverflowError as exc:
+        raise _overflow(e) from exc
+
+
+def chi_outer_amplitudes_array(p, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`chi_outer_amplitudes` over an array of energies.
+
+    The same matching loop in numpy arithmetic, for the batched pole screen.
+    Branch points are not checked here, and entries whose exponentials
+    overflow come out non-finite instead of raising; callers mask both and
+    run under ``np.errstate``.
+    """
+    roots = {v: _branch_sqrt_array(e - v) for v in set(p.heights)}
+    return _chi_outer([roots[v] for v in p.heights], p.breakpoints, np)
+
+
+def build_chi(p, e: complex) -> PiecewiseWave:
     """Regular solution: sin(k0 r) on the innermost region, propagated outward."""
     e = complex(e)
     ks = region_momenta(p, e)
-    n = len(p.breakpoints)
     edges = (0.0,) + p.breakpoints + (np.inf,)
     regions = [Region(0.0, edges[1], ks[0], "sin", 1.0 + 0j)]
-    if n > 0:
-        x = p.breakpoints[0]
+    if p.breakpoints:
         try:
-            value = cmath.sin(ks[0] * x)
-            deriv = ks[0] * cmath.cos(ks[0] * x)
-            for j in range(1, n + 1):
-                lo, hi = edges[j], edges[j + 1]
-                cp, cm = _amplitudes_at(value, deriv, ks[j])
-                regions.append(Region(lo, hi, ks[j], "exp", cp, cm, ref=lo))
-                if j < n:
-                    width = hi - lo
-                    grow = cmath.exp(1j * ks[j] * width)
-                    decay = cmath.exp(-1j * ks[j] * width)
-                    value = cp * grow + cm * decay
-                    deriv = 1j * ks[j] * (cp * grow - cm * decay)
+            amps = _chi_amplitudes(ks, p.breakpoints, cmath)
         except OverflowError as exc:
             raise _overflow(e) from exc
+        for j, (cp, cm) in enumerate(amps, start=1):
+            regions.append(Region(edges[j], edges[j + 1], ks[j], "exp", cp, cm, ref=edges[j]))
     return PiecewiseWave(tuple(regions), p.breakpoints, p.heights, e, "chi")
 
 
-def build_omega(p: PiecewisePotential, e: complex, direction: str) -> PiecewiseWave:
+def build_omega(p, e: complex, direction: str) -> PiecewiseWave:
     """Tail solution pinned to exp(+-i k r) beyond the last step, propagated inward."""
     if direction not in ("plus", "minus"):
         raise ContractError(f"direction must be 'plus' or 'minus', got {direction!r}")
@@ -154,14 +161,8 @@ def build_omega(p: PiecewisePotential, e: complex, direction: str) -> PiecewiseW
     ks = region_momenta(p, e)
     n = len(p.breakpoints)
     sign = 1.0 if direction == "plus" else -1.0
-    label = f"omega_{direction}"
-    if n == 0:
-        cp, cm = (1.0 + 0j, 0j) if direction == "plus" else (0j, 1.0 + 0j)
-        reg = Region(0.0, np.inf, ks[0], "exp", cp, cm)
-        return PiecewiseWave((reg,), p.breakpoints, p.heights, e, label)
-
     edges = (0.0,) + p.breakpoints + (np.inf,)
-    x_last = p.breakpoints[-1]
+    x_last = edges[n]
     try:
         phase = cmath.exp(sign * 1j * ks[n] * x_last)
         if direction == "plus":
@@ -185,7 +186,7 @@ def build_omega(p: PiecewisePotential, e: complex, direction: str) -> PiecewiseW
     except OverflowError as exc:
         raise _overflow(e) from exc
     regions.reverse()
-    return PiecewiseWave(tuple(regions), p.breakpoints, p.heights, e, label)
+    return PiecewiseWave(tuple(regions), p.breakpoints, p.heights, e, f"omega_{direction}")
 
 
 def outer_wronskian(f: PiecewiseWave, g: PiecewiseWave) -> complex:

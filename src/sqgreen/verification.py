@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .eigenfunctions import chi_wave, omega_wave, wronskian, wronskian_closed_form
+from .eigenfunctions import (
+    chi_wave,
+    kernel_closed_form,
+    omega_wave,
+    wronskian,
+    wronskian_closed_form,
+)
 from .errors import DomainError
-from .kernel import boundary_limit, formal_green, resolvent_kernel
+from .kernel import boundary_limit, formal_green, resolvent_kernel, wave_pair
 from .model import SquareBarrier
 from .oracle import (
     ResidualReport,
@@ -22,7 +28,7 @@ from .oracle import (
     check_resolvent_identity,
     on_lattice,
 )
-from .piecewise import PiecewisePotential, build_chi, build_omega
+from .piecewise import build_chi, build_omega
 
 #: step of the RK4 oracle; the barrier edges and the diagonal point sit on its lattice
 LATTICE = 1e-3
@@ -30,7 +36,8 @@ LATTICE = 1e-3
 
 def _wave_continuity(p: SquareBarrier, e: complex) -> float:
     worst = 0.0
-    waves = [chi_wave(p, e), omega_wave(p, e, "plus"), omega_wave(p, e, "minus")]
+    chi, om_plus, _ = wave_pair(p, e, "plus")
+    waves = [chi, om_plus, wave_pair(p, e, "minus")[1]]
     for w in waves:
         for bp in p.breakpoints:
             for fn in ("value", "derivative"):
@@ -41,11 +48,11 @@ def _wave_continuity(p: SquareBarrier, e: complex) -> float:
 
 
 def _wronskian_agreement(p: SquareBarrier, e: complex) -> float:
-    chi = chi_wave(p, e)
+    """The kernels' Wronskian read at three radii, against the closed form."""
     worst = 0.0
     points = (0.5 * p.a, 0.5 * (p.a + p.b), p.b + 1.0)
     for direction in ("plus", "minus"):
-        om = omega_wave(p, e, direction)
+        chi, om, _ = wave_pair(p, e, direction)
         closed = wronskian_closed_form(p, e, direction)
         values = [wronskian(chi, om, r) for r in points]
         for v in values:
@@ -56,22 +63,23 @@ def _wronskian_agreement(p: SquareBarrier, e: complex) -> float:
 
 
 def _engine_agreement(p: SquareBarrier, e: complex, rng: np.random.Generator) -> float:
-    pw = PiecewisePotential.from_square_barrier(p)
+    """The engine's waves and kernels against the closed forms."""
     radii = rng.uniform(0.05, p.b + 2.0, size=8)
     worst = 0.0
     for closed, engine in (
-        (chi_wave(p, e), build_chi(pw, e)),
-        (omega_wave(p, e, "plus"), build_omega(pw, e, "plus")),
-        (omega_wave(p, e, "minus"), build_omega(pw, e, "minus")),
+        (chi_wave(p, e), build_chi(p, e)),
+        (omega_wave(p, e, "plus"), build_omega(p, e, "plus")),
+        (omega_wave(p, e, "minus"), build_omega(p, e, "minus")),
     ):
         vals_c = closed.value(radii)
         vals_e = engine.value(radii)
         scale = np.abs(vals_c) + 1.0
         worst = max(worst, float(np.max(np.abs(vals_c - vals_e) / scale)))
     ec = complex(e) if complex(e).imag != 0.0 else complex(e) + 0.7j
+    direction = "plus" if ec.imag > 0.0 else "minus"
     for r, s in [(0.4, 1.7), (2.5, 0.9)]:
-        g_closed = resolvent_kernel(p, ec, r, s).value
-        g_engine = resolvent_kernel(pw, ec, r, s).value
+        g_closed = kernel_closed_form(p, ec, r, s, direction)
+        g_engine = resolvent_kernel(p, ec, r, s).value
         worst = max(worst, abs(g_closed - g_engine) / (1.0 + abs(g_closed)))
     return worst
 

@@ -110,7 +110,7 @@ class TestEval:
             ["eval", "--v0", "5", "--a", "1", "--b", "2", "--energy", "-1",
              "--r", "1", "--s", "1", "--out", out],  # real energy must be > 0
             ["eval", "--breakpoints", "1,2", "--heights", "0,4,-1",
-             "--energy", "1", "--r", "1", "--s", "1", "--out", out],  # real E + staircase
+             "--energy", "1", "--r", "1", "--s", "1", "--out", out],  # outermost height not 0
         ]
         barrier = ["--v0=5", "--a=1", "--b=2"]
         complex_e = ["eval", *barrier, "--energy=1.5+0.2i"]
@@ -236,6 +236,40 @@ class TestLimitStudy:
         rc = main(["limit-study", "--v0", "5", "--a", "1", "--b", "2",
                    "--energy", "1+1i", "--r", "1", "--s", "1", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+
+class TestStaircases:
+    STAIR = ["--breakpoints=1,3", "--heights=0,2,0"]
+    PW = PiecewisePotential((1.0, 3.0), (0.0, 2.0, 0.0))
+
+    def test_real_energy_eval(self, tmp_path):
+        out = tmp_path / "formal.csv"
+        assert main(["eval", *self.STAIR, "--energy=1.5", "--direction", "both",
+                     "--r=0.5", "--s=2.5", f"--out={out}"]) == 0
+        _, rows = read_csv(out)
+        assert [row[6] for row in rows] == ["formal_plus", "formal_minus"]
+        for row, direction in zip(rows, ("plus", "minus")):
+            g = formal_green(self.PW, 1.5, 0.5, 2.5, direction).value
+            assert row[4:6] == [_fmt(g.real), _fmt(g.imag)]
+
+    def test_limit_study(self, tmp_path):
+        out = tmp_path / "limit.csv"
+        assert main(["limit-study", *self.STAIR, "--energy=1.5", "--r=0.7", "--s=2.5",
+                     f"--out={out}"]) == 0
+        _, rows = read_csv(out)
+        assert {row[3] for row in rows} == {"plus", "minus"}
+        assert all(float(row[12]) <= 1e-8 and row[13] == "true" for row in rows)
+
+    def test_pole_scan(self, tmp_path):
+        out = tmp_path / "poles.csv"
+        assert main(["pole-scan", *self.STAIR, "--box=0.5:8:-2:-0.01", f"--out={out}"]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 2
+        assert all(float(row[2]) < 1e-10 for row in rows)
+
+    def test_verify_still_refuses(self, tmp_path, capsys):
+        assert main(["verify", *self.STAIR, "--energy=1.5", f"--out={tmp_path / 'r.json'}"]) == 2
+        assert "square barriers" in capsys.readouterr().err
 
 
 class TestVerify:

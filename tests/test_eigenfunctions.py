@@ -6,6 +6,7 @@ import pytest
 from sqgreen import (
     BranchPointError,
     ContractError,
+    DomainError,
     PiecewisePotential,
     SquareBarrier,
     branch_sqrt,
@@ -162,6 +163,18 @@ class TestDerivatives:
                 wave.value(r)
             with pytest.raises(DomainError):
                 wave.derivative(r, "-")
+
+
+def test_non_finite_radius_rejected():
+    # numpy's searchsorted sent NaN to the outermost region, whose formula
+    # returned nan+nanj with at most a RuntimeWarning
+    for wave in (chi_wave(SquareBarrier(5, 1, 2), 1), build_chi(SquareBarrier(5, 1, 2), 1)):
+        with pytest.raises(DomainError):
+            wave.value(float("nan"))
+        with pytest.raises(DomainError):
+            wave.value(np.array([0.5, np.nan]))
+        with pytest.raises(DomainError):
+            wave.derivative(float("inf"))
 
 
 def _scalar_probe_waves():

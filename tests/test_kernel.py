@@ -12,6 +12,8 @@ from sqgreen import (
     branch_sqrt,
     find_kernel_poles,
     formal_green,
+    integrate_schrodinger,
+    kernel_closed_form,
     kernel_grid,
     kernel_pole_residual,
     resolvent_kernel,
@@ -49,11 +51,11 @@ class TestResolventKernel:
 
     def test_engine_path_matches_closed_form(self, rng):
         for p, e in random_instances(rng, 8):
-            pw = PiecewisePotential.from_square_barrier(p)
             energy = complex(e, rng.choice([-1, 1]) * 0.7)
             r, s = rng.uniform(0.05, p.b + 2.0, size=2)
-            g_closed = resolvent_kernel(p, energy, r, s).value
-            g_engine = resolvent_kernel(pw, energy, r, s).value
+            direction = "plus" if energy.imag > 0.0 else "minus"
+            g_closed = kernel_closed_form(p, energy, r, s, direction)
+            g_engine = resolvent_kernel(p, energy, r, s).value
             assert abs(g_closed - g_engine) <= 1e-12 * (1.0 + abs(g_closed))
 
     def test_overflowing_waves_raise(self, barrier):
@@ -231,7 +233,7 @@ class TestPoleScan:
 
     def test_barrier_resonance(self, barrier):
         roots = find_kernel_poles(barrier, (3.0, 6.0, -1.0, -0.01), seed_density=0.25)
-        assert roots == [4.202900168796607 - 0.25564393159876414j]
+        assert roots == [4.202900168796607 - 0.2556439315987641j]
         for z in roots:
             assert kernel_pole_residual(barrier, z) < 1e-10
 
@@ -288,6 +290,46 @@ class TestPoleScan:
     def test_unbounded_requests_rejected(self, barrier, box, density):
         with pytest.raises(DomainError):
             find_kernel_poles(barrier, box, seed_density=density)
+
+
+SPLIT_CASES = [
+    # a barrier, and a well with a bound state, each split at its midpoint
+    (5.0, (3.0, 12.0, -3.0, -0.01)),
+    (-4.0, (-3.9, -0.05, -0.5, 0.5)),
+]
+
+
+@pytest.mark.parametrize("v0, box", SPLIT_CASES)
+def test_split_barrier_gives_the_same_kernels_and_poles(v0, box):
+    barrier = SquareBarrier(v0, 1.0, 2.0)
+    split = PiecewisePotential((1.0, 1.5, 2.0), (0.0, v0, v0, 0.0))
+    for e in (0.7, 3.3, 8.0):
+        for direction in ("plus", "minus"):
+            for r, s in ((0.4, 1.7), (1.2, 1.6), (2.5, 0.9)):
+                g = formal_green(barrier, e, r, s, direction).value
+                g_split = formal_green(split, e, r, s, direction).value
+                assert abs(g - g_split) <= 1e-12 * (1.0 + abs(g))
+    roots = find_kernel_poles(barrier, box)
+    roots_split = find_kernel_poles(split, box)
+    assert len(roots) == len(roots_split) > 0
+    for z, w in zip(roots, roots_split):
+        assert abs(z - w) <= 1e-10 * abs(z)
+
+
+def test_staircase_poles_are_zeros_of_the_pole_function():
+    # at each root, RK4 from the origin, which uses no matching algebra, must
+    # leave the last step as a purely outgoing wave
+    stair = PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -1.0, 0.0))
+    roots = find_kernel_poles(stair, (0.5, 8.0, -2.0, -0.01))
+    assert roots
+    for z in roots:
+        assert kernel_pole_residual(stair, z) < 1e-10
+        traj = integrate_schrodinger(stair, z, 0.0, 1.0, 0.0, 5.0, 1e-3)
+        outer = traj.r >= 3.2
+        k = branch_sqrt(z)
+        basis = np.column_stack([np.exp(1j * k * traj.r[outer]), np.exp(-1j * k * traj.r[outer])])
+        (c_plus, c_minus), *_ = np.linalg.lstsq(basis, traj.values[outer], rcond=None)
+        assert abs(c_minus) < 1e-6 * abs(c_plus)
 
 
 def test_array_branch_sqrt_is_scalar_on_real_axis():

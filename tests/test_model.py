@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqgreen import DomainError, SquareBarrier, branch_sqrt, momenta, potential_at
+from sqgreen import DomainError, SquareBarrier, branch_sqrt, momenta
 
 from conftest import close
 
@@ -88,18 +88,18 @@ class TestSquareBarrier:
 
     def test_potential_regions(self):
         p = SquareBarrier(5.0, 1.0, 2.0)
-        assert potential_at(p, 0.5) == 0.0
-        assert potential_at(p, 1.5) == 5.0
-        assert potential_at(p, 3.0) == 0.0
+        assert p.value_at(0.5) == 0.0
+        assert p.value_at(1.5) == 5.0
+        assert p.value_at(3.0) == 0.0
 
     def test_right_limit_at_jumps(self):
         p = SquareBarrier(5.0, 1.0, 2.0)
-        assert potential_at(p, 1.0) == 5.0
-        assert potential_at(p, 2.0) == 0.0
+        assert p.value_at(1.0) == 5.0
+        assert p.value_at(2.0) == 0.0
 
     def test_negative_radius_rejected(self):
         with pytest.raises(DomainError):
-            potential_at(SquareBarrier(5.0, 1.0, 2.0), -0.1)
+            SquareBarrier(5.0, 1.0, 2.0).value_at(-0.1)
 
 
 class TestMomenta:

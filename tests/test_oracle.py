@@ -95,7 +95,7 @@ class TestIntegrateSchrodinger:
 
 def _reference_rk4(p, e, y0, dy0, r_from, r_to, step):
     """The per-step RK4 loop as it was before the region lookup was batched."""
-    pw = p if isinstance(p, PiecewisePotential) else PiecewisePotential.from_square_barrier(p)
+    pw = PiecewisePotential(p.breakpoints, p.heights)
     e = complex(e)
     n = int(round(abs(r_to - r_from) / step))
     h = math.copysign(step, r_to - r_from)
@@ -274,7 +274,7 @@ class TestResolventIdentity:
         assert np.max(np.abs(v - g(s))) < 1e-6
 
     def test_engine_potential_accepted(self, barrier):
-        pw = PiecewisePotential.from_square_barrier(barrier)
+        pw = PiecewisePotential(barrier.breakpoints, barrier.heights)
         f = TestFunction("gaussian_bump", 3.0, 0.5)
         rep = check_resolvent_identity(pw, 1 + 1j, f)
         assert rep.passed
@@ -341,9 +341,9 @@ class TestDistributionalEquation:
         assert not rep.passed
 
     def test_engine_kernels_pass_identically(self, barrier):
-        # the oracle must not care whether the kernel came from the closed
-        # forms or from the transfer-matrix engine
-        pw = PiecewisePotential.from_square_barrier(barrier)
+        # the oracle must not care whether the barrier comes as a
+        # SquareBarrier or as the same PiecewisePotential
+        pw = PiecewisePotential(barrier.breakpoints, barrier.heights)
         closed = check_distributional_equation(barrier, 1.0, 1.5, "plus")
         engine = check_distributional_equation(pw, 1.0, 1.5, "plus")
         assert closed.passed and engine.passed
@@ -371,5 +371,6 @@ class TestRunVerification:
 
         monkeypatch.setattr(verification, "check_distributional_equation", no_checks)
         monkeypatch.setattr(verification, "chi_wave", no_checks)
+        monkeypatch.setattr(verification, "wave_pair", no_checks)
         with pytest.raises(DomainError, match="lattice"):
             run_verification(SquareBarrier(5.0, 1.0004, 2.0), 1.0)

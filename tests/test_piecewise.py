@@ -9,8 +9,8 @@ from sqgreen import (
     build_chi,
     build_omega,
     chi_coefficients,
+    chi_outer_amplitudes,
     chi_wave,
-    interface_matrix,
     omega_wave,
     outer_wronskian,
     wronskian,
@@ -40,62 +40,11 @@ class TestPotential:
             PiecewisePotential((1.0,), (0.0, 1.0, 0.0))  # length mismatch
 
     def test_square_barrier_embedding(self, barrier):
-        pw = PiecewisePotential.from_square_barrier(barrier)
+        pw = PiecewisePotential(barrier.breakpoints, barrier.heights)
         assert pw.breakpoints == (1.0, 2.0)
         assert pw.heights == (0.0, 5.0, 0.0)
         for r in (0.5, 1.0, 1.5, 2.0, 3.0):
             assert pw.value_at(r) == barrier.value_at(r)
-
-
-class TestInterfaceMatrix:
-    def test_identity_when_momenta_match(self):
-        m = interface_matrix(1.3 - 0.2j, 1.3 - 0.2j, 1.7).as_array()
-        assert close(m, np.eye(2), atol=1e-15)
-
-    def test_determinant_is_momentum_ratio(self, rng):
-        for _ in range(25):
-            kl = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            kr = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            if abs(kr) < 0.1 or abs(kl) < 0.1:
-                continue
-            det = interface_matrix(kl, kr, float(rng.uniform(0.1, 4.0))).det()
-            assert abs(det - kl / kr) <= 1e-12 * abs(kl / kr)
-
-    def test_preserves_value_and_derivative(self, rng):
-        for _ in range(25):
-            kl = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            kr = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            if abs(kr) < 0.1:
-                continue
-            r = float(rng.uniform(0.1, 4.0))
-            c = (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
-            d = interface_matrix(kl, kr, r).apply(c)
-
-            def side(coeff, k):
-                val = coeff[0] * np.exp(1j * k * r) + coeff[1] * np.exp(-1j * k * r)
-                der = 1j * k * (coeff[0] * np.exp(1j * k * r) - coeff[1] * np.exp(-1j * k * r))
-                return val, der
-
-            vl, dl = side(c, kl)
-            vr, dr = side(d, kr)
-            assert abs(vl - vr) <= 1e-12 * (1 + abs(vl))
-            assert abs(dl - dr) <= 1e-12 * (1 + abs(dl))
-
-    def test_composition_reproduces_outer_amplitudes(self, barrier):
-        e = 2.0 + 0.7j
-        from sqgreen.model import momenta
-
-        k, q = momenta(barrier, e)
-        inner = (1.0 / 2j, -1.0 / 2j)
-        mid = interface_matrix(k, q, barrier.a).apply(inner)
-        outer = interface_matrix(q, k, barrier.b).apply(mid)
-        cs = chi_coefficients(barrier, e)
-        assert close(outer[0], cs.c3, rtol=1e-12)
-        assert close(outer[1], cs.c4, rtol=1e-12)
-
-    def test_vanishing_right_momentum_rejected(self):
-        with pytest.raises(BranchPointError):
-            interface_matrix(1.0, 0.0, 1.0)
 
 
 class TestEngineWaves:
@@ -118,7 +67,7 @@ class TestEngineWaves:
 
     def test_square_barrier_equivalence(self, rng):
         for p, e in random_instances(rng, 12):
-            pw = PiecewisePotential.from_square_barrier(p)
+            pw = PiecewisePotential(p.breakpoints, p.heights)
             for energy in (complex(e), complex(e, 0.9), complex(e, -0.9)):
                 r = np.concatenate(
                     [np.linspace(0.05, p.b + 2.0, 17), [p.a, p.b]]
@@ -136,7 +85,7 @@ class TestEngineWaves:
 
     def test_split_segment_invariance(self, barrier):
         e = 2.0 + 0.7j
-        whole = PiecewisePotential.from_square_barrier(barrier)
+        whole = PiecewisePotential(barrier.breakpoints, barrier.heights)
         mid = 0.5 * (barrier.a + barrier.b)
         split = PiecewisePotential(
             (barrier.a, mid, barrier.b), (0.0, barrier.v0, barrier.v0, 0.0)
@@ -164,12 +113,39 @@ class TestEngineWaves:
 
     def test_engine_wronskian_matches_closed_form(self, rng):
         for p, e in random_instances(rng, 8):
-            pw = PiecewisePotential.from_square_barrier(p)
+            pw = PiecewisePotential(p.breakpoints, p.heights)
             energy = complex(e, 0.6)
             for direction in ("plus", "minus"):
                 w_engine = outer_wronskian(build_chi(pw, energy), build_omega(pw, energy, direction))
                 w_closed = wronskian_closed_form(p, energy, direction)
                 assert abs(w_engine - w_closed) <= 1e-12 * abs(w_closed)
+
+    def test_interfaces_preserve_value_and_derivative(self, rng):
+        # every interface of a random staircase matches value and slope, at
+        # complex and at real energies, for each of the three waves
+        for n in (1, 3, 6):
+            pw = random_staircase(rng, n)
+            for e in (complex(rng.uniform(0.5, 6.0), rng.uniform(-1.5, 1.5)), 7.5 + 0j):
+                for wave in (
+                    build_chi(pw, e), build_omega(pw, e, "plus"), build_omega(pw, e, "minus")
+                ):
+                    scale = 1.0 + np.max(np.abs(wave.value(np.array(pw.breakpoints))))
+                    for bp in pw.breakpoints:
+                        for fn in (wave.value, wave.derivative):
+                            assert abs(fn(bp, "-") - fn(bp, "+")) <= 1e-12 * scale
+
+    def test_outer_amplitudes_are_the_closed_form_c3_c4(self, rng):
+        # chi's outer amplitudes in the absolute convention, and so the pole
+        # function c-, are the closed-form c3(J), c4(J) of a square barrier
+        for p, e in random_instances(rng, 12):
+            for energy in (complex(e), complex(e, 0.6), complex(e, -0.6)):
+                cs = chi_coefficients(p, energy)
+                c_plus, c_minus = chi_outer_amplitudes(p, energy)
+                scale = abs(cs.c3) + abs(cs.c4)
+                assert abs(c_plus - cs.c3) <= 1e-12 * scale
+                assert abs(c_minus - cs.c4) <= 1e-12 * scale
+        free = PiecewisePotential((), (0.0,))
+        assert chi_outer_amplitudes(free, 2.0 + 0.5j) == (-0.5j, 0.5j)
 
     def test_degenerate_region_rejected(self):
         pw = PiecewisePotential((1.0, 2.0), (0.0, 3.0, 0.0))
