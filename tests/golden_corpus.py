@@ -62,6 +62,7 @@ CASES: dict[str, list[str]] = {
         "pole-scan", "--v0=-5", "--a=1", "--b=2", "--box=-5:-0.5:-0.5:0.5", "--format=json",
     ],
     "poles_staircase": ["pole-scan", *_STAIRCASE, "--box=0.5:8:-2:-0.01"],
+    "poles_staircase_wide": ["pole-scan", *_STAIRCASE, "--box=0.5:40:-6:-0.01"],
 }
 
 
