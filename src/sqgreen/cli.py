@@ -44,6 +44,8 @@ def parse_complex(text: str) -> complex:
 
 #: a grid on one axis must have fewer points than this
 MAX_GRID_POINTS = 10**6
+#: the most random instances one ``verify`` draws (about 1 ms each)
+MAX_RANDOM_INSTANCES = 10**4
 
 
 def parse_grid(text: str) -> list[float]:
@@ -229,8 +231,12 @@ def cmd_verify(args) -> int:
         raise ConfigError(
             f"--corrupt-wronskian must be finite and nonzero, got {args.corrupt_wronskian}"
         )
-    if args.n_random < 0:
-        raise ConfigError(f"--n-random must be nonnegative, got {args.n_random}")
+    if not 0 <= args.n_random <= MAX_RANDOM_INSTANCES:
+        raise ConfigError(
+            f"--n-random must lie in [0, {MAX_RANDOM_INSTANCES}], got {args.n_random}"
+        )
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     report = run_verification(
         p,
         energy.real,

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     EPS_BRANCH,
-    BranchPointError,
     ContractError,
     DomainError,
     NonConvergenceError,
@@ -264,63 +263,6 @@ def _branch_points(p) -> tuple[float, ...]:
     return tuple(sorted(set(p.heights)))
 
 
-def _pole_function(p, z: complex) -> complex:
-    """chi's incoming outer amplitude c-(z), whose zeros are the kernel's poles."""
-    return chi_outer_amplitudes(p, z)[1]
-
-
-def _newton_root(p, z: complex, box, accepted: list[complex]) -> complex | None:
-    """The Newton run from one seed in scalar arithmetic, with every acceptance rule.
-
-    Returns the root, or None if the seed finds nothing or only a root
-    within 1e-6 of one in ``accepted``.
-    """
-    re_min, re_max, im_min, im_max = box
-    branch_points = _branch_points(p)
-
-    def far_from_branch_points(z: complex) -> bool:
-        return all(abs(z - bp) >= _ROOT_MARGIN for bp in branch_points)
-
-    if not far_from_branch_points(z):
-        return None
-    h = _NEWTON_H
-    last_step = math.inf
-    ok = False
-    try:
-        for _ in range(_NEWTON_STEPS):
-            fz = _pole_function(p, z)
-            dfz = (_pole_function(p, z + h) - _pole_function(p, z - h)) / (2.0 * h)
-            if dfz == 0 or not (math.isfinite(dfz.real) and math.isfinite(dfz.imag)):
-                break
-            dz = fz / dfz
-            z = z - dz
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                break
-            last_step = abs(dz)
-            if last_step < 1e-13 * max(1.0, abs(z)):
-                ok = True
-                break
-    except (BranchPointError, OverflowError, ZeroDivisionError, ValueError):
-        # the iterate escaped to where the coefficients overflow or
-        # degenerate; this seed finds nothing
-        return None
-    if not ok or last_step >= 1e-12:
-        return None
-    if not (re_min <= z.real <= re_max and im_min <= z.imag <= im_max):
-        return None
-    if not far_from_branch_points(z):
-        return None
-    try:
-        resid = abs(_pole_function(p, z))
-    except (BranchPointError, OverflowError, ValueError):
-        return None
-    if resid >= 1e-10:
-        return None
-    if any(abs(z - root) < _ROOT_MARGIN for root in accepted):
-        return None
-    return z
-
-
 def _near(z: np.ndarray, branch_points, margin: float) -> np.ndarray:
     """Mask of the entries of ``z`` within ``margin`` of a branch point."""
     out = np.zeros(z.shape, dtype=bool)
@@ -330,13 +272,13 @@ def _near(z: np.ndarray, branch_points, margin: float) -> np.ndarray:
 
 
 def _screen(p, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The iteration of :func:`_newton_root` run on all ``seeds`` at once.
+    """The Newton iteration of :func:`find_kernel_poles` run on all ``seeds`` at once.
 
-    Returns the final iterates and a mask of the seeds that converged with a
-    last step below 1e-12.  A seed leaves the active set when it converges
-    or dies: an iterate or z +- h within ``EPS_BRANCH`` of a branch point, a
-    non-finite value, or a zero derivative.  Seeds within 1e-6 of a branch
-    point never start.
+    Returns the final iterates and a mask of the seeds that converged: a
+    step fell below 1e-13 * max(1, |z|) and below 1e-12.  A seed leaves the
+    active set when it converges or dies: an iterate or z +- h within
+    ``EPS_BRANCH`` of a branch point, a non-finite value, or a zero
+    derivative.  Seeds within 1e-6 of a branch point never start.
     """
     branch_points = _branch_points(p)
     z = seeds.copy()
@@ -381,16 +323,9 @@ def find_kernel_poles(
     is kept only if the final Newton step is below 1e-12, |c-| is below
     1e-10, it lies inside the box, and it is at least 1e-6 away from every
     branch point, the region heights.
-    Roots within 1e-6 of an already accepted one are dropped.  An empty list
-    is a valid outcome.
-
-    The search runs in two stages.  The screen runs the iteration on
-    ``SCREEN_BLOCK`` seeds at a time as numpy arrays, in seed order.  The
-    confirm step takes the seeds whose screened root converged inside the
-    box, skips any within 1e-6 of a root already accepted, and re-runs each
-    of the rest from its seed in scalar arithmetic under every rule above.
-    The returned digits are therefore those of the scalar iteration; the
-    screen, whose last digits may differ, only picks the seeds to re-run.
+    Roots are taken in seed order, and one within 1e-6 of an already
+    accepted root is dropped.  An empty list is a valid outcome.  The
+    iteration runs on ``SCREEN_BLOCK`` seeds at a time as numpy arrays.
 
     Raises :class:`DomainError` for a non-finite or degenerate box, a
     non-finite or non-positive ``seed_density``, or more than ``MAX_SEEDS``
@@ -416,6 +351,7 @@ def find_kernel_poles(
             f"box {box} at seed spacing {seed_density} needs more than {MAX_SEEDS} seeds"
         )
 
+    branch_points = _branch_points(p)
     accepted: list[complex] = []
     for start in range(0, n_seeds, SCREEN_BLOCK):
         i, j = np.divmod(np.arange(start, min(start + SCREEN_BLOCK, n_seeds)), n_im)
@@ -423,22 +359,21 @@ def find_kernel_poles(
         seeds.real = re_min + i * seed_density
         seeds.imag = im_min + j * seed_density
         roots, converged = _screen(p, seeds)
-        inside = (
+        keep = (
             converged
             & (re_min <= roots.real) & (roots.real <= re_max)
             & (im_min <= roots.imag) & (roots.imag <= im_max)
+            & ~_near(roots, branch_points, _ROOT_MARGIN)
         )
-        for n in np.flatnonzero(inside):
-            screened = complex(roots[n])
-            if any(abs(screened - root) < _ROOT_MARGIN for root in accepted):
-                continue
-            root = _newton_root(p, complex(seeds[n]), bounds, accepted)
-            if root is not None:
-                accepted.append(root)
+        for z in roots[keep].tolist():
+            if all(abs(z - w) >= _ROOT_MARGIN for w in accepted) and (
+                kernel_pole_residual(p, z) < 1e-10
+            ):
+                accepted.append(z)
     accepted.sort(key=lambda w: (w.real, w.imag))
     return accepted
 
 
 def kernel_pole_residual(p, z: complex) -> float:
-    """|c-(z)|, the quantity driven to zero by :func:`find_kernel_poles`."""
-    return abs(_pole_function(p, z))
+    """|c-(z)|, chi's incoming outer amplitude, driven to zero by :func:`find_kernel_poles`."""
+    return abs(chi_outer_amplitudes(p, z)[1])

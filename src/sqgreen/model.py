@@ -9,16 +9,13 @@ that discontinuity *is* the resolvent cut.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-
-
-def _is_finite_complex(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
 def branch_sqrt(z: complex) -> complex:
@@ -35,7 +32,7 @@ def branch_sqrt(z: complex) -> complex:
         If either part of ``z`` is NaN or infinite.
     """
     z = complex(z)
-    if not _is_finite_complex(z):
+    if not cmath.isfinite(z):
         raise DomainError(f"branch_sqrt requires a finite argument, got {z!r}")
     if z.imag == 0.0:
         # exact axis cases; imag == 0.0 matches both +0.0 and -0.0
@@ -107,6 +104,6 @@ def momenta(p: SquareBarrier, e: complex) -> tuple[complex, complex]:
     barrier top the interior momentum is +i*sqrt(v0 - E).
     """
     e = complex(e)
-    if not _is_finite_complex(e):
+    if not cmath.isfinite(e):
         raise DomainError(f"energy must be finite, got {e!r}")
     return branch_sqrt(e), branch_sqrt(e - p.v0)

@@ -152,12 +152,8 @@ def _aligned_steps(r_from: float, r_to: float, step: float, breakpoints) -> tupl
     h = math.copysign(step, span)
     lo, hi = min(r_from, r_to), max(r_from, r_to)
     for bp in breakpoints:
-        if lo < bp < hi:
-            t = (bp - r_from) / h
-            if abs(t - round(t)) > 1e-9 * max(1.0, abs(t)):
-                raise ContractError(
-                    f"breakpoint {bp} is not aligned with the integration grid"
-                )
+        if lo < bp < hi and not on_lattice(bp - r_from, h):
+            raise ContractError(f"breakpoint {bp} is not aligned with the integration grid")
     return n, h
 
 

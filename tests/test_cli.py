@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sqgreen import PiecewisePotential, SquareBarrier, formal_green, resolvent_kernel
-from sqgreen.cli import _write_json, main, parse_complex, parse_grid
+from sqgreen.cli import MAX_RANDOM_INSTANCES, _write_json, main, parse_complex, parse_grid
 from sqgreen.errors import ConfigError, PoleError
 
 
@@ -306,6 +306,11 @@ class TestVerify:
             base + ["--corrupt-wronskian=nan"],
             base + ["--corrupt-wronskian=inf"],
             base + ["--n-random=-3"],
+            # numpy refused the seed with a ValueError traceback (exit 1)
+            base + ["--seed=-1"],
+            # 1e20 instances ran until killed; the bound is checked before any draw
+            base + [f"--n-random={MAX_RANDOM_INSTANCES + 1}"],
+            base + ["--n-random=100000000000000000000"],
             # the closed-form amplitudes overflow in cmath
             ["verify", "--v0=5", "--a=1", "--b=2", "--energy=1e300"],
             ["verify", "--v0=1e6", "--a=1", "--b=2", "--energy=1"],

@@ -278,6 +278,27 @@ class TestPoleScan:
         for z, w in zip(pieces, roots):
             assert abs(z - w) < 1e-12 * abs(w)
 
+    def test_acceptance_rules(self, barrier, monkeypatch):
+        # one screened root of each kind; the residual is read off a table so
+        # that each root fails exactly one rule
+        root = 4.202900168796607 - 0.2556439315987641j
+        screened = {
+            root: (True, 0.0),
+            root + 5e-7: (True, 0.0),  # duplicate of the root above
+            5.0 + 5e-7j: (True, 0.0),  # within 1e-6 of the branch point v0 = 5
+            6.5 - 0.2j: (True, 0.0),  # outside the box
+            3.5 - 0.5j: (True, 1e-10),  # |c-| too large
+            4.5 - 0.5j: (False, 0.0),  # did not converge
+        }
+
+        def screen(p, seeds):
+            roots = np.array(list(screened), dtype=complex)
+            return roots, np.array([ok for ok, _ in screened.values()])
+
+        monkeypatch.setattr(kernel_module, "_screen", screen)
+        monkeypatch.setattr(kernel_module, "kernel_pole_residual", lambda p, z: screened[z][1])
+        assert find_kernel_poles(barrier, (3.0, 6.0, -1.0, 0.5), seed_density=1.0) == [root]
+
     @pytest.mark.parametrize(
         "box, density",
         [
