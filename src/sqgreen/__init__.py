@@ -39,7 +39,6 @@ from .piecewise import (
     outer_wronskian,
 )
 from .kernel import (
-    KernelSample,
     LimitStudy,
     boundary_limit,
     find_kernel_poles,
@@ -85,7 +84,6 @@ __all__ = [
     "build_omega",
     "chi_outer_amplitudes",
     "outer_wronskian",
-    "KernelSample",
     "LimitStudy",
     "boundary_limit",
     "find_kernel_poles",

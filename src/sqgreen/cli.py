@@ -44,8 +44,6 @@ def parse_complex(text: str) -> complex:
 
 #: a grid on one axis must have fewer points than this
 MAX_GRID_POINTS = 10**6
-#: the most random instances one ``verify`` draws (about 1 ms each)
-MAX_RANDOM_INSTANCES = 10**4
 
 
 def parse_grid(text: str) -> list[float]:
@@ -204,7 +202,7 @@ def cmd_limit_study(args) -> int:
                 except NonConvergenceError as exc:
                     study = exc.partial
                     any_flagged = True
-                formal = formal_green(p, e, r, s, direction).value
+                formal = formal_green(p, e, r, s, direction)
                 diff = abs(study.extrapolated - formal)
                 for k, (mu, g) in enumerate(zip(study.mu_sequence, study.samples)):
                     rows.append(
@@ -221,22 +219,9 @@ def cmd_limit_study(args) -> int:
 
 def cmd_verify(args) -> int:
     p = _build_potential(args)
-    if not isinstance(p, SquareBarrier):
-        # the report schema and its closed-form checks are barrier-specific
-        raise ConfigError("verification currently runs on square barriers")
     energy = parse_complex(args.energy)
     if energy.imag != 0.0 or energy.real <= 0.0:
         raise ConfigError("verification needs a real positive --energy")
-    if not (math.isfinite(args.corrupt_wronskian) and args.corrupt_wronskian != 0.0):
-        raise ConfigError(
-            f"--corrupt-wronskian must be finite and nonzero, got {args.corrupt_wronskian}"
-        )
-    if not 0 <= args.n_random <= MAX_RANDOM_INSTANCES:
-        raise ConfigError(
-            f"--n-random must lie in [0, {MAX_RANDOM_INSTANCES}], got {args.n_random}"
-        )
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     report = run_verification(
         p,
         energy.real,

@@ -106,9 +106,6 @@ class PiecewiseWave:
     def __post_init__(self):
         object.__setattr__(self, "_bp_array", np.asarray(self.breakpoints, dtype=float))
 
-    def _region_indices(self, r: np.ndarray, side: str) -> np.ndarray:
-        return np.searchsorted(self._bp_array, r, side="right" if side == "+" else "left")
-
     def _eval(self, r, side: str, what: str):
         if side not in ("+", "-"):
             raise ContractError(f"side must be '+' or '-', got {side!r}")
@@ -124,7 +121,7 @@ class PiecewiseWave:
         arr = np.atleast_1d(arr)
         if not np.all((arr >= 0.0) & (arr < np.inf)):
             raise DomainError("radius must be finite and nonnegative")
-        idx = self._region_indices(arr, side)
+        idx = np.searchsorted(self._bp_array, arr, side="right" if side == "+" else "left")
         out = np.empty(arr.shape, dtype=complex)
         for j, reg in enumerate(self.regions):
             mask = idx == j

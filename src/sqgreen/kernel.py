@@ -37,35 +37,6 @@ from .piecewise import (
     outer_wronskian,
 )
 
-PROVENANCES = (
-    "resolvent_kernel",
-    "formal_plus",
-    "formal_minus",
-    "boundary_limit_plus",
-    "boundary_limit_minus",
-)
-
-
-@dataclass(frozen=True)
-class KernelSample:
-    """One kernel evaluation, tagged with how it was produced."""
-
-    r: float
-    s: float
-    e: complex
-    value: complex
-    provenance: str
-
-    def __post_init__(self):
-        if self.r < 0.0 or self.s < 0.0:
-            raise DomainError("kernel arguments must be nonnegative radii")
-        if self.provenance not in PROVENANCES:
-            raise DomainError(f"unknown provenance {self.provenance!r}")
-        if self.provenance == "resolvent_kernel" and self.e.imag == 0.0:
-            raise DomainError("resolvent_kernel samples require Im E != 0")
-        if self.provenance != "resolvent_kernel" and not (self.e.imag == 0.0 and self.e.real > 0.0):
-            raise DomainError("formal and boundary-limit samples require real E > 0")
-
 
 @dataclass(frozen=True)
 class LimitStudy:
@@ -90,11 +61,6 @@ class LimitStudy:
     def halvings(self) -> int:
         return len(self.mu_sequence)
 
-    def as_sample(self) -> "KernelSample":
-        return KernelSample(
-            self.r, self.s, complex(self.e), self.extrapolated, f"boundary_limit_{self.direction}"
-        )
-
 
 def wave_pair(p, e: complex, direction: str) -> tuple[PiecewiseWave, PiecewiseWave, complex]:
     """(chi, omega, W) for a staircase potential (a square barrier is one)."""
@@ -103,36 +69,43 @@ def wave_pair(p, e: complex, direction: str) -> tuple[PiecewiseWave, PiecewiseWa
     return chi, om, outer_wronskian(chi, om)
 
 
-def _kernel_request(p, e, radii, direction: str | None) -> tuple[complex, str, str]:
-    """Validate one kernel request and return (E, omega direction, provenance).
+def _kernel_request(p, e, radii, direction: str | None) -> tuple[complex, str]:
+    """Validate one kernel request and return (E, omega direction).
 
     ``direction=None`` asks for the resolvent kernel at Im E != 0, whose tail
     solution follows the sign of Im E.  "plus"/"minus" ask for the formal
-    kernel at real E > 0, which raises :class:`PoleError` where its
-    denominator vanishes: chi's outer amplitude c- (plus) or c+ (minus).
-    Every radius must be finite and nonnegative.
+    kernel at real E > 0, whose pole test :func:`_kernel_waves` makes on its
+    waves.  Every radius must be finite and nonnegative.
     """
-    formal = direction is not None
-    if formal:
-        e = float(e)
-        if not math.isfinite(e) or e <= 0.0:
-            raise DomainError(f"formal kernels require real E > 0, got {e}")
-    else:
+    if direction is None:
         e = complex(e)
         if e.imag == 0.0:
             raise ContractError(
                 "resolvent_kernel requires Im E != 0; use formal_green or boundary_limit on the axis"
             )
         direction = "plus" if e.imag > 0.0 else "minus"
-    if not all(0.0 <= x < math.inf for x in radii):
-        raise DomainError("radii must be finite and nonnegative")
-    if formal:
+    else:
         if direction not in ("plus", "minus"):
             raise ContractError(f"direction must be 'plus' or 'minus', got {direction!r}")
-        c_plus, c_minus = chi_outer_amplitudes(p, e)
-        if abs(c_minus if direction == "plus" else c_plus) < 1e-14:
-            raise PoleError(f"kernel denominator vanishes at E={e} (direction {direction})")
-    return complex(e), direction, f"formal_{direction}" if formal else "resolvent_kernel"
+        e = float(e)
+        if not math.isfinite(e) or e <= 0.0:
+            raise DomainError(f"formal kernels require real E > 0, got {e}")
+    if not all(0.0 <= x < math.inf for x in radii):
+        raise DomainError("radii must be finite and nonnegative")
+    return complex(e), direction
+
+
+def _kernel_waves(p, e: complex, direction: str) -> tuple[PiecewiseWave, PiecewiseWave, complex]:
+    """:func:`wave_pair` of a validated request, with the formal pole test.
+
+    On the real axis W = 2ik c- (plus) or -2ik c+ (minus), with c+- chi's
+    outer amplitudes, so a formal request raises :class:`PoleError` where
+    |W / 2k| < 1e-14.
+    """
+    chi, om, w = wave_pair(p, e, direction)
+    if e.imag == 0.0 and abs(w) < 2e-14 * abs(chi.regions[-1].k):
+        raise PoleError(f"kernel denominator vanishes at E={e.real} (direction {direction})")
+    return chi, om, w
 
 
 def _require_finite(finite: bool, e: complex) -> None:
@@ -140,22 +113,22 @@ def _require_finite(finite: bool, e: complex) -> None:
         raise DomainError(f"kernel at E={e} is not finite: a wave overflows at these radii")
 
 
-def _sample(p, e, r: float, s: float, direction: str | None) -> KernelSample:
-    e, direction, provenance = _kernel_request(p, e, (r, s), direction)
-    chi, om, w = wave_pair(p, e, direction)
+def _sample(p, e, r: float, s: float, direction: str | None) -> complex:
+    e, direction = _kernel_request(p, e, (r, s), direction)
+    chi, om, w = _kernel_waves(p, e, direction)
     lo, hi = (r, s) if r <= s else (s, r)
     with np.errstate(over="ignore", invalid="ignore"):
         value = chi.value(lo) * om.value(hi) / w
     _require_finite(cmath.isfinite(value), e)
-    return KernelSample(r, s, e, value, provenance)
+    return value
 
 
-def resolvent_kernel(p, e: complex, r: float, s: float) -> KernelSample:
+def resolvent_kernel(p, e: complex, r: float, s: float) -> complex:
     """Kernel of (E - H)^{-1} at complex E; omega_plus above the axis, omega_minus below."""
     return _sample(p, e, r, s, None)
 
 
-def formal_green(p, e: float, r: float, s: float, direction: str) -> KernelSample:
+def formal_green(p, e: float, r: float, s: float, direction: str) -> complex:
     """Outgoing/incoming kernel at real E > 0 with real-axis momenta."""
     return _sample(p, e, r, s, direction)
 
@@ -174,8 +147,8 @@ def kernel_grid(p, e, rs, ss, direction: str | None = None) -> np.ndarray:
     """
     r = np.asarray(rs, dtype=float).ravel()
     s = np.asarray(ss, dtype=float).ravel()
-    e, direction, _ = _kernel_request(p, e, np.concatenate((r, s)), direction)
-    chi, om, w = wave_pair(p, e, direction)
+    e, direction = _kernel_request(p, e, np.concatenate((r, s)), direction)
+    chi, om, w = _kernel_waves(p, e, direction)
     rr, sg = np.meshgrid(r, s, indexing="ij")
     below = rr <= sg
     lo = np.where(below, rr, sg).ravel()
@@ -208,11 +181,9 @@ def boundary_limit(
     ``MAX_HALVINGS`` halvings raises :class:`NonConvergenceError` (a branch
     mix-up makes the sequence oscillate instead of settling).
     """
-    e = float(e)
-    if not math.isfinite(e) or e <= 0.0:
-        raise DomainError(f"boundary limits require real E > 0, got {e}")
-    if direction not in ("plus", "minus"):
-        raise ContractError(f"direction must be 'plus' or 'minus', got {direction!r}")
+    if direction is None:  # to _kernel_request, None asks for the resolvent kernel
+        raise ContractError("boundary limits need direction 'plus' or 'minus'")
+    e = _kernel_request(p, e, (r, s), direction)[0].real
     if mu0 is None:
         mu0 = 0.05 * e
     mu0 = float(mu0)
@@ -225,7 +196,7 @@ def boundary_limit(
     converged = False
     for k in range(MAX_HALVINGS + 1):
         mu = mu0 * 0.5**k
-        g = resolvent_kernel(p, complex(e, sign * mu), r, s).value
+        g = resolvent_kernel(p, complex(e, sign * mu), r, s)
         mus.append(mu)
         samples.append(g)
         if k >= 1 and mu < MU_FLOOR:

@@ -9,6 +9,7 @@ that discontinuity *is* the resolvent cut.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -66,6 +67,13 @@ def _branch_sqrt_array(z) -> np.ndarray:
     return out
 
 
+def staircase_value(p, r: float) -> float:
+    """V(r) of a potential from its ``breakpoints`` and ``heights``; right limits at the jumps."""
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"radius must be finite and nonnegative, got {r}")
+    return p.heights[bisect.bisect_right(p.breakpoints, r)]
+
+
 @dataclass(frozen=True)
 class SquareBarrier:
     """Square barrier of height ``v0`` on the shell a < r < b (well if v0 < 0)."""
@@ -88,13 +96,7 @@ class SquareBarrier:
     def heights(self) -> tuple[float, float, float]:
         return (0.0, self.v0, 0.0)
 
-    def value_at(self, r: float) -> float:
-        """Potential value at ``r``; right limits at the jumps a and b."""
-        if r < 0.0:
-            raise DomainError(f"radius must be nonnegative, got {r}")
-        if self.a <= r < self.b:
-            return self.v0
-        return 0.0
+    value_at = staircase_value
 
 
 def momenta(p: SquareBarrier, e: complex) -> tuple[complex, complex]:

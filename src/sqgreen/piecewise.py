@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BranchPointError, ContractError, DomainError, EPS_BRANCH
 from .eigenfunctions import PiecewiseWave, Region, _overflow
-from .model import _branch_sqrt_array, branch_sqrt
+from .model import _branch_sqrt_array, branch_sqrt, staircase_value
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,7 @@ class PiecewisePotential:
         if hts[-1] != 0.0:
             raise DomainError("the outermost height must be 0 (potential vanishes at infinity)")
 
-    def value_at(self, r: float) -> float:
-        if r < 0.0:
-            raise DomainError(f"radius must be nonnegative, got {r}")
-        return self.heights[int(np.searchsorted(self.breakpoints, r, side="right"))]
+    value_at = staircase_value
 
 
 def region_momenta(p, e: complex) -> tuple[complex, ...]:

@@ -9,6 +9,8 @@ can actually reject a wrong kernel.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .eigenfunctions import (
@@ -18,7 +20,7 @@ from .eigenfunctions import (
     wronskian,
     wronskian_closed_form,
 )
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .kernel import boundary_limit, formal_green, resolvent_kernel, wave_pair
 from .model import SquareBarrier
 from .oracle import (
@@ -32,13 +34,13 @@ from .piecewise import build_chi, build_omega
 
 #: step of the RK4 oracle; the barrier edges and the diagonal point sit on its lattice
 LATTICE = 1e-3
+#: the most random instances one run draws (about 1 ms each)
+MAX_RANDOM_INSTANCES = 10**4
 
 
 def _wave_continuity(p: SquareBarrier, e: complex) -> float:
     worst = 0.0
-    chi, om_plus, _ = wave_pair(p, e, "plus")
-    waves = [chi, om_plus, wave_pair(p, e, "minus")[1]]
-    for w in waves:
+    for w in (build_chi(p, e), build_omega(p, e, "plus"), build_omega(p, e, "minus")):
         for bp in p.breakpoints:
             for fn in ("value", "derivative"):
                 left = getattr(w, fn)(bp, "-")
@@ -79,7 +81,7 @@ def _engine_agreement(p: SquareBarrier, e: complex, rng: np.random.Generator) ->
     direction = "plus" if ec.imag > 0.0 else "minus"
     for r, s in [(0.4, 1.7), (2.5, 0.9)]:
         g_closed = kernel_closed_form(p, ec, r, s, direction)
-        g_engine = resolvent_kernel(p, ec, r, s).value
+        g_engine = resolvent_kernel(p, ec, r, s)
         worst = max(worst, abs(g_closed - g_engine) / (1.0 + abs(g_closed)))
     return worst
 
@@ -91,7 +93,7 @@ def _limit_agreement(p: SquareBarrier, e: float, rng: np.random.Generator) -> fl
         s = float(rng.uniform(0.1, p.b + 2.0))
         for direction in ("plus", "minus"):
             study = boundary_limit(p, e, r, s, direction)
-            formal = formal_green(p, e, r, s, direction).value
+            formal = formal_green(p, e, r, s, direction)
             worst = max(worst, abs(study.extrapolated - formal))
     return worst
 
@@ -118,9 +120,21 @@ def run_verification(
 ) -> dict:
     """Run the whole suite; returns the report dictionary used by the CLI.
 
-    Raises :class:`DomainError` if a barrier edge is off the ``LATTICE``
-    (1e-3) that the RK4 re-integration steps on.
+    Before any draw or check it raises :class:`ConfigError` for a potential
+    that is not a ``SquareBarrier``, a negative ``seed``, an ``n_random``
+    outside [0, ``MAX_RANDOM_INSTANCES``] or a ``wronskian_scale`` that is
+    not finite and nonzero, and :class:`DomainError` if a barrier edge is off
+    the ``LATTICE`` (1e-3) that the RK4 re-integration steps on.
     """
+    if not isinstance(p, SquareBarrier):
+        # the report schema and its closed-form checks are barrier-specific
+        raise ConfigError("verification currently runs on square barriers")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    if not 0 <= n_random <= MAX_RANDOM_INSTANCES:
+        raise ConfigError(f"n_random must lie in [0, {MAX_RANDOM_INSTANCES}], got {n_random}")
+    if not (math.isfinite(wronskian_scale) and wronskian_scale != 0.0):
+        raise ConfigError(f"wronskian_scale must be finite and nonzero, got {wronskian_scale}")
     off = [x for x in p.breakpoints if not on_lattice(x, LATTICE)]
     if off:
         raise DomainError(

@@ -63,7 +63,7 @@ def test_criterion_1_limits_equal_formal_kernels():
             s = float(rng.uniform(0.05, p.b + 2.0))
             for direction in ("plus", "minus"):
                 study = boundary_limit(p, e, r, s, direction)
-                formal = formal_green(p, e, r, s, direction).value
+                formal = formal_green(p, e, r, s, direction)
                 worst = max(worst, abs(study.extrapolated - formal))
     ok = worst <= 1e-8
     _verdict(1, "boundary limits equal formal kernels", ok, f"worst |diff| = {worst:.3e} <= 1e-8")
@@ -220,7 +220,7 @@ def test_criterion_6_free_particle_reduction():
         for _ in range(5):
             r, s = rng.uniform(0.05, 5.0, size=2)
             lo, hi = min(r, s), max(r, s)
-            got = formal_green(free, e, r, s, "plus").value
+            got = formal_green(free, e, r, s, "plus")
             ref = -cmath.sin(k * lo) * cmath.exp(1j * k * hi) / k
             worst_g = max(worst_g, abs(got - ref) / max(1.0, abs(ref)))
 
@@ -282,7 +282,7 @@ def test_criterion_7_engine_equivalence():
                 r, s = rng.uniform(0.05, p.b + 2.0, size=2)
                 direction = "plus" if energy.imag > 0.0 else "minus"
                 gc = kernel_closed_form(p, energy, r, s, direction)
-                ge = resolvent_kernel(p, energy, r, s).value
+                ge = resolvent_kernel(p, energy, r, s)
                 worst_kernel = max(worst_kernel, abs(gc - ge) / (1.0 + abs(gc)))
     ok = max(worst_wave, worst_kernel, worst_split) <= 1e-12
     _verdict(
@@ -306,10 +306,10 @@ def test_criterion_8_symmetries():
         for _ in range(6):
             r, s = rng.uniform(0.05, 4.5, size=2)
             g = resolvent_kernel(p, e, r, s)
-            sym_exact &= g.value == resolvent_kernel(p, e, s, r).value
-            mirrored = resolvent_kernel(p, e.conjugate(), r, s).value
-            worst_schwarz = max(worst_schwarz, abs(mirrored - g.value.conjugate()) / abs(g.value))
-        origin_exact &= resolvent_kernel(p, e, 0.0, 2.2).value == 0.0
+            sym_exact &= g == resolvent_kernel(p, e, s, r)
+            mirrored = resolvent_kernel(p, e.conjugate(), r, s)
+            worst_schwarz = max(worst_schwarz, abs(mirrored - g.conjugate()) / abs(g))
+        origin_exact &= resolvent_kernel(p, e, 0.0, 2.2) == 0.0
     ok = sym_exact and origin_exact and worst_schwarz <= 1e-10
     _verdict(
         8,

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from sqgreen import PiecewisePotential, SquareBarrier, formal_green, resolvent_kernel
-from sqgreen.cli import MAX_RANDOM_INSTANCES, _write_json, main, parse_complex, parse_grid
+from sqgreen.cli import _write_json, main, parse_complex, parse_grid
+from sqgreen.verification import MAX_RANDOM_INSTANCES
 from sqgreen.errors import ConfigError, PoleError
 
 
@@ -55,7 +56,7 @@ class TestEval:
         assert header == ["r", "s", "e_re", "e_im", "g_re", "g_im", "provenance"]
         assert len(rows) == 100
         r17 = rows[17]
-        expect = resolvent_kernel(barrier, 1.5 + 0.2j, 17 * 0.05, 2.0).value
+        expect = resolvent_kernel(barrier, 1.5 + 0.2j, 17 * 0.05, 2.0)
         assert float(r17[4]) == expect.real and float(r17[5]) == expect.imag
         assert r17[6] == "resolvent_kernel"
 
@@ -68,7 +69,7 @@ class TestEval:
         assert rc == 0
         _, rows = read_csv(out)
         assert [row[6] for row in rows] == ["formal_plus", "formal_minus"]
-        expect = formal_green(barrier, 1.5, 0.8, 2.0, "plus").value
+        expect = formal_green(barrier, 1.5, 0.8, 2.0, "plus")
         assert float(rows[0][4]) == expect.real
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -157,7 +158,7 @@ class TestEval:
         _, rows = read_csv(out)
         expect = resolvent_kernel(PiecewisePotential((1, 2), (-0.7, 1, 0)), -1.5 + 0.2j, 0.5, 1.5)
         assert rows == [["0.5", "1.5", "-1.5", "0.20000000000000001",
-                         format(expect.value.real, ".17g"), format(expect.value.imag, ".17g"),
+                         format(expect.real, ".17g"), format(expect.imag, ".17g"),
                          "resolvent_kernel"]]
 
 
@@ -197,13 +198,12 @@ def test_eval_grid_matches_per_sample_rows(tmp_path, case):
     for r in rs:
         for s in ss:
             if directions is None:
-                samples = [resolvent_kernel(p, e, r, s)]
+                samples = [(resolvent_kernel(p, e, r, s), "resolvent_kernel")]
             else:
-                samples = [formal_green(p, e, r, s, d) for d in directions]
-            for sample in samples:
-                g = sample.value
+                samples = [(formal_green(p, e, r, s, d), f"formal_{d}") for d in directions]
+            for g, provenance in samples:
                 lines.append(",".join([_fmt(r), _fmt(s), _fmt(e.real), _fmt(e.imag),
-                                       _fmt(g.real), _fmt(g.imag), sample.provenance]))
+                                       _fmt(g.real), _fmt(g.imag), provenance]))
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
@@ -249,7 +249,7 @@ class TestStaircases:
         _, rows = read_csv(out)
         assert [row[6] for row in rows] == ["formal_plus", "formal_minus"]
         for row, direction in zip(rows, ("plus", "minus")):
-            g = formal_green(self.PW, 1.5, 0.5, 2.5, direction).value
+            g = formal_green(self.PW, 1.5, 0.5, 2.5, direction)
             assert row[4:6] == [_fmt(g.real), _fmt(g.imag)]
 
     def test_limit_study(self, tmp_path):

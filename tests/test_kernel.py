@@ -1,12 +1,16 @@
+import cmath
+
 import numpy as np
 import pytest
 
 import sqgreen.kernel as kernel_module
+import sqgreen.piecewise as piecewise_module
 from sqgreen import (
     ContractError,
     DomainError,
     NonConvergenceError,
     PiecewisePotential,
+    PoleError,
     SquareBarrier,
     boundary_limit,
     branch_sqrt,
@@ -27,22 +31,22 @@ class TestResolventKernel:
     def test_zero_at_origin_exactly(self, barrier):
         for e in (1.5 + 0.4j, 2.0 - 1.0j):
             for s in (0.3, 1.5, 4.0):
-                assert resolvent_kernel(barrier, e, 0.0, s).value == 0.0
+                assert resolvent_kernel(barrier, e, 0.0, s) == 0.0
 
     def test_symmetry_is_exact(self, barrier, rng):
         for _ in range(10):
             e = complex(rng.uniform(0.2, 6.0), rng.choice([-1, 1]) * rng.uniform(0.1, 1.5))
             r, s = rng.uniform(0.05, 4.0, size=2)
             assert (
-                resolvent_kernel(barrier, e, r, s).value
-                == resolvent_kernel(barrier, e, s, r).value
+                resolvent_kernel(barrier, e, r, s)
+                == resolvent_kernel(barrier, e, s, r)
             )
 
     @pytest.mark.parametrize("e", [1.0 + 0.3j, 1.0 - 0.3j, 2.5 + 1.0j, 2.5 - 1.0j])
     def test_schwarz_reflection(self, barrier, e):
         for r, s in ((0.4, 1.7), (2.6, 3.3), (1.2, 0.8)):
-            direct = resolvent_kernel(barrier, e.conjugate(), r, s).value
-            mirrored = resolvent_kernel(barrier, e, r, s).value.conjugate()
+            direct = resolvent_kernel(barrier, e.conjugate(), r, s)
+            mirrored = resolvent_kernel(barrier, e, r, s).conjugate()
             assert abs(direct - mirrored) <= 1e-10 * abs(mirrored)
 
     def test_real_energy_redirected(self, barrier):
@@ -55,7 +59,7 @@ class TestResolventKernel:
             r, s = rng.uniform(0.05, p.b + 2.0, size=2)
             direction = "plus" if energy.imag > 0.0 else "minus"
             g_closed = kernel_closed_form(p, energy, r, s, direction)
-            g_engine = resolvent_kernel(p, energy, r, s).value
+            g_engine = resolvent_kernel(p, energy, r, s)
             assert abs(g_closed - g_engine) <= 1e-12 * (1.0 + abs(g_closed))
 
     def test_overflowing_waves_raise(self, barrier):
@@ -83,9 +87,9 @@ class TestResolventKernel:
         im_k = branch_sqrt(e).imag
         s = 0.8
         r0 = barrier.b + 1.0
-        base = abs(resolvent_kernel(barrier, e, r0, s).value)
+        base = abs(resolvent_kernel(barrier, e, r0, s))
         for dr in (1.0, 2.5, 4.0):
-            val = abs(resolvent_kernel(barrier, e, r0 + dr, s).value)
+            val = abs(resolvent_kernel(barrier, e, r0 + dr, s))
             assert val <= 1.0000001 * base * np.exp(-im_k * dr)
 
 
@@ -101,14 +105,14 @@ class TestKernelGrid:
                 assert grid.shape == (len(self.RS), len(self.SS))
                 for i, r in enumerate(self.RS):
                     for j, s in enumerate(self.SS):
-                        assert grid[i, j] == resolvent_kernel(p, e, r, s).value
+                        assert grid[i, j] == resolvent_kernel(p, e, r, s)
 
     @pytest.mark.parametrize("direction", ["plus", "minus"])
     def test_entries_equal_scalar_formal_green(self, barrier, direction):
         grid = kernel_grid(barrier, 1.5, self.RS, self.SS, direction)
         for i, r in enumerate(self.RS):
             for j, s in enumerate(self.SS):
-                assert grid[i, j] == formal_green(barrier, 1.5, r, s, direction).value
+                assert grid[i, j] == formal_green(barrier, 1.5, r, s, direction)
 
     def test_empty_axis(self, barrier):
         assert kernel_grid(barrier, 1.0 + 1.0j, [], self.SS).shape == (0, len(self.SS))
@@ -131,39 +135,25 @@ class TestKernelGrid:
             kernel_grid(barrier, 1.5, self.RS, self.SS, "up")
 
 
-class TestKernelSample:
-    def test_provenance_validation(self):
-        from sqgreen import KernelSample
-
-        with pytest.raises(DomainError):
-            KernelSample(1.0, 2.0, 1 + 1j, 0j, "mystery")
-        with pytest.raises(DomainError):
-            KernelSample(1.0, 2.0, 1.0 + 0j, 0j, "resolvent_kernel")
-        with pytest.raises(DomainError):
-            KernelSample(1.0, 2.0, 1 + 1j, 0j, "formal_plus")
-        with pytest.raises(DomainError):
-            KernelSample(-1.0, 2.0, 1 + 1j, 0j, "resolvent_kernel")
-
-
 class TestFormalGreen:
     def test_free_particle_closed_form(self, free):
-        got = formal_green(free, 1.0, 1.0, 2.0, "plus").value
+        got = formal_green(free, 1.0, 1.0, 2.0, "plus")
         want = -np.sin(1.0) * np.exp(2j)
         assert close(got, want, rtol=1e-12)
         assert close(got, 0.35017548837401463 - 0.7651474012342926j, rtol=1e-10)
 
     def test_minus_is_conjugate_of_plus_free(self, free):
         for r, s in ((0.5, 2.5), (3.0, 1.0)):
-            plus = formal_green(free, 1.7, r, s, "plus").value
-            minus = formal_green(free, 1.7, r, s, "minus").value
+            plus = formal_green(free, 1.7, r, s, "plus")
+            minus = formal_green(free, 1.7, r, s, "minus")
             assert close(minus, plus.conjugate(), rtol=1e-12)
 
     def test_zero_at_origin(self, barrier):
-        assert formal_green(barrier, 1.0, 0.0, 2.0, "plus").value == 0.0
+        assert formal_green(barrier, 1.0, 0.0, 2.0, "plus") == 0.0
 
     def test_tunnelling_energies_allowed(self, barrier):
         # 0 < E < v0: interior momentum is +i sqrt(v0 - E), kernel stays finite
-        g = formal_green(barrier, 2.0, 0.7, 1.6, "plus").value
+        g = formal_green(barrier, 2.0, 0.7, 1.6, "plus")
         assert np.isfinite(g)
 
     def test_nonpositive_energy_rejected(self, barrier):
@@ -172,9 +162,41 @@ class TestFormalGreen:
         with pytest.raises(DomainError):
             formal_green(barrier, -1.0, 0.5, 1.5, "plus")
 
-    def test_provenance(self, barrier):
-        assert formal_green(barrier, 1.0, 0.5, 1.5, "plus").provenance == "formal_plus"
-        assert formal_green(barrier, 1.0, 0.5, 1.5, "minus").provenance == "formal_minus"
+    def test_samples_are_plain_complex(self, barrier):
+        assert type(formal_green(barrier, 1.0, 0.5, 1.5, "plus")) is complex
+        assert type(resolvent_kernel(barrier, 1.0 + 0.5j, 0.5, 1.5)) is complex
+
+    def test_one_chi_matching_per_sample(self, barrier, monkeypatch):
+        calls = []
+        matching = piecewise_module._chi_amplitudes
+
+        def counted(*args):
+            calls.append(args)
+            return matching(*args)
+
+        monkeypatch.setattr(piecewise_module, "_chi_amplitudes", counted)
+        formal_green(barrier, 1.0, 0.5, 1.5, "plus")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("direction", ["plus", "minus"])
+    def test_vanishing_denominator_raises(self, barrier, monkeypatch, direction):
+        # W = 2ik c- (plus) or -2ik c+ (minus); the pole bound is |c-+| < 1e-14
+        waves = kernel_module.wave_pair
+        amplitude = [0.0]
+
+        def pole(p, e, d):
+            chi, om, _ = waves(p, e, d)
+            return chi, om, 2j * chi.regions[-1].k * amplitude[0]
+
+        monkeypatch.setattr(kernel_module, "wave_pair", pole)
+        for c in (0.0, 5e-15):
+            amplitude[0] = c
+            with pytest.raises(PoleError):
+                formal_green(barrier, 1.5, 0.5, 1.5, direction)
+            with pytest.raises(PoleError):
+                kernel_grid(barrier, 1.5, [0.5, 1.0], [1.5], direction)
+        amplitude[0] = 2e-14
+        assert cmath.isfinite(formal_green(barrier, 1.5, 0.5, 1.5, direction))
 
 
 class TestBoundaryLimit:
@@ -183,7 +205,7 @@ class TestBoundaryLimit:
             r, s = rng.uniform(0.05, p.b + 2.0, size=2)
             for direction in ("plus", "minus"):
                 study = boundary_limit(p, e, r, s, direction)
-                formal = formal_green(p, e, r, s, direction).value
+                formal = formal_green(p, e, r, s, direction)
                 assert abs(study.extrapolated - formal) <= 1e-8
 
     def test_schwarz_pairing_of_limits(self, barrier):
@@ -209,7 +231,7 @@ class TestBoundaryLimit:
 
     def test_richardson_is_closer_than_final_sample(self, barrier):
         study = boundary_limit(barrier, 1.0, 0.7, 1.8, "plus")
-        formal = formal_green(barrier, 1.0, 0.7, 1.8, "plus").value
+        formal = formal_green(barrier, 1.0, 0.7, 1.8, "plus")
         assert abs(study.richardson - formal) <= abs(study.extrapolated - formal) + 1e-12
 
     def test_mu0_contract(self, barrier):
@@ -218,12 +240,24 @@ class TestBoundaryLimit:
         with pytest.raises(DomainError):
             boundary_limit(barrier, -1.0, 0.5, 1.5, "plus")
 
-    def test_as_sample_provenance(self, barrier):
-        study = boundary_limit(barrier, 1.0, 0.7, 1.8, "minus")
-        sample = study.as_sample()
-        assert sample.provenance == "boundary_limit_minus"
-        assert sample.value == study.extrapolated
-        assert sample.e == 1.0 + 0j
+    @pytest.mark.parametrize(
+        "e, r, direction, error",
+        [
+            (float("nan"), 0.5, "plus", DomainError),
+            (1.0, -0.5, "plus", DomainError),
+            (1.0, float("inf"), "minus", DomainError),
+            (1.0, 0.5, "up", ContractError),
+            (1.0, 0.5, None, ContractError),
+            (1.0 + 1.0j, 0.5, None, ContractError),
+        ],
+    )
+    def test_request_checked_before_any_sample(self, barrier, monkeypatch, e, r, direction, error):
+        def no_sample(*args):
+            raise AssertionError("a kernel sample ran")
+
+        monkeypatch.setattr(kernel_module, "resolvent_kernel", no_sample)
+        with pytest.raises(error):
+            boundary_limit(barrier, e, r, 1.5, direction)
 
 
 class TestPoleScan:
@@ -327,8 +361,8 @@ def test_split_barrier_gives_the_same_kernels_and_poles(v0, box):
     for e in (0.7, 3.3, 8.0):
         for direction in ("plus", "minus"):
             for r, s in ((0.4, 1.7), (1.2, 1.6), (2.5, 0.9)):
-                g = formal_green(barrier, e, r, s, direction).value
-                g_split = formal_green(split, e, r, s, direction).value
+                g = formal_green(barrier, e, r, s, direction)
+                g_split = formal_green(split, e, r, s, direction)
                 assert abs(g - g_split) <= 1e-12 * (1.0 + abs(g))
     roots = find_kernel_poles(barrier, box)
     roots_split = find_kernel_poles(split, box)

@@ -44,5 +44,6 @@ def test_no_closed_form_outside_the_oracle(module):
     assert {n for n in used if n in CLOSED_FORMS or n.endswith("_expanded")} == set()
 
 
-def test_kernel_does_not_switch_on_the_potential_type():
-    assert "isinstance" not in _names(_tree("kernel"))
+@pytest.mark.parametrize("module", ["kernel", "cli"])
+def test_kernel_does_not_switch_on_the_potential_type(module):
+    assert "isinstance" not in _names(_tree(module))

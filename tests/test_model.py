@@ -101,6 +101,12 @@ class TestSquareBarrier:
         with pytest.raises(DomainError):
             SquareBarrier(5.0, 1.0, 2.0).value_at(-0.1)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_nonfinite_radius_rejected(self, r):
+        # nan used to fall through to 0.0
+        with pytest.raises(DomainError):
+            SquareBarrier(5.0, 1.0, 2.0).value_at(r)
+
 
 class TestMomenta:
     def test_free(self):

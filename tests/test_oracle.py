@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sqgreen import (
+    ConfigError,
     ContractError,
     DomainError,
     PiecewisePotential,
@@ -290,7 +291,7 @@ class TestResolventIdentity:
         for idx in (150, 987, 1500):
             r = float(s_grid[idx])
             g_row = np.array(
-                [resolvent_kernel(barrier, e, r, float(s)).value for s in s_grid[::4]]
+                [resolvent_kernel(barrier, e, r, float(s)) for s in s_grid[::4]]
             )
             brute = np.trapezoid(g_row * f(s_grid[::4]), dx=4e-3)
             assert abs(u[idx] - brute) < 1e-5
@@ -326,8 +327,8 @@ class TestDistributionalEquation:
         gaps = []
         hs = (1e-2, 5e-3, 2.5e-3)
         for h in hs:
-            plus = formal_green(barrier, e, s + h, s, "plus").value
-            minus = formal_green(barrier, e, s - h, s, "plus").value
+            plus = formal_green(barrier, e, s + h, s, "plus")
+            minus = formal_green(barrier, e, s - h, s, "plus")
             gaps.append(abs(plus - minus))
         assert 1.8 < gaps[0] / gaps[1] < 2.2
         assert 1.8 < gaps[1] / gaps[2] < 2.2
@@ -374,3 +375,27 @@ class TestRunVerification:
         monkeypatch.setattr(verification, "wave_pair", no_checks)
         with pytest.raises(DomainError, match="lattice"):
             run_verification(SquareBarrier(5.0, 1.0004, 2.0), 1.0)
+
+    @pytest.mark.parametrize(
+        "p, kwargs",
+        [
+            # each used to misbehave: AttributeError, numpy's ValueError,
+            # ZeroDivisionError, a NaN residual, and a silent acceptance
+            (PiecewisePotential((1.0, 2.0), (0.0, 5.0, 0.0)), {}),
+            (SquareBarrier(5.0, 1.0, 2.0), {"seed": -1}),
+            (SquareBarrier(5.0, 1.0, 2.0), {"wronskian_scale": 0.0}),
+            (SquareBarrier(5.0, 1.0, 2.0), {"wronskian_scale": math.nan}),
+            (SquareBarrier(5.0, 1.0, 2.0), {"wronskian_scale": math.inf}),
+            (SquareBarrier(5.0, 1.0, 2.0), {"n_random": -3}),
+            (SquareBarrier(5.0, 1.0, 2.0), {"n_random": verification.MAX_RANDOM_INSTANCES + 1}),
+        ],
+    )
+    def test_bad_inputs_raise_before_any_draw_or_check(self, monkeypatch, p, kwargs):
+        def nothing(*args, **kwargs):
+            raise AssertionError("a draw or a check ran")
+
+        monkeypatch.setattr(verification.np.random, "default_rng", nothing)
+        monkeypatch.setattr(verification, "check_distributional_equation", nothing)
+        monkeypatch.setattr(verification, "wave_pair", nothing)
+        with pytest.raises(ConfigError):
+            run_verification(p, 1.0, **kwargs)

@@ -46,6 +46,12 @@ class TestPotential:
         for r in (0.5, 1.0, 1.5, 2.0, 3.0):
             assert pw.value_at(r) == barrier.value_at(r)
 
+    @pytest.mark.parametrize("r", [-0.1, np.nan, np.inf])
+    def test_bad_radius_rejected(self, r):
+        # nan and inf used to fall through to the outer height 0.0
+        with pytest.raises(DomainError):
+            PiecewisePotential((1.0, 2.0), (0.0, 5.0, 0.0)).value_at(r)
+
 
 class TestEngineWaves:
     def test_free_chi_is_sine(self):
