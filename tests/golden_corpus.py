@@ -49,6 +49,7 @@ CASES: dict[str, list[str]] = {
         "eval", *_STAIRCASE, "--energy=1.5", "--direction=both", *_STAIR_GRID,
     ],
     "eval_branch_point": ["eval", *_BARRIER, "--energy=5", "--r=1", "--s=1"],
+    "eval_barrier_invalid": ["eval", "--v0=5", "--a=2", "--b=1", "--energy=1.5", "--r=1", "--s=1"],
     "limit_barrier": ["limit-study", *_BARRIER, "--energy=1", "--r=0.7", "--s=1.8"],
     "limit_staircase": ["limit-study", *_STAIRCASE, "--energy=1.5", "--r=0.7", "--s=2.5"],
     "verify_barrier": ["verify", *_BARRIER, "--energy=1", "--seed=7", "--n-random=1"],
