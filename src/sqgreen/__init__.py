@@ -17,7 +17,7 @@ from .errors import (
     NonConvergenceError,
     PoleError,
 )
-from .model import SquareBarrier, branch_sqrt, momenta
+from .model import PiecewisePotential, SquareBarrier, branch_sqrt, region_momenta
 from .eigenfunctions import (
     CoefficientSet,
     PiecewiseWave,
@@ -32,7 +32,6 @@ from .eigenfunctions import (
     wronskian_closed_form,
 )
 from .piecewise import (
-    PiecewisePotential,
     build_chi,
     build_omega,
     chi_outer_amplitudes,
@@ -65,9 +64,10 @@ __all__ = [
     "DomainError",
     "NonConvergenceError",
     "PoleError",
+    "PiecewisePotential",
     "SquareBarrier",
     "branch_sqrt",
-    "momenta",
+    "region_momenta",
     "CoefficientSet",
     "PiecewiseWave",
     "Region",
@@ -79,7 +79,6 @@ __all__ = [
     "omega_wave",
     "wronskian",
     "wronskian_closed_form",
-    "PiecewisePotential",
     "build_chi",
     "build_omega",
     "chi_outer_amplitudes",

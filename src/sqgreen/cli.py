@@ -24,8 +24,7 @@ from .kernel import (
     kernel_grid,
     kernel_pole_residual,
 )
-from .model import SquareBarrier
-from .piecewise import PiecewisePotential
+from .model import PiecewisePotential, SquareBarrier
 from .verification import run_verification
 
 

@@ -1,18 +1,18 @@
-"""Basic solutions of the radial equation -w'' + V w = E w on the square barrier.
+"""Piecewise waves, and the square-barrier closed forms that check the engine.
 
-Three solutions matter here:
+Three solutions of the radial equation -w'' + V w = E w matter here:
 
-* ``chi`` -- the regular solution, sin(sqrt(E) r) inside the barrier and thus
-  exactly zero at the origin;
+* ``chi`` -- the regular solution, sin(sqrt(E) r) inside the first step and
+  thus exactly zero at the origin;
 * ``omega_plus`` -- the solution that is exactly exp(+i sqrt(E) r) beyond the
-  barrier (outgoing / decaying for Im E > 0);
+  last step (outgoing / decaying for Im E > 0);
 * ``omega_minus`` -- the solution that is exactly exp(-i sqrt(E) r) there.
 
 Each wave is a plane-wave pair per region, stored as a :class:`PiecewiseWave`.
-The kernels are built by the staircase engine in :mod:`sqgreen.piecewise`.
-The closed forms here are its oracle: the four matching amplitudes of each
-square-barrier wave come from solving the two 2x2 continuity systems (value
-and derivative) at r = a and r = b by hand, and the algebraically expanded
+The staircase engine in :mod:`sqgreen.piecewise` builds the kernels' waves;
+the square-barrier closed forms here are its oracle and share only
+:mod:`sqgreen.model` with it, none of its matching.  Their amplitudes solve
+the two 2x2 continuity systems at r = a and r = b by hand, and the expanded
 products of those solves are kept alongside as an independent cross-check.
 """
 
@@ -21,28 +21,24 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BranchPointError, ContractError, DomainError, EPS_BRANCH
-from .model import SquareBarrier, branch_sqrt, momenta
+from .errors import ContractError, DomainError
+from .model import SquareBarrier, branch_sqrt, region_momenta
 
 _TWO_I = 2j
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Matching amplitudes (c1..c4) of one wave, labelled "J", "A+" or "A-"."""
+class CoefficientSet(NamedTuple):
+    """Matching amplitudes (c1..c4) of one wave."""
 
-    label: str
     c1: complex
     c2: complex
     c3: complex
     c4: complex
-
-    def as_tuple(self) -> tuple[complex, complex, complex, complex]:
-        return (self.c1, self.c2, self.c3, self.c4)
 
 
 @dataclass(frozen=True)
@@ -55,8 +51,6 @@ class Region:
     |k r| suffers no cancellation.
     """
 
-    lo: float
-    hi: float
     k: complex
     form: str
     c_plus: complex
@@ -91,7 +85,7 @@ class PiecewiseWave:
     """A solution of the radial equation stored region by region.
 
     ``breakpoints``/``heights`` identify the potential the wave belongs to and
-    ``energy`` its eigenvalue; :func:`wronskian` refuses to combine waves that
+    ``energy`` its eigenvalue; the Wronskians refuse to combine waves that
     disagree on either.
     """
 
@@ -99,12 +93,6 @@ class PiecewiseWave:
     breakpoints: tuple[float, ...]
     heights: tuple[float, ...]
     energy: complex
-    label: str = "wave"
-
-    _bp_array: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_bp_array", np.asarray(self.breakpoints, dtype=float))
 
     def _eval(self, r, side: str, what: str):
         if side not in ("+", "-"):
@@ -121,7 +109,7 @@ class PiecewiseWave:
         arr = np.atleast_1d(arr)
         if not np.all((arr >= 0.0) & (arr < np.inf)):
             raise DomainError("radius must be finite and nonnegative")
-        idx = np.searchsorted(self._bp_array, arr, side="right" if side == "+" else "left")
+        idx = np.searchsorted(self.breakpoints, arr, side="right" if side == "+" else "left")
         out = np.empty(arr.shape, dtype=complex)
         for j, reg in enumerate(self.regions):
             mask = idx == j
@@ -139,24 +127,17 @@ class PiecewiseWave:
         """Analytic derivative of the region formula; one-sided at breakpoints."""
         return self._eval(r, side, "deriv")
 
-    def outer_plane_pair(self) -> tuple[complex, complex, float]:
-        return self.regions[-1].plane_pair()
+
+def _require_same_problem(f: PiecewiseWave, g: PiecewiseWave) -> None:
+    """Refuse two waves of different potentials or energies: their Wronskian means nothing."""
+    if (f.breakpoints, f.heights, f.energy) != (g.breakpoints, g.heights, g.energy):
+        raise ContractError("waves belong to different problems")
 
 
 def wronskian(f: PiecewiseWave, g: PiecewiseWave, r: float) -> complex:
     """f(r) g'(r) - f'(r) g(r); constant in r for two solutions at one energy."""
-    if f.breakpoints != g.breakpoints or f.heights != g.heights:
-        raise ContractError("waves belong to different potentials")
-    if f.energy != g.energy:
-        raise ContractError(f"waves have different energies: {f.energy} vs {g.energy}")
+    _require_same_problem(f, g)
     return f.value(r) * g.derivative(r) - f.derivative(r) * g.value(r)
-
-
-def _require_off_branch_points(p: SquareBarrier, e: complex) -> None:
-    if abs(e) < EPS_BRANCH:
-        raise BranchPointError(f"energy {e} is within {EPS_BRANCH} of the branch point 0")
-    if abs(e - p.v0) < EPS_BRANCH:
-        raise BranchPointError(f"energy {e} is within {EPS_BRANCH} of the branch point v0={p.v0}")
 
 
 def _overflow(e: complex) -> DomainError:
@@ -178,8 +159,7 @@ def chi_coefficients(p: SquareBarrier, e: complex) -> CoefficientSet:
     beyond b, with k = sqrt(E) and q = sqrt(E - v0).
     """
     e = complex(e)
-    _require_off_branch_points(p, e)
-    k, q = momenta(p, e)
+    k, q, _ = region_momenta(p, e)
     try:
         va = cmath.sin(k * p.a)
         da = k * cmath.cos(k * p.a)
@@ -191,14 +171,13 @@ def chi_coefficients(p: SquareBarrier, e: complex) -> CoefficientSet:
         c3, c4 = _match_plane(vb, db, k, p.b)
     except OverflowError as exc:
         raise _overflow(e) from exc
-    return CoefficientSet("J", c1, c2, c3, c4)
+    return CoefficientSet(c1, c2, c3, c4)
 
 
-def _omega_coefficients(p: SquareBarrier, e: complex, sign: float, label: str) -> CoefficientSet:
+def _omega_coefficients(p: SquareBarrier, e: complex, sign: float) -> CoefficientSet:
     """Amplitudes of the wave pinned to exp(sign * i k r) beyond b, matched inward."""
     e = complex(e)
-    _require_off_branch_points(p, e)
-    k, q = momenta(p, e)
+    k, q, _ = region_momenta(p, e)
     try:
         vb = cmath.exp(sign * 1j * k * p.b)
         db = sign * 1j * k * vb
@@ -210,50 +189,46 @@ def _omega_coefficients(p: SquareBarrier, e: complex, sign: float, label: str) -
         c1, c2 = _match_plane(va, da, k, p.a)
     except OverflowError as exc:
         raise _overflow(e) from exc
-    return CoefficientSet(label, c1, c2, c3, c4)
+    return CoefficientSet(c1, c2, c3, c4)
 
 
 def omega_plus_coefficients(p: SquareBarrier, e: complex) -> CoefficientSet:
     """Amplitudes of the wave pinned to exp(+i k r) beyond b, matched inward."""
-    return _omega_coefficients(p, e, 1.0, "A+")
+    return _omega_coefficients(p, e, 1.0)
 
 
 def omega_minus_coefficients(p: SquareBarrier, e: complex) -> CoefficientSet:
     """Amplitudes of the wave pinned to exp(-i k r) beyond b, matched inward."""
-    return _omega_coefficients(p, e, -1.0, "A-")
+    return _omega_coefficients(p, e, -1.0)
 
 
 def chi_wave(p: SquareBarrier, e: complex) -> PiecewiseWave:
     """The regular solution: sin(k r) on (0, a), matched outward."""
     e = complex(e)
-    k, q = momenta(p, e)
+    k, q, _ = region_momenta(p, e)
     cs = chi_coefficients(p, e)
     regions = (
-        Region(0.0, p.a, k, "sin", 1.0 + 0j),
-        Region(p.a, p.b, q, "exp", cs.c1, cs.c2),
-        Region(p.b, np.inf, k, "exp", cs.c3, cs.c4),
+        Region(k, "sin", 1.0 + 0j),
+        Region(q, "exp", cs.c1, cs.c2),
+        Region(k, "exp", cs.c3, cs.c4),
     )
-    return PiecewiseWave(regions, p.breakpoints, p.heights, e, "chi")
+    return PiecewiseWave(regions, p.breakpoints, p.heights, e)
 
 
 def omega_wave(p: SquareBarrier, e: complex, direction: str) -> PiecewiseWave:
     """The wave with pure exp(+-i k r) behaviour beyond the barrier."""
     e = complex(e)
-    k, q = momenta(p, e)
+    k, q, _ = region_momenta(p, e)
     if direction == "plus":
         cs = omega_plus_coefficients(p, e)
-        outer = Region(p.b, np.inf, k, "exp", 1.0 + 0j, 0j)
+        outer = Region(k, "exp", 1.0 + 0j, 0j)
     elif direction == "minus":
         cs = omega_minus_coefficients(p, e)
-        outer = Region(p.b, np.inf, k, "exp", 0j, 1.0 + 0j)
+        outer = Region(k, "exp", 0j, 1.0 + 0j)
     else:
         raise ContractError(f"direction must be 'plus' or 'minus', got {direction!r}")
-    regions = (
-        Region(0.0, p.a, k, "exp", cs.c1, cs.c2),
-        Region(p.a, p.b, q, "exp", cs.c3, cs.c4),
-        outer,
-    )
-    return PiecewiseWave(regions, p.breakpoints, p.heights, e, f"omega_{direction}")
+    regions = (Region(k, "exp", cs.c1, cs.c2), Region(q, "exp", cs.c3, cs.c4), outer)
+    return PiecewiseWave(regions, p.breakpoints, p.heights, e)
 
 
 def wronskian_closed_form(p: SquareBarrier, e: complex, which: str) -> complex:
@@ -284,8 +259,7 @@ def kernel_closed_form(p: SquareBarrier, e: complex, r: float, s: float, directi
 
 def chi_coefficients_expanded(p: SquareBarrier, e: complex) -> CoefficientSet:
     e = complex(e)
-    _require_off_branch_points(p, e)
-    k, q = momenta(p, e)
+    k, q, _ = region_momenta(p, e)
     a, b = p.a, p.b
     c1 = 0.5 * cmath.exp(-1j * q * a) * (cmath.sin(k * a) + (k / (1j * q)) * cmath.cos(k * a))
     c2 = 0.5 * cmath.exp(1j * q * a) * (cmath.sin(k * a) - (k / (1j * q)) * cmath.cos(k * a))
@@ -295,13 +269,12 @@ def chi_coefficients_expanded(p: SquareBarrier, e: complex) -> CoefficientSet:
     c4 = 0.5 * cmath.exp(1j * k * b) * (
         (1 - q / k) * cmath.exp(1j * q * b) * c1 + (1 + q / k) * cmath.exp(-1j * q * b) * c2
     )
-    return CoefficientSet("J", c1, c2, c3, c4)
+    return CoefficientSet(c1, c2, c3, c4)
 
 
-def _omega_coefficients_expanded(p: SquareBarrier, e: complex, sign: float, label: str) -> CoefficientSet:
+def _omega_coefficients_expanded(p: SquareBarrier, e: complex, sign: float) -> CoefficientSet:
     e = complex(e)
-    _require_off_branch_points(p, e)
-    k, q = momenta(p, e)
+    k, q, _ = region_momenta(p, e)
     a, b = p.a, p.b
     c3 = 0.5 * cmath.exp(-1j * q * b) * (1 + sign * k / q) * cmath.exp(sign * 1j * k * b)
     c4 = 0.5 * cmath.exp(1j * q * b) * (1 - sign * k / q) * cmath.exp(sign * 1j * k * b)
@@ -311,12 +284,12 @@ def _omega_coefficients_expanded(p: SquareBarrier, e: complex, sign: float, labe
     c2 = 0.5 * cmath.exp(1j * k * a) * (
         (1 - q / k) * cmath.exp(1j * q * a) * c3 + (1 + q / k) * cmath.exp(-1j * q * a) * c4
     )
-    return CoefficientSet(label, c1, c2, c3, c4)
+    return CoefficientSet(c1, c2, c3, c4)
 
 
 def omega_plus_coefficients_expanded(p: SquareBarrier, e: complex) -> CoefficientSet:
-    return _omega_coefficients_expanded(p, e, 1.0, "A+")
+    return _omega_coefficients_expanded(p, e, 1.0)
 
 
 def omega_minus_coefficients_expanded(p: SquareBarrier, e: complex) -> CoefficientSet:
-    return _omega_coefficients_expanded(p, e, -1.0, "A-")
+    return _omega_coefficients_expanded(p, e, -1.0)

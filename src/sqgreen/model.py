@@ -1,4 +1,7 @@
-"""Potential description, complex energies and the branch of the square root.
+"""The staircase potential, its region momenta and the branch of the square root.
+
+A :class:`PiecewisePotential` is the one description of a potential; a
+:class:`SquareBarrier` is the staircase (0, v0, 0) on the breakpoints (a, b).
 
 Every momentum in this package is produced by :func:`branch_sqrt`, which maps
 arg(z) from (-pi, pi] to (-pi/2, pi/2].  The negative real axis is included in
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BranchPointError, DomainError, EPS_BRANCH
 
 
 def branch_sqrt(z: complex) -> complex:
@@ -67,45 +70,61 @@ def _branch_sqrt_array(z) -> np.ndarray:
     return out
 
 
-def staircase_value(p, r: float) -> float:
-    """V(r) of a potential from its ``breakpoints`` and ``heights``; right limits at the jumps."""
-    if not 0.0 <= r < math.inf:
-        raise DomainError(f"radius must be finite and nonnegative, got {r}")
-    return p.heights[bisect.bisect_right(p.breakpoints, r)]
-
-
 @dataclass(frozen=True)
-class SquareBarrier:
-    """Square barrier of height ``v0`` on the shell a < r < b (well if v0 < 0)."""
+class PiecewisePotential:
+    """Staircase potential: heights[j] on (breakpoints[j-1], breakpoints[j]).
 
-    v0: float
-    a: float
-    b: float
+    ``heights`` has one more entry than ``breakpoints``; the first entry is
+    the value on (0, r1) and the last one the value beyond r_N, which must be
+    zero so that the tail solutions are pure exponentials in sqrt(E) r.
+    """
+
+    breakpoints: tuple[float, ...]
+    heights: tuple[float, ...]
 
     def __post_init__(self):
-        if not (math.isfinite(self.v0) and math.isfinite(self.a) and math.isfinite(self.b)):
-            raise DomainError("barrier parameters must be finite")
-        if not 0.0 < self.a < self.b:
-            raise DomainError(f"need 0 < a < b, got a={self.a}, b={self.b}")
+        bps = tuple(float(x) for x in self.breakpoints)
+        hts = tuple(float(v) for v in self.heights)
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "heights", hts)
+        if len(hts) != len(bps) + 1:
+            raise DomainError("need exactly one more height than breakpoints")
+        if any(not math.isfinite(x) for x in bps + hts):
+            raise DomainError("breakpoints and heights must be finite")
+        if any(x <= 0.0 for x in bps):
+            raise DomainError("breakpoints must be positive")
+        if any(x2 <= x1 for x1, x2 in zip(bps, bps[1:])):
+            raise DomainError("breakpoints must be strictly ascending")
+        if hts[-1] != 0.0:
+            raise DomainError("the outermost height must be 0 (potential vanishes at infinity)")
 
-    @property
-    def breakpoints(self) -> tuple[float, float]:
-        return (self.a, self.b)
-
-    @property
-    def heights(self) -> tuple[float, float, float]:
-        return (0.0, self.v0, 0.0)
-
-    value_at = staircase_value
+    def value_at(self, r: float) -> float:
+        """V(r), the right limit at a jump."""
+        if not 0.0 <= r < math.inf:
+            raise DomainError(f"radius must be finite and nonnegative, got {r}")
+        return self.heights[bisect.bisect_right(self.breakpoints, r)]
 
 
-def momenta(p: SquareBarrier, e: complex) -> tuple[complex, complex]:
-    """The exterior and interior momenta (sqrt(E), sqrt(E - v0)) of an energy.
+class SquareBarrier(PiecewisePotential):
+    """Square barrier of height ``v0`` on the shell a < r < b (well if v0 < 0)."""
 
-    Both roots are taken with :func:`branch_sqrt`, so for real E below the
-    barrier top the interior momentum is +i*sqrt(v0 - E).
+    v0 = property(lambda self: self.heights[1])
+    a = property(lambda self: self.breakpoints[0])
+    b = property(lambda self: self.breakpoints[1])
+
+    def __init__(self, v0: float, a: float, b: float):
+        super().__init__((a, b), (0.0, v0, 0.0))
+
+
+def region_momenta(p: PiecewisePotential, e: complex) -> tuple[complex, ...]:
+    """branch_sqrt(E - v_j) for every region, refusing degenerate regions.
+
+    For real E below a step's height the momentum there is +i*sqrt(v_j - E).
     """
     e = complex(e)
-    if not cmath.isfinite(e):
-        raise DomainError(f"energy must be finite, got {e!r}")
-    return branch_sqrt(e), branch_sqrt(e - p.v0)
+    ks = []
+    for v in p.heights:
+        if abs(e - v) < EPS_BRANCH:
+            raise BranchPointError(f"energy {e} degenerates the region with height {v}")
+        ks.append(branch_sqrt(e - v))
+    return tuple(ks)

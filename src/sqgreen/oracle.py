@@ -201,6 +201,12 @@ def integrate_schrodinger(
     return Trajectory(r, np.array(ys, dtype=complex), np.array(ds, dtype=complex))
 
 
+def step_too_coarse(p, step: float) -> bool:
+    """Whether a region of ``p`` inside its last breakpoint spans fewer than 16 steps."""
+    gaps = np.diff((0.0,) + tuple(p.breakpoints))
+    return bool(gaps.size) and step > gaps.min() / 16.0
+
+
 def apply_hamiltonian_fd(
     r: np.ndarray,
     u: np.ndarray,
@@ -224,11 +230,8 @@ def apply_hamiltonian_fd(
     h = float(steps[0]) if step is None else float(step)
     if h <= 0.0 or np.any(np.abs(steps - h) > 1e-9 * h):
         raise ContractError("grid must be uniform with the declared step")
-    gaps = np.diff((0.0,) + p.breakpoints)
-    if gaps.size and h > gaps.min() / 16.0:
-        raise ContractError(
-            f"grid step {h} too coarse for the narrowest region (width {gaps.min()})"
-        )
+    if step_too_coarse(p, h):
+        raise ContractError(f"grid step {h} too coarse for the regions of {p.breakpoints}")
 
     v = np.asarray(p.heights)[np.searchsorted(p.breakpoints, r, side="right")]
     hu = np.zeros_like(u, dtype=complex)
@@ -291,10 +294,14 @@ def check_jump(p, e: float, s: float, direction: str, wronskian_scale: float = 1
     e = float(e)
     if e <= 0.0:
         raise DomainError("jump check runs on the formal kernel, E > 0 required")
+    return _jump(p, e, s, _kernel_slice(p, e, direction, wronskian_scale)[0])
+
+
+def _jump(p, e: float, s: float, g) -> ResidualReport:
+    """:func:`check_jump` on the kernel slice ``g`` of a real energy."""
     dist = min([abs(s - bp) for bp in p.breakpoints] + [s])
     if dist < 1e-3:
         raise ContractError(f"s={s} is within 1e-3 of a potential breakpoint or the origin")
-    g, _, _, _ = _kernel_slice(p, e, direction, wronskian_scale)
     # probes must resolve the fastest oscillation of the kernel
     h0 = min(dist, 2.0 / (1.0 + _momentum_scale(p, e))) / 4.0
     levels = 5
@@ -458,8 +465,8 @@ def check_distributional_equation(
         if not on_lattice(x, step):
             raise ContractError(f"{nm}={x} must sit on the step lattice (step {step})")
 
-    jump_report = check_jump(p, e, s, direction, wronskian_scale)
     g, chi, om, w = _kernel_slice(p, e, direction, wronskian_scale)
+    jump_report = _jump(p, e, s, g)
     probe_cap = 2.0 / (1.0 + _momentum_scale(p, e))
 
     # left of the diagonal: start from G(0, s) = 0 with a measured slope

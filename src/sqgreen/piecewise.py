@@ -1,68 +1,25 @@
 """The wave engine: the basic waves of any finite staircase potential.
 
 The regular solution is propagated outward from the origin and the
-exponential-tail solutions inward from the last step, each by solving the
-value/derivative continuity pair at every interface.  Region amplitudes are
-stored relative to the region's own left edge so that strongly evanescent
-segments never exponentiate an absolute position.
+exponential-tail solutions inward from the last step.  One matching loop,
+:func:`_sweep`, serves both directions: at every interface it solves the
+value/derivative continuity pair.  Region amplitudes are stored relative to
+the region's own left edge so that strongly evanescent segments never
+exponentiate an absolute position.
 
-The engine reads only a potential's ``breakpoints`` and ``heights``, so it
-serves a :class:`PiecewisePotential` and a ``SquareBarrier`` alike.
+The engine reads only a potential's ``breakpoints`` and ``heights``, so a
+:class:`~sqgreen.model.SquareBarrier` is just one more staircase to it.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchPointError, ContractError, DomainError, EPS_BRANCH
-from .eigenfunctions import PiecewiseWave, Region, _overflow
-from .model import _branch_sqrt_array, branch_sqrt, staircase_value
-
-
-@dataclass(frozen=True)
-class PiecewisePotential:
-    """Staircase potential: heights[j] on (breakpoints[j-1], breakpoints[j]).
-
-    ``heights`` has one more entry than ``breakpoints``; the first entry is
-    the value on (0, r1) and the last one the value beyond r_N, which must be
-    zero so that the tail solutions are pure exponentials in sqrt(E) r.
-    """
-
-    breakpoints: tuple[float, ...]
-    heights: tuple[float, ...]
-
-    def __post_init__(self):
-        bps = tuple(float(x) for x in self.breakpoints)
-        hts = tuple(float(v) for v in self.heights)
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "heights", hts)
-        if len(hts) != len(bps) + 1:
-            raise DomainError("need exactly one more height than breakpoints")
-        if any(not math.isfinite(x) for x in bps + hts):
-            raise DomainError("breakpoints and heights must be finite")
-        if any(x <= 0.0 for x in bps):
-            raise DomainError("breakpoints must be positive")
-        if any(x2 <= x1 for x1, x2 in zip(bps, bps[1:])):
-            raise DomainError("breakpoints must be strictly ascending")
-        if hts[-1] != 0.0:
-            raise DomainError("the outermost height must be 0 (potential vanishes at infinity)")
-
-    value_at = staircase_value
-
-
-def region_momenta(p, e: complex) -> tuple[complex, ...]:
-    """branch_sqrt(E - v_j) for every region, refusing degenerate regions."""
-    e = complex(e)
-    ks = []
-    for v in p.heights:
-        if abs(e - v) < EPS_BRANCH:
-            raise BranchPointError(f"energy {e} degenerates the region with height {v}")
-        ks.append(branch_sqrt(e - v))
-    return tuple(ks)
+from .errors import ContractError
+from .eigenfunctions import PiecewiseWave, Region, _overflow, _require_same_problem
+from .model import _branch_sqrt_array, region_momenta
 
 
 def _amplitudes_at(value: complex, deriv: complex, k: complex) -> tuple[complex, complex]:
@@ -71,27 +28,40 @@ def _amplitudes_at(value: complex, deriv: complex, k: complex) -> tuple[complex,
     return 0.5 * (value + slope), 0.5 * (value - slope)
 
 
+def _sweep(value, deriv, ks, widths, lib) -> tuple[list, object, object]:
+    """Carry a wave's (value, derivative) across consecutive regions.
+
+    Region j has momentum ``ks[j]`` and is crossed over the signed width
+    ``widths[j]``: positive widths walk outward from each region's left edge,
+    negative ones inward from its right edge.  Returns the (c+, c-) pair of
+    every crossed region, relative to its left edge, and the value and
+    derivative where the sweep ends.  ``lib`` is ``cmath`` for one energy,
+    where an overflow raises ``OverflowError``, or ``numpy`` for arrays of
+    momenta, where it leaves non-finite entries.
+    """
+    amps = []
+    for k, w in zip(ks, widths):
+        cp, cm = _amplitudes_at(value, deriv, k)
+        cp_far = cp * lib.exp(1j * k * w)
+        cm_far = cm * lib.exp(-1j * k * w)
+        amps.append((cp, cm) if w > 0 else (cp_far, cm_far))
+        value = cp_far + cm_far
+        deriv = 1j * k * (cp_far - cm_far)
+    return amps, value, deriv
+
+
 def _chi_amplitudes(ks, breakpoints, lib) -> list:
     """(c+, c-) of the regular solution in every region beyond the innermost one.
 
     Each pair is relative to its region's left edge; the innermost region
-    holds sin(k0 r).  ``lib`` is ``cmath`` for one energy, where an overflow
-    raises ``OverflowError``, or ``numpy`` for arrays of momenta, where it
-    leaves non-finite entries.
+    holds sin(k0 r), whose value and slope at the first step seed the sweep.
     """
-    value = lib.sin(ks[0] * breakpoints[0])
-    deriv = ks[0] * lib.cos(ks[0] * breakpoints[0])
-    amps = []
-    n = len(breakpoints)
-    for j in range(1, n + 1):
-        cp, cm = _amplitudes_at(value, deriv, ks[j])
-        amps.append((cp, cm))
-        if j < n:
-            width = breakpoints[j] - breakpoints[j - 1]
-            grow = lib.exp(1j * ks[j] * width)
-            decay = lib.exp(-1j * ks[j] * width)
-            value = cp * grow + cm * decay
-            deriv = 1j * ks[j] * (cp * grow - cm * decay)
+    x0 = breakpoints[0]
+    widths = [x2 - x1 for x1, x2 in zip(breakpoints, breakpoints[1:])]
+    amps, value, deriv = _sweep(
+        lib.sin(ks[0] * x0), ks[0] * lib.cos(ks[0] * x0), ks[1:-1], widths, lib
+    )
+    amps.append(_amplitudes_at(value, deriv, ks[-1]))
     return amps
 
 
@@ -138,16 +108,15 @@ def build_chi(p, e: complex) -> PiecewiseWave:
     """Regular solution: sin(k0 r) on the innermost region, propagated outward."""
     e = complex(e)
     ks = region_momenta(p, e)
-    edges = (0.0,) + p.breakpoints + (np.inf,)
-    regions = [Region(0.0, edges[1], ks[0], "sin", 1.0 + 0j)]
+    regions = [Region(ks[0], "sin", 1.0 + 0j)]
     if p.breakpoints:
         try:
             amps = _chi_amplitudes(ks, p.breakpoints, cmath)
         except OverflowError as exc:
             raise _overflow(e) from exc
-        for j, (cp, cm) in enumerate(amps, start=1):
-            regions.append(Region(edges[j], edges[j + 1], ks[j], "exp", cp, cm, ref=edges[j]))
-    return PiecewiseWave(tuple(regions), p.breakpoints, p.heights, e, "chi")
+        for k, (cp, cm), ref in zip(ks[1:], amps, p.breakpoints):
+            regions.append(Region(k, "exp", cp, cm, ref=ref))
+    return PiecewiseWave(tuple(regions), p.breakpoints, p.heights, e)
 
 
 def build_omega(p, e: complex, direction: str) -> PiecewiseWave:
@@ -156,34 +125,18 @@ def build_omega(p, e: complex, direction: str) -> PiecewiseWave:
         raise ContractError(f"direction must be 'plus' or 'minus', got {direction!r}")
     e = complex(e)
     ks = region_momenta(p, e)
-    n = len(p.breakpoints)
     sign = 1.0 if direction == "plus" else -1.0
-    edges = (0.0,) + p.breakpoints + (np.inf,)
-    x_last = edges[n]
+    edges = (0.0,) + p.breakpoints
+    widths = [lo - hi for lo, hi in zip(edges, edges[1:])][::-1]
     try:
-        phase = cmath.exp(sign * 1j * ks[n] * x_last)
-        if direction == "plus":
-            outer = Region(x_last, np.inf, ks[n], "exp", phase, 0j, ref=x_last)
-        else:
-            outer = Region(x_last, np.inf, ks[n], "exp", 0j, phase, ref=x_last)
-        value = phase
-        deriv = sign * 1j * ks[n] * phase
-
-        regions = [outer]
-        for j in range(n - 1, -1, -1):
-            lo, hi = edges[j], edges[j + 1]
-            cp_at_hi, cm_at_hi = _amplitudes_at(value, deriv, ks[j])
-            width = hi - lo
-            cp = cp_at_hi * cmath.exp(-1j * ks[j] * width)
-            cm = cm_at_hi * cmath.exp(1j * ks[j] * width)
-            regions.append(Region(lo, hi, ks[j], "exp", cp, cm, ref=lo))
-            if j > 0:
-                value = cp + cm
-                deriv = 1j * ks[j] * (cp - cm)
+        phase = cmath.exp(sign * 1j * ks[-1] * edges[-1])
+        amps, _, _ = _sweep(phase, sign * 1j * ks[-1] * phase, ks[-2::-1], widths, cmath)
     except OverflowError as exc:
         raise _overflow(e) from exc
-    regions.reverse()
-    return PiecewiseWave(tuple(regions), p.breakpoints, p.heights, e, f"omega_{direction}")
+    outer = (phase, 0j) if direction == "plus" else (0j, phase)
+    regions = [Region(k, "exp", cp, cm, ref=ref) for k, (cp, cm), ref in zip(ks, amps[::-1], edges)]
+    regions.append(Region(ks[-1], "exp", *outer, ref=edges[-1]))
+    return PiecewiseWave(tuple(regions), p.breakpoints, p.heights, e)
 
 
 def outer_wronskian(f: PiecewiseWave, g: PiecewiseWave) -> complex:
@@ -193,10 +146,9 @@ def outer_wronskian(f: PiecewiseWave, g: PiecewiseWave) -> complex:
     reference point; this is the canonical r-free value used to normalize
     kernels built from engine waves.
     """
-    if f.breakpoints != g.breakpoints or f.heights != g.heights or f.energy != g.energy:
-        raise ContractError("waves belong to different problems")
-    cpf, cmf, rf = f.outer_plane_pair()
-    cpg, cmg, rg = g.outer_plane_pair()
+    _require_same_problem(f, g)
+    cpf, cmf, rf = f.regions[-1].plane_pair()
+    cpg, cmg, rg = g.regions[-1].plane_pair()
     k = f.regions[-1].k
     if rf != rg:
         shift = cmath.exp(1j * k * (rf - rg))

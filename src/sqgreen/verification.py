@@ -29,8 +29,9 @@ from .oracle import (
     check_distributional_equation,
     check_resolvent_identity,
     on_lattice,
+    step_too_coarse,
 )
-from .piecewise import build_chi, build_omega
+from .piecewise import build_omega
 
 #: step of the RK4 oracle; the barrier edges and the diagonal point sit on its lattice
 LATTICE = 1e-3
@@ -38,9 +39,15 @@ LATTICE = 1e-3
 MAX_RANDOM_INSTANCES = 10**4
 
 
-def _wave_continuity(p: SquareBarrier, e: complex) -> float:
+def _engine_waves(p: SquareBarrier, e: complex):
+    """(chi, omega_plus, omega_minus) of the engine at E, the first two from :func:`wave_pair`."""
+    chi, om_plus, _ = wave_pair(p, e, "plus")
+    return chi, om_plus, build_omega(p, e, "minus")
+
+
+def _wave_continuity(p: SquareBarrier, waves) -> float:
     worst = 0.0
-    for w in (build_chi(p, e), build_omega(p, e, "plus"), build_omega(p, e, "minus")):
+    for w in waves:
         for bp in p.breakpoints:
             for fn in ("value", "derivative"):
                 left = getattr(w, fn)(bp, "-")
@@ -49,12 +56,12 @@ def _wave_continuity(p: SquareBarrier, e: complex) -> float:
     return worst
 
 
-def _wronskian_agreement(p: SquareBarrier, e: complex) -> float:
+def _wronskian_agreement(p: SquareBarrier, e: complex, waves) -> float:
     """The kernels' Wronskian read at three radii, against the closed form."""
     worst = 0.0
     points = (0.5 * p.a, 0.5 * (p.a + p.b), p.b + 1.0)
-    for direction in ("plus", "minus"):
-        chi, om, _ = wave_pair(p, e, direction)
+    chi = waves[0]
+    for direction, om in zip(("plus", "minus"), waves[1:]):
         closed = wronskian_closed_form(p, e, direction)
         values = [wronskian(chi, om, r) for r in points]
         for v in values:
@@ -64,24 +71,19 @@ def _wronskian_agreement(p: SquareBarrier, e: complex) -> float:
     return worst
 
 
-def _engine_agreement(p: SquareBarrier, e: complex, rng: np.random.Generator) -> float:
-    """The engine's waves and kernels against the closed forms."""
+def _engine_agreement(p: SquareBarrier, e: complex, waves, rng: np.random.Generator) -> float:
+    """The engine's waves and kernels against the closed forms, at Im E > 0."""
     radii = rng.uniform(0.05, p.b + 2.0, size=8)
     worst = 0.0
-    for closed, engine in (
-        (chi_wave(p, e), build_chi(p, e)),
-        (omega_wave(p, e, "plus"), build_omega(p, e, "plus")),
-        (omega_wave(p, e, "minus"), build_omega(p, e, "minus")),
-    ):
+    closed_waves = (chi_wave(p, e), omega_wave(p, e, "plus"), omega_wave(p, e, "minus"))
+    for closed, engine in zip(closed_waves, waves):
         vals_c = closed.value(radii)
         vals_e = engine.value(radii)
         scale = np.abs(vals_c) + 1.0
         worst = max(worst, float(np.max(np.abs(vals_c - vals_e) / scale)))
-    ec = complex(e) if complex(e).imag != 0.0 else complex(e) + 0.7j
-    direction = "plus" if ec.imag > 0.0 else "minus"
     for r, s in [(0.4, 1.7), (2.5, 0.9)]:
-        g_closed = kernel_closed_form(p, ec, r, s, direction)
-        g_engine = resolvent_kernel(p, ec, r, s)
+        g_closed = kernel_closed_form(p, e, r, s, "plus")
+        g_engine = resolvent_kernel(p, e, r, s)
         worst = max(worst, abs(g_closed - g_engine) / (1.0 + abs(g_closed)))
     return worst
 
@@ -124,7 +126,8 @@ def run_verification(
     that is not a ``SquareBarrier``, a negative ``seed``, an ``n_random``
     outside [0, ``MAX_RANDOM_INSTANCES``] or a ``wronskian_scale`` that is
     not finite and nonzero, and :class:`DomainError` if a barrier edge is off
-    the ``LATTICE`` (1e-3) that the RK4 re-integration steps on.
+    the ``LATTICE`` (1e-3) that the RK4 re-integration steps on or if a region
+    spans fewer than 16 of its steps (:func:`~sqgreen.oracle.step_too_coarse`).
     """
     if not isinstance(p, SquareBarrier):
         # the report schema and its closed-form checks are barrier-specific
@@ -140,22 +143,18 @@ def run_verification(
         raise DomainError(
             f"barrier edges {off} must sit on the {LATTICE} lattice of the RK4 oracle"
         )
+    if step_too_coarse(p, LATTICE):
+        raise DomainError(f"regions (0, a) and (a, b) need 16 steps of the {LATTICE} lattice each")
     rng = np.random.default_rng(seed)
     e = float(e)
     ec = complex(e, 1.0)
     s_mid = round((0.5 * (p.a + p.b)) / LATTICE) * LATTICE
 
-    checks: list[ResidualReport] = []
-    checks.append(
-        ResidualReport.build(
-            "continuity", samples=12, max_residual=_wave_continuity(p, ec), tolerance=1e-10
-        )
-    )
-    checks.append(
-        ResidualReport.build(
-            "wronskian", samples=6, max_residual=_wronskian_agreement(p, ec), tolerance=1e-10
-        )
-    )
+    waves = _engine_waves(p, ec)
+    checks = [
+        ResidualReport.build("continuity", 12, _wave_continuity(p, waves), 1e-10),
+        ResidualReport.build("wronskian", 6, _wronskian_agreement(p, ec, waves), 1e-10),
+    ]
     for direction in ("plus", "minus"):
         dist = check_distributional_equation(
             p, e, s_mid, direction, step=LATTICE, wronskian_scale=wronskian_scale
@@ -176,7 +175,7 @@ def run_verification(
         ResidualReport.build(
             "engine_equivalence",
             samples=30,
-            max_residual=_engine_agreement(p, ec, rng),
+            max_residual=_engine_agreement(p, ec, waves, rng),
             tolerance=1e-12,
         )
     )
@@ -192,8 +191,9 @@ def run_verification(
     worst_random = 0.0
     for rp, re_ in _random_instances(rng, n_random):
         rec = complex(re_, 1.0)
-        worst_random = max(worst_random, _wave_continuity(rp, rec))
-        worst_random = max(worst_random, _wronskian_agreement(rp, rec))
+        rwaves = _engine_waves(rp, rec)
+        worst_random = max(worst_random, _wave_continuity(rp, rwaves))
+        worst_random = max(worst_random, _wronskian_agreement(rp, rec, rwaves))
     if n_random > 0:
         checks.append(
             ResidualReport.build(

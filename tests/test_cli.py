@@ -316,6 +316,10 @@ class TestVerify:
             ["verify", "--v0=1e6", "--a=1", "--b=2", "--energy=1"],
             # a barrier edge off the 1e-3 lattice of the RK4 oracle
             ["verify", "--v0=5", "--a=1.0004", "--b=2", "--energy=1"],
+            # regions narrower than 16 lattice steps: a ContractError traceback (exit 1)
+            ["verify", "--v0=5", "--a=1", "--b=1.001", "--energy=1"],
+            ["verify", "--v0=5", "--a=1", "--b=1.004", "--energy=1"],
+            ["verify", "--v0=5", "--a=0.001", "--b=2", "--energy=1"],
         ]
         for argv in bad:
             assert main(argv + [f"--out={out}"]) == 2, argv

@@ -1,7 +1,8 @@
 """The production modules build every wave through the staircase engine.
 
 The square-barrier closed forms in ``sqgreen.eigenfunctions`` are an oracle:
-only the tests and ``sqgreen.verification`` may use them.
+only the tests and ``sqgreen.verification`` may use them, and they share no
+matching algebra with the engine.
 """
 
 import ast
@@ -47,3 +48,21 @@ def test_no_closed_form_outside_the_oracle(module):
 @pytest.mark.parametrize("module", ["kernel", "cli"])
 def test_kernel_does_not_switch_on_the_potential_type(module):
     assert "isinstance" not in _names(_tree(module))
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The last component of every module a module imports from."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module.split(".")[-1])
+        elif isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[-1] for alias in node.names}
+    return out
+
+
+def test_closed_forms_do_not_use_the_engine():
+    # the oracle may share model (branch_sqrt, region_momenta), not the matching
+    tree = _tree("eigenfunctions")
+    assert _imported_modules(tree) & {"piecewise", "kernel"} == set()
+    assert _names(tree) & {"_sweep", "_amplitudes_at", "_chi_amplitudes"} == set()

@@ -1,10 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqgreen import DomainError, SquareBarrier, branch_sqrt, momenta
+from sqgreen import (
+    DomainError,
+    PiecewisePotential,
+    SquareBarrier,
+    branch_sqrt,
+    find_kernel_poles,
+    formal_green,
+    region_momenta,
+    resolvent_kernel,
+)
 
 from conftest import close
 
@@ -108,23 +118,55 @@ class TestSquareBarrier:
             SquareBarrier(5.0, 1.0, 2.0).value_at(r)
 
 
+class TestSquareBarrierIsAStaircase:
+    """A SquareBarrier is the staircase (0, v0, 0) on (a, b) and nothing more."""
+
+    def test_is_a_piecewise_potential(self):
+        p = SquareBarrier(5, 1, 2)
+        assert isinstance(p, PiecewisePotential)
+        assert (p.breakpoints, p.heights) == ((1.0, 2.0), (0.0, 5.0, 0.0))
+        assert [type(x) for x in (p.v0, p.a, p.b)] == [float, float, float]
+        assert (p.v0, p.a, p.b) == (5.0, 1.0, 2.0)
+
+    def test_same_bits_as_the_equivalent_staircase(self):
+        barrier = SquareBarrier(5, 1, 2)
+        staircase = PiecewisePotential((1, 2), (0, 5, 0))
+
+        def bits(values):
+            return np.asarray(values, dtype=complex).tobytes()
+
+        for r, s in [(0.4, 1.7), (2.5, 0.9), (1.0, 2.0)]:
+            for e in (1.5 + 0.3j, 7.0 - 2.0j, -1.0 + 0.5j):
+                assert bits(resolvent_kernel(barrier, e, r, s)) == bits(
+                    resolvent_kernel(staircase, e, r, s)
+                )
+            for e in (1.5, 7.0):
+                for direction in ("plus", "minus"):
+                    assert bits(formal_green(barrier, e, r, s, direction)) == bits(
+                        formal_green(staircase, e, r, s, direction)
+                    )
+        box = (3.0, 6.0, -1.0, -0.01)
+        roots = find_kernel_poles(barrier, box)
+        assert roots and bits(roots) == bits(find_kernel_poles(staircase, box))
+
+
 class TestMomenta:
     def test_free(self):
-        k, q = momenta(SquareBarrier(0.0, 1.0, 2.0), 1.0 + 0j)
+        k, q, _ = region_momenta(SquareBarrier(0.0, 1.0, 2.0), 1.0 + 0j)
         assert k == 1.0 and q == 1.0
 
     def test_negative_energy_forces_positive_imaginary(self):
-        k, q = momenta(SquareBarrier(0.0, 1.0, 2.0), -1.0 + 0j)
+        k, q, _ = region_momenta(SquareBarrier(0.0, 1.0, 2.0), -1.0 + 0j)
         assert k == 1j and q == 1j
 
     def test_below_barrier_interior(self):
-        k, q = momenta(SquareBarrier(5.0, 1.0, 2.0), 1.0 + 0j)
+        k, q, _ = region_momenta(SquareBarrier(5.0, 1.0, 2.0), 1.0 + 0j)
         assert k == 1.0
         assert q == 2j
 
     def test_momenta_square_back(self):
         p = SquareBarrier(3.7, 0.8, 2.4)
         e = 2.1 - 0.9j
-        k, q = momenta(p, e)
+        k, q, _ = region_momenta(p, e)
         assert abs(k * k - e) <= 1e-14 * abs(e)
         assert abs(q * q - (e - p.v0)) <= 1e-14 * abs(e - p.v0)

@@ -18,6 +18,7 @@ from sqgreen import (
     integrate_schrodinger,
     omega_wave,
 )
+import sqgreen.oracle as oracle_module
 import sqgreen.verification as verification
 from sqgreen.kernel import wave_pair
 from sqgreen.verification import run_verification
@@ -341,6 +342,18 @@ class TestDistributionalEquation:
         rep = check_distributional_equation(barrier, 1.0, 1.5, "plus", wronskian_scale=1.01)
         assert not rep.passed
 
+    def test_builds_its_kernel_waves_once(self, barrier, monkeypatch):
+        # the jump component used to build its own kernel slice
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return wave_pair(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_module, "wave_pair", counted)
+        check_distributional_equation(barrier, 1.0, 1.5, "plus")
+        assert len(calls) == 1
+
     def test_engine_kernels_pass_identically(self, barrier):
         # the oracle must not care whether the barrier comes as a
         # SquareBarrier or as the same PiecewisePotential
@@ -375,6 +388,44 @@ class TestRunVerification:
         monkeypatch.setattr(verification, "wave_pair", no_checks)
         with pytest.raises(DomainError, match="lattice"):
             run_verification(SquareBarrier(5.0, 1.0004, 2.0), 1.0)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.001), (1.0, 1.004), (0.001, 2.0)])
+    def test_thin_region_raises_before_any_draw_or_check(self, monkeypatch, a, b):
+        # each used to end in a ContractError from check_jump or
+        # apply_hamiltonian_fd after up to four checks had run
+        p = SquareBarrier(5.0, a, b)
+        r = np.arange(2501) * verification.LATTICE
+        with pytest.raises(ContractError, match="too coarse"):
+            apply_hamiltonian_fd(r, np.sin(r), p, verification.LATTICE)
+
+        def nothing(*args, **kwargs):
+            raise AssertionError("a draw or a check ran")
+
+        monkeypatch.setattr(verification.np.random, "default_rng", nothing)
+        for name in (
+            "wave_pair",
+            "build_omega",
+            "chi_wave",
+            "check_distributional_equation",
+            "check_resolvent_identity",
+            "boundary_limit",
+        ):
+            monkeypatch.setattr(verification, name, nothing)
+        with pytest.raises(DomainError, match="16 steps"):
+            run_verification(p, 1.0)
+
+    def test_builds_each_instance_waves_once(self, barrier, monkeypatch):
+        # the Wronskian check built chi once more for each direction
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return wave_pair(*args, **kwargs)
+
+        monkeypatch.setattr(verification, "wave_pair", counted)
+        assert run_verification(barrier, 1.0, seed=7, n_random=1)["pass"]
+        assert len(calls) == 2  # the configured instance and the random one
+        assert calls[0][1:] == (1.0 + 1.0j, "plus")
 
     @pytest.mark.parametrize(
         "p, kwargs",

@@ -3,6 +3,7 @@ import pytest
 
 from sqgreen import (
     BranchPointError,
+    ContractError,
     DomainError,
     PiecewisePotential,
     SquareBarrier,
@@ -51,6 +52,15 @@ class TestPotential:
         # nan and inf used to fall through to the outer height 0.0
         with pytest.raises(DomainError):
             PiecewisePotential((1.0, 2.0), (0.0, 5.0, 0.0)).value_at(r)
+
+
+def test_outer_wronskian_refuses_waves_of_different_problems(barrier):
+    # the same guard as wronskian: another energy or another potential
+    chi = build_chi(barrier, 1.0 + 0.5j)
+    split = PiecewisePotential((1.0, 1.5, 2.0), (0.0, 5.0, 5.0, 0.0))
+    for other in (build_omega(barrier, 2.0 + 0.5j, "plus"), build_omega(split, 1.0 + 0.5j, "plus")):
+        with pytest.raises(ContractError, match="different problems"):
+            outer_wronskian(chi, other)
 
 
 class TestEngineWaves:
