@@ -52,6 +52,11 @@ CASES: dict[str, list[str]] = {
     "eval_barrier_invalid": ["eval", "--v0=5", "--a=2", "--b=1", "--energy=1.5", "--r=1", "--s=1"],
     "limit_barrier": ["limit-study", *_BARRIER, "--energy=1", "--r=0.7", "--s=1.8"],
     "limit_staircase": ["limit-study", *_STAIRCASE, "--energy=1.5", "--r=0.7", "--s=2.5"],
+    # the real part of a resonance of width 1.4e-6: no row settles within 40 halvings
+    "limit_resonance": [
+        "limit-study", "--v0=20", "--a=1", "--b=3", "--energy=6.44187942446349",
+        "--r=0.5", "--s=0.5",
+    ],
     "verify_barrier": ["verify", *_BARRIER, "--energy=1", "--seed=7", "--n-random=1"],
     "verify_barrier_corrupt": [
         "verify", *_BARRIER, "--energy=1", "--seed=7", "--n-random=1",
