@@ -14,7 +14,6 @@ from .errors import (
     ConfigError,
     ContractError,
     DomainError,
-    NonConvergenceError,
     PoleError,
 )
 from .model import PiecewisePotential, SquareBarrier, branch_sqrt, region_momenta
@@ -62,7 +61,6 @@ __all__ = [
     "ConfigError",
     "ContractError",
     "DomainError",
-    "NonConvergenceError",
     "PoleError",
     "PiecewisePotential",
     "SquareBarrier",

@@ -16,11 +16,10 @@ import math
 import re
 import sys
 
-from .errors import ConfigError, DomainError, NonConvergenceError, PoleError
+from .errors import ConfigError, DomainError, PoleError
 from .kernel import (
     boundary_limit,
     find_kernel_poles,
-    formal_green,
     kernel_grid,
     kernel_pole_residual,
 )
@@ -196,20 +195,15 @@ def cmd_limit_study(args) -> int:
     for r in rs:
         for s in ss:
             for direction in _directions(args):
-                try:
-                    study = boundary_limit(p, e, r, s, direction, mu0=args.mu0)
-                except NonConvergenceError as exc:
-                    study = exc.partial
-                    any_flagged = True
-                formal = formal_green(p, e, r, s, direction)
-                diff = abs(study.extrapolated - formal)
+                study = boundary_limit(p, e, r, s, direction, mu0=args.mu0)
+                any_flagged |= not study.converged
+                x, f = study.extrapolated, study.formal
+                tail = [_fmt(x.real), _fmt(x.imag), _fmt(f.real), _fmt(f.imag),
+                        _fmt(study.abs_diff), str(study.converged).lower()]
                 for k, (mu, g) in enumerate(zip(study.mu_sequence, study.samples)):
                     rows.append(
                         [_fmt(r), _fmt(s), _fmt(e), direction, str(k), _fmt(mu),
-                         _fmt(g.real), _fmt(g.imag),
-                         _fmt(study.extrapolated.real), _fmt(study.extrapolated.imag),
-                         _fmt(formal.real), _fmt(formal.imag),
-                         _fmt(diff), str(study.converged).lower()]
+                         _fmt(g.real), _fmt(g.imag), *tail]
                     )
 
     _write_rows(args, header, rows)

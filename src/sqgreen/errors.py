@@ -22,17 +22,6 @@ class PoleError(ArithmeticError):
     """The kernel denominator vanishes at the requested energy."""
 
 
-class NonConvergenceError(RuntimeError):
-    """An iterative limit failed to settle; usually signals a branch-handling bug.
-
-    Carries the partial result (if any) in the ``partial`` attribute.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class ConfigError(ValueError):
     """A job configuration failed validation before any computation started."""
 

@@ -9,8 +9,9 @@ half-plane (omega_plus above the axis, omega_minus below).  Both waves and
 the Wronskian come from the staircase engine of :mod:`sqgreen.piecewise`,
 for a square barrier as for any other staircase.  On the positive real axis
 the same quotient with real-axis momenta gives the formal outgoing/incoming
-kernels, and :func:`boundary_limit` verifies that they are the limits of the
-complex kernel as E approaches the axis.
+kernels.  :func:`boundary_limit` follows the complex kernel to the axis and
+returns the trajectory together with the formal kernel it should reach, so
+one value holds both sides of that claim and how far apart they ended.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import (
     EPS_BRANCH,
     ContractError,
     DomainError,
-    NonConvergenceError,
     PoleError,
 )
 from .eigenfunctions import PiecewiseWave
@@ -40,22 +40,25 @@ from .piecewise import (
 
 @dataclass(frozen=True)
 class LimitStudy:
-    """A mu -> 0 trajectory of kernel values at E +- i*mu and its limit.
+    """A mu -> 0 trajectory of kernel values at E +- i*mu, and the formal kernel it should reach.
 
-    ``extrapolated`` is the final sample of the halving sequence; the
-    first-order Richardson value computed from the last two samples is kept
-    alongside since the approach is linear in mu.
+    ``converged`` says whether the sequence settled within ``MAX_HALVINGS``
+    halvings; ``extrapolated`` is its final sample and ``abs_diff`` that
+    sample's distance to ``formal``.
     """
 
-    e: float
-    direction: str
-    r: float
-    s: float
     mu_sequence: tuple[float, ...]
     samples: tuple[complex, ...]
-    extrapolated: complex
-    richardson: complex
+    formal: complex
     converged: bool
+
+    @property
+    def extrapolated(self) -> complex:
+        return self.samples[-1]
+
+    @property
+    def abs_diff(self) -> float:
+        return abs(self.extrapolated - self.formal)
 
     @property
     def halvings(self) -> int:
@@ -177,9 +180,12 @@ def boundary_limit(
     """Follow G(r, s; E +- i mu) along mu = mu0 * 2^-k down to the axis.
 
     The sequence stops at the first k with mu_k below ``MU_FLOOR`` and the
-    last two samples within ``CAUCHY_TOL`` of each other; failing that within
-    ``MAX_HALVINGS`` halvings raises :class:`NonConvergenceError` (a branch
-    mix-up makes the sequence oscillate instead of settling).
+    last two samples within ``CAUCHY_TOL`` of each other, or after
+    ``MAX_HALVINGS`` halvings.  The study always comes back, with
+    ``converged`` telling the two apart (a branch mix-up or a pole just off
+    the axis keeps the sequence from settling), and with the formal kernel
+    of the same request in ``formal``.  It raises only for a bad request or
+    with the :class:`PoleError`/:class:`DomainError` of a kernel value.
     """
     if direction is None:  # to _kernel_request, None asks for the resolvent kernel
         raise ContractError("boundary limits need direction 'plus' or 'minus'")
@@ -206,17 +212,7 @@ def boundary_limit(
             if abs(samples[-1] - samples[-2]) < tol:
                 converged = True
                 break
-
-    richardson = 2.0 * samples[-1] - samples[-2] if len(samples) >= 2 else samples[-1]
-    study = LimitStudy(
-        e, direction, r, s, tuple(mus), tuple(samples), samples[-1], richardson, converged
-    )
-    if not converged:
-        raise NonConvergenceError(
-            f"kernel limit at E={e} ({direction}) not Cauchy after {MAX_HALVINGS} halvings",
-            partial=study,
-        )
-    return study
+    return LimitStudy(tuple(mus), tuple(samples), formal_green(p, e, r, s, direction), converged)
 
 
 #: Newton seeds screened together as arrays; bounds the screen's memory.

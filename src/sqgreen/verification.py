@@ -21,7 +21,7 @@ from .eigenfunctions import (
     wronskian_closed_form,
 )
 from .errors import ConfigError, DomainError
-from .kernel import boundary_limit, formal_green, resolvent_kernel, wave_pair
+from .kernel import boundary_limit, resolvent_kernel, wave_pair
 from .model import SquareBarrier
 from .oracle import (
     ResidualReport,
@@ -94,9 +94,7 @@ def _limit_agreement(p: SquareBarrier, e: float, rng: np.random.Generator) -> fl
         r = float(rng.uniform(0.1, p.b + 2.0))
         s = float(rng.uniform(0.1, p.b + 2.0))
         for direction in ("plus", "minus"):
-            study = boundary_limit(p, e, r, s, direction)
-            formal = formal_green(p, e, r, s, direction)
-            worst = max(worst, abs(study.extrapolated - formal))
+            worst = max(worst, boundary_limit(p, e, r, s, direction).abs_diff)
     return worst
 
 

@@ -8,7 +8,6 @@ import sqgreen.piecewise as piecewise_module
 from sqgreen import (
     ContractError,
     DomainError,
-    NonConvergenceError,
     PiecewisePotential,
     PoleError,
     SquareBarrier,
@@ -228,11 +227,6 @@ class TestBoundaryLimit:
         diffs = np.abs(np.diff(np.array(study.samples)))
         ratios = diffs[8:16] / diffs[7:15]
         assert np.all(np.abs(ratios - 0.5) < 0.15)
-
-    def test_richardson_is_closer_than_final_sample(self, barrier):
-        study = boundary_limit(barrier, 1.0, 0.7, 1.8, "plus")
-        formal = formal_green(barrier, 1.0, 0.7, 1.8, "plus")
-        assert abs(study.richardson - formal) <= abs(study.extrapolated - formal) + 1e-12
 
     def test_mu0_contract(self, barrier):
         with pytest.raises(DomainError):
