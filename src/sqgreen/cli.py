@@ -285,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run the full invariant suite",
         description="Run the full invariant suite on one barrier. The RK4 oracle steps "
-        "by 1e-3, so --a and --b must be multiples of 1e-3.",
+        "by 1e-3, so --a and --b must be multiples of 1e-3, and it resolves a wave that "
+        "advances at most 0.018 rad per step: the largest region momentum |sqrt(E - v)| "
+        "times 1e-3 must not exceed 0.018, so |E - v| must not exceed 324 in any region.",
     )
     _add_potential_args(p_verify)
     p_verify.add_argument("--energy", required=True, help="real positive energy")

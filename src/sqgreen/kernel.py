@@ -29,6 +29,7 @@ from .errors import (
     PoleError,
 )
 from .eigenfunctions import PiecewiseWave
+from .model import real_energy
 from .piecewise import (
     build_chi,
     build_omega,
@@ -90,9 +91,7 @@ def _kernel_request(p, e, radii, direction: str | None) -> tuple[complex, str]:
     else:
         if direction not in ("plus", "minus"):
             raise ContractError(f"direction must be 'plus' or 'minus', got {direction!r}")
-        e = float(e)
-        if not math.isfinite(e) or e <= 0.0:
-            raise DomainError(f"formal kernels require real E > 0, got {e}")
+        e = real_energy(e, "the formal kernel")
     if not all(0.0 <= x < math.inf for x in radii):
         raise DomainError("radii must be finite and nonnegative")
     return complex(e), direction

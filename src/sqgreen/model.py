@@ -1,4 +1,5 @@
-"""The staircase potential, its region momenta and the branch of the square root.
+"""The staircase potential, its region momenta, the branch of the square root
+and the check of a real-axis energy.
 
 A :class:`PiecewisePotential` is the one description of a potential; a
 :class:`SquareBarrier` is the staircase (0, v0, 0) on the breakpoints (a, b).
@@ -114,6 +115,18 @@ class SquareBarrier(PiecewisePotential):
 
     def __init__(self, v0: float, a: float, b: float):
         super().__init__((a, b), (0.0, v0, 0.0))
+
+
+def real_energy(e, what: str) -> float:
+    """``e`` as a float for ``what``, an operation on the positive real axis.
+
+    Raises :class:`DomainError` unless ``e`` is real (a complex number with a
+    zero imaginary part counts), finite and positive.
+    """
+    z = complex(e)
+    if z.imag != 0.0 or not (math.isfinite(z.real) and z.real > 0.0):
+        raise DomainError(f"{what} runs at real E > 0, got {e}")
+    return z.real
 
 
 def region_momenta(p: PiecewisePotential, e: complex) -> tuple[complex, ...]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .kernel import wave_pair
-from .model import branch_sqrt
+from .model import branch_sqrt, real_energy
 
 #: Gaussian bumps count as supported within this many widths of the center.
 GAUSSIAN_SUPPORT_WIDTHS = 5.5
@@ -291,9 +291,7 @@ def check_jump(p, e: float, s: float, direction: str, wronskian_scale: float = 1
     difference quotients of kernel values, so this check is blind to how the
     waves compute their analytic derivatives.
     """
-    e = float(e)
-    if e <= 0.0:
-        raise DomainError("jump check runs on the formal kernel, E > 0 required")
+    e = real_energy(e, "the jump check")
     return _jump(p, e, s, _kernel_slice(p, e, direction, wronskian_scale)[0])
 
 
@@ -457,9 +455,7 @@ def check_distributional_equation(
     continuity at the potential jumps, and kernel continuity across r = s
     (the gap must shrink linearly with the probe offset).
     """
-    e = float(e)
-    if e <= 0.0:
-        raise DomainError("the distributional check runs at real E > 0")
+    e = real_energy(e, "the distributional check")
     outer = p.breakpoints[-1] if p.breakpoints else 1.0
     for x, nm in ((s, "s"),) + tuple((bp, "breakpoint") for bp in p.breakpoints):
         if not on_lattice(x, step):

@@ -22,10 +22,11 @@ from .eigenfunctions import (
 )
 from .errors import ConfigError, DomainError
 from .kernel import boundary_limit, resolvent_kernel, wave_pair
-from .model import SquareBarrier
+from .model import SquareBarrier, real_energy
 from .oracle import (
     ResidualReport,
     TestFunction,
+    _momentum_scale,
     check_distributional_equation,
     check_resolvent_identity,
     on_lattice,
@@ -35,6 +36,10 @@ from .piecewise import build_omega
 
 #: step of the RK4 oracle; the barrier edges and the diagonal point sit on its lattice
 LATTICE = 1e-3
+#: the largest region momentum times LATTICE that RK4 resolves to its 1e-7
+#: tolerance: on SquareBarrier(5, 1, 2), 0.0173 (E = 300) left a 7.1e-8
+#: residual and 0.0187 (E = 350) one of 1.02e-7
+MAX_LATTICE_PHASE = 0.018
 #: the most random instances one run draws (about 1 ms each)
 MAX_RANDOM_INSTANCES = 10**4
 
@@ -123,9 +128,14 @@ def run_verification(
     Before any draw or check it raises :class:`ConfigError` for a potential
     that is not a ``SquareBarrier``, a negative ``seed``, an ``n_random``
     outside [0, ``MAX_RANDOM_INSTANCES``] or a ``wronskian_scale`` that is
-    not finite and nonzero, and :class:`DomainError` if a barrier edge is off
-    the ``LATTICE`` (1e-3) that the RK4 re-integration steps on or if a region
-    spans fewer than 16 of its steps (:func:`~sqgreen.oracle.step_too_coarse`).
+    not finite and nonzero, and :class:`DomainError` for an energy that is
+    not real, finite and positive, if a barrier edge is off the ``LATTICE``
+    (1e-3) that the RK4 re-integration steps on, if a region spans fewer than
+    16 of its steps (:func:`~sqgreen.oracle.step_too_coarse`), or if the
+    largest region momentum times ``LATTICE`` exceeds ``MAX_LATTICE_PHASE``
+    (0.018), so that RK4 would not resolve the waves.  The last test comes
+    after the instance's engine waves are built, so that waves which
+    overflow double precision raise that error instead.
     """
     if not isinstance(p, SquareBarrier):
         # the report schema and its closed-form checks are barrier-specific
@@ -136,6 +146,7 @@ def run_verification(
         raise ConfigError(f"n_random must lie in [0, {MAX_RANDOM_INSTANCES}], got {n_random}")
     if not (math.isfinite(wronskian_scale) and wronskian_scale != 0.0):
         raise ConfigError(f"wronskian_scale must be finite and nonzero, got {wronskian_scale}")
+    e = real_energy(e, "verification")
     off = [x for x in p.breakpoints if not on_lattice(x, LATTICE)]
     if off:
         raise DomainError(
@@ -143,12 +154,19 @@ def run_verification(
         )
     if step_too_coarse(p, LATTICE):
         raise DomainError(f"regions (0, a) and (a, b) need 16 steps of the {LATTICE} lattice each")
-    rng = np.random.default_rng(seed)
-    e = float(e)
     ec = complex(e, 1.0)
-    s_mid = round((0.5 * (p.a + p.b)) / LATTICE) * LATTICE
-
+    # built first, so that waves which overflow are refused as such
     waves = _engine_waves(p, ec)
+    phase = _momentum_scale(p, e) * LATTICE
+    if phase > MAX_LATTICE_PHASE:
+        # past 2 sqrt(2) rad an RK4 step amplifies even an oscillating wave
+        unstable = "; its steps would grow until they overflow" if phase > 2.0**1.5 else ""
+        raise DomainError(
+            f"the fastest wave at E={e} advances {phase:.4g} rad per {LATTICE} step, "
+            f"more than the {MAX_LATTICE_PHASE} that the RK4 oracle resolves{unstable}"
+        )
+    rng = np.random.default_rng(seed)
+    s_mid = round((0.5 * (p.a + p.b)) / LATTICE) * LATTICE
     checks = [
         ResidualReport.build("continuity", 12, _wave_continuity(p, waves), 1e-10),
         ResidualReport.build("wronskian", 6, _wronskian_agreement(p, ec, waves), 1e-10),

@@ -26,8 +26,10 @@ import contextlib
 import csv
 import io
 import json
+import shutil
 import struct
 import sys
+import tempfile
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -63,6 +65,11 @@ CASES: dict[str, list[str]] = {
         "--corrupt-wronskian=1.01",
     ],
     "verify_staircase": ["verify", *_STAIRCASE, "--energy=1.5"],
+    # the limit_resonance instance: the report is written, limit_equivalence fails
+    "verify_resonance": [
+        "verify", "--v0=20", "--a=1", "--b=3", "--energy=6.44187942446349",
+        "--seed=7", "--n-random=1",
+    ],
     "poles_barrier": ["pole-scan", *_BARRIER, "--box=3:6:-1:-0.01"],
     "poles_well_json": [
         "pole-scan", "--v0=-5", "--a=1", "--b=2", "--box=-5:-0.5:-0.5:0.5", "--format=json",
@@ -101,17 +108,28 @@ def read_case(corpus: Path, name: str) -> tuple[int, bytes | None, str]:
 
 
 def regen(corpus: Path) -> None:
-    """Run every case and write the corpus into ``corpus``."""
-    corpus.mkdir(parents=True, exist_ok=True)
-    for stale in corpus.iterdir():
-        if stale.name == EXIT_CODES or stale.stem in CASES:
-            stale.unlink()
-    codes = {}
-    for name in CASES:
-        codes[name], _, err = run_case(name, corpus)
-        if err:
-            (corpus / f"{name}.err").write_text(err)
-    (corpus / EXIT_CODES).write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    """Run every case, then write the corpus into ``corpus``.
+
+    The cases run in a scratch directory first, so a case that raises leaves
+    ``corpus`` as it was, and the error names that case.
+    """
+    with tempfile.TemporaryDirectory() as scratch:
+        staged = Path(scratch)
+        codes = {}
+        for name in CASES:
+            try:
+                codes[name], _, err = run_case(name, staged)
+            except (Exception, SystemExit) as exc:
+                raise RuntimeError(f"golden case {name!r} raised {exc!r}") from exc
+            if err:
+                (staged / f"{name}.err").write_text(err)
+        (staged / EXIT_CODES).write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+        corpus.mkdir(parents=True, exist_ok=True)
+        for stale in corpus.iterdir():
+            if stale.name == EXIT_CODES or stale.stem in CASES:
+                stale.unlink()
+        for path in staged.iterdir():
+            shutil.copyfile(path, corpus / path.name)
 
 
 # -- drift between two corpora ------------------------------------------------

@@ -326,6 +326,33 @@ class TestVerify:
             assert capsys.readouterr().err.startswith("error: "), argv
         assert not out.exists()
 
+    def test_narrow_resonance_writes_a_failing_report(self, tmp_path, capsys):
+        # the limit check's NonConvergenceError ended the run in a traceback
+        out = tmp_path / "report.json"
+        rc = main(["verify", "--v0=20", "--a=1", "--b=3", "--energy=6.44187942446349",
+                   "--seed=7", "--n-random=1", f"--out={out}"])
+        assert rc == 1
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["pass"] is False
+        limit = next(c for c in report["checks"] if c["name"] == "limit_equivalence")
+        assert limit["pass"] is False
+        assert limit["max_residual"] > limit["tolerance"]
+
+    @pytest.mark.parametrize("energy, code", [("300", 0), ("350", 2), ("400", 2)])
+    def test_waves_too_fast_for_rk4_exit_2(self, tmp_path, capsys, energy, code):
+        # at E = 350 and 400 the RK4 oracle failed the radial equation of a correct kernel
+        out = tmp_path / "report.json"
+        rc = main(["verify", "--v0=5", "--a=1", "--b=2", f"--energy={energy}", f"--out={out}"])
+        assert rc == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert "RK4 oracle resolves" in err
+            assert not out.exists()
+        else:
+            assert err == ""
+            assert json.loads(out.read_text())["pass"] is True
+
     def test_seed_changes_random_draws_not_outcome(self, tmp_path):
         outs = []
         for seed in ("1", "2"):

@@ -9,6 +9,7 @@ import shutil
 
 import pytest
 
+import golden_corpus
 from golden_corpus import CASES, GOLDEN, drift, format_drift, read_case, run_case, ulp_distance
 
 
@@ -52,3 +53,22 @@ def test_drift_report_finds_a_one_ulp_change(tmp_path):
         ("eval_barrier_complex", "g_re", 1, 1)
     ]
     assert "| eval_barrier_complex | g_re | 25 | 1 |" in format_drift(old, new)
+
+
+def test_regen_leaves_the_corpus_alone_when_a_case_raises(tmp_path, monkeypatch):
+    # regen deleted the case files and exit_codes.json before running any case
+    corpus = tmp_path / "golden"
+    shutil.copytree(GOLDEN, corpus)
+    before = {path.name: path.read_bytes() for path in corpus.iterdir()}
+
+    def raising(name, outdir):
+        if name == "eval_barrier_invalid":
+            raise RuntimeError("a case went wrong")
+        return run_case(name, outdir)
+
+    cases = {name: CASES[name] for name in ("eval_branch_point", "eval_barrier_invalid")}
+    monkeypatch.setattr(golden_corpus, "CASES", cases)
+    monkeypatch.setattr(golden_corpus, "run_case", raising)
+    with pytest.raises(RuntimeError, match="eval_barrier_invalid"):
+        golden_corpus.regen(corpus)
+    assert {path.name: path.read_bytes() for path in corpus.iterdir()} == before

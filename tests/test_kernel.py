@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -227,6 +228,25 @@ class TestBoundaryLimit:
         diffs = np.abs(np.diff(np.array(study.samples)))
         ratios = diffs[8:16] / diffs[7:15]
         assert np.all(np.abs(ratios - 0.5) < 0.15)
+
+    def test_formal_is_formal_green_bit_for_bit(self, barrier):
+        for direction in ("plus", "minus"):
+            study = boundary_limit(barrier, 1.3, 0.7, 2.4, direction)
+            formal = formal_green(barrier, 1.3, 0.7, 2.4, direction)
+            assert (study.formal.real, study.formal.imag) == (formal.real, formal.imag)
+            assert study.abs_diff == abs(study.samples[-1] - formal)
+            assert study.extrapolated == study.samples[-1]
+
+    @pytest.mark.parametrize("direction", ["plus", "minus"])
+    def test_narrow_resonance_returns_an_unconverged_study(self, direction):
+        # a pole 1.4e-6 below the axis: the sequence is not Cauchy in 40 halvings,
+        # which raised and handed the study over only inside the exception
+        p = SquareBarrier(20.0, 1.0, 3.0)
+        study = boundary_limit(p, 6.44187942446349, 0.5, 0.5, direction)
+        assert study.converged is False
+        assert len(study.samples) == len(study.mu_sequence) == kernel_module.MAX_HALVINGS + 1
+        assert study.halvings == 41
+        assert math.isfinite(study.abs_diff) and study.abs_diff > 1e-8
 
     def test_mu0_contract(self, barrier):
         with pytest.raises(DomainError):

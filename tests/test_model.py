@@ -5,16 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sqgreen.kernel as kernel_module
+import sqgreen.oracle as oracle_module
+import sqgreen.verification as verification_module
 from sqgreen import (
     DomainError,
     PiecewisePotential,
     SquareBarrier,
+    boundary_limit,
     branch_sqrt,
+    check_distributional_equation,
+    check_jump,
     find_kernel_poles,
     formal_green,
+    kernel_grid,
     region_momenta,
     resolvent_kernel,
+    run_verification,
 )
+from sqgreen.model import real_energy
 
 from conftest import close
 
@@ -170,3 +179,43 @@ class TestMomenta:
         k, q, _ = region_momenta(p, e)
         assert abs(k * k - e) <= 1e-14 * abs(e)
         assert abs(q * q - (e - p.v0)) <= 1e-14 * abs(e - p.v0)
+
+
+class TestRealEnergy:
+    @pytest.mark.parametrize("e", [2.0, 2, 2.0 + 0j, complex(2.0, -0.0), np.float64(2.0)])
+    def test_real_positive_energies_pass_as_floats(self, e):
+        value = real_energy(e, "a test")
+        assert value == 2.0 and type(value) is float
+
+    @pytest.mark.parametrize(
+        "e", [1.0 + 1.0j, complex(1.0, math.nan), 0.0, -1.0, math.nan, math.inf, -math.inf]
+    )
+    def test_other_energies_raise(self, e):
+        with pytest.raises(DomainError, match="a test runs at real E > 0"):
+            real_energy(e, "a test")
+
+
+#: the real-axis entry points, each called at the energy ``e``
+_REAL_AXIS_CALLS = {
+    "formal_green": lambda p, e: formal_green(p, e, 0.5, 1.5, "plus"),
+    "kernel_grid": lambda p, e: kernel_grid(p, e, [0.5, 1.0], [1.5], "minus"),
+    "boundary_limit": lambda p, e: boundary_limit(p, e, 0.5, 1.5, "plus"),
+    "run_verification": lambda p, e: run_verification(p, e),
+    "check_distributional_equation": lambda p, e: check_distributional_equation(
+        p, e, 1.5, "plus"
+    ),
+    "check_jump": lambda p, e: check_jump(p, e, 1.5, "plus"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REAL_AXIS_CALLS))
+def test_real_axis_entry_points_refuse_complex_energy(barrier, monkeypatch, name):
+    # each raised a bare TypeError from float(1+1j)
+    def no_work(*args, **kwargs):
+        raise AssertionError("a wave or a draw was made")
+
+    for module in (kernel_module, oracle_module, verification_module):
+        monkeypatch.setattr(module, "wave_pair", no_work)
+    monkeypatch.setattr(verification_module.np.random, "default_rng", no_work)
+    with pytest.raises(DomainError, match="real E > 0"):
+        _REAL_AXIS_CALLS[name](barrier, 1.0 + 1.0j)

@@ -414,6 +414,37 @@ class TestRunVerification:
         with pytest.raises(DomainError, match="16 steps"):
             run_verification(p, 1.0)
 
+    @pytest.mark.parametrize("e", [-1.0, 0.0, math.nan, math.inf, 1.0 + 1.0j])
+    def test_bad_energy_raises_before_any_draw_or_check(self, barrier, monkeypatch, e):
+        # E = -1 ran the continuity and Wronskian checks, then raised from the
+        # distributional check; nan ran the whole suite
+        def nothing(*args, **kwargs):
+            raise AssertionError("a draw or a check ran")
+
+        monkeypatch.setattr(verification.np.random, "default_rng", nothing)
+        for name in ("wave_pair", "build_omega", "check_distributional_equation"):
+            monkeypatch.setattr(verification, name, nothing)
+        with pytest.raises(DomainError, match="real E > 0"):
+            run_verification(barrier, e)
+
+    @pytest.mark.parametrize("e", [350.0, 400.0])
+    def test_unresolved_waves_raise_before_any_draw_or_check(self, barrier, monkeypatch, e):
+        # the RK4 residual of the radial equation outgrew its 1e-7 tolerance
+        # (1.02e-7 at E = 350, 1.46e-7 at E = 400), failing a correct kernel
+        def nothing(*args, **kwargs):
+            raise AssertionError("a draw or a check ran")
+
+        monkeypatch.setattr(verification.np.random, "default_rng", nothing)
+        for name in (
+            "chi_wave",
+            "check_distributional_equation",
+            "check_resolvent_identity",
+            "boundary_limit",
+        ):
+            monkeypatch.setattr(verification, name, nothing)
+        with pytest.raises(DomainError, match="RK4 oracle resolves"):
+            run_verification(barrier, e)
+
     def test_builds_each_instance_waves_once(self, barrier, monkeypatch):
         # the Wronskian check built chi once more for each direction
         calls = []
