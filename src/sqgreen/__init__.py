@@ -2,9 +2,10 @@
 
 The package builds the resolvent kernel G(r, s; E) of -d^2/dr^2 + V on
 [0, inf) with a Dirichlet condition at the origin, for square-barrier and
-staircase potentials, from waves matched by one staircase engine.  The
-square-barrier closed forms are kept as the oracle that engine is checked
-against, and the package ships the machinery to verify that the kernel's
+staircase potentials, from waves matched by one staircase engine.  An
+independent oracle -- the exact region-by-region flow, RK4 re-integration,
+finite differences and Simpson quadrature -- checks that engine on any
+staircase, and the package ships the machinery to verify that the kernel's
 boundary values on the positive real axis coincide with the formal
 outgoing/incoming kernels.
 """
@@ -17,19 +18,7 @@ from .errors import (
     PoleError,
 )
 from .model import PiecewisePotential, SquareBarrier, branch_sqrt, region_momenta
-from .eigenfunctions import (
-    CoefficientSet,
-    PiecewiseWave,
-    Region,
-    chi_coefficients,
-    chi_wave,
-    kernel_closed_form,
-    omega_minus_coefficients,
-    omega_plus_coefficients,
-    omega_wave,
-    wronskian,
-    wronskian_closed_form,
-)
+from .eigenfunctions import PiecewiseWave, Region, wronskian
 from .piecewise import (
     build_chi,
     build_omega,
@@ -53,6 +42,7 @@ from .oracle import (
     check_jump,
     check_resolvent_identity,
     integrate_schrodinger,
+    propagate,
 )
 from .verification import run_verification
 
@@ -66,17 +56,9 @@ __all__ = [
     "SquareBarrier",
     "branch_sqrt",
     "region_momenta",
-    "CoefficientSet",
     "PiecewiseWave",
     "Region",
-    "chi_coefficients",
-    "chi_wave",
-    "kernel_closed_form",
-    "omega_minus_coefficients",
-    "omega_plus_coefficients",
-    "omega_wave",
     "wronskian",
-    "wronskian_closed_form",
     "build_chi",
     "build_omega",
     "chi_outer_amplitudes",
@@ -95,6 +77,7 @@ __all__ = [
     "check_jump",
     "check_resolvent_identity",
     "integrate_schrodinger",
+    "propagate",
     "run_verification",
 ]
 

@@ -1,7 +1,8 @@
 """Independent checks of the kernel construction.
 
 Nothing in this module reuses the matching algebra: waves are re-derived by
-fixed-step RK4 integration of the radial equation, the operator is applied
+the exact flow of each region (:func:`propagate`) and by fixed-step RK4
+integration of the radial equation, the operator is applied
 by a central second difference, one-sided kernel derivatives come from
 Richardson-extrapolated difference quotients of kernel *values*, and the
 resolvent is rebuilt as an integral operator with composite Simpson panels
@@ -12,7 +13,9 @@ A potential is read only through its ``breakpoints`` and ``heights``.
 
 from __future__ import annotations
 
+import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -24,6 +27,8 @@ from .model import branch_sqrt, real_energy
 
 #: Gaussian bumps count as supported within this many widths of the center.
 GAUSSIAN_SUPPORT_WIDTHS = 5.5
+#: past this many radians per step an RK4 step amplifies even an oscillating wave
+RK4_STABILITY = 2.0**1.5
 
 
 @dataclass(frozen=True)
@@ -171,10 +176,18 @@ def integrate_schrodinger(
     The step must divide the interval and every breakpoint strictly inside it
     must land on a grid node, so no step straddles a potential jump; the
     potential of each step is read at the step midpoint.  The regions of all
-    midpoints are looked up at once, before the first step.
+    midpoints are looked up at once, before the first step.  A step longer
+    than ``RK4_STABILITY`` over the largest region momentum raises
+    :class:`DomainError`: RK4 would grow even an oscillating wave to NaN.
     """
     e = complex(e)
     n, h = _aligned_steps(r_from, r_to, step, p.breakpoints)
+    phase = _momentum_scale(p, e) * step
+    if phase > RK4_STABILITY:
+        raise DomainError(
+            f"a step of {step} advances the fastest wave at E={e} by {phase:.4g} rad, "
+            f"past the {RK4_STABILITY:.4g} at which RK4 turns unstable"
+        )
 
     r = r_from + h * np.arange(n + 1)
     mid = r_from + (np.arange(n) + 0.5) * h
@@ -199,6 +212,35 @@ def integrate_schrodinger(
         ys.append(y)
         ds.append(d)
     return Trajectory(r, np.array(ys, dtype=complex), np.array(ds, dtype=complex))
+
+
+def propagate(p, e: complex, y: complex, dy: complex, r_from: float, r_to: float):
+    """Carry (w, w') of w'' = (V - E) w from ``r_from`` to ``r_to`` exactly.
+
+    Over a stretch of signed length d in a region of height v the flow is
+    w -> cos(kd) w + sin(kd)/k w' and w' -> -k sin(kd) w + cos(kd) w', with
+    k^2 = E - v.  The map is even in k, so no branch of the root is chosen,
+    and no plane-wave amplitude is formed.  Raises :class:`DomainError` for
+    a radius that is negative or not finite, or a state that is not finite.
+    """
+    e, y, dy, r_from, r_to = complex(e), complex(y), complex(dy), float(r_from), float(r_to)
+    if not all(0.0 <= x < math.inf for x in (r_from, r_to)):
+        raise DomainError(f"radii must be finite and nonnegative, got {r_from} and {r_to}")
+    lo, hi = min(r_from, r_to), max(r_from, r_to)
+    inside = sorted((x for x in p.breakpoints if lo < x < hi), reverse=r_to < r_from)
+    cuts = [r_from, *inside, r_to]
+    try:
+        for x0, x1 in zip(cuts, cuts[1:]):
+            d = x1 - x0
+            k = cmath.sqrt(e - p.heights[bisect_right(p.breakpoints, 0.5 * (x0 + x1))])
+            c, s = cmath.cos(k * d), cmath.sin(k * d)
+            y, dy = c * y + (s / k if k else d) * dy, -k * s * y + c * dy
+        finite = cmath.isfinite(y) and cmath.isfinite(dy)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(f"the flow at E={e} from r={r_from} to {r_to} is not finite")
+    return y, dy
 
 
 def step_too_coarse(p, step: float) -> bool:

@@ -1,56 +1,72 @@
 """The full invariant suite behind ``sqgreen verify``.
 
-Runs every cross-check the package knows about on one configured instance
+Runs every cross-check the package knows about on one configured staircase
 plus a few seeded random ones and collects the outcomes into a single
-machine-readable report.  ``wronskian_scale`` is a test hook: scaling the
-kernel normalization must make the jump check fail, which proves the suite
-can actually reject a wrong kernel.
+machine-readable report.  The engine's waves, Wronskians and kernels are
+compared with the exact region-by-region flow of :func:`~sqgreen.oracle.propagate`,
+which forms no plane-wave amplitudes, so one path serves every potential.
+``wronskian_scale`` is a test hook: scaling the kernel normalization must
+make the jump check fail, which proves the suite can actually reject a wrong
+kernel.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from .eigenfunctions import (
-    chi_wave,
-    kernel_closed_form,
-    omega_wave,
-    wronskian,
-    wronskian_closed_form,
-)
+from .eigenfunctions import wronskian
 from .errors import ConfigError, DomainError
 from .kernel import boundary_limit, resolvent_kernel, wave_pair
-from .model import SquareBarrier, real_energy
+from .model import PiecewisePotential, branch_sqrt, real_energy
 from .oracle import (
+    RK4_STABILITY,
     ResidualReport,
     TestFunction,
     _momentum_scale,
     check_distributional_equation,
     check_resolvent_identity,
     on_lattice,
+    propagate,
     step_too_coarse,
 )
 from .piecewise import build_omega
 
-#: step of the RK4 oracle; the barrier edges and the diagonal point sit on its lattice
+#: step of the RK4 oracle; the breakpoints and the diagonal point sit on its lattice
 LATTICE = 1e-3
 #: the largest region momentum times LATTICE that RK4 resolves to its 1e-7
-#: tolerance: on SquareBarrier(5, 1, 2), 0.0173 (E = 300) left a 7.1e-8
+#: tolerance: on the barrier of height 5 on (1, 2), 0.0173 (E = 300) left a 7.1e-8
 #: residual and 0.0187 (E = 350) one of 1.02e-7
 MAX_LATTICE_PHASE = 0.018
 #: the most random instances one run draws (about 1 ms each)
 MAX_RANDOM_INSTANCES = 10**4
 
 
-def _engine_waves(p: SquareBarrier, e: complex):
+def _engine_waves(p: PiecewisePotential, e: complex):
     """(chi, omega_plus, omega_minus) of the engine at E, the first two from :func:`wave_pair`."""
     chi, om_plus, _ = wave_pair(p, e, "plus")
     return chi, om_plus, build_omega(p, e, "minus")
 
 
-def _wave_continuity(p: SquareBarrier, waves) -> float:
+def _reference(p: PiecewisePotential, e: complex):
+    """Starts (w, w', r) of chi, omega_plus and omega_minus, and W(chi, omega+-).
+
+    The starts are for :func:`propagate`: chi starts at (0, k0) at the origin,
+    as the engine's sin(k0 r) does, and omega+- at exp(+-ikR) at the last
+    breakpoint R, where the Wronskians are read.
+    """
+    k, outer = branch_sqrt(e), p.breakpoints[-1]
+    starts = [(0j, branch_sqrt(e - p.heights[0]), 0.0)]
+    for sign in (1.0, -1.0):
+        phase = cmath.exp(sign * 1j * k * outer)
+        starts.append((phase, sign * 1j * k * phase, outer))
+    y, dy = propagate(p, e, *starts[0], outer)
+    return starts, [y * w1 - dy * w0 for w0, w1, _ in starts[1:]]
+
+
+def _wave_continuity(p: PiecewisePotential, waves) -> float:
     worst = 0.0
     for w in waves:
         for bp in p.breakpoints:
@@ -61,63 +77,67 @@ def _wave_continuity(p: SquareBarrier, waves) -> float:
     return worst
 
 
-def _wronskian_agreement(p: SquareBarrier, e: complex, waves) -> float:
-    """The kernels' Wronskian read at three radii, against the closed form."""
+def _wronskian_agreement(p: PiecewisePotential, e: complex, waves) -> float:
+    """The kernels' Wronskian mid-region and beyond the last step, against the exact flow."""
+    edges = (0.0,) + p.breakpoints
+    points = [0.5 * (x1 + x2) for x1, x2 in zip(edges, edges[1:])] + [edges[-1] + 1.0]
     worst = 0.0
-    points = (0.5 * p.a, 0.5 * (p.a + p.b), p.b + 1.0)
     chi = waves[0]
-    for direction, om in zip(("plus", "minus"), waves[1:]):
-        closed = wronskian_closed_form(p, e, direction)
+    for om, exact in zip(waves[1:], _reference(p, e)[1]):
         values = [wronskian(chi, om, r) for r in points]
         for v in values:
-            worst = max(worst, abs(v - closed) / abs(closed))
+            worst = max(worst, abs(v - exact) / abs(exact))
         spread = max(abs(v1 - v2) for v1 in values for v2 in values)
-        worst = max(worst, spread / abs(closed))
+        worst = max(worst, spread / abs(exact))
     return worst
 
 
-def _engine_agreement(p: SquareBarrier, e: complex, waves, rng: np.random.Generator) -> float:
-    """The engine's waves and kernels against the closed forms, at Im E > 0."""
-    radii = rng.uniform(0.05, p.b + 2.0, size=8)
+def _engine_agreement(p: PiecewisePotential, e: complex, waves, rng: np.random.Generator) -> float:
+    """The engine's waves and kernels against the exact flow, at Im E > 0."""
+    radii = rng.uniform(0.05, p.breakpoints[-1] + 2.0, size=8)
+    starts, (w_plus, _) = _reference(p, e)
     worst = 0.0
-    closed_waves = (chi_wave(p, e), omega_wave(p, e, "plus"), omega_wave(p, e, "minus"))
-    for closed, engine in zip(closed_waves, waves):
-        vals_c = closed.value(radii)
-        vals_e = engine.value(radii)
-        scale = np.abs(vals_c) + 1.0
-        worst = max(worst, float(np.max(np.abs(vals_c - vals_e) / scale)))
+    for start, engine in zip(starts, waves):
+        exact = np.array([propagate(p, e, *start, r)[0] for r in radii])
+        scale = np.abs(exact) + 1.0
+        worst = max(worst, float(np.max(np.abs(exact - engine.value(radii)) / scale)))
     for r, s in [(0.4, 1.7), (2.5, 0.9)]:
-        g_closed = kernel_closed_form(p, e, r, s, "plus")
+        lo, hi = min(r, s), max(r, s)
+        g_exact = propagate(p, e, *starts[0], lo)[0] * propagate(p, e, *starts[1], hi)[0] / w_plus
         g_engine = resolvent_kernel(p, e, r, s)
-        worst = max(worst, abs(g_closed - g_engine) / (1.0 + abs(g_closed)))
+        worst = max(worst, abs(g_exact - g_engine) / (1.0 + abs(g_exact)))
     return worst
 
 
-def _limit_agreement(p: SquareBarrier, e: float, rng: np.random.Generator) -> float:
+def _limit_agreement(p: PiecewisePotential, e: float, rng: np.random.Generator) -> float:
     worst = 0.0
     for _ in range(3):
-        r = float(rng.uniform(0.1, p.b + 2.0))
-        s = float(rng.uniform(0.1, p.b + 2.0))
+        r = float(rng.uniform(0.1, p.breakpoints[-1] + 2.0))
+        s = float(rng.uniform(0.1, p.breakpoints[-1] + 2.0))
         for direction in ("plus", "minus"):
             worst = max(worst, boundary_limit(p, e, r, s, direction).abs_diff)
     return worst
 
 
 def _random_instances(rng: np.random.Generator, n: int):
+    """``n`` staircases of 1-4 steps, widths in (0.3, 2), heights in (-5, 10), each with an energy.
+
+    Every region has |E - v_j| >= 0.05.
+    """
     out = []
     while len(out) < n:
-        v0 = float(rng.uniform(-5.0, 10.0))
-        a = float(rng.uniform(0.2, 3.0))
-        b = float(a + rng.uniform(0.3, 2.0))
-        e = float(rng.uniform(0.1, max(0.2, 2.0 * v0 + 5.0)))
-        if abs(e - v0) < 0.05:
+        steps = int(rng.integers(1, 5))
+        breakpoints = np.cumsum(rng.uniform(0.3, 2.0, size=steps))
+        heights = np.append(rng.uniform(-5.0, 10.0, size=steps), 0.0)
+        e = float(rng.uniform(0.1, max(0.2, 2.0 * heights.max() + 5.0)))
+        if np.min(np.abs(e - heights)) < 0.05:
             continue
-        out.append((SquareBarrier(v0, a, b), e))
+        out.append((PiecewisePotential(tuple(breakpoints), tuple(heights)), e))
     return out
 
 
 def run_verification(
-    p: SquareBarrier,
+    p: PiecewisePotential,
     e: float,
     seed: int = 0,
     n_random: int = 2,
@@ -125,21 +145,19 @@ def run_verification(
 ) -> dict:
     """Run the whole suite; returns the report dictionary used by the CLI.
 
-    Before any draw or check it raises :class:`ConfigError` for a potential
-    that is not a ``SquareBarrier``, a negative ``seed``, an ``n_random``
+    Any staircase runs through the same checks.  Before any draw or check it
+    raises :class:`ConfigError` for a negative ``seed``, an ``n_random``
     outside [0, ``MAX_RANDOM_INSTANCES``] or a ``wronskian_scale`` that is
     not finite and nonzero, and :class:`DomainError` for an energy that is
-    not real, finite and positive, if a barrier edge is off the ``LATTICE``
-    (1e-3) that the RK4 re-integration steps on, if a region spans fewer than
+    not real, finite and positive, for a potential without breakpoints, if a
+    breakpoint is off the ``LATTICE`` (1e-3) that the RK4 re-integration
+    steps on, if a region inside the last breakpoint spans fewer than
     16 of its steps (:func:`~sqgreen.oracle.step_too_coarse`), or if the
     largest region momentum times ``LATTICE`` exceeds ``MAX_LATTICE_PHASE``
     (0.018), so that RK4 would not resolve the waves.  The last test comes
     after the instance's engine waves are built, so that waves which
     overflow double precision raise that error instead.
     """
-    if not isinstance(p, SquareBarrier):
-        # the report schema and its closed-form checks are barrier-specific
-        raise ConfigError("verification currently runs on square barriers")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     if not 0 <= n_random <= MAX_RANDOM_INSTANCES:
@@ -147,29 +165,33 @@ def run_verification(
     if not (math.isfinite(wronskian_scale) and wronskian_scale != 0.0):
         raise ConfigError(f"wronskian_scale must be finite and nonzero, got {wronskian_scale}")
     e = real_energy(e, "verification")
+    if not p.breakpoints:
+        # the probe radii, the bump and the reference tails sit at the last breakpoint
+        raise DomainError("verification needs a potential with at least one breakpoint")
     off = [x for x in p.breakpoints if not on_lattice(x, LATTICE)]
     if off:
-        raise DomainError(
-            f"barrier edges {off} must sit on the {LATTICE} lattice of the RK4 oracle"
-        )
+        raise DomainError(f"breakpoints {off} must sit on the {LATTICE} lattice of the RK4 oracle")
     if step_too_coarse(p, LATTICE):
-        raise DomainError(f"regions (0, a) and (a, b) need 16 steps of the {LATTICE} lattice each")
+        raise DomainError(
+            f"regions inside the last breakpoint need 16 steps of the {LATTICE} lattice each"
+        )
     ec = complex(e, 1.0)
     # built first, so that waves which overflow are refused as such
     waves = _engine_waves(p, ec)
     phase = _momentum_scale(p, e) * LATTICE
     if phase > MAX_LATTICE_PHASE:
-        # past 2 sqrt(2) rad an RK4 step amplifies even an oscillating wave
-        unstable = "; its steps would grow until they overflow" if phase > 2.0**1.5 else ""
+        unstable = "; its steps would grow until they overflow" if phase > RK4_STABILITY else ""
         raise DomainError(
             f"the fastest wave at E={e} advances {phase:.4g} rad per {LATTICE} step, "
             f"more than the {MAX_LATTICE_PHASE} that the RK4 oracle resolves{unstable}"
         )
     rng = np.random.default_rng(seed)
-    s_mid = round((0.5 * (p.a + p.b)) / LATTICE) * LATTICE
+    n = len(p.breakpoints)
+    edges = (0.0,) + p.breakpoints
+    s_mid = round((0.5 * (edges[-2] + edges[-1])) / LATTICE) * LATTICE
     checks = [
-        ResidualReport.build("continuity", 12, _wave_continuity(p, waves), 1e-10),
-        ResidualReport.build("wronskian", 6, _wronskian_agreement(p, ec, waves), 1e-10),
+        ResidualReport.build("continuity", 6 * n, _wave_continuity(p, waves), 1e-10),
+        ResidualReport.build("wronskian", 2 * (n + 1), _wronskian_agreement(p, ec, waves), 1e-10),
     ]
     for direction in ("plus", "minus"):
         dist = check_distributional_equation(
@@ -185,7 +207,7 @@ def run_verification(
                     excluded=comp.excluded,
                 )
             )
-    bump = TestFunction("gaussian_bump", center=max(p.b + 1.0, 3.0), width=0.5)
+    bump = TestFunction("gaussian_bump", center=max(p.breakpoints[-1] + 1.0, 3.0), width=0.5)
     checks.append(check_resolvent_identity(p, ec, bump))
     checks.append(
         ResidualReport.build(
@@ -222,9 +244,8 @@ def run_verification(
 
     report = {
         "instance": {
-            "v0": p.v0,
-            "a": p.a,
-            "b": p.b,
+            "breakpoints": list(p.breakpoints),
+            "heights": list(p.heights),
             "energy": {"re": e, "im": 0.0},
             "seed": seed,
         },

@@ -18,22 +18,23 @@ from sqgreen import (
     build_omega,
     check_distributional_equation,
     check_resolvent_identity,
-    chi_coefficients,
-    chi_wave,
     formal_green,
     integrate_schrodinger,
-    kernel_closed_form,
-    omega_minus_coefficients,
-    omega_plus_coefficients,
-    omega_wave,
     resolvent_kernel,
     wronskian,
-    wronskian_closed_form,
 )
-from sqgreen.eigenfunctions import (
+
+from closed_forms import (
+    chi_coefficients,
     chi_coefficients_expanded,
+    chi_wave,
+    kernel_closed_form,
+    omega_minus_coefficients,
     omega_minus_coefficients_expanded,
+    omega_plus_coefficients,
     omega_plus_coefficients_expanded,
+    omega_wave,
+    wronskian_closed_form,
 )
 
 SEED = 20010315

@@ -267,9 +267,22 @@ class TestStaircases:
         assert len(rows) == 2
         assert all(float(row[2]) < 1e-10 for row in rows)
 
-    def test_verify_still_refuses(self, tmp_path, capsys):
-        assert main(["verify", *self.STAIR, "--energy=1.5", f"--out={tmp_path / 'r.json'}"]) == 2
-        assert "square barriers" in capsys.readouterr().err
+    def test_verify(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["verify", *self.STAIR, "--energy=1.5", f"--out={out}"]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["pass"] is True
+        assert report["instance"]["breakpoints"] == [1.0, 3.0]
+        assert report["instance"]["heights"] == [0.0, 2.0, 0.0]
+
+    def test_verify_corrupted_wronskian_fails(self, tmp_path):
+        out = tmp_path / "r.json"
+        argv = ["verify", "--breakpoints=1,2,3", "--heights=0,4,-2,0", "--energy=1.5"]
+        assert main([*argv, f"--out={out}"]) == 0
+        assert main([*argv, "--corrupt-wronskian=1.001", f"--out={out}"]) == 1
+        failed = {c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]}
+        assert "derivative_jump_plus" in failed
 
 
 class TestVerify:
@@ -281,7 +294,8 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["pass"] is True
         assert report["instance"] == {
-            "v0": 5.0, "a": 1.0, "b": 2.0, "energy": {"re": 1.0, "im": 0.0}, "seed": 7,
+            "breakpoints": [1.0, 2.0], "heights": [0.0, 5.0, 0.0],
+            "energy": {"re": 1.0, "im": 0.0}, "seed": 7,
         }
         for check in report["checks"]:
             assert set(check) >= {"name", "max_residual", "tolerance", "pass", "samples"}
@@ -311,7 +325,7 @@ class TestVerify:
             # 1e20 instances ran until killed; the bound is checked before any draw
             base + [f"--n-random={MAX_RANDOM_INSTANCES + 1}"],
             base + ["--n-random=100000000000000000000"],
-            # the closed-form amplitudes overflow in cmath
+            # the wave amplitudes overflow in cmath
             ["verify", "--v0=5", "--a=1", "--b=2", "--energy=1e300"],
             ["verify", "--v0=1e6", "--a=1", "--b=2", "--energy=1"],
             # a barrier edge off the 1e-3 lattice of the RK4 oracle

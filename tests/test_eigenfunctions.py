@@ -12,20 +12,20 @@ from sqgreen import (
     branch_sqrt,
     build_chi,
     build_omega,
-    chi_coefficients,
-    chi_wave,
-    omega_minus_coefficients,
-    omega_plus_coefficients,
-    omega_wave,
     wronskian,
-    wronskian_closed_form,
-)
-from sqgreen.eigenfunctions import (
-    chi_coefficients_expanded,
-    omega_minus_coefficients_expanded,
-    omega_plus_coefficients_expanded,
 )
 
+from closed_forms import (
+    chi_coefficients,
+    chi_coefficients_expanded,
+    chi_wave,
+    omega_minus_coefficients,
+    omega_minus_coefficients_expanded,
+    omega_plus_coefficients,
+    omega_plus_coefficients_expanded,
+    omega_wave,
+    wronskian_closed_form,
+)
 from conftest import close, random_instances
 
 ENERGIES = [2.3 + 0.0j, 0.7 + 0.0j, 2.0 + 0.7j, 1.4 - 1.1j, -2.5 + 0.0j]

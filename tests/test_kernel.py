@@ -17,13 +17,13 @@ from sqgreen import (
     find_kernel_poles,
     formal_green,
     integrate_schrodinger,
-    kernel_closed_form,
     kernel_grid,
     kernel_pole_residual,
     resolvent_kernel,
 )
 from sqgreen.model import _branch_sqrt_array
 
+from closed_forms import kernel_closed_form
 from conftest import close, random_instances
 
 

@@ -1,8 +1,9 @@
-"""The production modules build every wave through the staircase engine.
+"""The package builds every wave through the staircase engine.
 
-The square-barrier closed forms in ``sqgreen.eigenfunctions`` are an oracle:
-only the tests and ``sqgreen.verification`` may use them, and they share no
-matching algebra with the engine.
+The square-barrier closed forms live in ``tests/closed_forms.py``: only the
+tests read them, and they share no matching algebra with the engine.  The
+exact region flow that ``verify`` checks the engine against,
+``oracle.propagate``, shares none either.
 """
 
 import ast
@@ -10,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sqgreen"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sqgreen"
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 CLOSED_FORMS = {
+    "CoefficientSet",
     "chi_coefficients",
     "omega_plus_coefficients",
     "omega_minus_coefficients",
@@ -26,8 +30,8 @@ def _tree(module: str) -> ast.Module:
     return ast.parse((SRC / f"{module}.py").read_text())
 
 
-def _names(tree: ast.Module) -> set[str]:
-    """Every imported, referenced or attribute name in a module."""
+def _names(tree: ast.AST) -> set[str]:
+    """Every imported, defined, referenced or attribute name under a node."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -36,16 +40,22 @@ def _names(tree: ast.Module) -> set[str]:
             names.add(node.attr)
         elif isinstance(node, ast.Name):
             names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
     return names
 
 
-@pytest.mark.parametrize("module", ["kernel", "cli", "piecewise", "oracle"])
+def test_every_module_is_checked():
+    assert {"kernel", "oracle", "piecewise", "verification", "eigenfunctions"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_no_closed_form_outside_the_oracle(module):
     used = _names(_tree(module))
     assert {n for n in used if n in CLOSED_FORMS or n.endswith("_expanded")} == set()
 
 
-@pytest.mark.parametrize("module", ["kernel", "cli"])
+@pytest.mark.parametrize("module", ["kernel", "cli", "verification"])
 def test_kernel_does_not_switch_on_the_potential_type(module):
     assert "isinstance" not in _names(_tree(module))
 
@@ -63,6 +73,30 @@ def _imported_modules(tree: ast.Module) -> set[str]:
 
 def test_closed_forms_do_not_use_the_engine():
     # the oracle may share model (branch_sqrt, region_momenta), not the matching
-    tree = _tree("eigenfunctions")
+    tree = ast.parse((ROOT / "tests" / "closed_forms.py").read_text())
     assert _imported_modules(tree) & {"piecewise", "kernel"} == set()
     assert _names(tree) & {"_sweep", "_amplitudes_at", "_chi_amplitudes"} == set()
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """The functions, classes and constants a module defines at its top level."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return out
+
+
+def test_propagate_does_not_use_the_engine():
+    # what piecewise and kernel define, and what oracle imports from them
+    engine = _defined(_tree("piecewise")) | _defined(_tree("kernel"))
+    oracle = _tree("oracle")
+    for node in oracle.body:
+        if isinstance(node, ast.ImportFrom) and node.module in ("piecewise", "kernel"):
+            engine |= {alias.asname or alias.name for alias in node.names}
+    (propagate,) = [n for n in oracle.body if getattr(n, "name", None) == "propagate"]
+    assert engine & {"wave_pair", "_sweep", "build_chi"}
+    assert _names(propagate) & engine == set()

@@ -14,17 +14,20 @@ from sqgreen import (
     check_distributional_equation,
     check_jump,
     check_resolvent_identity,
-    chi_wave,
     integrate_schrodinger,
-    omega_wave,
+    propagate,
 )
 import sqgreen.oracle as oracle_module
 import sqgreen.verification as verification
+import sqgreen.kernel as kernel_module
 from sqgreen.kernel import wave_pair
 from sqgreen.verification import run_verification
 from sqgreen.oracle import _cumulative_simpson, apply_resolvent_quadrature
 
+from closed_forms import chi_wave, omega_wave
 from conftest import random_instances
+
+STAIRCASE = PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -2.0, 0.0))
 
 
 class TestTestFunction:
@@ -93,6 +96,52 @@ class TestIntegrateSchrodinger:
         chi = build_chi(pw, e)
         traj = integrate_schrodinger(pw, e, 0.0, chi.derivative(0.0), 0.0, 5.0, 1e-3)
         assert np.max(np.abs(traj.values - chi.value(traj.r))) <= 1e-8
+
+    def test_step_past_the_stability_bound_raises(self):
+        # k h = 3 > 2 sqrt(2): the steps grew the wave to NaN, returned silently
+        with pytest.raises(DomainError, match="unstable"):
+            integrate_schrodinger(SquareBarrier(5, 1, 2), 9e6, 0, 1, 0, 3, 1e-3)
+        traj = integrate_schrodinger(SquareBarrier(5, 1, 2), 2.7e6, 0, 1, 0, 3, 1e-3)
+        assert np.all(np.isfinite(traj.values)) and np.all(np.isfinite(traj.derivatives))
+
+
+class TestPropagate:
+    def test_free_flow_is_the_sine(self):
+        vacuum = PiecewisePotential((), (0.0,))
+        for e in (2.25 + 0j, 2.25 + 1j):
+            k = np.sqrt(e)
+            for r in (0.0, 0.7, 5.0):
+                y, dy = propagate(vacuum, e, 0.0, k, 0.0, r)
+                assert abs(y - np.sin(k * r)) <= 1e-14 * (1.0 + abs(y))
+                assert abs(dy - k * np.cos(k * r)) <= 1e-14 * (1.0 + abs(dy))
+
+    def test_matches_the_closed_forms(self, barrier):
+        for e in (1.0 + 0j, 3.3 + 1j, 7.0 - 0.4j):
+            chi, om = chi_wave(barrier, e), omega_wave(barrier, e, "minus")
+            for r in (0.4, 1.0, 1.6, 2.0, 3.5):
+                for wave, r0 in ((chi, 0.0), (om, 2.0)):
+                    y, dy = propagate(barrier, e, wave.value(r0), wave.derivative(r0), r0, r)
+                    assert abs(y - wave.value(r)) <= 1e-13 * (1.0 + abs(y))
+                    assert abs(dy - wave.derivative(r)) <= 1e-13 * (1.0 + abs(dy))
+
+    def test_inward_undoes_outward(self):
+        pw = PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -2.0, 0.0))
+        there = propagate(pw, 1.5 + 0.5j, 0.3, -1.2j, 0.5, 3.7)
+        back = propagate(pw, 1.5 + 0.5j, *there, 3.7, 0.5)
+        assert abs(back[0] - 0.3) <= 1e-13 and abs(back[1] + 1.2j) <= 1e-13
+
+    def test_energy_at_a_height_flows_linearly(self, barrier):
+        # k = 0 in (1, 2): w' is constant there and w grows by w' times the width
+        assert propagate(barrier, 5.0, 1.0, 0.5, 1.0, 2.0) == (1.5 + 0j, 0.5 + 0j)
+
+    @pytest.mark.parametrize(
+        "e, y, r_from, r_to",
+        [(1.0, 1.0, -1.0, 1.0), (1.0, 1.0, 0.0, math.inf), (1.0, 1.0, math.nan, 1.0),
+         (1.0, math.nan, 0.0, 1.0), (1.0 + 1e6j, 1.0, 0.0, 2.0)],
+    )
+    def test_bad_radius_or_state_raises(self, barrier, e, y, r_from, r_to):
+        with pytest.raises(DomainError):
+            propagate(barrier, e, y, 0.0, r_from, r_to)
 
 
 def _reference_rk4(p, e, y0, dy0, r_from, r_to, step):
@@ -384,7 +433,7 @@ class TestRunVerification:
             raise AssertionError("a check ran")
 
         monkeypatch.setattr(verification, "check_distributional_equation", no_checks)
-        monkeypatch.setattr(verification, "chi_wave", no_checks)
+        monkeypatch.setattr(verification, "propagate", no_checks)
         monkeypatch.setattr(verification, "wave_pair", no_checks)
         with pytest.raises(DomainError, match="lattice"):
             run_verification(SquareBarrier(5.0, 1.0004, 2.0), 1.0)
@@ -405,7 +454,7 @@ class TestRunVerification:
         for name in (
             "wave_pair",
             "build_omega",
-            "chi_wave",
+            "propagate",
             "check_distributional_equation",
             "check_resolvent_identity",
             "boundary_limit",
@@ -436,7 +485,7 @@ class TestRunVerification:
 
         monkeypatch.setattr(verification.np.random, "default_rng", nothing)
         for name in (
-            "chi_wave",
+            "propagate",
             "check_distributional_equation",
             "check_resolvent_identity",
             "boundary_limit",
@@ -461,9 +510,8 @@ class TestRunVerification:
     @pytest.mark.parametrize(
         "p, kwargs",
         [
-            # each used to misbehave: AttributeError, numpy's ValueError,
-            # ZeroDivisionError, a NaN residual, and a silent acceptance
-            (PiecewisePotential((1.0, 2.0), (0.0, 5.0, 0.0)), {}),
+            # each used to misbehave: numpy's ValueError, ZeroDivisionError,
+            # a NaN residual, and a silent acceptance
             (SquareBarrier(5.0, 1.0, 2.0), {"seed": -1}),
             (SquareBarrier(5.0, 1.0, 2.0), {"wronskian_scale": 0.0}),
             (SquareBarrier(5.0, 1.0, 2.0), {"wronskian_scale": math.nan}),
@@ -481,3 +529,38 @@ class TestRunVerification:
         monkeypatch.setattr(verification, "wave_pair", nothing)
         with pytest.raises(ConfigError):
             run_verification(p, 1.0, **kwargs)
+
+    def test_no_breakpoints_raises_before_any_draw_or_check(self, monkeypatch):
+        # the probe radii, the bump and the reference tails need a last breakpoint
+        def nothing(*args, **kwargs):
+            raise AssertionError("a draw or a check ran")
+
+        monkeypatch.setattr(verification.np.random, "default_rng", nothing)
+        for name in ("wave_pair", "build_omega", "propagate", "check_distributional_equation"):
+            monkeypatch.setattr(verification, name, nothing)
+        with pytest.raises(DomainError, match="at least one breakpoint"):
+            run_verification(PiecewisePotential((), (0.0,)), 1.0)
+
+    def test_staircase_passes(self):
+        report = run_verification(STAIRCASE, 1.5)
+        assert report["pass"] is True
+        assert report["instance"]["breakpoints"] == [1.0, 2.0, 3.0]
+        assert report["instance"]["heights"] == [0.0, 4.0, -2.0, 0.0]
+        samples = {c["name"]: c["samples"] for c in report["checks"]}
+        assert (samples["continuity"], samples["wronskian"]) == (18, 8)
+
+    @pytest.mark.parametrize(
+        "p, e",
+        [(SquareBarrier(5.0, 1.0, 2.0), 1.0), (STAIRCASE, 1.5)],
+        ids=["barrier", "staircase"],
+    )
+    def test_wronskian_off_by_1e_10_fails_engine_equivalence(self, monkeypatch, p, e):
+        # residuals 4.9e-12 and 7.7e-12 against 1e-12; the other checks cannot see it
+        outer = kernel_module.outer_wronskian
+
+        def corrupt(f, g):
+            return outer(f, g) * (1 + 1e-10)
+
+        monkeypatch.setattr(kernel_module, "outer_wronskian", corrupt)
+        report = run_verification(p, e, n_random=0)
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == ["engine_equivalence"]

@@ -9,15 +9,12 @@ from sqgreen import (
     SquareBarrier,
     build_chi,
     build_omega,
-    chi_coefficients,
     chi_outer_amplitudes,
-    chi_wave,
-    omega_wave,
     outer_wronskian,
     wronskian,
-    wronskian_closed_form,
 )
 
+from closed_forms import chi_coefficients, chi_wave, omega_wave, wronskian_closed_form
 from conftest import close, random_instances
 
 
