@@ -2,7 +2,8 @@
 
 Nothing in this module reuses the matching algebra: waves are re-derived by
 the exact flow of each region (:func:`propagate`) and by fixed-step RK4
-integration of the radial equation, the operator is applied
+integration of the radial equation, solved in each region by powers of the
+RK4 one-step matrix (:func:`rk4_step_matrix`), the operator is applied
 by a central second difference, one-sided kernel derivatives come from
 Richardson-extrapolated difference quotients of kernel *values*, and the
 resolvent is rebuilt as an integral operator with composite Simpson panels
@@ -175,10 +176,15 @@ def integrate_schrodinger(
 
     The step must divide the interval and every breakpoint strictly inside it
     must land on a grid node, so no step straddles a potential jump; the
-    potential of each step is read at the step midpoint.  The regions of all
-    midpoints are looked up at once, before the first step.  A step longer
-    than ``RK4_STABILITY`` over the largest region momentum raises
-    :class:`DomainError`: RK4 would grow even an oscillating wave to NaN.
+    potential of each step is read at the step midpoint.  Within a region
+    the coefficient is constant, so one RK4 step is a fixed 2x2 matrix M
+    (:func:`rk4_step_matrix`) and the region's states are the powers of M
+    applied to its first state, filled by doubling: once the first b states
+    are known, the next b are M^b times them.  Each region starts from the
+    last state of the one before.  A step longer than ``RK4_STABILITY`` over
+    the largest region momentum raises :class:`DomainError`: RK4 would grow
+    even an oscillating wave to NaN.  So does a trajectory that is not
+    finite, such as an evanescent one grown past double precision.
     """
     e = complex(e)
     n, h = _aligned_steps(r_from, r_to, step, p.breakpoints)
@@ -193,13 +199,37 @@ def integrate_schrodinger(
     mid = r_from + (np.arange(n) + 0.5) * h
     if mid.min() < 0.0:
         raise DomainError(f"radius must be nonnegative, got {mid.min()}")
-    v_minus_e = [v - e for v in p.heights]
-    coeffs = [v_minus_e[j] for j in np.searchsorted(p.breakpoints, mid, side="right").tolist()]
+    regions = np.searchsorted(p.breakpoints, mid, side="right")
+    # the steps [a, b) of one region take state a to states a+1 .. b
+    cuts = [0, *(np.flatnonzero(np.diff(regions)) + 1).tolist(), n]
+    states = np.empty((2, n + 1), dtype=complex)
+    states[:, 0] = y0, dy0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in zip(cuts, cuts[1:]):
+            seg, size = states[:, a : b + 1], b + 1 - a
+            power = rk4_step_matrix(p.heights[regions[a]] - e, h)
+            done = 1
+            while True:
+                block = min(done, size - done)
+                seg[:, done : done + block] = power @ seg[:, :block]
+                done += block
+                if done == size:
+                    break
+                power = power @ power
+    if not np.isfinite(states).all():
+        raise DomainError(f"the RK4 trajectory at E={e} from r={r_from} to {r_to} is not finite")
+    return Trajectory(r, states[0], states[1])
+
+
+def rk4_step_matrix(c: complex, h: float) -> np.ndarray:
+    """The 2x2 matrix of one RK4 step of (y, d)' = (d, c y), for a constant c.
+
+    Its columns are the four-stage step applied to (1, 0) and to (0, 1);
+    RK4 is linear in the state, so it maps any (y, d) by this matrix.
+    """
     half, sixth = 0.5 * h, h / 6.0
-    y, d = complex(y0), complex(dy0)
-    ys, ds = [y], [d]
-    for c in coeffs:
-        # RK4 stages for (y, d)' = (d, c y)
+    columns = []
+    for y, d in ((1.0, 0.0), (0.0, 1.0)):
         k1y, k1d = d, c * y
         k2y = d + half * k1d
         k2d = c * (y + half * k1y)
@@ -207,11 +237,11 @@ def integrate_schrodinger(
         k3d = c * (y + half * k2y)
         k4y = d + h * k3d
         k4d = c * (y + h * k3y)
-        y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        d = d + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        ys.append(y)
-        ds.append(d)
-    return Trajectory(r, np.array(ys, dtype=complex), np.array(ds, dtype=complex))
+        columns.append(
+            (y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+             d + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d))
+        )
+    return np.array(columns, dtype=complex).T
 
 
 def propagate(p, e: complex, y: complex, dy: complex, r_from: float, r_to: float):

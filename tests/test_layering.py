@@ -90,13 +90,25 @@ def _defined(tree: ast.Module) -> set[str]:
     return out
 
 
-def test_propagate_does_not_use_the_engine():
-    # what piecewise and kernel define, and what oracle imports from them
+def _engine_names() -> set[str]:
+    """What piecewise and kernel define, and what oracle imports from them."""
     engine = _defined(_tree("piecewise")) | _defined(_tree("kernel"))
-    oracle = _tree("oracle")
-    for node in oracle.body:
+    for node in _tree("oracle").body:
         if isinstance(node, ast.ImportFrom) and node.module in ("piecewise", "kernel"):
             engine |= {alias.asname or alias.name for alias in node.names}
-    (propagate,) = [n for n in oracle.body if getattr(n, "name", None) == "propagate"]
     assert engine & {"wave_pair", "_sweep", "build_chi"}
-    assert _names(propagate) & engine == set()
+    return engine
+
+
+def _oracle_function(name: str) -> ast.FunctionDef:
+    (fn,) = [n for n in _tree("oracle").body if getattr(n, "name", None) == name]
+    return fn
+
+
+def test_propagate_does_not_use_the_engine():
+    assert _names(_oracle_function("propagate")) & _engine_names() == set()
+
+
+@pytest.mark.parametrize("name", ["integrate_schrodinger", "rk4_step_matrix"])
+def test_rk4_does_not_use_the_engine(name):
+    assert _names(_oracle_function(name)) & _engine_names() == set()

@@ -145,7 +145,7 @@ class TestPropagate:
 
 
 def _reference_rk4(p, e, y0, dy0, r_from, r_to, step):
-    """The per-step RK4 loop as it was before the region lookup was batched."""
+    """RK4 stepped node by node, the reference for the powers of the one-step matrix."""
     pw = PiecewisePotential(p.breakpoints, p.heights)
     e = complex(e)
     n = int(round(abs(r_to - r_from) / step))
@@ -178,19 +178,31 @@ def _reference_rk4(p, e, y0, dy0, r_from, r_to, step):
         (PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -2.0, 0.0)), 1.5, 0.0, 1.0, 0.0, 5.0),
         (PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -2.0, 0.0)), 1.5 - 0.5j, 1.0, -1j, 5.0,
          0.25),
+        (SquareBarrier(5.0, 1.0, 2.0), 300.0, 0.0, 1.0, 0.0, 7.0),  # 7000 steps, k h = 0.017
+        (SquareBarrier(9.7, 0.3, 2.2), 0.2, 1.0, -0.4, 7.2, 1.25),  # inward, evanescent barrier
     ],
 )
 def test_rk4_trajectory_is_bit_identical_to_per_step_loop(potential, e, y0, dy0, r_from, r_to):
+    # the grid is bit-identical; the states are powers of the one-step matrix, not the
+    # loop's own roundings, and must agree with it to 1e-12 of their largest magnitude
     traj = integrate_schrodinger(potential, e, y0, dy0, r_from, r_to, 1e-3)
     r, ys, ds = _reference_rk4(potential, e, y0, dy0, r_from, r_to, 1e-3)
     assert traj.r.tobytes() == r.tobytes()
-    assert traj.values.tobytes() == ys.tobytes()
-    assert traj.derivatives.tobytes() == ds.tobytes()
+    for got, want in ((traj.values, ys), (traj.derivatives, ds)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_rk4_negative_radius_rejected(barrier):
     with pytest.raises(DomainError):
         integrate_schrodinger(barrier, 1.0, 0.0, 1.0, -0.5, 1.5, 1e-3)
+
+
+@pytest.mark.parametrize("r_from, r_to", [(0.0, 4.0), (4.0, 0.5)])
+def test_rk4_trajectory_past_double_precision_raises(r_from, r_to):
+    # k h = 0.45 passes the stability bound, but the wave grows by about e^894 under
+    # the barrier; the steps returned NaN without an error
+    with pytest.raises(DomainError, match="not finite"):
+        integrate_schrodinger(SquareBarrier(2e5, 1, 3), 1.0, 0, 1, r_from, r_to, 1e-3)
 
 
 class TestApplyHamiltonianFd:
@@ -548,6 +560,27 @@ class TestRunVerification:
         assert report["instance"]["heights"] == [0.0, 4.0, -2.0, 0.0]
         samples = {c["name"]: c["samples"] for c in report["checks"]}
         assert (samples["continuity"], samples["wronskian"]) == (18, 8)
+
+    def test_engine_equivalence_pairs_its_drawn_radii(self, monkeypatch):
+        # the kernel pairs were fixed at (0.4, 1.7) and (2.5, 0.9), short of the
+        # outer regions, and the report said 30 samples for 26 values
+        pairs = []
+
+        def recorded(p, e, r, s):
+            pairs.append((r, s))
+            return kernel_module.resolvent_kernel(p, e, r, s)
+
+        monkeypatch.setattr(verification, "resolvent_kernel", recorded)
+        e = 1.5 + 1.0j
+        waves = verification._engine_waves(STAIRCASE, e)
+        worst = verification._engine_agreement(STAIRCASE, e, waves, np.random.default_rng(3))
+        assert worst <= 1e-12
+        radii = np.random.default_rng(3).uniform(0.05, 5.0, size=8)
+        assert pairs == list(zip(radii[0::2], radii[1::2]))
+        assert max(max(pair) for pair in pairs) > STAIRCASE.breakpoints[-1]
+        report = run_verification(STAIRCASE, 1.5, n_random=0)
+        samples = {c["name"]: c["samples"] for c in report["checks"]}
+        assert samples["engine_equivalence"] == 3 * 8 + 4
 
     @pytest.mark.parametrize(
         "p, e",
