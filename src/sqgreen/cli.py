@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
@@ -24,7 +25,8 @@ from .kernel import (
     kernel_pole_residual,
 )
 from .model import PiecewisePotential, SquareBarrier
-from .verification import run_verification
+from .oracle import LATTICE
+from .verification import MAX_LATTICE_PHASE, run_verification
 
 
 def _fmt(x: float) -> str:
@@ -152,8 +154,6 @@ def cmd_eval(args) -> int:
             )
         e, directions = energy, [None]
     else:
-        if energy.real <= 0.0:
-            raise ConfigError("real energies must be positive for the formal kernels")
         e, directions = energy.real, _directions(args)
     # one grid per direction, each from a single wave pair
     grids = [
@@ -179,9 +179,7 @@ def cmd_eval(args) -> int:
 def cmd_limit_study(args) -> int:
     p = _build_potential(args)
     energy = parse_complex(args.energy)
-    if energy.imag != 0.0 or energy.real <= 0.0:
-        raise ConfigError("limit studies need a real positive --energy")
-    e = energy.real
+    e_field = _fmt(energy.real)
     rs = _points(args, "r", "r-grid")
     ss = _points(args, "s", "s-grid")
 
@@ -195,14 +193,14 @@ def cmd_limit_study(args) -> int:
     for r in rs:
         for s in ss:
             for direction in _directions(args):
-                study = boundary_limit(p, e, r, s, direction, mu0=args.mu0)
+                study = boundary_limit(p, energy, r, s, direction, mu0=args.mu0)
                 any_flagged |= not study.converged
                 x, f = study.extrapolated, study.formal
                 tail = [_fmt(x.real), _fmt(x.imag), _fmt(f.real), _fmt(f.imag),
                         _fmt(study.abs_diff), str(study.converged).lower()]
                 for k, (mu, g) in enumerate(zip(study.mu_sequence, study.samples)):
                     rows.append(
-                        [_fmt(r), _fmt(s), _fmt(e), direction, str(k), _fmt(mu),
+                        [_fmt(r), _fmt(s), e_field, direction, str(k), _fmt(mu),
                          _fmt(g.real), _fmt(g.imag), *tail]
                     )
 
@@ -211,13 +209,9 @@ def cmd_limit_study(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    p = _build_potential(args)
-    energy = parse_complex(args.energy)
-    if energy.imag != 0.0 or energy.real <= 0.0:
-        raise ConfigError("verification needs a real positive --energy")
     report = run_verification(
-        p,
-        energy.real,
+        _build_potential(args),
+        parse_complex(args.energy),
         seed=args.seed,
         n_random=args.n_random,
         wronskian_scale=args.corrupt_wronskian,
@@ -243,6 +237,7 @@ def cmd_pole_scan(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqgreen",
@@ -285,10 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run the full invariant suite",
         description="Run the full invariant suite on one barrier or staircase. The RK4 "
-        "oracle steps by 1e-3, so every breakpoint (--a and --b, or each entry of "
-        "--breakpoints) must be a multiple of 1e-3, and it resolves a wave that advances "
-        "at most 0.018 rad per step: the largest region momentum |sqrt(E - v)| times 1e-3 "
-        "must not exceed 0.018, so |E - v| must not exceed 324 in any region.",
+        f"oracle steps by {LATTICE:g}, so every breakpoint (--a and --b, or each entry of "
+        f"--breakpoints) must be a multiple of {LATTICE:g}, and it resolves a wave that "
+        f"advances at most {MAX_LATTICE_PHASE:g} rad per step: the largest region momentum "
+        f"|sqrt(E - v)| times {LATTICE:g} must not exceed {MAX_LATTICE_PHASE:g}, so |E - v| "
+        f"must not exceed {(MAX_LATTICE_PHASE / LATTICE) ** 2:g} in any region.",
     )
     _add_potential_args(p_verify)
     p_verify.add_argument("--energy", required=True, help="real positive energy")

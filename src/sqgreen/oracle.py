@@ -7,9 +7,11 @@ RK4 one-step matrix (:func:`rk4_step_matrix`), the operator is applied
 by a central second difference, one-sided kernel derivatives come from
 Richardson-extrapolated difference quotients of kernel *values*, and the
 resolvent is rebuilt as an integral operator with composite Simpson panels
-split at the diagonal.  Agreement of these reconstructions with the kernels
-of matched waves is the package's evidence that the construction is right.
-A potential is read only through its ``breakpoints`` and ``heights``.
+split at the diagonal.  The RK4, finite-difference and Simpson grids that
+``verify`` runs share one step, ``LATTICE``.  Agreement of these
+reconstructions with the kernels of matched waves is the package's evidence
+that the construction is right.  A potential is read only through its
+``breakpoints`` and ``heights``.
 """
 
 from __future__ import annotations
@@ -26,10 +28,14 @@ from .errors import ContractError, DomainError
 from .kernel import wave_pair
 from .model import branch_sqrt, real_energy
 
+#: the one step of the RK4, finite-difference and Simpson grids that ``verify`` checks on
+LATTICE = 1e-3
 #: Gaussian bumps count as supported within this many widths of the center.
 GAUSSIAN_SUPPORT_WIDTHS = 5.5
 #: past this many radians per step an RK4 step amplifies even an oscillating wave
 RK4_STABILITY = 2.0**1.5
+#: one Richardson derivative combines the difference quotients at h0 / 2^j for j below this
+RICHARDSON_LEVELS = 5
 
 
 @dataclass(frozen=True)
@@ -146,9 +152,21 @@ class Trajectory(NamedTuple):
     derivatives: np.ndarray
 
 
+def _require_step(step: float) -> float:
+    """``step`` as a float; :class:`ContractError` unless it is finite and positive."""
+    h = float(step)
+    if not 0.0 < h < math.inf:
+        raise ContractError(f"step must be finite and positive, got {step}")
+    return h
+
+
+def _require_radii(*radii: float) -> None:
+    if not all(0.0 <= x < math.inf for x in radii):
+        raise DomainError(f"radii must be finite and nonnegative, got {radii}")
+
+
 def _aligned_steps(r_from: float, r_to: float, step: float, breakpoints) -> tuple[int, float]:
-    if step <= 0.0:
-        raise ContractError("step must be positive")
+    step = _require_step(step)
     span = r_to - r_from
     n = int(round(abs(span) / step))
     if n < 1 or abs(n * step - abs(span)) > 1e-9 * max(step, abs(span)):
@@ -183,10 +201,13 @@ def integrate_schrodinger(
     are known, the next b are M^b times them.  Each region starts from the
     last state of the one before.  A step longer than ``RK4_STABILITY`` over
     the largest region momentum raises :class:`DomainError`: RK4 would grow
-    even an oscillating wave to NaN.  So does a trajectory that is not
-    finite, such as an evanescent one grown past double precision.
+    even an oscillating wave to NaN.  So does a radius that is negative or
+    not finite, and a trajectory that is not finite, such as an evanescent
+    one grown past double precision.  A step that is not finite and positive
+    raises :class:`ContractError`.
     """
     e = complex(e)
+    _require_radii(r_from, r_to)
     n, h = _aligned_steps(r_from, r_to, step, p.breakpoints)
     phase = _momentum_scale(p, e) * step
     if phase > RK4_STABILITY:
@@ -197,8 +218,6 @@ def integrate_schrodinger(
 
     r = r_from + h * np.arange(n + 1)
     mid = r_from + (np.arange(n) + 0.5) * h
-    if mid.min() < 0.0:
-        raise DomainError(f"radius must be nonnegative, got {mid.min()}")
     regions = np.searchsorted(p.breakpoints, mid, side="right")
     # the steps [a, b) of one region take state a to states a+1 .. b
     cuts = [0, *(np.flatnonzero(np.diff(regions)) + 1).tolist(), n]
@@ -254,8 +273,7 @@ def propagate(p, e: complex, y: complex, dy: complex, r_from: float, r_to: float
     a radius that is negative or not finite, or a state that is not finite.
     """
     e, y, dy, r_from, r_to = complex(e), complex(y), complex(dy), float(r_from), float(r_to)
-    if not all(0.0 <= x < math.inf for x in (r_from, r_to)):
-        raise DomainError(f"radii must be finite and nonnegative, got {r_from} and {r_to}")
+    _require_radii(r_from, r_to)
     lo, hi = min(r_from, r_to), max(r_from, r_to)
     inside = sorted((x for x in p.breakpoints if lo < x < hi), reverse=r_to < r_from)
     cuts = [r_from, *inside, r_to]
@@ -292,15 +310,16 @@ def apply_hamiltonian_fd(
     one step of any potential breakpoint (the stencil order degrades across
     the jump) and within one step of every radius in ``exclude_near``; those
     points must stay out of residual norms, and the count of exclusions is
-    reported by the callers.
+    reported by the callers.  A step that is not finite and positive raises
+    :class:`ContractError`.
     """
     r = np.asarray(r, dtype=float)
     u = np.asarray(u)
     if r.ndim != 1 or r.shape != u.shape or r.size < 3:
         raise ContractError("need matching 1-d arrays with at least 3 samples")
     steps = np.diff(r)
-    h = float(steps[0]) if step is None else float(step)
-    if h <= 0.0 or np.any(np.abs(steps - h) > 1e-9 * h):
+    h = _require_step(steps[0] if step is None else step)
+    if np.any(np.abs(steps - h) > 1e-9 * h):
         raise ContractError("grid must be uniform with the declared step")
     if step_too_coarse(p, h):
         raise ContractError(f"grid step {h} too coarse for the regions of {p.breakpoints}")
@@ -317,7 +336,7 @@ def apply_hamiltonian_fd(
     return hu, valid
 
 
-def _richardson_derivative(g: Callable[[float], complex], x: float, side: int, h0: float, levels: int = 5) -> complex:
+def _richardson_derivative(g: Callable[[float], complex], x: float, side: int, h0: float) -> complex:
     """One-sided derivative of g at x from value differences, Richardson-extrapolated.
 
     ``side`` is +1 (right) or -1 (left); the first-order quotients at
@@ -326,7 +345,7 @@ def _richardson_derivative(g: Callable[[float], complex], x: float, side: int, h
     """
     gx = g(x)
     table = []
-    for j in range(levels):
+    for j in range(RICHARDSON_LEVELS):
         h = h0 * 0.5**j
         quot = side * (g(x + side * h) - gx) / h
         row = [quot]
@@ -374,12 +393,14 @@ def _jump(p, e: float, s: float, g) -> ResidualReport:
         raise ContractError(f"s={s} is within 1e-3 of a potential breakpoint or the origin")
     # probes must resolve the fastest oscillation of the kernel
     h0 = min(dist, 2.0 / (1.0 + _momentum_scale(p, e))) / 4.0
-    levels = 5
-    d_right = _richardson_derivative(lambda r: g(r, s), s, +1, h0, levels)
-    d_left = _richardson_derivative(lambda r: g(r, s), s, -1, h0, levels)
+    d_right = _richardson_derivative(lambda r: g(r, s), s, +1, h0)
+    d_left = _richardson_derivative(lambda r: g(r, s), s, -1, h0)
     jump = d_right - d_left
     return ResidualReport.build(
-        "derivative_jump", samples=2 * levels, max_residual=abs(jump - 1.0), tolerance=1e-6
+        "derivative_jump",
+        samples=2 * RICHARDSON_LEVELS,
+        max_residual=abs(jump - 1.0),
+        tolerance=1e-6,
     )
 
 
@@ -407,22 +428,8 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def default_r_max(p, e: complex, f: TestFunction) -> float:
-    """Truncation radius leaving at least 20 decay lengths beyond the bump."""
-    outer = p.breakpoints[-1] if p.breakpoints else 0.0
-    im_k = abs(branch_sqrt(complex(e)).imag)
-    if im_k == 0.0:
-        raise ContractError("default_r_max needs Im sqrt(E) != 0")
-    return max(outer, f.support[1]) + max(20.0, 20.0 / im_k)
-
-
 def check_resolvent_identity(
-    p,
-    e: complex,
-    f: TestFunction,
-    r_max: float | None = None,
-    quad_step: float = 1e-3,
-    tolerance: float = 1e-4,
+    p, e: complex, f: TestFunction, quad_step: float = LATTICE
 ) -> ResidualReport:
     """Rebuild (E - H)^{-1} f by quadrature and verify (E - h) u = f.
 
@@ -431,21 +438,13 @@ def check_resolvent_identity(
     panel boundary exactly at the kink s = r.  The finite-difference operator
     then has to return f; its second-order truncation error dominates the
     reported residual, so halving ``quad_step`` shrinks it about fourfold.
-    The same step is used for quadrature and differencing.
+    The same step is used for quadrature and differencing; one that is not
+    finite and positive raises :class:`ContractError`.
     """
     e = complex(e)
     if e.imag == 0.0:
         raise ContractError("resolvent identity requires Im E != 0")
-    lo, hi = f.support
-    if r_max is None:
-        r_max = default_r_max(p, e, f)
-    im_k = abs(branch_sqrt(e).imag)
-    if im_k * (r_max - hi) < 20.0 * (1.0 - 1e-9):
-        raise ContractError(
-            f"truncation margin too small: Im sqrt(E) * (r_max - support_hi) = "
-            f"{im_k * (r_max - hi):.3f} < 20"
-        )
-    h = float(quad_step)
+    h = _require_step(quad_step)
     r_grid, u = _resolvent_image(p, e, f, h)
     f_r = f(r_grid)
 
@@ -456,13 +455,13 @@ def check_resolvent_identity(
     )
     resid = np.abs(e * u - hu - f_r)
     scale = float(np.max(np.abs(f_r[1:-1])))
-    inside = (r_grid >= lo) & (r_grid <= r_grid[-2]) & valid
+    inside = (r_grid >= f.support[0]) & (r_grid <= r_grid[-2]) & valid
     max_resid = float(np.max(resid[inside])) / scale
     return ResidualReport.build(
         "resolvent_identity",
         samples=int(np.count_nonzero(inside)),
         max_residual=max_resid,
-        tolerance=tolerance,
+        tolerance=1e-4,
         excluded=int(np.count_nonzero(~valid[1:-1])),
     )
 
@@ -496,15 +495,6 @@ def _resolvent_image(p, e: complex, f: TestFunction, h: float):
     return r_grid, u
 
 
-def apply_resolvent_quadrature(p, e: complex, f: TestFunction, quad_step: float = 1e-3):
-    """(s_grid, u) with u the Simpson image of f under the resolvent kernel."""
-    e = complex(e)
-    if e.imag == 0.0:
-        raise ContractError("resolvent quadrature requires Im E != 0")
-    r_grid, u = _resolvent_image(p, e, f, float(quad_step))
-    return r_grid[1:-1], u[1:-1]
-
-
 def on_lattice(x: float, step: float) -> bool:
     """Whether x is a multiple of step, to a relative 1e-9."""
     t = x / step
@@ -516,7 +506,6 @@ def check_distributional_equation(
     e: float,
     s: float,
     direction: str,
-    step: float = 1e-3,
     wronskian_scale: float = 1.0,
 ) -> ResidualReport:
     """Check that G(., s; E) solves the defining distributional equation.
@@ -525,13 +514,15 @@ def check_distributional_equation(
     equation (RK4 re-integration on both sides of s, seeded purely from
     kernel values and difference-quotient slopes), value/derivative
     continuity at the potential jumps, and kernel continuity across r = s
-    (the gap must shrink linearly with the probe offset).
+    (the gap must shrink linearly with the probe offset).  The RK4 runs at
+    the step ``LATTICE``, so s and every breakpoint must sit on its lattice.
     """
     e = real_energy(e, "the distributional check")
+    _require_radii(s)
     outer = p.breakpoints[-1] if p.breakpoints else 1.0
     for x, nm in ((s, "s"),) + tuple((bp, "breakpoint") for bp in p.breakpoints):
-        if not on_lattice(x, step):
-            raise ContractError(f"{nm}={x} must sit on the step lattice (step {step})")
+        if not on_lattice(x, LATTICE):
+            raise ContractError(f"{nm}={x} must sit on the step lattice (step {LATTICE})")
 
     g, chi, om, w = _kernel_slice(p, e, direction, wronskian_scale)
     jump_report = _jump(p, e, s, g)
@@ -540,7 +531,7 @@ def check_distributional_equation(
     # left of the diagonal: start from G(0, s) = 0 with a measured slope
     dist0 = min(s, min(p.breakpoints) if p.breakpoints else s)
     slope0 = _richardson_derivative(lambda r: g(r, s), 0.0, +1, min(dist0, probe_cap) / 4.0)
-    traj = integrate_schrodinger(p, complex(e), 0.0, slope0, 0.0, s, step)
+    traj = integrate_schrodinger(p, complex(e), 0.0, slope0, 0.0, s, LATTICE)
     kern = g(traj.r, s)
     scale = float(np.max(np.abs(kern)))
     left_resid = float(np.max(np.abs(traj.values - kern))) / scale
@@ -550,12 +541,12 @@ def check_distributional_equation(
     # the tail solution dominates; integrating outward from s would amplify
     # the seed error exponentially through evanescent regions
     r_out = outer + 5.0
-    n_out = int(round((r_out - s) / step))
-    r_out = s + n_out * step
+    n_out = int(round((r_out - s) / LATTICE))
+    r_out = s + n_out * LATTICE
     slope_out = _richardson_derivative(
         lambda r: g(r, s), r_out, -1, min(1.0, probe_cap) / 4.0
     )
-    traj_r = integrate_schrodinger(p, complex(e), g(r_out, s), slope_out, r_out, s, step)
+    traj_r = integrate_schrodinger(p, complex(e), g(r_out, s), slope_out, r_out, s, LATTICE)
     kern_r = g(traj_r.r, s)
     scale_r = float(np.max(np.abs(kern_r)))
     right_resid = float(np.max(np.abs(traj_r.values - kern_r))) / scale_r

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .errors import ConfigError, DomainError
 from .kernel import boundary_limit, resolvent_kernel, wave_pair
 from .model import PiecewisePotential, branch_sqrt, real_energy
 from .oracle import (
+    LATTICE,
     RK4_STABILITY,
     ResidualReport,
     TestFunction,
@@ -34,8 +37,6 @@ from .oracle import (
 )
 from .piecewise import build_omega
 
-#: step of the RK4 oracle; the breakpoints and the diagonal point sit on its lattice
-LATTICE = 1e-3
 #: the largest region momentum times LATTICE that RK4 resolves to its 1e-7
 #: tolerance: on the barrier of height 5 on (1, 2), 0.0173 (E = 300) left a 7.1e-8
 #: residual and 0.0187 (E = 350) one of 1.02e-7
@@ -150,10 +151,11 @@ def run_verification(
     """Run the whole suite; returns the report dictionary used by the CLI.
 
     Any staircase runs through the same checks.  Before any draw or check it
-    raises :class:`ConfigError` for a negative ``seed``, an ``n_random``
-    outside [0, ``MAX_RANDOM_INSTANCES``] or a ``wronskian_scale`` that is
-    not finite and nonzero, and :class:`DomainError` for an energy that is
-    not real, finite and positive, for a potential without breakpoints, if a
+    raises :class:`ConfigError` for a ``seed`` or ``n_random`` that is not an
+    integer, a negative ``seed``, an ``n_random`` outside
+    [0, ``MAX_RANDOM_INSTANCES``] or a ``wronskian_scale`` that is not
+    finite and nonzero, and :class:`DomainError` for an energy that is not
+    real, finite and positive, for a potential without breakpoints, if a
     breakpoint is off the ``LATTICE`` (1e-3) that the RK4 re-integration
     steps on, if a region inside the last breakpoint spans fewer than
     16 of its steps (:func:`~sqgreen.oracle.step_too_coarse`), or if the
@@ -162,6 +164,12 @@ def run_verification(
     after the instance's engine waves are built, so that waves which
     overflow double precision raise that error instead.
     """
+    try:
+        seed, n_random = operator.index(seed), operator.index(n_random)
+    except TypeError:
+        raise ConfigError(
+            f"seed and n_random must be integers, got {seed!r} and {n_random!r}"
+        ) from None
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     if not 0 <= n_random <= MAX_RANDOM_INSTANCES:
@@ -198,19 +206,8 @@ def run_verification(
         ResidualReport.build("wronskian", 2 * (n + 1), _wronskian_agreement(p, ec, waves), 1e-10),
     ]
     for direction in ("plus", "minus"):
-        dist = check_distributional_equation(
-            p, e, s_mid, direction, step=LATTICE, wronskian_scale=wronskian_scale
-        )
-        for comp in dist.components:
-            checks.append(
-                ResidualReport.build(
-                    f"{comp.name}_{direction}",
-                    samples=comp.samples,
-                    max_residual=comp.max_residual,
-                    tolerance=comp.tolerance,
-                    excluded=comp.excluded,
-                )
-            )
+        dist = check_distributional_equation(p, e, s_mid, direction, wronskian_scale)
+        checks += [replace(c, name=f"{c.name}_{direction}") for c in dist.components]
     bump = TestFunction("gaussian_bump", center=max(p.breakpoints[-1] + 1.0, 3.0), width=0.5)
     checks.append(check_resolvent_identity(p, ec, bump))
     checks.append(

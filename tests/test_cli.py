@@ -9,7 +9,8 @@ import pytest
 
 from sqgreen import PiecewisePotential, SquareBarrier, formal_green, resolvent_kernel
 from sqgreen.cli import _write_json, main, parse_complex, parse_grid
-from sqgreen.verification import MAX_RANDOM_INSTANCES
+from sqgreen.oracle import LATTICE
+from sqgreen.verification import MAX_LATTICE_PHASE, MAX_RANDOM_INSTANCES
 from sqgreen.errors import ConfigError, PoleError
 
 
@@ -232,10 +233,11 @@ class TestLimitStudy:
         assert rc == 2
         assert "overflow" in capsys.readouterr().err
 
-    def test_complex_energy_rejected(self, tmp_path):
+    def test_complex_energy_rejected(self, tmp_path, capsys):
         rc = main(["limit-study", "--v0", "5", "--a", "1", "--b", "2",
                    "--energy", "1+1i", "--r", "1", "--s", "1", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestStaircases:
@@ -334,6 +336,9 @@ class TestVerify:
             ["verify", "--v0=5", "--a=1", "--b=1.001", "--energy=1"],
             ["verify", "--v0=5", "--a=1", "--b=1.004", "--energy=1"],
             ["verify", "--v0=5", "--a=0.001", "--b=2", "--energy=1"],
+            # energies off the positive real axis, refused by run_verification itself
+            ["verify", "--v0=5", "--a=1", "--b=2", "--energy=1+1i"],
+            ["verify", "--v0=5", "--a=1", "--b=2", "--energy=-1"],
         ]
         for argv in bad:
             assert main(argv + [f"--out={out}"]) == 2, argv
@@ -410,6 +415,18 @@ class TestPoleScan:
             argv = ["pole-scan", "--v0=5", "--a=1", "--b=2", *flags,
                     f"--out={tmp_path / 'p.csv'}"]
             assert main(argv) == 2, flags
+
+
+def test_verify_help_states_the_lattice_bounds(capsys):
+    # the bounds are formatted from the oracle's step and verification's phase limit
+    with pytest.raises(SystemExit) as done:
+        main(["verify", "--help"])
+    assert done.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"steps by {LATTICE:g}, so every breakpoint" in text
+    assert f"at most {MAX_LATTICE_PHASE} rad per step" in text
+    # 324 = (0.018 / 1e-3)^2, the bound on |E - v| that README states too
+    assert "must not exceed 324 in any region" in text
 
 
 def test_write_json_refuses_non_finite_values(tmp_path):

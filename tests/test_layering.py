@@ -112,3 +112,8 @@ def test_propagate_does_not_use_the_engine():
 @pytest.mark.parametrize("name", ["integrate_schrodinger", "rk4_step_matrix"])
 def test_rk4_does_not_use_the_engine(name):
     assert _names(_oracle_function(name)) & _engine_names() == set()
+
+
+def test_only_the_oracle_defines_the_lattice():
+    # the RK4, finite-difference and Simpson grids of verify share one step
+    assert [m for m in MODULES if "LATTICE" in _defined(_tree(m))] == ["oracle"]

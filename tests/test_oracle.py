@@ -22,7 +22,7 @@ import sqgreen.verification as verification
 import sqgreen.kernel as kernel_module
 from sqgreen.kernel import wave_pair
 from sqgreen.verification import run_verification
-from sqgreen.oracle import _cumulative_simpson, apply_resolvent_quadrature
+from sqgreen.oracle import _cumulative_simpson, _resolvent_image
 
 from closed_forms import chi_wave, omega_wave
 from conftest import random_instances
@@ -197,6 +197,16 @@ def test_rk4_negative_radius_rejected(barrier):
         integrate_schrodinger(barrier, 1.0, 0.0, 1.0, -0.5, 1.5, 1e-3)
 
 
+@pytest.mark.parametrize(
+    "r_to, step, error",
+    # an OverflowError and a bare ValueError from rounding the step count
+    [(math.inf, 1e-3, DomainError), (3.0, math.nan, ContractError)],
+)
+def test_rk4_non_finite_radius_or_step_rejected(r_to, step, error):
+    with pytest.raises(error, match="finite"):
+        integrate_schrodinger(SquareBarrier(5, 1, 2), 1.0, 0, 1, 0.0, r_to, step)
+
+
 @pytest.mark.parametrize("r_from, r_to", [(0.0, 4.0), (4.0, 0.5)])
 def test_rk4_trajectory_past_double_precision_raises(r_from, r_to):
     # k h = 0.45 passes the stability bound, but the wave grows by about e^894 under
@@ -245,6 +255,12 @@ class TestApplyHamiltonianFd:
         assert not valid[0] and not valid[-1]
         assert not valid[np.argmin(np.abs(r - barrier.a))]
         assert not valid[np.argmin(np.abs(r - barrier.b))]
+
+    def test_nan_step_rejected(self):
+        # the stencil returned NaN values with only a RuntimeWarning
+        r = np.linspace(2.2, 2.3, 11)
+        with pytest.raises(ContractError, match="step"):
+            apply_hamiltonian_fd(r, np.ones(11), SquareBarrier(5, 1, 2), step=math.nan)
 
     def test_coarse_grid_rejected(self, barrier):
         r = 0.5 * np.arange(20)
@@ -315,10 +331,12 @@ class TestResolventIdentity:
         with pytest.raises(ContractError):
             check_resolvent_identity(barrier, 1.0 + 0j, f)
 
-    def test_truncation_margin_enforced(self, barrier):
+    @pytest.mark.parametrize("quad_step", [0.0, math.nan])
+    def test_step_not_finite_and_positive_rejected(self, quad_step):
+        # a ZeroDivisionError and a bare ValueError from the Simpson grid
         f = TestFunction("gaussian_bump", 3.0, 0.5)
-        with pytest.raises(ContractError):
-            check_resolvent_identity(barrier, 1 + 1j, f, r_max=f.support[1] + 1.0)
+        with pytest.raises(ContractError, match="step"):
+            check_resolvent_identity(SquareBarrier(5, 1, 2), 1 + 1j, f, quad_step=quad_step)
 
     def test_adjoint_direction_returns_bump(self, barrier):
         # apply the kernel to (E - h) g and expect g back: no finite
@@ -349,7 +367,8 @@ class TestResolventIdentity:
 
         e = 1 + 1j
         f = TestFunction("compact_polynomial_bump", 3.5, 1.0)
-        s_grid, u = apply_resolvent_quadrature(barrier, e, f, quad_step=1e-3)
+        r_grid, u = _resolvent_image(barrier, e, f, 1e-3)
+        s_grid, u = r_grid[1:-1], u[1:-1]
         for idx in (150, 987, 1500):
             r = float(s_grid[idx])
             g_row = np.array(
@@ -394,6 +413,12 @@ class TestDistributionalEquation:
             gaps.append(abs(plus - minus))
         assert 1.8 < gaps[0] / gaps[1] < 2.2
         assert 1.8 < gaps[1] / gaps[2] < 2.2
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_non_finite_probe_rejected(self, s):
+        # a bare ValueError (nan) and an OverflowError (inf) from the lattice test
+        with pytest.raises(DomainError, match="finite"):
+            check_distributional_equation(SquareBarrier(5, 1, 2), 1.0, s, "plus")
 
     def test_misaligned_probe_rejected(self, barrier):
         with pytest.raises(ContractError):
@@ -530,6 +555,9 @@ class TestRunVerification:
             (SquareBarrier(5.0, 1.0, 2.0), {"wronskian_scale": math.inf}),
             (SquareBarrier(5.0, 1.0, 2.0), {"n_random": -3}),
             (SquareBarrier(5.0, 1.0, 2.0), {"n_random": verification.MAX_RANDOM_INSTANCES + 1}),
+            # numpy's TypeError, and 3 instances drawn for a report of 2 samples
+            (SquareBarrier(5.0, 1.0, 2.0), {"seed": 1.5}),
+            (SquareBarrier(5.0, 1.0, 2.0), {"n_random": 2.5}),
         ],
     )
     def test_bad_inputs_raise_before_any_draw_or_check(self, monkeypatch, p, kwargs):
