@@ -25,7 +25,7 @@ from .kernel import (
     kernel_pole_residual,
 )
 from .model import PiecewisePotential, SquareBarrier
-from .oracle import LATTICE
+from .oracle import LATTICE, MAX_STEPS, TAIL_START
 from .verification import MAX_LATTICE_PHASE, run_verification
 
 
@@ -261,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--format", choices=["csv", "json"], default="csv")
     p_eval.add_argument("--out", required=True)
-    p_eval.set_defaults(func=cmd_eval)
 
     p_limit = sub.add_parser("limit-study", help="follow the kernel to the real axis")
     _add_potential_args(p_limit)
@@ -274,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_limit.add_argument("--direction", choices=["plus", "minus", "both"], default="both")
     p_limit.add_argument("--format", choices=["csv", "json"], default="csv")
     p_limit.add_argument("--out", required=True)
-    p_limit.set_defaults(func=cmd_limit_study)
 
     p_verify = sub.add_parser(
         "verify",
@@ -284,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
         f"--breakpoints) must be a multiple of {LATTICE:g}, and it resolves a wave that "
         f"advances at most {MAX_LATTICE_PHASE:g} rad per step: the largest region momentum "
         f"|sqrt(E - v)| times {LATTICE:g} must not exceed {MAX_LATTICE_PHASE:g}, so |E - v| "
-        f"must not exceed {(MAX_LATTICE_PHASE / LATTICE) ** 2:g} in any region.",
+        f"must not exceed {(MAX_LATTICE_PHASE / LATTICE) ** 2:g} in any region. Its runs reach "
+        f"{TAIL_START:g} beyond the last breakpoint in at most {MAX_STEPS} steps, so the last "
+        f"breakpoint must not exceed {MAX_STEPS * LATTICE - TAIL_START:g}.",
     )
     _add_potential_args(p_verify)
     p_verify.add_argument("--energy", required=True, help="real positive energy")
@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         "check must fail",
     )
     p_verify.add_argument("--out", required=True)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_poles = sub.add_parser("pole-scan", help="Newton scan for kernel denominator zeros")
     _add_potential_args(p_poles)
@@ -308,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_poles.add_argument("--seed-density", type=float, default=0.25, help="seed grid spacing")
     p_poles.add_argument("--format", choices=["csv", "json"], default="csv")
     p_poles.add_argument("--out", required=True)
-    p_poles.set_defaults(func=cmd_pole_scan)
 
     return parser
 
@@ -338,7 +336,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound cmd_* runs even with the cached parser
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ConfigError, DomainError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,12 @@ from .errors import (
     DomainError,
     PoleError,
 )
-from .eigenfunctions import PiecewiseWave
-from .model import real_energy
+from .eigenfunctions import PiecewiseWave, _overflow
+from .model import real_energy, region_momenta_array, require_off_branch
 from .piecewise import (
+    _chi_regions,
+    _omega_regions,
+    _plane_wronskian,
     build_chi,
     build_omega,
     chi_outer_amplitudes,
@@ -185,6 +189,11 @@ def boundary_limit(
     the axis keeps the sequence from settling), and with the formal kernel
     of the same request in ``formal``.  It raises only for a bad request or
     with the :class:`PoleError`/:class:`DomainError` of a kernel value.
+
+    The whole mu sequence is one sweep of the wave engine over an array of
+    ``MAX_HALVINGS + 1`` energies (:func:`_kernel_array`); the stop rule
+    then cuts it, and only the samples it keeps are checked, as
+    :func:`resolvent_kernel` checks each of its values.
     """
     if direction is None:  # to _kernel_request, None asks for the resolvent kernel
         raise ContractError("boundary limits need direction 'plus' or 'minus'")
@@ -196,22 +205,52 @@ def boundary_limit(
         raise DomainError(f"mu0 must lie in (0, 0.1 E], got {mu0}")
     sign = 1.0 if direction == "plus" else -1.0
 
-    mus: list[float] = []
+    mus = mu0 * 0.5 ** np.arange(MAX_HALVINGS + 1)
+    energies = e + 1j * (sign * mus)
+    values, finite_waves = _kernel_array(p, energies, r, s, direction)
     samples: list[complex] = []
     converged = False
-    for k in range(MAX_HALVINGS + 1):
-        mu = mu0 * 0.5**k
-        g = resolvent_kernel(p, complex(e, sign * mu), r, s)
-        mus.append(mu)
+    for k, (z, g, waves_ok) in enumerate(
+        zip(energies.tolist(), values.tolist(), finite_waves.tolist())
+    ):
+        require_off_branch(p, z)
+        if not waves_ok:
+            raise _overflow(z)
+        _require_finite(cmath.isfinite(g), z)
         samples.append(g)
-        if k >= 1 and mu < MU_FLOOR:
+        if k >= 1 and mus[k] < MU_FLOOR:
             # widen the Cauchy tolerance for very large kernels, where an
             # absolute 1e-10 would sit inside double-precision noise
             tol = max(CAUCHY_TOL, 1e-13 * max(abs(samples[-1]), abs(samples[-2])))
             if abs(samples[-1] - samples[-2]) < tol:
                 converged = True
                 break
-    return LimitStudy(tuple(mus), tuple(samples), formal_green(p, e, r, s, direction), converged)
+    mu_sequence = tuple(mus[: len(samples)].tolist())
+    return LimitStudy(mu_sequence, tuple(samples), formal_green(p, e, r, s, direction), converged)
+
+
+def _kernel_array(p, energies: np.ndarray, r: float, s: float, direction: str):
+    """G(r, s) at every entry of ``energies``, and a mask of the entries whose waves are finite.
+
+    One numpy run of the matching loop builds chi and omega for all energies
+    at once; chi is evaluated at min(r, s) and omega at max(r, s) in the
+    region that :class:`PiecewiseWave` picks, and W is their outer-pair
+    Wronskian.  Nothing is checked here: entries near a branch point or with
+    overflowing waves come back as they fall, for the caller to refuse.
+    """
+    ks = region_momenta_array(p, energies)
+    lo, hi = (r, s) if r <= s else (s, r)
+    with np.errstate(all="ignore"):
+        chi = _chi_regions(ks, p.breakpoints, np)
+        om = _omega_regions(ks, p.breakpoints, direction, np)
+        w = _plane_wronskian(chi[-1], om[-1])
+        chi_lo = chi[bisect_right(p.breakpoints, lo)].value(lo)
+        om_hi = om[bisect_right(p.breakpoints, hi)].value(hi)
+        values = chi_lo * om_hi / w
+        finite = np.ones(energies.shape, dtype=bool)
+        for reg in chi + om:
+            finite &= np.isfinite(reg.c_plus) & np.isfinite(reg.c_minus)
+    return values, finite
 
 
 #: Newton seeds screened together as arrays; bounds the screen's memory.

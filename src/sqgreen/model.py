@@ -129,15 +129,28 @@ def real_energy(e, what: str) -> float:
     return z.real
 
 
+def require_off_branch(p: PiecewisePotential, e: complex) -> None:
+    """Raise :class:`BranchPointError` if ``e`` lies within ``EPS_BRANCH`` of a height."""
+    for v in p.heights:
+        if abs(e - v) < EPS_BRANCH:
+            raise BranchPointError(f"energy {e} degenerates the region with height {v}")
+
+
 def region_momenta(p: PiecewisePotential, e: complex) -> tuple[complex, ...]:
     """branch_sqrt(E - v_j) for every region, refusing degenerate regions.
 
     For real E below a step's height the momentum there is +i*sqrt(v_j - E).
     """
     e = complex(e)
-    ks = []
-    for v in p.heights:
-        if abs(e - v) < EPS_BRANCH:
-            raise BranchPointError(f"energy {e} degenerates the region with height {v}")
-        ks.append(branch_sqrt(e - v))
-    return tuple(ks)
+    require_off_branch(p, e)
+    return tuple(branch_sqrt(e - v) for v in p.heights)
+
+
+def region_momenta_array(p: PiecewisePotential, e: np.ndarray) -> list[np.ndarray]:
+    """:func:`region_momenta` over an array of energies, one array per region.
+
+    Branch points are not checked here; callers check the entries they keep
+    with :func:`require_off_branch`.
+    """
+    roots = {v: _branch_sqrt_array(e - v) for v in set(p.heights)}
+    return [roots[v] for v in p.heights]

@@ -36,6 +36,10 @@ GAUSSIAN_SUPPORT_WIDTHS = 5.5
 RK4_STABILITY = 2.0**1.5
 #: one Richardson derivative combines the difference quotients at h0 / 2^j for j below this
 RICHARDSON_LEVELS = 5
+#: the most steps of one RK4 run or Simpson grid; a finer step raises before anything is allocated
+MAX_STEPS = 10**6
+#: the inward RK4 run of the distributional check starts this far beyond the last breakpoint
+TAIL_START = 5.0
 
 
 @dataclass(frozen=True)
@@ -165,9 +169,16 @@ def _require_radii(*radii: float) -> None:
         raise DomainError(f"radii must be finite and nonnegative, got {radii}")
 
 
+def _require_steps(count: float, step: float) -> None:
+    """:class:`ContractError` if a grid of ``count`` steps of ``step`` exceeds ``MAX_STEPS``."""
+    if not count <= MAX_STEPS:
+        raise ContractError(f"a step of {step} needs {count:.4g} steps, more than {MAX_STEPS}")
+
+
 def _aligned_steps(r_from: float, r_to: float, step: float, breakpoints) -> tuple[int, float]:
     step = _require_step(step)
     span = r_to - r_from
+    _require_steps(abs(span) / step, step)
     n = int(round(abs(span) / step))
     if n < 1 or abs(n * step - abs(span)) > 1e-9 * max(step, abs(span)):
         raise ContractError(
@@ -203,8 +214,9 @@ def integrate_schrodinger(
     the largest region momentum raises :class:`DomainError`: RK4 would grow
     even an oscillating wave to NaN.  So does a radius that is negative or
     not finite, and a trajectory that is not finite, such as an evanescent
-    one grown past double precision.  A step that is not finite and positive
-    raises :class:`ContractError`.
+    one grown past double precision.  A step that is not finite and
+    positive, or that needs more than ``MAX_STEPS`` steps, raises
+    :class:`ContractError`.
     """
     e = complex(e)
     _require_radii(r_from, r_to)
@@ -439,7 +451,8 @@ def check_resolvent_identity(
     then has to return f; its second-order truncation error dominates the
     reported residual, so halving ``quad_step`` shrinks it about fourfold.
     The same step is used for quadrature and differencing; one that is not
-    finite and positive raises :class:`ContractError`.
+    finite and positive, or that needs more than ``MAX_STEPS`` steps over the
+    support of f, raises :class:`ContractError`.
     """
     e = complex(e)
     if e.imag == 0.0:
@@ -473,6 +486,7 @@ def _resolvent_image(p, e: complex, f: TestFunction, h: float):
     one of the two partial integrals is nonzero.
     """
     lo, hi = f.support
+    _require_steps((hi - lo) / h, h)
     if lo - h <= 0.0:
         raise ContractError("support must leave room for one grid step above the origin")
     direction = "plus" if e.imag > 0.0 else "minus"
@@ -540,7 +554,7 @@ def check_distributional_equation(
     # right of the diagonal: integrate inward from beyond the potential, where
     # the tail solution dominates; integrating outward from s would amplify
     # the seed error exponentially through evanescent regions
-    r_out = outer + 5.0
+    r_out = outer + TAIL_START
     n_out = int(round((r_out - s) / LATTICE))
     r_out = s + n_out * LATTICE
     slope_out = _richardson_derivative(

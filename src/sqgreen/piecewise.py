@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractError
 from .eigenfunctions import PiecewiseWave, Region, _overflow, _require_same_problem
-from .model import _branch_sqrt_array, region_momenta
+from .model import region_momenta, region_momenta_array
 
 
 def _amplitudes_at(value: complex, deriv: complex, k: complex) -> tuple[complex, complex]:
@@ -100,22 +100,49 @@ def chi_outer_amplitudes_array(p, e: np.ndarray) -> tuple[np.ndarray, np.ndarray
     overflow come out non-finite instead of raising; callers mask both and
     run under ``np.errstate``.
     """
-    roots = {v: _branch_sqrt_array(e - v) for v in set(p.heights)}
-    return _chi_outer([roots[v] for v in p.heights], p.breakpoints, np)
+    return _chi_outer(region_momenta_array(p, e), p.breakpoints, np)
+
+
+def _chi_regions(ks, breakpoints, lib) -> list[Region]:
+    """The regions of the regular solution: sin(k0 r) innermost, matched outward.
+
+    ``ks`` and ``lib`` are as in :func:`_sweep`: one energy's momenta with
+    ``cmath``, or arrays of momenta with ``numpy``, whose regions then hold
+    arrays.
+    """
+    regions = [Region(ks[0], "sin", 1.0 + 0j)]
+    if breakpoints:
+        amps = _chi_amplitudes(ks, breakpoints, lib)
+        for k, (cp, cm), ref in zip(ks[1:], amps, breakpoints):
+            regions.append(Region(k, "exp", cp, cm, ref=ref))
+    return regions
+
+
+def _omega_regions(ks, breakpoints, direction: str, lib) -> list[Region]:
+    """The regions of the tail solution exp(+-i k r) beyond the last step, matched inward.
+
+    ``ks`` and ``lib`` are as in :func:`_chi_regions`; ``direction`` is
+    "plus" or "minus".
+    """
+    sign = 1.0 if direction == "plus" else -1.0
+    edges = (0.0,) + breakpoints
+    widths = [lo - hi for lo, hi in zip(edges, edges[1:])][::-1]
+    phase = lib.exp(sign * 1j * ks[-1] * edges[-1])
+    amps, _, _ = _sweep(phase, sign * 1j * ks[-1] * phase, ks[-2::-1], widths, lib)
+    outer = (phase, 0j) if direction == "plus" else (0j, phase)
+    regions = [Region(k, "exp", cp, cm, ref=ref) for k, (cp, cm), ref in zip(ks, amps[::-1], edges)]
+    regions.append(Region(ks[-1], "exp", *outer, ref=edges[-1]))
+    return regions
 
 
 def build_chi(p, e: complex) -> PiecewiseWave:
     """Regular solution: sin(k0 r) on the innermost region, propagated outward."""
     e = complex(e)
     ks = region_momenta(p, e)
-    regions = [Region(ks[0], "sin", 1.0 + 0j)]
-    if p.breakpoints:
-        try:
-            amps = _chi_amplitudes(ks, p.breakpoints, cmath)
-        except OverflowError as exc:
-            raise _overflow(e) from exc
-        for k, (cp, cm), ref in zip(ks[1:], amps, p.breakpoints):
-            regions.append(Region(k, "exp", cp, cm, ref=ref))
+    try:
+        regions = _chi_regions(ks, p.breakpoints, cmath)
+    except OverflowError as exc:
+        raise _overflow(e) from exc
     return PiecewiseWave(tuple(regions), p.breakpoints, p.heights, e)
 
 
@@ -125,17 +152,10 @@ def build_omega(p, e: complex, direction: str) -> PiecewiseWave:
         raise ContractError(f"direction must be 'plus' or 'minus', got {direction!r}")
     e = complex(e)
     ks = region_momenta(p, e)
-    sign = 1.0 if direction == "plus" else -1.0
-    edges = (0.0,) + p.breakpoints
-    widths = [lo - hi for lo, hi in zip(edges, edges[1:])][::-1]
     try:
-        phase = cmath.exp(sign * 1j * ks[-1] * edges[-1])
-        amps, _, _ = _sweep(phase, sign * 1j * ks[-1] * phase, ks[-2::-1], widths, cmath)
+        regions = _omega_regions(ks, p.breakpoints, direction, cmath)
     except OverflowError as exc:
         raise _overflow(e) from exc
-    outer = (phase, 0j) if direction == "plus" else (0j, phase)
-    regions = [Region(k, "exp", cp, cm, ref=ref) for k, (cp, cm), ref in zip(ks, amps[::-1], edges)]
-    regions.append(Region(ks[-1], "exp", *outer, ref=edges[-1]))
     return PiecewiseWave(tuple(regions), p.breakpoints, p.heights, e)
 
 
@@ -147,9 +167,14 @@ def outer_wronskian(f: PiecewiseWave, g: PiecewiseWave) -> complex:
     kernels built from engine waves.
     """
     _require_same_problem(f, g)
-    cpf, cmf, rf = f.regions[-1].plane_pair()
-    cpg, cmg, rg = g.regions[-1].plane_pair()
-    k = f.regions[-1].k
+    return _plane_wronskian(f.regions[-1], g.regions[-1])
+
+
+def _plane_wronskian(f: Region, g: Region) -> complex:
+    """W of two plane-wave regions of one momentum, 2 i k (c-_f c+_g - c+_f c-_g)."""
+    cpf, cmf, rf = f.plane_pair()
+    cpg, cmg, rg = g.plane_pair()
+    k = f.k
     if rf != rg:
         shift = cmath.exp(1j * k * (rf - rg))
         cpg, cmg = cpg * shift, cmg / shift

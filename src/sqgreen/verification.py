@@ -25,7 +25,9 @@ from .kernel import boundary_limit, resolvent_kernel, wave_pair
 from .model import PiecewisePotential, branch_sqrt, real_energy
 from .oracle import (
     LATTICE,
+    MAX_STEPS,
     RK4_STABILITY,
+    TAIL_START,
     ResidualReport,
     TestFunction,
     _momentum_scale,
@@ -158,9 +160,11 @@ def run_verification(
     real, finite and positive, for a potential without breakpoints, if a
     breakpoint is off the ``LATTICE`` (1e-3) that the RK4 re-integration
     steps on, if a region inside the last breakpoint spans fewer than
-    16 of its steps (:func:`~sqgreen.oracle.step_too_coarse`), or if the
-    largest region momentum times ``LATTICE`` exceeds ``MAX_LATTICE_PHASE``
-    (0.018), so that RK4 would not resolve the waves.  The last test comes
+    16 of its steps (:func:`~sqgreen.oracle.step_too_coarse`), if its RK4
+    runs, out to ``TAIL_START`` beyond the last breakpoint, would take more
+    than the oracle's ``MAX_STEPS`` steps, or if the largest region momentum
+    times ``LATTICE`` exceeds ``MAX_LATTICE_PHASE`` (0.018), so that RK4
+    would not resolve the waves.  The last test comes
     after the instance's engine waves are built, so that waves which
     overflow double precision raise that error instead.
     """
@@ -186,6 +190,11 @@ def run_verification(
     if step_too_coarse(p, LATTICE):
         raise DomainError(
             f"regions inside the last breakpoint need 16 steps of the {LATTICE} lattice each"
+        )
+    if (p.breakpoints[-1] + TAIL_START) / LATTICE > MAX_STEPS:
+        raise DomainError(
+            f"the last breakpoint must not exceed {MAX_STEPS * LATTICE - TAIL_START:g}: "
+            f"the RK4 oracle runs at most {MAX_STEPS} steps of {LATTICE}"
         )
     ec = complex(e, 1.0)
     # built first, so that waves which overflow are refused as such

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from sqgreen import PiecewisePotential, SquareBarrier, formal_green, resolvent_kernel
+import sqgreen.cli as cli_module
 from sqgreen.cli import _write_json, main, parse_complex, parse_grid
 from sqgreen.oracle import LATTICE
 from sqgreen.verification import MAX_LATTICE_PHASE, MAX_RANDOM_INSTANCES
@@ -427,6 +428,19 @@ def test_verify_help_states_the_lattice_bounds(capsys):
     assert f"at most {MAX_LATTICE_PHASE} rad per step" in text
     # 324 = (0.018 / 1e-3)^2, the bound on |E - v| that README states too
     assert "must not exceed 324 in any region" in text
+    assert "the last breakpoint must not exceed 995." in text
+
+
+def test_main_runs_a_command_rebound_after_the_parser_is_cached(tmp_path, monkeypatch):
+    # the parser is built once per process; the subcommand is looked up when main runs
+    argv = ["eval", "--v0=5", "--a=1", "--b=2", "--energy=1.5+0.2i", "--r=0.8", "--s=2"]
+    assert main(argv + [f"--out={tmp_path / 'first.csv'}"]) == 0
+    ran = []
+    monkeypatch.setattr(cli_module, "cmd_eval", lambda args: ran.append(args.out) or 0)
+    second = str(tmp_path / "second.csv")
+    assert main(argv + [f"--out={second}"]) == 0
+    assert ran == [second]
+    assert not Path(second).exists()
 
 
 def test_write_json_refuses_non_finite_values(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 import sqgreen.kernel as kernel_module
 import sqgreen.piecewise as piecewise_module
 from sqgreen import (
+    BranchPointError,
     ContractError,
     DomainError,
     PiecewisePotential,
@@ -270,8 +271,94 @@ class TestBoundaryLimit:
             raise AssertionError("a kernel sample ran")
 
         monkeypatch.setattr(kernel_module, "resolvent_kernel", no_sample)
+        monkeypatch.setattr(kernel_module, "_kernel_array", no_sample)
         with pytest.raises(error):
             boundary_limit(barrier, e, r, 1.5, direction)
+
+
+def _per_mu_study(p, e, r, s, direction):
+    """(mu_sequence, samples, converged) of a limit study as one resolvent_kernel call per mu."""
+    sign = 1.0 if direction == "plus" else -1.0
+    mus, samples = [], []
+    for k in range(kernel_module.MAX_HALVINGS + 1):
+        mu = 0.05 * e * 0.5**k
+        mus.append(mu)
+        samples.append(resolvent_kernel(p, complex(e, sign * mu), r, s))
+        if k >= 1 and mu < kernel_module.MU_FLOOR:
+            tol = max(kernel_module.CAUCHY_TOL, 1e-13 * max(abs(samples[-1]), abs(samples[-2])))
+            if abs(samples[-1] - samples[-2]) < tol:
+                return tuple(mus), samples, True
+    return tuple(mus), samples, False
+
+
+def _limit_requests():
+    """The golden limit_barrier/limit_staircase requests and 120 random staircases of 1-4 steps."""
+    out = [
+        (SquareBarrier(5.0, 1.0, 2.0), 1.0, 0.7, 1.8),
+        (PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -1.0, 0.0)), 1.5, 0.7, 2.5),
+    ]
+    rng = np.random.default_rng(1414)
+    while len(out) < 122:
+        steps = int(rng.integers(1, 5))
+        breakpoints = tuple(np.cumsum(rng.uniform(0.3, 2.0, size=steps)).tolist())
+        heights = tuple(rng.uniform(-5.0, 10.0, size=steps).tolist()) + (0.0,)
+        e = float(rng.uniform(0.1, 2.0 * max(heights) + 5.0))
+        if min(abs(e - v) for v in heights) < 0.05:
+            continue
+        r, s = rng.uniform(0.05, breakpoints[-1] + 2.0, size=2).tolist()
+        out.append((PiecewisePotential(breakpoints, heights), e, r, s))
+    return out
+
+
+class TestBatchedLimitStudy:
+    """boundary_limit sweeps the whole mu sequence at once; it must equal the per-mu study."""
+
+    @pytest.mark.parametrize("direction", ["plus", "minus"])
+    def test_equals_the_per_mu_scalar_kernel(self, direction):
+        for p, e, r, s in _limit_requests():
+            study = boundary_limit(p, e, r, s, direction)
+            mus, samples, converged = _per_mu_study(p, e, r, s, direction)
+            assert study.mu_sequence == mus
+            assert study.halvings == len(mus)
+            assert study.converged is converged
+            scale = max(abs(g) for g in samples)
+            assert all(type(g) is complex for g in study.samples)
+            assert max(abs(a - b) for a, b in zip(study.samples, samples)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "p, e, r, mu0, error",
+        [
+            # a wave overflows at r = 2e4 on the first sample
+            (SquareBarrier(5.0, 1.0, 2.0), 3.3, 2e4, None, DomainError),
+            # the amplitudes overflow under a barrier of height 1e6
+            (PiecewisePotential((1.0, 3.0), (0.0, 1e6, 0.0)), 2.0, 0.5, None, DomainError),
+            # E + i mu0 lies within EPS_BRANCH of the height 5
+            (SquareBarrier(5.0, 1.0, 2.0), 5.0, 0.5, 5e-13, BranchPointError),
+        ],
+    )
+    def test_a_kept_sample_raises_the_scalar_error(self, p, e, r, mu0, error):
+        first = complex(e, 0.05 * e if mu0 is None else mu0)
+        with pytest.raises(error) as scalar:
+            resolvent_kernel(p, first, r, r)
+        with pytest.raises(error) as batched:
+            boundary_limit(p, e, r, r, "plus", mu0=mu0)
+        assert type(batched.value) is type(scalar.value)
+        assert str(batched.value) == str(scalar.value)
+        assert str(first) in str(batched.value)
+
+    def test_entries_past_the_cut_are_never_checked(self, barrier, monkeypatch):
+        study = boundary_limit(barrier, 1.0, 0.7, 1.8, "plus")
+        assert study.converged and study.halvings < kernel_module.MAX_HALVINGS + 1
+        sweep = kernel_module._kernel_array
+
+        def spoiled(*args):
+            values, finite = sweep(*args)
+            values[study.halvings:] = complex("nan")
+            finite[study.halvings:] = False
+            return values, finite
+
+        monkeypatch.setattr(kernel_module, "_kernel_array", spoiled)
+        assert boundary_limit(barrier, 1.0, 0.7, 1.8, "plus") == study
 
 
 class TestPoleScan:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,16 @@ from closed_forms import chi_wave, omega_wave
 from conftest import random_instances
 
 STAIRCASE = PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -2.0, 0.0))
+
+
+def _peak_bytes(call):
+    """Peak traced allocation while ``call`` runs (numpy arrays included)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestTestFunction:
@@ -207,6 +218,15 @@ def test_rk4_non_finite_radius_or_step_rejected(r_to, step, error):
         integrate_schrodinger(SquareBarrier(5, 1, 2), 1.0, 0, 1, 0.0, r_to, step)
 
 
+def test_rk4_grid_past_max_steps_rejected_before_allocating():
+    # 3e9 steps asked for a (2, 3e9 + 1) complex state array, about 96 GB
+    def call():
+        with pytest.raises(ContractError, match="steps"):
+            integrate_schrodinger(SquareBarrier(5, 1, 2), 1.0, 0, 1, 0.0, 3.0, 1e-9)
+
+    assert _peak_bytes(call) < 2**20
+
+
 @pytest.mark.parametrize("r_from, r_to", [(0.0, 4.0), (4.0, 0.5)])
 def test_rk4_trajectory_past_double_precision_raises(r_from, r_to):
     # k h = 0.45 passes the stability bound, but the wave grows by about e^894 under
@@ -337,6 +357,16 @@ class TestResolventIdentity:
         f = TestFunction("gaussian_bump", 3.0, 0.5)
         with pytest.raises(ContractError, match="step"):
             check_resolvent_identity(SquareBarrier(5, 1, 2), 1 + 1j, f, quad_step=quad_step)
+
+    def test_grid_past_max_steps_rejected_before_allocating(self):
+        # verify's bump is 5.5 wide: 5.5e8 nodes in each of several complex arrays
+        f = TestFunction("gaussian_bump", 3.0, 0.5)
+
+        def call():
+            with pytest.raises(ContractError, match="steps"):
+                check_resolvent_identity(SquareBarrier(5, 1, 2), 1 + 1j, f, quad_step=1e-8)
+
+        assert _peak_bytes(call) < 2**20
 
     def test_adjoint_direction_returns_bump(self, barrier):
         # apply the kernel to (E - h) g and expect g back: no finite
@@ -580,6 +610,18 @@ class TestRunVerification:
             monkeypatch.setattr(verification, name, nothing)
         with pytest.raises(DomainError, match="at least one breakpoint"):
             run_verification(PiecewisePotential((), (0.0,)), 1.0)
+
+    def test_oracle_out_of_reach_raises_before_any_draw_or_check(self, monkeypatch):
+        # the RK4 runs out to 5 beyond the last breakpoint must fit in MAX_STEPS
+        def nothing(*args, **kwargs):
+            raise AssertionError("a draw or a check ran")
+
+        monkeypatch.setattr(verification.np.random, "default_rng", nothing)
+        for name in ("wave_pair", "build_omega", "propagate", "check_distributional_equation"):
+            monkeypatch.setattr(verification, name, nothing)
+        reach = oracle_module.MAX_STEPS * oracle_module.LATTICE - oracle_module.TAIL_START
+        with pytest.raises(DomainError, match="last breakpoint must not exceed"):
+            run_verification(PiecewisePotential((1.0, reach + 1.0), (0.0, 1.0, 0.0)), 2.0)
 
     def test_staircase_passes(self):
         report = run_verification(STAIRCASE, 1.5)
