@@ -1,16 +1,15 @@
 """Batch front end: kernel grids, limit studies, verification runs, pole scans.
 
-All numeric output is written with 17 significant digits so re-running a
-command reproduces its output byte for byte; complex values are always split
-into re/im fields, never serialized as "a+bi" strings.  Exit codes: 0 on
-success, 1 when a requested check fails or a limit row does not converge,
-2 on configuration errors.
+All numeric output is written with 17 significant digits (``%.17g``) so
+re-running a command reproduces its output byte for byte; complex values are
+always split into re/im fields, never serialized as "a+bi" strings.  Exit
+codes: 0 on success, 1 when a requested check fails or a limit row does not
+converge, 2 on configuration errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -27,10 +26,6 @@ from .kernel import (
 from .model import PiecewisePotential, SquareBarrier
 from .oracle import LATTICE, MAX_STEPS, TAIL_START
 from .verification import MAX_LATTICE_PHASE, run_verification
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def parse_complex(text: str) -> complex:
@@ -119,25 +114,25 @@ def _directions(args) -> list[str]:
     return [args.direction or "plus"]
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _write_json(path: str, payload) -> None:
     with open(path, "w", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def _write_rows(args, header: list[str], rows: list[list[str]]) -> None:
-    """Write a table to ``args.out`` as CSV or as JSON rows, per ``args.format``."""
+def _write_rows(args, header: list[str], lines: list[str]) -> None:
+    """Write a table to ``args.out`` as CSV or as JSON rows, per ``args.format``.
+
+    Each line is one CSV row with its fields formatted and joined by commas;
+    no field holds a comma or a quote, so none needs CSV quoting.
+    """
     if args.format == "csv":
-        _write_csv(args.out, header, rows)
+        with open(args.out, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(line + "\n" for line in lines)
     else:
-        _write_json(args.out, {"rows": [dict(zip(header, row)) for row in rows]})
+        rows = [dict(zip(header, line.split(","))) for line in lines]
+        _write_json(args.out, {"rows": rows})
 
 
 def cmd_eval(args) -> int:
@@ -162,24 +157,26 @@ def cmd_eval(args) -> int:
     ]
 
     header = ["r", "s", "e_re", "e_im", "g_re", "g_im", "provenance"]
-    e_fields = [_fmt(e.real), _fmt(e.imag)]
-    s_fields = [_fmt(s) for s in ss]
-    rows = []
+    e_fields = "%.17g,%.17g" % (e.real, e.imag)
+    s_fields = ["%.17g" % s for s in ss]
+    lines = []
     for i, r in enumerate(rs):
-        r_field = _fmt(r)
+        r_field = "%.17g" % r
         for j, s_field in enumerate(s_fields):
             for values, provenance in grids:
                 g = values[i][j]
-                rows.append([r_field, s_field, *e_fields, _fmt(g.real), _fmt(g.imag), provenance])
+                lines.append(
+                    "%s,%s,%s,%.17g,%.17g,%s"
+                    % (r_field, s_field, e_fields, g.real, g.imag, provenance)
+                )
 
-    _write_rows(args, header, rows)
+    _write_rows(args, header, lines)
     return 0
 
 
 def cmd_limit_study(args) -> int:
     p = _build_potential(args)
     energy = parse_complex(args.energy)
-    e_field = _fmt(energy.real)
     rs = _points(args, "r", "r-grid")
     ss = _points(args, "s", "s-grid")
 
@@ -188,7 +185,7 @@ def cmd_limit_study(args) -> int:
         "extrapolated_re", "extrapolated_im", "formal_re", "formal_im",
         "abs_diff", "converged",
     ]
-    rows = []
+    lines = []
     any_flagged = False
     for r in rs:
         for s in ss:
@@ -196,15 +193,14 @@ def cmd_limit_study(args) -> int:
                 study = boundary_limit(p, energy, r, s, direction, mu0=args.mu0)
                 any_flagged |= not study.converged
                 x, f = study.extrapolated, study.formal
-                tail = [_fmt(x.real), _fmt(x.imag), _fmt(f.real), _fmt(f.imag),
-                        _fmt(study.abs_diff), str(study.converged).lower()]
+                head = "%.17g,%.17g,%.17g,%s" % (r, s, energy.real, direction)
+                tail = "%.17g,%.17g,%.17g,%.17g,%.17g,%s" % (
+                    x.real, x.imag, f.real, f.imag, study.abs_diff, str(study.converged).lower()
+                )
                 for k, (mu, g) in enumerate(zip(study.mu_sequence, study.samples)):
-                    rows.append(
-                        [_fmt(r), _fmt(s), e_field, direction, str(k), _fmt(mu),
-                         _fmt(g.real), _fmt(g.imag), *tail]
-                    )
+                    lines.append("%s,%d,%.17g,%.17g,%.17g,%s" % (head, k, mu, g.real, g.imag, tail))
 
-    _write_rows(args, header, rows)
+    _write_rows(args, header, lines)
     return 1 if any_flagged else 0
 
 
@@ -232,8 +228,8 @@ def cmd_pole_scan(args) -> int:
     roots = find_kernel_poles(p, box, seed_density=args.seed_density)
 
     header = ["re", "im", "residual"]
-    rows = [[_fmt(z.real), _fmt(z.imag), _fmt(kernel_pole_residual(p, z))] for z in roots]
-    _write_rows(args, header, rows)
+    lines = ["%.17g,%.17g,%.17g" % (z.real, z.imag, kernel_pole_residual(p, z)) for z in roots]
+    _write_rows(args, header, lines)
     return 0
 
 

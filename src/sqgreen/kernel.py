@@ -38,8 +38,8 @@ from .piecewise import (
     build_chi,
     build_omega,
     chi_outer_amplitudes,
-    chi_outer_amplitudes_array,
     outer_wronskian,
+    pole_function_array,
 )
 
 
@@ -254,12 +254,11 @@ def _kernel_array(p, energies: np.ndarray, r: float, s: float, direction: str):
 
 
 #: Newton seeds screened together as arrays; bounds the screen's memory.
-SCREEN_BLOCK = 1024
+SCREEN_BLOCK = 2048
 #: the most seeds a pole scan lays; a larger box or a finer spacing raises.
 MAX_SEEDS = 10**6
 #: roots nearer than this to a branch point or to an accepted root are dropped
 _ROOT_MARGIN = 1e-6
-_NEWTON_H = 1e-7
 _NEWTON_STEPS = 60
 
 
@@ -279,32 +278,30 @@ def _near(z: np.ndarray, branch_points, margin: float) -> np.ndarray:
 def _screen(p, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Newton iteration of :func:`find_kernel_poles` run on all ``seeds`` at once.
 
+    Each step takes c- and its exact derivative dc-/dE from one evaluation
+    of :func:`~sqgreen.piecewise.pole_function_array` on the active seeds.
     Returns the final iterates and a mask of the seeds that converged: a
     step fell below 1e-13 * max(1, |z|) and below 1e-12.  A seed leaves the
-    active set when it converges or dies: an iterate or z +- h within
-    ``EPS_BRANCH`` of a branch point, a non-finite value, or a zero
-    derivative.  Seeds within 1e-6 of a branch point never start.
+    active set when it converges or dies: an iterate within ``EPS_BRANCH``
+    of a branch point, a non-finite or zero derivative, or a non-finite
+    iterate.  Seeds within 1e-6 of a branch point never start.
     """
     branch_points = _branch_points(p)
     z = seeds.copy()
     last_step = np.full(z.shape, np.inf)
     ok = np.zeros(z.shape, dtype=bool)
     active = np.flatnonzero(~_near(z, branch_points, _ROOT_MARGIN))
-    h = _NEWTON_H
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
             if active.size == 0:
                 break
             za = z[active]
-            trio = np.concatenate((za, za + h, za - h))
-            near = _near(trio, branch_points, EPS_BRANCH)
-            fz, f_plus, f_minus = np.split(chi_outer_amplitudes_array(p, trio)[1], 3)
-            dfz = (f_plus - f_minus) / (2.0 * h)
+            near = _near(za, branch_points, EPS_BRANCH)
+            fz, dfz = pole_function_array(p, za)
             dz = fz / dfz
             za = za - dz
             step = np.abs(dz)
-            live = ~near.reshape(3, -1).any(axis=0) & (dfz != 0) & np.isfinite(dfz)
-            live &= np.isfinite(za)
+            live = ~near & (dfz != 0) & np.isfinite(dfz) & np.isfinite(za)
             done = live & (step < 1e-13 * np.maximum(1.0, np.abs(za)))
             z[active[live]] = za[live]
             last_step[active[live]] = step[live]
@@ -323,11 +320,12 @@ def find_kernel_poles(
     Seeds are laid on a grid of spacing ``seed_density`` over
     ``box = (re_min, re_max, im_min, im_max)``; each runs an undamped Newton
     iteration on the pole function c-(E), chi's incoming amplitude beyond
-    the last step (:func:`chi_outer_amplitudes`), at most 60 steps, with the
-    derivative taken by a central complex difference of step 1e-7.  A root
-    is kept only if the final Newton step is below 1e-12, |c-| is below
-    1e-10, it lies inside the box, and it is at least 1e-6 away from every
-    branch point, the region heights.
+    the last step (:func:`chi_outer_amplitudes`), at most 60 steps.  The
+    derivative dc-/dE is exact, not differenced: the matching sweep carries
+    it alongside c- by the chain rule, with dk_j/dE = 1/(2 k_j) in every
+    region.  A root is kept only if the final Newton step is below 1e-12,
+    |c-| is below 1e-10, it lies inside the box, and it is at least 1e-6
+    away from every branch point, the region heights.
     Roots are taken in seed order, and one within 1e-6 of an already
     accepted root is dropped.  An empty list is a valid outcome.  The
     iteration runs on ``SCREEN_BLOCK`` seeds at a time as numpy arrays.

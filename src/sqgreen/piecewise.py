@@ -3,9 +3,10 @@
 The regular solution is propagated outward from the origin and the
 exponential-tail solutions inward from the last step.  One matching loop,
 :func:`_sweep`, serves both directions: at every interface it solves the
-value/derivative continuity pair.  Region amplitudes are stored relative to
-the region's own left edge so that strongly evanescent segments never
-exponentiate an absolute position.
+value/derivative continuity pair, and on request it carries d/dE of that
+pair alongside, which gives the pole function's exact derivative.  Region
+amplitudes are stored relative to the region's own left edge so that
+strongly evanescent segments never exponentiate an absolute position.
 
 The engine reads only a potential's ``breakpoints`` and ``heights``, so a
 :class:`~sqgreen.model.SquareBarrier` is just one more staircase to it.
@@ -28,52 +29,97 @@ def _amplitudes_at(value: complex, deriv: complex, k: complex) -> tuple[complex,
     return 0.5 * (value + slope), 0.5 * (value - slope)
 
 
-def _sweep(value, deriv, ks, widths, lib) -> tuple[list, object, object]:
+def _amplitude_tangent(dvalue, dderiv, cp, cm, k):
+    """d/dE of the (c+, c-) that :func:`_amplitudes_at` reads off a fixed point.
+
+    ``dvalue``/``dderiv`` are d/dE of the value and derivative there, and
+    (c+, c-) the pair itself; the momentum moves by dk/dE = 1/(2k), so the
+    slope deriv / (ik) moves by one extra term.
+    """
+    return _amplitudes_at(dvalue, dderiv - 0.5j / k * (cp - cm), k)
+
+
+def _sweep(value, deriv, ks, widths, lib, tangent=None) -> tuple[list, object, object, object]:
     """Carry a wave's (value, derivative) across consecutive regions.
 
     Region j has momentum ``ks[j]`` and is crossed over the signed width
     ``widths[j]``: positive widths walk outward from each region's left edge,
     negative ones inward from its right edge.  Returns the (c+, c-) pair of
-    every crossed region, relative to its left edge, and the value and
-    derivative where the sweep ends.  ``lib`` is ``cmath`` for one energy,
-    where an overflow raises ``OverflowError``, or ``numpy`` for arrays of
-    momenta, where it leaves non-finite entries.
+    every crossed region, relative to its left edge, the value and
+    derivative where the sweep ends, and their d/dE.  ``lib`` is ``cmath``
+    for one energy, where an overflow raises ``OverflowError``, or ``numpy``
+    for arrays of momenta, where it leaves non-finite entries.
+
+    ``tangent`` is d/dE of the seed (value, derivative).  Given, the sweep
+    carries it alongside by the chain rule, each momentum moving by
+    dk/dE = 1/(2k); without it the returned tangent is None and the sweep
+    does no extra work.  Either way (value, derivative) take the same steps.
     """
     amps = []
     for k, w in zip(ks, widths):
         cp, cm = _amplitudes_at(value, deriv, k)
-        cp_far = cp * lib.exp(1j * k * w)
-        cm_far = cm * lib.exp(-1j * k * w)
+        grow, decay = lib.exp(1j * k * w), lib.exp(-1j * k * w)
+        cp_far = cp * grow
+        cm_far = cm * decay
         amps.append((cp, cm) if w > 0 else (cp_far, cm_far))
+        if tangent is not None:
+            dcp, dcm = _amplitude_tangent(*tangent, cp, cm, k)
+            dik = 0.5j / k  # d(ik)/dE
+            dcp_far = (dcp + dik * w * cp) * grow
+            dcm_far = (dcm - dik * w * cm) * decay
+            tangent = (dcp_far + dcm_far, dik * (cp_far - cm_far) + 1j * k * (dcp_far - dcm_far))
         value = cp_far + cm_far
         deriv = 1j * k * (cp_far - cm_far)
-    return amps, value, deriv
+    return amps, value, deriv, tangent
+
+
+def _chi_sweep(ks, breakpoints, lib, tangent: bool):
+    """:func:`_sweep` of the regular solution from the first step to the last.
+
+    The innermost region holds sin(k0 r), whose value and slope at the first
+    step seed the sweep, with their d/dE when ``tangent`` is true.
+    """
+    x0, k0 = breakpoints[0], ks[0]
+    sin0, cos0 = lib.sin(k0 * x0), lib.cos(k0 * x0)
+    seed_tangent = None
+    if tangent:
+        dk0 = 0.5 / k0
+        seed_tangent = (x0 * dk0 * cos0, dk0 * (cos0 - k0 * x0 * sin0))
+    widths = [x2 - x1 for x1, x2 in zip(breakpoints, breakpoints[1:])]
+    return _sweep(sin0, k0 * cos0, ks[1:-1], widths, lib, seed_tangent)
 
 
 def _chi_amplitudes(ks, breakpoints, lib) -> list:
     """(c+, c-) of the regular solution in every region beyond the innermost one.
 
-    Each pair is relative to its region's left edge; the innermost region
-    holds sin(k0 r), whose value and slope at the first step seed the sweep.
+    Each pair is relative to its region's left edge.
     """
-    x0 = breakpoints[0]
-    widths = [x2 - x1 for x1, x2 in zip(breakpoints, breakpoints[1:])]
-    amps, value, deriv = _sweep(
-        lib.sin(ks[0] * x0), ks[0] * lib.cos(ks[0] * x0), ks[1:-1], widths, lib
-    )
+    amps, value, deriv, _ = _chi_sweep(ks, breakpoints, lib, False)
     amps.append(_amplitudes_at(value, deriv, ks[-1]))
     return amps
 
 
-def _chi_outer(ks, breakpoints, lib):
-    """(c+, c-) of the regular solution beyond the last step, absolute convention."""
+def _chi_outer(ks, breakpoints, lib, tangent: bool = False):
+    """(c+, c-) of the regular solution beyond the last step, absolute convention.
+
+    The third entry is dc-/dE when ``tangent`` is true, else None; (c+, c-)
+    take the same steps either way.
+    """
+    k, dcm = ks[-1], None
     if breakpoints:
-        (cp, cm), x = _chi_amplitudes(ks, breakpoints, lib)[-1], breakpoints[-1]
+        _, value, deriv, dstate = _chi_sweep(ks, breakpoints, lib, tangent)
+        (cp, cm), x = _amplitudes_at(value, deriv, k), breakpoints[-1]
+        if tangent:
+            dcm = _amplitude_tangent(*dstate, cp, cm, k)[1]
     else:
         # sin(k r) = (exp(ikr) - exp(-ikr)) / 2i, anchored at the origin
         cp, cm, x = -0.5j, 0.5j, 0.0
-    phase = lib.exp(1j * ks[-1] * x)
-    return cp / phase, cm * phase
+        if tangent:
+            dcm = 0j
+    phase = lib.exp(1j * k * x)
+    if tangent:
+        dcm = (dcm + 0.5j / k * x * cm) * phase
+    return cp / phase, cm * phase, dcm
 
 
 def chi_outer_amplitudes(p, e: complex) -> tuple[complex, complex]:
@@ -87,7 +133,7 @@ def chi_outer_amplitudes(p, e: complex) -> tuple[complex, complex]:
     e = complex(e)
     ks = region_momenta(p, e)
     try:
-        return _chi_outer(ks, p.breakpoints, cmath)
+        return _chi_outer(ks, p.breakpoints, cmath)[:2]
     except OverflowError as exc:
         raise _overflow(e) from exc
 
@@ -100,7 +146,18 @@ def chi_outer_amplitudes_array(p, e: np.ndarray) -> tuple[np.ndarray, np.ndarray
     overflow come out non-finite instead of raising; callers mask both and
     run under ``np.errstate``.
     """
-    return _chi_outer(region_momenta_array(p, e), p.breakpoints, np)
+    return _chi_outer(region_momenta_array(p, e), p.breakpoints, np)[:2]
+
+
+def pole_function_array(p, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pole function c-(E) and its derivative dc-/dE over an array of energies.
+
+    One sweep carries d/dE alongside the matching, so Newton's method gets
+    an exact derivative from one evaluation.  c- equals the second entry of
+    :func:`chi_outer_amplitudes_array` bit for bit; nothing is checked here
+    either.
+    """
+    return _chi_outer(region_momenta_array(p, e), p.breakpoints, np, True)[1:]
 
 
 def _chi_regions(ks, breakpoints, lib) -> list[Region]:
@@ -128,7 +185,7 @@ def _omega_regions(ks, breakpoints, direction: str, lib) -> list[Region]:
     edges = (0.0,) + breakpoints
     widths = [lo - hi for lo, hi in zip(edges, edges[1:])][::-1]
     phase = lib.exp(sign * 1j * ks[-1] * edges[-1])
-    amps, _, _ = _sweep(phase, sign * 1j * ks[-1] * phase, ks[-2::-1], widths, lib)
+    amps, _, _, _ = _sweep(phase, sign * 1j * ks[-1] * phase, ks[-2::-1], widths, lib)
     outer = (phase, 0j) if direction == "plus" else (0j, phase)
     regions = [Region(k, "exp", cp, cm, ref=ref) for k, (cp, cm), ref in zip(ks, amps[::-1], edges)]
     regions.append(Region(ks[-1], "exp", *outer, ref=edges[-1]))

@@ -14,6 +14,8 @@ from sqgreen import (
     wronskian,
 )
 
+from sqgreen.piecewise import chi_outer_amplitudes_array, pole_function_array
+
 from closed_forms import chi_coefficients, chi_wave, omega_wave, wronskian_closed_form
 from conftest import close, random_instances
 
@@ -159,6 +161,32 @@ class TestEngineWaves:
                 assert abs(c_minus - cs.c4) <= 1e-12 * scale
         free = PiecewisePotential((), (0.0,))
         assert chi_outer_amplitudes(free, 2.0 + 0.5j) == (-0.5j, 0.5j)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: SquareBarrier(5.0, 1.0, 2.0),
+            lambda rng: SquareBarrier(-4.0, 1.0, 2.0),
+            *[lambda rng, n=n: random_staircase(rng, n) for n in (1, 2, 3, 4)],
+            lambda rng: PiecewisePotential((), (0.0,)),
+        ],
+        ids=["barrier", "well", "1-step", "2-step", "3-step", "4-step", "free"],
+    )
+    def test_pole_function_derivative_is_the_central_difference(self, rng, make):
+        # dc-/dE carried through the sweep against (c-(E + h) - c-(E - h)) / 2h
+        # at 50 seeded complex energies at least 0.05 from every height
+        p = make(rng)
+        e = rng.uniform(-8.0, 12.0, 400) + 1j * rng.uniform(-3.0, 3.0, 400)
+        e = e[np.all([np.abs(e - v) >= 0.05 for v in p.heights], axis=0)][:50]
+        assert e.size == 50
+        c_minus, slope = pole_function_array(p, e)
+        # carrying the derivative never moves the value
+        assert c_minus.tobytes() == chi_outer_amplitudes_array(p, e)[1].tobytes()
+        h = 1e-6
+        central = (
+            chi_outer_amplitudes_array(p, e + h)[1] - chi_outer_amplitudes_array(p, e - h)[1]
+        ) / (2.0 * h)
+        assert np.all(np.abs(slope - central) <= 1e-6 * np.abs(central))
 
     def test_degenerate_region_rejected(self):
         pw = PiecewisePotential((1.0, 2.0), (0.0, 3.0, 0.0))
