@@ -115,9 +115,10 @@ def _directions(args) -> list[str]:
 
 
 def _write_json(path: str, payload) -> None:
+    """Write ``payload`` as indented JSON with sorted keys, in one write."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_rows(args, header: list[str], lines: list[str]) -> None:

@@ -10,14 +10,14 @@ Three solutions of the radial equation -w'' + V w = E w matter here:
 
 Each wave is a plane-wave pair per region, stored as a :class:`PiecewiseWave`;
 the staircase engine in :mod:`sqgreen.piecewise` builds them.  The r-dependent
-:func:`wronskian` reads two waves at one radius.
+:func:`wronskian` reads two waves at one radius or at an array of radii.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +72,12 @@ class PiecewiseWave:
     ``breakpoints``/``heights`` identify the potential the wave belongs to and
     ``energy`` its eigenvalue; the Wronskians refuse to combine waves that
     disagree on either.
+
+    A radius or an array of radii is evaluated in one pass: ``searchsorted``
+    finds each radius's region, and the region's constants are gathered from
+    per-wave tables (:attr:`_tables`), so every point takes the formula of
+    :class:`Region` with that region's constants, bit for bit.  A scalar
+    radius is a one-element array and comes back as a Python complex.
     """
 
     regions: tuple[Region, ...]
@@ -79,38 +85,118 @@ class PiecewiseWave:
     heights: tuple[float, ...]
     energy: complex
 
-    def _eval(self, r, side: str, what: str):
-        if side not in ("+", "-"):
-            raise ContractError(f"side must be '+' or '-', got {side!r}")
-        if isinstance(r, (float, int)) and 0.0 <= r < math.inf:
-            # a finite scalar: bisect picks the index searchsorted would, and
-            # the region formula runs on a one-element array as below
-            find = bisect_right if side == "+" else bisect_left
-            reg = self.regions[find(self.breakpoints, r)]
-            arr = np.array([r], dtype=float)
-            return complex((reg.value(arr) if what == "value" else reg.derivative(arr))[0])
-        arr = np.asarray(r, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if not np.all((arr >= 0.0) & (arr < np.inf)):
-            raise DomainError("radius must be finite and nonnegative")
-        idx = np.searchsorted(self.breakpoints, arr, side="right" if side == "+" else "left")
-        out = np.empty(arr.shape, dtype=complex)
+    @cached_property
+    def _tables(self):
+        """(breakpoints, constants, sin region): the lookup tables of :meth:`_evaluate`.
+
+        ``constants`` has the rows i k, -i k, c+, c- and ref and one column
+        per region, each formed from the region's scalars as :class:`Region`
+        forms it (ref is real).  The ``sin`` region, if the wave has one
+        (else its index is -1), is evaluated by :class:`Region` itself, and
+        its column goes unused.
+        """
+        columns, sin = [], -1
         for j, reg in enumerate(self.regions):
-            mask = idx == j
-            if not mask.any():
-                continue
-            piece = reg.value(arr[mask]) if what == "value" else reg.derivative(arr[mask])
-            out[mask] = piece
-        return complex(out[0]) if scalar else out
+            columns += (1j * reg.k, -1j * reg.k, reg.c_plus, reg.c_minus, reg.ref)
+            if reg.form == "sin":
+                sin = j
+        constants = np.array(columns, dtype=complex).reshape(-1, 5).T.copy()
+        return np.array(self.breakpoints, dtype=float), constants, sin
+
+    def _evaluate(self, r, sides: str, derivative: bool) -> tuple:
+        """Values, and derivatives if asked, at the radii ``r`` from each side in ``sides``.
+
+        ``sides`` is "+", "-" or "-+".  Returns one value array per side,
+        then one derivative array per side, each of the shape of ``r``; a
+        scalar ``r`` gives Python complexes instead.
+        """
+        arr = np.asarray(r, dtype=float)
+        shape = arr.shape
+        arr = arr.ravel()
+        # NaN fails both comparisons
+        if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
+            raise DomainError("radius must be finite and nonnegative")
+        edges, constants, sin = self._tables
+        if len(sides) == 1:
+            x, idx = arr, edges.searchsorted(arr, "right" if sides == "+" else "left")
+        else:
+            x = np.concatenate((arr, arr))
+            idx = np.concatenate((edges.searchsorted(arr, "left"), edges.searchsorted(arr, "right")))
+        # the regular solution's sin region is evaluated by its Region, under one mask
+        inner = idx == sin if sin >= 0 else None
+        count = 0 if inner is None else np.count_nonzero(inner)
+        if count == 0:
+            out = _plane_waves(constants, idx, x, derivative)
+        elif count == x.size:
+            out = _sin_wave(self.regions[sin], x, derivative)
+        else:
+            plane = ~inner
+            parts = (
+                (inner, _sin_wave(self.regions[sin], x[inner], derivative)),
+                (plane, _plane_waves(constants, idx[plane], x[plane], derivative)),
+            )
+            out = tuple(np.empty(x.shape, dtype=complex) for _ in range(1 + derivative))
+            for mask, part in parts:
+                for whole, piece in zip(out, part):
+                    whole[mask] = piece
+        if len(sides) > 1:
+            n = arr.size
+            out = [half for whole in out for half in (whole[:n], whole[n:])]
+        if not shape:
+            return tuple([whole.item(0) for whole in out])
+        return tuple([whole.reshape(shape) for whole in out])
 
     def value(self, r, side: str = "+"):
         """Wave value at ``r`` (scalar or array); ``side`` picks the region at a breakpoint."""
-        return self._eval(r, side, "value")
+        return self._evaluate(r, _side(side), False)[0]
 
     def derivative(self, r, side: str = "+"):
         """Analytic derivative of the region formula; one-sided at breakpoints."""
-        return self._eval(r, side, "deriv")
+        return self._evaluate(r, _side(side), True)[1]
+
+    def value_and_derivative(self, r, side: str = "+"):
+        """(value, derivative) at ``r`` from one evaluation."""
+        return self._evaluate(r, _side(side), True)
+
+    def one_sided(self, r):
+        """(value, derivative) at ``r`` from the left, then from the right, in one evaluation.
+
+        Returns (value-, value+, derivative-, derivative+); at a breakpoint the
+        two sides are the limits of the regions that meet there.
+        """
+        return self._evaluate(r, "-+", True)
+
+
+def _side(side) -> str:
+    if side not in ("+", "-"):
+        raise ContractError(f"side must be '+' or '-', got {side!r}")
+    return side
+
+
+def _sin_wave(reg: Region, x: np.ndarray, derivative: bool) -> tuple:
+    """(value,) or (value, derivative) of a ``sin`` region at radii ``x``."""
+    return (reg.value(x), reg.derivative(x)) if derivative else (reg.value(x),)
+
+
+def _plane_waves(constants, idx: np.ndarray, x: np.ndarray, derivative: bool) -> tuple:
+    """The plane-wave formula of :class:`Region` at radii ``x`` in regions ``idx``.
+
+    Returns (value,) or (value, derivative); the two share their
+    exponentials.  Each product keeps the operand order of :class:`Region`.
+    The rows are gathered two at a time and worked on in place, which keeps
+    the peak memory near that of the region formula itself.
+    """
+    # rows c+ exp(i k (r - ref)) and c- exp(-i k (r - ref))
+    waves = constants[:2].take(idx, axis=1)
+    np.multiply(waves, x - constants[4].real.take(idx), out=waves)
+    np.exp(waves, out=waves)
+    np.multiply(constants[2:4].take(idx, axis=1), waves, out=waves)
+    value = waves[0] + waves[1]
+    if not derivative:
+        return (value,)
+    # numpy rounds a product written over a one-element 1-d input differently,
+    # so this one gets its own output
+    return value, constants[0].take(idx) * (waves[0] - waves[1])
 
 
 def _require_same_problem(f: PiecewiseWave, g: PiecewiseWave) -> None:
@@ -119,10 +205,20 @@ def _require_same_problem(f: PiecewiseWave, g: PiecewiseWave) -> None:
         raise ContractError("waves belong to different problems")
 
 
-def wronskian(f: PiecewiseWave, g: PiecewiseWave, r: float) -> complex:
-    """f(r) g'(r) - f'(r) g(r); constant in r for two solutions at one energy."""
+def wronskian(f: PiecewiseWave, g: PiecewiseWave, r):
+    """f(r) g'(r) - f'(r) g(r); constant in r for two solutions at one energy.
+
+    ``r`` is a radius, giving a complex, or an array of radii, giving an
+    array.  Each wave is evaluated once, and each entry is formed in Python
+    complex arithmetic, so it equals the Wronskian at that one radius bit for
+    bit.
+    """
     _require_same_problem(f, g)
-    return f.value(r) * g.derivative(r) - f.derivative(r) * g.value(r)
+    radii = np.asarray(r, dtype=float)
+    fv, fd = f.value_and_derivative(radii.ravel())
+    gv, gd = g.value_and_derivative(radii.ravel())
+    out = [a * d - b * c for a, b, c, d in zip(fv.tolist(), fd.tolist(), gv.tolist(), gd.tolist())]
+    return out[0] if radii.ndim == 0 else np.array(out, dtype=complex).reshape(radii.shape)
 
 
 def _overflow(e: complex) -> DomainError:

@@ -145,25 +145,29 @@ def kernel_grid(p, e, rs, ss, direction: str | None = None) -> np.ndarray:
     ``direction=None`` gives the resolvent kernel at complex E, as
     :func:`resolvent_kernel`; "plus"/"minus" give the formal kernels at real
     E > 0, as :func:`formal_green`.  The waves are built once for the whole
-    grid and each is evaluated in one array call, chi at min(r, s) and omega
-    at max(r, s).  The quotient is formed in Python complex arithmetic, so
-    every entry equals the scalar function's value bit for bit.  Like the
-    scalar functions, it raises :class:`DomainError` where a value is not
-    finite.
+    grid, and each is evaluated in one array call on the distinct radii of
+    ``rs`` and ``ss``; chi is read off at min(r, s) and omega at max(r, s).
+    The quotient is formed in Python complex arithmetic, so every entry
+    equals the scalar function's value bit for bit.  Like the scalar
+    functions, it raises :class:`DomainError` where a value is not finite.
     """
     r = np.asarray(rs, dtype=float).ravel()
     s = np.asarray(ss, dtype=float).ravel()
-    e, direction = _kernel_request(p, e, np.concatenate((r, s)), direction)
+    radii = np.concatenate((r, s))
+    e, direction = _kernel_request(p, e, radii, direction)
     chi, om, w = _kernel_waves(p, e, direction)
-    rr, sg = np.meshgrid(r, s, indexing="ij")
-    below = rr <= sg
-    lo = np.where(below, rr, sg).ravel()
-    hi = np.where(below, sg, rr).ravel()
+    distinct = np.unique(radii)
     with np.errstate(over="ignore", invalid="ignore"):
-        chi_lo, om_hi = chi.value(lo).tolist(), om.value(hi).tolist()
-    values = np.array([a * b / w for a, b in zip(chi_lo, om_hi)], dtype=complex)
+        chi_at, om_at = chi.value(distinct), om.value(distinct)
+    # positions in ``distinct`` of r and s; min and max of two radii are those of their positions
+    at = np.searchsorted(distinct, radii)
+    lo = np.minimum.outer(at[: r.size], at[r.size :]).ravel()
+    hi = np.maximum.outer(at[: r.size], at[r.size :]).ravel()
+    values = np.array(
+        [a * b / w for a, b in zip(chi_at[lo].tolist(), om_at[hi].tolist())], dtype=complex
+    )
     _require_finite(bool(np.isfinite(values).all()), e)
-    return values.reshape(rr.shape)
+    return values.reshape(r.size, s.size)
 
 
 #: mu halving stops once mu < MU_FLOOR and successive samples differ by < CAUCHY_TOL.
@@ -193,7 +197,9 @@ def boundary_limit(
     The whole mu sequence is one sweep of the wave engine over an array of
     ``MAX_HALVINGS + 1`` energies (:func:`_kernel_array`); the stop rule
     then cuts it, and only the samples it keeps are checked, as
-    :func:`resolvent_kernel` checks each of its values.
+    :func:`resolvent_kernel` checks each of its values.  Both run as array
+    masks; the first kept sample that fails a check raises the error its
+    scalar check raises.
     """
     if direction is None:  # to _kernel_request, None asks for the resolvent kernel
         raise ContractError("boundary limits need direction 'plus' or 'minus'")
@@ -208,25 +214,31 @@ def boundary_limit(
     mus = mu0 * 0.5 ** np.arange(MAX_HALVINGS + 1)
     energies = e + 1j * (sign * mus)
     values, finite_waves = _kernel_array(p, energies, r, s, direction)
-    samples: list[complex] = []
-    converged = False
-    for k, (z, g, waves_ok) in enumerate(
-        zip(energies.tolist(), values.tolist(), finite_waves.tolist())
-    ):
+    # sample k stops the sequence if mu_k < MU_FLOOR and it is within the
+    # Cauchy tolerance of sample k - 1; the tolerance widens for very large
+    # kernels, where an absolute 1e-10 would sit inside double-precision
+    # noise.  hypot is Python's abs of a complex, bit for bit
+    with np.errstate(all="ignore"):
+        modulus = np.hypot(values.real, values.imag)
+        step = values[1:] - values[:-1]
+        tol = np.maximum(CAUCHY_TOL, 1e-13 * np.maximum(modulus[1:], modulus[:-1]))
+        stops = np.flatnonzero((mus[1:] < MU_FLOOR) & (np.hypot(step.real, step.imag) < tol))
+        converged = stops.size > 0
+        kept = int(stops[0]) + 2 if converged else energies.size
+        failed = ~finite_waves[:kept] | ~np.isfinite(values[:kept])
+        for v in p.heights:
+            near = energies[:kept] - v
+            failed |= np.hypot(near.real, near.imag) < EPS_BRANCH
+    if failed.any():
+        first = int(np.argmax(failed))
+        z = complex(energies[first])
         require_off_branch(p, z)
-        if not waves_ok:
+        if not finite_waves[first]:
             raise _overflow(z)
-        _require_finite(cmath.isfinite(g), z)
-        samples.append(g)
-        if k >= 1 and mus[k] < MU_FLOOR:
-            # widen the Cauchy tolerance for very large kernels, where an
-            # absolute 1e-10 would sit inside double-precision noise
-            tol = max(CAUCHY_TOL, 1e-13 * max(abs(samples[-1]), abs(samples[-2])))
-            if abs(samples[-1] - samples[-2]) < tol:
-                converged = True
-                break
-    mu_sequence = tuple(mus[: len(samples)].tolist())
-    return LimitStudy(mu_sequence, tuple(samples), formal_green(p, e, r, s, direction), converged)
+        _require_finite(False, z)
+    samples = tuple(values[:kept].tolist())
+    mu_sequence = tuple(mus[:kept].tolist())
+    return LimitStudy(mu_sequence, samples, formal_green(p, e, r, s, direction), converged)
 
 
 def _kernel_array(p, energies: np.ndarray, r: float, s: float, direction: str):

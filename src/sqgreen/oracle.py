@@ -20,10 +20,11 @@ import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from .eigenfunctions import PiecewiseWave
 from .errors import ContractError, DomainError
 from .kernel import wave_pair
 from .model import branch_sqrt, real_energy
@@ -348,18 +349,24 @@ def apply_hamiltonian_fd(
     return hu, valid
 
 
-def _richardson_derivative(g: Callable[[float], complex], x: float, side: int, h0: float) -> complex:
-    """One-sided derivative of g at x from value differences, Richardson-extrapolated.
+def _richardson_radii(x: float, side: int, h0: float) -> list[float]:
+    """x and the radii x + side * h0 / 2^j that one :func:`_richardson` derivative needs."""
+    return [x] + [x + side * (h0 * 0.5**j) for j in range(RICHARDSON_LEVELS)]
 
-    ``side`` is +1 (right) or -1 (left); the first-order quotients at
-    h0 / 2^j are combined through a Neville table that cancels the h, h^2, ...
-    error terms in turn.
+
+def _richardson(values: list[complex], side: int, h0: float) -> complex:
+    """One-sided derivative from value differences, Richardson-extrapolated.
+
+    ``values`` are the values at :func:`_richardson_radii` of (x, side, h0);
+    ``side`` is +1 (right) or -1 (left).  The first-order quotients at
+    h0 / 2^j are combined through a Neville table that cancels the h, h^2,
+    ... error terms in turn.
     """
-    gx = g(x)
+    gx = values[0]
     table = []
     for j in range(RICHARDSON_LEVELS):
         h = h0 * 0.5**j
-        quot = side * (g(x + side * h) - gx) / h
+        quot = side * (values[j + 1] - gx) / h
         row = [quot]
         for m in range(1, j + 1):
             factor = 2.0**m
@@ -368,18 +375,42 @@ def _richardson_derivative(g: Callable[[float], complex], x: float, side: int, h
     return table[-1][-1]
 
 
-def _kernel_slice(p, e: float, direction: str, wronskian_scale: float = 1.0):
-    """G(., s) evaluators for a formal kernel at real E; scale hooks the negative control."""
+class _KernelSlice(NamedTuple):
+    """The waves and Wronskian of G(., s) for a formal kernel at real E."""
+
+    chi: PiecewiseWave
+    om: PiecewiseWave
+    w: complex
+
+    def factors(self, r, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """chi(min(r, s)) and omega(max(r, s)) at every radius of ``r``.
+
+        Each wave takes one call: chi at the radii up to s and omega at those
+        beyond, each with s appended for the factor that stays frozen there.
+        """
+        r = np.asarray(r, dtype=float)
+        below = r <= s
+        chi_v = self.chi.value(np.append(r[below], s))
+        om_v = self.om.value(np.append(r[~below], s))
+        chi_lo, om_hi = np.full(r.shape, chi_v[-1]), np.full(r.shape, om_v[-1])
+        chi_lo[below], om_hi[~below] = chi_v[:-1], om_v[:-1]
+        return chi_lo, om_hi
+
+    def values(self, r, s: float) -> np.ndarray:
+        """G(r, s) over an array of radii, in numpy arithmetic."""
+        chi_lo, om_hi = self.factors(r, s)
+        return chi_lo * om_hi / self.w
+
+    def probes(self, radii, s: float) -> tuple[list[complex], list[complex], list[complex]]:
+        """G(r, s) at each probe radius, formed in Python complex arithmetic, and its two factors."""
+        chi_lo, om_hi = (part.tolist() for part in self.factors(radii, s))
+        return [a * b / self.w for a, b in zip(chi_lo, om_hi)], chi_lo, om_hi
+
+
+def _kernel_slice(p, e: float, direction: str, wronskian_scale: float = 1.0) -> _KernelSlice:
+    """G(., s) of a formal kernel at real E; the scale hooks the negative control."""
     chi, om, w = wave_pair(p, complex(float(e)), direction)
-    w = w * wronskian_scale
-
-    def g(r, s):
-        r_arr = np.asarray(r, dtype=float)
-        lo = np.minimum(r_arr, s)
-        hi = np.maximum(r_arr, s)
-        return chi.value(lo) * om.value(hi) / w
-
-    return g, chi, om, w
+    return _KernelSlice(chi, om, w * wronskian_scale)
 
 
 def _momentum_scale(p, e: complex) -> float:
@@ -395,23 +426,40 @@ def check_jump(p, e: float, s: float, direction: str, wronskian_scale: float = 1
     waves compute their analytic derivatives.
     """
     e = real_energy(e, "the jump check")
-    return _jump(p, e, s, _kernel_slice(p, e, direction, wronskian_scale)[0])
+    kernel = _kernel_slice(p, e, direction, wronskian_scale)
+    stencils = _jump_stencils(p, e, s)
+    radii = [x for stencil in stencils for x in _richardson_radii(*stencil)]
+    return _jump_report(*_derivatives(kernel.probes(radii, s)[0], stencils))
 
 
-def _jump(p, e: float, s: float, g) -> ResidualReport:
-    """:func:`check_jump` on the kernel slice ``g`` of a real energy."""
+def _jump_stencils(p, e: float, s: float) -> tuple[tuple[float, int, float], ...]:
+    """The (x, side, h0) of the right and left derivatives at r = s that :func:`check_jump` takes."""
     dist = min([abs(s - bp) for bp in p.breakpoints] + [s])
     if dist < 1e-3:
         raise ContractError(f"s={s} is within 1e-3 of a potential breakpoint or the origin")
     # probes must resolve the fastest oscillation of the kernel
     h0 = min(dist, 2.0 / (1.0 + _momentum_scale(p, e))) / 4.0
-    d_right = _richardson_derivative(lambda r: g(r, s), s, +1, h0)
-    d_left = _richardson_derivative(lambda r: g(r, s), s, -1, h0)
-    jump = d_right - d_left
+    return (s, +1, h0), (s, -1, h0)
+
+
+def _derivatives(values: list[complex], stencils) -> list[complex]:
+    """The :func:`_richardson` derivative of each (x, side, h0) stencil, in order.
+
+    ``values`` starts with the values at each stencil's radii, in order;
+    whatever follows them is ignored.
+    """
+    width = RICHARDSON_LEVELS + 1
+    return [
+        _richardson(values[i * width : (i + 1) * width], side, h0)
+        for i, (_, side, h0) in enumerate(stencils)
+    ]
+
+
+def _jump_report(d_right: complex, d_left: complex) -> ResidualReport:
     return ResidualReport.build(
         "derivative_jump",
         samples=2 * RICHARDSON_LEVELS,
-        max_residual=abs(jump - 1.0),
+        max_residual=abs(d_right - d_left - 1.0),
         tolerance=1e-6,
     )
 
@@ -538,15 +586,33 @@ def check_distributional_equation(
         if not on_lattice(x, LATTICE):
             raise ContractError(f"{nm}={x} must sit on the step lattice (step {LATTICE})")
 
-    g, chi, om, w = _kernel_slice(p, e, direction, wronskian_scale)
-    jump_report = _jump(p, e, s, g)
+    kernel = _kernel_slice(p, e, direction, wronskian_scale)
     probe_cap = 2.0 / (1.0 + _momentum_scale(p, e))
+    # the inward RK4 run starts beyond the potential, on the lattice through s
+    r_out = outer + TAIL_START
+    n_out = int(round((r_out - s) / LATTICE))
+    r_out = s + n_out * LATTICE
+    dist0 = min(s, min(p.breakpoints) if p.breakpoints else s)
+    dist_s = min([abs(s - bp) for bp in p.breakpoints] + [s, 1.0, probe_cap])
+    # every probe radius in one call, starting at s: the jump at s, the seed
+    # slopes at 0 and r_out, the slopes beside the diagonal, the diagonal gaps
+    # and the seed G(r_out, s)
+    stencils = _jump_stencils(p, e, s) + (
+        (0.0, +1, min(dist0, probe_cap) / 4.0),
+        (r_out, -1, min(1.0, probe_cap) / 4.0),
+        (s, +1, dist_s / 4.0),
+        (s, -1, dist_s / 4.0),
+    )
+    probes = np.array([1e-2, 1e-3, 1e-4]) * min(1.0, dist_s)
+    radii = [x for stencil in stencils for x in _richardson_radii(*stencil)]
+    radii += [x for h in probes.tolist() for x in (s + h, s - h)] + [r_out]
+    values, chi_lo, om_hi = kernel.probes(radii, s)
+    d_right, d_left, slope0, slope_out, slope_right, slope_left = _derivatives(values, stencils)
+    jump_report = _jump_report(d_right, d_left)
 
     # left of the diagonal: start from G(0, s) = 0 with a measured slope
-    dist0 = min(s, min(p.breakpoints) if p.breakpoints else s)
-    slope0 = _richardson_derivative(lambda r: g(r, s), 0.0, +1, min(dist0, probe_cap) / 4.0)
     traj = integrate_schrodinger(p, complex(e), 0.0, slope0, 0.0, s, LATTICE)
-    kern = g(traj.r, s)
+    kern = kernel.values(traj.r, s)
     scale = float(np.max(np.abs(kern)))
     left_resid = float(np.max(np.abs(traj.values - kern))) / scale
     n_left = traj.r.size
@@ -554,14 +620,8 @@ def check_distributional_equation(
     # right of the diagonal: integrate inward from beyond the potential, where
     # the tail solution dominates; integrating outward from s would amplify
     # the seed error exponentially through evanescent regions
-    r_out = outer + TAIL_START
-    n_out = int(round((r_out - s) / LATTICE))
-    r_out = s + n_out * LATTICE
-    slope_out = _richardson_derivative(
-        lambda r: g(r, s), r_out, -1, min(1.0, probe_cap) / 4.0
-    )
-    traj_r = integrate_schrodinger(p, complex(e), g(r_out, s), slope_out, r_out, s, LATTICE)
-    kern_r = g(traj_r.r, s)
+    traj_r = integrate_schrodinger(p, complex(e), values[-1], slope_out, r_out, s, LATTICE)
+    kern_r = kernel.values(traj_r.r, s)
     scale_r = float(np.max(np.abs(kern_r)))
     right_resid = float(np.max(np.abs(traj_r.values - kern_r))) / scale_r
     ode_report = ResidualReport.build(
@@ -572,17 +632,16 @@ def check_distributional_equation(
     )
 
     # continuity at the potential jumps, value and slope, both as one-sided limits;
-    # G(., s) varies through chi left of the diagonal and through omega right of it
+    # G(., s) varies through chi left of the diagonal and through omega right of
+    # it, times the frozen omega(s) or chi(s), the factors of the probe at r = s
     interface_resid = 0.0
-    for bp in p.breakpoints:
-        radial = chi if bp < s else om
-        frozen = om.value(s) if bp < s else chi.value(s)
-        g_here = abs(radial.value(bp) * frozen / w)
-        for fn in ("value", "derivative"):
-            left = getattr(radial, fn)(bp, "-")
-            right = getattr(radial, fn)(bp, "+")
-            num = abs(left - right) * abs(frozen) / abs(w)
-            interface_resid = max(interface_resid, num / (1.0 + g_here))
+    for radial, frozen, inside in ((kernel.chi, om_hi[0], True), (kernel.om, chi_lo[0], False)):
+        bps = [bp for bp in p.breakpoints if (bp < s) == inside]
+        for v_left, v_right, dv_left, dv_right in zip(*(x.tolist() for x in radial.one_sided(bps))):
+            g_here = abs(v_right * frozen / kernel.w)
+            for left, right in ((v_left, v_right), (dv_left, dv_right)):
+                num = abs(left - right) * abs(frozen) / abs(kernel.w)
+                interface_resid = max(interface_resid, num / (1.0 + g_here))
     interface_report = ResidualReport.build(
         "interface_continuity",
         samples=4 * len(p.breakpoints),
@@ -591,11 +650,8 @@ def check_distributional_equation(
     )
 
     # continuity across the diagonal: the gap must vanish linearly in h
-    dist_s = min([abs(s - bp) for bp in p.breakpoints] + [s, 1.0, probe_cap])
-    slope_right = _richardson_derivative(lambda r: g(r, s), s, +1, dist_s / 4.0)
-    slope_left = _richardson_derivative(lambda r: g(r, s), s, -1, dist_s / 4.0)
-    probes = np.array([1e-2, 1e-3, 1e-4]) * min(1.0, dist_s)
-    gaps = np.array([abs(g(s + h, s) - g(s - h, s)) for h in probes])
+    gap_values = values[len(stencils) * (RICHARDSON_LEVELS + 1) : -1]
+    gaps = np.array([abs(a - b) for a, b in zip(gap_values[0::2], gap_values[1::2])])
     slope_scale = abs(slope_right) + abs(slope_left) + 1.0
     diag_resid = float(gaps[-1] / (probes[-1] * slope_scale))
     diag_report = ResidualReport.build(

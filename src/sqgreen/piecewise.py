@@ -138,24 +138,14 @@ def chi_outer_amplitudes(p, e: complex) -> tuple[complex, complex]:
         raise _overflow(e) from exc
 
 
-def chi_outer_amplitudes_array(p, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`chi_outer_amplitudes` over an array of energies.
-
-    The same matching loop in numpy arithmetic, for the batched pole screen.
-    Branch points are not checked here, and entries whose exponentials
-    overflow come out non-finite instead of raising; callers mask both and
-    run under ``np.errstate``.
-    """
-    return _chi_outer(region_momenta_array(p, e), p.breakpoints, np)[:2]
-
-
 def pole_function_array(p, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pole function c-(E) and its derivative dc-/dE over an array of energies.
 
     One sweep carries d/dE alongside the matching, so Newton's method gets
-    an exact derivative from one evaluation.  c- equals the second entry of
-    :func:`chi_outer_amplitudes_array` bit for bit; nothing is checked here
-    either.
+    an exact derivative from one evaluation; carrying it never moves c-.
+    Branch points are not checked here, and entries whose exponentials
+    overflow come out non-finite instead of raising; callers mask both and
+    run under ``np.errstate``.
     """
     return _chi_outer(region_momenta_array(p, e), p.breakpoints, np, True)[1:]
 

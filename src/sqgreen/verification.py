@@ -70,12 +70,12 @@ def _reference(p: PiecewisePotential, e: complex):
 
 
 def _wave_continuity(p: PiecewisePotential, waves) -> float:
+    """The largest relative jump of a wave's value or slope at a breakpoint; one call per wave."""
     worst = 0.0
     for w in waves:
-        for bp in p.breakpoints:
-            for fn in ("value", "derivative"):
-                left = getattr(w, fn)(bp, "-")
-                right = getattr(w, fn)(bp, "+")
+        v_left, v_right, d_left, d_right = (x.tolist() for x in w.one_sided(p.breakpoints))
+        for pairs in zip(zip(v_left, v_right), zip(d_left, d_right)):
+            for left, right in pairs:
                 worst = max(worst, abs(left - right) / (1.0 + abs(right)))
     return worst
 
@@ -87,7 +87,7 @@ def _wronskian_agreement(p: PiecewisePotential, e: complex, waves) -> float:
     worst = 0.0
     chi = waves[0]
     for om, exact in zip(waves[1:], _reference(p, e)[1]):
-        values = [wronskian(chi, om, r) for r in points]
+        values = wronskian(chi, om, points).tolist()
         for v in values:
             worst = max(worst, abs(v - exact) / abs(exact))
         spread = max(abs(v1 - v2) for v1 in values for v2 in values)

@@ -1,4 +1,5 @@
 import cmath
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -190,8 +191,8 @@ def _scalar_probe_waves():
 
 
 def test_scalar_lookups_equal_one_element_arrays():
-    # the scalar fast path must pick the same region and return the same bits
-    # as the array path, at the origin, inside every region and on both sides
+    # a scalar radius must pick the same region and return the same bits as a
+    # one-element array, at the origin, inside every region and on both sides
     # of every breakpoint
     for p, wave in _scalar_probe_waves():
         edges = (0.0,) + tuple(p.breakpoints)
@@ -203,6 +204,74 @@ def test_scalar_lookups_equal_one_element_arrays():
                     array = fn(np.array([r]), side)[0]
                     assert type(scalar) is complex
                     assert np.complex128(scalar).tobytes() == array.tobytes(), (p, r)
+
+
+def _region_formula(wave, r: float, side: str, what: str) -> complex:
+    """Region.value or Region.derivative of the region ``side`` picks at ``r``, on [r]."""
+    find = bisect_right if side == "+" else bisect_left
+    region = wave.regions[find(wave.breakpoints, r)]
+    return getattr(region, what)(np.array([r]))[0]
+
+
+def _table_waves():
+    """chi (with its sin region) and omega+- of engine and closed-form waves, at real and complex E."""
+    barrier = SquareBarrier(5.0, 1.0, 2.0)
+    stair = PiecewisePotential((0.6, 1.3, 2.1), (1.5, -2.0, 4.0, 0.0))
+    for e in (1.0 + 0j, 6.5 + 0j, 2.3 + 0.9j, 0.7 - 0.4j):
+        for p in (barrier, stair):
+            yield p, build_chi(p, e)
+            for direction in ("plus", "minus"):
+                yield p, build_omega(p, e, direction)
+        yield barrier, chi_wave(barrier, e)
+        for direction in ("plus", "minus"):
+            yield barrier, omega_wave(barrier, e, direction)
+
+
+def test_table_lookup_is_the_region_formula_bit_for_bit():
+    # every radius takes its region's own Region.value/derivative, whatever
+    # the other radii of the call: the origin, radii in every region and
+    # both sides of every breakpoint, in one array call and one at a time
+    rng = np.random.default_rng(16)
+    for p, wave in _table_waves():
+        edges = (0.0,) + tuple(p.breakpoints) + (p.breakpoints[-1] + 3.0,)
+        inside = [rng.uniform(lo, hi, 4) for lo, hi in zip(edges, edges[1:])]
+        radii = np.concatenate([[0.0], *inside, p.breakpoints])
+        rng.shuffle(radii)
+        for side in ("+", "-"):
+            value, deriv = wave.value_and_derivative(radii, side)
+            assert wave.value(radii, side).tobytes() == value.tobytes()
+            assert wave.derivative(radii, side).tobytes() == deriv.tobytes()
+            for what, got in (("value", value), ("derivative", deriv)):
+                expected = [_region_formula(wave, r, side, what) for r in radii.tolist()]
+                assert np.array(expected).tobytes() == got.tobytes(), (p, wave.energy, side, what)
+                single = [getattr(wave, what)(r, side) for r in radii.tolist()]
+                assert np.array(single).tobytes() == got.tobytes(), (p, wave.energy, side, what)
+        v_left, v_right, d_left, d_right = wave.one_sided(radii)
+        assert (v_left.tobytes(), d_left.tobytes()) == tuple(
+            x.tobytes() for x in wave.value_and_derivative(radii, "-")
+        )
+        assert (v_right.tobytes(), d_right.tobytes()) == tuple(
+            x.tobytes() for x in wave.value_and_derivative(radii, "+")
+        )
+
+
+def test_table_lookup_shapes():
+    wave = build_chi(SquareBarrier(5.0, 1.0, 2.0), 2.3 + 0.9j)
+    # a 0-d array is a scalar
+    for fn in (wave.value, wave.derivative):
+        got = fn(np.array(1.5))
+        assert type(got) is complex and got == fn(1.5)
+    assert wave.value_and_derivative(np.array(0.5)) == (wave.value(0.5), wave.derivative(0.5))
+    # an empty array gives empty arrays
+    empty = np.array([])
+    assert wave.value(empty).shape == (0,) and wave.value(empty).dtype == complex
+    assert [x.shape for x in wave.one_sided(empty)] == [(0,)] * 4
+    # a grid keeps its shape
+    grid = np.linspace(0.0, 3.0, 12).reshape(3, 4)
+    assert wave.value(grid).tobytes() == wave.value(grid.ravel()).tobytes()
+    assert wave.value(grid).shape == (3, 4)
+    with pytest.raises(ContractError):
+        wave.value(1.5, "+-")
 
 
 class TestWronskian:
@@ -244,6 +313,20 @@ class TestWronskian:
             wronskian(chi, omega_wave(barrier, 2.0 + 0j, "plus"), 1.5)
         with pytest.raises(ContractError):
             wronskian(chi, omega_wave(free, 1.0 + 0j, "plus"), 1.5)
+
+    def test_mismatched_waves_rejected_on_arrays(self, barrier, free):
+        chi = build_chi(barrier, 1.0 + 0j)
+        radii = np.array([0.5, 1.5, 3.0])
+        for other in (build_omega(barrier, 2.0 + 0j, "plus"), build_omega(free, 1.0 + 0j, "plus")):
+            with pytest.raises(ContractError):
+                wronskian(chi, other, radii)
+
+    def test_array_entries_equal_single_radii(self, barrier):
+        chi = build_chi(barrier, 2.0 + 0.7j)
+        om = build_omega(barrier, 2.0 + 0.7j, "plus")
+        radii = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
+        batched = wronskian(chi, om, radii)
+        assert batched.tobytes() == np.array([wronskian(chi, om, r) for r in radii.tolist()]).tobytes()
 
 
 class TestExpandedForms:

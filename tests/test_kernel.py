@@ -22,7 +22,7 @@ from sqgreen import (
     kernel_pole_residual,
     resolvent_kernel,
 )
-from sqgreen.model import _branch_sqrt_array
+from sqgreen.model import _branch_sqrt_array, require_off_branch
 
 from closed_forms import kernel_closed_form
 from conftest import close, random_instances
@@ -114,6 +114,15 @@ class TestKernelGrid:
         for i, r in enumerate(self.RS):
             for j, s in enumerate(self.SS):
                 assert grid[i, j] == formal_green(barrier, 1.5, r, s, direction)
+
+    def test_repeated_and_unsorted_radii(self, barrier):
+        # each wave is evaluated on the distinct radii; every entry still
+        # reads the value at its own min(r, s) and max(r, s)
+        rs, ss = [2.75, 0.5, 2.75, 1.0, 0.0], [1.0, 0.5, 3.5, 1.0]
+        grid = kernel_grid(barrier, 1.5 + 0.2j, rs, ss)
+        for i, r in enumerate(rs):
+            for j, s in enumerate(ss):
+                assert grid[i, j] == resolvent_kernel(barrier, 1.5 + 0.2j, r, s)
 
     def test_empty_axis(self, barrier):
         assert kernel_grid(barrier, 1.0 + 1.0j, [], self.SS).shape == (0, len(self.SS))
@@ -291,6 +300,28 @@ def _per_mu_study(p, e, r, s, direction):
     return tuple(mus), samples, False
 
 
+def _per_sample_checks(p, energies, values, finite) -> int:
+    """The per-sample loop that boundary_limit's masks replace; returns the number of samples kept.
+
+    Each sample in turn must be off the branch points, with finite waves and a
+    finite value, before the stop rule looks at it.
+    """
+    samples = []
+    for k, (z, g, waves_ok) in enumerate(zip(energies.tolist(), values.tolist(), finite.tolist())):
+        require_off_branch(p, z)
+        if not waves_ok:
+            raise DomainError(f"wave amplitudes at E={z} overflow double precision")
+        if not cmath.isfinite(g):
+            raise DomainError(f"kernel at E={z} is not finite: a wave overflows at these radii")
+        samples.append(g)
+        mu = abs(z.imag)
+        if k >= 1 and mu < kernel_module.MU_FLOOR:
+            tol = max(kernel_module.CAUCHY_TOL, 1e-13 * max(abs(samples[-1]), abs(samples[-2])))
+            if abs(samples[-1] - samples[-2]) < tol:
+                break
+    return len(samples)
+
+
 def _limit_requests():
     """The golden limit_barrier/limit_staircase requests and 120 random staircases of 1-4 steps."""
     out = [
@@ -345,6 +376,47 @@ class TestBatchedLimitStudy:
         assert type(batched.value) is type(scalar.value)
         assert str(batched.value) == str(scalar.value)
         assert str(first) in str(batched.value)
+
+    @pytest.mark.parametrize(
+        "e, spoil",
+        [
+            # E + i mu_k comes within EPS_BRANCH of the height 5 at k = 39; the
+            # drift keeps the sequence from settling before it gets there
+            (5.0 + 5e-13, "drift"),
+            # the waves of sample 6 overflow
+            (1.3, "overflow"),
+            # sample 9 is not finite
+            (1.3, "infinite"),
+        ],
+    )
+    def test_masks_refuse_the_sample_the_loop_refused(self, barrier, monkeypatch, e, spoil):
+        # the masked checks of boundary_limit against the per-sample loop they
+        # replaced, on the same sweep: same error class, message and sample
+        sweep = kernel_module._kernel_array
+
+        def spoiled(*args):
+            values, finite = sweep(*args)
+            if spoil == "drift":
+                values = values + 1e-3 * np.arange(values.size)
+            elif spoil == "overflow":
+                finite[6] = False
+            else:
+                values[9] = complex(math.inf, 0.0)
+            return values, finite
+
+        monkeypatch.setattr(kernel_module, "_kernel_array", spoiled)
+        energies = e + 1j * (0.05 * e * 0.5 ** np.arange(kernel_module.MAX_HALVINGS + 1))
+        values, finite = spoiled(barrier, energies, 0.5, 1.5, "plus")
+        with pytest.raises(DomainError) as looped:
+            _per_sample_checks(barrier, energies, values, finite)
+        with pytest.raises(DomainError) as masked:
+            boundary_limit(barrier, e, 0.5, 1.5, "plus")
+        assert type(masked.value) is type(looped.value)
+        assert str(masked.value) == str(looped.value)
+        first = {"drift": 39, "overflow": 6, "infinite": 9}[spoil]
+        assert str(complex(energies[first])) in str(masked.value)
+        if spoil == "drift":
+            assert type(masked.value) is BranchPointError
 
     def test_entries_past_the_cut_are_never_checked(self, barrier, monkeypatch):
         study = boundary_limit(barrier, 1.0, 0.7, 1.8, "plus")

@@ -16,8 +16,10 @@ from sqgreen import (
     check_jump,
     check_resolvent_identity,
     integrate_schrodinger,
+    kernel_grid,
     propagate,
 )
+from sqgreen.eigenfunctions import PiecewiseWave
 import sqgreen.oracle as oracle_module
 import sqgreen.verification as verification
 import sqgreen.kernel as kernel_module
@@ -667,3 +669,34 @@ class TestRunVerification:
         monkeypatch.setattr(kernel_module, "outer_wronskian", corrupt)
         report = run_verification(p, e, n_random=0)
         assert [c["name"] for c in report["checks"] if not c["pass"]] == ["engine_equivalence"]
+
+
+def _count_evaluations(monkeypatch) -> list[int]:
+    """Record the number of radii of every wave evaluation from here on."""
+    sizes = []
+    evaluate = PiecewiseWave._evaluate
+
+    def counted(self, r, sides, derivative):
+        sizes.append(int(np.size(r)))
+        return evaluate(self, r, sides, derivative)
+
+    monkeypatch.setattr(PiecewiseWave, "_evaluate", counted)
+    return sizes
+
+
+def test_verification_evaluates_waves_in_batches(monkeypatch):
+    # each check evaluates a wave on all its radii at once: this run takes 57
+    # evaluations over 25 190 radii, where one evaluation per probe radius and
+    # a frozen factor at every RK4 node took 327 over 39 348
+    sizes = _count_evaluations(monkeypatch)
+    report = run_verification(SquareBarrier(5.0, 1.0, 2.0), 1.0, seed=7, n_random=1)
+    assert report["pass"]
+    assert len(sizes) <= 60
+    assert sum(sizes) <= 26_000
+
+
+def test_kernel_grid_evaluates_each_wave_once_on_distinct_radii(monkeypatch):
+    sizes = _count_evaluations(monkeypatch)
+    axis = np.linspace(0.0, 4.0, 100)
+    kernel_grid(SquareBarrier(5.0, 1.0, 2.0), 1.5 + 0.2j, axis, axis[::-1])
+    assert sizes == [100, 100]

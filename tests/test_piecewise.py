@@ -14,7 +14,8 @@ from sqgreen import (
     wronskian,
 )
 
-from sqgreen.piecewise import chi_outer_amplitudes_array, pole_function_array
+from sqgreen.model import region_momenta_array
+from sqgreen.piecewise import _chi_outer, pole_function_array
 
 from closed_forms import chi_coefficients, chi_wave, omega_wave, wronskian_closed_form
 from conftest import close, random_instances
@@ -181,11 +182,10 @@ class TestEngineWaves:
         assert e.size == 50
         c_minus, slope = pole_function_array(p, e)
         # carrying the derivative never moves the value
-        assert c_minus.tobytes() == chi_outer_amplitudes_array(p, e)[1].tobytes()
+        plain = _chi_outer(region_momenta_array(p, e), p.breakpoints, np)[1]
+        assert c_minus.tobytes() == plain.tobytes()
         h = 1e-6
-        central = (
-            chi_outer_amplitudes_array(p, e + h)[1] - chi_outer_amplitudes_array(p, e - h)[1]
-        ) / (2.0 * h)
+        central = (pole_function_array(p, e + h)[0] - pole_function_array(p, e - h)[0]) / (2.0 * h)
         assert np.all(np.abs(slope - central) <= 1e-6 * np.abs(central))
 
     def test_degenerate_region_rejected(self):
