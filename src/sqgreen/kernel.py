@@ -145,24 +145,25 @@ def kernel_grid(p, e, rs, ss, direction: str | None = None) -> np.ndarray:
     ``direction=None`` gives the resolvent kernel at complex E, as
     :func:`resolvent_kernel`; "plus"/"minus" give the formal kernels at real
     E > 0, as :func:`formal_green`.  The waves are built once for the whole
-    grid, and each is evaluated in one array call on the distinct radii of
-    ``rs`` and ``ss``; chi is read off at min(r, s) and omega at max(r, s).
-    The quotient is formed in Python complex arithmetic, so every entry
-    equals the scalar function's value bit for bit.  Like the scalar
-    functions, it raises :class:`DomainError` where a value is not finite.
+    grid, and each is evaluated in one array call on the radii of ``rs`` and
+    ``ss``, not on every grid point; each entry reads chi at min(r, s) and
+    omega at max(r, s) off those.  The quotient is formed in Python complex
+    arithmetic, so every entry equals the scalar function's value bit for
+    bit.  Like the scalar functions, it raises :class:`DomainError` where a
+    value is not finite.
     """
     r = np.asarray(rs, dtype=float).ravel()
     s = np.asarray(ss, dtype=float).ravel()
     radii = np.concatenate((r, s))
     e, direction = _kernel_request(p, e, radii, direction)
     chi, om, w = _kernel_waves(p, e, direction)
-    distinct = np.unique(radii)
     with np.errstate(over="ignore", invalid="ignore"):
-        chi_at, om_at = chi.value(distinct), om.value(distinct)
-    # positions in ``distinct`` of r and s; min and max of two radii are those of their positions
-    at = np.searchsorted(distinct, radii)
-    lo = np.minimum.outer(at[: r.size], at[r.size :]).ravel()
-    hi = np.maximum.outer(at[: r.size], at[r.size :]).ravel()
+        chi_at, om_at = chi.value(radii), om.value(radii)
+    # positions in ``radii`` of min(r, s) and max(r, s) at every grid point
+    at_r, at_s = np.meshgrid(np.arange(r.size), r.size + np.arange(s.size), indexing="ij")
+    below = r[:, None] <= s
+    lo = np.where(below, at_r, at_s).ravel()
+    hi = np.where(below, at_s, at_r).ravel()
     values = np.array(
         [a * b / w for a, b in zip(chi_at[lo].tolist(), om_at[hi].tolist())], dtype=complex
     )

@@ -116,7 +116,7 @@ class TestKernelGrid:
                 assert grid[i, j] == formal_green(barrier, 1.5, r, s, direction)
 
     def test_repeated_and_unsorted_radii(self, barrier):
-        # each wave is evaluated on the distinct radii; every entry still
+        # each wave is evaluated on the radii of both axes; every entry still
         # reads the value at its own min(r, s) and max(r, s)
         rs, ss = [2.75, 0.5, 2.75, 1.0, 0.0], [1.0, 0.5, 3.5, 1.0]
         grid = kernel_grid(barrier, 1.5 + 0.2j, rs, ss)

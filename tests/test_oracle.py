@@ -695,8 +695,8 @@ def test_verification_evaluates_waves_in_batches(monkeypatch):
     assert sum(sizes) <= 26_000
 
 
-def test_kernel_grid_evaluates_each_wave_once_on_distinct_radii(monkeypatch):
+def test_kernel_grid_evaluates_each_wave_once_on_its_axes(monkeypatch):
+    # a 100 x 80 grid takes two evaluations of 180 radii, not of 8000 grid points
     sizes = _count_evaluations(monkeypatch)
-    axis = np.linspace(0.0, 4.0, 100)
-    kernel_grid(SquareBarrier(5.0, 1.0, 2.0), 1.5 + 0.2j, axis, axis[::-1])
-    assert sizes == [100, 100]
+    kernel_grid(SquareBarrier(5.0, 1.0, 2.0), 1.5 + 0.2j, np.linspace(0.0, 4.0, 100), np.linspace(4.0, 0.5, 80))
+    assert sizes == [180, 180]
