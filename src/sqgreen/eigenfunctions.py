@@ -100,7 +100,7 @@ class PiecewiseWave:
             columns += (1j * reg.k, -1j * reg.k, reg.c_plus, reg.c_minus, reg.ref)
             if reg.form == "sin":
                 sin = j
-        constants = np.array(columns, dtype=complex).reshape(-1, 5).T.copy()
+        constants = np.array(columns, dtype=complex).reshape(-1, 5).T
         return np.array(self.breakpoints, dtype=float), constants, sin
 
     def _evaluate(self, r, sides: str, derivative: bool) -> tuple:

@@ -226,12 +226,11 @@ def boundary_limit(
         stops = np.flatnonzero((mus[1:] < MU_FLOOR) & (np.hypot(step.real, step.imag) < tol))
         converged = stops.size > 0
         kept = int(stops[0]) + 2 if converged else energies.size
-        failed = ~finite_waves[:kept] | ~np.isfinite(values[:kept])
-        for v in p.heights:
-            near = energies[:kept] - v
-            failed |= np.hypot(near.real, near.imag) < EPS_BRANCH
-    if failed.any():
-        first = int(np.argmax(failed))
+        near = energies[:kept, None] - np.array(p.heights)
+        failed = ~(finite_waves[:kept] & np.isfinite(values[:kept]))
+        failed |= (np.hypot(near.real, near.imag) < EPS_BRANCH).any(axis=1)
+    first = int(failed.argmax())
+    if failed[first]:
         z = complex(energies[first])
         require_off_branch(p, z)
         if not finite_waves[first]:
