@@ -3,8 +3,9 @@
 All numeric output is written with 17 significant digits (``%.17g``) so
 re-running a command reproduces its output byte for byte; complex values are
 always split into re/im fields, never serialized as "a+bi" strings.  Exit
-codes: 0 on success, 1 when a requested check fails or a limit row does not
-converge, 2 on configuration errors.
+codes: 0 on success, 1 when a requested check fails (a pole scan that accepts
+another number of roots than its box's certified zero count included) or a
+limit row does not converge, 2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -231,6 +232,13 @@ def cmd_pole_scan(args) -> int:
     header = ["re", "im", "residual"]
     lines = ["%.17g,%.17g,%.17g" % (z.real, z.imag, kernel_pole_residual(p, z)) for z in roots]
     _write_rows(args, header, lines)
+    if roots.certified is not None and len(roots) != roots.certified:
+        print(
+            f"error: zero count mismatch: the argument principle counts {roots.certified} "
+            f"zeros of c- in the box, the scan accepted {len(roots)}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

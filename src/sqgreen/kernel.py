@@ -12,6 +12,9 @@ the same quotient with real-axis momenta gives the formal outgoing/incoming
 kernels.  :func:`boundary_limit` follows the complex kernel to the axis and
 returns the trajectory together with the formal kernel it should reach, so
 one value holds both sides of that claim and how far apart they ended.
+:func:`find_kernel_poles` finds the kernel's poles in a box by Newton's
+method, and :func:`zero_count` counts them there by the argument principle,
+which tells the Newton screen when it may stop.
 """
 
 from __future__ import annotations
@@ -265,13 +268,111 @@ def _kernel_array(p, energies: np.ndarray, r: float, s: float, direction: str):
     return values, finite
 
 
-#: Newton seeds screened together as arrays; bounds the screen's memory.
+#: Newton seeds advanced together as arrays in one step; bounds the temporaries of a step.
 SCREEN_BLOCK = 2048
 #: the most seeds a pole scan lays; a larger box or a finer spacing raises.
 MAX_SEEDS = 10**6
 #: roots nearer than this to a branch point or to an accepted root are dropped
 _ROOT_MARGIN = 1e-6
 _NEWTON_STEPS = 60
+#: a contour panel is settled once it and its two halves agree to this, in units of 2 pi
+_COUNT_PANEL_TOL = 1e-6
+#: the zero count gives up beyond this many evaluations of the pole function
+_COUNT_MAX_NODES = 2**16
+
+
+class KernelPoles(list):
+    """The sorted roots of :func:`find_kernel_poles`, with the zero count of its box.
+
+    ``certified`` is the box's :func:`zero_count`, or None where the count
+    does not apply; the list is otherwise a plain list of complex roots.
+    """
+
+    def __init__(self, roots, certified: int | None):
+        super().__init__(roots)
+        self.certified = certified
+
+
+def _search_box(box) -> tuple[float, float, float, float]:
+    """``box`` as four floats (re_min, re_max, im_min, im_max); raises for a bad box."""
+    bounds = tuple(float(x) for x in box)
+    re_min, re_max, im_min, im_max = bounds
+    if not all(math.isfinite(x) for x in bounds):
+        raise DomainError(f"search box entries must be finite, got {box}")
+    if not (re_min < re_max and im_min < im_max):
+        raise DomainError(f"degenerate search box {box}")
+    return bounds
+
+
+#: the positive nodes of the 16-point Gauss-Legendre rule on [-1, 1] and their
+#: weights (Abramowitz & Stegun, table 25.4); the rule is symmetric about 0
+_GAUSS_HALF = np.array([
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+])
+_GAUSS_NODES = np.concatenate((-_GAUSS_HALF[:, 0], _GAUSS_HALF[:, 0]))
+_GAUSS_WEIGHTS = np.concatenate((_GAUSS_HALF[:, 1], _GAUSS_HALF[:, 1]))
+
+
+def _log_derivative_integrals(p, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The 16-point rule for the integral of c-'/c- along each segment a -> b.
+
+    Also says whether c-'/c- is finite at every node.
+    """
+    half = 0.5 * (b - a)
+    with np.errstate(all="ignore"):
+        f, df = pole_function_array(p, (0.5 * (a + b))[:, None] + half[:, None] * _GAUSS_NODES)
+        ratio = df / f
+    return half * (ratio @ _GAUSS_WEIGHTS), bool(np.isfinite(ratio).all())
+
+
+def zero_count(p, box) -> int | None:
+    """The number of zeros of the pole function c-(E) inside ``box``, by the argument principle.
+
+    The count is (1 / 2 pi i) times the integral of c-'/c- around the
+    box's edges, with the exact derivative of
+    :func:`~sqgreen.piecewise.pole_function_array`.  Each edge starts as one
+    panel of a composite 16-point Gauss-Legendre rule, and a panel is split
+    in two wherever it and its halves disagree by more than
+    ``_COUNT_PANEL_TOL``, so the nodes gather where a zero comes close to
+    the contour.  None means the count does not apply: the box meets the
+    real axis at or left of max(0, v0), where c- has a cut (the outer
+    momentum's, and the innermost region's when its height v0 is not 0);
+    a node gave a non-finite c-'/c-; the panels did not settle within
+    ``_COUNT_MAX_NODES`` evaluations; or the total is not within 1e-3 of
+    an integer.  Raises :class:`DomainError` for a non-finite or degenerate
+    box.
+    """
+    re_min, re_max, im_min, im_max = _search_box(box)
+    if im_min <= 0.0 <= im_max and re_min <= max(0.0, p.heights[0]):
+        return None
+    a = np.array([complex(re_min, im_min), complex(re_max, im_min),
+                  complex(re_max, im_max), complex(re_min, im_max)])
+    b = np.roll(a, -1)
+    whole, finite = _log_derivative_integrals(p, a, b)
+    evaluations, total = 16 * a.size, 0j
+    while finite and a.size:
+        evaluations += 32 * a.size
+        if evaluations > _COUNT_MAX_NODES:
+            return None
+        m = 0.5 * (a + b)
+        halves, finite = _log_derivative_integrals(p, np.concatenate((a, m)), np.concatenate((m, b)))
+        left, right = np.split(halves, 2)
+        settled = np.abs(whole - (left + right)) <= 2.0 * math.pi * _COUNT_PANEL_TOL
+        total += (left + right)[settled].sum()
+        split = ~settled
+        a, b = np.concatenate((a[split], m[split])), np.concatenate((m[split], b[split]))
+        whole = np.concatenate((left[split], right[split]))
+    n = complex(total) / (2j * math.pi)
+    if not (finite and cmath.isfinite(n) and abs(n - round(n.real)) < 1e-3):
+        return None
+    return round(n.real)
 
 
 def _branch_points(p) -> tuple[float, ...]:
@@ -287,46 +388,77 @@ def _near(z: np.ndarray, branch_points, margin: float) -> np.ndarray:
     return out
 
 
-def _screen(p, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Newton iteration of :func:`find_kernel_poles` run on all ``seeds`` at once.
+def _screen(p, seeds: np.ndarray):
+    """The Newton iteration of :func:`find_kernel_poles`, run step-major on all ``seeds``.
 
-    Each step takes c- and its exact derivative dc-/dE from one evaluation
-    of :func:`~sqgreen.piecewise.pole_function_array` on the active seeds.
-    Returns the final iterates and a mask of the seeds that converged: a
-    step fell below 1e-13 * max(1, |z|) and below 1e-12.  A seed leaves the
-    active set when it converges or dies: an iterate within ``EPS_BRANCH``
-    of a branch point, a non-finite or zero derivative, or a non-finite
-    iterate.  Seeds within 1e-6 of a branch point never start.
+    Every step advances each active seed once, ``SCREEN_BLOCK`` seeds at a
+    time, taking c- and its exact derivative dc-/dE from one evaluation of
+    :func:`~sqgreen.piecewise.pole_function_array`; after each full step the
+    generator yields the iterates and the mask of the seeds converged so
+    far: a step fell below 1e-13 * max(1, |z|) and below 1e-12.  A seed
+    leaves the active set when it converges or dies: an iterate within
+    ``EPS_BRANCH`` of a branch point, a non-finite or zero derivative, or a
+    non-finite iterate.  Seeds within 1e-6 of a branch point never start.
+    ``seeds`` is overwritten by the iterates.  The screen ends after
+    ``_NEWTON_STEPS`` steps or once no seed is active.  Each seed's
+    iteration is elementwise, so neither the block size nor the step at
+    which a caller stops changes its digits.
     """
     branch_points = _branch_points(p)
-    z = seeds.copy()
+    z = seeds
     last_step = np.full(z.shape, np.inf)
     ok = np.zeros(z.shape, dtype=bool)
-    active = np.flatnonzero(~_near(z, branch_points, _ROOT_MARGIN))
-    with np.errstate(all="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            if active.size == 0:
-                break
-            za = z[active]
-            near = _near(za, branch_points, EPS_BRANCH)
-            fz, dfz = pole_function_array(p, za)
-            dz = fz / dfz
-            za = za - dz
-            step = np.abs(dz)
-            live = ~near & (dfz != 0) & np.isfinite(dfz) & np.isfinite(za)
-            done = live & (step < 1e-13 * np.maximum(1.0, np.abs(za)))
-            z[active[live]] = za[live]
-            last_step[active[live]] = step[live]
-            ok[active[done]] = True
-            active = active[live & ~done]
-    return z, ok & (last_step < 1e-12)
+    active = ~_near(z, branch_points, _ROOT_MARGIN)
+    for _ in range(_NEWTON_STEPS):
+        moving = np.flatnonzero(active)
+        for start in range(0, moving.size, SCREEN_BLOCK):
+            idx = moving[start:start + SCREEN_BLOCK]
+            za = z[idx]
+            with np.errstate(all="ignore"):
+                near = _near(za, branch_points, EPS_BRANCH)
+                fz, dfz = pole_function_array(p, za)
+                dz = fz / dfz
+                za = za - dz
+                step = np.abs(dz)
+                live = ~near & (dfz != 0) & np.isfinite(dfz) & np.isfinite(za)
+                done = live & (step < 1e-13 * np.maximum(1.0, np.abs(za)))
+            z[idx[live]] = za[live]
+            last_step[idx[live]] = step[live]
+            ok[idx[done]] = True
+            active[idx[~live | done]] = False
+        yield z, ok & (last_step < 1e-12)
+        if not active.any():
+            return
+
+
+def _accept(p, roots, converged, bounds, residuals: dict) -> list[complex]:
+    """The acceptance rules of :func:`find_kernel_poles`, applied in seed order.
+
+    ``residuals`` memoizes |c-| by seed index across calls on one screen.
+    """
+    re_min, re_max, im_min, im_max = bounds
+    keep = (
+        converged
+        & (re_min <= roots.real) & (roots.real <= re_max)
+        & (im_min <= roots.imag) & (roots.imag <= im_max)
+        & ~_near(roots, _branch_points(p), _ROOT_MARGIN)
+    )
+    accepted: list[complex] = []
+    for i in np.flatnonzero(keep).tolist():
+        z = complex(roots[i])
+        if all(abs(z - w) >= _ROOT_MARGIN for w in accepted):
+            if i not in residuals:
+                residuals[i] = kernel_pole_residual(p, z)
+            if residuals[i] < 1e-10:
+                accepted.append(z)
+    return accepted
 
 
 def find_kernel_poles(
     p,
     box: tuple[float, float, float, float],
     seed_density: float = 0.25,
-) -> list[complex]:
+) -> KernelPoles:
     """Newton search for zeros of the outgoing-kernel denominator over a box.
 
     Seeds are laid on a grid of spacing ``seed_density`` over
@@ -339,19 +471,25 @@ def find_kernel_poles(
     |c-| is below 1e-10, it lies inside the box, and it is at least 1e-6
     away from every branch point, the region heights.
     Roots are taken in seed order, and one within 1e-6 of an already
-    accepted root is dropped.  An empty list is a valid outcome.  The
-    iteration runs on ``SCREEN_BLOCK`` seeds at a time as numpy arrays.
+    accepted root is dropped.  An empty list is a valid outcome.
+
+    The seeds advance step-major (:func:`_screen`): all of them take one
+    Newton step, ``SCREEN_BLOCK`` at a time as numpy arrays, before the
+    next step starts.  When :func:`zero_count` certifies the box, the rules
+    run on the converged seeds after every step, and the screen stops as
+    soon as they accept exactly the certified number of roots; otherwise
+    the rules run once, after the full screen.  Either way the roots do not
+    depend on ``SCREEN_BLOCK``.  The returned :class:`KernelPoles` carries
+    the count in ``certified`` (None for an uncertified box), so a caller
+    can tell a scan that fell short of it.  The screen keeps its state for
+    every seed at once, O(n_seeds) memory: about 25 MB at ``MAX_SEEDS``.
 
     Raises :class:`DomainError` for a non-finite or degenerate box, a
     non-finite or non-positive ``seed_density``, or more than ``MAX_SEEDS``
     seeds.
     """
-    bounds = tuple(float(x) for x in box)
+    bounds = _search_box(box)
     re_min, re_max, im_min, im_max = bounds
-    if not all(math.isfinite(x) for x in bounds):
-        raise DomainError(f"search box entries must be finite, got {box}")
-    if not (re_min < re_max and im_min < im_max):
-        raise DomainError(f"degenerate search box {box}")
     seed_density = float(seed_density)
     if not (math.isfinite(seed_density) and seed_density > 0.0):
         raise DomainError(f"seed_density must be finite and positive, got {seed_density}")
@@ -366,27 +504,21 @@ def find_kernel_poles(
             f"box {box} at seed spacing {seed_density} needs more than {MAX_SEEDS} seeds"
         )
 
-    branch_points = _branch_points(p)
-    accepted: list[complex] = []
-    for start in range(0, n_seeds, SCREEN_BLOCK):
-        i, j = np.divmod(np.arange(start, min(start + SCREEN_BLOCK, n_seeds)), n_im)
-        seeds = np.empty(i.shape, dtype=complex)
-        seeds.real = re_min + i * seed_density
-        seeds.imag = im_min + j * seed_density
-        roots, converged = _screen(p, seeds)
-        keep = (
-            converged
-            & (re_min <= roots.real) & (roots.real <= re_max)
-            & (im_min <= roots.imag) & (roots.imag <= im_max)
-            & ~_near(roots, branch_points, _ROOT_MARGIN)
-        )
-        for z in roots[keep].tolist():
-            if all(abs(z - w) >= _ROOT_MARGIN for w in accepted) and (
-                kernel_pole_residual(p, z) < 1e-10
-            ):
-                accepted.append(z)
+    count = zero_count(p, bounds)
+    seeds = np.empty(n_seeds, dtype=complex)
+    seeds.real = re_min + np.arange(n_seeds) // n_im * seed_density
+    seeds.imag = im_min + np.arange(n_seeds) % n_im * seed_density
+    residuals: dict[int, float] = {}
+    for roots, converged in _screen(p, seeds):
+        if count is None:
+            continue
+        accepted = _accept(p, roots, converged, bounds, residuals)
+        if len(accepted) == count:
+            break
+    else:  # the full screen ran
+        accepted = _accept(p, roots, converged, bounds, residuals)
     accepted.sort(key=lambda w: (w.real, w.imag))
-    return accepted
+    return KernelPoles(accepted, count)
 
 
 def kernel_pole_residual(p, z: complex) -> float:

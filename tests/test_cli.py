@@ -9,6 +9,7 @@ import pytest
 
 from sqgreen import PiecewisePotential, SquareBarrier, formal_green, resolvent_kernel
 import sqgreen.cli as cli_module
+import sqgreen.kernel as kernel_module
 from sqgreen.cli import _write_json, main, parse_complex, parse_grid
 from sqgreen.oracle import LATTICE
 from sqgreen.verification import MAX_LATTICE_PHASE, MAX_RANDOM_INSTANCES
@@ -402,6 +403,20 @@ class TestPoleScan:
         assert len(rows) == 1
         assert abs(complex(float(rows[0][0]), float(rows[0][1])) - (4.2029 - 0.2556j)) < 1e-3
         assert float(rows[0][2]) < 1e-10
+
+    def test_count_mismatch_exits_1(self, tmp_path, monkeypatch, capsys):
+        # one zero more than the scan can find: the rows are still written
+        count = kernel_module.zero_count
+        monkeypatch.setattr(kernel_module, "zero_count", lambda p, box: count(p, box) + 1)
+        out = tmp_path / "poles.csv"
+        rc = main(["pole-scan", "--v0=5", "--a=1", "--b=2", "--box=3:6:-1:-0.01", f"--out={out}"])
+        assert rc == 1
+        _, rows = read_csv(out)
+        assert len(rows) == 1
+        assert capsys.readouterr().err == (
+            "error: zero count mismatch: the argument principle counts 2 zeros of c- in the "
+            "box, the scan accepted 1\n"
+        )
 
     def test_bad_box_exits_2(self, tmp_path):
         rc = main(["pole-scan", "--v0", "5", "--a", "1", "--b", "2",

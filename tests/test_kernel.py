@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -440,7 +441,7 @@ class TestPoleScan:
 
     def test_barrier_resonance(self, barrier):
         roots = find_kernel_poles(barrier, (3.0, 6.0, -1.0, -0.01), seed_density=0.25)
-        assert roots == [4.202900168796607 - 0.25564393159876414j]
+        assert roots == [4.2029001687966083 - 0.2556439315987642j]
         for z in roots:
             assert kernel_pole_residual(barrier, z) < 1e-10
 
@@ -503,7 +504,7 @@ class TestPoleScan:
 
         def screen(p, seeds):
             roots = np.array(list(screened), dtype=complex)
-            return roots, np.array([ok for ok, _ in screened.values()])
+            yield roots, np.array([ok for ok, _ in screened.values()])
 
         monkeypatch.setattr(kernel_module, "_screen", screen)
         monkeypatch.setattr(kernel_module, "kernel_pole_residual", lambda p, z: screened[z][1])
@@ -521,6 +522,79 @@ class TestPoleScan:
     def test_unbounded_requests_rejected(self, barrier, box, density):
         with pytest.raises(DomainError):
             find_kernel_poles(barrier, box, seed_density=density)
+
+
+def _scan_barriers(n: int) -> list:
+    """Barriers drawn as the benchmark's scan workload draws them, from a fixed seed."""
+    rng = random.Random(17)
+    out = []
+    for _ in range(n):
+        v0 = rng.uniform(2.5, 7.5)
+        a = round(rng.uniform(0.5, 1.5), 3)
+        out.append(SquareBarrier(v0, a, round(a + rng.uniform(0.5, 1.5), 3)))
+    return out
+
+
+WIDE_BOX = (0.5, 40.0, -6.0, -0.01)
+STAIRCASE = PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -1.0, 0.0))
+COUNT_CASES = [
+    (SquareBarrier(12.0, 1.0, 3.0), WIDE_BOX),
+    # the boxes of the golden pole scans
+    (SquareBarrier(5.0, 1.0, 2.0), (3.0, 6.0, -1.0, -0.01)),
+    (STAIRCASE, (0.5, 8.0, -2.0, -0.01)),
+    (STAIRCASE, WIDE_BOX),
+    # an edge 0.025 from the root 22.86306 - 5.35086i, with the root outside and inside
+    (STAIRCASE, (0.5, 40.0, -5.325, -0.01)),
+    (STAIRCASE, (0.5, 40.0, -6.0, -5.325)),
+    (STAIRCASE, (0.5, 22.888, -6.0, -0.01)),
+    # boxes that cross the real axis right of the cut
+    (SquareBarrier(5.0, 1.0, 2.0), (3.0, 6.0, -1.0, 0.5)),
+    (PiecewisePotential((1.0, 2.0, 3.0), (3.0, -2.0, 5.0, 0.0)), (3.5, 6.0, -1.0, 1.0)),
+] + [(p, WIDE_BOX) for p in _scan_barriers(60)]
+
+
+@pytest.mark.parametrize("p, box", COUNT_CASES)
+def test_zero_count_matches_the_full_screen(p, box, monkeypatch):
+    # the early-stopped scan against the full 60-step screen of an uncertified box
+    roots = find_kernel_poles(p, box)
+    monkeypatch.setattr(kernel_module, "zero_count", lambda p, box: None)
+    full = find_kernel_poles(p, box)
+    assert full.certified is None
+    assert roots.certified == len(full) == len(roots)
+    for z, w in zip(roots, full):
+        assert abs(z - w) <= 1e-12 * abs(w)
+
+
+class TestZeroCount:
+    @pytest.mark.parametrize(
+        "p, box",
+        [
+            (SquareBarrier(-5.0, 1.0, 2.0), (-5.0, -0.5, -0.5, 0.5)),
+            (SquareBarrier(0.0, 1.0, 2.0), (-5.0, 5.0, -5.0, 5.0)),
+            # innermost height 3: c- has a cut on the axis left of 3, not only left of 0
+            (PiecewisePotential((1.0, 2.0, 3.0), (3.0, -2.0, 5.0, 0.0)), (2.5, 6.0, -1.0, 1.0)),
+        ],
+    )
+    def test_cut_crossing_box_evaluates_no_node(self, p, box, monkeypatch):
+        def no_node(*args):
+            raise AssertionError("a contour node was evaluated")
+
+        monkeypatch.setattr(kernel_module, "_log_derivative_integrals", no_node)
+        assert kernel_module.zero_count(p, box) is None
+        assert find_kernel_poles(p, box).certified is None
+
+    def test_no_count_without_a_settled_finite_integral(self, monkeypatch):
+        p = SquareBarrier(12.0, 1.0, 3.0)
+        # c- overflows on the edges of this box
+        assert kernel_module.zero_count(p, (1.0, 2.0, -1e5, -1e4)) is None
+        assert kernel_module.zero_count(p, WIDE_BOX) == 4
+        monkeypatch.setattr(kernel_module, "_COUNT_MAX_NODES", 64)
+        assert kernel_module.zero_count(p, WIDE_BOX) is None
+
+    def test_bad_box_rejected(self, barrier):
+        for box in ((1.0, 1.0, -1.0, 1.0), (0.0, np.inf, -1.0, -0.01)):
+            with pytest.raises(DomainError):
+                kernel_module.zero_count(barrier, box)
 
 
 SPLIT_CASES = [
