@@ -209,16 +209,15 @@ def wronskian(f: PiecewiseWave, g: PiecewiseWave, r):
     """f(r) g'(r) - f'(r) g(r); constant in r for two solutions at one energy.
 
     ``r`` is a radius, giving a complex, or an array of radii, giving an
-    array.  Each wave is evaluated once, and each entry is formed in Python
-    complex arithmetic, so it equals the Wronskian at that one radius bit for
-    bit.
+    array.  Each wave is evaluated once and the Wronskian is formed once, in
+    numpy; a radius is the single entry of a one-radius array.
     """
     _require_same_problem(f, g)
     radii = np.asarray(r, dtype=float)
     fv, fd = f.value_and_derivative(radii.ravel())
     gv, gd = g.value_and_derivative(radii.ravel())
-    out = [a * d - b * c for a, b, c, d in zip(fv.tolist(), fd.tolist(), gv.tolist(), gd.tolist())]
-    return out[0] if radii.ndim == 0 else np.array(out, dtype=complex).reshape(radii.shape)
+    out = (fv * gd - fd * gv).reshape(radii.shape)
+    return out if out.ndim else out.item()
 
 
 def _overflow(e: complex) -> DomainError:

@@ -122,24 +122,14 @@ def _require_finite(finite: bool, e: complex) -> None:
         raise DomainError(f"kernel at E={e} is not finite: a wave overflows at these radii")
 
 
-def _sample(p, e, r: float, s: float, direction: str | None) -> complex:
-    e, direction = _kernel_request(p, e, (r, s), direction)
-    chi, om, w = _kernel_waves(p, e, direction)
-    lo, hi = (r, s) if r <= s else (s, r)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = chi.value(lo) * om.value(hi) / w
-    _require_finite(cmath.isfinite(value), e)
-    return value
-
-
 def resolvent_kernel(p, e: complex, r: float, s: float) -> complex:
     """Kernel of (E - H)^{-1} at complex E; omega_plus above the axis, omega_minus below."""
-    return _sample(p, e, r, s, None)
+    return kernel_grid(p, e, (r,), (s,)).item()
 
 
 def formal_green(p, e: float, r: float, s: float, direction: str) -> complex:
     """Outgoing/incoming kernel at real E > 0 with real-axis momenta."""
-    return _sample(p, e, r, s, direction)
+    return kernel_grid(p, e, (r,), (s,), direction).item()
 
 
 def kernel_grid(p, e, rs, ss, direction: str | None = None) -> np.ndarray:
@@ -150,28 +140,23 @@ def kernel_grid(p, e, rs, ss, direction: str | None = None) -> np.ndarray:
     E > 0, as :func:`formal_green`.  The waves are built once for the whole
     grid, and each is evaluated in one array call on the radii of ``rs`` and
     ``ss``, not on every grid point; each entry reads chi at min(r, s) and
-    omega at max(r, s) off those.  The quotient is formed in Python complex
-    arithmetic, so every entry equals the scalar function's value bit for
-    bit.  Like the scalar functions, it raises :class:`DomainError` where a
-    value is not finite.
+    omega at max(r, s) off those by broadcasting, and the quotient is formed
+    once, in numpy.  A scalar function is the single entry of its 1 x 1 grid.
+    Like them, it raises :class:`DomainError` where a value is not finite.
     """
     r = np.asarray(rs, dtype=float).ravel()
     s = np.asarray(ss, dtype=float).ravel()
     radii = np.concatenate((r, s))
     e, direction = _kernel_request(p, e, radii, direction)
     chi, om, w = _kernel_waves(p, e, direction)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         chi_at, om_at = chi.value(radii), om.value(radii)
-    # positions in ``radii`` of min(r, s) and max(r, s) at every grid point
-    at_r, at_s = np.meshgrid(np.arange(r.size), r.size + np.arange(s.size), indexing="ij")
-    below = r[:, None] <= s
-    lo = np.where(below, at_r, at_s).ravel()
-    hi = np.where(below, at_s, at_r).ravel()
-    values = np.array(
-        [a * b / w for a, b in zip(chi_at[lo].tolist(), om_at[hi].tolist())], dtype=complex
-    )
+        below = r[:, None] <= s
+        chi_lo = np.where(below, chi_at[:r.size, None], chi_at[r.size:])
+        om_hi = np.where(below, om_at[r.size:], om_at[:r.size, None])
+        values = chi_lo * om_hi / w
     _require_finite(bool(np.isfinite(values).all()), e)
-    return values.reshape(r.size, s.size)
+    return values
 
 
 #: mu halving stops once mu < MU_FLOOR and successive samples differ by < CAUCHY_TOL.

@@ -397,14 +397,9 @@ class _KernelSlice(NamedTuple):
         return chi_lo, om_hi
 
     def values(self, r, s: float) -> np.ndarray:
-        """G(r, s) over an array of radii, in numpy arithmetic."""
+        """G(r, s) at the radii ``r``; unscaled, a :func:`~sqgreen.kernel.kernel_grid` column."""
         chi_lo, om_hi = self.factors(r, s)
         return chi_lo * om_hi / self.w
-
-    def probes(self, radii, s: float) -> tuple[list[complex], list[complex], list[complex]]:
-        """G(r, s) at each probe radius, formed in Python complex arithmetic, and its two factors."""
-        chi_lo, om_hi = (part.tolist() for part in self.factors(radii, s))
-        return [a * b / self.w for a, b in zip(chi_lo, om_hi)], chi_lo, om_hi
 
 
 def _kernel_slice(p, e: float, direction: str, wronskian_scale: float = 1.0) -> _KernelSlice:
@@ -429,7 +424,7 @@ def check_jump(p, e: float, s: float, direction: str, wronskian_scale: float = 1
     kernel = _kernel_slice(p, e, direction, wronskian_scale)
     stencils = _jump_stencils(p, e, s)
     radii = [x for stencil in stencils for x in _richardson_radii(*stencil)]
-    return _jump_report(*_derivatives(kernel.probes(radii, s)[0], stencils))
+    return _jump_report(*_derivatives(kernel.values(radii, s).tolist(), stencils))
 
 
 def _jump_stencils(p, e: float, s: float) -> tuple[tuple[float, int, float], ...]:
@@ -606,8 +601,11 @@ def check_distributional_equation(
     probes = np.array([1e-2, 1e-3, 1e-4]) * min(1.0, dist_s)
     radii = [x for stencil in stencils for x in _richardson_radii(*stencil)]
     radii += [x for h in probes.tolist() for x in (s + h, s - h)] + [r_out]
-    values, chi_lo, om_hi = kernel.probes(radii, s)
-    d_right, d_left, slope0, slope_out, slope_right, slope_left = _derivatives(values, stencils)
+    chi_lo, om_hi = kernel.factors(radii, s)
+    values = chi_lo * om_hi / kernel.w
+    d_right, d_left, slope0, slope_out, slope_right, slope_left = _derivatives(
+        values.tolist(), stencils
+    )
     jump_report = _jump_report(d_right, d_left)
 
     # left of the diagonal: start from G(0, s) = 0 with a measured slope
@@ -636,12 +634,11 @@ def check_distributional_equation(
     # it, times the frozen omega(s) or chi(s), the factors of the probe at r = s
     interface_resid = 0.0
     for radial, frozen, inside in ((kernel.chi, om_hi[0], True), (kernel.om, chi_lo[0], False)):
-        bps = [bp for bp in p.breakpoints if (bp < s) == inside]
-        for v_left, v_right, dv_left, dv_right in zip(*(x.tolist() for x in radial.one_sided(bps))):
-            g_here = abs(v_right * frozen / kernel.w)
-            for left, right in ((v_left, v_right), (dv_left, dv_right)):
-                num = abs(left - right) * abs(frozen) / abs(kernel.w)
-                interface_resid = max(interface_resid, num / (1.0 + g_here))
+        bps = np.array([bp for bp in p.breakpoints if (bp < s) == inside])
+        v_left, v_right, dv_left, dv_right = radial.one_sided(bps)
+        g_here = np.abs(v_right * frozen / kernel.w)
+        jumps = np.abs([v_left - v_right, dv_left - dv_right]) * abs(frozen) / abs(kernel.w)
+        interface_resid = max(interface_resid, float((jumps / (1.0 + g_here)).max(initial=0.0)))
     interface_report = ResidualReport.build(
         "interface_continuity",
         samples=4 * len(p.breakpoints),
@@ -651,7 +648,7 @@ def check_distributional_equation(
 
     # continuity across the diagonal: the gap must vanish linearly in h
     gap_values = values[len(stencils) * (RICHARDSON_LEVELS + 1) : -1]
-    gaps = np.array([abs(a - b) for a, b in zip(gap_values[0::2], gap_values[1::2])])
+    gaps = np.abs(gap_values[0::2] - gap_values[1::2])
     slope_scale = abs(slope_right) + abs(slope_left) + 1.0
     diag_resid = float(gaps[-1] / (probes[-1] * slope_scale))
     diag_report = ResidualReport.build(

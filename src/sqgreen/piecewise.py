@@ -122,6 +122,19 @@ def _chi_outer(ks, breakpoints, lib, tangent: bool = False):
     return cp / phase, cm * phase, dcm
 
 
+#: what the cmath sweep raises once amplitudes leave double precision: an overflow,
+#: the "math domain error" of exp at an infinite argument, or a division by a
+#: phase that underflowed to 0
+_MATCH_FAILURES = (OverflowError, ValueError, ZeroDivisionError)
+
+
+def _finite_amplitudes(amplitudes, e: complex):
+    """``amplitudes``, or the overflow :class:`DomainError` if one is not finite (a silent NaN)."""
+    if not all(cmath.isfinite(a) for a in amplitudes):
+        raise _overflow(e)
+    return amplitudes
+
+
 def chi_outer_amplitudes(p, e: complex) -> tuple[complex, complex]:
     """(c+, c-) of chi beyond the last step in the form c+ exp(ikr) + c- exp(-ikr).
 
@@ -133,9 +146,10 @@ def chi_outer_amplitudes(p, e: complex) -> tuple[complex, complex]:
     e = complex(e)
     ks = region_momenta(p, e)
     try:
-        return _chi_outer(ks, p.breakpoints, cmath)[:2]
-    except OverflowError as exc:
+        amplitudes = _chi_outer(ks, p.breakpoints, cmath)[:2]
+    except _MATCH_FAILURES as exc:
         raise _overflow(e) from exc
+    return _finite_amplitudes(amplitudes, e)
 
 
 def pole_function_array(p, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,28 +196,32 @@ def _omega_regions(ks, breakpoints, direction: str, lib) -> list[Region]:
     return regions
 
 
-def build_chi(p, e: complex) -> PiecewiseWave:
-    """Regular solution: sin(k0 r) on the innermost region, propagated outward."""
+def _wave(p, e: complex, regions_of, *args) -> PiecewiseWave:
+    """The wave of ``regions_of(momenta, breakpoints, *args, cmath)`` at one energy.
+
+    Raises :class:`DomainError` where the matching fails or leaves an
+    amplitude that is not finite, as the array sweeps' finite masks refuse it.
+    """
     e = complex(e)
     ks = region_momenta(p, e)
     try:
-        regions = _chi_regions(ks, p.breakpoints, cmath)
-    except OverflowError as exc:
+        regions = regions_of(ks, p.breakpoints, *args, cmath)
+    except _MATCH_FAILURES as exc:
         raise _overflow(e) from exc
+    _finite_amplitudes([a for reg in regions for a in (reg.c_plus, reg.c_minus)], e)
     return PiecewiseWave(tuple(regions), p.breakpoints, p.heights, e)
+
+
+def build_chi(p, e: complex) -> PiecewiseWave:
+    """Regular solution: sin(k0 r) on the innermost region, propagated outward."""
+    return _wave(p, e, _chi_regions)
 
 
 def build_omega(p, e: complex, direction: str) -> PiecewiseWave:
     """Tail solution pinned to exp(+-i k r) beyond the last step, propagated inward."""
     if direction not in ("plus", "minus"):
         raise ContractError(f"direction must be 'plus' or 'minus', got {direction!r}")
-    e = complex(e)
-    ks = region_momenta(p, e)
-    try:
-        regions = _omega_regions(ks, p.breakpoints, direction, cmath)
-    except OverflowError as exc:
-        raise _overflow(e) from exc
-    return PiecewiseWave(tuple(regions), p.breakpoints, p.heights, e)
+    return _wave(p, e, _omega_regions, direction)
 
 
 def outer_wronskian(f: PiecewiseWave, g: PiecewiseWave) -> complex:

@@ -71,28 +71,21 @@ def _reference(p: PiecewisePotential, e: complex):
 
 def _wave_continuity(p: PiecewisePotential, waves) -> float:
     """The largest relative jump of a wave's value or slope at a breakpoint; one call per wave."""
-    worst = 0.0
-    for w in waves:
-        v_left, v_right, d_left, d_right = (x.tolist() for x in w.one_sided(p.breakpoints))
-        for pairs in zip(zip(v_left, v_right), zip(d_left, d_right)):
-            for left, right in pairs:
-                worst = max(worst, abs(left - right) / (1.0 + abs(right)))
-    return worst
+    # rows (value-, value+, derivative-, derivative+) of every wave
+    sides = np.array([w.one_sided(p.breakpoints) for w in waves])
+    left, right = sides[:, 0::2], sides[:, 1::2]
+    return float((np.abs(left - right) / (1.0 + np.abs(right))).max())
 
 
 def _wronskian_agreement(p: PiecewisePotential, e: complex, waves) -> float:
     """The kernels' Wronskian mid-region and beyond the last step, against the exact flow."""
     edges = (0.0,) + p.breakpoints
     points = [0.5 * (x1 + x2) for x1, x2 in zip(edges, edges[1:])] + [edges[-1] + 1.0]
-    worst = 0.0
-    chi = waves[0]
-    for om, exact in zip(waves[1:], _reference(p, e)[1]):
-        values = wronskian(chi, om, points).tolist()
-        for v in values:
-            worst = max(worst, abs(v - exact) / abs(exact))
-        spread = max(abs(v1 - v2) for v1 in values for v2 in values)
-        worst = max(worst, spread / abs(exact))
-    return worst
+    exact = np.array(_reference(p, e)[1])[:, None]
+    values = np.array([wronskian(waves[0], om, points) for om in waves[1:]])
+    # each value's distance to the exact Wronskian and to the farthest other value
+    spread = np.abs(values[:, :, None] - values[:, None, :]).max(axis=2)
+    return float((np.maximum(np.abs(values - exact), spread) / np.abs(exact)).max())
 
 
 def _engine_agreement(p: PiecewisePotential, e: complex, waves, rng: np.random.Generator) -> float:
@@ -103,17 +96,18 @@ def _engine_agreement(p: PiecewisePotential, e: complex, waves, rng: np.random.G
     """
     radii = rng.uniform(0.05, p.breakpoints[-1] + 2.0, size=8)
     starts, (w_plus, _) = _reference(p, e)
-    worst = 0.0
-    for start, engine in zip(starts, waves):
-        exact = np.array([propagate(p, e, *start, r)[0] for r in radii])
-        scale = np.abs(exact) + 1.0
-        worst = max(worst, float(np.max(np.abs(exact - engine.value(radii)) / scale)))
-    for r, s in zip(radii[0::2].tolist(), radii[1::2].tolist()):
-        lo, hi = min(r, s), max(r, s)
-        g_exact = propagate(p, e, *starts[0], lo)[0] * propagate(p, e, *starts[1], hi)[0] / w_plus
-        g_engine = resolvent_kernel(p, e, r, s)
-        worst = max(worst, abs(g_exact - g_engine) / (1.0 + abs(g_exact)))
-    return worst
+    exact = np.array([[propagate(p, e, *start, r)[0] for r in radii] for start in starts])
+    engine = np.array([w.value(radii) for w in waves])
+    wave_resid = np.abs(exact - engine) / (np.abs(exact) + 1.0)
+    # the kernel at the pairs (r, s) of consecutive radii, from the exact chi and omega_plus
+    r, s = radii[0::2], radii[1::2]
+    below = r <= s
+    chi_lo = np.where(below, exact[0, 0::2], exact[0, 1::2])
+    om_hi = np.where(below, exact[1, 1::2], exact[1, 0::2])
+    g_exact = chi_lo * om_hi / w_plus
+    g_engine = np.array([resolvent_kernel(p, e, *pair) for pair in zip(r, s)])
+    kernel_resid = np.abs(g_exact - g_engine) / (1.0 + np.abs(g_exact))
+    return float(max(wave_resid.max(), kernel_resid.max()))
 
 
 def _limit_agreement(p: PiecewisePotential, e: float, rng: np.random.Generator) -> float:

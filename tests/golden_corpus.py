@@ -17,7 +17,9 @@ records the drift between the two trees::
 header, a JSON row key, or the path of a leaf in a nested JSON report) it
 prints the largest relative drift and the largest distance in units in the
 last place (ULP) over the values that differ, and it lists the cases whose exit
-code, standard error, row count or text fields changed.
+code, standard error, row count or text fields changed.  It exits 1 when it
+lists any such case, since a re-baseline on purpose moves digits only, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -237,7 +239,10 @@ def drift(old: Path, new: Path) -> tuple[list[dict], list[str]]:
 
 
 def format_drift(old: Path, new: Path) -> str:
-    table, notes = drift(old, new)
+    return _format(*drift(old, new))
+
+
+def _format(table: list[dict], notes: list[str]) -> str:
     changed = {row["case"] for row in table} | {n.split(":")[0] for n in notes}
     lines = [
         "| case | column | values | differ | max rel drift | max ULP |",
@@ -259,7 +264,11 @@ def main(argv: list[str]) -> int:
         regen(Path(argv[1]) if len(argv) == 2 else GOLDEN)
         return 0
     if len(argv) == 3 and argv[0] == "drift":
-        print(format_drift(Path(argv[1]), Path(argv[2])))
+        table, notes = drift(Path(argv[1]), Path(argv[2]))
+        print(_format(table, notes))
+        if notes:
+            print(f"error: {len(notes)} change(s) beyond digits, listed above", file=sys.stderr)
+            return 1
         return 0
     print("usage: golden_corpus.py regen [DIR] | drift OLD NEW", file=sys.stderr)
     return 2

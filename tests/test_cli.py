@@ -153,6 +153,14 @@ class TestEval:
         assert rc == 2
         assert capsys.readouterr().err == "error: kernel denominator vanishes\n"
 
+    def test_overflowing_waves_exit_2(self, tmp_path, capsys):
+        # exp at the outer edge 1e308 raised a bare ValueError: a traceback and exit 1
+        rc = main(["eval", "--v0=5", "--a=1", "--b=1e308", "--energy=7", "--r=0.5", "--s=0.7",
+                   f"--out={tmp_path / 'x.csv'}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflow" in err
+
     def test_values_with_leading_minus(self, tmp_path):
         out = tmp_path / "neg.csv"
         rc = main(["eval", "--breakpoints", "1,2", "--heights", "-0.7,1,0",

@@ -72,3 +72,19 @@ def test_regen_leaves_the_corpus_alone_when_a_case_raises(tmp_path, monkeypatch)
     with pytest.raises(RuntimeError, match="eval_barrier_invalid"):
         golden_corpus.regen(corpus)
     assert {path.name: path.read_bytes() for path in corpus.iterdir()} == before
+
+
+def test_drift_exits_1_when_more_than_digits_change(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    shutil.copytree(GOLDEN, old)
+    shutil.copytree(GOLDEN, new)
+    assert golden_corpus.main(["drift", str(old), str(new)]) == 0
+    codes = json.loads((new / "exit_codes.json").read_text())
+    codes["limit_barrier"] += 1
+    (new / "exit_codes.json").write_text(json.dumps(codes))
+    capsys.readouterr()
+    assert golden_corpus.main(["drift", str(old), str(new)]) == 1
+    out, err = capsys.readouterr()
+    rc = codes["limit_barrier"]
+    assert f"- limit_barrier: exit code {rc - 1} -> {rc}" in out
+    assert err.startswith("error: 1 change(s) beyond digits")

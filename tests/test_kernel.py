@@ -16,6 +16,7 @@ from sqgreen import (
     SquareBarrier,
     boundary_limit,
     branch_sqrt,
+    build_chi,
     find_kernel_poles,
     formal_green,
     integrate_schrodinger,
@@ -77,12 +78,30 @@ class TestResolventKernel:
             (SquareBarrier(5.0, 1.0, 2.0), complex(1e300, 5e298)),
             (SquareBarrier(1e6, 1.0, 2.0), 1.0 + 1.0j),
             (PiecewisePotential((1.0, 3.0), (0.0, 1e6, 0.0)), 1.0 + 1.0j),
+            # exp at the outer edge 1e308 raised a bare ValueError ("math domain error")
+            (SquareBarrier(5.0, 1.0, 1e308), 7.0),
+            (PiecewisePotential((1.0, 1e308), (3.0, -2.0, 0.0)), 4.0 + 1.0j),
         ],
     )
     def test_overflowing_amplitudes_raise(self, p, e):
-        # cmath raised a bare OverflowError while the waves were matched
+        # cmath raised a bare OverflowError while the waves were matched, before
+        # any radius was read; a real energy asks for the formal kernel
         with pytest.raises(DomainError, match="overflow"):
-            resolvent_kernel(p, e, 1.0, 1.0)
+            if isinstance(e, complex):
+                resolvent_kernel(p, e, 1.0, 1.0)
+            else:
+                formal_green(p, e, 0.5, 0.7, "plus")
+
+    def test_unmatched_amplitudes_raise(self):
+        # the outer phase underflowed to 0 and c+ / phase raised ZeroDivisionError
+        with pytest.raises(DomainError, match="overflow"):
+            kernel_pole_residual(SquareBarrier(5.0, 1.0, 1e308), 1.5 + 0.2j)
+        # a step at 1e308 left NaN amplitudes beyond it, and |c-| read nan
+        p, e = PiecewisePotential((1.0, 1e308), (0.0, 1e6, 0.0)), 3 - 1e-310j
+        with pytest.raises(DomainError, match="overflow"):
+            build_chi(p, e)
+        with pytest.raises(DomainError, match="overflow"):
+            kernel_pole_residual(p, e)
 
     def test_offdiagonal_decay_above_axis(self, barrier):
         e = 2.0 + 1.2j

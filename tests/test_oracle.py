@@ -700,3 +700,16 @@ def test_kernel_grid_evaluates_each_wave_once_on_its_axes(monkeypatch):
     sizes = _count_evaluations(monkeypatch)
     kernel_grid(SquareBarrier(5.0, 1.0, 2.0), 1.5 + 0.2j, np.linspace(0.0, 4.0, 100), np.linspace(4.0, 0.5, 80))
     assert sizes == [180, 180]
+
+
+@pytest.mark.parametrize("p, e", [(SquareBarrier(5.0, 1.0, 2.0), 2.7), (STAIRCASE, 1.5)],
+                         ids=["barrier", "staircase"])
+@pytest.mark.parametrize("direction", ["plus", "minus"])
+def test_kernel_slice_is_a_kernel_grid_column(p, e, direction):
+    # the probes were re-formed in Python complex arithmetic: on the barrier at
+    # E = 2.7, 162 of these 500 entries differed in their last bits (plus)
+    r = np.random.default_rng(5).uniform(0.0, 5.0, size=500)
+    s = 1.7
+    got = oracle_module._kernel_slice(p, e, direction).values(r, s)
+    want = kernel_grid(p, e, r, [s], direction)[:, 0]
+    assert got.tobytes() == want.tobytes()
