@@ -56,6 +56,10 @@ CASES: dict[str, list[str]] = {
     "eval_barrier_invalid": ["eval", "--v0=5", "--a=2", "--b=1", "--energy=1.5", "--r=1", "--s=1"],
     "limit_barrier": ["limit-study", *_BARRIER, "--energy=1", "--r=0.7", "--s=1.8"],
     "limit_staircase": ["limit-study", *_STAIRCASE, "--energy=1.5", "--r=0.7", "--s=2.5"],
+    # one limit study per radius of a grid, both directions, at one energy
+    "limit_barrier_grid": [
+        "limit-study", *_BARRIER, "--energy=1", "--r-grid=0.5:2.5:0.5", "--s=1.8",
+    ],
     # the real part of a resonance of width 1.4e-6: no row settles within 40 halvings
     "limit_resonance": [
         "limit-study", "--v0=20", "--a=1", "--b=3", "--energy=6.44187942446349",
