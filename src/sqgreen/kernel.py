@@ -12,6 +12,11 @@ the same quotient with real-axis momenta gives the formal outgoing/incoming
 kernels.  :func:`boundary_limit` follows the complex kernel to the axis and
 returns the trajectory together with the formal kernel it should reach, so
 one value holds both sides of that claim and how far apart they ended.
+Two small memos let the checks of one command share their waves:
+:func:`wave_pair` keeps the ``WAVE_PAIR_MEMO`` most recent (potential, E,
+direction) pairs and the limit studies keep the ``SWEEP_MEMO`` most recent
+engine sweeps, so a repeated request returns the very objects a cold one
+builds and every value is the same bit for bit.
 :func:`find_kernel_poles` finds the kernel's poles in a box by Newton's
 method, and :func:`zero_count` counts them there by the argument principle,
 which tells the Newton screen when it may stop.
@@ -20,6 +25,7 @@ which tells the Newton screen when it may stop.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -73,8 +79,25 @@ class LimitStudy:
         return len(self.mu_sequence)
 
 
+#: the wave pairs :func:`wave_pair` keeps: ``verify`` asks for 3 distinct pairs (at
+#: E + i, and at real E in each direction) before its random instances, which use
+#: each of theirs once
+WAVE_PAIR_MEMO = 4
+#: the engine sweeps :func:`_kernel_array` keeps, one per direction: the limit
+#: studies of one energy alternate plus and minus
+SWEEP_MEMO = 2
+
+
+@functools.lru_cache(maxsize=WAVE_PAIR_MEMO)
 def wave_pair(p, e: complex, direction: str) -> tuple[PiecewiseWave, PiecewiseWave, complex]:
-    """(chi, omega, W) for a staircase potential (a square barrier is one)."""
+    """(chi, omega, W) for a staircase potential (a square barrier is one).
+
+    Memoized on (p, E, direction), the ``WAVE_PAIR_MEMO`` most recent
+    requests: a repeated request returns the very objects the first one
+    built, so its waves, their lookup tables and W are reused bit for bit.
+    Keys compare as values, so E = x + 0j and x - 0j share an entry; their
+    momenta are the same.  A request that raises is not kept and raises again.
+    """
     chi = build_chi(p, e)
     om = build_omega(p, e, direction)
     return chi, om, outer_wronskian(chi, om)
@@ -232,25 +255,43 @@ def boundary_limit(
 def _kernel_array(p, energies: np.ndarray, r: float, s: float, direction: str):
     """G(r, s) at every entry of ``energies``, and a mask of the entries whose waves are finite.
 
-    One numpy run of the matching loop builds chi and omega for all energies
-    at once; chi is evaluated at min(r, s) and omega at max(r, s) in the
-    region that :class:`PiecewiseWave` picks, and W is their outer-pair
-    Wronskian.  Nothing is checked here: entries near a branch point or with
+    The waves come from :func:`_engine_sweep`; chi is evaluated at
+    min(r, s) and omega at max(r, s) in the region that
+    :class:`PiecewiseWave` picks, and W is their outer-pair Wronskian.
+    Nothing is checked here: entries near a branch point or with
     overflowing waves come back as they fall, for the caller to refuse.
+    ``energies`` is a 1-d array, and both arrays returned are the caller's own.
     """
-    ks = region_momenta_array(p, energies)
+    chi, om, w, finite = _engine_sweep(p, np.asarray(energies, dtype=complex).tobytes(), direction)
     lo, hi = (r, s) if r <= s else (s, r)
+    with np.errstate(all="ignore"):
+        chi_lo = chi[bisect_right(p.breakpoints, lo)].value(lo)
+        om_hi = om[bisect_right(p.breakpoints, hi)].value(hi)
+        values = chi_lo * om_hi / w
+    return values, finite.copy()
+
+
+@functools.lru_cache(maxsize=SWEEP_MEMO)
+def _engine_sweep(p, energies: bytes, direction: str):
+    """(chi regions, omega regions, W, finite-wave mask) at the energies packed in ``energies``.
+
+    One numpy run of the matching loop builds chi and omega for all
+    energies at once.  Memoized on (p, the energies' bytes, direction), the
+    ``SWEEP_MEMO`` most recent sweeps, so the limit studies of one energy
+    at several radii share one sweep; every array it keeps is read-only.
+    """
+    ks = region_momenta_array(p, np.frombuffer(energies, dtype=complex))
     with np.errstate(all="ignore"):
         chi = _chi_regions(ks, p.breakpoints, np)
         om = _omega_regions(ks, p.breakpoints, direction, np)
         w = _plane_wronskian(chi[-1], om[-1])
-        chi_lo = chi[bisect_right(p.breakpoints, lo)].value(lo)
-        om_hi = om[bisect_right(p.breakpoints, hi)].value(hi)
-        values = chi_lo * om_hi / w
-        finite = np.ones(energies.shape, dtype=bool)
+        finite = np.ones(ks[0].shape, dtype=bool)
         for reg in chi + om:
             finite &= np.isfinite(reg.c_plus) & np.isfinite(reg.c_minus)
-    return values, finite
+    for a in (w, finite, *ks, *(c for reg in chi + om for c in (reg.c_plus, reg.c_minus))):
+        if hasattr(a, "setflags"):  # not a scalar amplitude: chi's sin factor, omega's outer 0
+            a.setflags(write=False)
+    return chi, om, w, finite
 
 
 #: Newton seeds advanced together as arrays in one step; bounds the temporaries of a step.

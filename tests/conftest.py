@@ -1,7 +1,21 @@
 import numpy as np
 import pytest
 
-from sqgreen import SquareBarrier
+from sqgreen import SquareBarrier, kernel
+
+#: the kernel's memos, taken before any test can rebind the names they sit under
+_MEMOS = (kernel.wave_pair, kernel._engine_sweep)
+
+
+@pytest.fixture(autouse=True)
+def _cold_memos():
+    """Start every test with empty kernel memos.
+
+    A test that monkeypatches the engine beneath a memo must see the engine
+    run, not waves that an earlier test built.
+    """
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 def close(x, y, rtol=0.0, atol=0.0):

@@ -23,6 +23,7 @@ from sqgreen import (
     kernel_grid,
     kernel_pole_residual,
     resolvent_kernel,
+    run_verification,
 )
 from sqgreen.model import _branch_sqrt_array, require_off_branch
 
@@ -451,6 +452,83 @@ class TestBatchedLimitStudy:
 
         monkeypatch.setattr(kernel_module, "_kernel_array", spoiled)
         assert boundary_limit(barrier, 1.0, 0.7, 1.8, "plus") == study
+
+
+class TestMemos:
+    """wave_pair and the engine sweep of the limit studies keep their recent results."""
+
+    def test_verify_matches_chi_once_per_distinct_pair(self, barrier, monkeypatch):
+        # the barrier's pairs at E + i and at E in each direction, and one pair per
+        # random instance; its six limit studies take one sweep per direction.
+        # Without the memos: 16 matchings and 6 sweeps
+        libs = []
+        matching = piecewise_module._chi_amplitudes
+
+        def counted(ks, breakpoints, lib):
+            libs.append(lib.__name__)
+            return matching(ks, breakpoints, lib)
+
+        monkeypatch.setattr(piecewise_module, "_chi_amplitudes", counted)
+        run_verification(barrier, 1.0, seed=7)
+        assert (libs.count("cmath"), libs.count("numpy")) == (3 + 2, 2)
+
+    def test_limit_studies_of_one_energy_share_one_sweep(self, barrier, monkeypatch):
+        pairs = [(0.5, 1.8), (1.2, 0.7), (2.5, 1.8)]
+        sweeps = []
+        regions = kernel_module._chi_regions
+
+        def counted(*args):
+            sweeps.append(args)
+            return regions(*args)
+
+        monkeypatch.setattr(kernel_module, "_chi_regions", counted)
+        studies = [boundary_limit(barrier, 1.0, r, s, "plus") for r, s in pairs]
+        assert len(sweeps) == 1
+        for (r, s), study in zip(pairs, studies):
+            kernel_module._engine_sweep.cache_clear()
+            assert boundary_limit(barrier, 1.0, r, s, "plus") == study
+        assert len(sweeps) == 4
+
+    @pytest.mark.parametrize(
+        "request_, error, kept",
+        [
+            # the amplitudes overflow while the waves are matched
+            (lambda: resolvent_kernel(SquareBarrier(1e6, 1.0, 2.0), 1.0 + 1.0j, 1.0, 1.0),
+             DomainError, 0),
+            (lambda: formal_green(SquareBarrier(5.0, 1.0, 2.0), 5.0, 0.5, 1.5, "plus"),
+             BranchPointError, 0),
+            # the waves are fine and kept; the pole test runs on every request
+            (lambda: formal_green(SquareBarrier(5.0, 1.0, 2.0), 1.5, 0.5, 1.5, "minus"),
+             PoleError, 1),
+        ],
+        ids=["overflow", "branch_point", "pole"],
+    )
+    def test_an_error_is_raised_again_on_the_same_request(self, monkeypatch, request_, error, kept):
+        monkeypatch.setattr(kernel_module, "outer_wronskian", lambda f, g: 0j)
+        for _ in range(2):
+            with pytest.raises(error):
+                request_()
+        assert kernel_module.wave_pair.cache_info().currsize == kept
+
+    def test_writing_into_a_returned_sweep_leaves_the_next_study_alone(self, barrier, monkeypatch):
+        sweep = kernel_module._kernel_array
+        calls = []
+
+        def kept(*args):
+            calls.append((args, sweep(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(kernel_module, "_kernel_array", kept)
+        study = boundary_limit(barrier, 1.0, 0.7, 1.8, "plus")
+        (_, energies, *_), (values, finite) = calls[0]
+        finite[:] = False
+        values[:] = complex("nan")
+        assert boundary_limit(barrier, 1.0, 0.7, 1.8, "plus") == study
+        assert kernel_module._engine_sweep.cache_info().hits == 1
+        chi, om, w, held = kernel_module._engine_sweep(barrier, energies.tobytes(), "plus")
+        for a in (w, held, chi[-1].c_plus, om[0].c_minus):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
 
 class TestPoleScan:
