@@ -504,6 +504,7 @@ class TestMemos:
         ids=["overflow", "branch_point", "pole"],
     )
     def test_an_error_is_raised_again_on_the_same_request(self, monkeypatch, request_, error, kept):
+        # W = 0: every formal request whose waves build is a pole
         monkeypatch.setattr(kernel_module, "outer_wronskian", lambda f, g: 0j)
         for _ in range(2):
             with pytest.raises(error):
