@@ -83,7 +83,7 @@ class LimitStudy:
 #: E + i, and at real E in each direction) before its random instances, which use
 #: each of theirs once
 WAVE_PAIR_MEMO = 4
-#: the engine sweeps :func:`_kernel_array` keeps, one per direction: the limit
+#: the engine sweeps :func:`_engine_sweep` keeps, one per direction: the limit
 #: studies of one energy alternate plus and minus
 SWEEP_MEMO = 2
 
