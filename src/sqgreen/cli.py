@@ -76,6 +76,15 @@ def _add_potential_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_request_args(sub: argparse.ArgumentParser, energy_help: str) -> None:
+    """The potential, ``--energy`` and the r and s points of a kernel request."""
+    _add_potential_args(sub)
+    sub.add_argument("--energy", required=True, help=energy_help)
+    for axis in ("r", "s"):
+        sub.add_argument(f"--{axis}", type=float, default=None)
+        sub.add_argument(f"--{axis}-grid", type=str, default=None, help="start:stop:step")
+
+
 def _build_potential(args):
     if args.breakpoints is not None or args.heights is not None:
         if args.breakpoints is None or args.heights is None:
@@ -109,6 +118,12 @@ def _points(args, flag_scalar: str, flag_grid: str) -> list[float]:
     return [scalar]
 
 
+def _request(args):
+    """(potential, energy, r points, s points) of an ``eval`` or ``limit-study`` command."""
+    p, energy = _build_potential(args), parse_complex(args.energy)
+    return p, energy, _points(args, "r", "r-grid"), _points(args, "s", "s-grid")
+
+
 def _directions(args) -> list[str]:
     if args.direction == "both":
         return ["plus", "minus"]
@@ -138,10 +153,7 @@ def _write_rows(args, header: list[str], lines: list[str]) -> None:
 
 
 def cmd_eval(args) -> int:
-    p = _build_potential(args)
-    energy = parse_complex(args.energy)
-    rs = _points(args, "r", "r-grid")
-    ss = _points(args, "s", "s-grid")
+    p, energy, rs, ss = _request(args)
 
     if energy.imag != 0.0:
         if args.direction is not None:
@@ -177,10 +189,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_limit_study(args) -> int:
-    p = _build_potential(args)
-    energy = parse_complex(args.energy)
-    rs = _points(args, "r", "r-grid")
-    ss = _points(args, "s", "s-grid")
+    p, energy, rs, ss = _request(args)
 
     header = [
         "r", "s", "e", "direction", "k", "mu", "g_re", "g_im",
@@ -252,12 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate kernel values on a grid")
-    _add_potential_args(p_eval)
-    p_eval.add_argument("--energy", required=True, help="complex energy, e.g. 1.5+0.2i")
-    p_eval.add_argument("--r", type=float, default=None)
-    p_eval.add_argument("--r-grid", type=str, default=None, help="start:stop:step")
-    p_eval.add_argument("--s", type=float, default=None)
-    p_eval.add_argument("--s-grid", type=str, default=None, help="start:stop:step")
+    _add_request_args(p_eval, "complex energy, e.g. 1.5+0.2i")
     p_eval.add_argument(
         "--direction",
         choices=["plus", "minus", "both"],
@@ -268,12 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", required=True)
 
     p_limit = sub.add_parser("limit-study", help="follow the kernel to the real axis")
-    _add_potential_args(p_limit)
-    p_limit.add_argument("--energy", required=True, help="real positive energy")
-    p_limit.add_argument("--r", type=float, default=None)
-    p_limit.add_argument("--r-grid", type=str, default=None)
-    p_limit.add_argument("--s", type=float, default=None)
-    p_limit.add_argument("--s-grid", type=str, default=None)
+    _add_request_args(p_limit, "real positive energy")
     p_limit.add_argument("--mu0", type=float, default=None, help="starting offset (default 0.05 E)")
     p_limit.add_argument("--direction", choices=["plus", "minus", "both"], default="both")
     p_limit.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -207,11 +207,10 @@ def boundary_limit(
     with the :class:`PoleError`/:class:`DomainError` of a kernel value.
 
     The whole mu sequence is one sweep of the wave engine over an array of
-    ``MAX_HALVINGS + 1`` energies (:func:`_kernel_array`); the stop rule
-    then cuts it, and only the samples it keeps are checked, as
-    :func:`resolvent_kernel` checks each of its values.  Both run as array
-    masks; the first kept sample that fails a check raises the error its
-    scalar check raises.
+    ``MAX_HALVINGS + 1`` energies (:func:`_engine_sweep`), and G(r, s) is
+    read off it at every energy.  One pass then walks the samples in order:
+    each gets the checks :func:`resolvent_kernel` makes on its value, and
+    then the stop rule, so no sample past the cut is checked.
     """
     if direction is None:  # to _kernel_request, None asks for the resolvent kernel
         raise ContractError("boundary limits need direction 'plus' or 'minus'")
@@ -221,66 +220,49 @@ def boundary_limit(
     mu0 = float(mu0)
     if not 0.0 < mu0 <= 0.1 * e:
         raise DomainError(f"mu0 must lie in (0, 0.1 E], got {mu0}")
-    sign = 1.0 if direction == "plus" else -1.0
 
-    mus = mu0 * 0.5 ** np.arange(MAX_HALVINGS + 1)
-    energies = e + 1j * (sign * mus)
-    values, finite_waves = _kernel_array(p, energies, r, s, direction)
-    # sample k stops the sequence if mu_k < MU_FLOOR and it is within the
-    # Cauchy tolerance of sample k - 1; the tolerance widens for very large
-    # kernels, where an absolute 1e-10 would sit inside double-precision
-    # noise.  hypot is Python's abs of a complex, bit for bit
-    with np.errstate(all="ignore"):
-        modulus = np.hypot(values.real, values.imag)
-        step = values[1:] - values[:-1]
-        tol = np.maximum(CAUCHY_TOL, 1e-13 * np.maximum(modulus[1:], modulus[:-1]))
-        stops = np.flatnonzero((mus[1:] < MU_FLOOR) & (np.hypot(step.real, step.imag) < tol))
-        converged = stops.size > 0
-        kept = int(stops[0]) + 2 if converged else energies.size
-        near = energies[:kept, None] - np.array(p.heights)
-        failed = ~(finite_waves[:kept] & np.isfinite(values[:kept]))
-        failed |= (np.hypot(near.real, near.imag) < EPS_BRANCH).any(axis=1)
-    first = int(failed.argmax())
-    if failed[first]:
-        z = complex(energies[first])
-        require_off_branch(p, z)
-        if not finite_waves[first]:
-            raise _overflow(z)
-        _require_finite(False, z)
-    samples = tuple(values[:kept].tolist())
-    mu_sequence = tuple(mus[:kept].tolist())
-    return LimitStudy(mu_sequence, samples, formal_green(p, e, r, s, direction), converged)
-
-
-def _kernel_array(p, energies: np.ndarray, r: float, s: float, direction: str):
-    """G(r, s) at every entry of ``energies``, and a mask of the entries whose waves are finite.
-
-    The waves come from :func:`_engine_sweep`; chi is evaluated at
-    min(r, s) and omega at max(r, s) in the region that
-    :class:`PiecewiseWave` picks, and W is their outer-pair Wronskian.
-    Nothing is checked here: entries near a branch point or with
-    overflowing waves come back as they fall, for the caller to refuse.
-    ``energies`` is a 1-d array, and both arrays returned are the caller's own.
-    """
-    chi, om, w, finite = _engine_sweep(p, np.asarray(energies, dtype=complex).tobytes(), direction)
+    mus, energies, chi, om, w, finite_waves = _engine_sweep(p, e, mu0, direction)
     lo, hi = (r, s) if r <= s else (s, r)
     with np.errstate(all="ignore"):
         chi_lo = chi[bisect_right(p.breakpoints, lo)].value(lo)
         om_hi = om[bisect_right(p.breakpoints, hi)].value(hi)
-        values = chi_lo * om_hi / w
-    return values, finite.copy()
+        values = (chi_lo * om_hi / w).tolist()
+    converged, prev = False, None
+    for k, (mu, z, waves_ok, g) in enumerate(
+        zip(mus.tolist(), energies.tolist(), finite_waves.tolist(), values)
+    ):
+        require_off_branch(p, z)
+        if not waves_ok:
+            raise _overflow(z)
+        _require_finite(cmath.isfinite(g), z)
+        # sample k stops the sequence if mu_k < MU_FLOOR and it is within the
+        # Cauchy tolerance of sample k - 1; the tolerance widens for very large
+        # kernels, where an absolute 1e-10 would sit inside double-precision noise
+        if k and mu < MU_FLOOR and abs(g - prev) < max(CAUCHY_TOL, 1e-13 * max(abs(g), abs(prev))):
+            converged = True
+            break
+        prev = g
+    kept = k + 1
+    formal = formal_green(p, e, r, s, direction)
+    return LimitStudy(tuple(mus[:kept].tolist()), tuple(values[:kept]), formal, converged)
 
 
 @functools.lru_cache(maxsize=SWEEP_MEMO)
-def _engine_sweep(p, energies: bytes, direction: str):
-    """(chi regions, omega regions, W, finite-wave mask) at the energies packed in ``energies``.
+def _engine_sweep(p, e: float, mu0: float, direction: str):
+    """(mu_k, E +- i mu_k, chi regions, omega regions, W, finite-wave mask) of one limit request.
 
-    One numpy run of the matching loop builds chi and omega for all
-    energies at once.  Memoized on (p, the energies' bytes, direction), the
-    ``SWEEP_MEMO`` most recent sweeps, so the limit studies of one energy
-    at several radii share one sweep; every array it keeps is read-only.
+    mu_k = mu0 * 2^-k for k = 0, ..., ``MAX_HALVINGS``, with + above the
+    axis ("plus") and - below it ("minus").  One numpy run of the matching
+    loop builds chi and omega at all energies at once.  Nothing is checked
+    here: energies near a branch point or with overflowing waves come back
+    as they fall, for :func:`boundary_limit` to refuse.  Memoized on
+    (p, E, mu0, direction), the ``SWEEP_MEMO`` most recent sweeps, so the
+    limit studies of one energy at several radii share one sweep; every
+    array it returns is read-only.
     """
-    ks = region_momenta_array(p, np.frombuffer(energies, dtype=complex))
+    mus = mu0 * 0.5 ** np.arange(MAX_HALVINGS + 1)
+    energies = e + 1j * ((1.0 if direction == "plus" else -1.0) * mus)
+    ks = region_momenta_array(p, energies)
     with np.errstate(all="ignore"):
         chi = _chi_regions(ks, p.breakpoints, np)
         om = _omega_regions(ks, p.breakpoints, direction, np)
@@ -288,10 +270,11 @@ def _engine_sweep(p, energies: bytes, direction: str):
         finite = np.ones(ks[0].shape, dtype=bool)
         for reg in chi + om:
             finite &= np.isfinite(reg.c_plus) & np.isfinite(reg.c_minus)
-    for a in (w, finite, *ks, *(c for reg in chi + om for c in (reg.c_plus, reg.c_minus))):
+    amplitudes = (c for reg in chi + om for c in (reg.c_plus, reg.c_minus))
+    for a in (mus, energies, w, finite, *ks, *amplitudes):
         if hasattr(a, "setflags"):  # not a scalar amplitude: chi's sin factor, omega's outer 0
             a.setflags(write=False)
-    return chi, om, w, finite
+    return mus, energies, chi, om, w, finite
 
 
 #: Newton seeds advanced together as arrays in one step; bounds the temporaries of a step.
@@ -355,7 +338,8 @@ def _log_derivative_integrals(p, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarr
     with np.errstate(all="ignore"):
         f, df = pole_function_array(p, (0.5 * (a + b))[:, None] + half[:, None] * _GAUSS_NODES)
         ratio = df / f
-    return half * (ratio @ _GAUSS_WEIGHTS), bool(np.isfinite(ratio).all())
+        integrals = half * (ratio @ _GAUSS_WEIGHTS)
+    return integrals, bool(np.isfinite(ratio).all())
 
 
 def zero_count(p, box) -> int | None:
@@ -423,8 +407,10 @@ def _screen(p, seeds: np.ndarray):
     generator yields the iterates and the mask of the seeds converged so
     far: a step fell below 1e-13 * max(1, |z|) and below 1e-12.  A seed
     leaves the active set when it converges or dies: an iterate within
-    ``EPS_BRANCH`` of a branch point, a non-finite or zero derivative, or a
-    non-finite iterate.  Seeds within 1e-6 of a branch point never start.
+    ``EPS_BRANCH`` of a branch point, a c- of exactly 0 (chi's incoming part
+    cancelled below rounding beside its outgoing part, so Newton would stand
+    still there), a non-finite or zero derivative, or a non-finite iterate.
+    Seeds within 1e-6 of a branch point never start.
     ``seeds`` is overwritten by the iterates.  The screen ends after
     ``_NEWTON_STEPS`` steps or once no seed is active.  Each seed's
     iteration is elementwise, so neither the block size nor the step at
@@ -446,7 +432,7 @@ def _screen(p, seeds: np.ndarray):
                 dz = fz / dfz
                 za = za - dz
                 step = np.abs(dz)
-                live = ~near & (dfz != 0) & np.isfinite(dfz) & np.isfinite(za)
+                live = ~near & (fz != 0) & (dfz != 0) & np.isfinite(dfz) & np.isfinite(za)
                 done = live & (step < 1e-13 * np.maximum(1.0, np.abs(za)))
             z[idx[live]] = za[live]
             last_step[idx[live]] = step[live]
@@ -494,7 +480,8 @@ def find_kernel_poles(
     derivative dc-/dE is exact, not differenced: the matching sweep carries
     it alongside c- by the chain rule, with dk_j/dE = 1/(2 k_j) in every
     region.  A root is kept only if the final Newton step is below 1e-12,
-    |c-| is below 1e-10, it lies inside the box, and it is at least 1e-6
+    |c-| is below 1e-10 but not exactly 0 (a c- that cancelled to 0 is
+    rounding, not a root), it lies inside the box, and it is at least 1e-6
     away from every branch point, the region heights.
     Roots are taken in seed order, and one within 1e-6 of an already
     accepted root is dropped.  An empty list is a valid outcome.

@@ -21,7 +21,7 @@ import numpy as np
 
 from .eigenfunctions import wronskian
 from .errors import ConfigError, DomainError
-from .kernel import boundary_limit, resolvent_kernel, wave_pair
+from .kernel import boundary_limit, kernel_grid, wave_pair
 from .model import PiecewisePotential, branch_sqrt, real_energy
 from .oracle import (
     LATTICE,
@@ -105,7 +105,7 @@ def _engine_agreement(p: PiecewisePotential, e: complex, waves, rng: np.random.G
     chi_lo = np.where(below, exact[0, 0::2], exact[0, 1::2])
     om_hi = np.where(below, exact[1, 1::2], exact[1, 0::2])
     g_exact = chi_lo * om_hi / w_plus
-    g_engine = np.array([resolvent_kernel(p, e, *pair) for pair in zip(r, s)])
+    g_engine = kernel_grid(p, e, r, s).diagonal()
     kernel_resid = np.abs(g_exact - g_engine) / (1.0 + np.abs(g_exact))
     return float(max(wave_resid.max(), kernel_resid.max()))
 

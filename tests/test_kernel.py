@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import warnings
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -301,7 +303,7 @@ class TestBoundaryLimit:
             raise AssertionError("a kernel sample ran")
 
         monkeypatch.setattr(kernel_module, "resolvent_kernel", no_sample)
-        monkeypatch.setattr(kernel_module, "_kernel_array", no_sample)
+        monkeypatch.setattr(kernel_module, "_engine_sweep", no_sample)
         with pytest.raises(error):
             boundary_limit(barrier, e, r, 1.5, direction)
 
@@ -322,7 +324,7 @@ def _per_mu_study(p, e, r, s, direction):
 
 
 def _per_sample_checks(p, energies, values, finite) -> int:
-    """The per-sample loop that boundary_limit's masks replace; returns the number of samples kept.
+    """A reference per-sample loop for boundary_limit's checks; returns the number of samples kept.
 
     Each sample in turn must be off the branch points, with finite waves and a
     finite value, before the stop rule looks at it.
@@ -341,6 +343,14 @@ def _per_sample_checks(p, energies, values, finite) -> int:
             if abs(samples[-1] - samples[-2]) < tol:
                 break
     return len(samples)
+
+
+def _sweep_values(p, sweep, r, s) -> np.ndarray:
+    """G(r, s) at every energy of an engine sweep, for r <= s: chi(r) omega(s) / W."""
+    _, _, chi, om, w, _ = sweep
+    with np.errstate(all="ignore"):
+        chi_r = chi[bisect_right(p.breakpoints, r)].value(r)
+        return chi_r * om[bisect_right(p.breakpoints, s)].value(s) / w
 
 
 def _limit_requests():
@@ -401,56 +411,60 @@ class TestBatchedLimitStudy:
     @pytest.mark.parametrize(
         "e, spoil",
         [
-            # E + i mu_k comes within EPS_BRANCH of the height 5 at k = 39; the
-            # drift keeps the sequence from settling before it gets there
+            # E + i mu_k comes within EPS_BRANCH of the height 5 at k = 39; W
+            # scaled by 1 + 1e-3 k keeps the sequence from settling before it gets there
             (5.0 + 5e-13, "drift"),
             # the waves of sample 6 overflow
             (1.3, "overflow"),
-            # sample 9 is not finite
+            # sample 9 is not finite: W = 0 there
             (1.3, "infinite"),
         ],
     )
     def test_masks_refuse_the_sample_the_loop_refused(self, barrier, monkeypatch, e, spoil):
-        # the masked checks of boundary_limit against the per-sample loop they
-        # replaced, on the same sweep: same error class, message and sample
-        sweep = kernel_module._kernel_array
+        # the in-order checks of boundary_limit against a reference per-sample
+        # loop, on the same spoiled sweep: same error class, message and sample
+        sweep = kernel_module._engine_sweep
 
         def spoiled(*args):
-            values, finite = sweep(*args)
+            mus, energies, chi, om, w, finite = sweep(*args)
+            w, finite = w.copy(), finite.copy()
             if spoil == "drift":
-                values = values + 1e-3 * np.arange(values.size)
+                w *= 1.0 + 1e-3 * np.arange(w.size)
             elif spoil == "overflow":
                 finite[6] = False
             else:
-                values[9] = complex(math.inf, 0.0)
-            return values, finite
+                w[9] = 0.0
+            return mus, energies, chi, om, w, finite
 
-        monkeypatch.setattr(kernel_module, "_kernel_array", spoiled)
-        energies = e + 1j * (0.05 * e * 0.5 ** np.arange(kernel_module.MAX_HALVINGS + 1))
-        values, finite = spoiled(barrier, energies, 0.5, 1.5, "plus")
+        monkeypatch.setattr(kernel_module, "_engine_sweep", spoiled)
+        swept = spoiled(barrier, e, 0.05 * e, "plus")
+        energies, finite = swept[1], swept[5]
         with pytest.raises(DomainError) as looped:
-            _per_sample_checks(barrier, energies, values, finite)
-        with pytest.raises(DomainError) as masked:
+            _per_sample_checks(barrier, energies, _sweep_values(barrier, swept, 0.5, 1.5), finite)
+        with pytest.raises(DomainError) as passed:
             boundary_limit(barrier, e, 0.5, 1.5, "plus")
-        assert type(masked.value) is type(looped.value)
-        assert str(masked.value) == str(looped.value)
+        assert type(passed.value) is type(looped.value)
+        assert str(passed.value) == str(looped.value)
         first = {"drift": 39, "overflow": 6, "infinite": 9}[spoil]
-        assert str(complex(energies[first])) in str(masked.value)
+        assert str(complex(energies[first])) in str(passed.value)
         if spoil == "drift":
-            assert type(masked.value) is BranchPointError
+            assert type(passed.value) is BranchPointError
 
     def test_entries_past_the_cut_are_never_checked(self, barrier, monkeypatch):
         study = boundary_limit(barrier, 1.0, 0.7, 1.8, "plus")
         assert study.converged and study.halvings < kernel_module.MAX_HALVINGS + 1
-        sweep = kernel_module._kernel_array
+        sweep = kernel_module._engine_sweep
 
         def spoiled(*args):
-            values, finite = sweep(*args)
-            values[study.halvings:] = complex("nan")
+            # past the cut: at the branch point 5, with overflowing waves and W = nan
+            mus, energies, chi, om, w, finite = sweep(*args)
+            energies, w, finite = energies.copy(), w.copy(), finite.copy()
+            energies[study.halvings:] = 5.0
+            w[study.halvings:] = complex("nan")
             finite[study.halvings:] = False
-            return values, finite
+            return mus, energies, chi, om, w, finite
 
-        monkeypatch.setattr(kernel_module, "_kernel_array", spoiled)
+        monkeypatch.setattr(kernel_module, "_engine_sweep", spoiled)
         assert boundary_limit(barrier, 1.0, 0.7, 1.8, "plus") == study
 
 
@@ -511,25 +525,21 @@ class TestMemos:
                 request_()
         assert kernel_module.wave_pair.cache_info().currsize == kept
 
-    def test_writing_into_a_returned_sweep_leaves_the_next_study_alone(self, barrier, monkeypatch):
-        sweep = kernel_module._kernel_array
-        calls = []
-
-        def kept(*args):
-            calls.append((args, sweep(*args)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(kernel_module, "_kernel_array", kept)
+    def test_writing_into_a_returned_sweep_leaves_the_next_study_alone(self, barrier):
+        # the sweep is keyed on the request (p, E, mu0, direction); its arrays
+        # refuse writes, and a study reads them without writing into any
         study = boundary_limit(barrier, 1.0, 0.7, 1.8, "plus")
-        (_, energies, *_), (values, finite) = calls[0]
-        finite[:] = False
-        values[:] = complex("nan")
-        assert boundary_limit(barrier, 1.0, 0.7, 1.8, "plus") == study
+        mus, energies, chi, om, w, finite = kernel_module._engine_sweep(barrier, 1.0, 0.05, "plus")
         assert kernel_module._engine_sweep.cache_info().hits == 1
-        chi, om, w, held = kernel_module._engine_sweep(barrier, energies.tobytes(), "plus")
-        for a in (w, held, chi[-1].c_plus, om[0].c_minus):
+        arrays = (mus, energies, w, finite, chi[-1].c_plus, om[0].c_minus, chi[0].k, om[-1].k)
+        held = [a.tobytes() for a in arrays]
+        for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
+        assert boundary_limit(barrier, 1.0, 0.7, 1.8, "plus") == study
+        assert boundary_limit(barrier, 1.0, 2.5, 0.5, "plus") != study
+        assert kernel_module._engine_sweep.cache_info().hits == 3
+        assert [a.tobytes() for a in arrays] == held
 
 
 class TestPoleScan:
@@ -621,6 +631,31 @@ class TestPoleScan:
         with pytest.raises(DomainError):
             find_kernel_poles(barrier, box, seed_density=density)
 
+    @pytest.mark.parametrize(
+        "p, box",
+        [
+            # V = 0: chi = sin(kr) and c- = i/2 at every E, but far below the
+            # axis its exp(-ikr) part falls below rounding and c- comes out 0
+            (SquareBarrier(0.0, 1.0, 60.0), (0.5, 10.0, -8.0, -0.01)),
+            (SquareBarrier(0.0, 1.0, 1000.0), (3.0, 6.0, -1.0, 1.0)),
+            (PiecewisePotential((1000.0,), (0.0, 0.0)), (3.0, 6.0, -1.0, 1.0)),
+        ],
+        ids=["barrier_b60", "barrier_b1000", "staircase_r1000"],
+    )
+    def test_a_c_minus_cancelled_to_zero_is_no_root(self, p, box):
+        # these scans printed 291, 14 and 22 "roots", each with residual exactly 0
+        roots = find_kernel_poles(p, box)
+        assert roots == []
+        assert roots.certified is None
+
+    def test_wide_barrier_keeps_its_roots(self):
+        # a 60-digit evaluation of the closed form puts |c4/c3| <= 8.3e-14 at
+        # every root: small c-, but not rounded to 0
+        p = SquareBarrier(2.0, 1.0, 40.0)
+        roots = find_kernel_poles(p, (0.5, 20.0, -8.0, -0.01))
+        assert len(roots) == roots.certified == 47
+        assert all(0.0 < kernel_pole_residual(p, z) < 1e-10 for z in roots)
+
 
 def _scan_barriers(n: int) -> list:
     """Barriers drawn as the benchmark's scan workload draws them, from a fixed seed."""
@@ -688,6 +723,14 @@ class TestZeroCount:
         assert kernel_module.zero_count(p, WIDE_BOX) == 4
         monkeypatch.setattr(kernel_module, "_COUNT_MAX_NODES", 64)
         assert kernel_module.zero_count(p, WIDE_BOX) is None
+
+    def test_cancelled_c_minus_gives_no_count_and_no_warning(self):
+        # the quadrature's product with the weights ran outside the errstate
+        # block and warned "invalid value encountered in matmul"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            count = kernel_module.zero_count(SquareBarrier(0.0, 1.0, 60.0), (0.5, 10.0, -8.0, -0.01))
+        assert count is None
 
     def test_bad_box_rejected(self, barrier):
         for box in ((1.0, 1.0, -1.0, 1.0), (0.0, np.inf, -1.0, -0.01)):

@@ -635,20 +635,25 @@ class TestRunVerification:
 
     def test_engine_equivalence_pairs_its_drawn_radii(self, monkeypatch):
         # the kernel pairs were fixed at (0.4, 1.7) and (2.5, 0.9), short of the
-        # outer regions, and the report said 30 samples for 26 values
-        pairs = []
+        # outer regions, and the report said 30 samples for 26 values; the four
+        # pairs are now the diagonal of one kernel_grid call
+        calls = []
 
-        def recorded(p, e, r, s):
-            pairs.append((r, s))
-            return kernel_module.resolvent_kernel(p, e, r, s)
+        def recorded(p, e, rs, ss, direction=None):
+            calls.append((e, list(rs), list(ss), direction))
+            return kernel_module.kernel_grid(p, e, rs, ss, direction)
 
-        monkeypatch.setattr(verification, "resolvent_kernel", recorded)
+        monkeypatch.setattr(verification, "kernel_grid", recorded)
         e = 1.5 + 1.0j
         waves = verification._engine_waves(STAIRCASE, e)
         worst = verification._engine_agreement(STAIRCASE, e, waves, np.random.default_rng(3))
         assert worst <= 1e-12
         radii = np.random.default_rng(3).uniform(0.05, 5.0, size=8)
-        assert pairs == list(zip(radii[0::2], radii[1::2]))
+        assert calls == [(e, list(radii[0::2]), list(radii[1::2]), None)]
+        pairs = list(zip(*calls[0][1:3]))
+        diagonal = kernel_module.kernel_grid(STAIRCASE, e, *calls[0][1:3]).diagonal()
+        single = [kernel_module.resolvent_kernel(STAIRCASE, e, r, s) for r, s in pairs]
+        assert diagonal.tobytes() == np.array(single).tobytes()
         assert max(max(pair) for pair in pairs) > STAIRCASE.breakpoints[-1]
         report = run_verification(STAIRCASE, 1.5, n_random=0)
         samples = {c["name"]: c["samples"] for c in report["checks"]}
