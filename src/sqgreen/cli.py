@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+from collections.abc import Iterable
 
 from .errors import ConfigError, DomainError, PoleError
 from .kernel import (
@@ -137,7 +138,7 @@ def _write_json(path: str, payload) -> None:
         fh.write(text + "\n")
 
 
-def _write_rows(args, header: list[str], lines: list[str]) -> None:
+def _write_rows(args, header: list[str], lines: Iterable[str]) -> None:
     """Write a table to ``args.out`` as CSV or as JSON rows, per ``args.format``.
 
     Each line is one CSV row with its fields formatted and joined by commas;
@@ -152,7 +153,30 @@ def _write_rows(args, header: list[str], lines: list[str]) -> None:
         _write_json(args.out, {"rows": rows})
 
 
+def _value_fields(values: list, square: bool) -> list[list[str]]:
+    """The "g_re,g_im" fields of every entry of one kernel grid, row by row.
+
+    With ``square`` true, each entry below the diagonal takes the fields of
+    its mirror (j, i) instead of printing its own digits.
+    """
+    rows: list[list[str]] = []
+    for i, row in enumerate(values):
+        mirrored = [rows[j][i] for j in range(i)] if square else []
+        rows.append(mirrored + ["%.17g,%.17g" % (g.real, g.imag) for g in row[len(mirrored):]])
+    return rows
+
+
 def cmd_eval(args) -> int:
+    """Write the kernel on the ``--r`` x ``--s`` grid, one row per entry and direction.
+
+    A grid is square when its r and s axes print the same ``%.17g`` fields
+    (so -0.0 and 0.0 never match).  There G(r, s) = G(s, r) bit for bit:
+    :func:`~sqgreen.kernel.kernel_grid` evaluates each wave once, elementwise,
+    on the radii of both axes, and forms every entry as chi(min) * omega(max) / W
+    from those values, so an entry and its mirror multiply the same numbers.
+    Each entry below the diagonal therefore reuses the digits of its mirror,
+    which halves the ``%.17g`` conversions, the bulk of a large grid's cost.
+    """
     p, energy, rs, ss = _request(args)
 
     if energy.imag != 0.0:
@@ -164,26 +188,26 @@ def cmd_eval(args) -> int:
         e, directions = energy, [None]
     else:
         e, directions = energy.real, _directions(args)
+    r_fields = ["%.17g" % r for r in rs]
+    s_fields = ["%.17g" % s for s in ss]
+    square = r_fields == s_fields
     # one grid per direction, each from a single wave pair
     grids = [
-        (kernel_grid(p, e, rs, ss, d).tolist(), "resolvent_kernel" if d is None else f"formal_{d}")
+        (
+            _value_fields(kernel_grid(p, e, rs, ss, d).tolist(), square),
+            "resolvent_kernel" if d is None else f"formal_{d}",
+        )
         for d in directions
     ]
 
     header = ["r", "s", "e_re", "e_im", "g_re", "g_im", "provenance"]
     e_fields = "%.17g,%.17g" % (e.real, e.imag)
-    s_fields = ["%.17g" % s for s in ss]
-    lines = []
-    for i, r in enumerate(rs):
-        r_field = "%.17g" % r
-        for j, s_field in enumerate(s_fields):
-            for values, provenance in grids:
-                g = values[i][j]
-                lines.append(
-                    "%s,%s,%s,%.17g,%.17g,%s"
-                    % (r_field, s_field, e_fields, g.real, g.imag, provenance)
-                )
-
+    lines = (
+        "%s,%s,%s,%s,%s" % (r_field, s_field, e_fields, fields[i][j], provenance)
+        for i, r_field in enumerate(r_fields)
+        for j, s_field in enumerate(s_fields)
+        for fields, provenance in grids
+    )
     _write_rows(args, header, lines)
     return 0
 

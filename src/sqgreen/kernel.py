@@ -39,7 +39,7 @@ from .errors import (
     PoleError,
 )
 from .eigenfunctions import PiecewiseWave, _overflow
-from .model import real_energy, region_momenta_array, require_off_branch
+from .model import real_energy, region_momenta, region_momenta_array, require_off_branch
 from .piecewise import (
     _chi_regions,
     _omega_regions,
@@ -98,8 +98,9 @@ def wave_pair(p, e: complex, direction: str) -> tuple[PiecewiseWave, PiecewiseWa
     Keys compare as values, so E = x + 0j and x - 0j share an entry; their
     momenta are the same.  A request that raises is not kept and raises again.
     """
-    chi = build_chi(p, e)
-    om = build_omega(p, e, direction)
+    ks = region_momenta(p, e)
+    chi = build_chi(p, e, ks)
+    om = build_omega(p, e, direction, ks)
     return chi, om, outer_wronskian(chi, om)
 
 
@@ -288,6 +289,8 @@ _NEWTON_STEPS = 60
 _COUNT_PANEL_TOL = 1e-6
 #: the zero count gives up beyond this many evaluations of the pole function
 _COUNT_MAX_NODES = 2**16
+#: how many times a short scan quadrisects its box (see :func:`_repair`)
+_REPAIR_LEVELS = 3
 
 
 class KernelPoles(list):
@@ -492,9 +495,12 @@ def find_kernel_poles(
     run on the converged seeds after every step, and the screen stops as
     soon as they accept exactly the certified number of roots; otherwise
     the rules run once, after the full screen.  Either way the roots do not
-    depend on ``SCREEN_BLOCK``.  The returned :class:`KernelPoles` carries
+    depend on ``SCREEN_BLOCK``.  A certified box whose screen accepts fewer
+    roots than its count is repaired by :func:`_repair`, which screens its
+    short quadrants again at half the spacing; the roots accepted before
+    stay as they are.  The returned :class:`KernelPoles` carries
     the count in ``certified`` (None for an uncertified box), so a caller
-    can tell a scan that fell short of it.  The screen keeps its state for
+    can tell a scan that still fell short of it.  The screen keeps its state for
     every seed at once, O(n_seeds) memory: about 25 MB at ``MAX_SEEDS``.
 
     Raises :class:`DomainError` for a non-finite or degenerate box, a
@@ -502,10 +508,26 @@ def find_kernel_poles(
     seeds.
     """
     bounds = _search_box(box)
-    re_min, re_max, im_min, im_max = bounds
     seed_density = float(seed_density)
     if not (math.isfinite(seed_density) and seed_density > 0.0):
         raise DomainError(f"seed_density must be finite and positive, got {seed_density}")
+    seeds = _seed_grid(bounds, seed_density)
+    if seeds is None:
+        raise DomainError(
+            f"box {box} at seed spacing {seed_density} needs more than {MAX_SEEDS} seeds"
+        )
+
+    count = zero_count(p, bounds)
+    accepted = _scan(p, bounds, seeds, count)
+    if count is not None and len(accepted) < count:
+        _repair(p, bounds, seed_density, accepted, _REPAIR_LEVELS)
+    accepted.sort(key=lambda w: (w.real, w.imag))
+    return KernelPoles(accepted, count)
+
+
+def _seed_grid(bounds, seed_density: float) -> np.ndarray | None:
+    """The Newton seeds of ``bounds`` at spacing ``seed_density``, or None past ``MAX_SEEDS``."""
+    re_min, re_max, im_min, im_max = bounds
     # a side of MAX_SEEDS spacings or more (inf included) is too long by itself
     n_re, n_im = (
         int(span) + 1 if span < MAX_SEEDS else MAX_SEEDS + 1
@@ -513,25 +535,59 @@ def find_kernel_poles(
     )
     n_seeds = n_re * n_im
     if n_seeds > MAX_SEEDS:
-        raise DomainError(
-            f"box {box} at seed spacing {seed_density} needs more than {MAX_SEEDS} seeds"
-        )
-
-    count = zero_count(p, bounds)
+        return None
     seeds = np.empty(n_seeds, dtype=complex)
     seeds.real = re_min + np.arange(n_seeds) // n_im * seed_density
     seeds.imag = im_min + np.arange(n_seeds) % n_im * seed_density
+    return seeds
+
+
+def _scan(p, bounds, seeds: np.ndarray, count: int | None) -> list[complex]:
+    """The roots :func:`_screen` and :func:`_accept` find in ``bounds`` from ``seeds``.
+
+    With a ``count``, the rules run after every step and the screen stops
+    once they accept that many roots; without one, they run once at the end.
+    """
     residuals: dict[int, float] = {}
     for roots, converged in _screen(p, seeds):
         if count is None:
             continue
         accepted = _accept(p, roots, converged, bounds, residuals)
         if len(accepted) == count:
-            break
-    else:  # the full screen ran
-        accepted = _accept(p, roots, converged, bounds, residuals)
-    accepted.sort(key=lambda w: (w.real, w.imag))
-    return KernelPoles(accepted, count)
+            return accepted
+    return _accept(p, roots, converged, bounds, residuals)
+
+
+def _repair(p, bounds, seed_density: float, accepted: list[complex], levels: int) -> None:
+    """Add to ``accepted`` the roots a short scan of ``bounds`` missed.
+
+    Each quadrant of ``bounds`` whose :func:`zero_count` exceeds the roots
+    accepted inside it is screened again at half the seed spacing; a
+    quadrant still short, or without a count, is split in turn, at most
+    ``levels`` deep.  A new root within 1e-6 of an accepted one is dropped.
+    """
+    re_min, re_max, im_min, im_max = bounds
+    re_mid, im_mid = 0.5 * (re_min + re_max), 0.5 * (im_min + im_max)
+    spacing = 0.5 * seed_density
+    for quad in (
+        (re_min, re_mid, im_min, im_mid), (re_mid, re_max, im_min, im_mid),
+        (re_min, re_mid, im_mid, im_max), (re_mid, re_max, im_mid, im_max),
+    ):
+        count = zero_count(p, quad)
+        x0, x1, y0, y1 = quad
+        inside = sum(x0 <= z.real <= x1 and y0 <= z.imag <= y1 for z in accepted)
+        if count is not None and count <= inside:
+            continue
+        seeds = None if count is None else _seed_grid(quad, spacing)
+        if seeds is not None:
+            for z in _scan(p, quad, seeds, count):
+                if all(abs(z - w) >= _ROOT_MARGIN for w in accepted):
+                    accepted.append(z)
+                    inside += 1
+            if count <= inside:
+                continue
+        if levels > 1:
+            _repair(p, quad, spacing, accepted, levels - 1)
 
 
 def kernel_pole_residual(p, z: complex) -> float:

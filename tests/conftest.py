@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqgreen import SquareBarrier, kernel
+from sqgreen import PiecewisePotential, SquareBarrier, kernel
 
 #: the kernel's memos, taken before any test can rebind the names they sit under
 _MEMOS = (kernel.wave_pair, kernel._engine_sweep)
@@ -62,3 +62,12 @@ def random_instances(rng, n, lattice=None):
             continue
         out.append((SquareBarrier(v0, a, b), e))
     return out
+
+
+def random_staircase(rng, n_steps):
+    """A staircase of ``n_steps`` breakpoints in (0.3, 6), 0.2 apart or more; heights in (-6, 8)."""
+    bps = np.sort(rng.uniform(0.3, 6.0, size=n_steps))
+    while np.any(np.diff(bps) < 0.2):
+        bps = np.sort(rng.uniform(0.3, 6.0, size=n_steps))
+    heights = list(rng.uniform(-6.0, 8.0, size=n_steps)) + [0.0]
+    return PiecewisePotential(tuple(bps), tuple(heights))

@@ -52,6 +52,12 @@ CASES: dict[str, list[str]] = {
     "eval_staircase_real_both": [
         "eval", *_STAIRCASE, "--energy=1.5", "--direction=both", *_STAIR_GRID,
     ],
+    # a square grid whose axis crosses every step: each entry below the diagonal
+    # prints its mirror's digits, and chi mixes its sin and plane-wave regions
+    "eval_staircase_square_json": [
+        "eval", *_STAIRCASE, "--energy=1.5", "--direction=both", "--r-grid=0:4:0.5",
+        "--s-grid=0:4:0.5", "--format=json",
+    ],
     "eval_branch_point": ["eval", *_BARRIER, "--energy=5", "--r=1", "--s=1"],
     "eval_barrier_invalid": ["eval", "--v0=5", "--a=2", "--b=1", "--energy=1.5", "--r=1", "--s=1"],
     "limit_barrier": ["limit-study", *_BARRIER, "--energy=1", "--r=0.7", "--s=1.8"],

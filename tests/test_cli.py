@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sqgreen import PiecewisePotential, SquareBarrier, formal_green, resolvent_kernel
+from sqgreen import PiecewisePotential, SquareBarrier, formal_green, kernel_grid, resolvent_kernel
 import sqgreen.cli as cli_module
 import sqgreen.kernel as kernel_module
 from sqgreen.cli import _write_json, main, parse_complex, parse_grid
@@ -218,6 +218,63 @@ def test_eval_grid_matches_per_sample_rows(tmp_path, case):
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def _reference_eval(p, e, rs, ss, directions, fmt) -> bytes:
+    """The eval output of a per-entry loop that prints every entry's own digits."""
+    grids = [
+        (kernel_grid(p, e, rs, ss, d).tolist(), "resolvent_kernel" if d is None else f"formal_{d}")
+        for d in directions
+    ]
+    header = ["r", "s", "e_re", "e_im", "g_re", "g_im", "provenance"]
+    e_fields = "%.17g,%.17g" % (e.real, e.imag)
+    lines = []
+    for i, r in enumerate(rs):
+        for j, s in enumerate(ss):
+            for values, provenance in grids:
+                g = values[i][j]
+                lines.append(
+                    "%s,%s,%s,%.17g,%.17g,%s"
+                    % ("%.17g" % r, "%.17g" % s, e_fields, g.real, g.imag, provenance)
+                )
+    if fmt == "csv":
+        return "".join(line + "\n" for line in [",".join(header), *lines]).encode()
+    rows = [dict(zip(header, line.split(","))) for line in lines]
+    return (json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n").encode()
+
+
+_STAIR = PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -1.0, 0.0))
+_STAIR_ARGS = ["--breakpoints=1,2,3", "--heights=0,4,-1,0"]
+REFERENCE_CASES = {
+    # the axes print the same fields: entries below the diagonal reuse their mirror's
+    "square_complex": (_STAIR_ARGS + ["--energy=2-0.5i", "--r-grid=0:4:0.25", "--s-grid=0:4:0.25"],
+                       _STAIR, 2.0 - 0.5j, [None]),
+    "square_both": (_STAIR_ARGS + ["--energy=1.5", "--direction=both",
+                                   "--r-grid=0:4:0.25", "--s-grid=0:4:0.25"],
+                    _STAIR, 1.5, ["plus", "minus"]),
+    "square_one_point": (["--v0=5", "--a=1", "--b=2", "--energy=1.5+0.2i", "--r=1.5", "--s=1.5"],
+                         SquareBarrier(5.0, 1.0, 2.0), 1.5 + 0.2j, [None]),
+    "non_square": (_STAIR_ARGS + ["--energy=2+0.5i", "--r-grid=0:4:0.25", "--s-grid=0:4:0.5"],
+                   _STAIR, 2.0 + 0.5j, [None]),
+    # as long as each other and partly the same radii, but not the same axis
+    "overlapping": (_STAIR_ARGS + ["--energy=1.5", "--direction=both",
+                                   "--r-grid=0:3:0.25", "--s-grid=1:4:0.25"],
+                    _STAIR, 1.5, ["plus", "minus"]),
+    # -0.0 and 0.0 are equal radii that print differently
+    "signed_zeros": (_STAIR_ARGS + ["--energy=1.5", "--direction=both", "--r=-0.0", "--s=0.0"],
+                     _STAIR, 1.5, ["plus", "minus"]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_eval_matches_the_per_entry_reference_loop(tmp_path, case, fmt):
+    argv, p, e, directions = REFERENCE_CASES[case]
+    out = tmp_path / f"grid.{fmt}"
+    assert main(["eval", *argv, f"--format={fmt}", f"--out={out}"]) == 0
+    args = cli_module.build_parser().parse_args(["eval", *argv, "--out=x"])
+    _, _, rs, ss = cli_module._request(args)
+    assert out.read_bytes() == _reference_eval(p, e, rs, ss, directions, fmt)
+
+
 class TestLimitStudy:
     def test_rows_and_convergence(self, tmp_path, barrier):
         out = tmp_path / "limit.csv"
@@ -411,6 +468,14 @@ class TestPoleScan:
         assert len(rows) == 1
         assert abs(complex(float(rows[0][0]), float(rows[0][1])) - (4.2029 - 0.2556j)) < 1e-3
         assert float(rows[0][2]) < 1e-10
+
+    def test_short_screen_of_a_wide_barrier_is_repaired(self, tmp_path, capsys):
+        out = tmp_path / "poles.csv"
+        rc = main(["pole-scan", "--v0=2", "--a=1", "--b=80", "--box=0.5:20:-8:-0.01",
+                   f"--out={out}"])
+        assert (rc, capsys.readouterr().err) == (0, "")
+        _, rows = read_csv(out)
+        assert len(rows) == 89
 
     def test_count_mismatch_exits_1(self, tmp_path, monkeypatch, capsys):
         # one zero more than the scan can find: the rows are still written

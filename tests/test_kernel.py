@@ -30,7 +30,7 @@ from sqgreen import (
 from sqgreen.model import _branch_sqrt_array, require_off_branch
 
 from closed_forms import kernel_closed_form
-from conftest import close, random_instances
+from conftest import close, random_instances, random_staircase
 
 
 class TestResolventKernel:
@@ -146,6 +146,40 @@ class TestKernelGrid:
         for i, r in enumerate(rs):
             for j, s in enumerate(ss):
                 assert grid[i, j] == resolvent_kernel(barrier, 1.5 + 0.2j, r, s)
+
+    @staticmethod
+    def _crossing_axis(rng, p) -> list[float]:
+        """Radii on each breakpoint, just either side of it, at 0 and scattered to 2 beyond."""
+        bps = p.breakpoints
+        points = [0.0, *bps, *(b - 1e-3 for b in bps), *(b + 1e-3 for b in bps)]
+        points += list(rng.uniform(0.0, bps[-1] + 2.0, size=6))
+        return sorted(points)
+
+    def _draws(self, rng):
+        """(staircase, E, direction, axis): complex E above and below the axis, real E both ways."""
+        for n_steps in (1, 2, 3, 4):
+            for _ in range(6):
+                p = random_staircase(rng, n_steps)
+                axis = self._crossing_axis(rng, p)
+                for sign in (1.0, -1.0):
+                    e = complex(rng.uniform(-3.0, 10.0), sign * rng.uniform(0.05, 2.0))
+                    yield p, e, None, axis
+                e = float(rng.uniform(0.1, 10.0))
+                for direction in ("plus", "minus"):
+                    yield p, e, direction, axis
+
+    def test_square_grid_is_symmetric_bit_for_bit(self, rng):
+        # eval prints each entry below the diagonal of a square grid from its mirror
+        for p, e, direction, axis in self._draws(rng):
+            grid = kernel_grid(p, e, axis, axis, direction)
+            assert grid.tobytes() == grid.T.tobytes(), (p, e, direction)
+
+    def test_swapped_axes_give_the_transpose_bit_for_bit(self, rng):
+        for p, e, direction, axis in self._draws(rng):
+            rs = axis[::2]
+            ss = list(rng.uniform(0.0, p.breakpoints[-1] + 2.0, size=5)) + axis[1::3]
+            grid = kernel_grid(p, e, rs, ss, direction)
+            assert kernel_grid(p, e, ss, rs, direction).tobytes() == grid.T.tobytes()
 
     def test_empty_axis(self, barrier):
         assert kernel_grid(barrier, 1.0 + 1.0j, [], self.SS).shape == (0, len(self.SS))
@@ -486,6 +520,29 @@ class TestMemos:
         run_verification(barrier, 1.0, seed=7)
         assert (libs.count("cmath"), libs.count("numpy")) == (3 + 2, 2)
 
+    @pytest.mark.parametrize(
+        "e, direction", [(1.5 + 0.2j, "plus"), (2.0 - 0.7j, "minus"), (1.5, "plus"), (1.5, "minus")]
+    )
+    def test_a_wave_pair_computes_the_momenta_once(self, monkeypatch, e, direction):
+        p = PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -1.0, 0.0))
+        radii = np.linspace(0.0, 4.0, 17)
+        alone = build_chi(p, e), piecewise_module.build_omega(p, e, direction)
+        calls = []
+        momenta = kernel_module.region_momenta
+
+        def counted(*args):
+            calls.append(args)
+            return momenta(*args)
+
+        for module in (kernel_module, piecewise_module):
+            monkeypatch.setattr(module, "region_momenta", counted)
+        chi, om, w = kernel_module.wave_pair(p, e, direction)
+        assert len(calls) == 1
+        for wave, single in zip((chi, om), alone):
+            assert wave.regions == single.regions
+            assert wave.value(radii).tobytes() == single.value(radii).tobytes()
+        assert w == piecewise_module.outer_wronskian(*alone)
+
     def test_limit_studies_of_one_energy_share_one_sweep(self, barrier, monkeypatch):
         pairs = [(0.5, 1.8), (1.2, 0.7), (2.5, 1.8)]
         sweeps = []
@@ -648,9 +705,26 @@ class TestPoleScan:
         assert roots == []
         assert roots.certified is None
 
-    def test_wide_barrier_keeps_its_roots(self):
+    def test_a_short_scan_is_repaired_by_quadrants(self, monkeypatch):
+        # the seed grid's spacing 0.25 is wider than the gaps between these roots:
+        # the screen alone accepts 84 of the 89 zeros the box counts
+        p, box = SquareBarrier(2.0, 1.0, 80.0), (0.5, 20.0, -8.0, -0.01)
+        roots = find_kernel_poles(p, box)
+        assert len(roots) == roots.certified == 89
+        assert all(0.0 < kernel_pole_residual(p, z) < 1e-10 for z in roots)
+        assert min(abs(z - w) for i, z in enumerate(roots) for w in roots[:i]) >= 1e-6
+        monkeypatch.setattr(kernel_module, "_repair", lambda *args: None)
+        screened = find_kernel_poles(p, box)
+        assert len(screened) == 84
+        assert set(screened) <= set(roots)
+
+    def test_wide_barrier_keeps_its_roots(self, monkeypatch):
         # a 60-digit evaluation of the closed form puts |c4/c3| <= 8.3e-14 at
-        # every root: small c-, but not rounded to 0
+        # every root: small c-, but not rounded to 0; the screen alone finds them all
+        def refused(*args):
+            raise AssertionError("a full scan was repaired")
+
+        monkeypatch.setattr(kernel_module, "_repair", refused)
         p = SquareBarrier(2.0, 1.0, 40.0)
         roots = find_kernel_poles(p, (0.5, 20.0, -8.0, -0.01))
         assert len(roots) == roots.certified == 47

@@ -18,15 +18,7 @@ from sqgreen.model import region_momenta_array
 from sqgreen.piecewise import _chi_outer, pole_function_array
 
 from closed_forms import chi_coefficients, chi_wave, omega_wave, wronskian_closed_form
-from conftest import close, random_instances
-
-
-def random_staircase(rng, n_steps):
-    bps = np.sort(rng.uniform(0.3, 6.0, size=n_steps))
-    while np.any(np.diff(bps) < 0.2):
-        bps = np.sort(rng.uniform(0.3, 6.0, size=n_steps))
-    heights = list(rng.uniform(-6.0, 8.0, size=n_steps)) + [0.0]
-    return PiecewisePotential(tuple(bps), tuple(heights))
+from conftest import close, random_instances, random_staircase
 
 
 class TestPotential:
