@@ -15,13 +15,13 @@ the staircase engine in :mod:`sqgreen.piecewise` builds them.  The r-dependent
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractError, DomainError
+from .model import radii_array
 
 _TWO_I = 2j
 
@@ -73,11 +73,12 @@ class PiecewiseWave:
     ``energy`` its eigenvalue; the Wronskians refuse to combine waves that
     disagree on either.
 
-    A radius or an array of radii is evaluated in one pass: ``searchsorted``
-    finds each radius's region, and the region's constants are gathered from
-    per-wave tables (:attr:`_tables`), so every point takes the formula of
-    :class:`Region` with that region's constants, bit for bit.  A scalar
-    radius is a one-element array and comes back as a Python complex.
+    A radius or an array of radii is evaluated in one pass: each radius's
+    region comes from ``searchsorted``, the plane-wave formula from per-wave
+    tables (:attr:`_tables`), and the ``sin`` region's points are overwritten
+    by its own formula, so every point takes its :class:`Region`'s formula
+    bit for bit.  A scalar radius is a one-element array and comes back as a
+    Python complex.
     """
 
     regions: tuple[Region, ...]
@@ -92,71 +93,56 @@ class PiecewiseWave:
         ``constants`` has the rows i k, -i k, c+, c- and ref and one column
         per region, each formed from the region's scalars as :class:`Region`
         forms it (ref is real).  The ``sin`` region, if the wave has one
-        (else its index is -1), is evaluated by :class:`Region` itself, and
-        its column goes unused.
+        (else its index is -1), is evaluated by :class:`Region` itself.  Its
+        column holds zeros, so the plane-wave formula gives exactly 0 there
+        and cannot overflow before the ``sin`` formula overwrites it.
         """
         columns, sin = [], -1
         for j, reg in enumerate(self.regions):
-            columns += (1j * reg.k, -1j * reg.k, reg.c_plus, reg.c_minus, reg.ref)
             if reg.form == "sin":
-                sin = j
+                sin, reg = j, Region(0j, "exp", 0j)
+            columns += (1j * reg.k, -1j * reg.k, reg.c_plus, reg.c_minus, reg.ref)
         constants = np.array(columns, dtype=complex).reshape(-1, 5).T
         return np.array(self.breakpoints, dtype=float), constants, sin
 
-    def _evaluate(self, r, sides: str, derivative: bool) -> tuple:
-        """Values, and derivatives if asked, at the radii ``r`` from each side in ``sides``.
+    def _evaluate(self, r, both_sides: bool, derivative: bool) -> tuple:
+        """Values, and derivatives if asked, at the radii ``r``.
 
-        ``sides`` is "+", "-" or "-+".  Returns one value array per side,
-        then one derivative array per side, each of the shape of ``r``; a
-        scalar ``r`` gives Python complexes instead.
+        A radius on a breakpoint takes the region to its right, or with
+        ``both_sides`` first the region to its left and then the one to its
+        right.  Returns one value array per side, then one derivative array
+        per side, each of the shape of ``r``; a scalar ``r`` gives Python
+        complexes instead.
         """
-        arr = np.asarray(r, dtype=float)
+        arr = radii_array(r)
         shape = arr.shape
-        arr = arr.ravel()
-        # NaN fails both comparisons
-        if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
-            raise DomainError("radius must be finite and nonnegative")
+        x = arr = arr.ravel()
         edges, constants, sin = self._tables
-        if len(sides) == 1:
-            x, idx = arr, edges.searchsorted(arr, "right" if sides == "+" else "left")
-        else:
+        idx = edges.searchsorted(arr, "right")
+        if both_sides:
             x = np.concatenate((arr, arr))
-            idx = np.concatenate((edges.searchsorted(arr, "left"), edges.searchsorted(arr, "right")))
-        # the regular solution's sin region is evaluated by its Region, under one mask
-        inner = idx == sin if sin >= 0 else None
-        count = 0 if inner is None else np.count_nonzero(inner)
-        if count == 0:
-            out = _plane_waves(constants, idx, x, derivative)
-        elif count == x.size:
-            out = _sin_wave(self.regions[sin], x, derivative)
-        else:
-            plane = ~inner
-            parts = (
-                (inner, _sin_wave(self.regions[sin], x[inner], derivative)),
-                (plane, _plane_waves(constants, idx[plane], x[plane], derivative)),
-            )
-            out = tuple(np.empty(x.shape, dtype=complex) for _ in range(1 + derivative))
-            for mask, part in parts:
-                for whole, piece in zip(out, part):
-                    whole[mask] = piece
-        if len(sides) > 1:
+            idx = np.concatenate((edges.searchsorted(arr, "left"), idx))
+        out = _plane_waves(constants, idx, x, derivative)
+        if sin >= 0:  # only the regular solution has one; its points take their Region's formula
+            inner, reg = idx == sin, self.regions[sin]
+            xs = x[inner]
+            out[0][inner] = reg.value(xs)
+            if derivative:
+                out[1][inner] = reg.derivative(xs)
+        if both_sides:
             n = arr.size
             out = [half for whole in out for half in (whole[:n], whole[n:])]
         if not shape:
             return tuple([whole.item(0) for whole in out])
         return tuple([whole.reshape(shape) for whole in out])
 
-    def value(self, r, side: str = "+"):
-        """Wave value at ``r`` (scalar or array); ``side`` picks the region at a breakpoint."""
-        return self._evaluate(r, _side(side), False)[0]
+    def value(self, r):
+        """Wave value at ``r`` (scalar or array); at a breakpoint, the right limit."""
+        return self._evaluate(r, False, False)[0]
 
-    def derivative(self, r, side: str = "+"):
-        """Analytic derivative of the region formula; one-sided at breakpoints."""
-        return self._evaluate(r, _side(side), True)[1]
-
-    def value_and_derivative(self, r, side: str = "+"):
-        """(value, derivative) at ``r`` from one evaluation."""
-        return self._evaluate(r, _side(side), True)
+    def value_and_derivative(self, r):
+        """(value, derivative) at ``r`` from one evaluation; at a breakpoint, the right limits."""
+        return self._evaluate(r, False, True)
 
     def one_sided(self, r):
         """(value, derivative) at ``r`` from the left, then from the right, in one evaluation.
@@ -164,18 +150,7 @@ class PiecewiseWave:
         Returns (value-, value+, derivative-, derivative+); at a breakpoint the
         two sides are the limits of the regions that meet there.
         """
-        return self._evaluate(r, "-+", True)
-
-
-def _side(side) -> str:
-    if side not in ("+", "-"):
-        raise ContractError(f"side must be '+' or '-', got {side!r}")
-    return side
-
-
-def _sin_wave(reg: Region, x: np.ndarray, derivative: bool) -> tuple:
-    """(value,) or (value, derivative) of a ``sin`` region at radii ``x``."""
-    return (reg.value(x), reg.derivative(x)) if derivative else (reg.value(x),)
+        return self._evaluate(r, True, True)
 
 
 def _plane_waves(constants, idx: np.ndarray, x: np.ndarray, derivative: bool) -> tuple:
@@ -213,7 +188,7 @@ def wronskian(f: PiecewiseWave, g: PiecewiseWave, r):
     numpy; a radius is the single entry of a one-radius array.
     """
     _require_same_problem(f, g)
-    radii = np.asarray(r, dtype=float)
+    radii = radii_array(r)
     fv, fd = f.value_and_derivative(radii.ravel())
     gv, gd = g.value_and_derivative(radii.ravel())
     out = (fv * gd - fd * gv).reshape(radii.shape)

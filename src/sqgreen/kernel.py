@@ -39,7 +39,9 @@ from .errors import (
     PoleError,
 )
 from .eigenfunctions import PiecewiseWave, _overflow
-from .model import real_energy, region_momenta, region_momenta_array, require_off_branch
+from .model import (
+    radii_array, real_array, real_energy, region_momenta, region_momenta_array, require_off_branch
+)
 from .piecewise import (
     _chi_regions,
     _omega_regions,
@@ -104,13 +106,13 @@ def wave_pair(p, e: complex, direction: str) -> tuple[PiecewiseWave, PiecewiseWa
     return chi, om, outer_wronskian(chi, om)
 
 
-def _kernel_request(p, e, radii, direction: str | None) -> tuple[complex, str]:
-    """Validate one kernel request and return (E, omega direction).
+def _kernel_request(p, e, radii, direction: str | None) -> tuple[complex, str, np.ndarray]:
+    """Validate one kernel request and return (E, omega direction, radii as floats).
 
     ``direction=None`` asks for the resolvent kernel at Im E != 0, whose tail
     solution follows the sign of Im E.  "plus"/"minus" ask for the formal
     kernel at real E > 0, whose pole test :func:`_kernel_waves` makes on its
-    waves.  Every radius must be finite and nonnegative.
+    waves.  Every radius must be a finite, nonnegative real number.
     """
     if direction is None:
         e = complex(e)
@@ -123,9 +125,7 @@ def _kernel_request(p, e, radii, direction: str | None) -> tuple[complex, str]:
         if direction not in ("plus", "minus"):
             raise ContractError(f"direction must be 'plus' or 'minus', got {direction!r}")
         e = real_energy(e, "the formal kernel")
-    if not all(0.0 <= x < math.inf for x in radii):
-        raise DomainError("radii must be finite and nonnegative")
-    return complex(e), direction
+    return complex(e), direction, radii_array(radii)
 
 
 def _kernel_waves(p, e: complex, direction: str) -> tuple[PiecewiseWave, PiecewiseWave, complex]:
@@ -168,16 +168,16 @@ def kernel_grid(p, e, rs, ss, direction: str | None = None) -> np.ndarray:
     once, in numpy.  A scalar function is the single entry of its 1 x 1 grid.
     Like them, it raises :class:`DomainError` where a value is not finite.
     """
-    r = np.asarray(rs, dtype=float).ravel()
-    s = np.asarray(ss, dtype=float).ravel()
-    radii = np.concatenate((r, s))
-    e, direction = _kernel_request(p, e, radii, direction)
+    n = np.size(rs)
+    radii = np.concatenate((np.ravel(rs), np.ravel(ss)))
+    e, direction, radii = _kernel_request(p, e, radii, direction)
     chi, om, w = _kernel_waves(p, e, direction)
+    r, s = radii[:n], radii[n:]
     with np.errstate(all="ignore"):
         chi_at, om_at = chi.value(radii), om.value(radii)
         below = r[:, None] <= s
-        chi_lo = np.where(below, chi_at[:r.size, None], chi_at[r.size:])
-        om_hi = np.where(below, om_at[r.size:], om_at[:r.size, None])
+        chi_lo = np.where(below, chi_at[:n, None], chi_at[n:])
+        om_hi = np.where(below, om_at[n:], om_at[:n, None])
         values = chi_lo * om_hi / w
     _require_finite(bool(np.isfinite(values).all()), e)
     return values
@@ -307,7 +307,10 @@ class KernelPoles(list):
 
 def _search_box(box) -> tuple[float, float, float, float]:
     """``box`` as four floats (re_min, re_max, im_min, im_max); raises for a bad box."""
-    bounds = tuple(float(x) for x in box)
+    entries = real_array(box, "search box entries")
+    if entries.shape != (4,):
+        raise DomainError(f"search box must be four real numbers, got {box}")
+    bounds = tuple(entries.tolist())
     re_min, re_max, im_min, im_max = bounds
     if not all(math.isfinite(x) for x in bounds):
         raise DomainError(f"search box entries must be finite, got {box}")

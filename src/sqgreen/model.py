@@ -129,6 +129,27 @@ def real_energy(e, what: str) -> float:
     return z.real
 
 
+def real_array(x, what: str) -> np.ndarray:
+    """``x``, a real number or an array of them, as a float array of its shape.
+
+    Raises :class:`DomainError`, naming ``what``, for anything else: a
+    complex number or a string is refused, not cast.
+    """
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{what} must be real numbers, got {arr.dtype} entries")
+    return arr.astype(float, copy=False)
+
+
+def radii_array(r) -> np.ndarray:
+    """:func:`real_array` of radii; :class:`DomainError` unless each is finite and nonnegative."""
+    arr = real_array(r, "radii")
+    # NaN fails both comparisons
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
+        raise DomainError("radii must be finite and nonnegative")
+    return arr
+
+
 def require_off_branch(p: PiecewisePotential, e: complex) -> None:
     """Raise :class:`BranchPointError` if ``e`` lies within ``EPS_BRANCH`` of a height."""
     for v in p.heights:

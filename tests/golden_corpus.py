@@ -17,9 +17,9 @@ records the drift between the two trees::
 header, a JSON row key, or the path of a leaf in a nested JSON report) it
 prints the largest relative drift and the largest distance in units in the
 last place (ULP) over the values that differ, and it lists the cases whose exit
-code, standard error, row count or text fields changed.  It exits 1 when it
-lists any such case, since a re-baseline on purpose moves digits only, and 0
-otherwise.
+code, standard error, row count or text fields changed, and the cases that one
+corpus holds and the other lacks.  It exits 1 when it lists any such case,
+since a re-baseline on purpose moves digits only, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -198,14 +198,25 @@ def _records(text: bytes, suffix: str) -> list[list[tuple[str, object]]]:
     return [leaves]
 
 
+def _recorded(corpus: Path) -> set[str]:
+    """The cases whose exit codes ``corpus`` holds."""
+    return set(json.loads((corpus / EXIT_CODES).read_text()))
+
+
 def drift(old: Path, new: Path) -> tuple[list[dict], list[str]]:
     """Per (case, column) drift of the numeric fields, and notes on other changes.
 
     Only columns with at least one differing value get a row; each row counts
-    the values compared and the values that differ.
+    the values compared and the values that differ.  A case of the case list
+    that OLD lacks is noted as added; one that NEW lacks, or that is no longer
+    in the case list, as removed.
     """
     table, notes = [], []
-    for name in CASES:
+    in_old, in_new = _recorded(old), _recorded(new)
+    for name in [*CASES, *sorted((in_old | in_new) - CASES.keys())]:
+        if not (name in CASES and name in in_old and name in in_new):
+            notes.append(f"{name}: case {'removed' if name in in_old else 'added'}")
+            continue
         rc_old, out_old, err_old = read_case(old, name)
         rc_new, out_new, err_new = read_case(new, name)
         if rc_old != rc_new:

@@ -506,6 +506,25 @@ class TestPoleScan:
             assert main(argv) == 2, flags
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["eval", "--breakpoints=1,2", "--energy=1+1i", "--r=1", "--s=1"],
+         "error: staircase potentials need both --breakpoints and --heights"),
+        (["eval", "--breakpoints=1,x", "--heights=0,4,0", "--energy=1+1i", "--r=1", "--s=1"],
+         "error: non-numeric entry in --breakpoints/--heights"),
+        (["eval", "--a=1", "--b=2", "--energy=1+1i", "--r=1", "--s=1"],
+         "error: square barriers need --v0, --a and --b"),
+        (["pole-scan", "--v0=5", "--a=1", "--b=2", "--box=3:6:x:-0.01"],
+         "error: non-numeric --box entry in '3:6:x:-0.01'"),
+    ],
+)
+def test_potential_and_box_refusals_exit_2_with_their_line(tmp_path, capsys, argv, line):
+    assert main([*argv, f"--out={tmp_path / 'x.csv'}"]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_verify_help_states_the_lattice_bounds(capsys):
     # the bounds are formatted from the oracle's step and verification's phase limit
     with pytest.raises(SystemExit) as done:

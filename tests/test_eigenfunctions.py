@@ -1,4 +1,5 @@
 import cmath
+import warnings
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -35,9 +36,8 @@ ENERGIES = [2.3 + 0.0j, 0.7 + 0.0j, 2.0 + 0.7j, 1.4 - 1.1j, -2.5 + 0.0j]
 def _continuity_residual(wave):
     worst = 0.0
     for bp in wave.breakpoints:
-        for fn in ("value", "derivative"):
-            left = getattr(wave, fn)(bp, "-")
-            right = getattr(wave, fn)(bp, "+")
+        v_left, v_right, d_left, d_right = wave.one_sided(bp)
+        for left, right in ((v_left, v_right), (d_left, d_right)):
             worst = max(worst, abs(left - right) / (1.0 + abs(right)))
     return worst
 
@@ -63,7 +63,7 @@ class TestChi:
 
     def test_inner_region_value(self, free):
         wave = chi_wave(free, 1.0 + 0j)
-        assert close(wave.value(1.0, "-"), cmath.sin(1.0), atol=1e-15)
+        assert close(wave.one_sided(1.0)[0], cmath.sin(1.0), atol=1e-15)
 
     def test_branch_points_are_hard_errors(self, barrier):
         with pytest.raises(BranchPointError):
@@ -139,20 +139,19 @@ class TestSchwarzReflection:
 class TestDerivatives:
     def test_free_chi_derivative(self, free):
         wave = chi_wave(free, 1.0 + 0j)
-        assert close(wave.derivative(1.0, "-"), cmath.cos(1.0), atol=1e-15)
+        assert close(wave.one_sided(1.0)[2], cmath.cos(1.0), atol=1e-15)
 
     def test_outgoing_outer_derivative(self, barrier):
         e = 1.0 + 0j
         k = branch_sqrt(e)
         wave = omega_wave(barrier, e, "plus")
         r = barrier.b + 0.7
-        assert close(wave.derivative(r), 1j * k * cmath.exp(1j * k * r), atol=1e-15)
+        assert close(wave.value_and_derivative(r)[1], 1j * k * cmath.exp(1j * k * r), atol=1e-15)
 
     def test_one_sided_derivatives_match_at_breakpoints(self, barrier):
         wave = chi_wave(barrier, 2.0 + 0.7j)
         for bp in barrier.breakpoints:
-            left = wave.derivative(bp, "-")
-            right = wave.derivative(bp, "+")
+            _, _, left, right = wave.one_sided(bp)
             assert abs(left - right) <= 1e-10 * (1.0 + abs(right))
 
     def test_negative_radius_rejected(self, barrier):
@@ -163,7 +162,7 @@ class TestDerivatives:
             with pytest.raises(DomainError):
                 wave.value(r)
             with pytest.raises(DomainError):
-                wave.derivative(r, "-")
+                wave.one_sided(r)
 
 
 def test_non_finite_radius_rejected():
@@ -175,7 +174,33 @@ def test_non_finite_radius_rejected():
         with pytest.raises(DomainError):
             wave.value(np.array([0.5, np.nan]))
         with pytest.raises(DomainError):
-            wave.derivative(float("inf"))
+            wave.value_and_derivative(float("inf"))
+
+
+def test_non_real_radius_rejected():
+    # a complex radius was cast to its real part with only a ComplexWarning, and
+    # a string raised numpy's bare ValueError
+    p = SquareBarrier(5, 1, 2)
+    chi, om = build_chi(p, 1.3), build_omega(p, 1.3, "plus")
+    for r in (np.array([0.5 + 2j]), 0.5 + 2j, "x", ["x"]):
+        for read in (chi.value, chi.value_and_derivative, chi.one_sided):
+            with pytest.raises(DomainError, match="real numbers"):
+                read(r)
+        with pytest.raises(DomainError, match="real numbers"):
+            wronskian(chi, om, r)
+
+
+def test_sin_region_past_the_plane_wave_range_is_finite_without_warning():
+    # at this radius sin(k r) is finite but exp(kappa r) is not, so the plane-wave
+    # formula must give the sin region exactly 0 before its own formula overwrites it
+    chi = build_chi(PiecewisePotential((), (0.0,)), 1 + 1j)
+    r = 1559.9117043015965
+    want = -1.0044344014038564e308 + 1.1237482546183088e307j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert chi.value(r) == want
+        assert chi.value(np.array([r, r]))[1] == want
+        assert chi.one_sided(r)[:2] == (want, want)
 
 
 def _scalar_probe_waves():
@@ -198,12 +223,11 @@ def test_scalar_lookups_equal_one_element_arrays():
         edges = (0.0,) + tuple(p.breakpoints)
         inner = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])] + [edges[-1] + 1.3]
         for r in [0.0, 0, *inner, *p.breakpoints]:
-            for side in ("+", "-"):
-                for fn in (wave.value, wave.derivative):
-                    scalar = fn(r, side)
-                    array = fn(np.array([r]), side)[0]
+            # one_sided reads both sides, value and value_and_derivative the right one
+            for fn in (lambda x: (wave.value(x),), wave.value_and_derivative, wave.one_sided):
+                for scalar, array in zip(fn(r), fn(np.array([r]))):
                     assert type(scalar) is complex
-                    assert np.complex128(scalar).tobytes() == array.tobytes(), (p, r)
+                    assert np.complex128(scalar).tobytes() == array[0].tobytes(), (p, r)
 
 
 def _region_formula(wave, r: float, side: str, what: str) -> complex:
@@ -237,31 +261,33 @@ def test_table_lookup_is_the_region_formula_bit_for_bit():
         inside = [rng.uniform(lo, hi, 4) for lo, hi in zip(edges, edges[1:])]
         radii = np.concatenate([[0.0], *inside, p.breakpoints])
         rng.shuffle(radii)
-        for side in ("+", "-"):
-            value, deriv = wave.value_and_derivative(radii, side)
-            assert wave.value(radii, side).tobytes() == value.tobytes()
-            assert wave.derivative(radii, side).tobytes() == deriv.tobytes()
-            for what, got in (("value", value), ("derivative", deriv)):
+        v_left, v_right, d_left, d_right = wave.one_sided(radii)
+        value, deriv = wave.value_and_derivative(radii)
+        assert (value.tobytes(), deriv.tobytes()) == (v_right.tobytes(), d_right.tobytes())
+        assert wave.value(radii).tobytes() == value.tobytes()
+        for side, reads in (("-", (v_left, d_left)), ("+", (v_right, d_right))):
+            for what, got in zip(("value", "derivative"), reads):
                 expected = [_region_formula(wave, r, side, what) for r in radii.tolist()]
                 assert np.array(expected).tobytes() == got.tobytes(), (p, wave.energy, side, what)
-                single = [getattr(wave, what)(r, side) for r in radii.tolist()]
-                assert np.array(single).tobytes() == got.tobytes(), (p, wave.energy, side, what)
-        v_left, v_right, d_left, d_right = wave.one_sided(radii)
-        assert (v_left.tobytes(), d_left.tobytes()) == tuple(
-            x.tobytes() for x in wave.value_and_derivative(radii, "-")
-        )
-        assert (v_right.tobytes(), d_right.tobytes()) == tuple(
-            x.tobytes() for x in wave.value_and_derivative(radii, "+")
-        )
+        # one radius at a time, through each read
+        single = [wave.one_sided(r) for r in radii.tolist()]
+        for j, got in enumerate((v_left, v_right, d_left, d_right)):
+            assert np.array([s[j] for s in single]).tobytes() == got.tobytes(), (p, wave.energy, j)
+        single = [wave.value_and_derivative(r) for r in radii.tolist()]
+        assert np.array(single).T.tobytes() == np.array([value, deriv]).tobytes()
+        single = [wave.value(r) for r in radii.tolist()]
+        assert np.array(single).tobytes() == value.tobytes()
 
 
 def test_table_lookup_shapes():
     wave = build_chi(SquareBarrier(5.0, 1.0, 2.0), 2.3 + 0.9j)
     # a 0-d array is a scalar
-    for fn in (wave.value, wave.derivative):
+    got = wave.value(np.array(1.5))
+    assert type(got) is complex and got == wave.value(1.5)
+    for fn in (wave.value_and_derivative, wave.one_sided):
         got = fn(np.array(1.5))
-        assert type(got) is complex and got == fn(1.5)
-    assert wave.value_and_derivative(np.array(0.5)) == (wave.value(0.5), wave.derivative(0.5))
+        assert all(type(x) is complex for x in got) and got == fn(1.5)
+    assert wave.value_and_derivative(np.array(0.5)) == (wave.value(0.5), wave.one_sided(0.5)[3])
     # an empty array gives empty arrays
     empty = np.array([])
     assert wave.value(empty).shape == (0,) and wave.value(empty).dtype == complex
@@ -270,8 +296,6 @@ def test_table_lookup_shapes():
     grid = np.linspace(0.0, 3.0, 12).reshape(3, 4)
     assert wave.value(grid).tobytes() == wave.value(grid.ravel()).tobytes()
     assert wave.value(grid).shape == (3, 4)
-    with pytest.raises(ContractError):
-        wave.value(1.5, "+-")
 
 
 class TestWronskian:

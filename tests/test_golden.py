@@ -88,3 +88,25 @@ def test_drift_exits_1_when_more_than_digits_change(tmp_path, capsys):
     rc = codes["limit_barrier"]
     assert f"- limit_barrier: exit code {rc - 1} -> {rc}" in out
     assert err.startswith("error: 1 change(s) beyond digits")
+
+
+def test_drift_lists_a_case_one_corpus_lacks(tmp_path, capsys):
+    # drift raised KeyError in read_case when OLD's exit codes lacked a case
+    old, new = tmp_path / "old", tmp_path / "new"
+    shutil.copytree(GOLDEN, old)
+    shutil.copytree(GOLDEN, new)
+    codes = json.loads((old / "exit_codes.json").read_text())
+    del codes["limit_barrier"]
+    (old / "exit_codes.json").write_text(json.dumps(codes))
+    (old / "limit_barrier.csv").unlink()
+    assert drift(old, new) == ([], ["limit_barrier: case added"])
+    assert drift(new, old) == ([], ["limit_barrier: case removed"])
+    capsys.readouterr()
+    assert golden_corpus.main(["drift", str(old), str(new)]) == 1
+    out, err = capsys.readouterr()
+    assert "- limit_barrier: case added" in out
+    assert err.startswith("error: 1 change(s) beyond digits")
+    # a case that left the case list is removed too
+    codes = json.loads((new / "exit_codes.json").read_text())
+    (new / "exit_codes.json").write_text(json.dumps({**codes, "retired_case": 0}))
+    assert drift(new, new) == ([], ["retired_case: case removed"])

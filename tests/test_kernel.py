@@ -193,6 +193,18 @@ class TestKernelGrid:
         with pytest.raises(DomainError):
             resolvent_kernel(barrier, 1.0 + 1.0j, 0.5, bad)
 
+    def test_non_real_radius_rejected(self, barrier):
+        # a complex radius was cast to its real part with only a ComplexWarning,
+        # or raised a bare TypeError
+        with pytest.raises(DomainError, match="real numbers"):
+            kernel_grid(barrier, 1 + 1j, np.array([0.5 + 2j]), [1.0])
+        with pytest.raises(DomainError, match="real numbers"):
+            resolvent_kernel(barrier, 1 + 1j, 0.5 + 2j, 1.0)
+        with pytest.raises(DomainError, match="real numbers"):
+            boundary_limit(barrier, 1.3, 0.5 + 2j, 1.0, "plus")
+        with pytest.raises(DomainError, match="real numbers"):
+            kernel_grid(barrier, 1.5, ["x"], self.SS, "plus")
+
     def test_energy_contracts(self, barrier):
         with pytest.raises(ContractError):
             kernel_grid(barrier, 1.5, self.RS, self.SS)
@@ -810,6 +822,14 @@ class TestZeroCount:
         for box in ((1.0, 1.0, -1.0, 1.0), (0.0, np.inf, -1.0, -0.01)):
             with pytest.raises(DomainError):
                 kernel_module.zero_count(barrier, box)
+
+    @pytest.mark.parametrize("box", [(1, 2, 3), (1, 2, 3, 4, 5), ("a", 2, 3, 4), (1 + 1j, 2, 3, 4)])
+    def test_box_of_other_than_four_real_numbers_rejected(self, barrier, box):
+        # the box was unpacked or cast to float first: a bare ValueError or TypeError
+        with pytest.raises(DomainError, match="search box"):
+            kernel_module.zero_count(barrier, box)
+        with pytest.raises(DomainError, match="search box"):
+            find_kernel_poles(barrier, box)
 
 
 SPLIT_CASES = [

@@ -81,21 +81,23 @@ class TestIntegrateSchrodinger:
     def test_chi_reintegrates(self, barrier):
         for e in (1.0 + 0j, 2.3 + 0.9j):
             chi = chi_wave(barrier, e)
-            traj = integrate_schrodinger(barrier, e, 0.0, chi.derivative(0.0), 0.0, 7.0, 1e-3)
+            dy0 = chi.value_and_derivative(0.0)[1]
+            traj = integrate_schrodinger(barrier, e, 0.0, dy0, 0.0, 7.0, 1e-3)
             assert np.max(np.abs(traj.values - chi.value(traj.r))) <= 1e-8
 
     def test_omega_integrates_inward(self, barrier):
         e = 1.0 + 0j
         om = omega_wave(barrier, e, "plus")
         start = barrier.b + 5.0
-        traj = integrate_schrodinger(
-            barrier, e, om.value(start), om.derivative(start), start, 0.5, 1e-3
-        )
+        traj = integrate_schrodinger(barrier, e, *om.value_and_derivative(start), start, 0.5, 1e-3)
         assert abs(traj.values[-1] - om.value(0.5)) <= 1e-7
 
     def test_misaligned_breakpoint_rejected(self, barrier):
         with pytest.raises(ContractError):
             integrate_schrodinger(barrier, 1.0, 0.0, 1.0, 0.0, 3.0, 0.7)
+        # 0.3 divides [0, 3], so only the breakpoint 1 off the grid refuses it
+        with pytest.raises(ContractError, match="breakpoint 1.0 is not aligned"):
+            integrate_schrodinger(barrier, 1.0, 0.0, 1.0, 0.0, 3.0, 0.3)
 
     def test_step_must_divide_interval(self, barrier):
         with pytest.raises(ContractError):
@@ -107,7 +109,8 @@ class TestIntegrateSchrodinger:
 
         e = 1.5 + 0.5j
         chi = build_chi(pw, e)
-        traj = integrate_schrodinger(pw, e, 0.0, chi.derivative(0.0), 0.0, 5.0, 1e-3)
+        dy0 = chi.value_and_derivative(0.0)[1]
+        traj = integrate_schrodinger(pw, e, 0.0, dy0, 0.0, 5.0, 1e-3)
         assert np.max(np.abs(traj.values - chi.value(traj.r))) <= 1e-8
 
     def test_step_past_the_stability_bound_raises(self):
@@ -133,9 +136,10 @@ class TestPropagate:
             chi, om = chi_wave(barrier, e), omega_wave(barrier, e, "minus")
             for r in (0.4, 1.0, 1.6, 2.0, 3.5):
                 for wave, r0 in ((chi, 0.0), (om, 2.0)):
-                    y, dy = propagate(barrier, e, wave.value(r0), wave.derivative(r0), r0, r)
-                    assert abs(y - wave.value(r)) <= 1e-13 * (1.0 + abs(y))
-                    assert abs(dy - wave.derivative(r)) <= 1e-13 * (1.0 + abs(dy))
+                    y, dy = propagate(barrier, e, *wave.value_and_derivative(r0), r0, r)
+                    value, deriv = wave.value_and_derivative(r)
+                    assert abs(y - value) <= 1e-13 * (1.0 + abs(y))
+                    assert abs(dy - deriv) <= 1e-13 * (1.0 + abs(dy))
 
     def test_inward_undoes_outward(self):
         pw = PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -2.0, 0.0))
@@ -155,6 +159,11 @@ class TestPropagate:
     def test_bad_radius_or_state_raises(self, barrier, e, y, r_from, r_to):
         with pytest.raises(DomainError):
             propagate(barrier, e, y, 0.0, r_from, r_to)
+
+    def test_overflowing_flow_raises(self):
+        # cmath.cos(k d) itself overflows across the barrier (k ~ 1000i, d = 2)
+        with pytest.raises(DomainError, match="not finite"):
+            propagate(SquareBarrier(1e6, 1, 3), 1.0, 0, 1, 0, 3)
 
 
 def _reference_rk4(p, e, y0, dy0, r_from, r_to, step):
@@ -288,6 +297,16 @@ class TestApplyHamiltonianFd:
         r = 0.5 * np.arange(20)
         with pytest.raises(ContractError):
             apply_hamiltonian_fd(r, np.ones(20, dtype=complex), barrier, 0.5)
+
+    def test_mismatched_or_non_uniform_grid_rejected(self, barrier):
+        r = np.linspace(2.2, 2.3, 11)
+        with pytest.raises(ContractError, match="matching 1-d arrays"):
+            apply_hamiltonian_fd(r, np.ones(10), barrier)
+        with pytest.raises(ContractError, match="matching 1-d arrays"):
+            apply_hamiltonian_fd(r.reshape(1, 11), np.ones((1, 11)), barrier)
+        r[5] += 1e-3
+        with pytest.raises(ContractError, match="uniform"):
+            apply_hamiltonian_fd(r, np.ones(11), barrier)
 
 
 class TestCumulativeSimpson:

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from sqgreen import (
     DomainError,
     PiecewisePotential,
     SquareBarrier,
+    branch_sqrt,
     build_chi,
     build_omega,
     chi_outer_amplitudes,
+    kernel_grid,
     outer_wronskian,
     wronskian,
 )
@@ -88,7 +92,7 @@ class TestEngineWaves:
                 for closed, engine in pairs:
                     vc, ve = closed.value(r), engine.value(r)
                     assert np.max(np.abs(vc - ve) / (1.0 + np.abs(vc))) <= 1e-12
-                    dc, de = closed.derivative(r), engine.derivative(r)
+                    dc, de = closed.value_and_derivative(r)[1], engine.value_and_derivative(r)[1]
                     assert np.max(np.abs(dc - de) / (1.0 + np.abs(dc))) <= 1e-12
 
     def test_split_segment_invariance(self, barrier):
@@ -139,8 +143,23 @@ class TestEngineWaves:
                 ):
                     scale = 1.0 + np.max(np.abs(wave.value(np.array(pw.breakpoints))))
                     for bp in pw.breakpoints:
-                        for fn in (wave.value, wave.derivative):
-                            assert abs(fn(bp, "-") - fn(bp, "+")) <= 1e-12 * scale
+                        v_left, v_right, d_left, d_right = wave.one_sided(bp)
+                        for left, right in ((v_left, v_right), (d_left, d_right)):
+                            assert abs(left - right) <= 1e-12 * scale
+
+    def test_free_particle_wronskian_reads_the_sin_region(self):
+        # without breakpoints chi's outermost region is its sin region, whose
+        # plane-wave pair outer_wronskian reads: W(chi, omega_plus) = -k
+        free = PiecewisePotential((), (0.0,))
+        for e in (2.25 + 0.5j, 0.3 + 2.0j, 4.0 + 0j):
+            k = branch_sqrt(e)
+            chi, om = build_chi(free, e), build_omega(free, e, "plus")
+            assert abs(outer_wronskian(chi, om) + k) <= 1e-15 * abs(k)
+            for r, s in ((0.4, 1.7), (2.5, 0.9)):
+                lo, hi = min(r, s), max(r, s)
+                want = cmath.sin(k * lo) * cmath.exp(1j * k * hi) / -k
+                got = kernel_grid(free, e, [r], [s], None if e.imag else "plus")[0, 0]
+                assert abs(got - want) <= 1e-14 * abs(want)
 
     def test_outer_amplitudes_are_the_closed_form_c3_c4(self, rng):
         # chi's outer amplitudes in the absolute convention, and so the pole
@@ -201,5 +220,5 @@ class TestEngineWaves:
         # continuity still holds at both edges
         for wave in (chi, om):
             for bp in pw.breakpoints:
-                l, rr = wave.value(bp, "-"), wave.value(bp, "+")
+                l, rr = wave.one_sided(bp)[:2]
                 assert abs(l - rr) <= 1e-9 * (1.0 + abs(rr))
