@@ -40,7 +40,8 @@ from .errors import (
 )
 from .eigenfunctions import PiecewiseWave, _overflow
 from .model import (
-    radii_array, real_array, real_energy, region_momenta, region_momenta_array, require_off_branch
+    radii_array, real_array, real_energy, real_number, region_momenta, region_momenta_array,
+    require_off_branch,
 )
 from .piecewise import (
     _chi_regions,
@@ -168,8 +169,9 @@ def kernel_grid(p, e, rs, ss, direction: str | None = None) -> np.ndarray:
     once, in numpy.  A scalar function is the single entry of its 1 x 1 grid.
     Like them, it raises :class:`DomainError` where a value is not finite.
     """
-    n = np.size(rs)
-    radii = np.concatenate((np.ravel(rs), np.ravel(ss)))
+    rs, ss = real_array(rs, "radii"), real_array(ss, "radii")
+    n = rs.size
+    radii = np.concatenate((rs.ravel(), ss.ravel()))
     e, direction, radii = _kernel_request(p, e, radii, direction)
     chi, om, w = _kernel_waves(p, e, direction)
     r, s = radii[:n], radii[n:]
@@ -218,7 +220,7 @@ def boundary_limit(
     e = _kernel_request(p, e, (r, s), direction)[0].real
     if mu0 is None:
         mu0 = 0.05 * e
-    mu0 = float(mu0)
+    mu0 = real_number(mu0, "mu0")
     if not 0.0 < mu0 <= 0.1 * e:
         raise DomainError(f"mu0 must lie in (0, 0.1 E], got {mu0}")
 
@@ -507,11 +509,11 @@ def find_kernel_poles(
     every seed at once, O(n_seeds) memory: about 25 MB at ``MAX_SEEDS``.
 
     Raises :class:`DomainError` for a non-finite or degenerate box, a
-    non-finite or non-positive ``seed_density``, or more than ``MAX_SEEDS``
-    seeds.
+    ``seed_density`` that is not a finite, positive real number, or more
+    than ``MAX_SEEDS`` seeds.
     """
     bounds = _search_box(box)
-    seed_density = float(seed_density)
+    seed_density = real_number(seed_density, "seed_density")
     if not (math.isfinite(seed_density) and seed_density > 0.0):
         raise DomainError(f"seed_density must be finite and positive, got {seed_density}")
     seeds = _seed_grid(bounds, seed_density)

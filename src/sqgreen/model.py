@@ -84,8 +84,8 @@ class PiecewisePotential:
     heights: tuple[float, ...]
 
     def __post_init__(self):
-        bps = tuple(float(x) for x in self.breakpoints)
-        hts = tuple(float(v) for v in self.heights)
+        bps = tuple(real_number(x, "breakpoints") for x in self.breakpoints)
+        hts = tuple(real_number(v, "heights") for v in self.heights)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "heights", hts)
         if len(hts) != len(bps) + 1:
@@ -100,9 +100,8 @@ class PiecewisePotential:
             raise DomainError("the outermost height must be 0 (potential vanishes at infinity)")
 
     def value_at(self, r: float) -> float:
-        """V(r), the right limit at a jump."""
-        if not 0.0 <= r < math.inf:
-            raise DomainError(f"radius must be finite and nonnegative, got {r}")
+        """V(r), the right limit at a jump; :class:`DomainError` unless r is one radius."""
+        (r,) = radii_floats(r)
         return self.heights[bisect.bisect_right(self.breakpoints, r)]
 
 
@@ -121,9 +120,13 @@ def real_energy(e, what: str) -> float:
     """``e`` as a float for ``what``, an operation on the positive real axis.
 
     Raises :class:`DomainError` unless ``e`` is real (a complex number with a
-    zero imaginary part counts), finite and positive.
+    zero imaginary part counts), finite and positive; whatever ``complex``
+    cannot read, such as the string "x", is refused too.
     """
-    z = complex(e)
+    try:
+        z = complex(e)
+    except (TypeError, ValueError, OverflowError):
+        z = complex(math.nan)
     if z.imag != 0.0 or not (math.isfinite(z.real) and z.real > 0.0):
         raise DomainError(f"{what} runs at real E > 0, got {e}")
     return z.real
@@ -133,9 +136,13 @@ def real_array(x, what: str) -> np.ndarray:
     """``x``, a real number or an array of them, as a float array of its shape.
 
     Raises :class:`DomainError`, naming ``what``, for anything else: a
-    complex number or a string is refused, not cast.
+    complex number or a string is refused, not cast, and so is a ragged
+    nesting of lists.
     """
-    arr = np.asarray(x)
+    try:
+        arr = np.asarray(x)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise DomainError(f"{what} must form a regular array, got {x!r}") from None
     if arr.dtype.kind not in "iuf":
         raise DomainError(f"{what} must be real numbers, got {arr.dtype} entries")
     return arr.astype(float, copy=False)
@@ -148,6 +155,28 @@ def radii_array(r) -> np.ndarray:
     if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
         raise DomainError("radii must be finite and nonnegative")
     return arr
+
+
+def radii_floats(*radii) -> list[float]:
+    """:func:`radii_array` of single radii, as floats; :class:`DomainError` unless each is one."""
+    arr = radii_array(radii)
+    if arr.shape != (len(radii),):
+        raise DomainError(f"each radius must be one number, got {radii}")
+    return arr.tolist()
+
+
+def real_number(x, what: str, error: type[Exception] = DomainError) -> float:
+    """``x`` as a float; ``error``, naming ``what``, unless ``float`` reads it as a real number.
+
+    A numeric string such as "5" is read, as ``float`` reads it; a complex
+    number is refused, even one with a zero imaginary part, and not cast.
+    """
+    try:
+        if not np.iscomplexobj(x):
+            return float(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} must be a real number, got {x!r}")
 
 
 def require_off_branch(p: PiecewisePotential, e: complex) -> None:

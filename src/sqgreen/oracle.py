@@ -27,7 +27,7 @@ import numpy as np
 from .eigenfunctions import PiecewiseWave
 from .errors import ContractError, DomainError
 from .kernel import wave_pair
-from .model import branch_sqrt, real_energy
+from .model import branch_sqrt, radii_floats, real_energy
 
 #: the one step of the RK4, finite-difference and Simpson grids that ``verify`` checks on
 LATTICE = 1e-3
@@ -165,11 +165,6 @@ def _require_step(step: float) -> float:
     return h
 
 
-def _require_radii(*radii: float) -> None:
-    if not all(0.0 <= x < math.inf for x in radii):
-        raise DomainError(f"radii must be finite and nonnegative, got {radii}")
-
-
 def _require_steps(count: float, step: float) -> None:
     """:class:`ContractError` if a grid of ``count`` steps of ``step`` exceeds ``MAX_STEPS``."""
     if not count <= MAX_STEPS:
@@ -213,14 +208,14 @@ def integrate_schrodinger(
     are known, the next b are M^b times them.  Each region starts from the
     last state of the one before.  A step longer than ``RK4_STABILITY`` over
     the largest region momentum raises :class:`DomainError`: RK4 would grow
-    even an oscillating wave to NaN.  So does a radius that is negative or
-    not finite, and a trajectory that is not finite, such as an evanescent
-    one grown past double precision.  A step that is not finite and
-    positive, or that needs more than ``MAX_STEPS`` steps, raises
+    even an oscillating wave to NaN.  So does a radius that is not a finite,
+    nonnegative real number, and a trajectory that is not finite, such as an
+    evanescent one grown past double precision.  A step that is not finite
+    and positive, or that needs more than ``MAX_STEPS`` steps, raises
     :class:`ContractError`.
     """
     e = complex(e)
-    _require_radii(r_from, r_to)
+    r_from, r_to = radii_floats(r_from, r_to)
     n, h = _aligned_steps(r_from, r_to, step, p.breakpoints)
     phase = _momentum_scale(p, e) * step
     if phase > RK4_STABILITY:
@@ -283,10 +278,11 @@ def propagate(p, e: complex, y: complex, dy: complex, r_from: float, r_to: float
     w -> cos(kd) w + sin(kd)/k w' and w' -> -k sin(kd) w + cos(kd) w', with
     k^2 = E - v.  The map is even in k, so no branch of the root is chosen,
     and no plane-wave amplitude is formed.  Raises :class:`DomainError` for
-    a radius that is negative or not finite, or a state that is not finite.
+    a radius that is not a finite, nonnegative real number, or a state that
+    is not finite.
     """
-    e, y, dy, r_from, r_to = complex(e), complex(y), complex(dy), float(r_from), float(r_to)
-    _require_radii(r_from, r_to)
+    e, y, dy = complex(e), complex(y), complex(dy)
+    r_from, r_to = radii_floats(r_from, r_to)
     lo, hi = min(r_from, r_to), max(r_from, r_to)
     inside = sorted((x for x in p.breakpoints if lo < x < hi), reverse=r_to < r_from)
     cuts = [r_from, *inside, r_to]
@@ -421,6 +417,7 @@ def check_jump(p, e: float, s: float, direction: str, wronskian_scale: float = 1
     waves compute their analytic derivatives.
     """
     e = real_energy(e, "the jump check")
+    (s,) = radii_floats(s)
     kernel = _kernel_slice(p, e, direction, wronskian_scale)
     stencils = _jump_stencils(p, e, s)
     radii = [x for stencil in stencils for x in _richardson_radii(*stencil)]
@@ -575,7 +572,7 @@ def check_distributional_equation(
     the step ``LATTICE``, so s and every breakpoint must sit on its lattice.
     """
     e = real_energy(e, "the distributional check")
-    _require_radii(s)
+    (s,) = radii_floats(s)
     outer = p.breakpoints[-1] if p.breakpoints else 1.0
     for x, nm in ((s, "s"),) + tuple((bp, "breakpoint") for bp in p.breakpoints):
         if not on_lattice(x, LATTICE):

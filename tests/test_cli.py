@@ -568,3 +568,27 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert done.returncode == 0, done.stderr
     header, rows = read_csv(out)
     assert header[0] == "r" and len(rows) == 1
+
+
+def test_no_command_imports_numpy_random():
+    # numpy.random costs a process about 6 MB: verify draws its instances
+    # without it, and a stray np.random access anywhere would bring it back
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import json, sys, tempfile\n"
+        "from pathlib import Path\n"
+        "import sqgreen.cli\n"
+        "from golden_corpus import run_case\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    codes = [run_case(name, Path(out))[0] for name in sys.argv[1:]]\n"
+        "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n"
+    )
+    cases = ["eval_barrier_complex", "limit_barrier", "verify_barrier", "poles_barrier"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *cases], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    codes, loaded = json.loads(done.stdout)
+    assert codes == [0, 0, 0, 0]
+    assert not loaded

@@ -205,6 +205,13 @@ class TestKernelGrid:
         with pytest.raises(DomainError, match="real numbers"):
             kernel_grid(barrier, 1.5, ["x"], self.SS, "plus")
 
+    def test_ragged_axis_rejected(self, barrier):
+        # np.size raised numpy's bare "inhomogeneous shape" ValueError
+        with pytest.raises(DomainError, match="radii must form a regular array"):
+            kernel_grid(barrier, 1 + 1j, [[0.5, 1.0], [2.0]], [1.0])
+        with pytest.raises(DomainError, match="radii must form a regular array"):
+            kernel_grid(barrier, 1.5, [1.0], [[0.5, 1.0], [2.0]], "plus")
+
     def test_energy_contracts(self, barrier):
         with pytest.raises(ContractError):
             kernel_grid(barrier, 1.5, self.RS, self.SS)
@@ -234,6 +241,11 @@ class TestFormalGreen:
         # 0 < E < v0: interior momentum is +i sqrt(v0 - E), kernel stays finite
         g = formal_green(barrier, 2.0, 0.7, 1.6, "plus")
         assert np.isfinite(g)
+
+    def test_non_numeric_energy_rejected(self, barrier):
+        # complex("x") raised a bare ValueError
+        with pytest.raises(DomainError, match="real E > 0"):
+            formal_green(barrier, "x", 1.0, 1.5, "plus")
 
     def test_nonpositive_energy_rejected(self, barrier):
         with pytest.raises(DomainError):
@@ -326,6 +338,12 @@ class TestBoundaryLimit:
         assert len(study.samples) == len(study.mu_sequence) == kernel_module.MAX_HALVINGS + 1
         assert study.halvings == 41
         assert math.isfinite(study.abs_diff) and study.abs_diff > 1e-8
+
+    @pytest.mark.parametrize("mu0", [1e-3j, "x"])
+    def test_non_real_mu0_rejected(self, barrier, mu0):
+        # float(mu0) raised a bare TypeError or ValueError
+        with pytest.raises(DomainError, match="mu0 must be a real number"):
+            boundary_limit(barrier, 1.0, 0.5, 1.5, "plus", mu0=mu0)
 
     def test_mu0_contract(self, barrier):
         with pytest.raises(DomainError):
@@ -639,6 +657,12 @@ class TestPoleScan:
         box = (3.0, 6.0, -1.0, -0.01)
         assert find_kernel_poles(barrier, box) == find_kernel_poles(barrier, box)
 
+    @pytest.mark.parametrize("density", [0.1j, "x"])
+    def test_non_real_seed_density_rejected(self, barrier, density):
+        # float(seed_density) raised a bare TypeError or ValueError
+        with pytest.raises(DomainError, match="seed_density must be a real number"):
+            find_kernel_poles(barrier, (1, 2, -1, -0.1), density)
+
     def test_degenerate_box_rejected(self, barrier):
         with pytest.raises(DomainError):
             find_kernel_poles(barrier, (1.0, 1.0, -1.0, 1.0))
@@ -830,6 +854,13 @@ class TestZeroCount:
             kernel_module.zero_count(barrier, box)
         with pytest.raises(DomainError, match="search box"):
             find_kernel_poles(barrier, box)
+
+    def test_ragged_box_rejected(self, barrier):
+        # model.real_array raised numpy's bare "inhomogeneous shape" ValueError
+        with pytest.raises(DomainError, match="search box entries must form a regular array"):
+            kernel_module.zero_count(barrier, [[1, 2], 3, 4])
+        with pytest.raises(DomainError, match="search box entries must form a regular array"):
+            find_kernel_poles(barrier, [[1, 2], 3, 4])
 
 
 SPLIT_CASES = [

@@ -126,6 +126,29 @@ class TestSquareBarrier:
         with pytest.raises(DomainError):
             SquareBarrier(5.0, 1.0, 2.0).value_at(r)
 
+    @pytest.mark.parametrize("r", [0.5 + 1j, "x"])
+    def test_non_real_radius_rejected(self, r):
+        # the comparison with 0.0 raised a bare TypeError
+        with pytest.raises(DomainError, match="real numbers"):
+            SquareBarrier(5.0, 1.0, 2.0).value_at(r)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SquareBarrier(1 + 1j, 1, 2),
+            lambda: PiecewisePotential((1.0,), ("a", 0.0)),
+            lambda: PiecewisePotential((1.0,), ((1, 2), 0.0)),
+        ],
+        ids=["complex_height", "string_height", "tuple_height"],
+    )
+    def test_non_real_parameter_rejected(self, make):
+        # float() raised a bare TypeError or ValueError
+        with pytest.raises(DomainError, match="heights must be a real number"):
+            make()
+
+    def test_numeric_strings_stay_accepted(self):
+        assert SquareBarrier("5", 1, 2) == SquareBarrier(5.0, 1.0, 2.0)
+
 
 class TestSquareBarrierIsAStaircase:
     """A SquareBarrier is the staircase (0, v0, 0) on (a, b) and nothing more."""
@@ -194,6 +217,12 @@ class TestRealEnergy:
         with pytest.raises(DomainError, match="a test runs at real E > 0"):
             real_energy(e, "a test")
 
+    @pytest.mark.parametrize("e", ["x", (1, 2), 10**400], ids=["string", "pair", "huge_int"])
+    def test_what_complex_cannot_read_raises(self, e):
+        # complex() raised a bare ValueError, TypeError or OverflowError
+        with pytest.raises(DomainError, match="a test runs at real E > 0"):
+            real_energy(e, "a test")
+
 
 #: the real-axis entry points, each called at the energy ``e``
 _REAL_AXIS_CALLS = {
@@ -216,6 +245,6 @@ def test_real_axis_entry_points_refuse_complex_energy(barrier, monkeypatch, name
 
     for module in (kernel_module, oracle_module, verification_module):
         monkeypatch.setattr(module, "wave_pair", no_work)
-    monkeypatch.setattr(verification_module.np.random, "default_rng", no_work)
+    monkeypatch.setattr(verification_module, "_Pcg64", no_work)
     with pytest.raises(DomainError, match="real E > 0"):
         _REAL_AXIS_CALLS[name](barrier, 1.0 + 1.0j)

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -227,6 +228,23 @@ def test_rk4_negative_radius_rejected(barrier):
 def test_rk4_non_finite_radius_or_step_rejected(r_to, step, error):
     with pytest.raises(error, match="finite"):
         integrate_schrodinger(SquareBarrier(5, 1, 2), 1.0, 0, 1, 0.0, r_to, step)
+
+
+#: oracle entry points at a radius that is not a real number
+_NON_REAL_RADIUS_CALLS = {
+    "propagate": lambda p: propagate(p, 1.0, 0, 1, 0.5 + 2j, 1.0),
+    "integrate_schrodinger": lambda p: integrate_schrodinger(p, 1.0, 0, 1, 0, 1 + 1j, 1e-3),
+    "check_jump": lambda p: check_jump(p, 1.0, 0.5 + 1j, "plus"),
+    "propagate_string": lambda p: propagate(p, 1.0, 0, 1, 0.0, "x"),
+    "check_distributional_equation": lambda p: check_distributional_equation(p, 1.0, 1.5j, "plus"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_REAL_RADIUS_CALLS))
+def test_non_real_radius_rejected(barrier, name):
+    # float(r_from) or a comparison with a float raised a bare TypeError
+    with pytest.raises(DomainError, match="radii must be real numbers"):
+        _NON_REAL_RADIUS_CALLS[name](barrier)
 
 
 def test_rk4_grid_past_max_steps_rejected_before_allocating():
@@ -538,7 +556,7 @@ class TestRunVerification:
         def nothing(*args, **kwargs):
             raise AssertionError("a draw or a check ran")
 
-        monkeypatch.setattr(verification.np.random, "default_rng", nothing)
+        monkeypatch.setattr(verification, "_Pcg64", nothing)
         for name in (
             "wave_pair",
             "build_omega",
@@ -551,14 +569,14 @@ class TestRunVerification:
         with pytest.raises(DomainError, match="16 steps"):
             run_verification(p, 1.0)
 
-    @pytest.mark.parametrize("e", [-1.0, 0.0, math.nan, math.inf, 1.0 + 1.0j])
+    @pytest.mark.parametrize("e", [-1.0, 0.0, math.nan, math.inf, 1.0 + 1.0j, "x"])
     def test_bad_energy_raises_before_any_draw_or_check(self, barrier, monkeypatch, e):
         # E = -1 ran the continuity and Wronskian checks, then raised from the
-        # distributional check; nan ran the whole suite
+        # distributional check; nan ran the whole suite; "x" raised a bare ValueError
         def nothing(*args, **kwargs):
             raise AssertionError("a draw or a check ran")
 
-        monkeypatch.setattr(verification.np.random, "default_rng", nothing)
+        monkeypatch.setattr(verification, "_Pcg64", nothing)
         for name in ("wave_pair", "build_omega", "check_distributional_equation"):
             monkeypatch.setattr(verification, name, nothing)
         with pytest.raises(DomainError, match="real E > 0"):
@@ -571,7 +589,7 @@ class TestRunVerification:
         def nothing(*args, **kwargs):
             raise AssertionError("a draw or a check ran")
 
-        monkeypatch.setattr(verification.np.random, "default_rng", nothing)
+        monkeypatch.setattr(verification, "_Pcg64", nothing)
         for name in (
             "propagate",
             "check_distributional_equation",
@@ -609,13 +627,15 @@ class TestRunVerification:
             # numpy's TypeError, and 3 instances drawn for a report of 2 samples
             (SquareBarrier(5.0, 1.0, 2.0), {"seed": 1.5}),
             (SquareBarrier(5.0, 1.0, 2.0), {"n_random": 2.5}),
+            # math.isfinite's bare TypeError
+            (SquareBarrier(5.0, 1.0, 2.0), {"wronskian_scale": 1j}),
         ],
     )
     def test_bad_inputs_raise_before_any_draw_or_check(self, monkeypatch, p, kwargs):
         def nothing(*args, **kwargs):
             raise AssertionError("a draw or a check ran")
 
-        monkeypatch.setattr(verification.np.random, "default_rng", nothing)
+        monkeypatch.setattr(verification, "_Pcg64", nothing)
         monkeypatch.setattr(verification, "check_distributional_equation", nothing)
         monkeypatch.setattr(verification, "wave_pair", nothing)
         with pytest.raises(ConfigError):
@@ -626,7 +646,7 @@ class TestRunVerification:
         def nothing(*args, **kwargs):
             raise AssertionError("a draw or a check ran")
 
-        monkeypatch.setattr(verification.np.random, "default_rng", nothing)
+        monkeypatch.setattr(verification, "_Pcg64", nothing)
         for name in ("wave_pair", "build_omega", "propagate", "check_distributional_equation"):
             monkeypatch.setattr(verification, name, nothing)
         with pytest.raises(DomainError, match="at least one breakpoint"):
@@ -637,7 +657,7 @@ class TestRunVerification:
         def nothing(*args, **kwargs):
             raise AssertionError("a draw or a check ran")
 
-        monkeypatch.setattr(verification.np.random, "default_rng", nothing)
+        monkeypatch.setattr(verification, "_Pcg64", nothing)
         for name in ("wave_pair", "build_omega", "propagate", "check_distributional_equation"):
             monkeypatch.setattr(verification, name, nothing)
         reach = oracle_module.MAX_STEPS * oracle_module.LATTICE - oracle_module.TAIL_START
@@ -737,3 +757,71 @@ def test_kernel_slice_is_a_kernel_grid_column(p, e, direction):
     got = oracle_module._kernel_slice(p, e, direction).values(r, s)
     want = kernel_grid(p, e, r, [s], direction)[:, 0]
     assert got.tobytes() == want.tobytes()
+
+
+#: seeds whose draws must equal numpy's: the small ones, the edges of a 32-bit
+#: word, seeds of two to four words and one of seven, past the pool of four
+_STREAM_SEEDS = [*range(200), 2**31 - 1, 2**32, 2**32 + 7, 2**64 + 5, 10**30, 2**200 + 3]
+_STREAM_SEEDS += [
+    random.Random(23 + i).getrandbits((8, 31, 32, 33, 64, 100, 128, 129, 200)[i % 9])
+    for i in range(300)
+]
+
+
+def _interleaved_draws(rng) -> list:
+    """60 draws of every kind ``verify`` makes, integers over the ranges 1, 2, 4, 6 and 999."""
+    draws = []
+    for j in range(12):
+        draws.append(rng.uniform(0.1, 7.5))
+        draws.append(rng.uniform(-5.0, 10.0, size=1 + j % 4))
+        draws.append(rng.integers(j, j + (1, 2, 4, 6, 999)[j % 5]))
+        draws.append(rng.integers(1, 5))
+        draws.append(rng.uniform(0.3, np.float64(2.0)))
+    return draws
+
+
+def _same_draw(want, got) -> bool:
+    if isinstance(want, np.ndarray):
+        return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if isinstance(want, float):
+        return type(got) is float and got.hex() == want.hex()
+    return type(got) is int and got == want
+
+
+class TestDrawStream:
+    """``verify``'s generator reproduces numpy's ``default_rng(seed)`` draw for draw."""
+
+    def test_interleaved_draws_equal_numpy(self):
+        for seed in _STREAM_SEEDS:
+            want = _interleaved_draws(np.random.default_rng(seed))
+            got = _interleaved_draws(verification._Pcg64(seed))
+            bad = [j for j, pair in enumerate(zip(want, got)) if not _same_draw(*pair)]
+            assert bad == [], f"seed {seed}: draws {bad} differ"
+
+    @pytest.mark.parametrize("n", [2**31 + 1, 3 * 2**30])
+    def test_rejection_draws_equal_numpy(self, n):
+        # ranges this wide reject about a third to a half of their 32-bit draws
+        for seed in range(20):
+            want, got = np.random.default_rng(seed), verification._Pcg64(seed)
+            assert [got.integers(5, 5 + n) for _ in range(40)] == [
+                int(want.integers(5, 5 + n)) for _ in range(40)
+            ]
+
+    def test_literal_pins(self):
+        # the values numpy 2.4.6 draws; they hold without numpy.random
+        assert verification._Pcg64(0).uniform(0, 1) == 0.6369616873214543
+        assert verification._Pcg64(7).integers(1, 5) == 4
+        assert verification._Pcg64(10**30).integers(0, 999) == 679
+        assert verification._Pcg64(2**64 + 5).uniform(0.3, 2.0, size=3).tolist() == [
+            1.562518796234618, 0.9647236738519667, 1.4648587043530943,
+        ]
+        # the second integer takes the high half of the first one's 64-bit word
+        rng = verification._Pcg64(41)
+        assert (rng.integers(1, 5), rng.integers(0, 6), rng.uniform(-5, 10)) == (
+            3, 5, 6.51898135953399,
+        )
+
+    def test_a_range_of_one_draws_nothing(self):
+        rng = verification._Pcg64(3)
+        assert rng.integers(4, 5) == 4
+        assert rng.uniform(0, 1) == verification._Pcg64(3).uniform(0, 1)
