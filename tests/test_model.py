@@ -136,13 +136,15 @@ class TestSquareBarrier:
         "make",
         [
             lambda: SquareBarrier(1 + 1j, 1, 2),
+            lambda: SquareBarrier(np.complex128(1 + 1j), 1, 2),
             lambda: PiecewisePotential((1.0,), ("a", 0.0)),
             lambda: PiecewisePotential((1.0,), ((1, 2), 0.0)),
         ],
-        ids=["complex_height", "string_height", "tuple_height"],
+        ids=["complex_height", "numpy_complex_height", "string_height", "tuple_height"],
     )
     def test_non_real_parameter_rejected(self, make):
-        # float() raised a bare TypeError or ValueError
+        # float() raised a bare TypeError or ValueError, or cast numpy's complex
+        # to its real part with only a ComplexWarning
         with pytest.raises(DomainError, match="heights must be a real number"):
             make()
 

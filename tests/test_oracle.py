@@ -247,6 +247,13 @@ def test_non_real_radius_rejected(barrier, name):
         _NON_REAL_RADIUS_CALLS[name](barrier)
 
 
+def test_radius_of_several_numbers_rejected(barrier):
+    with pytest.raises(DomainError, match="each radius must be one number"):
+        propagate(barrier, 1.0, 0, 1, [0.0, 0.5], [1.0, 2.0])
+    with pytest.raises(DomainError, match="each radius must be one number"):
+        barrier.value_at([0.5, 1.5])
+
+
 def test_rk4_grid_past_max_steps_rejected_before_allocating():
     # 3e9 steps asked for a (2, 3e9 + 1) complex state array, about 96 GB
     def call():
