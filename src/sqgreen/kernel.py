@@ -14,9 +14,14 @@ returns the trajectory together with the formal kernel it should reach, so
 one value holds both sides of that claim and how far apart they ended.
 Two small memos let the checks of one command share their waves:
 :func:`wave_pair` keeps the ``WAVE_PAIR_MEMO`` most recent (potential, E,
-direction) pairs and the limit studies keep the ``SWEEP_MEMO`` most recent
-engine sweeps, so a repeated request returns the very objects a cold one
-builds and every value is the same bit for bit.
+direction) pairs and the limit studies keep the last engine sweep
+(``SWEEP_MEMO`` = 1), so a repeated request returns the very objects a cold
+one builds and every value is the same bit for bit.  That sweep runs above
+the axis only and serves both directions: the potential is real, so
+G(E - i mu) = conj G(E + i mu), and every step of the sweep (+, -, *, /,
+exp, and the odd or even arctan2, sin and cos of the roots) commutes exactly
+with conjugation, so the "minus" trajectory is the conjugate of the "plus"
+one, bit for bit.  The formal "minus" kernel is still built from omega_minus.
 :func:`find_kernel_poles` finds the kernel's poles in a box by Newton's
 method, and :func:`zero_count` counts them there by the argument principle,
 which tells the Newton screen when it may stop.
@@ -40,8 +45,8 @@ from .errors import (
 )
 from .eigenfunctions import PiecewiseWave, _overflow
 from .model import (
-    radii_array, real_array, real_energy, real_number, region_momenta, region_momenta_array,
-    require_off_branch,
+    complex_energy, radii_array, real_array, real_energy, real_number, region_momenta,
+    region_momenta_array, require_off_branch,
 )
 from .piecewise import (
     _chi_regions,
@@ -86,9 +91,9 @@ class LimitStudy:
 #: E + i, and at real E in each direction) before its random instances, which use
 #: each of theirs once
 WAVE_PAIR_MEMO = 4
-#: the engine sweeps :func:`_engine_sweep` keeps, one per direction: the limit
-#: studies of one energy alternate plus and minus
-SWEEP_MEMO = 2
+#: the engine sweeps :func:`_engine_sweep` keeps: the limit studies of one energy,
+#: in either direction, read one sweep
+SWEEP_MEMO = 1
 
 
 @functools.lru_cache(maxsize=WAVE_PAIR_MEMO)
@@ -116,7 +121,7 @@ def _kernel_request(p, e, radii, direction: str | None) -> tuple[complex, str, n
     waves.  Every radius must be a finite, nonnegative real number.
     """
     if direction is None:
-        e = complex(e)
+        e = complex_energy(e)
         if e.imag == 0.0:
             raise ContractError(
                 "resolvent_kernel requires Im E != 0; use formal_green or boundary_limit on the axis"
@@ -210,10 +215,11 @@ def boundary_limit(
     with the :class:`PoleError`/:class:`DomainError` of a kernel value.
 
     The whole mu sequence is one sweep of the wave engine over an array of
-    ``MAX_HALVINGS + 1`` energies (:func:`_engine_sweep`), and G(r, s) is
-    read off it at every energy.  One pass then walks the samples in order:
-    each gets the checks :func:`resolvent_kernel` makes on its value, and
-    then the stop rule, so no sample past the cut is checked.
+    ``MAX_HALVINGS + 1`` energies above the axis (:func:`_engine_sweep`),
+    and G(r, s) is read off it at every energy, "minus" taking its conjugate
+    (see the module notes).  One pass then walks the samples in order: each
+    gets the checks :func:`resolvent_kernel` makes on its value, and then
+    the stop rule, so no sample past the cut is checked.
     """
     if direction is None:  # to _kernel_request, None asks for the resolvent kernel
         raise ContractError("boundary limits need direction 'plus' or 'minus'")
@@ -224,12 +230,15 @@ def boundary_limit(
     if not 0.0 < mu0 <= 0.1 * e:
         raise DomainError(f"mu0 must lie in (0, 0.1 E], got {mu0}")
 
-    mus, energies, chi, om, w, finite_waves = _engine_sweep(p, e, mu0, direction)
+    mus, energies, chi, om, w, finite_waves = _engine_sweep(p, e, mu0)
     lo, hi = (r, s) if r <= s else (s, r)
     with np.errstate(all="ignore"):
         chi_lo = chi[bisect_right(p.breakpoints, lo)].value(lo)
         om_hi = om[bisect_right(p.breakpoints, hi)].value(hi)
-        values = (chi_lo * om_hi / w).tolist()
+        values = chi_lo * om_hi / w
+    if direction == "minus":  # the Schwarz reflection of the sweep above the axis
+        energies, values = energies.conj(), values.conj()
+    values = values.tolist()
     converged, prev = False, None
     for k, (mu, z, waves_ok, g) in enumerate(
         zip(mus.tolist(), energies.tolist(), finite_waves.tolist(), values)
@@ -251,24 +260,23 @@ def boundary_limit(
 
 
 @functools.lru_cache(maxsize=SWEEP_MEMO)
-def _engine_sweep(p, e: float, mu0: float, direction: str):
-    """(mu_k, E +- i mu_k, chi regions, omega regions, W, finite-wave mask) of one limit request.
+def _engine_sweep(p, e: float, mu0: float):
+    """(mu_k, E + i mu_k, chi regions, omega_plus regions, W, finite-wave mask) of one limit request.
 
-    mu_k = mu0 * 2^-k for k = 0, ..., ``MAX_HALVINGS``, with + above the
-    axis ("plus") and - below it ("minus").  One numpy run of the matching
-    loop builds chi and omega at all energies at once.  Nothing is checked
-    here: energies near a branch point or with overflowing waves come back
-    as they fall, for :func:`boundary_limit` to refuse.  Memoized on
-    (p, E, mu0, direction), the ``SWEEP_MEMO`` most recent sweeps, so the
-    limit studies of one energy at several radii share one sweep; every
-    array it returns is read-only.
+    mu_k = mu0 * 2^-k for k = 0, ..., ``MAX_HALVINGS``.  One numpy run of
+    the matching loop builds chi and omega at all energies at once.  Nothing
+    is checked here: energies near a branch point or with overflowing waves
+    come back as they fall, for :func:`boundary_limit` to refuse.  Memoized
+    on (p, E, mu0), the ``SWEEP_MEMO`` most recent sweeps, so the limit
+    studies of one energy at several radii, in either direction, share one
+    sweep; every array it returns is read-only.
     """
     mus = mu0 * 0.5 ** np.arange(MAX_HALVINGS + 1)
-    energies = e + 1j * ((1.0 if direction == "plus" else -1.0) * mus)
+    energies = e + 1j * mus
     ks = region_momenta_array(p, energies)
     with np.errstate(all="ignore"):
         chi = _chi_regions(ks, p.breakpoints, np)
-        om = _omega_regions(ks, p.breakpoints, direction, np)
+        om = _omega_regions(ks, p.breakpoints, "plus", np)
         w = _plane_wronskian(chi[-1], om[-1])
         finite = np.ones(ks[0].shape, dtype=bool)
         for reg in chi + om:

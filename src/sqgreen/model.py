@@ -34,9 +34,12 @@ def branch_sqrt(z: complex) -> complex:
     Raises
     ------
     DomainError
-        If either part of ``z`` is NaN or infinite.
+        If ``z`` is not a number, or either part of it is NaN or infinite.
     """
-    z = complex(z)
+    try:  # inline, not through complex_energy: region_momenta calls this once per region
+        z = complex(z)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"the argument of branch_sqrt must be a number, got {z!r}") from None
     if not cmath.isfinite(z):
         raise DomainError(f"branch_sqrt requires a finite argument, got {z!r}")
     if z.imag == 0.0:
@@ -84,8 +87,11 @@ class PiecewisePotential:
     heights: tuple[float, ...]
 
     def __post_init__(self):
-        bps = tuple(real_number(x, "breakpoints") for x in self.breakpoints)
-        hts = tuple(real_number(v, "heights") for v in self.heights)
+        try:
+            bps = tuple(real_number(x, "breakpoints") for x in self.breakpoints)
+            hts = tuple(real_number(v, "heights") for v in self.heights)
+        except TypeError:  # from iter(): a bare number, not a sequence
+            raise DomainError("breakpoints and heights must be sequences of numbers") from None
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "heights", hts)
         if len(hts) != len(bps) + 1:
@@ -130,6 +136,14 @@ def real_energy(e, what: str) -> float:
     if z.imag != 0.0 or not (math.isfinite(z.real) and z.real > 0.0):
         raise DomainError(f"{what} runs at real E > 0, got {e}")
     return z.real
+
+
+def complex_energy(e) -> complex:
+    """``e`` as a complex; :class:`DomainError` for what ``complex`` cannot read, such as "x"."""
+    try:
+        return complex(e)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"the energy must be a number, got {e!r}") from None
 
 
 def real_array(x, what: str) -> np.ndarray:
@@ -191,7 +205,7 @@ def region_momenta(p: PiecewisePotential, e: complex) -> tuple[complex, ...]:
 
     For real E below a step's height the momentum there is +i*sqrt(v_j - E).
     """
-    e = complex(e)
+    e = complex_energy(e)
     require_off_branch(p, e)
     return tuple(branch_sqrt(e - v) for v in p.heights)
 

@@ -27,7 +27,7 @@ import numpy as np
 from .eigenfunctions import PiecewiseWave
 from .errors import ContractError, DomainError
 from .kernel import wave_pair
-from .model import branch_sqrt, radii_floats, real_energy
+from .model import branch_sqrt, complex_energy, radii_floats, real_energy, real_number
 
 #: the one step of the RK4, finite-difference and Simpson grids that ``verify`` checks on
 LATTICE = 1e-3
@@ -60,6 +60,8 @@ class TestFunction:
     def __post_init__(self):
         if self.kind not in ("gaussian_bump", "compact_polynomial_bump"):
             raise DomainError(f"unknown test-function kind {self.kind!r}")
+        for name in ("center", "width"):
+            object.__setattr__(self, name, real_number(getattr(self, name), name))
         if not (math.isfinite(self.center) and math.isfinite(self.width)) or self.width <= 0.0:
             raise DomainError("center and width must be finite, width positive")
         lo = self.support[0]
@@ -214,7 +216,7 @@ def integrate_schrodinger(
     and positive, or that needs more than ``MAX_STEPS`` steps, raises
     :class:`ContractError`.
     """
-    e = complex(e)
+    e = complex_energy(e)
     r_from, r_to = radii_floats(r_from, r_to)
     n, h = _aligned_steps(r_from, r_to, step, p.breakpoints)
     phase = _momentum_scale(p, e) * step
@@ -281,7 +283,7 @@ def propagate(p, e: complex, y: complex, dy: complex, r_from: float, r_to: float
     a radius that is not a finite, nonnegative real number, or a state that
     is not finite.
     """
-    e, y, dy = complex(e), complex(y), complex(dy)
+    e, y, dy = complex_energy(e), complex(y), complex(dy)
     r_from, r_to = radii_floats(r_from, r_to)
     lo, hi = min(r_from, r_to), max(r_from, r_to)
     inside = sorted((x for x in p.breakpoints if lo < x < hi), reverse=r_to < r_from)
@@ -494,7 +496,7 @@ def check_resolvent_identity(
     finite and positive, or that needs more than ``MAX_STEPS`` steps over the
     support of f, raises :class:`ContractError`.
     """
-    e = complex(e)
+    e = complex_energy(e)
     if e.imag == 0.0:
         raise ContractError("resolvent identity requires Im E != 0")
     h = _require_step(quad_step)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ContractError
 from .eigenfunctions import PiecewiseWave, Region, _overflow, _require_same_problem
-from .model import region_momenta, region_momenta_array
+from .model import complex_energy, region_momenta, region_momenta_array
 
 
 def _amplitudes_at(value: complex, deriv: complex, k: complex) -> tuple[complex, complex]:
@@ -143,7 +143,7 @@ def chi_outer_amplitudes(p, e: complex) -> tuple[complex, complex]:
     are the bound states and resonances.  For a square barrier (c+, c-) are
     the closed-form (c3, c4) of the regular solution, to rounding.
     """
-    e = complex(e)
+    e = complex_energy(e)
     ks = region_momenta(p, e)
     try:
         amplitudes = _chi_outer(ks, p.breakpoints, cmath)[:2]
@@ -203,7 +203,7 @@ def _wave(p, e: complex, ks, regions_of, *args) -> PiecewiseWave:
     Raises :class:`DomainError` where the matching fails or leaves an
     amplitude that is not finite, as the array sweeps' finite masks refuse it.
     """
-    e = complex(e)
+    e = complex_energy(e)
     if ks is None:
         ks = region_momenta(p, e)
     try:

@@ -66,6 +66,11 @@ CASES: dict[str, list[str]] = {
     "limit_barrier_grid": [
         "limit-study", *_BARRIER, "--energy=1", "--r-grid=0.5:2.5:0.5", "--s=1.8",
     ],
+    # a minus study alone, whose inner region is evanescent at E = 1.5
+    "limit_well_minus": [
+        "limit-study", "--breakpoints=1,2", "--heights=3,-2,0", "--energy=1.5", "--r=0.5",
+        "--s=2.5", "--direction=minus", "--mu0=0.01",
+    ],
     # the real part of a resonance of width 1.4e-6: no row settles within 40 halvings
     "limit_resonance": [
         "limit-study", "--v0=20", "--a=1", "--b=3", "--energy=6.44187942446349",

@@ -10,10 +10,13 @@ import pytest
 from sqgreen import PiecewisePotential, SquareBarrier, formal_green, kernel_grid, resolvent_kernel
 import sqgreen.cli as cli_module
 import sqgreen.kernel as kernel_module
+import sqgreen.piecewise as piecewise_module
 from sqgreen.cli import _write_json, main, parse_complex, parse_grid
 from sqgreen.oracle import LATTICE
 from sqgreen.verification import MAX_LATTICE_PHASE, MAX_RANDOM_INSTANCES
 from sqgreen.errors import ConfigError, PoleError
+
+from golden_corpus import CASES
 
 
 def read_csv(path):
@@ -293,6 +296,21 @@ class TestLimitStudy:
         for row in rows:
             assert float(row[12]) <= 1e-8  # |extrapolated - formal|
             assert row[13] == "true"
+
+    def test_a_grid_study_sweeps_the_engine_once(self, tmp_path, monkeypatch):
+        # five radii in both directions at one energy: the minus rows are the
+        # conjugate of the one sweep above the axis, so one numpy matching runs
+        libs = []
+        regions = piecewise_module._chi_regions
+
+        def counted(ks, breakpoints, lib):
+            libs.append(lib.__name__)
+            return regions(ks, breakpoints, lib)
+
+        for module in (kernel_module, piecewise_module):
+            monkeypatch.setattr(module, "_chi_regions", counted)
+        assert main([*CASES["limit_barrier_grid"], f"--out={tmp_path / 'grid.csv'}"]) == 0
+        assert libs.count("numpy") == 1
 
     def test_overflowing_energy_exits_2(self, tmp_path, capsys):
         rc = main(["limit-study", "--v0=5", "--a=1", "--b=2", "--energy=1e300", "--r=1",

@@ -27,7 +27,7 @@ from sqgreen import (
     resolvent_kernel,
     run_verification,
 )
-from sqgreen.model import _branch_sqrt_array, require_off_branch
+from sqgreen.model import _branch_sqrt_array, region_momenta_array, require_off_branch
 
 from closed_forms import kernel_closed_form
 from conftest import close, random_instances, random_staircase
@@ -387,8 +387,10 @@ def _per_mu_study(p, e, r, s, direction):
     return tuple(mus), samples, False
 
 
-def _per_sample_checks(p, energies, values, finite) -> int:
-    """A reference per-sample loop for boundary_limit's checks; returns the number of samples kept.
+def _per_sample_checks(p, energies, values, finite) -> tuple[int, bool]:
+    """A reference per-sample loop for boundary_limit's checks.
+
+    Returns the number of samples kept and whether the stop rule ended them.
 
     Each sample in turn must be off the branch points, with finite waves and a
     finite value, before the stop rule looks at it.
@@ -405,8 +407,8 @@ def _per_sample_checks(p, energies, values, finite) -> int:
         if k >= 1 and mu < kernel_module.MU_FLOOR:
             tol = max(kernel_module.CAUCHY_TOL, 1e-13 * max(abs(samples[-1]), abs(samples[-2])))
             if abs(samples[-1] - samples[-2]) < tol:
-                break
-    return len(samples)
+                return len(samples), True
+    return len(samples), False
 
 
 def _sweep_values(p, sweep, r, s) -> np.ndarray:
@@ -451,6 +453,28 @@ class TestBatchedLimitStudy:
             assert all(type(g) is complex for g in study.samples)
             assert max(abs(a - b) for a, b in zip(study.samples, samples)) <= 1e-12 * scale
 
+    def test_minus_study_equals_the_direct_minus_sweep(self):
+        # the minus trajectory is the conjugate of the sweep above the axis; the
+        # reference sweeps E - i mu_k itself, with omega_minus, bit for bit
+        for p, e, r, s in _limit_requests():
+            study = boundary_limit(p, e, r, s, "minus")
+            mus = 0.05 * e * 0.5 ** np.arange(kernel_module.MAX_HALVINGS + 1)
+            energies = e + 1j * (-1.0 * mus)
+            ks = region_momenta_array(p, energies)
+            with np.errstate(all="ignore"):
+                chi = piecewise_module._chi_regions(ks, p.breakpoints, np)
+                om = piecewise_module._omega_regions(ks, p.breakpoints, "minus", np)
+                w = piecewise_module._plane_wronskian(chi[-1], om[-1])
+                finite = np.ones(mus.shape, dtype=bool)
+                for reg in chi + om:
+                    finite &= np.isfinite(reg.c_plus) & np.isfinite(reg.c_minus)
+            values = _sweep_values(p, (mus, energies, chi, om, w, finite), min(r, s), max(r, s))
+            kept, converged = _per_sample_checks(p, energies, values, finite)
+            assert study.mu_sequence == tuple(mus[:kept].tolist())
+            assert np.array(study.samples).tobytes() == values[:kept].tobytes()
+            assert study.converged is converged
+            assert study.formal == formal_green(p, e, r, s, "minus")
+
     @pytest.mark.parametrize(
         "p, e, r, mu0, error",
         [
@@ -463,14 +487,16 @@ class TestBatchedLimitStudy:
         ],
     )
     def test_a_kept_sample_raises_the_scalar_error(self, p, e, r, mu0, error):
-        first = complex(e, 0.05 * e if mu0 is None else mu0)
-        with pytest.raises(error) as scalar:
-            resolvent_kernel(p, first, r, r)
-        with pytest.raises(error) as batched:
-            boundary_limit(p, e, r, r, "plus", mu0=mu0)
-        assert type(batched.value) is type(scalar.value)
-        assert str(batched.value) == str(scalar.value)
-        assert str(first) in str(batched.value)
+        # minus first, on a cold sweep; plus then reads the sweep the minus study built
+        for direction, sign in (("minus", -1.0), ("plus", 1.0)):
+            first = complex(e, sign * (0.05 * e if mu0 is None else mu0))
+            with pytest.raises(error) as scalar:
+                resolvent_kernel(p, first, r, r)
+            with pytest.raises(error) as batched:
+                boundary_limit(p, e, r, r, direction, mu0=mu0)
+            assert type(batched.value) is type(scalar.value)
+            assert str(batched.value) == str(scalar.value)
+            assert str(first) in str(batched.value)
 
     @pytest.mark.parametrize(
         "e, spoil",
@@ -486,7 +512,8 @@ class TestBatchedLimitStudy:
     )
     def test_masks_refuse_the_sample_the_loop_refused(self, barrier, monkeypatch, e, spoil):
         # the in-order checks of boundary_limit against a reference per-sample
-        # loop, on the same spoiled sweep: same error class, message and sample
+        # loop, on the same spoiled sweep: same error class, message and sample.
+        # Below the axis both read the sweep's conjugate and name E - i mu_k
         sweep = kernel_module._engine_sweep
 
         def spoiled(*args):
@@ -501,18 +528,22 @@ class TestBatchedLimitStudy:
             return mus, energies, chi, om, w, finite
 
         monkeypatch.setattr(kernel_module, "_engine_sweep", spoiled)
-        swept = spoiled(barrier, e, 0.05 * e, "plus")
-        energies, finite = swept[1], swept[5]
-        with pytest.raises(DomainError) as looped:
-            _per_sample_checks(barrier, energies, _sweep_values(barrier, swept, 0.5, 1.5), finite)
-        with pytest.raises(DomainError) as passed:
-            boundary_limit(barrier, e, 0.5, 1.5, "plus")
-        assert type(passed.value) is type(looped.value)
-        assert str(passed.value) == str(looped.value)
+        swept = spoiled(barrier, e, 0.05 * e)
+        values, finite = _sweep_values(barrier, swept, 0.5, 1.5), swept[5]
         first = {"drift": 39, "overflow": 6, "infinite": 9}[spoil]
-        assert str(complex(energies[first])) in str(passed.value)
-        if spoil == "drift":
-            assert type(passed.value) is BranchPointError
+        for direction, reflect in (("plus", np.asarray), ("minus", np.conj)):
+            energies = reflect(swept[1])
+            with pytest.raises(DomainError) as looped:
+                _per_sample_checks(barrier, energies, reflect(values), finite)
+            with pytest.raises(DomainError) as passed:
+                boundary_limit(barrier, e, 0.5, 1.5, direction)
+            assert type(passed.value) is type(looped.value)
+            assert str(passed.value) == str(looped.value)
+            named = complex(energies[first])
+            assert str(named) in str(passed.value)
+            assert (named.imag < 0.0) is (direction == "minus")
+            if spoil == "drift":
+                assert type(passed.value) is BranchPointError
 
     def test_entries_past_the_cut_are_never_checked(self, barrier, monkeypatch):
         study = boundary_limit(barrier, 1.0, 0.7, 1.8, "plus")
@@ -537,8 +568,8 @@ class TestMemos:
 
     def test_verify_matches_chi_once_per_distinct_pair(self, barrier, monkeypatch):
         # the barrier's pairs at E + i and at E in each direction, and one pair per
-        # random instance; its six limit studies take one sweep per direction.
-        # Without the memos: 16 matchings and 6 sweeps
+        # random instance; its six limit studies, in both directions, take one
+        # sweep. Without the memos: 16 matchings and 6 sweeps
         libs = []
         matching = piecewise_module._chi_amplitudes
 
@@ -548,7 +579,7 @@ class TestMemos:
 
         monkeypatch.setattr(piecewise_module, "_chi_amplitudes", counted)
         run_verification(barrier, 1.0, seed=7)
-        assert (libs.count("cmath"), libs.count("numpy")) == (3 + 2, 2)
+        assert (libs.count("cmath"), libs.count("numpy")) == (3 + 2, 1)
 
     @pytest.mark.parametrize(
         "e, direction", [(1.5 + 0.2j, "plus"), (2.0 - 0.7j, "minus"), (1.5, "plus"), (1.5, "minus")]
@@ -583,12 +614,13 @@ class TestMemos:
             return regions(*args)
 
         monkeypatch.setattr(kernel_module, "_chi_regions", counted)
-        studies = [boundary_limit(barrier, 1.0, r, s, "plus") for r, s in pairs]
+        requests = [(r, s, d) for r, s in pairs for d in ("plus", "minus")]
+        studies = [boundary_limit(barrier, 1.0, *request) for request in requests]
         assert len(sweeps) == 1
-        for (r, s), study in zip(pairs, studies):
+        for request, study in zip(requests, studies):
             kernel_module._engine_sweep.cache_clear()
-            assert boundary_limit(barrier, 1.0, r, s, "plus") == study
-        assert len(sweeps) == 4
+            assert boundary_limit(barrier, 1.0, *request) == study
+        assert len(sweeps) == 1 + len(requests)
 
     @pytest.mark.parametrize(
         "request_, error, kept",
@@ -613,10 +645,10 @@ class TestMemos:
         assert kernel_module.wave_pair.cache_info().currsize == kept
 
     def test_writing_into_a_returned_sweep_leaves_the_next_study_alone(self, barrier):
-        # the sweep is keyed on the request (p, E, mu0, direction); its arrays
-        # refuse writes, and a study reads them without writing into any
+        # the sweep is keyed on the request (p, E, mu0); its arrays refuse
+        # writes, and a study in either direction reads them without writing into any
         study = boundary_limit(barrier, 1.0, 0.7, 1.8, "plus")
-        mus, energies, chi, om, w, finite = kernel_module._engine_sweep(barrier, 1.0, 0.05, "plus")
+        mus, energies, chi, om, w, finite = kernel_module._engine_sweep(barrier, 1.0, 0.05)
         assert kernel_module._engine_sweep.cache_info().hits == 1
         arrays = (mus, energies, w, finite, chi[-1].c_plus, om[0].c_minus, chi[0].k, om[-1].k)
         held = [a.tobytes() for a in arrays]
@@ -625,7 +657,9 @@ class TestMemos:
                 a[0] = 0
         assert boundary_limit(barrier, 1.0, 0.7, 1.8, "plus") == study
         assert boundary_limit(barrier, 1.0, 2.5, 0.5, "plus") != study
-        assert kernel_module._engine_sweep.cache_info().hits == 3
+        minus = boundary_limit(barrier, 1.0, 0.7, 1.8, "minus")
+        assert minus.samples == tuple(g.conjugate() for g in study.samples)
+        assert kernel_module._engine_sweep.cache_info().hits == 4
         assert [a.tobytes() for a in arrays] == held
 
 

@@ -12,18 +12,26 @@ from sqgreen import (
     DomainError,
     PiecewisePotential,
     SquareBarrier,
+    TestFunction,
     boundary_limit,
     branch_sqrt,
+    build_chi,
+    build_omega,
     check_distributional_equation,
     check_jump,
+    check_resolvent_identity,
+    chi_outer_amplitudes,
     find_kernel_poles,
     formal_green,
+    integrate_schrodinger,
     kernel_grid,
+    kernel_pole_residual,
+    propagate,
     region_momenta,
     resolvent_kernel,
     run_verification,
 )
-from sqgreen.model import real_energy
+from sqgreen.model import complex_energy, real_energy
 
 from conftest import close
 
@@ -151,6 +159,14 @@ class TestSquareBarrier:
     def test_numeric_strings_stay_accepted(self):
         assert SquareBarrier("5", 1, 2) == SquareBarrier(5.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "breakpoints, heights", [(1.0, (0.0,)), ((1.0,), 0.0)], ids=["breakpoints", "heights"]
+    )
+    def test_a_bare_number_is_not_a_sequence(self, breakpoints, heights):
+        # iterating the number raised a bare TypeError
+        with pytest.raises(DomainError, match="must be sequences of numbers"):
+            PiecewisePotential(breakpoints, heights)
+
 
 class TestSquareBarrierIsAStaircase:
     """A SquareBarrier is the staircase (0, v0, 0) on (a, b) and nothing more."""
@@ -224,6 +240,43 @@ class TestRealEnergy:
         # complex() raised a bare ValueError, TypeError or OverflowError
         with pytest.raises(DomainError, match="a test runs at real E > 0"):
             real_energy(e, "a test")
+
+
+#: the complex-energy entry points, each called at the energy ``e``
+_COMPLEX_ENERGY_CALLS = {
+    "resolvent_kernel": lambda p, e: resolvent_kernel(p, e, 1.0, 1.5),
+    "kernel_grid": lambda p, e: kernel_grid(p, e, [1.0], [1.5]),
+    "propagate": lambda p, e: propagate(p, e, 0.0, 1.0, 0.0, 1.0),
+    "integrate_schrodinger": lambda p, e: integrate_schrodinger(p, e, 0.0, 1.0, 0.0, 1.0, 1e-3),
+    "check_resolvent_identity": lambda p, e: check_resolvent_identity(
+        p, e, TestFunction("gaussian_bump", 3.0, 0.5)
+    ),
+    "build_chi": build_chi,
+    "build_omega": lambda p, e: build_omega(p, e, "plus"),
+    "region_momenta": region_momenta,
+    "chi_outer_amplitudes": chi_outer_amplitudes,
+    "kernel_pole_residual": kernel_pole_residual,
+    "branch_sqrt": lambda p, e: branch_sqrt(e),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMPLEX_ENERGY_CALLS))
+def test_unreadable_complex_energy_rejected(barrier, name):
+    # complex("x") raised a bare ValueError
+    with pytest.raises(DomainError, match="must be a number, got 'x'"):
+        _COMPLEX_ENERGY_CALLS[name](barrier, "x")
+
+
+@pytest.mark.parametrize("e", ["1.5+0.2j", 2, np.complex128(1.5 - 0.2j), np.float64(1.5)])
+def test_complex_energy_reads_what_complex_reads(e):
+    z = complex_energy(e)
+    assert type(z) is complex and z == complex(e)
+
+
+@pytest.mark.parametrize("e", [(1, 2), 10**400, [1.5]], ids=["pair", "huge_int", "list"])
+def test_complex_energy_refuses_what_complex_cannot_read(e):
+    with pytest.raises(DomainError, match="must be a number"):
+        complex_energy(e)
 
 
 #: the real-axis entry points, each called at the energy ``e``

@@ -53,6 +53,18 @@ class TestTestFunction:
         with pytest.raises(DomainError):
             TestFunction("compact_polynomial_bump", 0.5, 1.0)
 
+    @pytest.mark.parametrize(
+        "center, width", [(3.0j, 0.5), ("x", 0.5), (3.0, 0.5j)], ids=["complex", "string", "width"]
+    )
+    def test_non_real_center_or_width_rejected(self, center, width):
+        # math.isfinite raised a bare TypeError
+        with pytest.raises(DomainError, match="must be a real number"):
+            TestFunction("gaussian_bump", center, width)
+
+    def test_center_and_width_are_floats(self):
+        f = TestFunction("gaussian_bump", 3, "0.5")
+        assert (f.center, f.width) == (3.0, 0.5) and type(f.center) is float
+
     def test_small_at_origin(self):
         f = TestFunction("gaussian_bump", 3.0, 0.5)
         assert abs(f(0.0)) < 1e-7
