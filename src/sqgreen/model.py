@@ -138,12 +138,12 @@ def real_energy(e, what: str) -> float:
     return z.real
 
 
-def complex_energy(e) -> complex:
-    """``e`` as a complex; :class:`DomainError` for what ``complex`` cannot read, such as "x"."""
+def complex_energy(e, what: str = "the energy") -> complex:
+    """``e`` as a complex; :class:`DomainError`, naming ``what``, if ``complex`` cannot read it."""
     try:
         return complex(e)
     except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"the energy must be a number, got {e!r}") from None
+        raise DomainError(f"{what} must be a number, got {e!r}") from None
 
 
 def real_array(x, what: str) -> np.ndarray:

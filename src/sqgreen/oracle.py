@@ -27,7 +27,7 @@ import numpy as np
 from .eigenfunctions import PiecewiseWave
 from .errors import ContractError, DomainError
 from .kernel import wave_pair
-from .model import branch_sqrt, complex_energy, radii_floats, real_energy, real_number
+from .model import branch_sqrt, complex_energy, radii_floats, real_array, real_energy, real_number
 
 #: the one step of the RK4, finite-difference and Simpson grids that ``verify`` checks on
 LATTICE = 1e-3
@@ -160,8 +160,8 @@ class Trajectory(NamedTuple):
 
 
 def _require_step(step: float) -> float:
-    """``step`` as a float; :class:`ContractError` unless it is finite and positive."""
-    h = float(step)
+    """``step`` as a float; :class:`ContractError` unless it is a finite, positive real number."""
+    h = real_number(step, "step", ContractError)
     if not 0.0 < h < math.inf:
         raise ContractError(f"step must be finite and positive, got {step}")
     return h
@@ -210,13 +210,14 @@ def integrate_schrodinger(
     are known, the next b are M^b times them.  Each region starts from the
     last state of the one before.  A step longer than ``RK4_STABILITY`` over
     the largest region momentum raises :class:`DomainError`: RK4 would grow
-    even an oscillating wave to NaN.  So does a radius that is not a finite,
-    nonnegative real number, and a trajectory that is not finite, such as an
-    evanescent one grown past double precision.  A step that is not finite
-    and positive, or that needs more than ``MAX_STEPS`` steps, raises
-    :class:`ContractError`.
+    even an oscillating wave to NaN.  So does a start state that is not a
+    number, a radius that is not a finite, nonnegative real number, and a
+    trajectory that is not finite, such as an evanescent one grown past
+    double precision.  A step that is not a finite, positive real number, or
+    that needs more than ``MAX_STEPS`` steps, raises :class:`ContractError`.
     """
     e = complex_energy(e)
+    y0, dy0 = complex_energy(y0, "the start state"), complex_energy(dy0, "the start state")
     r_from, r_to = radii_floats(r_from, r_to)
     n, h = _aligned_steps(r_from, r_to, step, p.breakpoints)
     phase = _momentum_scale(p, e) * step
@@ -281,9 +282,10 @@ def propagate(p, e: complex, y: complex, dy: complex, r_from: float, r_to: float
     k^2 = E - v.  The map is even in k, so no branch of the root is chosen,
     and no plane-wave amplitude is formed.  Raises :class:`DomainError` for
     a radius that is not a finite, nonnegative real number, or a state that
-    is not finite.
+    is not a number or not finite.
     """
-    e, y, dy = complex_energy(e), complex(y), complex(dy)
+    e = complex_energy(e)
+    y, dy = complex_energy(y, "the start state"), complex_energy(dy, "the start state")
     r_from, r_to = radii_floats(r_from, r_to)
     lo, hi = min(r_from, r_to), max(r_from, r_to)
     inside = sorted((x for x in p.breakpoints if lo < x < hi), reverse=r_to < r_from)
@@ -321,10 +323,11 @@ def apply_hamiltonian_fd(
     one step of any potential breakpoint (the stencil order degrades across
     the jump) and within one step of every radius in ``exclude_near``; those
     points must stay out of residual norms, and the count of exclusions is
-    reported by the callers.  A step that is not finite and positive raises
-    :class:`ContractError`.
+    reported by the callers.  A step that is not a finite, positive real
+    number raises :class:`ContractError`, and radii that are not real numbers
+    :class:`DomainError`.
     """
-    r = np.asarray(r, dtype=float)
+    r = real_array(r, "radii")
     u = np.asarray(u)
     if r.ndim != 1 or r.shape != u.shape or r.size < 3:
         raise ContractError("need matching 1-d arrays with at least 3 samples")
@@ -400,10 +403,23 @@ class _KernelSlice(NamedTuple):
         return chi_lo * om_hi / self.w
 
 
+def _require_scale(scale, error: type[Exception] = DomainError) -> float:
+    """``scale`` as a float; ``error`` unless it is a finite, nonzero real number."""
+    x = real_number(scale, "wronskian_scale", error)
+    if not (math.isfinite(x) and x != 0.0):
+        raise error(f"wronskian_scale must be finite and nonzero, got {x}")
+    return x
+
+
 def _kernel_slice(p, e: float, direction: str, wronskian_scale: float = 1.0) -> _KernelSlice:
-    """G(., s) of a formal kernel at real E; the scale hooks the negative control."""
+    """G(., s) of a formal kernel at real E; the scale hooks the negative control.
+
+    A ``wronskian_scale`` that is not a finite, nonzero real number raises
+    :class:`DomainError` before any wave is built.
+    """
+    scale = _require_scale(wronskian_scale)
     chi, om, w = wave_pair(p, complex(float(e)), direction)
-    return _KernelSlice(chi, om, w * wronskian_scale)
+    return _KernelSlice(chi, om, w * scale)
 
 
 def _momentum_scale(p, e: complex) -> float:

@@ -13,16 +13,16 @@ kernel.
 from __future__ import annotations
 
 import cmath
-import math
 import operator
 from dataclasses import replace
+from random import Random
 
 import numpy as np
 
 from .eigenfunctions import wronskian
 from .errors import ConfigError, DomainError
 from .kernel import boundary_limit, kernel_grid, wave_pair
-from .model import PiecewisePotential, branch_sqrt, real_energy, real_number
+from .model import PiecewisePotential, branch_sqrt, real_energy
 from .oracle import (
     LATTICE,
     MAX_STEPS,
@@ -31,6 +31,7 @@ from .oracle import (
     ResidualReport,
     TestFunction,
     _momentum_scale,
+    _require_scale,
     check_distributional_equation,
     check_resolvent_identity,
     on_lattice,
@@ -45,78 +46,6 @@ from .piecewise import build_omega
 MAX_LATTICE_PHASE = 0.018
 #: the most random instances one run draws (about 1 ms each)
 MAX_RANDOM_INSTANCES = 10**4
-
-
-class _Pcg64:
-    """numpy's ``default_rng(seed)`` stream, draw for draw, for the draws ``verify`` makes.
-
-    SeedSequence hashes the seed's 32-bit words into a pool of four, which
-    seeds PCG64's 128-bit state and increment; each 64-bit output is XSL-RR
-    of the state after one LCG step (M. E. O'Neill, PCG, HMC-CS-2014-0905),
-    and 32-bit draws split one, low half first.  Python integers serve about
-    30 draws a command, so the ``numpy.random`` import (some 6 MB) is not paid.
-    """
-
-    M32, M64, M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-    MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-    def __init__(self, seed: int):
-        words = [seed >> i & self.M32 for i in range(0, max(seed.bit_length(), 1), 32)]
-        const = 0x43B0D7E5
-
-        def hashmix(value: int, mult: int = 0x931E8875) -> int:
-            nonlocal const
-            value ^= const
-            const = const * mult & self.M32
-            value = value * const & self.M32
-            return value ^ value >> 16
-
-        def mix(x: int, y: int) -> int:
-            x = (0xCA01F9DD * x - 0x4973F715 * y) & self.M32
-            return x ^ x >> 16
-
-        pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
-        for src in range(4):
-            for dst in (d for d in range(4) if d != src):
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in words[4:]:
-            pool = [mix(x, hashmix(word)) for x in pool]
-        # generate_state(4, uint64) as one integer: hashed word i lands at bit
-        # 32 * (i ^ 2), so the low half is PCG64's seed state, the high half its sequence
-        const = 0x8B51F9DD
-        seeded = sum(hashmix(pool[i % 4], 0x58F38DED) << 32 * (i ^ 2) for i in range(8))
-        self.inc = (seeded >> 128 << 1 | 1) & self.M128
-        self.state = ((self.inc + (seeded & self.M128)) * self.MULT + self.inc) & self.M128
-        self.halves = []
-
-    def next64(self) -> int:
-        self.state = (self.state * self.MULT + self.inc) & self.M128
-        x, rot = (self.state >> 64 ^ self.state) & self.M64, self.state >> 122
-        return (x >> rot | x << (64 - rot)) & self.M64
-
-    def next32(self) -> int:
-        if not self.halves:
-            word = self.next64()
-            self.halves = [word >> 32, word & self.M32]
-        return self.halves.pop()
-
-    def uniform(self, low, high, size: int | None = None):
-        """One float in [low, high), or a float64 array of ``size`` of them."""
-        if size is not None:
-            return np.array([self.uniform(low, high) for _ in range(size)])
-        low, high = float(low), float(high)
-        return low + (high - low) * ((self.next64() >> 11) * 2.0**-53)
-
-    def integers(self, low: int, high: int) -> int:
-        """One integer in [low, high) by Lemire's rejection, for 1 <= high - low < 2**32."""
-        n = high - low
-        if n == 1:  # numpy draws nothing for a range of one
-            return low
-        m = self.next32() * n
-        # the bound is below n, so this also covers Lemire's early exit
-        while m & self.M32 < (2**32 - n) % n:
-            m = self.next32() * n
-        return low + (m >> 32)
 
 
 def _engine_waves(p: PiecewisePotential, e: complex):
@@ -160,13 +89,14 @@ def _wronskian_agreement(p: PiecewisePotential, e: complex, waves) -> float:
     return float((np.maximum(np.abs(values - exact), spread) / np.abs(exact)).max())
 
 
-def _engine_agreement(p: PiecewisePotential, e: complex, waves, rng: _Pcg64) -> float:
+def _engine_agreement(p: PiecewisePotential, e: complex, waves, rng: Random) -> float:
     """The engine's waves and kernels against the exact flow, at Im E > 0.
 
     The three waves are compared at 8 drawn radii and the kernel at the 4 pairs
     of them, 28 values in all.
     """
-    radii = rng.uniform(0.05, p.breakpoints[-1] + 2.0, size=8)
+    hi = p.breakpoints[-1] + 2.0
+    radii = np.array([0.05 + (hi - 0.05) * rng.random() for _ in range(8)])
     starts, (w_plus, _) = _reference(p, e)
     exact = np.array([[propagate(p, e, *start, r)[0] for r in radii] for start in starts])
     engine = np.array([w.value(radii) for w in waves])
@@ -182,27 +112,28 @@ def _engine_agreement(p: PiecewisePotential, e: complex, waves, rng: _Pcg64) -> 
     return float(max(wave_resid.max(), kernel_resid.max()))
 
 
-def _limit_agreement(p: PiecewisePotential, e: float, rng: _Pcg64) -> float:
-    worst = 0.0
+def _limit_agreement(p: PiecewisePotential, e: float, rng: Random) -> float:
+    worst, hi = 0.0, p.breakpoints[-1] + 2.0
     for _ in range(3):
-        r = float(rng.uniform(0.1, p.breakpoints[-1] + 2.0))
-        s = float(rng.uniform(0.1, p.breakpoints[-1] + 2.0))
+        r = 0.1 + (hi - 0.1) * rng.random()
+        s = 0.1 + (hi - 0.1) * rng.random()
         for direction in ("plus", "minus"):
             worst = max(worst, boundary_limit(p, e, r, s, direction).abs_diff)
     return worst
 
 
-def _random_instances(rng: _Pcg64, n: int):
+def _random_instances(rng: Random, n: int):
     """``n`` staircases of 1-4 steps, widths in (0.3, 2), heights in (-5, 10), each with an energy.
 
     Every region has |E - v_j| >= 0.05.
     """
     out = []
     while len(out) < n:
-        steps = int(rng.integers(1, 5))
-        breakpoints = np.cumsum(rng.uniform(0.3, 2.0, size=steps))
-        heights = np.append(rng.uniform(-5.0, 10.0, size=steps), 0.0)
-        e = float(rng.uniform(0.1, max(0.2, 2.0 * heights.max() + 5.0)))
+        steps = 1 + int(4 * rng.random())  # exactly uniform: 4 divides 2**53
+        breakpoints = np.cumsum([0.3 + 1.7 * rng.random() for _ in range(steps)])
+        heights = np.array([-5.0 + 15.0 * rng.random() for _ in range(steps)] + [0.0])
+        hi = max(0.2, 2.0 * float(heights.max()) + 5.0)
+        e = 0.1 + (hi - 0.1) * rng.random()
         if np.min(np.abs(e - heights)) < 0.05:
             continue
         out.append((PiecewisePotential(tuple(breakpoints), tuple(heights)), e))
@@ -218,7 +149,9 @@ def run_verification(
 ) -> dict:
     """Run the whole suite; returns the report dictionary used by the CLI.
 
-    Any staircase runs through the same checks.  Before any draw or check it
+    Any staircase runs through the same checks.  Every drawn value comes from
+    ``random.Random(seed).random()``, whose stream CPython keeps from version
+    to version for a given seed.  Before any draw or check it
     raises :class:`ConfigError` for a ``seed`` or ``n_random`` that is not an
     integer, a negative ``seed``, an ``n_random`` outside
     [0, ``MAX_RANDOM_INSTANCES``] or a ``wronskian_scale`` that is not
@@ -244,9 +177,7 @@ def run_verification(
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     if not 0 <= n_random <= MAX_RANDOM_INSTANCES:
         raise ConfigError(f"n_random must lie in [0, {MAX_RANDOM_INSTANCES}], got {n_random}")
-    wronskian_scale = real_number(wronskian_scale, "wronskian_scale", ConfigError)
-    if not (math.isfinite(wronskian_scale) and wronskian_scale != 0.0):
-        raise ConfigError(f"wronskian_scale must be finite and nonzero, got {wronskian_scale}")
+    wronskian_scale = _require_scale(wronskian_scale, ConfigError)
     e = real_energy(e, "verification")
     if not p.breakpoints:
         # the probe radii, the bump and the reference tails sit at the last breakpoint
@@ -273,7 +204,7 @@ def run_verification(
             f"the fastest wave at E={e} advances {phase:.4g} rad per {LATTICE} step, "
             f"more than the {MAX_LATTICE_PHASE} that the RK4 oracle resolves{unstable}"
         )
-    rng = _Pcg64(seed)
+    rng = Random(seed)
     n = len(p.breakpoints)
     edges = (0.0,) + p.breakpoints
     s_mid = round((0.5 * (edges[-2] + edges[-1])) / LATTICE) * LATTICE

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -610,3 +611,32 @@ def test_no_command_imports_numpy_random():
     codes, loaded = json.loads(done.stdout)
     assert codes == [0, 0, 0, 0]
     assert not loaded
+
+
+def test_benchmark_tracer_hooks_the_functions_it_names(tmp_path):
+    # the benchmark's tracer reports a renamed function as absent and its
+    # metrics as zero, and its wave_pair hook reads (p, e, direction) by position
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_tracing", root / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    sys.dont_write_bytecode, saved = True, sys.dont_write_bytecode
+    try:
+        spec.loader.exec_module(tracing)
+    finally:
+        sys.dont_write_bytecode = saved
+    cases = ["eval_barrier_complex", "limit_barrier", "verify_barrier_corrupt", "poles_barrier"]
+
+    def exit_codes(tag):
+        return [cli_module.main([*CASES[c], f"--out={tmp_path / (tag + c)}"]) for c in cases]
+
+    untraced = exit_codes("plain_")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        traced = exit_codes("traced_")
+    finally:
+        tracer.uninstall()
+    stale = ["chi_coefficients", "chi_wave", "omega_wave", "wronskian_closed_form"]
+    assert sorted(tracer.absent) == [f"sqgreen.eigenfunctions.{name}" for name in stale]
+    assert traced == untraced == [0, 0, 1, 0]
+    assert tracer.metrics(0.0)["kernel.wave_pair.distinct"] > 0

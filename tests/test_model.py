@@ -300,6 +300,6 @@ def test_real_axis_entry_points_refuse_complex_energy(barrier, monkeypatch, name
 
     for module in (kernel_module, oracle_module, verification_module):
         monkeypatch.setattr(module, "wave_pair", no_work)
-    monkeypatch.setattr(verification_module, "_Pcg64", no_work)
+    monkeypatch.setattr(verification_module, "Random", no_work)
     with pytest.raises(DomainError, match="real E > 0"):
         _REAL_AXIS_CALLS[name](barrier, 1.0 + 1.0j)

@@ -266,6 +266,72 @@ def test_radius_of_several_numbers_rejected(barrier):
         barrier.value_at([0.5, 1.5])
 
 
+#: oracle entry points at a start state that is not a number
+_NON_NUMBER_STATE_CALLS = {
+    "propagate": lambda p: propagate(p, 1.0, "x", 1, 0, 1),
+    "propagate_list": lambda p: propagate(p, 1.0, 0, [1, 2], 0, 1),
+    "integrate_schrodinger": lambda p: integrate_schrodinger(p, 1.0, "x", 1, 0, 1, 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_NUMBER_STATE_CALLS))
+def test_start_state_not_a_number_rejected(barrier, name):
+    # complex() raised a bare ValueError for "x" and a bare TypeError for [1, 2]
+    with pytest.raises(DomainError, match="the start state must be a number"):
+        _NON_NUMBER_STATE_CALLS[name](barrier)
+
+
+#: oracle entry points at a step ``h``
+_STEP_CALLS = {
+    "integrate_schrodinger": lambda p, h: integrate_schrodinger(p, 1.0, 0, 1, 0, 1, h),
+    "apply_hamiltonian_fd": lambda p, h: apply_hamiltonian_fd(
+        np.arange(5) * 1e-3, np.zeros(5), p, h
+    ),
+    "check_resolvent_identity": lambda p, h: check_resolvent_identity(
+        p, 1.0 + 1.0j, TestFunction("gaussian_bump", 3.0, 0.5), quad_step=h
+    ),
+}
+
+
+@pytest.mark.parametrize("step", ["x", 1j])
+@pytest.mark.parametrize("name", sorted(_STEP_CALLS))
+def test_step_not_a_real_number_rejected(barrier, name, step):
+    # float(step) raised a bare ValueError for "x" and a bare TypeError for 1j
+    with pytest.raises(ContractError, match="step must be a real number"):
+        _STEP_CALLS[name](barrier, step)
+
+
+@pytest.mark.parametrize("r", [np.arange(5) * 1e-3 + 1j, ["x"] * 5], ids=["complex", "string"])
+def test_fd_radii_not_real_numbers_rejected(barrier, r):
+    # complex radii lost their imaginary part with only a ComplexWarning and
+    # returned a result; string radii raised a bare ValueError
+    with pytest.raises(DomainError, match="radii must be real numbers"):
+        apply_hamiltonian_fd(r, np.zeros(5), barrier, 1e-3)
+
+
+#: the oracle checks that apply a ``wronskian_scale``
+_SCALED_CHECKS = {
+    "check_jump": lambda p, scale: check_jump(p, 1.0, 1.5, "plus", scale),
+    "check_distributional_equation": lambda p, scale: check_distributional_equation(
+        p, 1.0, 1.5, "plus", scale
+    ),
+}
+
+
+@pytest.mark.parametrize("scale", [0.0, math.nan, math.inf, -math.inf, "x", 1j])
+@pytest.mark.parametrize("name", sorted(_SCALED_CHECKS))
+def test_bad_wronskian_scale_raises_before_any_wave(barrier, monkeypatch, name, scale):
+    # a scale of 0 gave check_jump a NaN residual and the distributional check
+    # a misleading "RK4 trajectory ... is not finite"; "x" raised a bare
+    # TypeError from w * "x"
+    def no_waves(*args, **kwargs):
+        raise AssertionError("a wave was built")
+
+    monkeypatch.setattr(oracle_module, "wave_pair", no_waves)
+    with pytest.raises(DomainError, match="wronskian_scale must be"):
+        _SCALED_CHECKS[name](barrier, scale)
+
+
 def test_rk4_grid_past_max_steps_rejected_before_allocating():
     # 3e9 steps asked for a (2, 3e9 + 1) complex state array, about 96 GB
     def call():
@@ -575,7 +641,7 @@ class TestRunVerification:
         def nothing(*args, **kwargs):
             raise AssertionError("a draw or a check ran")
 
-        monkeypatch.setattr(verification, "_Pcg64", nothing)
+        monkeypatch.setattr(verification, "Random", nothing)
         for name in (
             "wave_pair",
             "build_omega",
@@ -595,7 +661,7 @@ class TestRunVerification:
         def nothing(*args, **kwargs):
             raise AssertionError("a draw or a check ran")
 
-        monkeypatch.setattr(verification, "_Pcg64", nothing)
+        monkeypatch.setattr(verification, "Random", nothing)
         for name in ("wave_pair", "build_omega", "check_distributional_equation"):
             monkeypatch.setattr(verification, name, nothing)
         with pytest.raises(DomainError, match="real E > 0"):
@@ -608,7 +674,7 @@ class TestRunVerification:
         def nothing(*args, **kwargs):
             raise AssertionError("a draw or a check ran")
 
-        monkeypatch.setattr(verification, "_Pcg64", nothing)
+        monkeypatch.setattr(verification, "Random", nothing)
         for name in (
             "propagate",
             "check_distributional_equation",
@@ -648,13 +714,14 @@ class TestRunVerification:
             (SquareBarrier(5.0, 1.0, 2.0), {"n_random": 2.5}),
             # math.isfinite's bare TypeError
             (SquareBarrier(5.0, 1.0, 2.0), {"wronskian_scale": 1j}),
+            (SquareBarrier(5.0, 1.0, 2.0), {"wronskian_scale": "x"}),
         ],
     )
     def test_bad_inputs_raise_before_any_draw_or_check(self, monkeypatch, p, kwargs):
         def nothing(*args, **kwargs):
             raise AssertionError("a draw or a check ran")
 
-        monkeypatch.setattr(verification, "_Pcg64", nothing)
+        monkeypatch.setattr(verification, "Random", nothing)
         monkeypatch.setattr(verification, "check_distributional_equation", nothing)
         monkeypatch.setattr(verification, "wave_pair", nothing)
         with pytest.raises(ConfigError):
@@ -665,7 +732,7 @@ class TestRunVerification:
         def nothing(*args, **kwargs):
             raise AssertionError("a draw or a check ran")
 
-        monkeypatch.setattr(verification, "_Pcg64", nothing)
+        monkeypatch.setattr(verification, "Random", nothing)
         for name in ("wave_pair", "build_omega", "propagate", "check_distributional_equation"):
             monkeypatch.setattr(verification, name, nothing)
         with pytest.raises(DomainError, match="at least one breakpoint"):
@@ -676,7 +743,7 @@ class TestRunVerification:
         def nothing(*args, **kwargs):
             raise AssertionError("a draw or a check ran")
 
-        monkeypatch.setattr(verification, "_Pcg64", nothing)
+        monkeypatch.setattr(verification, "Random", nothing)
         for name in ("wave_pair", "build_omega", "propagate", "check_distributional_equation"):
             monkeypatch.setattr(verification, name, nothing)
         reach = oracle_module.MAX_STEPS * oracle_module.LATTICE - oracle_module.TAIL_START
@@ -778,69 +845,66 @@ def test_kernel_slice_is_a_kernel_grid_column(p, e, direction):
     assert got.tobytes() == want.tobytes()
 
 
-#: seeds whose draws must equal numpy's: the small ones, the edges of a 32-bit
-#: word, seeds of two to four words and one of seven, past the pool of four
-_STREAM_SEEDS = [*range(200), 2**31 - 1, 2**32, 2**32 + 7, 2**64 + 5, 10**30, 2**200 + 3]
-_STREAM_SEEDS += [
-    random.Random(23 + i).getrandbits((8, 31, 32, 33, 64, 100, 128, 129, 200)[i % 9])
-    for i in range(300)
-]
+#: seeds of one to seven 32-bit words; Random's seeding hashes every word
+_STREAM_SEEDS = [*range(20), 2**31 - 1, 2**32, 2**32 + 7, 2**64 + 5, 10**30, 2**200 + 3]
 
 
-def _interleaved_draws(rng) -> list:
-    """60 draws of every kind ``verify`` makes, integers over the ranges 1, 2, 4, 6 and 999."""
-    draws = []
-    for j in range(12):
-        draws.append(rng.uniform(0.1, 7.5))
-        draws.append(rng.uniform(-5.0, 10.0, size=1 + j % 4))
-        draws.append(rng.integers(j, j + (1, 2, 4, 6, 999)[j % 5]))
-        draws.append(rng.integers(1, 5))
-        draws.append(rng.uniform(0.3, np.float64(2.0)))
-    return draws
+def _verify_draws(seed: int, outer: float, n_random: int) -> tuple[list, list, list]:
+    """The radii, limit pairs and random instances ``verify`` draws from ``Random(seed)``.
 
-
-def _same_draw(want, got) -> bool:
-    if isinstance(want, np.ndarray):
-        return got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    if isinstance(want, float):
-        return type(got) is float and got.hex() == want.hex()
-    return type(got) is int and got == want
+    Every value is one ``random()``, in ``verify``'s order; a uniform on [lo, hi)
+    is lo + (hi - lo) * random().
+    """
+    rng = random.Random(seed)
+    hi = outer + 2.0
+    radii = [0.05 + (hi - 0.05) * rng.random() for _ in range(8)]
+    pairs = [(0.1 + (hi - 0.1) * rng.random(), 0.1 + (hi - 0.1) * rng.random()) for _ in range(3)]
+    instances = []
+    while len(instances) < n_random:
+        steps = 1 + int(4 * rng.random())
+        widths = [0.3 + (2.0 - 0.3) * rng.random() for _ in range(steps)]
+        heights = [-5.0 + (10.0 + 5.0) * rng.random() for _ in range(steps)] + [0.0]
+        e_hi = max(0.2, 2.0 * max(heights) + 5.0)
+        e = 0.1 + (e_hi - 0.1) * rng.random()
+        if min(abs(e - v) for v in heights) >= 0.05:
+            instances.append((np.cumsum(widths).tolist(), heights, e))
+    return radii, pairs, instances
 
 
 class TestDrawStream:
-    """``verify``'s generator reproduces numpy's ``default_rng(seed)`` draw for draw."""
+    """``verify`` takes every drawn value from ``random.Random(seed).random()``."""
 
-    def test_interleaved_draws_equal_numpy(self):
+    def test_run_verification_draws_the_standard_stream(self, barrier, monkeypatch):
+        seen = {}
+
+        def recorded(name, fn):
+            def call(*args, **kwargs):
+                seen.setdefault(name, []).append(args)
+                return fn(*args, **kwargs)
+
+            return call
+
+        for name in ("kernel_grid", "boundary_limit", "_engine_waves"):
+            monkeypatch.setattr(verification, name, recorded(name, getattr(verification, name)))
         for seed in _STREAM_SEEDS:
-            want = _interleaved_draws(np.random.default_rng(seed))
-            got = _interleaved_draws(verification._Pcg64(seed))
-            bad = [j for j, pair in enumerate(zip(want, got)) if not _same_draw(*pair)]
-            assert bad == [], f"seed {seed}: draws {bad} differ"
+            seen.clear()
+            run_verification(barrier, 1.0, seed=seed, n_random=3)
+            radii, pairs, instances = _verify_draws(seed, barrier.b, 3)
+            ((_, _, r, s),) = seen["kernel_grid"]
+            assert (r.tolist(), s.tolist()) == (radii[0::2], radii[1::2]), seed
+            limits = [args[2:4] for args in seen["boundary_limit"]]
+            assert limits == [pair for pair in pairs for _ in ("plus", "minus")], seed
+            # the first waves are the configured instance's
+            waves = seen["_engine_waves"][1:]
+            drawn = [(list(p.breakpoints), list(p.heights), e.real) for p, e in waves]
+            assert drawn == instances, seed
 
-    @pytest.mark.parametrize("n", [2**31 + 1, 3 * 2**30])
-    def test_rejection_draws_equal_numpy(self, n):
-        # ranges this wide reject about a third to a half of their 32-bit draws
-        for seed in range(20):
-            want, got = np.random.default_rng(seed), verification._Pcg64(seed)
-            assert [got.integers(5, 5 + n) for _ in range(40)] == [
-                int(want.integers(5, 5 + n)) for _ in range(40)
-            ]
+    def test_literal_draws(self):
+        # CPython keeps these streams from version to version
+        assert random.Random(0).random() == 0.8444218515250481
+        assert random.Random(10**30).random() == 0.9341508484568806
 
-    def test_literal_pins(self):
-        # the values numpy 2.4.6 draws; they hold without numpy.random
-        assert verification._Pcg64(0).uniform(0, 1) == 0.6369616873214543
-        assert verification._Pcg64(7).integers(1, 5) == 4
-        assert verification._Pcg64(10**30).integers(0, 999) == 679
-        assert verification._Pcg64(2**64 + 5).uniform(0.3, 2.0, size=3).tolist() == [
-            1.562518796234618, 0.9647236738519667, 1.4648587043530943,
-        ]
-        # the second integer takes the high half of the first one's 64-bit word
-        rng = verification._Pcg64(41)
-        assert (rng.integers(1, 5), rng.integers(0, 6), rng.uniform(-5, 10)) == (
-            3, 5, 6.51898135953399,
-        )
-
-    def test_a_range_of_one_draws_nothing(self):
-        rng = verification._Pcg64(3)
-        assert rng.integers(4, 5) == 4
-        assert rng.uniform(0, 1) == verification._Pcg64(3).uniform(0, 1)
+    def test_a_seed_of_any_size_is_accepted(self, barrier):
+        for seed in (2**64 + 5, 10**30, 2**4096 - 1):
+            report = run_verification(barrier, 1.0, seed=seed, n_random=1)
+            assert report["pass"] and report["instance"]["seed"] == seed
