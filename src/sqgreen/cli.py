@@ -329,10 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--out", required=True)
 
-    p_poles = sub.add_parser("pole-scan", help="Newton scan for kernel denominator zeros")
+    p_poles = sub.add_parser("pole-scan", help="zeros of the kernel denominator in a box")
     _add_potential_args(p_poles)
     p_poles.add_argument("--box", required=True, help="re_min:re_max:im_min:im_max")
-    p_poles.add_argument("--seed-density", type=float, default=0.25, help="seed grid spacing")
+    p_poles.add_argument("--seed-density", type=float, default=0.25, help="Newton grid spacing")
     p_poles.add_argument("--format", choices=["csv", "json"], default="csv")
     p_poles.add_argument("--out", required=True)
 

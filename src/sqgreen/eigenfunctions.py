@@ -112,7 +112,8 @@ class PiecewiseWave:
         ``both_sides`` first the region to its left and then the one to its
         right.  Returns one value array per side, then one derivative array
         per side, each of the shape of ``r``; a scalar ``r`` gives Python
-        complexes instead.
+        complexes instead.  Raises :class:`DomainError` where an entry is not
+        finite.
         """
         arr = radii_array(r)
         shape = arr.shape
@@ -122,13 +123,15 @@ class PiecewiseWave:
         if both_sides:
             x = np.concatenate((arr, arr))
             idx = np.concatenate((edges.searchsorted(arr, "left"), idx))
-        out = _plane_waves(constants, idx, x, derivative)
-        if sin >= 0:  # only the regular solution has one; its points take their Region's formula
-            inner, reg = idx == sin, self.regions[sin]
-            xs = x[inner]
-            out[0][inner] = reg.value(xs)
-            if derivative:
-                out[1][inner] = reg.derivative(xs)
+        with np.errstate(all="ignore"):
+            out = _plane_waves(constants, idx, x, derivative)
+            if sin >= 0:  # only the regular solution has one; its points take their Region's formula
+                inner, reg = idx == sin, self.regions[sin]
+                xs = x[inner]
+                out[0][inner] = reg.value(xs)
+                if derivative:
+                    out[1][inner] = reg.derivative(xs)
+        _require_finite(all(np.isfinite(whole).all() for whole in out), self.energy)
         if both_sides:
             n = arr.size
             out = [half for whole in out for half in (whole[:n], whole[n:])]
@@ -193,6 +196,12 @@ def wronskian(f: PiecewiseWave, g: PiecewiseWave, r):
     gv, gd = g.value_and_derivative(radii.ravel())
     out = (fv * gd - fd * gv).reshape(radii.shape)
     return out if out.ndim else out.item()
+
+
+def _require_finite(finite: bool, e: complex) -> None:
+    """The :class:`DomainError` of wave or kernel values that are not finite."""
+    if not finite:
+        raise DomainError(f"values at E={e} are not finite: a wave overflows at these radii")
 
 
 def _overflow(e: complex) -> DomainError:

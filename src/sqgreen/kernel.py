@@ -22,9 +22,10 @@ G(E - i mu) = conj G(E + i mu), and every step of the sweep (+, -, *, /,
 exp, and the odd or even arctan2, sin and cos of the roots) commutes exactly
 with conjugation, so the "minus" trajectory is the conjugate of the "plus"
 one, bit for bit.  The formal "minus" kernel is still built from omega_minus.
-:func:`find_kernel_poles` finds the kernel's poles in a box by Newton's
-method, and :func:`zero_count` counts them there by the argument principle,
-which tells the Newton screen when it may stop.
+:func:`find_kernel_poles` finds the kernel's poles in a box: one adaptive
+contour integral of c-'/c- gives their number (:func:`zero_count`) and,
+through its moments, the poles themselves, quadrisecting crowded boxes; a
+box the count does not apply to runs a grid of Newton seeds instead.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from .errors import (
     DomainError,
     PoleError,
 )
-from .eigenfunctions import PiecewiseWave, _overflow
+from .eigenfunctions import PiecewiseWave, _overflow, _require_finite
 from .model import (
-    complex_energy, radii_array, real_array, real_energy, real_number, region_momenta,
-    region_momenta_array, require_off_branch,
+    complex_energy, radii_array, radii_floats, real_array, real_energy, real_number,
+    region_momenta, region_momenta_array, require_off_branch,
 )
 from .piecewise import (
     _chi_regions,
@@ -147,18 +148,15 @@ def _kernel_waves(p, e: complex, direction: str) -> tuple[PiecewiseWave, Piecewi
     return chi, om, w
 
 
-def _require_finite(finite: bool, e: complex) -> None:
-    if not finite:
-        raise DomainError(f"kernel at E={e} is not finite: a wave overflows at these radii")
-
-
 def resolvent_kernel(p, e: complex, r: float, s: float) -> complex:
     """Kernel of (E - H)^{-1} at complex E; omega_plus above the axis, omega_minus below."""
+    r, s = radii_floats(r, s)
     return kernel_grid(p, e, (r,), (s,)).item()
 
 
 def formal_green(p, e: float, r: float, s: float, direction: str) -> complex:
     """Outgoing/incoming kernel at real E > 0 with real-axis momenta."""
+    r, s = radii_floats(r, s)
     return kernel_grid(p, e, (r,), (s,), direction).item()
 
 
@@ -171,8 +169,10 @@ def kernel_grid(p, e, rs, ss, direction: str | None = None) -> np.ndarray:
     grid, and each is evaluated in one array call on the radii of ``rs`` and
     ``ss``, not on every grid point; each entry reads chi at min(r, s) and
     omega at max(r, s) off those by broadcasting, and the quotient is formed
-    once, in numpy.  A scalar function is the single entry of its 1 x 1 grid.
-    Like them, it raises :class:`DomainError` where a value is not finite.
+    once, in numpy.  Radii are clipped first to the range each wave is read
+    at, so a wave that overflows only where no entry reads it is no error.
+    A scalar function is the single entry of its 1 x 1 grid.  Like them, it
+    raises :class:`DomainError` where a value is not finite.
     """
     rs, ss = real_array(rs, "radii"), real_array(ss, "radii")
     n = rs.size
@@ -180,8 +180,11 @@ def kernel_grid(p, e, rs, ss, direction: str | None = None) -> np.ndarray:
     e, direction, radii = _kernel_request(p, e, radii, direction)
     chi, om, w = _kernel_waves(p, e, direction)
     r, s = radii[:n], radii[n:]
+    if not (r.size and s.size):
+        return np.empty((r.size, s.size), dtype=complex)
+    chi_at = chi.value(np.minimum(radii, min(r.max(), s.max())))
+    om_at = om.value(np.maximum(radii, max(r.min(), s.min())))
     with np.errstate(all="ignore"):
-        chi_at, om_at = chi.value(radii), om.value(radii)
         below = r[:, None] <= s
         chi_lo = np.where(below, chi_at[:n, None], chi_at[n:])
         om_hi = np.where(below, om_at[n:], om_at[:n, None])
@@ -295,12 +298,16 @@ MAX_SEEDS = 10**6
 #: roots nearer than this to a branch point or to an accepted root are dropped
 _ROOT_MARGIN = 1e-6
 _NEWTON_STEPS = 60
+#: the Newton steps that polish a root taken from the contour moments
+_POLISH_STEPS = 30
+#: a counted box with more zeros than this is quadrisected before its roots are taken
+_MOMENT_ROOTS = 6
+#: how many times a counted box may be quadrisected, by its count or after a miss
+_SPLIT_DEPTH = 8
 #: a contour panel is settled once it and its two halves agree to this, in units of 2 pi
 _COUNT_PANEL_TOL = 1e-6
 #: the zero count gives up beyond this many evaluations of the pole function
 _COUNT_MAX_NODES = 2**16
-#: how many times a short scan quadrisects its box (see :func:`_repair`)
-_REPAIR_LEVELS = 3
 
 
 class KernelPoles(list):
@@ -345,17 +352,56 @@ _GAUSS_NODES = np.concatenate((-_GAUSS_HALF[:, 0], _GAUSS_HALF[:, 0]))
 _GAUSS_WEIGHTS = np.concatenate((_GAUSS_HALF[:, 1], _GAUSS_HALF[:, 1]))
 
 
-def _log_derivative_integrals(p, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
+def _log_derivative_integrals(p, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """The 16-point rule for the integral of c-'/c- along each segment a -> b.
 
-    Also says whether c-'/c- is finite at every node.
+    Returns its nodes and its terms, c-'/c- times the weight at each node,
+    one row per segment, so a row sums to the segment's integral; and
+    whether every term is finite.
     """
     half = 0.5 * (b - a)
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GAUSS_NODES
     with np.errstate(all="ignore"):
-        f, df = pole_function_array(p, (0.5 * (a + b))[:, None] + half[:, None] * _GAUSS_NODES)
-        ratio = df / f
-        integrals = half * (ratio @ _GAUSS_WEIGHTS)
-    return integrals, bool(np.isfinite(ratio).all())
+        f, df = pole_function_array(p, nodes)
+        terms = df / f * (half[:, None] * _GAUSS_WEIGHTS)
+    return nodes, terms, bool(np.isfinite(terms).all())
+
+
+def _contour(p, bounds) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """(N, z, q): the zero count of ``bounds``, and the nodes and weights of its settled panels.
+
+    sum(q * g(z)) is (1 / 2 pi i) times the integral of g c-'/c- around the
+    box, for g analytic inside it, and N is that sum for g = 1, rounded.
+    None where the count does not apply (see :func:`zero_count`).
+    """
+    re_min, re_max, im_min, im_max = bounds
+    if im_min <= 0.0 <= im_max and re_min <= max(0.0, p.heights[0]):
+        return None
+    a = np.array([complex(re_min, im_min), complex(re_max, im_min),
+                  complex(re_max, im_max), complex(re_min, im_max)])
+    b = np.roll(a, -1)
+    _, q, finite = _log_derivative_integrals(p, a, b)
+    whole, evaluations, nodes, terms = q.sum(axis=1), 16 * a.size, [], []
+    while finite and a.size:
+        evaluations += 32 * a.size
+        if evaluations > _COUNT_MAX_NODES:
+            return None
+        m = 0.5 * (a + b)
+        z, q, finite = _log_derivative_integrals(p, np.concatenate((a, m)), np.concatenate((m, b)))
+        left, right = np.split(q.sum(axis=1), 2)
+        settled = np.abs(whole - (left + right)) <= 2.0 * math.pi * _COUNT_PANEL_TOL
+        nodes.append(z[np.tile(settled, 2)])
+        terms.append(q[np.tile(settled, 2)])
+        split = ~settled
+        a, b = np.concatenate((a[split], m[split])), np.concatenate((m[split], b[split]))
+        whole = np.concatenate((left[split], right[split]))
+    if not finite:
+        return None
+    q = np.concatenate(terms).ravel() / (2j * math.pi)
+    n = complex(q.sum())
+    if not (cmath.isfinite(n) and abs(n - round(n.real)) < 1e-3):
+        return None
+    return round(n.real), np.concatenate(nodes).ravel(), q
 
 
 def zero_count(p, box) -> int | None:
@@ -375,75 +421,69 @@ def zero_count(p, box) -> int | None:
     an integer.  Raises :class:`DomainError` for a non-finite or degenerate
     box.
     """
-    re_min, re_max, im_min, im_max = _search_box(box)
-    if im_min <= 0.0 <= im_max and re_min <= max(0.0, p.heights[0]):
-        return None
-    a = np.array([complex(re_min, im_min), complex(re_max, im_min),
-                  complex(re_max, im_max), complex(re_min, im_max)])
-    b = np.roll(a, -1)
-    whole, finite = _log_derivative_integrals(p, a, b)
-    evaluations, total = 16 * a.size, 0j
-    while finite and a.size:
-        evaluations += 32 * a.size
-        if evaluations > _COUNT_MAX_NODES:
-            return None
-        m = 0.5 * (a + b)
-        halves, finite = _log_derivative_integrals(p, np.concatenate((a, m)), np.concatenate((m, b)))
-        left, right = np.split(halves, 2)
-        settled = np.abs(whole - (left + right)) <= 2.0 * math.pi * _COUNT_PANEL_TOL
-        total += (left + right)[settled].sum()
-        split = ~settled
-        a, b = np.concatenate((a[split], m[split])), np.concatenate((m[split], b[split]))
-        whole = np.concatenate((left[split], right[split]))
-    n = complex(total) / (2j * math.pi)
-    if not (finite and cmath.isfinite(n) and abs(n - round(n.real)) < 1e-3):
-        return None
-    return round(n.real)
+    contour = _contour(p, _search_box(box))
+    return None if contour is None else contour[0]
 
 
-def _branch_points(p) -> tuple[float, ...]:
-    """The region heights, where the momenta branch."""
-    return tuple(sorted(set(p.heights)))
+def _moment_roots(bounds, count: int, z: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The ``count`` zeros of c- in ``bounds``, to quadrature accuracy, from its :func:`_contour`.
+
+    In w = (E - c) / rho, with c the box's center and rho its half-diagonal,
+    the moments s_k = sum(q w^k) are the power sums of the zeros.  Newton's
+    identities turn s_1, ..., s_N into the coefficients of the monic
+    polynomial with those roots, and Durand-Kerner iterations find them.
+    """
+    re_min, re_max, im_min, im_max = bounds
+    c = complex(re_min + re_max, im_min + im_max) / 2
+    rho = math.hypot(re_max - re_min, im_max - im_min) / 2
+    w, sums, coeffs = (z - c) / rho, [], [1.0 + 0j]
+    for k in range(1, count + 1):
+        q = q * w
+        sums.append(complex(q.sum()))
+        coeffs.append(-sum(coeffs[k - i] * sums[i - 1] for i in range(1, k + 1)) / k)
+    roots = (0.4 + 0.9j) ** np.arange(count)
+    with np.errstate(all="ignore"):
+        for _ in range(100):
+            gaps = roots[:, None] - roots
+            np.fill_diagonal(gaps, 1.0)
+            step = np.polyval(coeffs, roots) / gaps.prod(axis=1)
+            roots = roots - step
+            if not np.abs(step).max() > 1e-15:
+                break
+    return c + rho * roots
 
 
-def _near(z: np.ndarray, branch_points, margin: float) -> np.ndarray:
-    """Mask of the entries of ``z`` within ``margin`` of a branch point."""
+def _near(z: np.ndarray, p, margin: float) -> np.ndarray:
+    """Mask of the entries of ``z`` within ``margin`` of a branch point, a region height."""
     out = np.zeros(z.shape, dtype=bool)
-    for bp in branch_points:
-        out |= np.abs(z - bp) < margin
+    for v in set(p.heights):
+        out |= np.abs(z - v) < margin
     return out
 
 
-def _screen(p, seeds: np.ndarray):
-    """The Newton iteration of :func:`find_kernel_poles`, run step-major on all ``seeds``.
+def _newton(p, z: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(iterates, converged mask) of at most ``steps`` Newton steps on c- from each entry of ``z``.
 
-    Every step advances each active seed once, ``SCREEN_BLOCK`` seeds at a
-    time, taking c- and its exact derivative dc-/dE from one evaluation of
-    :func:`~sqgreen.piecewise.pole_function_array`; after each full step the
-    generator yields the iterates and the mask of the seeds converged so
-    far: a step fell below 1e-13 * max(1, |z|) and below 1e-12.  A seed
-    leaves the active set when it converges or dies: an iterate within
-    ``EPS_BRANCH`` of a branch point, a c- of exactly 0 (chi's incoming part
-    cancelled below rounding beside its outgoing part, so Newton would stand
-    still there), a non-finite or zero derivative, or a non-finite iterate.
-    Seeds within 1e-6 of a branch point never start.
-    ``seeds`` is overwritten by the iterates.  The screen ends after
-    ``_NEWTON_STEPS`` steps or once no seed is active.  Each seed's
-    iteration is elementwise, so neither the block size nor the step at
-    which a caller stops changes its digits.
+    Each step advances every active entry, ``SCREEN_BLOCK`` at a time, with
+    c- and dc-/dE from one :func:`~sqgreen.piecewise.pole_function_array`;
+    the iteration is elementwise, so the block size changes no digit.  An
+    entry has converged once a step fell below 1e-13 * max(1, |z|) and its
+    last step is below 1e-12.  It dies at an iterate within ``EPS_BRANCH``
+    of a branch point, a c- of exactly 0 (chi's incoming part cancelled
+    below rounding beside its outgoing part, so Newton would stand still),
+    a non-finite or zero derivative or a non-finite iterate; entries within
+    1e-6 of a branch point never start.  ``z`` is overwritten.
     """
-    branch_points = _branch_points(p)
-    z = seeds
     last_step = np.full(z.shape, np.inf)
     ok = np.zeros(z.shape, dtype=bool)
-    active = ~_near(z, branch_points, _ROOT_MARGIN)
-    for _ in range(_NEWTON_STEPS):
+    active = ~_near(z, p, _ROOT_MARGIN)
+    for _ in range(steps):
         moving = np.flatnonzero(active)
         for start in range(0, moving.size, SCREEN_BLOCK):
             idx = moving[start:start + SCREEN_BLOCK]
             za = z[idx]
             with np.errstate(all="ignore"):
-                near = _near(za, branch_points, EPS_BRANCH)
+                near = _near(za, p, EPS_BRANCH)
                 fz, dfz = pole_function_array(p, za)
                 dz = fz / dfz
                 za = za - dz
@@ -454,32 +494,55 @@ def _screen(p, seeds: np.ndarray):
             last_step[idx[live]] = step[live]
             ok[idx[done]] = True
             active[idx[~live | done]] = False
-        yield z, ok & (last_step < 1e-12)
-        if not active.any():
-            return
+    return z, ok & (last_step < 1e-12)
 
 
-def _accept(p, roots, converged, bounds, residuals: dict) -> list[complex]:
-    """The acceptance rules of :func:`find_kernel_poles`, applied in seed order.
+def _screen(p, bounds, seed_density: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_newton`, 60 steps, from a grid of seeds ``seed_density`` apart over ``bounds``."""
+    re_min, re_max, im_min, im_max = bounds
+    # a side of MAX_SEEDS spacings or more (inf included) is too long by itself
+    n_re, n_im = (
+        int(span) + 1 if span < MAX_SEEDS else MAX_SEEDS + 1
+        for span in ((re_max - re_min) / seed_density, (im_max - im_min) / seed_density)
+    )
+    if n_re * n_im > MAX_SEEDS:
+        raise DomainError(f"box {bounds} at spacing {seed_density} needs over {MAX_SEEDS} seeds")
+    seeds = np.empty(n_re * n_im, dtype=complex)
+    seeds.real = re_min + np.arange(seeds.size) // n_im * seed_density
+    seeds.imag = im_min + np.arange(seeds.size) % n_im * seed_density
+    return _newton(p, seeds, _NEWTON_STEPS)
 
-    ``residuals`` memoizes |c-| by seed index across calls on one screen.
-    """
+
+def _accept(p, roots, converged, bounds, accepted: list[complex]) -> None:
+    """Append to ``accepted``, in order, the ``roots`` that pass the rules of the scan."""
     re_min, re_max, im_min, im_max = bounds
     keep = (
         converged
         & (re_min <= roots.real) & (roots.real <= re_max)
         & (im_min <= roots.imag) & (roots.imag <= im_max)
-        & ~_near(roots, _branch_points(p), _ROOT_MARGIN)
+        & ~_near(roots, p, _ROOT_MARGIN)
     )
-    accepted: list[complex] = []
-    for i in np.flatnonzero(keep).tolist():
-        z = complex(roots[i])
-        if all(abs(z - w) >= _ROOT_MARGIN for w in accepted):
-            if i not in residuals:
-                residuals[i] = kernel_pole_residual(p, z)
-            if residuals[i] < 1e-10:
-                accepted.append(z)
-    return accepted
+    for z in roots[keep].tolist():
+        if all(abs(z - w) >= _ROOT_MARGIN for w in accepted) and kernel_pole_residual(p, z) < 1e-10:
+            accepted.append(z)
+
+
+def _find(p, bounds, contour, seed_density: float, accepted: list[complex], depth: int) -> None:
+    """Add to ``accepted`` the roots in ``bounds``, whose :func:`_contour` is ``contour``."""
+    if contour is None:
+        _accept(p, *_screen(p, bounds, seed_density), bounds, accepted)
+        return
+    count = contour[0]
+    re_min, re_max, im_min, im_max = bounds
+    if count > 0 and (count <= _MOMENT_ROOTS or depth == _SPLIT_DEPTH):
+        _accept(p, *_newton(p, _moment_roots(bounds, *contour), _POLISH_STEPS), bounds, accepted)
+    inside = sum(re_min <= z.real <= re_max and im_min <= z.imag <= im_max for z in accepted)
+    if inside >= count or depth == _SPLIT_DEPTH:
+        return
+    re_mid, im_mid = 0.5 * (re_min + re_max), 0.5 * (im_min + im_max)
+    for quad in ((re_min, re_mid, im_min, im_mid), (re_mid, re_max, im_min, im_mid),
+                 (re_min, re_mid, im_mid, im_max), (re_mid, re_max, im_mid, im_max)):
+        _find(p, quad, _contour(p, quad), seed_density, accepted, depth + 1)
 
 
 def find_kernel_poles(
@@ -487,120 +550,43 @@ def find_kernel_poles(
     box: tuple[float, float, float, float],
     seed_density: float = 0.25,
 ) -> KernelPoles:
-    """Newton search for zeros of the outgoing-kernel denominator over a box.
+    """The zeros of the outgoing-kernel denominator in ``box = (re_min, re_max, im_min, im_max)``.
 
-    Seeds are laid on a grid of spacing ``seed_density`` over
-    ``box = (re_min, re_max, im_min, im_max)``; each runs an undamped Newton
-    iteration on the pole function c-(E), chi's incoming amplitude beyond
-    the last step (:func:`chi_outer_amplitudes`), at most 60 steps.  The
-    derivative dc-/dE is exact, not differenced: the matching sweep carries
-    it alongside c- by the chain rule, with dk_j/dE = 1/(2 k_j) in every
-    region.  A root is kept only if the final Newton step is below 1e-12,
-    |c-| is below 1e-10 but not exactly 0 (a c- that cancelled to 0 is
-    rounding, not a root), it lies inside the box, and it is at least 1e-6
-    away from every branch point, the region heights.
-    Roots are taken in seed order, and one within 1e-6 of an already
-    accepted root is dropped.  An empty list is a valid outcome.
+    The denominator is the pole function c-(E), chi's incoming amplitude
+    beyond the last step (:func:`chi_outer_amplitudes`), whose exact dc-/dE
+    the matching sweep carries by the chain rule.  Where :func:`zero_count`
+    certifies the box, its contour pass gives the roots too: the moments of
+    c-'/c- on its nodes are the power sums of the zeros (Delves & Lyness,
+    Math. Comp. 21, 543, 1967; :func:`_moment_roots`), and each root is
+    polished by at most 30 Newton steps.  A box of more than
+    ``_MOMENT_ROOTS`` zeros, or whose roots fall short of its count under
+    the rules below, is quadrisected and each quadrant counted again, at
+    most ``_SPLIT_DEPTH`` levels deep.  A box, or quadrant, without a count
+    runs 60 Newton steps from each seed of a grid of spacing
+    ``seed_density`` (:func:`_screen`), O(n_seeds) memory: about 25 MB at
+    ``MAX_SEEDS``.
 
-    The seeds advance step-major (:func:`_screen`): all of them take one
-    Newton step, ``SCREEN_BLOCK`` at a time as numpy arrays, before the
-    next step starts.  When :func:`zero_count` certifies the box, the rules
-    run on the converged seeds after every step, and the screen stops as
-    soon as they accept exactly the certified number of roots; otherwise
-    the rules run once, after the full screen.  Either way the roots do not
-    depend on ``SCREEN_BLOCK``.  A certified box whose screen accepts fewer
-    roots than its count is repaired by :func:`_repair`, which screens its
-    short quadrants again at half the spacing; the roots accepted before
-    stay as they are.  The returned :class:`KernelPoles` carries
-    the count in ``certified`` (None for an uncertified box), so a caller
-    can tell a scan that still fell short of it.  The screen keeps its state for
-    every seed at once, O(n_seeds) memory: about 25 MB at ``MAX_SEEDS``.
+    A root is kept only if its final Newton step is below 1e-12, |c-| is
+    below 1e-10 but not exactly 0 (a c- that cancelled to 0 is rounding, not
+    a root), it lies in the (sub-)box it came from, and it is at least 1e-6
+    away from every branch point (the region heights) and every root
+    accepted before it.  An empty list is a valid outcome.  The returned
+    :class:`KernelPoles` carries the box's count in ``certified`` (None for
+    an uncertified box), so a caller can tell a scan that fell short of it.
 
     Raises :class:`DomainError` for a non-finite or degenerate box, a
-    ``seed_density`` that is not a finite, positive real number, or more
-    than ``MAX_SEEDS`` seeds.
+    ``seed_density`` that is not a finite, positive real number, or a seed
+    grid that would hold more than ``MAX_SEEDS`` seeds.
     """
     bounds = _search_box(box)
     seed_density = real_number(seed_density, "seed_density")
     if not (math.isfinite(seed_density) and seed_density > 0.0):
         raise DomainError(f"seed_density must be finite and positive, got {seed_density}")
-    seeds = _seed_grid(bounds, seed_density)
-    if seeds is None:
-        raise DomainError(
-            f"box {box} at seed spacing {seed_density} needs more than {MAX_SEEDS} seeds"
-        )
-
-    count = zero_count(p, bounds)
-    accepted = _scan(p, bounds, seeds, count)
-    if count is not None and len(accepted) < count:
-        _repair(p, bounds, seed_density, accepted, _REPAIR_LEVELS)
+    contour = _contour(p, bounds)
+    accepted: list[complex] = []
+    _find(p, bounds, contour, seed_density, accepted, 0)
     accepted.sort(key=lambda w: (w.real, w.imag))
-    return KernelPoles(accepted, count)
-
-
-def _seed_grid(bounds, seed_density: float) -> np.ndarray | None:
-    """The Newton seeds of ``bounds`` at spacing ``seed_density``, or None past ``MAX_SEEDS``."""
-    re_min, re_max, im_min, im_max = bounds
-    # a side of MAX_SEEDS spacings or more (inf included) is too long by itself
-    n_re, n_im = (
-        int(span) + 1 if span < MAX_SEEDS else MAX_SEEDS + 1
-        for span in ((re_max - re_min) / seed_density, (im_max - im_min) / seed_density)
-    )
-    n_seeds = n_re * n_im
-    if n_seeds > MAX_SEEDS:
-        return None
-    seeds = np.empty(n_seeds, dtype=complex)
-    seeds.real = re_min + np.arange(n_seeds) // n_im * seed_density
-    seeds.imag = im_min + np.arange(n_seeds) % n_im * seed_density
-    return seeds
-
-
-def _scan(p, bounds, seeds: np.ndarray, count: int | None) -> list[complex]:
-    """The roots :func:`_screen` and :func:`_accept` find in ``bounds`` from ``seeds``.
-
-    With a ``count``, the rules run after every step and the screen stops
-    once they accept that many roots; without one, they run once at the end.
-    """
-    residuals: dict[int, float] = {}
-    for roots, converged in _screen(p, seeds):
-        if count is None:
-            continue
-        accepted = _accept(p, roots, converged, bounds, residuals)
-        if len(accepted) == count:
-            return accepted
-    return _accept(p, roots, converged, bounds, residuals)
-
-
-def _repair(p, bounds, seed_density: float, accepted: list[complex], levels: int) -> None:
-    """Add to ``accepted`` the roots a short scan of ``bounds`` missed.
-
-    Each quadrant of ``bounds`` whose :func:`zero_count` exceeds the roots
-    accepted inside it is screened again at half the seed spacing; a
-    quadrant still short, or without a count, is split in turn, at most
-    ``levels`` deep.  A new root within 1e-6 of an accepted one is dropped.
-    """
-    re_min, re_max, im_min, im_max = bounds
-    re_mid, im_mid = 0.5 * (re_min + re_max), 0.5 * (im_min + im_max)
-    spacing = 0.5 * seed_density
-    for quad in (
-        (re_min, re_mid, im_min, im_mid), (re_mid, re_max, im_min, im_mid),
-        (re_min, re_mid, im_mid, im_max), (re_mid, re_max, im_mid, im_max),
-    ):
-        count = zero_count(p, quad)
-        x0, x1, y0, y1 = quad
-        inside = sum(x0 <= z.real <= x1 and y0 <= z.imag <= y1 for z in accepted)
-        if count is not None and count <= inside:
-            continue
-        seeds = None if count is None else _seed_grid(quad, spacing)
-        if seeds is not None:
-            for z in _scan(p, quad, seeds, count):
-                if all(abs(z - w) >= _ROOT_MARGIN for w in accepted):
-                    accepted.append(z)
-                    inside += 1
-            if count <= inside:
-                continue
-        if levels > 1:
-            _repair(p, quad, spacing, accepted, levels - 1)
+    return KernelPoles(accepted, None if contour is None else contour[0])
 
 
 def kernel_pole_residual(p, z: complex) -> float:

@@ -80,7 +80,7 @@ class TestFunction:
         return (self.center - half, self.center + half)
 
     def __call__(self, r):
-        t = (np.asarray(r, dtype=float) - self.center) / self.width
+        t = (real_array(r, "radii") - self.center) / self.width
         if self.kind == "gaussian_bump":
             return np.exp(-0.5 * t * t)
         inside = np.abs(t) < 1.0
@@ -88,7 +88,7 @@ class TestFunction:
         return core**4
 
     def second_derivative(self, r):
-        t = (np.asarray(r, dtype=float) - self.center) / self.width
+        t = (real_array(r, "radii") - self.center) / self.width
         w2 = self.width * self.width
         if self.kind == "gaussian_bump":
             return (t * t - 1.0) / w2 * np.exp(-0.5 * t * t)
@@ -325,10 +325,13 @@ def apply_hamiltonian_fd(
     points must stay out of residual norms, and the count of exclusions is
     reported by the callers.  A step that is not a finite, positive real
     number raises :class:`ContractError`, and radii that are not real numbers
-    :class:`DomainError`.
+    or values that are not numbers :class:`DomainError`.
     """
     r = real_array(r, "radii")
-    u = np.asarray(u)
+    try:
+        u = np.asarray(u, dtype=complex)
+    except (TypeError, ValueError):
+        raise DomainError(f"values u must form a regular array of numbers, got {u!r}") from None
     if r.ndim != 1 or r.shape != u.shape or r.size < 3:
         raise ContractError("need matching 1-d arrays with at least 3 samples")
     steps = np.diff(r)
@@ -588,6 +591,8 @@ def check_distributional_equation(
     continuity at the potential jumps, and kernel continuity across r = s
     (the gap must shrink linearly with the probe offset).  The RK4 runs at
     the step ``LATTICE``, so s and every breakpoint must sit on its lattice.
+    A ``wronskian_scale`` so large that the kernel underflows to 0 beside s
+    raises :class:`DomainError`.
     """
     e = real_energy(e, "the distributional check")
     (s,) = radii_floats(s)
@@ -626,20 +631,19 @@ def check_distributional_equation(
     # left of the diagonal: start from G(0, s) = 0 with a measured slope
     traj = integrate_schrodinger(p, complex(e), 0.0, slope0, 0.0, s, LATTICE)
     kern = kernel.values(traj.r, s)
-    scale = float(np.max(np.abs(kern)))
-    left_resid = float(np.max(np.abs(traj.values - kern))) / scale
-    n_left = traj.r.size
-
     # right of the diagonal: integrate inward from beyond the potential, where
     # the tail solution dominates; integrating outward from s would amplify
     # the seed error exponentially through evanescent regions
     traj_r = integrate_schrodinger(p, complex(e), values[-1], slope_out, r_out, s, LATTICE)
     kern_r = kernel.values(traj_r.r, s)
-    scale_r = float(np.max(np.abs(kern_r)))
+    scale, scale_r = float(np.max(np.abs(kern))), float(np.max(np.abs(kern_r)))
+    if not (scale > 0.0 and scale_r > 0.0):  # a Wronskian scaled past 1e300 leaves only zeros
+        raise DomainError(f"the kernel at E={e} beside s={s} underflows to 0")
+    left_resid = float(np.max(np.abs(traj.values - kern))) / scale
     right_resid = float(np.max(np.abs(traj_r.values - kern_r))) / scale_r
     ode_report = ResidualReport.build(
         "offdiagonal_radial_equation",
-        samples=n_left + traj_r.r.size,
+        samples=traj.r.size + traj_r.r.size,
         max_residual=max(left_resid, right_resid),
         tolerance=1e-7,
     )

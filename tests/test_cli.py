@@ -488,7 +488,8 @@ class TestPoleScan:
         assert abs(complex(float(rows[0][0]), float(rows[0][1])) - (4.2029 - 0.2556j)) < 1e-3
         assert float(rows[0][2]) < 1e-10
 
-    def test_short_screen_of_a_wide_barrier_is_repaired(self, tmp_path, capsys):
+    def test_crowded_wide_barrier_gets_every_root(self, tmp_path, capsys):
+        # 89 zeros closer together than the seed spacing: quadrisection and the moments
         out = tmp_path / "poles.csv"
         rc = main(["pole-scan", "--v0=2", "--a=1", "--b=80", "--box=0.5:20:-8:-0.01",
                    f"--out={out}"])
@@ -497,9 +498,15 @@ class TestPoleScan:
         assert len(rows) == 89
 
     def test_count_mismatch_exits_1(self, tmp_path, monkeypatch, capsys):
-        # one zero more than the scan can find: the rows are still written
-        count = kernel_module.zero_count
-        monkeypatch.setattr(kernel_module, "zero_count", lambda p, box: count(p, box) + 1)
+        # one zero more than the scan can find: the rows are still written; only
+        # the whole box's count is inflated, its quadrants keep theirs
+        contour = kernel_module._contour
+
+        def inflated(p, bounds):
+            count, *rest = contour(p, bounds)
+            return (count + 1, *rest) if bounds == (3.0, 6.0, -1.0, -0.01) else (count, *rest)
+
+        monkeypatch.setattr(kernel_module, "_contour", inflated)
         out = tmp_path / "poles.csv"
         rc = main(["pole-scan", "--v0=5", "--a=1", "--b=2", "--box=3:6:-1:-0.01", f"--out={out}"])
         assert rc == 1

@@ -190,6 +190,20 @@ def test_non_real_radius_rejected():
             wronskian(chi, om, r)
 
 
+def test_overflowing_wave_reads_raise():
+    # at r = 1e308 chi read nan+infj and the Wronskian nan+nanj, with only
+    # numpy RuntimeWarnings, where kernel_grid raised DomainError
+    p = SquareBarrier(5, 1, 2)
+    chi, om = build_chi(p, 1 + 1j), build_omega(p, 1 + 1j, "plus")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for read in (chi.value, chi.value_and_derivative, chi.one_sided, om.value):
+            with pytest.raises(DomainError, match="not finite"):
+                read(1e308)
+        with pytest.raises(DomainError, match="not finite"):
+            wronskian(chi, om, 1e308)
+
+
 def test_sin_region_past_the_plane_wave_range_is_finite_without_warning():
     # at this radius sin(k r) is finite but exp(kappa r) is not, so the plane-wave
     # formula must give the sin region exactly 0 before its own formula overwrites it

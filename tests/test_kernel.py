@@ -75,6 +75,21 @@ class TestResolventKernel:
         with pytest.raises(DomainError):
             kernel_grid(barrier, 1.5 + 5j, [1.0, 600.0], [600.0])
 
+    def test_a_wave_overflowing_where_no_entry_reads_it_is_no_error(self):
+        # chi overflows at s, but the grid reads chi only at r <= s and omega at s
+        p, e, s = SquareBarrier(20.0, 1.0, 3.0), 1.5 + 5j, 517.9474679231213
+        with pytest.raises(DomainError, match="not finite"):
+            build_chi(p, e).value(s)
+        assert np.isfinite(kernel_grid(p, e, [0.5, 2.0], [s])).all()
+
+    @pytest.mark.parametrize("r", [[1, 2], np.array([1.0, 2.0])])
+    def test_scalar_kernel_needs_one_real_radius(self, barrier, r):
+        # a list radius raised a bare ValueError from .item()
+        with pytest.raises(DomainError, match="radii must form a regular array"):
+            resolvent_kernel(barrier, 1 + 1j, r, 1.5)
+        with pytest.raises(DomainError, match="radii must form a regular array"):
+            formal_green(barrier, 1.0, 1.5, r, "plus")
+
     @pytest.mark.parametrize(
         "p, e",
         [
@@ -401,7 +416,7 @@ def _per_sample_checks(p, energies, values, finite) -> tuple[int, bool]:
         if not waves_ok:
             raise DomainError(f"wave amplitudes at E={z} overflow double precision")
         if not cmath.isfinite(g):
-            raise DomainError(f"kernel at E={z} is not finite: a wave overflows at these radii")
+            raise DomainError(f"values at E={z} are not finite: a wave overflows at these radii")
         samples.append(g)
         mu = abs(z.imag)
         if k >= 1 and mu < kernel_module.MU_FLOOR:
@@ -670,7 +685,7 @@ class TestPoleScan:
 
     def test_barrier_resonance(self, barrier):
         roots = find_kernel_poles(barrier, (3.0, 6.0, -1.0, -0.01), seed_density=0.25)
-        assert roots == [4.2029001687966083 - 0.2556439315987642j]
+        assert roots == [4.202900168796607 - 0.25564393159876403j]
         for z in roots:
             assert kernel_pole_residual(barrier, z) < 1e-10
 
@@ -702,24 +717,30 @@ class TestPoleScan:
             find_kernel_poles(barrier, (1.0, 1.0, -1.0, 1.0))
 
     def test_screening_blocks_do_not_change_roots(self, monkeypatch):
+        # the box meets the cut of the real axis left of 0, so it has no count
+        # and runs the seed grid
         p = SquareBarrier(12.0, 1.0, 3.0)
-        box = (0.5, 40.0, -6.0, -0.01)
-        n_seeds = (int(39.5 / 0.25) + 1) * (int(5.99 / 0.25) + 1)
+        box = (-0.5, 40.0, -6.0, 0.5)
+        assert kernel_module.zero_count(p, box) is None
+        n_seeds = (int(40.5 / 0.25) + 1) * (int(6.5 / 0.25) + 1)
         default = kernel_module.SCREEN_BLOCK
         # the reference run screens several blocks of 1024 seeds
         monkeypatch.setattr(kernel_module, "SCREEN_BLOCK", 1024)
         assert n_seeds > 3 * kernel_module.SCREEN_BLOCK
         roots = find_kernel_poles(p, box)
-        assert len(roots) == 4
+        assert len(roots) == 5
         for block in (37, default, n_seeds):
             monkeypatch.setattr(kernel_module, "SCREEN_BLOCK", block)
             assert find_kernel_poles(p, box) == roots
-        # two sub-boxes on the same seed lattice, overlapping by one column;
-        # a root may come from another first seed, so its last digits may differ
+        # two sub-boxes overlapping by one column: the first is screened on the
+        # same seed lattice, the second is counted and takes its roots from the
+        # moments; a root may come from another start, so its last digits may differ
         monkeypatch.undo()
-        pieces = find_kernel_poles(p, (0.5, 20.5, -6.0, -0.01)) + find_kernel_poles(
-            p, (20.0, 40.0, -6.0, -0.01)
+        left, right = find_kernel_poles(p, (-0.5, 20.5, -6.0, 0.5)), find_kernel_poles(
+            p, (20.0, 40.0, -6.0, 0.5)
         )
+        assert left.certified is None and right.certified == len(right)
+        pieces = left + right
         assert len(pieces) == len(roots)
         for z, w in zip(pieces, roots):
             assert abs(z - w) < 1e-12 * abs(w)
@@ -737,13 +758,16 @@ class TestPoleScan:
             4.5 - 0.5j: (False, 0.0),  # did not converge
         }
 
-        def screen(p, seeds):
+        def screen(p, bounds, seed_density):
             roots = np.array(list(screened), dtype=complex)
-            yield roots, np.array([ok for ok, _ in screened.values()])
+            return roots, np.array([ok for ok, _ in screened.values()])
 
+        # the box meets the cut of the real axis left of 0: no count, so the screen runs
+        box = (-1.0, 6.0, -1.0, 0.5)
+        assert kernel_module.zero_count(barrier, box) is None
         monkeypatch.setattr(kernel_module, "_screen", screen)
         monkeypatch.setattr(kernel_module, "kernel_pole_residual", lambda p, z: screened[z][1])
-        assert find_kernel_poles(barrier, (3.0, 6.0, -1.0, 0.5), seed_density=1.0) == [root]
+        assert find_kernel_poles(barrier, box, seed_density=1.0) == [root]
 
     @pytest.mark.parametrize(
         "box, density",
@@ -775,30 +799,57 @@ class TestPoleScan:
         assert roots == []
         assert roots.certified is None
 
-    def test_a_short_scan_is_repaired_by_quadrants(self, monkeypatch):
-        # the seed grid's spacing 0.25 is wider than the gaps between these roots:
-        # the screen alone accepts 84 of the 89 zeros the box counts
+    def test_a_crowded_box_is_quadrisected_without_the_screen(self, monkeypatch):
+        # the box counts 89 zeros, closer together than the seed spacing 0.25
+        # (the seed grid alone accepted 84 of them); quadrisection by counts
+        # and the moments find them all, and no seed is laid
+        def refused(*args):
+            raise AssertionError("the seed grid ran")
+
+        monkeypatch.setattr(kernel_module, "_screen", refused)
         p, box = SquareBarrier(2.0, 1.0, 80.0), (0.5, 20.0, -8.0, -0.01)
         roots = find_kernel_poles(p, box)
         assert len(roots) == roots.certified == 89
         assert all(0.0 < kernel_pole_residual(p, z) < 1e-10 for z in roots)
         assert min(abs(z - w) for i, z in enumerate(roots) for w in roots[:i]) >= 1e-6
-        monkeypatch.setattr(kernel_module, "_repair", lambda *args: None)
-        screened = find_kernel_poles(p, box)
-        assert len(screened) == 84
-        assert set(screened) <= set(roots)
 
     def test_wide_barrier_keeps_its_roots(self, monkeypatch):
         # a 60-digit evaluation of the closed form puts |c4/c3| <= 8.3e-14 at
-        # every root: small c-, but not rounded to 0; the screen alone finds them all
+        # every root: small c-, but not rounded to 0; the moments find them all
         def refused(*args):
-            raise AssertionError("a full scan was repaired")
+            raise AssertionError("the seed grid ran")
 
-        monkeypatch.setattr(kernel_module, "_repair", refused)
+        monkeypatch.setattr(kernel_module, "_screen", refused)
         p = SquareBarrier(2.0, 1.0, 40.0)
         roots = find_kernel_poles(p, (0.5, 20.0, -8.0, -0.01))
         assert len(roots) == roots.certified == 47
         assert all(0.0 < kernel_pole_residual(p, z) < 1e-10 for z in roots)
+
+    def test_a_box_whose_moment_roots_miss_its_count_is_split(self, monkeypatch):
+        # the first box's moments lose a root: its quadrants are counted and
+        # give it back; a root polished from another start may differ in its
+        # last digits
+        p, box = SquareBarrier(12.0, 1.0, 3.0), (0.5, 40.0, -6.0, -0.01)
+        reference = find_kernel_poles(p, box)
+        assert len(reference) == reference.certified == 4
+        moment_roots, calls = kernel_module._moment_roots, []
+
+        def one_short(bounds, *contour):
+            calls.append(bounds)
+            roots = moment_roots(bounds, *contour)
+            return roots[1:] if len(calls) == 1 else roots
+
+        monkeypatch.setattr(kernel_module, "_moment_roots", one_short)
+        roots = find_kernel_poles(p, box)
+        assert calls[0] == box and len(calls) > 1
+        assert len(roots) == roots.certified == 4
+        for z, w in zip(roots, reference):
+            assert abs(z - w) <= 1e-12 * abs(w)
+        # at the last level a box keeps what it found, and one without zeros is skipped
+        monkeypatch.setattr(kernel_module, "_SPLIT_DEPTH", 1)
+        monkeypatch.setattr(kernel_module, "_moment_roots", lambda *args: moment_roots(*args)[1:])
+        short = find_kernel_poles(p, box)
+        assert short.certified == 4 and len(short) < 4 and set(short) <= set(roots)
 
 
 def _scan_barriers(n: int) -> list:
@@ -832,9 +883,10 @@ COUNT_CASES = [
 
 @pytest.mark.parametrize("p, box", COUNT_CASES)
 def test_zero_count_matches_the_full_screen(p, box, monkeypatch):
-    # the early-stopped scan against the full 60-step screen of an uncertified box
+    # the moment roots against the full 60-step Newton screen, which the box
+    # runs when its contour gives no count
     roots = find_kernel_poles(p, box)
-    monkeypatch.setattr(kernel_module, "zero_count", lambda p, box: None)
+    monkeypatch.setattr(kernel_module, "_contour", lambda p, bounds: None)
     full = find_kernel_poles(p, box)
     assert full.certified is None
     assert roots.certified == len(full) == len(roots)

@@ -65,6 +65,15 @@ class TestTestFunction:
         f = TestFunction("gaussian_bump", 3, "0.5")
         assert (f.center, f.width) == (3.0, 0.5) and type(f.center) is float
 
+    @pytest.mark.parametrize("r", [np.array([3 + 1j]), 3 + 1j, "x"], ids=["array", "complex", "string"])
+    @pytest.mark.parametrize("read", ["__call__", "second_derivative"])
+    def test_radii_not_real_numbers_rejected(self, read, r):
+        # the complex array lost its imaginary part with only a ComplexWarning;
+        # 3+1j raised a bare TypeError and "x" a bare ValueError
+        f = TestFunction("gaussian_bump", 3.0, 0.5)
+        with pytest.raises(DomainError, match="radii must be real numbers"):
+            getattr(f, read)(r)
+
     def test_small_at_origin(self):
         f = TestFunction("gaussian_bump", 3.0, 0.5)
         assert abs(f(0.0)) < 1e-7
@@ -309,6 +318,14 @@ def test_fd_radii_not_real_numbers_rejected(barrier, r):
         apply_hamiltonian_fd(r, np.zeros(5), barrier, 1e-3)
 
 
+@pytest.mark.parametrize("u", [["a"] * 5, [[1, 2], 3, 4, 5, 6]], ids=["string", "ragged"])
+def test_fd_values_not_numbers_rejected(barrier, u):
+    # the strings raised numpy's UFuncTypeError from the stencil, the ragged
+    # list numpy's bare "inhomogeneous shape" ValueError
+    with pytest.raises(DomainError, match="values u must"):
+        apply_hamiltonian_fd(np.arange(5) * 1e-3, u, barrier, 1e-3)
+
+
 #: the oracle checks that apply a ``wronskian_scale``
 _SCALED_CHECKS = {
     "check_jump": lambda p, scale: check_jump(p, 1.0, 1.5, "plus", scale),
@@ -330,6 +347,15 @@ def test_bad_wronskian_scale_raises_before_any_wave(barrier, monkeypatch, name, 
     monkeypatch.setattr(oracle_module, "wave_pair", no_waves)
     with pytest.raises(DomainError, match="wronskian_scale must be"):
         _SCALED_CHECKS[name](barrier, scale)
+
+
+def test_wronskian_scale_that_underflows_the_kernel_raises(barrier):
+    # at 1e308 every kernel value underflowed to 0 and the relative residual
+    # raised ZeroDivisionError, in the check and in run_verification
+    with pytest.raises(DomainError, match="underflows"):
+        check_distributional_equation(barrier, 1.0, 1.5, "plus", 1e308)
+    with pytest.raises(DomainError, match="underflows"):
+        run_verification(barrier, 1.0, 0, 0, 1e308)
 
 
 def test_rk4_grid_past_max_steps_rejected_before_allocating():
