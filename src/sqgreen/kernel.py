@@ -12,12 +12,12 @@ the same quotient with real-axis momenta gives the formal outgoing/incoming
 kernels.  :func:`boundary_limit` follows the complex kernel to the axis and
 returns the trajectory together with the formal kernel it should reach, so
 one value holds both sides of that claim and how far apart they ended.
-Two small memos let the checks of one command share their waves:
-:func:`wave_pair` keeps the ``WAVE_PAIR_MEMO`` most recent (potential, E,
-direction) pairs and the limit studies keep the last engine sweep
-(``SWEEP_MEMO`` = 1), so a repeated request returns the very objects a cold
-one builds and every value is the same bit for bit.  That sweep runs above
-the axis only and serves both directions: the potential is real, so
+Two small memos let the checks of one command share their waves, and a
+repeat gets the very objects a cold request builds, bit for bit:
+:func:`wave_pair` keeps one chi per (potential, E) for the ``WAVE_MEMO`` = 2
+latest, and each omega once it is asked for.  The limit studies keep the
+last engine sweep (``SWEEP_MEMO`` = 1), which runs above the axis only and
+serves both directions: the potential is real, so
 G(E - i mu) = conj G(E + i mu), and every step of the sweep (+, -, *, /,
 exp, and the odd or even arctan2, sin and cos of the roots) commutes exactly
 with conjugation, so the "minus" trajectory is the conjugate of the "plus"
@@ -47,7 +47,7 @@ from .errors import (
 from .eigenfunctions import PiecewiseWave, _overflow, _require_finite
 from .model import (
     complex_energy, radii_array, radii_floats, real_array, real_energy, real_number,
-    region_momenta, region_momenta_array, require_off_branch,
+    region_momenta_array, require_off_branch,
 )
 from .piecewise import (
     _chi_regions,
@@ -58,6 +58,7 @@ from .piecewise import (
     chi_outer_amplitudes,
     outer_wronskian,
     pole_function_array,
+    require_direction,
 )
 
 
@@ -88,29 +89,35 @@ class LimitStudy:
         return len(self.mu_sequence)
 
 
-#: the wave pairs :func:`wave_pair` keeps: ``verify`` asks for 3 distinct pairs (at
-#: E + i, and at real E in each direction) before its random instances, which use
-#: each of theirs once
-WAVE_PAIR_MEMO = 4
+#: the energies whose waves :func:`wave_pair` keeps: ``verify`` reads E + i and the
+#: real E, then one energy per random instance
+WAVE_MEMO = 2
 #: the engine sweeps :func:`_engine_sweep` keeps: the limit studies of one energy,
 #: in either direction, read one sweep
 SWEEP_MEMO = 1
 
 
-@functools.lru_cache(maxsize=WAVE_PAIR_MEMO)
+@functools.lru_cache(maxsize=WAVE_MEMO)
+def _waves(p, e: complex) -> dict:
+    """The waves of (p, E) built so far: chi under "chi", and (omega, W) under each direction."""
+    return {"chi": build_chi(p, e)}
+
+
 def wave_pair(p, e: complex, direction: str) -> tuple[PiecewiseWave, PiecewiseWave, complex]:
     """(chi, omega, W) for a staircase potential (a square barrier is one).
 
-    Memoized on (p, E, direction), the ``WAVE_PAIR_MEMO`` most recent
-    requests: a repeated request returns the very objects the first one
-    built, so its waves, their lookup tables and W are reused bit for bit.
-    Keys compare as values, so E = x + 0j and x - 0j share an entry; their
-    momenta are the same.  A request that raises is not kept and raises again.
+    Memoized on (p, E) for the ``WAVE_MEMO`` latest energies: chi is matched
+    once, omega and W when their direction is first asked for (an omega nobody
+    reads may overflow).  A repeat returns the very objects the first request
+    built; E = x + 0j and x - 0j share an entry.  A wave that raises is not
+    kept.  Any direction but "plus" or "minus" raises :class:`ContractError` first.
     """
-    ks = region_momenta(p, e)
-    chi = build_chi(p, e, ks)
-    om = build_omega(p, e, direction, ks)
-    return chi, om, outer_wronskian(chi, om)
+    require_direction(direction)
+    waves = _waves(p, e)
+    if direction not in waves:
+        om = build_omega(p, e, direction)
+        waves[direction] = om, outer_wronskian(waves["chi"], om)
+    return (waves["chi"], *waves[direction])
 
 
 def _kernel_request(p, e, radii, direction: str | None) -> tuple[complex, str, np.ndarray]:
@@ -118,7 +125,7 @@ def _kernel_request(p, e, radii, direction: str | None) -> tuple[complex, str, n
 
     ``direction=None`` asks for the resolvent kernel at Im E != 0, whose tail
     solution follows the sign of Im E.  "plus"/"minus" ask for the formal
-    kernel at real E > 0, whose pole test :func:`_kernel_waves` makes on its
+    kernel at real E > 0, whose pole test :func:`kernel_grid` makes on its
     waves.  Every radius must be a finite, nonnegative real number.
     """
     if direction is None:
@@ -129,23 +136,9 @@ def _kernel_request(p, e, radii, direction: str | None) -> tuple[complex, str, n
             )
         direction = "plus" if e.imag > 0.0 else "minus"
     else:
-        if direction not in ("plus", "minus"):
-            raise ContractError(f"direction must be 'plus' or 'minus', got {direction!r}")
+        require_direction(direction)
         e = real_energy(e, "the formal kernel")
     return complex(e), direction, radii_array(radii)
-
-
-def _kernel_waves(p, e: complex, direction: str) -> tuple[PiecewiseWave, PiecewiseWave, complex]:
-    """:func:`wave_pair` of a validated request, with the formal pole test.
-
-    On the real axis W = 2ik c- (plus) or -2ik c+ (minus), with c+- chi's
-    outer amplitudes, so a formal request raises :class:`PoleError` where
-    |W / 2k| < 1e-14.
-    """
-    chi, om, w = wave_pair(p, e, direction)
-    if e.imag == 0.0 and abs(w) < 2e-14 * abs(chi.regions[-1].k):
-        raise PoleError(f"kernel denominator vanishes at E={e.real} (direction {direction})")
-    return chi, om, w
 
 
 def resolvent_kernel(p, e: complex, r: float, s: float) -> complex:
@@ -172,13 +165,17 @@ def kernel_grid(p, e, rs, ss, direction: str | None = None) -> np.ndarray:
     once, in numpy.  Radii are clipped first to the range each wave is read
     at, so a wave that overflows only where no entry reads it is no error.
     A scalar function is the single entry of its 1 x 1 grid.  Like them, it
-    raises :class:`DomainError` where a value is not finite.
+    raises :class:`DomainError` where a value is not finite, and a formal
+    kernel raises :class:`PoleError` where |W / 2k| < 1e-14: on the axis
+    W = 2ik c- (plus) or -2ik c+ (minus), c+- chi's outer amplitudes.
     """
     rs, ss = real_array(rs, "radii"), real_array(ss, "radii")
     n = rs.size
     radii = np.concatenate((rs.ravel(), ss.ravel()))
     e, direction, radii = _kernel_request(p, e, radii, direction)
-    chi, om, w = _kernel_waves(p, e, direction)
+    chi, om, w = wave_pair(p, e, direction)
+    if e.imag == 0.0 and abs(w) < 2e-14 * abs(chi.regions[-1].k):
+        raise PoleError(f"kernel denominator vanishes at E={e.real} (direction {direction})")
     r, s = radii[:n], radii[n:]
     if not (r.size and s.size):
         return np.empty((r.size, s.size), dtype=complex)
@@ -224,8 +221,7 @@ def boundary_limit(
     gets the checks :func:`resolvent_kernel` makes on its value, and then
     the stop rule, so no sample past the cut is checked.
     """
-    if direction is None:  # to _kernel_request, None asks for the resolvent kernel
-        raise ContractError("boundary limits need direction 'plus' or 'minus'")
+    require_direction(direction)  # to _kernel_request, None asks for the resolvent kernel
     e = _kernel_request(p, e, (r, s), direction)[0].real
     if mu0 is None:
         mu0 = 0.05 * e

@@ -379,6 +379,10 @@ def _richardson(values: list[complex], side: int, h0: float) -> complex:
     return table[-1][-1]
 
 
+#: errors of at most eps in the values beside x move a :func:`_richardson` derivative by up to this * eps / h0
+_RICHARDSON_GAIN = sum(abs(_richardson(list(unit), 1, 1.0)) for unit in np.eye(RICHARDSON_LEVELS + 1)[1:])
+
+
 class _KernelSlice(NamedTuple):
     """The waves and Wronskian of G(., s) for a formal kernel at real E."""
 
@@ -435,7 +439,10 @@ def check_jump(p, e: float, s: float, direction: str, wronskian_scale: float = 1
 
     The one-sided derivatives are Richardson extrapolations of plain
     difference quotients of kernel values, so this check is blind to how the
-    waves compute their analytic derivatives.
+    waves compute their analytic derivatives.  Rounding the probes s +- h0 / 2^j
+    to doubles, by at most u / 2 with u = ulp(s + h0), can move the jump by up
+    to ``_RICHARDSON_GAIN`` (80.1) * u / h0 per unit slope of G; where that
+    exceeds the 1e-6 tolerance (s = 1e9 at h0 = 1/6) it raises :class:`DomainError`.
     """
     e = real_energy(e, "the jump check")
     (s,) = radii_floats(s)
@@ -452,6 +459,8 @@ def _jump_stencils(p, e: float, s: float) -> tuple[tuple[float, int, float], ...
         raise ContractError(f"s={s} is within 1e-3 of a potential breakpoint or the origin")
     # probes must resolve the fastest oscillation of the kernel
     h0 = min(dist, 2.0 / (1.0 + _momentum_scale(p, e))) / 4.0
+    if _RICHARDSON_GAIN * math.ulp(s + h0) / h0 > 1e-6:
+        raise DomainError(f"s={s}: rounding its probes, {h0:.4g} apart, could move the jump by over 1e-6")
     return (s, +1, h0), (s, -1, h0)
 
 
@@ -571,9 +580,9 @@ def _resolvent_image(p, e: complex, f: TestFunction, h: float):
 
 
 def on_lattice(x: float, step: float) -> bool:
-    """Whether x is a multiple of step, to a relative 1e-9."""
+    """Whether x is a multiple of step, to a relative 1e-9; False where x / step overflows."""
     t = x / step
-    return abs(t - round(t)) <= 1e-9 * max(1.0, abs(t))
+    return math.isfinite(t) and abs(t - round(t)) <= 1e-9 * max(1.0, abs(t))
 
 
 def check_distributional_equation(
@@ -590,23 +599,23 @@ def check_distributional_equation(
     kernel values and difference-quotient slopes), value/derivative
     continuity at the potential jumps, and kernel continuity across r = s
     (the gap must shrink linearly with the probe offset).  The RK4 runs at
-    the step ``LATTICE``, so s and every breakpoint must sit on its lattice.
-    A ``wronskian_scale`` so large that the kernel underflows to 0 beside s
+    the step ``LATTICE``, so s and every breakpoint must sit on its lattice,
+    and a run past ``MAX_STEPS`` steps raises before any wave is built.  A
+    ``wronskian_scale`` so large that the kernel underflows to 0 beside s
     raises :class:`DomainError`.
     """
     e = real_energy(e, "the distributional check")
     (s,) = radii_floats(s)
-    outer = p.breakpoints[-1] if p.breakpoints else 1.0
+    # the RK4 runs cover [0, s] and, inward from beyond the potential, [s, r_out]
+    r_out = (p.breakpoints[-1] if p.breakpoints else 1.0) + TAIL_START
+    _require_steps(max(s, abs(r_out - s)) / LATTICE, LATTICE)
     for x, nm in ((s, "s"),) + tuple((bp, "breakpoint") for bp in p.breakpoints):
         if not on_lattice(x, LATTICE):
             raise ContractError(f"{nm}={x} must sit on the step lattice (step {LATTICE})")
 
     kernel = _kernel_slice(p, e, direction, wronskian_scale)
     probe_cap = 2.0 / (1.0 + _momentum_scale(p, e))
-    # the inward RK4 run starts beyond the potential, on the lattice through s
-    r_out = outer + TAIL_START
-    n_out = int(round((r_out - s) / LATTICE))
-    r_out = s + n_out * LATTICE
+    r_out = s + round((r_out - s) / LATTICE) * LATTICE  # on the lattice through s
     dist0 = min(s, min(p.breakpoints) if p.breakpoints else s)
     dist_s = min([abs(s - bp) for bp in p.breakpoints] + [s, 1.0, probe_cap])
     # every probe radius in one call, starting at s: the jump at s, the seed

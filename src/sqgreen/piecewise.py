@@ -196,16 +196,14 @@ def _omega_regions(ks, breakpoints, direction: str, lib) -> list[Region]:
     return regions
 
 
-def _wave(p, e: complex, ks, regions_of, *args) -> PiecewiseWave:
-    """The wave of ``regions_of(ks, breakpoints, *args, cmath)`` at one energy.
+def _wave(p, e: complex, regions_of, *args) -> PiecewiseWave:
+    """The wave of ``regions_of(region_momenta(p, e), breakpoints, *args, cmath)``.
 
-    ``ks`` is :func:`region_momenta` at ``e``, or None to compute it here.
     Raises :class:`DomainError` where the matching fails or leaves an
     amplitude that is not finite, as the array sweeps' finite masks refuse it.
     """
     e = complex_energy(e)
-    if ks is None:
-        ks = region_momenta(p, e)
+    ks = region_momenta(p, e)
     try:
         regions = regions_of(ks, p.breakpoints, *args, cmath)
     except _MATCH_FAILURES as exc:
@@ -214,23 +212,21 @@ def _wave(p, e: complex, ks, regions_of, *args) -> PiecewiseWave:
     return PiecewiseWave(tuple(regions), p.breakpoints, p.heights, e)
 
 
-def build_chi(p, e: complex, momenta=None) -> PiecewiseWave:
-    """Regular solution: sin(k0 r) on the innermost region, propagated outward.
-
-    ``momenta``, when given, is :func:`region_momenta` at ``e``, so that a
-    caller building several waves at one energy computes it once.
-    """
-    return _wave(p, e, momenta, _chi_regions)
+def build_chi(p, e: complex) -> PiecewiseWave:
+    """Regular solution: sin(k0 r) on the innermost region, propagated outward."""
+    return _wave(p, e, _chi_regions)
 
 
-def build_omega(p, e: complex, direction: str, momenta=None) -> PiecewiseWave:
-    """Tail solution pinned to exp(+-i k r) beyond the last step, propagated inward.
-
-    ``momenta`` is as in :func:`build_chi`.
-    """
-    if direction not in ("plus", "minus"):
+def require_direction(direction) -> None:
+    """:class:`ContractError` unless ``direction`` is "plus" or "minus"."""
+    if not (isinstance(direction, str) and direction in ("plus", "minus")):
         raise ContractError(f"direction must be 'plus' or 'minus', got {direction!r}")
-    return _wave(p, e, momenta, _omega_regions, direction)
+
+
+def build_omega(p, e: complex, direction: str) -> PiecewiseWave:
+    """Tail solution pinned to exp(+-i k r) beyond the last step, propagated inward."""
+    require_direction(direction)
+    return _wave(p, e, _omega_regions, direction)
 
 
 def outer_wronskian(f: PiecewiseWave, g: PiecewiseWave) -> complex:

@@ -38,7 +38,6 @@ from .oracle import (
     propagate,
     step_too_coarse,
 )
-from .piecewise import build_omega
 
 #: the largest region momentum times LATTICE that RK4 resolves to its 1e-7
 #: tolerance: on the barrier of height 5 on (1, 2), 0.0173 (E = 300) left a 7.1e-8
@@ -49,9 +48,8 @@ MAX_RANDOM_INSTANCES = 10**4
 
 
 def _engine_waves(p: PiecewisePotential, e: complex):
-    """(chi, omega_plus, omega_minus) of the engine at E, the first two from :func:`wave_pair`."""
-    chi, om_plus, _ = wave_pair(p, e, "plus")
-    return chi, om_plus, build_omega(p, e, "minus")
+    """(chi, omega_plus, omega_minus) of the engine at E, from :func:`wave_pair`."""
+    return (*wave_pair(p, e, "plus")[:2], wave_pair(p, e, "minus")[1])
 
 
 def _reference(p: PiecewisePotential, e: complex):

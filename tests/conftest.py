@@ -4,7 +4,7 @@ import pytest
 from sqgreen import PiecewisePotential, SquareBarrier, kernel
 
 #: the kernel's memos, taken before any test can rebind the names they sit under
-_MEMOS = (kernel.wave_pair, kernel._engine_sweep)
+_MEMOS = (kernel._waves, kernel._engine_sweep)
 
 
 @pytest.fixture(autouse=True)

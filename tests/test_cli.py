@@ -313,6 +313,21 @@ class TestLimitStudy:
         assert main([*CASES["limit_barrier_grid"], f"--out={tmp_path / 'grid.csv'}"]) == 0
         assert libs.count("numpy") == 1
 
+    @pytest.mark.parametrize("case", ["limit_barrier_grid", "eval_barrier_real_both"])
+    def test_both_directions_match_chi_once(self, tmp_path, monkeypatch, case):
+        # both directions (limit-study's default): the formal plus and minus
+        # kernels of the one real energy share chi; each direction matched its own
+        libs = []
+        matching = piecewise_module._chi_amplitudes
+
+        def counted(ks, breakpoints, lib):
+            libs.append(lib.__name__)
+            return matching(ks, breakpoints, lib)
+
+        monkeypatch.setattr(piecewise_module, "_chi_amplitudes", counted)
+        assert main([*CASES[case], f"--out={tmp_path / 'out.csv'}"]) == 0
+        assert libs.count("cmath") == 1
+
     def test_overflowing_energy_exits_2(self, tmp_path, capsys):
         rc = main(["limit-study", "--v0=5", "--a=1", "--b=2", "--energy=1e300", "--r=1",
                    "--s=1", f"--out={tmp_path / 'x.csv'}"])

@@ -582,9 +582,9 @@ class TestMemos:
     """wave_pair and the engine sweep of the limit studies keep their recent results."""
 
     def test_verify_matches_chi_once_per_distinct_pair(self, barrier, monkeypatch):
-        # the barrier's pairs at E + i and at E in each direction, and one pair per
-        # random instance; its six limit studies, in both directions, take one
-        # sweep. Without the memos: 16 matchings and 6 sweeps
+        # the barrier's chi at E + i and at E, each serving both directions, and
+        # one chi per random instance; its six limit studies, in both directions,
+        # take one sweep. Without the memos: 16 matchings and 6 sweeps
         libs = []
         matching = piecewise_module._chi_amplitudes
 
@@ -594,30 +594,41 @@ class TestMemos:
 
         monkeypatch.setattr(piecewise_module, "_chi_amplitudes", counted)
         run_verification(barrier, 1.0, seed=7)
-        assert (libs.count("cmath"), libs.count("numpy")) == (3 + 2, 1)
+        assert (libs.count("cmath"), libs.count("numpy")) == (2 + 2, 1)
 
     @pytest.mark.parametrize(
         "e, direction", [(1.5 + 0.2j, "plus"), (2.0 - 0.7j, "minus"), (1.5, "plus"), (1.5, "minus")]
     )
-    def test_a_wave_pair_computes_the_momenta_once(self, monkeypatch, e, direction):
+    def test_a_wave_pair_equals_cold_waves(self, e, direction):
         p = PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -1.0, 0.0))
         radii = np.linspace(0.0, 4.0, 17)
         alone = build_chi(p, e), piecewise_module.build_omega(p, e, direction)
-        calls = []
-        momenta = kernel_module.region_momenta
-
-        def counted(*args):
-            calls.append(args)
-            return momenta(*args)
-
-        for module in (kernel_module, piecewise_module):
-            monkeypatch.setattr(module, "region_momenta", counted)
+        other = "minus" if direction == "plus" else "plus"
+        if e.imag == 0.0:  # the memo's chi was built for the other direction first
+            kernel_module.wave_pair(p, e, other)
         chi, om, w = kernel_module.wave_pair(p, e, direction)
-        assert len(calls) == 1
         for wave, single in zip((chi, om), alone):
             assert wave.regions == single.regions
             assert wave.value(radii).tobytes() == single.value(radii).tobytes()
         assert w == piecewise_module.outer_wronskian(*alone)
+
+    @pytest.mark.parametrize("direction", ["plus", "minus"])
+    def test_one_chi_serves_both_directions(self, monkeypatch, direction):
+        p = PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -1.0, 0.0))
+        calls = []
+        matching = piecewise_module._chi_amplitudes
+
+        def counted(*args):
+            calls.append(args)
+            return matching(*args)
+
+        monkeypatch.setattr(piecewise_module, "_chi_amplitudes", counted)
+        first = kernel_module.wave_pair(p, 1.5, direction)
+        other = kernel_module.wave_pair(p, 1.5 - 0j, "minus" if direction == "plus" else "plus")
+        assert len(calls) == 1
+        assert other[0] is first[0] and other[1] is not first[1]
+        assert all(a is b for a, b in zip(kernel_module.wave_pair(p, 1.5, direction), first))
+        assert len(calls) == 1
 
     def test_limit_studies_of_one_energy_share_one_sweep(self, barrier, monkeypatch):
         pairs = [(0.5, 1.8), (1.2, 0.7), (2.5, 1.8)]
@@ -657,7 +668,34 @@ class TestMemos:
         for _ in range(2):
             with pytest.raises(error):
                 request_()
-        assert kernel_module.wave_pair.cache_info().currsize == kept
+        assert kernel_module._waves.cache_info().currsize == kept
+        if kept:  # the entry holds chi and the one direction asked for
+            waves = kernel_module._waves(SquareBarrier(5.0, 1.0, 2.0), 1.5 + 0j)
+            assert sorted(waves) == ["chi", "minus"]
+
+    def test_a_wave_that_raises_is_not_kept(self, monkeypatch):
+        # chi builds and is kept; the omega that overflows raises on every request
+        p = SquareBarrier(5.0, 1.0, 2.0)
+        build = kernel_module.build_omega
+
+        def overflowing(p, e, direction):
+            if direction == "minus":
+                raise DomainError("overflow")
+            return build(p, e, direction)
+
+        monkeypatch.setattr(kernel_module, "build_omega", overflowing)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="overflow"):
+                kernel_module.wave_pair(p, 1.5, "minus")
+        assert sorted(kernel_module._waves(p, 1.5)) == ["chi"]
+        assert cmath.isfinite(kernel_module.wave_pair(p, 1.5, "plus")[2])
+
+    @pytest.mark.parametrize("direction", [[1, 2], "both", None, np.array("plus")])
+    def test_a_bad_direction_raises_before_the_memo(self, barrier, direction):
+        # a list raised a bare TypeError from the memo's key
+        with pytest.raises(ContractError, match="direction must be"):
+            kernel_module.wave_pair(barrier, 1.5, direction)
+        assert kernel_module._waves.cache_info().currsize == 0
 
     def test_writing_into_a_returned_sweep_leaves_the_next_study_alone(self, barrier):
         # the sweep is keyed on the request (p, E, mu0); its arrays refuse

@@ -480,6 +480,23 @@ class TestCheckJump:
         with pytest.raises(ContractError):
             check_jump(barrier, 1.0, barrier.a + 1e-4, "plus")
 
+    def test_list_direction_rejected(self):
+        # a bare TypeError ("unhashable type: 'list'") from the wave memo's key
+        with pytest.raises(ContractError, match="direction must be"):
+            check_jump(SquareBarrier(5, 1, 2), 1.0, 1.5, [1, 2])
+
+    @pytest.mark.parametrize("s", [1e9 + 0.5, 1e308])
+    def test_probes_lost_to_rounding_rejected(self, s):
+        # a correct kernel read 1.9e-5 at s = 1e9 + 0.5 and 1.0 at 1e308: the
+        # probes s + h0 / 2^j rounded to doubles, and the jump with them
+        with pytest.raises(DomainError, match="rounding"):
+            check_jump(SquareBarrier(5, 1, 2), 1.0, s, "plus")
+
+    def test_far_probe_within_the_rounding_bound_passes(self):
+        # rounding moves this jump by 1.9e-8, inside the bound of about 5.6e-8
+        rep = check_jump(SquareBarrier(5, 1, 2), 1.0, 1e6 + 0.5, "plus")
+        assert rep.passed and rep.max_residual < 1e-7
+
 
 class TestResolventIdentity:
     def test_barrier_and_free(self, barrier, free):
@@ -604,6 +621,23 @@ class TestDistributionalEquation:
         with pytest.raises(ContractError):
             check_distributional_equation(barrier, 1.0, 1.50037, "plus")
 
+    def test_list_direction_rejected(self):
+        # a bare TypeError ("unhashable type: 'list'") from the wave memo's key
+        with pytest.raises(ContractError, match="direction must be"):
+            check_distributional_equation(SquareBarrier(5, 1, 2), 1.0, 1.5, [1, 2])
+
+    @pytest.mark.parametrize("s", [1e5, 1e308])
+    def test_probe_past_the_rk4_reach_rejected_before_any_wave(self, monkeypatch, s):
+        # 1e308 raised an OverflowError from the lattice test; 1e5 built the
+        # kernel waves before its RK4 run refused
+        def no_work(*args, **kwargs):
+            raise AssertionError("a wave was built or an RK4 step taken")
+
+        monkeypatch.setattr(oracle_module, "wave_pair", no_work)
+        monkeypatch.setattr(oracle_module, "integrate_schrodinger", no_work)
+        with pytest.raises(ContractError, match="more than 1000000"):
+            check_distributional_equation(SquareBarrier(5, 1, 2), 1.0, s, "plus")
+
     def test_corruption_detected(self, barrier):
         rep = check_distributional_equation(barrier, 1.0, 1.5, "plus", wronskian_scale=1.01)
         assert not rep.passed
@@ -655,6 +689,12 @@ class TestRunVerification:
         with pytest.raises(DomainError, match="lattice"):
             run_verification(SquareBarrier(5.0, 1.0004, 2.0), 1.0)
 
+    def test_breakpoint_past_the_lattice_range_raises(self, monkeypatch):
+        # 1e306 / LATTICE overflows to inf, and the lattice test raised a bare OverflowError
+        monkeypatch.setattr(verification, "wave_pair", lambda *args: pytest.fail("a wave was built"))
+        with pytest.raises(DomainError, match="lattice"):
+            run_verification(PiecewisePotential((1e306,), (1.0, 0.0)), 1.0)
+
     @pytest.mark.parametrize("a, b", [(1.0, 1.001), (1.0, 1.004), (0.001, 2.0)])
     def test_thin_region_raises_before_any_draw_or_check(self, monkeypatch, a, b):
         # each used to end in a ContractError from check_jump or
@@ -670,7 +710,6 @@ class TestRunVerification:
         monkeypatch.setattr(verification, "Random", nothing)
         for name in (
             "wave_pair",
-            "build_omega",
             "propagate",
             "check_distributional_equation",
             "check_resolvent_identity",
@@ -688,7 +727,7 @@ class TestRunVerification:
             raise AssertionError("a draw or a check ran")
 
         monkeypatch.setattr(verification, "Random", nothing)
-        for name in ("wave_pair", "build_omega", "check_distributional_equation"):
+        for name in ("wave_pair", "check_distributional_equation"):
             monkeypatch.setattr(verification, name, nothing)
         with pytest.raises(DomainError, match="real E > 0"):
             run_verification(barrier, e)
@@ -721,8 +760,10 @@ class TestRunVerification:
 
         monkeypatch.setattr(verification, "wave_pair", counted)
         assert run_verification(barrier, 1.0, seed=7, n_random=1)["pass"]
-        assert len(calls) == 2  # the configured instance and the random one
-        assert calls[0][1:] == (1.0 + 1.0j, "plus")
+        # the configured instance and the random one, each asking once per direction
+        assert len(calls) == len(set(calls)) == 4
+        assert len({args[:2] for args in calls}) == 2
+        assert [args[1:] for args in calls[:2]] == [(1.0 + 1.0j, "plus"), (1.0 + 1.0j, "minus")]
 
     @pytest.mark.parametrize(
         "p, kwargs",
@@ -759,7 +800,7 @@ class TestRunVerification:
             raise AssertionError("a draw or a check ran")
 
         monkeypatch.setattr(verification, "Random", nothing)
-        for name in ("wave_pair", "build_omega", "propagate", "check_distributional_equation"):
+        for name in ("wave_pair", "propagate", "check_distributional_equation"):
             monkeypatch.setattr(verification, name, nothing)
         with pytest.raises(DomainError, match="at least one breakpoint"):
             run_verification(PiecewisePotential((), (0.0,)), 1.0)
@@ -770,7 +811,7 @@ class TestRunVerification:
             raise AssertionError("a draw or a check ran")
 
         monkeypatch.setattr(verification, "Random", nothing)
-        for name in ("wave_pair", "build_omega", "propagate", "check_distributional_equation"):
+        for name in ("wave_pair", "propagate", "check_distributional_equation"):
             monkeypatch.setattr(verification, name, nothing)
         reach = oracle_module.MAX_STEPS * oracle_module.LATTICE - oracle_module.TAIL_START
         with pytest.raises(DomainError, match="last breakpoint must not exceed"):
