@@ -18,6 +18,8 @@ import re
 import sys
 from collections.abc import Iterable
 
+import numpy as np
+
 from .errors import ConfigError, DomainError, PoleError
 from .kernel import (
     boundary_limit,
@@ -31,12 +33,14 @@ from .verification import MAX_LATTICE_PHASE, run_verification
 
 
 def parse_complex(text: str) -> complex:
-    """Parse '1.5+0.2i' style energies; a bare real is accepted too."""
-    cleaned = text.strip().replace("i", "j").replace("I", "j")
+    """Parse '1.5+0.2i' style energies, or a bare real; refuse a value that is not finite."""
     try:
-        return complex(cleaned)
+        z = complex(re.sub(r"[iI]$", "j", text.strip()))  # only a trailing i is the unit
     except ValueError as exc:
         raise ConfigError(f"cannot parse complex number from {text!r}") from exc
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ConfigError(f"complex number {text!r} is not finite")
+    return z
 
 
 #: a grid on one axis must have fewer points than this
@@ -88,6 +92,8 @@ def _add_request_args(sub: argparse.ArgumentParser, energy_help: str) -> None:
 
 def _build_potential(args):
     if args.breakpoints is not None or args.heights is not None:
+        if (args.v0, args.a, args.b) != (None, None, None):
+            raise ConfigError("give either --v0/--a/--b or --breakpoints/--heights, not both")
         if args.breakpoints is None or args.heights is None:
             raise ConfigError("staircase potentials need both --breakpoints and --heights")
         try:
@@ -138,31 +144,34 @@ def _write_json(path: str, payload) -> None:
         fh.write(text + "\n")
 
 
-def _write_rows(args, header: list[str], lines: Iterable[str]) -> None:
+def _write_rows(args, header: list[str], blocks: Iterable[str]) -> None:
     """Write a table to ``args.out`` as CSV or as JSON rows, per ``args.format``.
 
-    Each line is one CSV row with its fields formatted and joined by commas;
-    no field holds a comma or a quote, so none needs CSV quoting.
+    Each block is whole CSV rows, each ended by a newline; no field holds a
+    comma or a quote, so none needs CSV quoting.
     """
     if args.format == "csv":
         with open(args.out, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(line + "\n" for line in lines)
+            fh.writelines(blocks)
     else:
-        rows = [dict(zip(header, line.split(","))) for line in lines]
+        rows = [dict(zip(header, line.split(","))) for block in blocks for line in block.splitlines()]
         _write_json(args.out, {"rows": rows})
 
 
-def _value_fields(values: list, square: bool) -> list[list[str]]:
-    """The "g_re,g_im" fields of every entry of one kernel grid, row by row.
+def _value_fields(values: np.ndarray, square: bool) -> list[list[str]]:
+    """The "g_re,g_im" fields of every entry of one complex kernel grid, row by row.
 
-    With ``square`` true, each entry below the diagonal takes the fields of
-    its mirror (j, i) instead of printing its own digits.
+    With ``square`` true, each entry below the diagonal takes the fields of its
+    mirror (j, i); a row's other entries are printed by one ``%`` over their parts.
     """
+    parts = np.ascontiguousarray(values).view(float)
     rows: list[list[str]] = []
-    for i, row in enumerate(values):
-        mirrored = [rows[j][i] for j in range(i)] if square else []
-        rows.append(mirrored + ["%.17g,%.17g" % (g.real, g.imag) for g in row[len(mirrored):]])
+    for i, row in enumerate(parts):
+        fields = [rows[j][i] for j in range(i)] if square else []
+        own = row[2 * len(fields):].tolist()
+        fields.extend(("%.17g,%.17g;" * (len(own) // 2) % tuple(own)).split(";")[:-1])
+        rows.append(fields)
     return rows
 
 
@@ -175,7 +184,8 @@ def cmd_eval(args) -> int:
     on the radii of both axes, and forms every entry as chi(min) * omega(max) / W
     from those values, so an entry and its mirror multiply the same numbers.
     Each entry below the diagonal therefore reuses the digits of its mirror,
-    which halves the ``%.17g`` conversions, the bulk of a large grid's cost.
+    which halves the ``%.17g`` conversions.  Each r-row is then written as one
+    string, ``r_field.join(templates) % cells``, with a ``%s`` cell per entry and direction.
     """
     p, energy, rs, ss = _request(args)
 
@@ -192,23 +202,21 @@ def cmd_eval(args) -> int:
     s_fields = ["%.17g" % s for s in ss]
     square = r_fields == s_fields
     # one grid per direction, each from a single wave pair
-    grids = [
-        (
-            _value_fields(kernel_grid(p, e, rs, ss, d).tolist(), square),
-            "resolvent_kernel" if d is None else f"formal_{d}",
-        )
-        for d in directions
-    ]
+    grids = [_value_fields(kernel_grid(p, e, rs, ss, d), square) for d in directions]
+    provenances = ["resolvent_kernel" if d is None else f"formal_{d}" for d in directions]
 
     header = ["r", "s", "e_re", "e_im", "g_re", "g_im", "provenance"]
     e_fields = "%.17g,%.17g" % (e.real, e.imag)
-    lines = (
-        "%s,%s,%s,%s,%s" % (r_field, s_field, e_fields, fields[i][j], provenance)
-        for i, r_field in enumerate(r_fields)
-        for j, s_field in enumerate(s_fields)
-        for fields, provenance in grids
-    )
-    _write_rows(args, header, lines)
+    templates = ["", *(f",{s},{e_fields},%s,{prov}\n" for s in s_fields for prov in provenances)]
+
+    def blocks():  # lazily, so that a CSV never holds more than one r-row's text
+        cells: list[str] = [""] * (len(templates) - 1)
+        for i, r_field in enumerate(r_fields):
+            for d, fields in enumerate(grids):
+                cells[d :: len(grids)] = fields[i]
+            yield r_field.join(templates) % tuple(cells)
+
+    _write_rows(args, header, blocks())
     return 0
 
 
@@ -220,7 +228,7 @@ def cmd_limit_study(args) -> int:
         "extrapolated_re", "extrapolated_im", "formal_re", "formal_im",
         "abs_diff", "converged",
     ]
-    lines = []
+    blocks = []
     any_flagged = False
     for r in rs:
         for s in ss:
@@ -232,10 +240,11 @@ def cmd_limit_study(args) -> int:
                 tail = "%.17g,%.17g,%.17g,%.17g,%.17g,%s" % (
                     x.real, x.imag, f.real, f.imag, study.abs_diff, str(study.converged).lower()
                 )
-                for k, (mu, g) in enumerate(zip(study.mu_sequence, study.samples)):
-                    lines.append("%s,%d,%.17g,%.17g,%.17g,%s" % (head, k, mu, g.real, g.imag, tail))
+                samples = enumerate(zip(study.mu_sequence, study.samples))
+                cells = tuple(v for k, (mu, g) in samples for v in (k, mu, g.real, g.imag))
+                blocks.append(f"{head},%d,%.17g,%.17g,%.17g,{tail}\n" * (len(cells) // 4) % cells)
 
-    _write_rows(args, header, lines)
+    _write_rows(args, header, blocks)
     return 1 if any_flagged else 0
 
 
@@ -263,8 +272,8 @@ def cmd_pole_scan(args) -> int:
     roots = find_kernel_poles(p, box, seed_density=args.seed_density)
 
     header = ["re", "im", "residual"]
-    lines = ["%.17g,%.17g,%.17g" % (z.real, z.imag, kernel_pole_residual(p, z)) for z in roots]
-    _write_rows(args, header, lines)
+    rows = ["%.17g,%.17g,%.17g\n" % (z.real, z.imag, kernel_pole_residual(p, z)) for z in roots]
+    _write_rows(args, header, rows)
     if roots.certified is not None and len(roots) != roots.certified:
         print(
             f"error: zero count mismatch: the argument principle counts {roots.certified} "

@@ -71,6 +71,9 @@ CASES: dict[str, list[str]] = {
         "limit-study", "--breakpoints=1,2", "--heights=3,-2,0", "--energy=1.5", "--r=0.5",
         "--s=2.5", "--direction=minus", "--mu0=0.01",
     ],
+    "limit_staircase_json": [
+        "limit-study", *_STAIRCASE, "--energy=1.5", "--r=0.7", "--s=2.5", "--format=json",
+    ],
     # the real part of a resonance of width 1.4e-6: no row settles within 40 halvings
     "limit_resonance": [
         "limit-study", "--v0=20", "--a=1", "--b=3", "--energy=6.44187942446349",
@@ -93,6 +96,9 @@ CASES: dict[str, list[str]] = {
     ],
     "poles_staircase": ["pole-scan", *_STAIRCASE, "--box=0.5:8:-2:-0.01"],
     "poles_staircase_wide": ["pole-scan", *_STAIRCASE, "--box=0.5:40:-6:-0.01"],
+    # a box holding no root: the header alone, and no rows
+    "poles_empty": ["pole-scan", *_BARRIER, "--box=0.5:0.6:-0.02:-0.01"],
+    "poles_empty_json": ["pole-scan", *_BARRIER, "--box=0.5:0.6:-0.02:-0.01", "--format=json"],
 }
 
 

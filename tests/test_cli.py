@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sqgreen import PiecewisePotential, SquareBarrier, formal_green, kernel_grid, resolvent_kernel
@@ -31,8 +32,10 @@ class TestParsing:
         assert parse_complex("1.5+0.2i") == 1.5 + 0.2j
         assert parse_complex("2") == 2 + 0j
         assert parse_complex("-0.5i") == -0.5j
-        with pytest.raises(ConfigError):
-            parse_complex("abc")
+        assert parse_complex(" 1.5-0.2I ") == 1.5 - 0.2j
+        for text in ("abc", "1i+2", "infinity", "1e309"):  # only a trailing i is the unit
+            with pytest.raises(ConfigError):
+                parse_complex(text)
 
     def test_grid_is_closed_open(self):
         pts = parse_grid("0:1:0.25")
@@ -558,12 +561,77 @@ class TestPoleScan:
          "error: square barriers need --v0, --a and --b"),
         (["pole-scan", "--v0=5", "--a=1", "--b=2", "--box=3:6:x:-0.01"],
          "error: non-numeric --box entry in '3:6:x:-0.01'"),
+        # the barrier flags were dropped silently once a staircase was given
+        *(
+            ([*argv, "--breakpoints=1,2", "--heights=0,5,0"],
+             "error: give either --v0/--a/--b or --breakpoints/--heights, not both")
+            for argv in (
+                ["eval", "--v0=3", "--energy=1.5+0.2i", "--r=1", "--s=1"],
+                ["limit-study", "--a=0.5", "--b=1", "--energy=1.5", "--r=1", "--s=1"],
+                ["verify", "--v0=3", "--a=0.5", "--b=1", "--energy=1.5"],
+                ["pole-scan", "--b=1", "--box=3:6:-1:-0.01"],
+            )
+        ),
     ],
 )
 def test_potential_and_box_refusals_exit_2_with_their_line(tmp_path, capsys, argv, line):
     assert main([*argv, f"--out={tmp_path / 'x.csv'}"]) == 2
     assert capsys.readouterr().err == line + "\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("energy", ["inf", "-inf+0.5i", "nan+1i", "1e400+1i"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--r=1", "--s=1"],
+        ["limit-study", "--r=1", "--s=1"],
+        ["verify"],
+    ],
+    ids=["eval", "limit-study", "verify"],
+)
+def test_non_finite_energy_exits_2_with_one_line(tmp_path, capsys, argv, energy):
+    # "inf" read as "jnf", and eval named branch_sqrt for nan and 1e400
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--v0=5", "--a=1", "--b=2", f"--energy={energy}", f"--out={out}"]) == 2
+    assert capsys.readouterr().err == f"error: complex number {energy!r} is not finite\n"
+    assert not out.exists()
+
+
+_EDGES = [-0.0, 5e-324, 1e-300, 1e16, 1.5e17, -1e300, 0.1, -2.5]
+
+
+def _edge_grid(rows, cols, shift):
+    """A complex grid of shape (rows, cols) whose parts cycle through _EDGES."""
+    n = len(_EDGES)
+    return np.array(
+        [
+            [complex(_EDGES[(i * cols + j + shift) % n], _EDGES[(i + 3 * j + shift) % n])
+             for j in range(cols)]
+            for i in range(rows)
+        ]
+    )
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "transposed"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (3, 7), (6, 6), (9, 9)])
+def test_value_fields_match_per_entry_formatting(shape, transposed):
+    # one % per row must print what one % per entry prints, -0 and subnormals
+    # included; a square grid's entries below the diagonal take their mirror's.
+    # A transposed grid is not C-contiguous, so a bare float view would misread it
+    rows, cols = shape
+    values = _edge_grid(cols, rows, rows).T if transposed else _edge_grid(rows, cols, cols)
+    assert values.flags.c_contiguous == (not transposed or 1 in shape)
+    for square in (False, True) if rows == cols else (False,):
+        want = [
+            [
+                "%.17g,%.17g" % (g.real, g.imag)
+                for g in (values[j, i] if square and j < i else values[i, j] for j in range(cols))
+            ]
+            for i in range(rows)
+        ]
+        assert cli_module._value_fields(values, square) == want
+        assert cli_module._value_fields(np.ascontiguousarray(values), square) == want
 
 
 def test_verify_help_states_the_lattice_bounds(capsys):
