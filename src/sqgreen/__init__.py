@@ -28,6 +28,7 @@ from .piecewise import (
 from .kernel import (
     LimitStudy,
     boundary_limit,
+    boundary_limits,
     find_kernel_poles,
     formal_green,
     kernel_grid,
@@ -65,6 +66,7 @@ __all__ = [
     "outer_wronskian",
     "LimitStudy",
     "boundary_limit",
+    "boundary_limits",
     "find_kernel_poles",
     "formal_green",
     "kernel_grid",

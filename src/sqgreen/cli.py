@@ -21,12 +21,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from .errors import ConfigError, DomainError, PoleError
-from .kernel import (
-    boundary_limit,
-    find_kernel_poles,
-    kernel_grid,
-    kernel_pole_residual,
-)
+from .kernel import boundary_limits, find_kernel_poles, kernel_grid
 from .model import PiecewisePotential, SquareBarrier
 from .oracle import LATTICE, MAX_STEPS, TAIL_START
 from .verification import MAX_LATTICE_PHASE, run_verification
@@ -43,7 +38,7 @@ def parse_complex(text: str) -> complex:
     return z
 
 
-#: a grid on one axis must have fewer points than this
+#: a grid on one axis, and the (r, s) grid of a request, must have fewer points than this
 MAX_GRID_POINTS = 10**6
 
 
@@ -126,9 +121,17 @@ def _points(args, flag_scalar: str, flag_grid: str) -> list[float]:
 
 
 def _request(args):
-    """(potential, energy, r points, s points) of an ``eval`` or ``limit-study`` command."""
+    """(potential, energy, r points, s points) of an ``eval`` or ``limit-study`` command.
+
+    Refuses r and s points that form ``MAX_GRID_POINTS`` (r, s) pairs or more.
+    """
     p, energy = _build_potential(args), parse_complex(args.energy)
-    return p, energy, _points(args, "r", "r-grid"), _points(args, "s", "s-grid")
+    rs, ss = _points(args, "r", "r-grid"), _points(args, "s", "s-grid")
+    if len(rs) * len(ss) >= MAX_GRID_POINTS:
+        raise ConfigError(
+            f"--r and --s ask for {len(rs) * len(ss)} (r, s) points, {MAX_GRID_POINTS} or more"
+        )
+    return p, energy, rs, ss
 
 
 def _directions(args) -> list[str]:
@@ -175,6 +178,39 @@ def _value_fields(values: np.ndarray, square: bool) -> list[list[str]]:
     return rows
 
 
+def _conjugates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the entries of the grid ``b`` that are the conjugates of ``a``'s, bit for bit."""
+    a, b = (np.ascontiguousarray(g).view(np.uint64) for g in (a, b))
+    # equal real words, and imaginary words that differ in the sign bit alone
+    return (a[:, 0::2] == b[:, 0::2]) & ((a[:, 1::2] ^ b[:, 1::2]) == np.uint64(1 << 63))
+
+
+def _reflected_fields(fields: list[list[str]], values: np.ndarray, conjugate: np.ndarray,
+                      square: bool) -> list[list[str]]:
+    """:func:`_value_fields` of ``values``, from ``fields``, those of a grid it mostly conjugates.
+
+    An entry where ``conjugate`` is true takes its field in ``fields`` with the
+    sign of g_im flipped; only the other entries are printed.  With ``square``
+    true, each entry below the diagonal takes the field of its mirror (j, i),
+    as in :func:`_value_fields`.
+    """
+    others: dict[int, list[int]] = {}  # row -> the columns printed anew
+    for i, j in np.argwhere(~conjugate).tolist():
+        others.setdefault(i, []).append(j)
+    rows: list[list[str]] = []
+    for i, row in enumerate(fields):
+        out = [rows[j][i] for j in range(i)] if square else []
+        start = len(out)
+        # one "re,im" field per entry: "," -> ",-" flips every g_im, and ",--" -> "," undoes -(-x)
+        out.extend(";".join(row[start:]).replace(",", ",-").replace(",--", ",").split(";"))
+        for j in others.get(i, ()):
+            if j >= start:
+                g = complex(values[i, j])
+                out[j] = "%.17g,%.17g" % (g.real, g.imag)
+        rows.append(out)
+    return rows
+
+
 def cmd_eval(args) -> int:
     """Write the kernel on the ``--r`` x ``--s`` grid, one row per entry and direction.
 
@@ -184,8 +220,13 @@ def cmd_eval(args) -> int:
     on the radii of both axes, and forms every entry as chi(min) * omega(max) / W
     from those values, so an entry and its mirror multiply the same numbers.
     Each entry below the diagonal therefore reuses the digits of its mirror,
-    which halves the ``%.17g`` conversions.  Each r-row is then written as one
-    string, ``r_field.join(templates) % cells``, with a ``%s`` cell per entry and direction.
+    which halves the ``%.17g`` conversions.  With ``--direction both`` at real
+    E, the minus grid is still built from omega_minus, but for a real potential
+    it is the plus grid's conjugate, bit for bit, away from exact zeros: each
+    such entry reuses the plus entry's digits with the sign of g_im flipped
+    (:func:`_reflected_fields`), and only the others are printed.  Each r-row
+    is then written as one string, ``r_field.join(templates) % cells``, with a
+    ``%s`` cell per entry and direction.
     """
     p, energy, rs, ss = _request(args)
 
@@ -201,8 +242,12 @@ def cmd_eval(args) -> int:
     r_fields = ["%.17g" % r for r in rs]
     s_fields = ["%.17g" % s for s in ss]
     square = r_fields == s_fields
-    # one grid per direction, each from a single wave pair
-    grids = [_value_fields(kernel_grid(p, e, rs, ss, d), square) for d in directions]
+    # one grid per direction, each from a single wave pair; popped once printed
+    values = [kernel_grid(p, e, rs, ss, d) for d in directions]
+    conjugate = _conjugates(*values) if len(values) == 2 else None  # "minus" against "plus"
+    grids = [_value_fields(values.pop(0), square)]
+    if values:
+        grids.append(_reflected_fields(grids[0], values.pop(), conjugate, square))
     provenances = ["resolvent_kernel" if d is None else f"formal_{d}" for d in directions]
 
     header = ["r", "s", "e_re", "e_im", "g_re", "g_im", "provenance"]
@@ -221,7 +266,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_limit_study(args) -> int:
+    """Write the limit study of every (r, s) point, one row per sample and direction.
+
+    The studies of a point come from :func:`~sqgreen.kernel.boundary_limits`:
+    a second direction's trajectory is the conjugate of the first's, so its
+    rows reuse the first's k, mu and g_re digits, and its g_im digits with
+    the sign flipped.
+    """
     p, energy, rs, ss = _request(args)
+    directions = _directions(args)
 
     header = [
         "r", "s", "e", "direction", "k", "mu", "g_re", "g_im",
@@ -232,17 +285,23 @@ def cmd_limit_study(args) -> int:
     any_flagged = False
     for r in rs:
         for s in ss:
-            for direction in _directions(args):
-                study = boundary_limit(p, energy, r, s, direction, mu0=args.mu0)
+            first, *others = studies = boundary_limits(p, energy, r, s, directions, mu0=args.mu0)
+            samples = enumerate(zip(first.mu_sequence, first.samples))
+            cells = tuple(v for k, (mu, g) in samples for v in (k, mu, g.real, g.imag))
+            # "k,mu,g_re" and "g_im" of each sample, printed once for every direction
+            fields = ("%d,%.17g,%.17g;%.17g;" * (len(cells) // 4) % cells).split(";")[:-1]
+            if others:  # the conjugate trajectory: each g_im with its sign flipped
+                reflected = fields[:]
+                reflected[1::2] = [g[1:] if g[0] == "-" else "-" + g for g in fields[1::2]]
+            for direction, study in zip(directions, studies):
                 any_flagged |= not study.converged
                 x, f = study.extrapolated, study.formal
                 head = "%.17g,%.17g,%.17g,%s" % (r, s, energy.real, direction)
                 tail = "%.17g,%.17g,%.17g,%.17g,%.17g,%s" % (
                     x.real, x.imag, f.real, f.imag, study.abs_diff, str(study.converged).lower()
                 )
-                samples = enumerate(zip(study.mu_sequence, study.samples))
-                cells = tuple(v for k, (mu, g) in samples for v in (k, mu, g.real, g.imag))
-                blocks.append(f"{head},%d,%.17g,%.17g,%.17g,{tail}\n" * (len(cells) // 4) % cells)
+                rows = fields if study is first else reflected
+                blocks.append(f"{head},%s,%s,{tail}\n" * (len(rows) // 2) % tuple(rows))
 
     _write_rows(args, header, blocks)
     return 1 if any_flagged else 0
@@ -272,7 +331,7 @@ def cmd_pole_scan(args) -> int:
     roots = find_kernel_poles(p, box, seed_density=args.seed_density)
 
     header = ["re", "im", "residual"]
-    rows = ["%.17g,%.17g,%.17g\n" % (z.real, z.imag, kernel_pole_residual(p, z)) for z in roots]
+    rows = ["%.17g,%.17g,%.17g\n" % (z.real, z.imag, res) for z, res in zip(roots, roots.residuals)]
     _write_rows(args, header, rows)
     if roots.certified is not None and len(roots) != roots.certified:
         print(

@@ -22,6 +22,8 @@ G(E - i mu) = conj G(E + i mu), and every step of the sweep (+, -, *, /,
 exp, and the odd or even arctan2, sin and cos of the roots) commutes exactly
 with conjugation, so the "minus" trajectory is the conjugate of the "plus"
 one, bit for bit.  The formal "minus" kernel is still built from omega_minus.
+:func:`boundary_limits` thus takes one :func:`boundary_limit` per (r, s)
+point and reflects it for the other direction, whose formal kernel it builds.
 :func:`find_kernel_poles` finds the kernel's poles in a box: one adaptive
 contour integral of c-'/c- gives their number (:func:`zero_count`) and,
 through its moments, the poles themselves, quadrisecting crowded boxes; a
@@ -87,6 +89,12 @@ class LimitStudy:
     @property
     def halvings(self) -> int:
         return len(self.mu_sequence)
+
+    def reflected(self, formal: complex) -> LimitStudy:
+        """The Schwarz-reflected study: the same mu sequence and ``converged``,
+        conjugated samples, and ``formal``, the other direction's formal kernel."""
+        samples = tuple(g.conjugate() for g in self.samples)
+        return LimitStudy(self.mu_sequence, samples, formal, self.converged)
 
 
 #: the energies whose waves :func:`wave_pair` keeps: ``verify`` reads E + i and the
@@ -185,7 +193,8 @@ def kernel_grid(p, e, rs, ss, direction: str | None = None) -> np.ndarray:
         below = r[:, None] <= s
         chi_lo = np.where(below, chi_at[:n, None], chi_at[n:])
         om_hi = np.where(below, om_at[n:], om_at[:n, None])
-        values = chi_lo * om_hi / w
+        values = chi_lo * om_hi
+        values /= w  # in place: one grid-sized temporary fewer, the same bits
     _require_finite(bool(np.isfinite(values).all()), e)
     return values
 
@@ -258,6 +267,29 @@ def boundary_limit(
     return LimitStudy(tuple(mus[:kept].tolist()), tuple(values[:kept]), formal, converged)
 
 
+def boundary_limits(p, e: float, r: float, s: float, directions,
+                    mu0: float | None = None) -> list[LimitStudy]:
+    """The :func:`boundary_limit` study of (r, s) in each of ``directions``, in order.
+
+    The first is :func:`boundary_limit`'s; every other direction's is its
+    :meth:`LimitStudy.reflected` with that direction's :func:`formal_green`,
+    field for field the study :func:`boundary_limit` gives: conjugation
+    changes neither a sample's checks nor the stop rule's distances (see the
+    module notes).  A direction other than "plus" or "minus" raises
+    :class:`ContractError` before any study.
+    """
+    directions = list(directions)
+    for direction in directions:
+        require_direction(direction)
+    if not directions:
+        return []
+    first = boundary_limit(p, e, r, s, directions[0], mu0)
+    return [
+        first if d == directions[0] else first.reflected(formal_green(p, e, r, s, d))
+        for d in directions
+    ]
+
+
 @functools.lru_cache(maxsize=SWEEP_MEMO)
 def _engine_sweep(p, e: float, mu0: float):
     """(mu_k, E + i mu_k, chi regions, omega_plus regions, W, finite-wave mask) of one limit request.
@@ -307,14 +339,16 @@ _COUNT_MAX_NODES = 2**16
 
 
 class KernelPoles(list):
-    """The sorted roots of :func:`find_kernel_poles`, with the zero count of its box.
+    """The sorted roots of :func:`find_kernel_poles`, their residuals and the zero count of its box.
 
-    ``certified`` is the box's :func:`zero_count`, or None where the count
-    does not apply; the list is otherwise a plain list of complex roots.
+    ``residuals[i]`` is :func:`kernel_pole_residual` at the ``i``-th root,
+    and ``certified`` is the box's :func:`zero_count`, or None where the
+    count does not apply; the list is otherwise a plain list of complex roots.
     """
 
-    def __init__(self, roots, certified: int | None):
+    def __init__(self, roots, residuals, certified: int | None):
         super().__init__(roots)
+        self.residuals = list(residuals)
         self.certified = certified
 
 
@@ -355,9 +389,9 @@ def _log_derivative_integrals(p, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarr
     one row per segment, so a row sums to the segment's integral; and
     whether every term is finite.
     """
-    half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GAUSS_NODES
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a node may overflow; its term is then not finite
+        half = 0.5 * (b - a)
+        nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GAUSS_NODES
         f, df = pole_function_array(p, nodes)
         terms = df / f * (half[:, None] * _GAUSS_WEIGHTS)
     return nodes, terms, bool(np.isfinite(terms).all())
@@ -382,7 +416,8 @@ def _contour(p, bounds) -> tuple[int, np.ndarray, np.ndarray] | None:
         evaluations += 32 * a.size
         if evaluations > _COUNT_MAX_NODES:
             return None
-        m = 0.5 * (a + b)
+        with np.errstate(all="ignore"):
+            m = 0.5 * (a + b)
         z, q, finite = _log_derivative_integrals(p, np.concatenate((a, m)), np.concatenate((m, b)))
         left, right = np.split(q.sum(axis=1), 2)
         settled = np.abs(whole - (left + right)) <= 2.0 * math.pi * _COUNT_PANEL_TOL
@@ -509,8 +544,8 @@ def _screen(p, bounds, seed_density: float) -> tuple[np.ndarray, np.ndarray]:
     return _newton(p, seeds, _NEWTON_STEPS)
 
 
-def _accept(p, roots, converged, bounds, accepted: list[complex]) -> None:
-    """Append to ``accepted``, in order, the ``roots`` that pass the rules of the scan."""
+def _accept(p, roots, converged, bounds, accepted: dict[complex, float]) -> None:
+    """Add to ``accepted``, in order, the ``roots`` that pass the scan's rules, with their |c-|."""
     re_min, re_max, im_min, im_max = bounds
     keep = (
         converged
@@ -519,11 +554,14 @@ def _accept(p, roots, converged, bounds, accepted: list[complex]) -> None:
         & ~_near(roots, p, _ROOT_MARGIN)
     )
     for z in roots[keep].tolist():
-        if all(abs(z - w) >= _ROOT_MARGIN for w in accepted) and kernel_pole_residual(p, z) < 1e-10:
-            accepted.append(z)
+        if all(abs(z - w) >= _ROOT_MARGIN for w in accepted):
+            residual = kernel_pole_residual(p, z)
+            if residual < 1e-10:
+                accepted[z] = residual
 
 
-def _find(p, bounds, contour, seed_density: float, accepted: list[complex], depth: int) -> None:
+def _find(p, bounds, contour, seed_density: float, accepted: dict[complex, float],
+          depth: int) -> None:
     """Add to ``accepted`` the roots in ``bounds``, whose :func:`_contour` is ``contour``."""
     if contour is None:
         _accept(p, *_screen(p, bounds, seed_density), bounds, accepted)
@@ -567,8 +605,9 @@ def find_kernel_poles(
     a root), it lies in the (sub-)box it came from, and it is at least 1e-6
     away from every branch point (the region heights) and every root
     accepted before it.  An empty list is a valid outcome.  The returned
-    :class:`KernelPoles` carries the box's count in ``certified`` (None for
-    an uncertified box), so a caller can tell a scan that fell short of it.
+    :class:`KernelPoles` carries each root's |c-|, taken once by that rule,
+    in ``residuals``, and the box's count in ``certified`` (None for an
+    uncertified box), so a caller can tell a scan that fell short of it.
 
     Raises :class:`DomainError` for a non-finite or degenerate box, a
     ``seed_density`` that is not a finite, positive real number, or a seed
@@ -579,10 +618,10 @@ def find_kernel_poles(
     if not (math.isfinite(seed_density) and seed_density > 0.0):
         raise DomainError(f"seed_density must be finite and positive, got {seed_density}")
     contour = _contour(p, bounds)
-    accepted: list[complex] = []
+    accepted: dict[complex, float] = {}
     _find(p, bounds, contour, seed_density, accepted, 0)
-    accepted.sort(key=lambda w: (w.real, w.imag))
-    return KernelPoles(accepted, None if contour is None else contour[0])
+    roots = sorted(accepted, key=lambda w: (w.real, w.imag))
+    return KernelPoles(roots, map(accepted.get, roots), None if contour is None else contour[0])
 
 
 def kernel_pole_residual(p, z: complex) -> float:

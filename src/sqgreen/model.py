@@ -59,18 +59,23 @@ def _branch_sqrt_array(z) -> np.ndarray:
     On the real axis, for either sign of a zero imaginary part, every entry
     equals the scalar result bit for bit: the root is taken of the real part
     alone and the other part is exactly +0.0.  Off the axis the same halved
-    angle is used, with numpy's transcendental functions.
+    angle is used, with numpy's transcendental functions.  The axis entries
+    are patched only when there are any.
     """
     z = np.asarray(z, dtype=complex)
     re, im = z.real, z.imag
     rho = np.sqrt(np.abs(z))
     half = 0.5 * np.arctan2(im, re)
-    axis = im == 0.0
-    neg = axis & (re < 0.0)
-    root = np.sqrt(np.where(neg, -re, np.where(axis, re, 0.0)))
     out = np.empty(z.shape, dtype=complex)
-    out.real = np.where(neg, 0.0, np.where(axis, root, rho * np.cos(half)))
-    out.imag = np.where(neg, root, np.where(axis, 0.0, rho * np.sin(half)))
+    out.real = rho * np.cos(half)
+    out.imag = rho * np.sin(half)
+    axis = im == 0.0
+    if axis.any():
+        x = re[axis]
+        neg = x < 0.0
+        root = np.sqrt(np.where(neg, -x, x))  # sqrt(-0.0) is -0.0, as in branch_sqrt
+        out.real[axis] = np.where(neg, 0.0, root)
+        out.imag[axis] = np.where(neg, root, 0.0)
     return out
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .eigenfunctions import wronskian
 from .errors import ConfigError, DomainError
-from .kernel import boundary_limit, kernel_grid, wave_pair
+from .kernel import boundary_limits, kernel_grid, wave_pair
 from .model import PiecewisePotential, branch_sqrt, real_energy
 from .oracle import (
     LATTICE,
@@ -115,8 +115,8 @@ def _limit_agreement(p: PiecewisePotential, e: float, rng: Random) -> float:
     for _ in range(3):
         r = 0.1 + (hi - 0.1) * rng.random()
         s = 0.1 + (hi - 0.1) * rng.random()
-        for direction in ("plus", "minus"):
-            worst = max(worst, boundary_limit(p, e, r, s, direction).abs_diff)
+        for study in boundary_limits(p, e, r, s, ("plus", "minus")):
+            worst = max(worst, study.abs_diff)
     return worst
 
 

@@ -1,15 +1,29 @@
 import csv
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sqgreen import PiecewisePotential, SquareBarrier, formal_green, kernel_grid, resolvent_kernel
+from sqgreen import (
+    PiecewisePotential,
+    SquareBarrier,
+    boundary_limit,
+    boundary_limits,
+    find_kernel_poles,
+    formal_green,
+    kernel_grid,
+    kernel_pole_residual,
+    resolvent_kernel,
+)
 import sqgreen.cli as cli_module
 import sqgreen.kernel as kernel_module
 import sqgreen.piecewise as piecewise_module
@@ -730,3 +744,154 @@ def test_benchmark_tracer_hooks_the_functions_it_names(tmp_path):
     assert sorted(tracer.absent) == [f"sqgreen.eigenfunctions.{name}" for name in stale]
     assert traced == untraced == [0, 0, 1, 0]
     assert tracer.metrics(0.0)["kernel.wave_pair.distinct"] > 0
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "transposed"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (3, 7), (6, 6), (9, 9)])
+def test_reflected_fields_match_the_printed_conjugate(shape, transposed):
+    # the minus grid reuses the plus digits, g_im's sign flipped, wherever it is
+    # the conjugate bit for bit; a zero whose sign bits differ, or another
+    # value, is printed anew
+    rows, cols = shape
+    plus = _edge_grid(cols, rows, rows).T if transposed else _edge_grid(rows, cols, cols)
+    minus = np.conj(plus)
+    minus[0, 0] = complex(0.0, -0.0)
+    minus[-1, 0] = complex(-0.0, 0.0)
+    minus[0, -1] = 1.0 / 3.0 - 0.25j
+    def bits(z):
+        return np.array([z]).tobytes()
+
+    conjugate = cli_module._conjugates(plus, minus)
+    assert conjugate.tolist() == [
+        [bits(g.conjugate()) == bits(h) for g, h in zip(*row)]
+        for row in zip(plus.tolist(), minus.tolist())
+    ]
+    assert not conjugate[0, 0] and not conjugate[0, -1]  # no _EDGES value is +0.0 or 1/3
+    for square in (False, True) if rows == cols else (False,):
+        fields = cli_module._value_fields(plus, square)
+        got = cli_module._reflected_fields(fields, minus, conjugate, square)
+        assert got == cli_module._value_fields(minus, square)
+
+
+def test_a_grid_of_a_million_pairs_exits_2_before_any_kernel(tmp_path, monkeypatch, capsys):
+    # each axis stayed below MAX_GRID_POINTS, so 5e5 x 5e5 entries (about 4 TB
+    # in kernel_grid's broadcasts, or 2.5e11 limit studies) were accepted
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel value was asked for")
+
+    for module, name in ((cli_module, "kernel_grid"), (cli_module, "boundary_limits"),
+                         (kernel_module, "kernel_grid"), (kernel_module, "boundary_limit")):
+        monkeypatch.setattr(module, name, no_kernel)
+    out = tmp_path / "x.csv"
+    for command, energy in (("eval", "1.5+0.2i"), ("eval", "1.5"), ("limit-study", "1.5")):
+        for grids, pairs in ((["--r-grid=0:1000:0.002", "--s-grid=0:1000:0.002"], 250000000000),
+                             (["--r-grid=0:1000:1", "--s-grid=0:1000:1"], 1000000)):
+            argv = [command, "--v0=5", "--a=1", "--b=2", f"--energy={energy}", *grids,
+                    f"--out={out}"]
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == (
+                f"error: --r and --s ask for {pairs} (r, s) points, 1000000 or more\n"
+            )
+            assert not out.exists()
+
+
+def test_pole_scan_prints_the_residuals_its_scan_took(tmp_path, monkeypatch):
+    # cmd_pole_scan took |c-| once more at every root it printed
+    p = PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -1.0, 0.0))
+    box = (0.5, 8.0, -2.0, -0.01)
+    calls = []
+
+    def counted(p, z):
+        calls.append(z)
+        return kernel_pole_residual(p, z)
+
+    monkeypatch.setattr(kernel_module, "kernel_pole_residual", counted)
+    out = tmp_path / "poles.csv"
+    assert main(["pole-scan", "--breakpoints=1,2,3", "--heights=0,4,-1,0", "--box=0.5:8:-2:-0.01",
+                 f"--out={out}"]) == 0
+    in_main, calls[:] = list(calls), []
+    roots = find_kernel_poles(p, box)
+    assert calls == in_main and roots
+    residuals = [kernel_pole_residual(p, z) for z in roots]
+    assert roots.residuals == residuals
+    _, rows = read_csv(out)
+    assert rows == [["%.17g" % x for x in (z.real, z.imag, res)]
+                    for z, res in zip(roots, residuals)]
+
+
+def _grouped(lines):
+    """The rows of ``lines`` in runs of one (r, s) point."""
+    runs = itertools.groupby(lines, key=lambda line: line.split(",", 2)[:2])
+    return [list(run) for _, run in runs]
+
+
+@st.composite
+def _reflection_requests(draw):
+    """(potential, its flags, real E, r axis, s axis): a barrier or a staircase of
+    1-4 steps, E below or above the top step, axes from r = 0 or from inside."""
+    if draw(st.booleans()):
+        v0 = draw(st.floats(-5.0, 8.0))
+        a, width = draw(st.floats(0.3, 1.5)), draw(st.floats(0.3, 1.5))
+        p = SquareBarrier(v0, a, a + width)
+        flags = [f"--v0={v0!r}", f"--a={a!r}", f"--b={p.b!r}"]
+    else:
+        steps = draw(st.integers(1, 4))
+        widths = draw(st.lists(st.floats(0.3, 1.5), min_size=steps, max_size=steps))
+        heights = draw(st.lists(st.floats(-5.0, 8.0), min_size=steps, max_size=steps)) + [0.0]
+        p = PiecewisePotential(tuple(itertools.accumulate(widths)), tuple(heights))
+        flags = [f"--breakpoints={','.join(map(repr, p.breakpoints))}",
+                 f"--heights={','.join(map(repr, p.heights))}"]
+    top = max(p.heights)
+    if draw(st.booleans()) and top > 0.3:
+        e = draw(st.floats(0.1, top - 0.1))
+    else:
+        e = draw(st.floats(top + 0.1, top + 8.0))
+    assume(min(abs(e - v) for v in p.heights) >= 0.05)
+    stop = p.breakpoints[-1] + 1.0
+    r0, s0 = draw(st.sampled_from([0.0, 0.35])), draw(st.sampled_from([0.0, 0.2]))
+    s_axis = (r0, stop) if draw(st.booleans()) else (s0, stop + 0.5)  # square, or not
+    return p, flags, e, (r0, stop), s_axis
+
+
+@given(_reflection_requests())
+@settings(derandomize=True, max_examples=25, deadline=None)
+def test_both_directions_are_the_two_single_direction_runs(request):
+    # limit-study reflects the plus study and eval the plus digits; neither
+    # may move a byte from what each direction writes on its own
+    p, flags, e, (r0, r1), (s0, s1) = request
+    with tempfile.TemporaryDirectory() as tmp:
+        def run(command, direction, points):
+            out = os.path.join(tmp, f"{command}-{direction}.csv")
+            rc = main([command, *flags, f"--energy={e!r}", f"--direction={direction}",
+                       *points, f"--out={out}"])
+            with open(out) as fh:
+                return rc, fh.read().splitlines()
+
+        def axes(points):
+            return [f"--r-grid={r0!r}:{r1!r}:{(r1 - r0) / points!r}",
+                    f"--s-grid={s0!r}:{s1!r}:{(s1 - s0) / points!r}"]
+
+        (rc, both), (rc_plus, plus), (rc_minus, minus) = (
+            run("eval", d, axes(5)) for d in ("both", "plus", "minus")
+        )
+        assert rc == rc_plus == rc_minus == 0
+        assert both[0] == plus[0] == minus[0]
+        assert both[1:] == [row for pair in zip(plus[1:], minus[1:]) for row in pair]
+
+        (rc, both), (rc_plus, plus), (rc_minus, minus) = (
+            run("limit-study", d, axes(2)) for d in ("both", "plus", "minus")
+        )
+        assert rc == rc_plus == rc_minus and rc in (0, 1)
+        assert both[0] == plus[0] == minus[0]
+        pairs = zip(_grouped(plus[1:]), _grouped(minus[1:]))
+        assert both[1:] == [row for pair in pairs for run_ in pair for row in run_]
+
+    def bits(study):
+        parts = (study.mu_sequence, study.samples, (study.formal,))
+        return (*(np.array(x, dtype=complex).tobytes() for x in parts), study.converged)
+
+    for r, s in ((r0, s1), (r1, s0)):
+        for directions in (("plus", "minus"), ("minus", "plus")):
+            got = boundary_limits(p, e, r, s, directions)
+            want = [boundary_limit(p, e, r, s, d) for d in directions]
+            assert [bits(x) for x in got] == [bits(x) for x in want]

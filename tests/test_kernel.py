@@ -1035,3 +1035,83 @@ def test_array_branch_sqrt_is_scalar_on_real_axis():
         want = branch_sqrt(z)
         # compare the bits, so that the sign of a zero counts
         assert np.array([g.real, g.imag]).tobytes() == np.array([want.real, want.imag]).tobytes(), z
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        # none on the axis
+        [(1.0, 2.0), (-3.0, 0.5), (-1e-300, -1e300), (2.5, -1e-300), (-0.0, 1.0)],
+        [(-4.0, 0.0), (-4.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (2.5, 0.0), (-1.0, 1e-300),
+         (3.0, -2.0)],
+        [(-1e300, -0.0), (1e-300, 0.0), (-2.0, 0.0)],  # all on the axis
+    ],
+    ids=["off_axis", "mixed", "on_axis"],
+)
+def test_array_branch_sqrt_is_scalar_with_and_without_axis_entries(parts):
+    # the axis entries are patched only when there are any. They take the
+    # scalar's bits, and every entry keeps the bits of the form that patched
+    # with nested np.where on every call (numpy's cos and sin may differ from
+    # the scalar's libm in the last bit off the axis)
+    def bits(z):
+        return np.array([z.real, z.imag]).tobytes()
+
+    def nested_where(z):
+        re, im = z.real, z.imag
+        rho, half = np.sqrt(np.abs(z)), 0.5 * np.arctan2(im, re)
+        axis = im == 0.0
+        neg = axis & (re < 0.0)
+        root = np.sqrt(np.where(neg, -re, np.where(axis, re, 0.0)))
+        out = np.empty(z.shape, dtype=complex)
+        out.real = np.where(neg, 0.0, np.where(axis, root, rho * np.cos(half)))
+        out.imag = np.where(neg, root, np.where(axis, 0.0, rho * np.sin(half)))
+        return out
+
+    zs = [complex(x, y) for x, y in parts]
+    batches = [np.array(zs), np.array(zs).reshape(1, -1), *(np.array(z) for z in zs)]
+    for batch in batches:
+        got = _branch_sqrt_array(batch).ravel().tolist()
+        reference = nested_where(batch).ravel().tolist()
+        for z, g, ref in zip(batch.ravel().tolist(), got, reference):
+            assert bits(g) == bits(ref), z
+            if z.imag == 0.0:
+                assert bits(g) == bits(branch_sqrt(z)), z
+            else:
+                assert abs(g - branch_sqrt(z)) <= 1e-15 * abs(g), z
+
+
+def test_zero_count_of_an_overflowing_box_warns_nothing():
+    # the contour's node line sat outside np.errstate: two RuntimeWarnings
+    # (overflow in add, invalid value in multiply) came with the None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        count = kernel_module.zero_count(SquareBarrier(5.0, 1.0, 2.0), (1.0, 1e308, -1.0, -0.5))
+    assert count is None
+
+
+class TestBoundaryLimits:
+    def test_one_study_per_point_through_the_module_global(self, barrier, monkeypatch):
+        # the tracer rebinds kernel.boundary_limit; the reflected study must not hide from it
+        calls = []
+        original = kernel_module.boundary_limit
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_module, "boundary_limit", counted)
+        plus, minus = kernel_module.boundary_limits(barrier, 1.3, 0.7, 2.4, ("plus", "minus"))
+        assert calls == ["plus"]
+        assert minus.mu_sequence == plus.mu_sequence and minus.converged == plus.converged
+        assert minus.samples == tuple(g.conjugate() for g in plus.samples)
+        assert minus.formal == formal_green(barrier, 1.3, 0.7, 2.4, "minus")
+        assert kernel_module.boundary_limits(barrier, 1.3, 0.7, 2.4, ()) == []
+
+    @pytest.mark.parametrize("directions", [("plus", "up"), ("sideways",), (None,), "plus"])
+    def test_bad_direction_raises_before_any_study(self, barrier, monkeypatch, directions):
+        def no_study(*args, **kwargs):
+            raise AssertionError("a study ran")
+
+        monkeypatch.setattr(kernel_module, "boundary_limit", no_study)
+        with pytest.raises(ContractError, match="direction must be"):
+            kernel_module.boundary_limits(barrier, 1.3, 0.7, 2.4, directions)

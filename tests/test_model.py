@@ -14,6 +14,7 @@ from sqgreen import (
     SquareBarrier,
     TestFunction,
     boundary_limit,
+    boundary_limits,
     branch_sqrt,
     build_chi,
     build_omega,
@@ -284,6 +285,7 @@ _REAL_AXIS_CALLS = {
     "formal_green": lambda p, e: formal_green(p, e, 0.5, 1.5, "plus"),
     "kernel_grid": lambda p, e: kernel_grid(p, e, [0.5, 1.0], [1.5], "minus"),
     "boundary_limit": lambda p, e: boundary_limit(p, e, 0.5, 1.5, "plus"),
+    "boundary_limits": lambda p, e: boundary_limits(p, e, 0.5, 1.5, ("plus", "minus")),
     "run_verification": lambda p, e: run_verification(p, e),
     "check_distributional_equation": lambda p, e: check_distributional_equation(
         p, e, 1.5, "plus"

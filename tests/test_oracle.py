@@ -713,7 +713,7 @@ class TestRunVerification:
             "propagate",
             "check_distributional_equation",
             "check_resolvent_identity",
-            "boundary_limit",
+            "boundary_limits",
         ):
             monkeypatch.setattr(verification, name, nothing)
         with pytest.raises(DomainError, match="16 steps"):
@@ -744,7 +744,7 @@ class TestRunVerification:
             "propagate",
             "check_distributional_equation",
             "check_resolvent_identity",
-            "boundary_limit",
+            "boundary_limits",
         ):
             monkeypatch.setattr(verification, name, nothing)
         with pytest.raises(DomainError, match="RK4 oracle resolves"):
@@ -951,7 +951,7 @@ class TestDrawStream:
 
             return call
 
-        for name in ("kernel_grid", "boundary_limit", "_engine_waves"):
+        for name in ("kernel_grid", "boundary_limits", "_engine_waves"):
             monkeypatch.setattr(verification, name, recorded(name, getattr(verification, name)))
         for seed in _STREAM_SEEDS:
             seen.clear()
@@ -959,8 +959,8 @@ class TestDrawStream:
             radii, pairs, instances = _verify_draws(seed, barrier.b, 3)
             ((_, _, r, s),) = seen["kernel_grid"]
             assert (r.tolist(), s.tolist()) == (radii[0::2], radii[1::2]), seed
-            limits = [args[2:4] for args in seen["boundary_limit"]]
-            assert limits == [pair for pair in pairs for _ in ("plus", "minus")], seed
+            limits = [args[2:] for args in seen["boundary_limits"]]
+            assert limits == [(*pair, ("plus", "minus")) for pair in pairs], seed
             # the first waves are the configured instance's
             waves = seen["_engine_waves"][1:]
             drawn = [(list(p.breakpoints), list(p.heights), e.real) for p, e in waves]
