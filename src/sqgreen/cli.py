@@ -23,8 +23,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, PoleError
 from .kernel import boundary_limits, find_kernel_poles, kernel_grid
 from .model import PiecewisePotential, SquareBarrier
-from .oracle import LATTICE, MAX_STEPS, TAIL_START
-from .verification import MAX_LATTICE_PHASE, run_verification
+from .verification import run_verification
 
 
 def parse_complex(text: str) -> complex:
@@ -42,8 +41,8 @@ def parse_complex(text: str) -> complex:
 MAX_GRID_POINTS = 10**6
 
 
-def parse_grid(text: str) -> list[float]:
-    """closed-open start:stop:step grid; points are start + j*step, never accumulated."""
+def _grid_spec(text: str) -> tuple[float, float, int]:
+    """(start, step, n) of a closed-open start:stop:step grid of n points; nothing is listed."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid spec must be start:stop:step, got {text!r}")
@@ -61,7 +60,13 @@ def parse_grid(text: str) -> list[float]:
     n = int(count)
     if start + n * step >= stop - 1e-12 * step:
         n -= 1
-    return [start + j * step for j in range(n + 1)]
+    return start, step, n + 1
+
+
+def parse_grid(text: str) -> list[float]:
+    """closed-open start:stop:step grid; points are start + j*step, never accumulated."""
+    start, step, n = _grid_spec(text)
+    return [start + j * step for j in range(n)]
 
 
 def _add_potential_args(sub: argparse.ArgumentParser) -> None:
@@ -108,30 +113,26 @@ def _build_potential(args):
         raise ConfigError(f"invalid barrier: {exc}") from exc
 
 
-def _points(args, flag_scalar: str, flag_grid: str) -> list[float]:
-    scalar = getattr(args, flag_scalar.replace("-", "_"))
-    grid = getattr(args, flag_grid.replace("-", "_"))
+def _points(args, axis: str):
+    """(n, points) of the ``--axis`` or ``--axis-grid`` points: how many, and a call listing them."""
+    scalar, grid = getattr(args, axis), getattr(args, f"{axis}_grid")
     if (scalar is None) == (grid is None):
-        raise ConfigError(f"exactly one of --{flag_scalar} / --{flag_grid} is required")
-    if grid is not None:
-        return parse_grid(grid)
-    if not math.isfinite(scalar):
-        raise ConfigError(f"--{flag_scalar} must be finite, got {scalar}")
-    return [scalar]
+        raise ConfigError(f"exactly one of --{axis} / --{axis}-grid is required")
+    if grid is None and not math.isfinite(scalar):
+        raise ConfigError(f"--{axis} must be finite, got {scalar}")
+    return (1, lambda: [scalar]) if grid is None else (_grid_spec(grid)[2], lambda: parse_grid(grid))
 
 
 def _request(args):
     """(potential, energy, r points, s points) of an ``eval`` or ``limit-study`` command.
 
-    Refuses r and s points that form ``MAX_GRID_POINTS`` (r, s) pairs or more.
+    Refuses r and s points that form ``MAX_GRID_POINTS`` (r, s) pairs or more, before listing them.
     """
     p, energy = _build_potential(args), parse_complex(args.energy)
-    rs, ss = _points(args, "r", "r-grid"), _points(args, "s", "s-grid")
-    if len(rs) * len(ss) >= MAX_GRID_POINTS:
-        raise ConfigError(
-            f"--r and --s ask for {len(rs) * len(ss)} (r, s) points, {MAX_GRID_POINTS} or more"
-        )
-    return p, energy, rs, ss
+    (n_r, rs), (n_s, ss) = _points(args, "r"), _points(args, "s")
+    if n_r * n_s >= MAX_GRID_POINTS:
+        raise ConfigError(f"--r and --s ask for {n_r * n_s} (r, s) points, {MAX_GRID_POINTS} or more")
+    return p, energy, rs(), ss()
 
 
 def _directions(args) -> list[str]:
@@ -374,13 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run the full invariant suite",
         description="Run the full invariant suite on one barrier or staircase. The RK4 "
-        f"oracle steps by {LATTICE:g}, so every breakpoint (--a and --b, or each entry of "
-        f"--breakpoints) must be a multiple of {LATTICE:g}, and it resolves a wave that "
-        f"advances at most {MAX_LATTICE_PHASE:g} rad per step: the largest region momentum "
-        f"|sqrt(E - v)| times {LATTICE:g} must not exceed {MAX_LATTICE_PHASE:g}, so |E - v| "
-        f"must not exceed {(MAX_LATTICE_PHASE / LATTICE) ** 2:g} in any region. Its runs reach "
-        f"{TAIL_START:g} beyond the last breakpoint in at most {MAX_STEPS} steps, so the last "
-        f"breakpoint must not exceed {MAX_STEPS * LATTICE - TAIL_START:g}.",
+        "oracle steps region by region, with more steps at higher energies, and refuses "
+        "a run longer than its step budget.",
     )
     _add_potential_args(p_verify)
     p_verify.add_argument("--energy", required=True, help="real positive energy")

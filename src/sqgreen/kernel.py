@@ -275,10 +275,13 @@ def boundary_limits(p, e: float, r: float, s: float, directions,
     :meth:`LimitStudy.reflected` with that direction's :func:`formal_green`,
     field for field the study :func:`boundary_limit` gives: conjugation
     changes neither a sample's checks nor the stop rule's distances (see the
-    module notes).  A direction other than "plus" or "minus" raises
-    :class:`ContractError` before any study.
+    module notes).  A direction other than "plus" or "minus", or ``directions``
+    that are not iterable, raise :class:`ContractError` before any study.
     """
-    directions = list(directions)
+    try:
+        directions = list(directions)
+    except TypeError:
+        raise ContractError(f"each direction must be 'plus' or 'minus', got {directions!r}") from None
     for direction in directions:
         require_direction(direction)
     if not directions:

@@ -7,11 +7,11 @@ RK4 one-step matrix (:func:`rk4_step_matrix`), the operator is applied
 by a central second difference, one-sided kernel derivatives come from
 Richardson-extrapolated difference quotients of kernel *values*, and the
 resolvent is rebuilt as an integral operator with composite Simpson panels
-split at the diagonal.  The RK4, finite-difference and Simpson grids that
-``verify`` runs share one step, ``LATTICE``.  Agreement of these
-reconstructions with the kernels of matched waves is the package's evidence
-that the construction is right.  A potential is read only through its
-``breakpoints`` and ``heights``.
+split at the diagonal.  The RK4 runs of ``verify`` step region by region
+(:func:`rk4_runs`); its finite-difference and Simpson grids share one step,
+``LATTICE``.  Agreement of these reconstructions with the kernels of matched
+waves is the package's evidence that the construction is right.  A potential
+is read only through its ``breakpoints`` and ``heights``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import ContractError, DomainError
 from .kernel import wave_pair
 from .model import branch_sqrt, complex_energy, radii_floats, real_array, real_energy, real_number
 
-#: the one step of the RK4, finite-difference and Simpson grids that ``verify`` checks on
+#: the one step of the finite-difference and Simpson grids that ``verify`` checks on
 LATTICE = 1e-3
 #: Gaussian bumps count as supported within this many widths of the center.
 GAUSSIAN_SUPPORT_WIDTHS = 5.5
@@ -79,22 +79,27 @@ class TestFunction:
             half = self.width
         return (self.center - half, self.center + half)
 
+    def _scaled(self, r) -> np.ndarray:
+        """(r - center) / width, clipped where the bump and f'' reach 0; r must be finite."""
+        r = real_array(r, "radii")
+        if not np.isfinite(r).all():
+            raise DomainError("radii must be finite")
+        reach = (40.0 if self.kind == "gaussian_bump" else 1.0) * self.width
+        return np.clip(r - self.center, -reach, reach) / self.width
+
     def __call__(self, r):
-        t = (real_array(r, "radii") - self.center) / self.width
+        t = self._scaled(r)
         if self.kind == "gaussian_bump":
             return np.exp(-0.5 * t * t)
-        inside = np.abs(t) < 1.0
-        core = np.where(inside, 1.0 - t * t, 0.0)
-        return core**4
+        return (1.0 - t * t) ** 4
 
     def second_derivative(self, r):
-        t = (real_array(r, "radii") - self.center) / self.width
+        t = self._scaled(r)
         w2 = self.width * self.width
         if self.kind == "gaussian_bump":
             return (t * t - 1.0) / w2 * np.exp(-0.5 * t * t)
-        inside = np.abs(t) < 1.0
-        core = np.where(inside, 1.0 - t * t, 0.0)
-        return 8.0 * core * core * (7.0 * t * t - 1.0) / w2 * inside
+        core = 1.0 - t * t
+        return 8.0 * core * core * (7.0 * t * t - 1.0) / w2
 
 
 @dataclass(frozen=True)
@@ -184,8 +189,9 @@ def _aligned_steps(r_from: float, r_to: float, step: float, breakpoints) -> tupl
         )
     h = math.copysign(step, span)
     lo, hi = min(r_from, r_to), max(r_from, r_to)
-    for bp in breakpoints:
-        if lo < bp < hi and not on_lattice(bp - r_from, h):
+    for bp in [x for x in breakpoints if lo < x < hi]:
+        t = (bp - r_from) / h  # at most n, so finite
+        if abs(t - round(t)) > 1e-9 * max(1.0, abs(t)):
             raise ContractError(f"breakpoint {bp} is not aligned with the integration grid")
     return n, h
 
@@ -304,7 +310,7 @@ def propagate(p, e: complex, y: complex, dy: complex, r_from: float, r_to: float
     return y, dy
 
 
-def step_too_coarse(p, step: float) -> bool:
+def step_too_coarse(p, step: float = LATTICE) -> bool:
     """Whether a region of ``p`` inside its last breakpoint spans fewer than 16 steps."""
     gaps = np.diff((0.0,) + tuple(p.breakpoints))
     return bool(gaps.size) and step > gaps.min() / 16.0
@@ -579,10 +585,39 @@ def _resolvent_image(p, e: complex, f: TestFunction, h: float):
     return r_grid, u
 
 
-def on_lattice(x: float, step: float) -> bool:
-    """Whether x is a multiple of step, to a relative 1e-9; False where x / step overflows."""
-    t = x / step
-    return math.isfinite(t) and abs(t - round(t)) <= 1e-9 * max(1.0, abs(t))
+def rk4_runs(p, e: float, s: float, error: type[Exception] = ContractError):
+    """The RK4 runs of :func:`check_distributional_equation` to s, from 0 and from beyond V.
+
+    Each run, from 0 or from ``TAIL_START`` past the last breakpoint (past 1
+    without one), is (cuts, counts): it takes counts[j] steps from cuts[j] to
+    cuts[j + 1], cut at s and at the breakpoints.  A region of width d and
+    momentum k takes ceil(d max(|k|, 1) / theta) steps, with theta = 0.01 min(1,
+    (300 / Phi)^(1/4)) for the run's phase Phi = sum d max(|k|, 1): RK4's error
+    grows as Phi theta^4.  A run past ``MAX_STEPS`` steps raises ``error``.
+    """
+    r_out = (p.breakpoints[-1] if p.breakpoints else 1.0) + TAIL_START
+    runs = []
+    for r_from in (0.0, r_out):
+        lo, hi = sorted((r_from, s))
+        cuts = sorted({r_from, s, *(x for x in p.breakpoints if lo < x < hi)}, reverse=s < r_from)
+        phases = [abs(x1 - x0) * max(abs(e - p.heights[bisect_right(p.breakpoints, (x0 + x1) / 2)]), 1.0)
+                  ** 0.5 for x0, x1 in zip(cuts, cuts[1:])]
+        per_rad = 100.0 * max(1.0, (sum(phases) / 300.0) ** 0.25)  # 1 / theta, inf at most
+        if not per_rad * sum(phases) <= MAX_STEPS:
+            raise error(f"the RK4 run from r={r_from} to s={s} at E={e} needs "
+                        f"{per_rad * sum(phases):.4g} steps, more than {MAX_STEPS}")
+        runs.append((cuts, [math.ceil(per_rad * x) for x in phases]))
+    return runs
+
+
+def _rk4_run(p, e: float, y: complex, dy: complex, cuts, counts) -> Trajectory:
+    """One trajectory from (y, dy) at cuts[0], by counts[j] equal RK4 steps up to each cuts[j + 1]."""
+    parts = [([cuts[0]], [y], [dy])]
+    for x0, x1, n in zip(cuts, cuts[1:], counts):
+        r, ys, dys = integrate_schrodinger(p, complex(e), y, dy, x0, x1, abs(x1 - x0) / n)
+        y, dy = ys[-1], dys[-1]
+        parts.append((r[1:], ys[1:], dys[1:]))
+    return Trajectory(*map(np.concatenate, zip(*parts)))
 
 
 def check_distributional_equation(
@@ -598,24 +633,19 @@ def check_distributional_equation(
     equation (RK4 re-integration on both sides of s, seeded purely from
     kernel values and difference-quotient slopes), value/derivative
     continuity at the potential jumps, and kernel continuity across r = s
-    (the gap must shrink linearly with the probe offset).  The RK4 runs at
-    the step ``LATTICE``, so s and every breakpoint must sit on its lattice,
-    and a run past ``MAX_STEPS`` steps raises before any wave is built.  A
-    ``wronskian_scale`` so large that the kernel underflows to 0 beside s
-    raises :class:`DomainError`.
+    (the gap must shrink linearly with the probe offset).  The RK4 runs step
+    region by region (:func:`rk4_runs`), so s and the breakpoints may sit
+    anywhere; a run past ``MAX_STEPS`` steps raises :class:`ContractError`
+    before any wave is built.  A ``wronskian_scale`` so large that the kernel
+    underflows to 0 beside s raises :class:`DomainError`.
     """
     e = real_energy(e, "the distributional check")
     (s,) = radii_floats(s)
-    # the RK4 runs cover [0, s] and, inward from beyond the potential, [s, r_out]
-    r_out = (p.breakpoints[-1] if p.breakpoints else 1.0) + TAIL_START
-    _require_steps(max(s, abs(r_out - s)) / LATTICE, LATTICE)
-    for x, nm in ((s, "s"),) + tuple((bp, "breakpoint") for bp in p.breakpoints):
-        if not on_lattice(x, LATTICE):
-            raise ContractError(f"{nm}={x} must sit on the step lattice (step {LATTICE})")
+    left, right = rk4_runs(p, e, s)
+    r_out = right[0][0]
 
     kernel = _kernel_slice(p, e, direction, wronskian_scale)
     probe_cap = 2.0 / (1.0 + _momentum_scale(p, e))
-    r_out = s + round((r_out - s) / LATTICE) * LATTICE  # on the lattice through s
     dist0 = min(s, min(p.breakpoints) if p.breakpoints else s)
     dist_s = min([abs(s - bp) for bp in p.breakpoints] + [s, 1.0, probe_cap])
     # every probe radius in one call, starting at s: the jump at s, the seed
@@ -638,12 +668,12 @@ def check_distributional_equation(
     jump_report = _jump_report(d_right, d_left)
 
     # left of the diagonal: start from G(0, s) = 0 with a measured slope
-    traj = integrate_schrodinger(p, complex(e), 0.0, slope0, 0.0, s, LATTICE)
+    traj = _rk4_run(p, e, 0.0, slope0, *left)
     kern = kernel.values(traj.r, s)
     # right of the diagonal: integrate inward from beyond the potential, where
     # the tail solution dominates; integrating outward from s would amplify
     # the seed error exponentially through evanescent regions
-    traj_r = integrate_schrodinger(p, complex(e), values[-1], slope_out, r_out, s, LATTICE)
+    traj_r = _rk4_run(p, e, values[-1], slope_out, *right)
     kern_r = kernel.values(traj_r.r, s)
     scale, scale_r = float(np.max(np.abs(kern))), float(np.max(np.abs(kern_r)))
     if not (scale > 0.0 and scale_r > 0.0):  # a Wronskian scaled past 1e300 leaves only zeros

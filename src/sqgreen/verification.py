@@ -24,25 +24,16 @@ from .errors import ConfigError, DomainError
 from .kernel import boundary_limits, kernel_grid, wave_pair
 from .model import PiecewisePotential, branch_sqrt, real_energy
 from .oracle import (
-    LATTICE,
-    MAX_STEPS,
-    RK4_STABILITY,
-    TAIL_START,
     ResidualReport,
     TestFunction,
-    _momentum_scale,
     _require_scale,
     check_distributional_equation,
     check_resolvent_identity,
-    on_lattice,
     propagate,
+    rk4_runs,
     step_too_coarse,
 )
 
-#: the largest region momentum times LATTICE that RK4 resolves to its 1e-7
-#: tolerance: on the barrier of height 5 on (1, 2), 0.0173 (E = 300) left a 7.1e-8
-#: residual and 0.0187 (E = 350) one of 1.02e-7
-MAX_LATTICE_PHASE = 0.018
 #: the most random instances one run draws (about 1 ms each)
 MAX_RANDOM_INSTANCES = 10**4
 
@@ -155,15 +146,11 @@ def run_verification(
     [0, ``MAX_RANDOM_INSTANCES``] or a ``wronskian_scale`` that is not
     finite and nonzero, and :class:`DomainError` for an energy that is not
     real, finite and positive, for a potential without breakpoints, if a
-    breakpoint is off the ``LATTICE`` (1e-3) that the RK4 re-integration
-    steps on, if a region inside the last breakpoint spans fewer than
-    16 of its steps (:func:`~sqgreen.oracle.step_too_coarse`), if its RK4
-    runs, out to ``TAIL_START`` beyond the last breakpoint, would take more
-    than the oracle's ``MAX_STEPS`` steps, or if the largest region momentum
-    times ``LATTICE`` exceeds ``MAX_LATTICE_PHASE`` (0.018), so that RK4
-    would not resolve the waves.  The last test comes
-    after the instance's engine waves are built, so that waves which
-    overflow double precision raise that error instead.
+    region inside the last breakpoint spans fewer than 16 steps of the
+    resolvent check's finite-difference grid
+    (:func:`~sqgreen.oracle.step_too_coarse`), or if a run of the
+    distributional check's RK4 oracle would take more steps than it allows
+    (:func:`~sqgreen.oracle.rk4_runs`).
     """
     try:
         seed, n_random = operator.index(seed), operator.index(n_random)
@@ -180,32 +167,15 @@ def run_verification(
     if not p.breakpoints:
         # the probe radii, the bump and the reference tails sit at the last breakpoint
         raise DomainError("verification needs a potential with at least one breakpoint")
-    off = [x for x in p.breakpoints if not on_lattice(x, LATTICE)]
-    if off:
-        raise DomainError(f"breakpoints {off} must sit on the {LATTICE} lattice of the RK4 oracle")
-    if step_too_coarse(p, LATTICE):
-        raise DomainError(
-            f"regions inside the last breakpoint need 16 steps of the {LATTICE} lattice each"
-        )
-    if (p.breakpoints[-1] + TAIL_START) / LATTICE > MAX_STEPS:
-        raise DomainError(
-            f"the last breakpoint must not exceed {MAX_STEPS * LATTICE - TAIL_START:g}: "
-            f"the RK4 oracle runs at most {MAX_STEPS} steps of {LATTICE}"
-        )
+    if step_too_coarse(p):
+        raise DomainError("regions inside the last breakpoint need 16 steps of the resolvent check's grid")
+    edges = (0.0,) + p.breakpoints
+    s_mid = 0.5 * (edges[-2] + edges[-1])
+    rk4_runs(p, e, s_mid, DomainError)
     ec = complex(e, 1.0)
-    # built first, so that waves which overflow are refused as such
     waves = _engine_waves(p, ec)
-    phase = _momentum_scale(p, e) * LATTICE
-    if phase > MAX_LATTICE_PHASE:
-        unstable = "; its steps would grow until they overflow" if phase > RK4_STABILITY else ""
-        raise DomainError(
-            f"the fastest wave at E={e} advances {phase:.4g} rad per {LATTICE} step, "
-            f"more than the {MAX_LATTICE_PHASE} that the RK4 oracle resolves{unstable}"
-        )
     rng = Random(seed)
     n = len(p.breakpoints)
-    edges = (0.0,) + p.breakpoints
-    s_mid = round((0.5 * (edges[-2] + edges[-1])) / LATTICE) * LATTICE
     checks = [
         ResidualReport.build("continuity", 6 * n, _wave_continuity(p, waves), 1e-10),
         ResidualReport.build("wronskian", 2 * (n + 1), _wronskian_agreement(p, ec, waves), 1e-10),

@@ -28,8 +28,7 @@ import sqgreen.cli as cli_module
 import sqgreen.kernel as kernel_module
 import sqgreen.piecewise as piecewise_module
 from sqgreen.cli import _write_json, main, parse_complex, parse_grid
-from sqgreen.oracle import LATTICE
-from sqgreen.verification import MAX_LATTICE_PHASE, MAX_RANDOM_INSTANCES
+from sqgreen.verification import MAX_RANDOM_INSTANCES
 from sqgreen.errors import ConfigError, PoleError
 
 from golden_corpus import CASES
@@ -398,11 +397,14 @@ class TestStaircases:
 
     def test_verify_corrupted_wronskian_fails(self, tmp_path):
         out = tmp_path / "r.json"
-        argv = ["verify", "--breakpoints=1,2,3", "--heights=0,4,-2,0", "--energy=1.5"]
-        assert main([*argv, f"--out={out}"]) == 0
-        assert main([*argv, "--corrupt-wronskian=1.001", f"--out={out}"]) == 1
-        failed = {c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]}
-        assert "derivative_jump_plus" in failed
+        for argv in (
+            ["verify", "--breakpoints=1,2,3", "--heights=0,4,-2,0", "--energy=1.5"],
+            ["verify", "--v0=5", "--a=1.0005", "--b=2.0003", "--energy=1"],  # off a 1e-3 lattice
+        ):
+            assert main([*argv, f"--out={out}"]) == 0
+            assert main([*argv, "--corrupt-wronskian=1.001", f"--out={out}"]) == 1
+            failed = {c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]}
+            assert "derivative_jump_plus" in failed
 
 
 class TestVerify:
@@ -445,12 +447,12 @@ class TestVerify:
             # 1e20 instances ran until killed; the bound is checked before any draw
             base + [f"--n-random={MAX_RANDOM_INSTANCES + 1}"],
             base + ["--n-random=100000000000000000000"],
-            # the wave amplitudes overflow in cmath
+            # RK4 runs of far more than a million steps
             ["verify", "--v0=5", "--a=1", "--b=2", "--energy=1e300"],
+            # the wave amplitudes overflow in cmath
             ["verify", "--v0=1e6", "--a=1", "--b=2", "--energy=1"],
-            # a barrier edge off the 1e-3 lattice of the RK4 oracle
-            ["verify", "--v0=5", "--a=1.0004", "--b=2", "--energy=1"],
-            # regions narrower than 16 lattice steps: a ContractError traceback (exit 1)
+            # regions narrower than 16 steps of the resolvent check's finite-difference
+            # grid: a ContractError traceback (exit 1)
             ["verify", "--v0=5", "--a=1", "--b=1.001", "--energy=1"],
             ["verify", "--v0=5", "--a=1", "--b=1.004", "--energy=1"],
             ["verify", "--v0=5", "--a=0.001", "--b=2", "--energy=1"],
@@ -476,19 +478,26 @@ class TestVerify:
         assert limit["pass"] is False
         assert limit["max_residual"] > limit["tolerance"]
 
-    @pytest.mark.parametrize("energy, code", [("300", 0), ("350", 2), ("400", 2)])
-    def test_waves_too_fast_for_rk4_exit_2(self, tmp_path, capsys, energy, code):
-        # at E = 350 and 400 the RK4 oracle failed the radial equation of a correct kernel
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--v0=5", "--a=1.0005", "--b=2.0003", "--energy=1"],
+            ["--breakpoints=0.7071,1.4142,2.2361", "--heights=3,-2,5,0", "--energy=7.3"],
+            ["--v0=5", "--a=1", "--b=2", "--energy=300"],
+            ["--v0=5", "--a=1", "--b=2", "--energy=400"],
+            ["--v0=5", "--a=1", "--b=2", "--energy=3000"],
+        ],
+        ids=["barrier-off-lattice", "staircase-off-lattice", "E300", "E400", "E3000"],
+    )
+    def test_runs_off_the_lattice_and_at_high_energy(self, tmp_path, capsys, argv):
+        # each but E = 300 exited 2: edges off a 1e-3 lattice, or waves too fast for its RK4 steps
         out = tmp_path / "report.json"
-        rc = main(["verify", "--v0=5", "--a=1", "--b=2", f"--energy={energy}", f"--out={out}"])
-        assert rc == code
-        err = capsys.readouterr().err
-        if code == 2:
-            assert "RK4 oracle resolves" in err
-            assert not out.exists()
-        else:
-            assert err == ""
-            assert json.loads(out.read_text())["pass"] is True
+        assert main(["verify", *argv, f"--out={out}"]) == 0
+        assert capsys.readouterr().err == ""
+        checks = json.loads(out.read_text())["checks"]
+        assert all(c["pass"] for c in checks)
+        rk4 = [c["max_residual"] for c in checks if c["name"].startswith("offdiagonal_radial")]
+        assert len(rk4) == 2 and max(rk4) < 5e-8
 
     def test_seed_changes_random_draws_not_outcome(self, tmp_path):
         outs = []
@@ -648,17 +657,16 @@ def test_value_fields_match_per_entry_formatting(shape, transposed):
         assert cli_module._value_fields(np.ascontiguousarray(values), square) == want
 
 
-def test_verify_help_states_the_lattice_bounds(capsys):
-    # the bounds are formatted from the oracle's step and verification's phase limit
+def test_verify_help_states_no_lattice_bounds(capsys):
+    # the help stated a 1e-3 lattice for every breakpoint, |E - v| <= 324 and a last
+    # breakpoint of at most 995, bounds that the RK4 oracle no longer has
     with pytest.raises(SystemExit) as done:
         main(["verify", "--help"])
     assert done.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
-    assert f"steps by {LATTICE:g}, so every breakpoint" in text
-    assert f"at most {MAX_LATTICE_PHASE} rad per step" in text
-    # 324 = (0.018 / 1e-3)^2, the bound on |E - v| that README states too
-    assert "must not exceed 324 in any region" in text
-    assert "the last breakpoint must not exceed 995." in text
+    assert "oracle steps region by region" in text
+    for gone in ("lattice", "multiple of", "324", "995"):
+        assert gone not in text
 
 
 def test_main_runs_a_command_rebound_after_the_parser_is_cached(tmp_path, monkeypatch):
@@ -775,13 +783,15 @@ def test_reflected_fields_match_the_printed_conjugate(shape, transposed):
 
 def test_a_grid_of_a_million_pairs_exits_2_before_any_kernel(tmp_path, monkeypatch, capsys):
     # each axis stayed below MAX_GRID_POINTS, so 5e5 x 5e5 entries (about 4 TB
-    # in kernel_grid's broadcasts, or 2.5e11 limit studies) were accepted
-    def no_kernel(*args, **kwargs):
-        raise AssertionError("a kernel value was asked for")
+    # in kernel_grid's broadcasts, or 2.5e11 limit studies) were accepted; then
+    # both axes of 5e5 points were listed before the request was refused
+    def no_work(*args, **kwargs):
+        raise AssertionError("an axis was listed or a kernel value asked for")
 
-    for module, name in ((cli_module, "kernel_grid"), (cli_module, "boundary_limits"),
-                         (kernel_module, "kernel_grid"), (kernel_module, "boundary_limit")):
-        monkeypatch.setattr(module, name, no_kernel)
+    for module, name in ((cli_module, "parse_grid"), (cli_module, "kernel_grid"),
+                         (cli_module, "boundary_limits"), (kernel_module, "kernel_grid"),
+                         (kernel_module, "boundary_limit")):
+        monkeypatch.setattr(module, name, no_work)
     out = tmp_path / "x.csv"
     for command, energy in (("eval", "1.5+0.2i"), ("eval", "1.5"), ("limit-study", "1.5")):
         for grids, pairs in ((["--r-grid=0:1000:0.002", "--s-grid=0:1000:0.002"], 250000000000),

@@ -1107,7 +1107,8 @@ class TestBoundaryLimits:
         assert minus.formal == formal_green(barrier, 1.3, 0.7, 2.4, "minus")
         assert kernel_module.boundary_limits(barrier, 1.3, 0.7, 2.4, ()) == []
 
-    @pytest.mark.parametrize("directions", [("plus", "up"), ("sideways",), (None,), "plus"])
+    # None raised a bare TypeError from list(None)
+    @pytest.mark.parametrize("directions", [("plus", "up"), ("sideways",), (None,), "plus", None])
     def test_bad_direction_raises_before_any_study(self, barrier, monkeypatch, directions):
         def no_study(*args, **kwargs):
             raise AssertionError("a study ran")

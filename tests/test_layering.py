@@ -114,6 +114,8 @@ def test_rk4_does_not_use_the_engine(name):
     assert _names(_oracle_function(name)) & _engine_names() == set()
 
 
-def test_only_the_oracle_defines_the_lattice():
-    # the RK4, finite-difference and Simpson grids of verify share one step
-    assert [m for m in MODULES if "LATTICE" in _defined(_tree(m))] == ["oracle"]
+@pytest.mark.parametrize("module", ["cli", "verification"])
+def test_the_rk4_step_rule_stays_in_the_oracle(module):
+    # verify and its help text restated the oracle's lattice, reach and stability bounds
+    rule = {"LATTICE", "on_lattice", "MAX_STEPS", "TAIL_START", "RK4_STABILITY"}
+    assert _names(_tree(module)) & rule == set()

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,20 @@ class TestTestFunction:
         with pytest.raises(DomainError, match="radii must be real numbers"):
             getattr(f, read)(r)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 1e308, -1e308])
+    @pytest.mark.parametrize("read", ["__call__", "second_derivative"])
+    @pytest.mark.parametrize("kind", ["gaussian_bump", "compact_polynomial_bump"])
+    def test_far_radii_read_zero_and_non_finite_radii_rejected(self, kind, read, r):
+        # nan came back as NaN, and 1e308 overflowed in (r - c) / w with a RuntimeWarning
+        f = TestFunction(kind, 3.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if math.isfinite(r):
+                assert getattr(f, read)(r) == 0.0
+            else:
+                with pytest.raises(DomainError, match="radii must be finite"):
+                    getattr(f, read)(r)
+
     def test_small_at_origin(self):
         f = TestFunction("gaussian_bump", 3.0, 0.5)
         assert abs(f(0.0)) < 1e-7
@@ -120,6 +135,12 @@ class TestIntegrateSchrodinger:
         # 0.3 divides [0, 3], so only the breakpoint 1 off the grid refuses it
         with pytest.raises(ContractError, match="breakpoint 1.0 is not aligned"):
             integrate_schrodinger(barrier, 1.0, 0.0, 1.0, 0.0, 3.0, 0.3)
+
+    @pytest.mark.parametrize("p", [SquareBarrier(5, 1, 2), STAIRCASE], ids=["barrier", "staircase"])
+    def test_lattice_aligned_run_has_node_j_at_j_steps(self, p):
+        # RK4 kernels that index their nodes by round(r / 1e-3) rely on this grid
+        traj = integrate_schrodinger(p, 1.5 + 0.5j, 0, 1, 0.0, 6.0, 1e-3)
+        assert [round(x / 1e-3) for x in traj.r] == list(range(6001))
 
     def test_step_must_divide_interval(self, barrier):
         with pytest.raises(ContractError):
@@ -617,18 +638,33 @@ class TestDistributionalEquation:
         with pytest.raises(DomainError, match="finite"):
             check_distributional_equation(SquareBarrier(5, 1, 2), 1.0, s, "plus")
 
-    def test_misaligned_probe_rejected(self, barrier):
-        with pytest.raises(ContractError):
-            check_distributional_equation(barrier, 1.0, 1.50037, "plus")
+    def test_off_lattice_instances_pass(self, rng):
+        # s and every breakpoint had to sit on a 1e-3 lattice
+        for p, e in random_instances(rng, 3) + [(SquareBarrier(5, 1.0005, 2.0003), 1.0)]:
+            rep = check_distributional_equation(p, e, 0.5 * (p.a + p.b) + 3.7e-4, "plus")
+            assert rep.passed, [(c.name, c.max_residual) for c in rep.components]
 
     def test_list_direction_rejected(self):
         # a bare TypeError ("unhashable type: 'list'") from the wave memo's key
         with pytest.raises(ContractError, match="direction must be"):
             check_distributional_equation(SquareBarrier(5, 1, 2), 1.0, 1.5, [1, 2])
 
+    def test_rk4_runs_split_at_the_breakpoints_and_s(self, barrier):
+        # a region of width d takes d max(|k|, 1) / 0.01 steps while a run's phase stays
+        # below 300; at E = 3000 the right run's 301 rad shrink the phase per step
+        assert oracle_module.rk4_runs(barrier, 1.0, 1.5) == [
+            ([0.0, 1.0, 1.5], [100, 100]),
+            ([7.0, 2.0, 1.5], [500, 100]),
+        ]
+        (_, left), (_, right) = oracle_module.rk4_runs(barrier, 3000.0, 1.5)
+        k_out, k_in = 3000.0**0.5, 2995.0**0.5
+        per_rad = 100.0 * ((5.0 * k_out + 0.5 * k_in) / 300.0) ** 0.25  # 1 / theta
+        assert left == [math.ceil(100.0 * k_out), math.ceil(50.0 * k_in)]
+        assert right == [math.ceil(5.0 * k_out * per_rad), math.ceil(0.5 * k_in * per_rad)]
+
     @pytest.mark.parametrize("s", [1e5, 1e308])
     def test_probe_past_the_rk4_reach_rejected_before_any_wave(self, monkeypatch, s):
-        # 1e308 raised an OverflowError from the lattice test; 1e5 built the
+        # 1e308 raised an OverflowError from a lattice test; 1e5 built the
         # kernel waves before its RK4 run refused
         def no_work(*args, **kwargs):
             raise AssertionError("a wave was built or an RK4 step taken")
@@ -671,38 +707,29 @@ class TestDistributionalEquation:
 
 
 class TestRunVerification:
+    def test_overflowing_amplitudes_raise(self):
+        with pytest.raises(DomainError, match="overflow"):
+            run_verification(SquareBarrier(1e6, 1.0, 2.0), 1.0)
+
     @pytest.mark.parametrize(
         "p, e",
-        [(SquareBarrier(5.0, 1.0, 2.0), 1e300), (SquareBarrier(1e6, 1.0, 2.0), 1.0)],
+        [(PiecewisePotential((1e306,), (1.0, 0.0)), 1.0), (SquareBarrier(5.0, 1.0, 2.0), 1e300)],
+        ids=["breakpoint-1e306", "energy-1e300"],
     )
-    def test_overflowing_amplitudes_raise(self, p, e):
-        with pytest.raises(DomainError, match="overflow"):
-            run_verification(p, e)
-
-    def test_edge_off_the_lattice_raises_before_any_check(self, monkeypatch):
-        def no_checks(*args, **kwargs):
-            raise AssertionError("a check ran")
-
-        monkeypatch.setattr(verification, "check_distributional_equation", no_checks)
-        monkeypatch.setattr(verification, "propagate", no_checks)
-        monkeypatch.setattr(verification, "wave_pair", no_checks)
-        with pytest.raises(DomainError, match="lattice"):
-            run_verification(SquareBarrier(5.0, 1.0004, 2.0), 1.0)
-
-    def test_breakpoint_past_the_lattice_range_raises(self, monkeypatch):
-        # 1e306 / LATTICE overflows to inf, and the lattice test raised a bare OverflowError
+    def test_past_the_rk4_reach_raises_before_any_wave(self, monkeypatch, p, e):
+        # 1e306 / 1e-3 overflowed to inf, and a lattice test raised a bare OverflowError
         monkeypatch.setattr(verification, "wave_pair", lambda *args: pytest.fail("a wave was built"))
-        with pytest.raises(DomainError, match="lattice"):
-            run_verification(PiecewisePotential((1e306,), (1.0, 0.0)), 1.0)
+        with pytest.raises(DomainError, match="more than 1000000"):
+            run_verification(p, e)
 
     @pytest.mark.parametrize("a, b", [(1.0, 1.001), (1.0, 1.004), (0.001, 2.0)])
     def test_thin_region_raises_before_any_draw_or_check(self, monkeypatch, a, b):
         # each used to end in a ContractError from check_jump or
         # apply_hamiltonian_fd after up to four checks had run
         p = SquareBarrier(5.0, a, b)
-        r = np.arange(2501) * verification.LATTICE
+        r = np.arange(2501) * oracle_module.LATTICE
         with pytest.raises(ContractError, match="too coarse"):
-            apply_hamiltonian_fd(r, np.sin(r), p, verification.LATTICE)
+            apply_hamiltonian_fd(r, np.sin(r), p, oracle_module.LATTICE)
 
         def nothing(*args, **kwargs):
             raise AssertionError("a draw or a check ran")
@@ -730,24 +757,6 @@ class TestRunVerification:
         for name in ("wave_pair", "check_distributional_equation"):
             monkeypatch.setattr(verification, name, nothing)
         with pytest.raises(DomainError, match="real E > 0"):
-            run_verification(barrier, e)
-
-    @pytest.mark.parametrize("e", [350.0, 400.0])
-    def test_unresolved_waves_raise_before_any_draw_or_check(self, barrier, monkeypatch, e):
-        # the RK4 residual of the radial equation outgrew its 1e-7 tolerance
-        # (1.02e-7 at E = 350, 1.46e-7 at E = 400), failing a correct kernel
-        def nothing(*args, **kwargs):
-            raise AssertionError("a draw or a check ran")
-
-        monkeypatch.setattr(verification, "Random", nothing)
-        for name in (
-            "propagate",
-            "check_distributional_equation",
-            "check_resolvent_identity",
-            "boundary_limits",
-        ):
-            monkeypatch.setattr(verification, name, nothing)
-        with pytest.raises(DomainError, match="RK4 oracle resolves"):
             run_verification(barrier, e)
 
     def test_builds_each_instance_waves_once(self, barrier, monkeypatch):
@@ -806,16 +815,16 @@ class TestRunVerification:
             run_verification(PiecewisePotential((), (0.0,)), 1.0)
 
     def test_oracle_out_of_reach_raises_before_any_draw_or_check(self, monkeypatch):
-        # the RK4 runs out to 5 beyond the last breakpoint must fit in MAX_STEPS
+        # each RK4 run, out to 5 beyond the last breakpoint, must fit in MAX_STEPS:
+        # about 5000 rad of phase at the step rule of rk4_runs
         def nothing(*args, **kwargs):
             raise AssertionError("a draw or a check ran")
 
         monkeypatch.setattr(verification, "Random", nothing)
         for name in ("wave_pair", "propagate", "check_distributional_equation"):
             monkeypatch.setattr(verification, name, nothing)
-        reach = oracle_module.MAX_STEPS * oracle_module.LATTICE - oracle_module.TAIL_START
-        with pytest.raises(DomainError, match="last breakpoint must not exceed"):
-            run_verification(PiecewisePotential((1.0, reach + 1.0), (0.0, 1.0, 0.0)), 2.0)
+        with pytest.raises(DomainError, match="more than 1000000"):
+            run_verification(PiecewisePotential((1.0, 1e4), (0.0, 1.0, 0.0)), 2.0)
 
     def test_staircase_passes(self):
         report = run_verification(STAIRCASE, 1.5)
