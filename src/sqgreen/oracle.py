@@ -7,18 +7,18 @@ RK4 one-step matrix (:func:`rk4_step_matrix`), the operator is applied
 by a central second difference, one-sided kernel derivatives come from
 Richardson-extrapolated difference quotients of kernel *values*, and the
 resolvent is rebuilt as an integral operator with composite Simpson panels
-split at the diagonal.  The RK4 runs of ``verify`` step region by region
-(:func:`rk4_runs`); its finite-difference and Simpson grids share one step,
-``LATTICE``.  Agreement of these reconstructions with the kernels of matched
-waves is the package's evidence that the construction is right.  A potential
-is read only through its ``breakpoints`` and ``heights``.
+split at the diagonal.  The RK4 runs (:func:`rk4_runs`) and the Simpson and
+finite-difference grids of ``verify`` step region by region.  Agreement of
+these reconstructions with the kernels of matched waves is the package's
+evidence that the construction is right.  A potential is read only through
+its ``breakpoints`` and ``heights``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -29,8 +29,6 @@ from .errors import ContractError, DomainError
 from .kernel import wave_pair
 from .model import branch_sqrt, complex_energy, radii_floats, real_array, real_energy, real_number
 
-#: the one step of the finite-difference and Simpson grids that ``verify`` checks on
-LATTICE = 1e-3
 #: Gaussian bumps count as supported within this many widths of the center.
 GAUSSIAN_SUPPORT_WIDTHS = 5.5
 #: past this many radians per step an RK4 step amplifies even an oscillating wave
@@ -41,6 +39,12 @@ RICHARDSON_LEVELS = 5
 MAX_STEPS = 10**6
 #: the inward RK4 run of the distributional check starts this far beyond the last breakpoint
 TAIL_START = 5.0
+#: the resolvent check sizes its steps for this residual, relative to max |f|
+RESOLVENT_TARGET = 1e-5
+#: the resolvent check's first pass advances a region's wave or the bump this many rad per step
+COARSE_PHASE = 0.1
+#: the fewest steps of one region of the resolvent check's grids, an odd count as all of them
+MIN_REGION_STEPS = 17
 
 
 @dataclass(frozen=True)
@@ -164,11 +168,11 @@ class Trajectory(NamedTuple):
     derivatives: np.ndarray
 
 
-def _require_step(step: float) -> float:
+def _require_step(step: float, name: str = "step") -> float:
     """``step`` as a float; :class:`ContractError` unless it is a finite, positive real number."""
-    h = real_number(step, "step", ContractError)
+    h = real_number(step, name, ContractError)
     if not 0.0 < h < math.inf:
-        raise ContractError(f"step must be finite and positive, got {step}")
+        raise ContractError(f"{name} must be finite and positive, got {step}")
     return h
 
 
@@ -215,18 +219,21 @@ def integrate_schrodinger(
     applied to its first state, filled by doubling: once the first b states
     are known, the next b are M^b times them.  Each region starts from the
     last state of the one before.  A step longer than ``RK4_STABILITY`` over
-    the largest region momentum raises :class:`DomainError`: RK4 would grow
-    even an oscillating wave to NaN.  So does a start state that is not a
-    number, a radius that is not a finite, nonnegative real number, and a
-    trajectory that is not finite, such as an evanescent one grown past
-    double precision.  A step that is not a finite, positive real number, or
-    that needs more than ``MAX_STEPS`` steps, raises :class:`ContractError`.
+    the largest momentum of the regions the run crosses raises
+    :class:`DomainError`: RK4 would grow even an oscillating wave to NaN.
+    So does a start state that is not a number, a radius that is not a
+    finite, nonnegative real number, and a trajectory that is not finite,
+    such as an evanescent one grown past double precision.  A step that is
+    not a finite, positive real number, or that needs more than
+    ``MAX_STEPS`` steps, raises :class:`ContractError`.
     """
     e = complex_energy(e)
     y0, dy0 = complex_energy(y0, "the start state"), complex_energy(dy0, "the start state")
     r_from, r_to = radii_floats(r_from, r_to)
     n, h = _aligned_steps(r_from, r_to, step, p.breakpoints)
-    phase = _momentum_scale(p, e) * step
+    lo, hi = min(r_from, r_to), max(r_from, r_to)
+    crossed = p.heights[bisect_right(p.breakpoints, lo) : bisect_left(p.breakpoints, hi) + 1]
+    phase = _momentum_scale(crossed, e) * step
     if phase > RK4_STABILITY:
         raise DomainError(
             f"a step of {step} advances the fastest wave at E={e} by {phase:.4g} rad, "
@@ -310,28 +317,23 @@ def propagate(p, e: complex, y: complex, dy: complex, r_from: float, r_to: float
     return y, dy
 
 
-def step_too_coarse(p, step: float = LATTICE) -> bool:
-    """Whether a region of ``p`` inside its last breakpoint spans fewer than 16 steps."""
-    gaps = np.diff((0.0,) + tuple(p.breakpoints))
-    return bool(gaps.size) and step > gaps.min() / 16.0
-
-
 def apply_hamiltonian_fd(
     r: np.ndarray,
     u: np.ndarray,
     p,
     step: float | None = None,
-    exclude_near: tuple[float, ...] = (),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply -u'' + V u by a central second difference on a uniform grid.
 
-    Returns (hu, valid).  ``valid`` is False at the two edge points, within
-    one step of any potential breakpoint (the stencil order degrades across
-    the jump) and within one step of every radius in ``exclude_near``; those
-    points must stay out of residual norms, and the count of exclusions is
-    reported by the callers.  A step that is not a finite, positive real
-    number raises :class:`ContractError`, and radii that are not real numbers
-    or values that are not numbers :class:`DomainError`.
+    ``r`` ascends by ``step`` (by its first spacing if None), up to the
+    rounding of its nodes.  Returns (hu, valid): ``valid`` is False at the
+    two end nodes and wherever the stencil [r - h, r + h] has a breakpoint
+    strictly inside it; callers keep those out of residual norms and report
+    them.  A grid within one region, such as each grid of
+    :func:`check_resolvent_identity`, so loses only its ends.  A step that is
+    not a finite, positive real number, or a grid not uniform at it, raises
+    :class:`ContractError`; radii that are not real numbers or values that
+    are not numbers raise :class:`DomainError`.
     """
     r = real_array(r, "radii")
     try:
@@ -342,10 +344,9 @@ def apply_hamiltonian_fd(
         raise ContractError("need matching 1-d arrays with at least 3 samples")
     steps = np.diff(r)
     h = _require_step(steps[0] if step is None else step)
-    if np.any(np.abs(steps - h) > 1e-9 * h):
+    # each node of a uniform grid is rounded to a double
+    if np.any(np.abs(steps - h) > 1e-9 * h + 2.0 * np.spacing(max(-r[0], r[-1]))):
         raise ContractError("grid must be uniform with the declared step")
-    if step_too_coarse(p, h):
-        raise ContractError(f"grid step {h} too coarse for the regions of {p.breakpoints}")
 
     v = np.asarray(p.heights)[np.searchsorted(p.breakpoints, r, side="right")]
     hu = np.zeros_like(u, dtype=complex)
@@ -354,7 +355,7 @@ def apply_hamiltonian_fd(
     valid = np.ones(r.shape, dtype=bool)
     valid[0] = valid[-1] = False
     collar = h * (1.0 - 1e-6)
-    for x in tuple(p.breakpoints) + tuple(exclude_near):
+    for x in p.breakpoints:
         valid &= np.abs(r - x) >= collar
     return hu, valid
 
@@ -435,9 +436,9 @@ def _kernel_slice(p, e: float, direction: str, wronskian_scale: float = 1.0) -> 
     return _KernelSlice(chi, om, w * scale)
 
 
-def _momentum_scale(p, e: complex) -> float:
-    """Largest |sqrt(E - v_j)| over the regions; sets resolvable probe steps."""
-    return max(abs(branch_sqrt(complex(e) - v)) for v in p.heights)
+def _momentum_scale(heights, e: complex) -> float:
+    """Largest |sqrt(E - v)| over the region ``heights``; sets resolvable probe steps."""
+    return max(abs(branch_sqrt(complex(e) - v)) for v in heights)
 
 
 def check_jump(p, e: float, s: float, direction: str, wronskian_scale: float = 1.0) -> ResidualReport:
@@ -458,13 +459,18 @@ def check_jump(p, e: float, s: float, direction: str, wronskian_scale: float = 1
     return _jump_report(*_derivatives(kernel.values(radii, s).tolist(), stencils))
 
 
-def _jump_stencils(p, e: float, s: float) -> tuple[tuple[float, int, float], ...]:
-    """The (x, side, h0) of the right and left derivatives at r = s that :func:`check_jump` takes."""
+def _jump_stencils(
+    p, e: float, s: float, error: type[Exception] = ContractError
+) -> tuple[tuple[float, int, float], ...]:
+    """The (x, side, h0) of the right and left derivatives at r = s that :func:`check_jump` takes.
+
+    ``error`` is raised for an s within 1e-3 of a breakpoint or the origin.
+    """
     dist = min([abs(s - bp) for bp in p.breakpoints] + [s])
     if dist < 1e-3:
-        raise ContractError(f"s={s} is within 1e-3 of a potential breakpoint or the origin")
+        raise error(f"s={s} is within 1e-3 of a potential breakpoint or the origin")
     # probes must resolve the fastest oscillation of the kernel
-    h0 = min(dist, 2.0 / (1.0 + _momentum_scale(p, e))) / 4.0
+    h0 = min(dist, 2.0 / (1.0 + _momentum_scale(p.heights, e))) / 4.0
     if _RICHARDSON_GAIN * math.ulp(s + h0) / h0 > 1e-6:
         raise DomainError(f"s={s}: rounding its probes, {h0:.4g} apart, could move the jump by over 1e-6")
     return (s, +1, h0), (s, -1, h0)
@@ -493,96 +499,140 @@ def _jump_report(d_right: complex, d_left: complex) -> ResidualReport:
 
 
 def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Prefix integrals of uniformly sampled y with O(h^4) accuracy at every node.
+    """Prefix integrals, along the last axis, of uniformly sampled y with O(h^4) accuracy at every node.
 
     Even prefixes use composite Simpson pairs; odd prefixes close with a
     3/8 panel over the last three intervals (the first interval alone uses
-    the quadratic through the leading three samples).
+    the cubic through the leading four samples, whose error is O(h^5) like
+    the panels').
     """
-    n = y.size
-    if n < 4:
+    if y.shape[-1] < 4:
         raise ContractError("cumulative Simpson needs at least 4 samples")
-    out = np.zeros(n, dtype=y.dtype)
-    pairs = (h / 3.0) * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
-    even_idx = np.arange(2, n, 2)
-    out[even_idx] = np.cumsum(pairs)
-    out[1] = (h / 12.0) * (5.0 * y[0] + 8.0 * y[1] - y[2])
-    odd_idx = np.arange(3, n, 2)
-    if odd_idx.size:
-        closing = (3.0 * h / 8.0) * (
-            y[odd_idx - 3] + 3.0 * y[odd_idx - 2] + 3.0 * y[odd_idx - 1] + y[odd_idx]
-        )
-        out[odd_idx] = out[odd_idx - 3] + closing
+    out = np.zeros(y.shape, dtype=y.dtype)
+    out[..., 2::2] = np.cumsum((h / 3.0) * (y[..., :-2:2] + 4.0 * y[..., 1:-1:2] + y[..., 2::2]), axis=-1)
+    out[..., 1] = (h / 24.0) * (9.0 * y[..., 0] + 19.0 * y[..., 1] - 5.0 * y[..., 2] + y[..., 3])
+    out[..., 3::2] = out[..., :-3:2] + (3.0 * h / 8.0) * (
+        y[..., :-3:2] + 3.0 * y[..., 1:-2:2] + 3.0 * y[..., 2:-1:2] + y[..., 3::2]
+    )
     return out
 
 
 def check_resolvent_identity(
-    p, e: complex, f: TestFunction, quad_step: float = LATTICE
+    p, e: complex, f: TestFunction, target: float = RESOLVENT_TARGET
 ) -> ResidualReport:
     """Rebuild (E - H)^{-1} f by quadrature and verify (E - h) u = f.
 
     u(r) = integral of G(r, s; E) f(s) ds is assembled from prefix/suffix
     Simpson integrals of chi*f and omega*f, which is composite Simpson with a
     panel boundary exactly at the kink s = r.  The finite-difference operator
-    then has to return f; its second-order truncation error dominates the
-    reported residual, so halving ``quad_step`` shrinks it about fourfold.
-    The same step is used for quadrature and differencing; one that is not
-    finite and positive, or that needs more than ``MAX_STEPS`` steps over the
-    support of f, raises :class:`ContractError`.
+    then has to return f.  The support of f is cut at the breakpoints, and
+    each region has a uniform grid of its own, at least ``MIN_REGION_STEPS``
+    steps, whose interior nodes are checked; the cuts are excluded.
+
+    A first pass at ``COARSE_PHASE`` rad per step of the region's wave or of
+    the bump measures each region's residual R, relative to max |f|.  Its
+    difference and Simpson errors shrink at least as the step squared, so a
+    region with R above ``target`` is run again at its step times
+    sqrt(target / R), but never past the step at which the rounding of u,
+    over the step squared, would reach ``target``.  A region too thin for
+    ``MIN_REGION_STEPS`` such steps is integrated but not differenced, and
+    its nodes count as excluded.  A target that is not finite and positive
+    raises :class:`ContractError`; grids past ``MAX_STEPS`` steps raise
+    :class:`DomainError` before they are allocated.
     """
     e = complex_energy(e)
     if e.imag == 0.0:
         raise ContractError("resolvent identity requires Im E != 0")
-    h = _require_step(quad_step)
-    r_grid, u = _resolvent_image(p, e, f, h)
-    f_r = f(r_grid)
-
-    # the declared support truncates the source, so u'' has a (tiny) jump at
-    # the two support edges; flag their collars exactly like potential jumps
-    hu, valid = apply_hamiltonian_fd(
-        r_grid, u, p, h, exclude_near=(float(r_grid[1]), float(r_grid[-2]))
-    )
-    resid = np.abs(e * u - hu - f_r)
-    scale = float(np.max(np.abs(f_r[1:-1])))
-    inside = (r_grid >= f.support[0]) & (r_grid <= r_grid[-2]) & valid
-    max_resid = float(np.max(resid[inside])) / scale
+    target = _require_step(target, "target")
+    lo, hi = f.support
+    cuts = [lo, *(x for x in p.breakpoints if lo < x < hi), hi]
+    widths = np.diff(cuts)
+    rates = np.array([
+        max(abs(e - p.heights[bisect_right(p.breakpoints, 0.5 * (x0 + x1))]) ** 0.5, 1.0 / f.width)
+        for x0, x1 in zip(cuts, cuts[1:])
+    ])
+    counts = _region_steps(widths * rates / COARSE_PHASE, target)
+    resid, size, inner, scale = _region_residuals(p, e, f, cuts, counts)
+    # u carries a rounding of eps |size|, and rounding r by eps |r| moves it by
+    # eps |size| |r| rate; the stencil turns a rounding nu into up to 2 nu / h^2
+    noise = np.finfo(float).eps * size * (1.0 + np.abs(cuts[1:]) * rates)
+    with np.errstate(divide="ignore"):
+        most = widths * np.sqrt(target * scale / (2.0 * noise))
+    kept = most >= MIN_REGION_STEPS
+    if not kept.any():
+        raise DomainError(f"the image of f at E={e} carries too much rounding to difference")
+    refine = np.sqrt(resid / (target * scale))
+    if (refine[kept] > 1.0).any():
+        refined = np.maximum(np.minimum(refine * counts, most), counts)
+        counts = _region_steps(np.where(kept, refined, counts), target)
+        resid, _, inner, scale = _region_residuals(p, e, f, cuts, counts)
+    samples = int(inner[kept].sum())
     return ResidualReport.build(
         "resolvent_identity",
-        samples=int(np.count_nonzero(inside)),
-        max_residual=max_resid,
+        samples=samples,
+        max_residual=resid[kept].max() / scale,
         tolerance=1e-4,
-        excluded=int(np.count_nonzero(~valid[1:-1])),
+        excluded=sum(counts) + 1 - samples,
     )
 
 
-def _resolvent_image(p, e: complex, f: TestFunction, h: float):
-    """(r_grid, u): the Simpson image of f under the resolvent kernel, at step h.
+def _region_steps(counts: np.ndarray, target: float) -> list[int]:
+    """``counts`` rounded up to odd counts of at least ``MIN_REGION_STEPS``.
 
-    r_grid is the support grid of f plus one node beyond each end, where only
-    one of the two partial integrals is nonzero.
+    In a region of an odd count the 3/8 closings of the prefix sums fall on
+    the nodes where those of the suffix sums do not, and the leading
+    alternating errors the two leave in u cancel.  Raises
+    :class:`DomainError` past ``MAX_STEPS`` steps in all.
     """
-    lo, hi = f.support
-    _require_steps((hi - lo) / h, h)
-    if lo - h <= 0.0:
-        raise ContractError("support must leave room for one grid step above the origin")
+    total = float(np.sum(counts))
+    if not total <= MAX_STEPS:
+        raise DomainError(
+            f"the resolvent check at target {target} needs {total:.4g} steps, more than {MAX_STEPS}"
+        )
+    return [max(MIN_REGION_STEPS, math.ceil(n)) | 1 for n in counts.tolist()]
+
+
+def _region_residuals(p, e: complex, f: TestFunction, cuts, counts):
+    """Per region: max |(E - h) u - f|, max size of u's terms and interior nodes; and max |f|."""
+    resid, size, inner, scale = [], [], [], 0.0
+    image = _resolvent_image(p, e, f, cuts, counts)
+    for (r, u, f_r, terms), x0, x1, n in zip(image, cuts, cuts[1:], counts):
+        hu, valid = apply_hamiltonian_fd(r, u, p, (x1 - x0) / n)
+        resid.append(float(np.abs(e * u - hu - f_r)[valid].max()))
+        size.append(float(terms.max()))
+        inner.append(int(np.count_nonzero(valid)))
+        scale = max(scale, float(np.abs(f_r).max()))
+    return np.array(resid), np.array(size), np.array(inner), scale
+
+
+def _resolvent_image(p, e: complex, f: TestFunction, cuts, counts):
+    """[(r_j, u_j, f_j, terms_j)]: the Simpson image u of f under the resolvent kernel, by region.
+
+    Region j runs from cuts[j] to cuts[j + 1] in counts[j] steps, and its
+    nodes include both ends.  u = (omega P + chi S) / W, with P the prefix
+    integral of chi*f and S the suffix integral of omega*f, each summed from
+    its own end so that neither is a difference of larger sums; terms_j is
+    (|omega P| + |chi S|) / |W|, which bounds the rounding of u.
+    """
     direction = "plus" if e.imag > 0.0 else "minus"
     chi, om, w = wave_pair(p, e, direction)
-    n = int(math.ceil((hi - lo) / h - 1e-9))
-    s_grid = lo + h * np.arange(n + 1)
-    chi_s = chi.value(s_grid)
-    om_s = om.value(s_grid)
-    f_s = f(s_grid)
-    pre_chi = _cumulative_simpson(chi_s * f_s, h)
-    pre_om = _cumulative_simpson(om_s * f_s, h)
-    total_chi = pre_chi[-1]
-    total_om = pre_om[-1]
-
-    r_grid = np.concatenate(([s_grid[0] - h], s_grid, [s_grid[-1] + h]))
-    u = np.empty(r_grid.size, dtype=complex)
-    u[1:-1] = (om_s * pre_chi + chi_s * (total_om - pre_om)) / w
-    u[0] = chi.value(r_grid[0]) * total_om / w
-    u[-1] = om.value(r_grid[-1]) * total_chi / w
-    return r_grid, u
+    grids = [np.linspace(x0, x1, n + 1) for x0, x1, n in zip(cuts, cuts[1:], counts)]
+    ends = np.cumsum([0] + [n + 1 for n in counts]).tolist()
+    regions = [slice(a, b) for a, b in zip(ends, ends[1:])]
+    s = np.concatenate(grids)
+    chi_s, om_s, f_s = chi.value(s), om.value(s), f(s)
+    chi_f, om_f = chi_s * f_s, om_s * f_s
+    # each region's prefix integrals of chi*f and, read backwards, suffix integrals of omega*f
+    sums = [_cumulative_simpson(np.stack((chi_f[j], om_f[j][::-1])), (x1 - x0) / n)
+            for j, x0, x1, n in zip(regions, cuts, cuts[1:], counts)]
+    totals = np.array([part[:, -1] for part in sums])
+    before = np.concatenate(([0.0], np.cumsum(totals[:-1, 0])))
+    after = np.concatenate((np.cumsum(totals[:0:-1, 1])[::-1], [0.0]))
+    image = []
+    for r, j, part, b, a in zip(grids, regions, sums, before, after):
+        left, right = om_s[j] * (b + part[0]), chi_s[j] * (a + part[1, ::-1])
+        image.append((r, (left + right) / w, f_s[j], (np.abs(left) + np.abs(right)) / abs(w)))
+    return image
 
 
 def rk4_runs(p, e: float, s: float, error: type[Exception] = ContractError):
@@ -645,7 +695,7 @@ def check_distributional_equation(
     r_out = right[0][0]
 
     kernel = _kernel_slice(p, e, direction, wronskian_scale)
-    probe_cap = 2.0 / (1.0 + _momentum_scale(p, e))
+    probe_cap = 2.0 / (1.0 + _momentum_scale(p.heights, e))
     dist0 = min(s, min(p.breakpoints) if p.breakpoints else s)
     dist_s = min([abs(s - bp) for bp in p.breakpoints] + [s, 1.0, probe_cap])
     # every probe radius in one call, starting at s: the jump at s, the seed

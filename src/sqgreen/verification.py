@@ -26,12 +26,12 @@ from .model import PiecewisePotential, branch_sqrt, real_energy
 from .oracle import (
     ResidualReport,
     TestFunction,
+    _jump_stencils,
     _require_scale,
     check_distributional_equation,
     check_resolvent_identity,
     propagate,
     rk4_runs,
-    step_too_coarse,
 )
 
 #: the most random instances one run draws (about 1 ms each)
@@ -145,12 +145,14 @@ def run_verification(
     integer, a negative ``seed``, an ``n_random`` outside
     [0, ``MAX_RANDOM_INSTANCES``] or a ``wronskian_scale`` that is not
     finite and nonzero, and :class:`DomainError` for an energy that is not
-    real, finite and positive, for a potential without breakpoints, if a
-    region inside the last breakpoint spans fewer than 16 steps of the
-    resolvent check's finite-difference grid
-    (:func:`~sqgreen.oracle.step_too_coarse`), or if a run of the
-    distributional check's RK4 oracle would take more steps than it allows
-    (:func:`~sqgreen.oracle.rk4_runs`).
+    real, finite and positive, for a potential without breakpoints, for a
+    last region so thin that the jump probes at its midpoint come within
+    1e-3 of a breakpoint, or if a run of the distributional check's RK4
+    oracle would take more steps than it allows
+    (:func:`~sqgreen.oracle.rk4_runs`).  The resolvent check's grids step
+    region by region, so no other region width is refused; that check raises
+    :class:`DomainError` itself, when it runs, for grids it cannot lay
+    (:func:`~sqgreen.oracle.check_resolvent_identity`).
     """
     try:
         seed, n_random = operator.index(seed), operator.index(n_random)
@@ -167,11 +169,10 @@ def run_verification(
     if not p.breakpoints:
         # the probe radii, the bump and the reference tails sit at the last breakpoint
         raise DomainError("verification needs a potential with at least one breakpoint")
-    if step_too_coarse(p):
-        raise DomainError("regions inside the last breakpoint need 16 steps of the resolvent check's grid")
     edges = (0.0,) + p.breakpoints
     s_mid = 0.5 * (edges[-2] + edges[-1])
     rk4_runs(p, e, s_mid, DomainError)
+    _jump_stencils(p, e, s_mid, DomainError)
     ec = complex(e, 1.0)
     waves = _engine_waves(p, ec)
     rng = Random(seed)

@@ -102,21 +102,23 @@ def test_criterion_2_distributional_equation():
 
 
 def test_criterion_3_resolvent_identity():
+    # each region's step follows the check's target, so a tenfold smaller
+    # target must give about a tenfold smaller residual
     bump = TestFunction("gaussian_bump", 3.0, 0.5)
     worst = 0.0
     ratios = []
     for p in (SquareBarrier(0.0, 1.0, 2.0), SquareBarrier(5.0, 1.0, 2.0)):
         for e in (1 + 1j, 1 - 1j):
-            coarse = check_resolvent_identity(p, e, bump, quad_step=1e-3)
-            fine = check_resolvent_identity(p, e, bump, quad_step=5e-4)
-            worst = max(worst, coarse.max_residual)
-            ratios.append(coarse.max_residual / fine.max_residual)
-    ok = worst <= 1e-4 and all(2.5 < rho < 6.0 for rho in ratios)
+            default = check_resolvent_identity(p, e, bump)
+            finer = check_resolvent_identity(p, e, bump, target=1e-6)
+            worst = max(worst, default.max_residual)
+            ratios.append(default.max_residual / finer.max_residual)
+    ok = worst <= 1e-4 and all(7.0 < rho < 14.0 for rho in ratios)
     _verdict(
         3,
         "resolvent identity",
         ok,
-        f"worst residual = {worst:.3e} <= 1e-4, halving ratios = "
+        f"worst residual = {worst:.3e} <= 1e-4, tenfold-target ratios = "
         + ", ".join(f"{rho:.2f}" for rho in ratios),
     )
     assert ok

@@ -451,11 +451,9 @@ class TestVerify:
             ["verify", "--v0=5", "--a=1", "--b=2", "--energy=1e300"],
             # the wave amplitudes overflow in cmath
             ["verify", "--v0=1e6", "--a=1", "--b=2", "--energy=1"],
-            # regions narrower than 16 steps of the resolvent check's finite-difference
-            # grid: a ContractError traceback (exit 1)
+            # a last region so thin that the jump check's probes at its midpoint
+            # would sit within 1e-3 of a breakpoint: a ContractError traceback (exit 1)
             ["verify", "--v0=5", "--a=1", "--b=1.001", "--energy=1"],
-            ["verify", "--v0=5", "--a=1", "--b=1.004", "--energy=1"],
-            ["verify", "--v0=5", "--a=0.001", "--b=2", "--energy=1"],
             # energies off the positive real axis, refused by run_verification itself
             ["verify", "--v0=5", "--a=1", "--b=2", "--energy=1+1i"],
             ["verify", "--v0=5", "--a=1", "--b=2", "--energy=-1"],
@@ -498,6 +496,45 @@ class TestVerify:
         assert all(c["pass"] for c in checks)
         rk4 = [c["max_residual"] for c in checks if c["name"].startswith("offdiagonal_radial")]
         assert len(rk4) == 2 and max(rk4) < 5e-8
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--v0=-100", "--a=1", "--b=2", "--energy=1"],
+            ["--v0=-300", "--a=1", "--b=2", "--energy=1"],
+            ["--v0=-2e4", "--a=1", "--b=1.05", "--energy=1"],
+            ["--v0=30", "--a=2", "--b=2.0031", "--energy=1"],
+            ["--v0=5", "--a=1", "--b=1.004", "--energy=1"],
+            ["--v0=5", "--a=0.001", "--b=2", "--energy=1"],
+        ],
+        ids=["well-100", "well-300", "well-2e4", "thin-barrier", "thin-last", "thin-first"],
+    )
+    def test_deep_wells_and_thin_regions_pass(self, tmp_path, capsys, argv):
+        # the wells read 1.1e-4, 3.0e-4 and 0.15 on the resolvent check's one
+        # 1e-3 grid (exit 1), and the thin regions were refused (exit 2)
+        out = tmp_path / "report.json"
+        assert main(["verify", *argv, f"--out={out}"]) == 0
+        assert capsys.readouterr().err == ""
+        checks = json.loads(out.read_text())["checks"]
+        assert all(c["pass"] for c in checks)
+        resolvent = next(c for c in checks if c["name"] == "resolvent_identity")
+        assert resolvent["max_residual"] <= 2.5e-5
+        assert main(["verify", *argv, "--corrupt-wronskian=1.001", f"--out={out}"]) == 1
+        failed = {c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]}
+        assert "derivative_jump_plus" in failed
+
+    def test_slow_region_beside_a_very_fast_one_runs(self, tmp_path, capsys):
+        # RK4's stability bound read the momentum of the whole potential, so a
+        # 0.01 step where k = 1 was refused for the 3.162 rad it would take in
+        # the well (exit 2), after the waves and the first checks had run.
+        # The resolvent check still fails here, at about 2.6e-3: in the well the
+        # rounding of the nodes, over the step squared, stops its step short
+        out = tmp_path / "report.json"
+        rc = main(["verify", "--v0=-1e5", "--a=1", "--b=1.05", "--energy=1", f"--out={out}"])
+        assert capsys.readouterr().err == ""
+        checks = json.loads(out.read_text())["checks"]
+        assert rc == (0 if all(c["pass"] for c in checks) else 1)
+        assert all(c["pass"] for c in checks if c["name"] != "resolvent_identity")
 
     def test_seed_changes_random_draws_not_outcome(self, tmp_path):
         outs = []

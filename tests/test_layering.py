@@ -117,5 +117,8 @@ def test_rk4_does_not_use_the_engine(name):
 @pytest.mark.parametrize("module", ["cli", "verification"])
 def test_the_rk4_step_rule_stays_in_the_oracle(module):
     # verify and its help text restated the oracle's lattice, reach and stability bounds
-    rule = {"LATTICE", "on_lattice", "MAX_STEPS", "TAIL_START", "RK4_STABILITY"}
+    rule = {
+        "LATTICE", "on_lattice", "MAX_STEPS", "TAIL_START", "RK4_STABILITY",
+        "RESOLVENT_TARGET", "COARSE_PHASE", "MIN_REGION_STEPS",
+    }
     assert _names(_tree(module)) & rule == set()

@@ -163,6 +163,16 @@ class TestIntegrateSchrodinger:
         traj = integrate_schrodinger(SquareBarrier(5, 1, 2), 2.7e6, 0, 1, 0, 3, 1e-3)
         assert np.all(np.isfinite(traj.values)) and np.all(np.isfinite(traj.derivatives))
 
+    @pytest.mark.parametrize("r_from, r_to", [(0.0, 1.0), (1.05, 6.05), (6.05, 1.05)])
+    def test_stability_reads_only_the_regions_crossed(self, r_from, r_to):
+        # the bound took the momentum of the whole potential, so a step of 0.01
+        # where k = 1 was refused for the 3.162 rad it would advance in the well
+        well = SquareBarrier(-1e5, 1, 1.05)
+        traj = integrate_schrodinger(well, 1.0, 0, 1, r_from, r_to, 0.01)
+        assert np.all(np.isfinite(traj.values))
+        with pytest.raises(DomainError, match="3.162 rad"):
+            integrate_schrodinger(well, 1.0, 0, 1, 0.0, 1.05, 0.01)
+
 
 class TestPropagate:
     def test_free_flow_is_the_sine(self):
@@ -317,9 +327,6 @@ _STEP_CALLS = {
     "apply_hamiltonian_fd": lambda p, h: apply_hamiltonian_fd(
         np.arange(5) * 1e-3, np.zeros(5), p, h
     ),
-    "check_resolvent_identity": lambda p, h: check_resolvent_identity(
-        p, 1.0 + 1.0j, TestFunction("gaussian_bump", 3.0, 0.5), quad_step=h
-    ),
 }
 
 
@@ -443,10 +450,18 @@ class TestApplyHamiltonianFd:
         with pytest.raises(ContractError, match="step"):
             apply_hamiltonian_fd(r, np.ones(11), SquareBarrier(5, 1, 2), step=math.nan)
 
-    def test_coarse_grid_rejected(self, barrier):
-        r = 0.5 * np.arange(20)
-        with pytest.raises(ContractError):
-            apply_hamiltonian_fd(r, np.ones(20, dtype=complex), barrier, 0.5)
+    def test_one_region_grid_loses_only_its_ends(self, barrier):
+        # the grids of the resolvent check: one region, breakpoints at both ends
+        r = np.linspace(1.0, 2.0, 17)
+        _, valid = apply_hamiltonian_fd(r, np.ones(17), barrier, 1.0 / 16)
+        assert valid.tolist() == [False] + [True] * 15 + [False]
+
+    def test_coarse_grid_drops_the_nodes_beside_each_breakpoint(self, barrier):
+        # a grid of fewer than 16 steps a region used to be refused; a node
+        # is dropped only where its stencil reaches across 1 or 2
+        r = 0.3 * np.arange(20)
+        _, valid = apply_hamiltonian_fd(r, np.ones(20, dtype=complex), barrier, 0.3)
+        assert np.flatnonzero(~valid).tolist() == [0, 3, 4, 6, 7, 19]
 
     def test_mismatched_or_non_uniform_grid_rejected(self, barrier):
         r = np.linspace(2.2, 2.3, 11)
@@ -520,41 +535,102 @@ class TestCheckJump:
 
 
 class TestResolventIdentity:
-    def test_barrier_and_free(self, barrier, free):
+    @pytest.mark.parametrize(
+        "p",
+        [
+            PiecewisePotential((), (0.0,)),
+            SquareBarrier(5, 1, 2),
+            SquareBarrier(-100, 1, 2),
+            SquareBarrier(-300, 1, 2),
+            SquareBarrier(-2e4, 1, 1.05),
+            SquareBarrier(30, 2, 2.0031),
+        ],
+        ids=["free", "barrier", "well-100", "well-300", "well-2e4", "thin-barrier"],
+    )
+    def test_correct_kernels_pass(self, p):
+        # the one 1e-3 grid read 1.1e-4, 3.0e-4 and 0.15 in the wells, and
+        # could not lay 16 steps across the 0.0031-wide barrier
         f = TestFunction("gaussian_bump", 3.0, 0.5)
-        for p in (free, barrier):
-            for e in (1 + 1j, 1 - 1j):
-                rep = check_resolvent_identity(p, e, f)
-                assert rep.passed and rep.max_residual <= 1e-4
-                assert rep.excluded > 0  # collars are reported, never silent
+        for e in (1 + 1j, 1 - 1j):
+            rep = check_resolvent_identity(p, e, f)
+            assert rep.passed and rep.max_residual <= 2.5e-5
+            # the two ends of the support and each breakpoint are reported, never silent
+            assert rep.excluded == 2 + len(p.breakpoints)
 
-    def test_step_halving_improves_fourfold(self, barrier):
-        f = TestFunction("gaussian_bump", 3.0, 0.5)
-        coarse = check_resolvent_identity(barrier, 1 + 1j, f).max_residual
-        fine = check_resolvent_identity(barrier, 1 + 1j, f, quad_step=5e-4).max_residual
-        assert 2.5 < coarse / fine < 6.0
+    @pytest.mark.parametrize(
+        "p", [SquareBarrier(5, 1, 2), SquareBarrier(-100, 1, 2), STAIRCASE],
+        ids=["barrier", "well", "staircase"],
+    )
+    @pytest.mark.parametrize(
+        "kind, center, width",
+        [("gaussian_bump", 3.0, 0.5), ("compact_polynomial_bump", 3.5, 1.0)],
+        ids=["gaussian", "compact"],
+    )
+    def test_residual_follows_the_target(self, p, kind, center, width):
+        # each region's step comes from the check's own residual, so a tenfold
+        # smaller target gives about a tenfold smaller residual
+        f = TestFunction(kind, center, width)
+        default = check_resolvent_identity(p, 1 + 1j, f)
+        finer = check_resolvent_identity(p, 1 + 1j, f, target=1e-6)
+        assert default.max_residual <= 1.5 * oracle_module.RESOLVENT_TARGET
+        assert 7.0 < default.max_residual / finer.max_residual < 14.0
+        assert finer.samples > 2 * default.samples
 
     def test_real_energy_rejected(self, barrier):
         f = TestFunction("gaussian_bump", 3.0, 0.5)
         with pytest.raises(ContractError):
             check_resolvent_identity(barrier, 1.0 + 0j, f)
 
-    @pytest.mark.parametrize("quad_step", [0.0, math.nan])
-    def test_step_not_finite_and_positive_rejected(self, quad_step):
-        # a ZeroDivisionError and a bare ValueError from the Simpson grid
+    @pytest.mark.parametrize("target", [0.0, -1e-5, math.nan, math.inf, "x", 1j])
+    def test_target_not_finite_and_positive_rejected(self, target):
         f = TestFunction("gaussian_bump", 3.0, 0.5)
-        with pytest.raises(ContractError, match="step"):
-            check_resolvent_identity(SquareBarrier(5, 1, 2), 1 + 1j, f, quad_step=quad_step)
+        with pytest.raises(ContractError, match="target must be"):
+            check_resolvent_identity(SquareBarrier(5, 1, 2), 1 + 1j, f, target=target)
 
-    def test_grid_past_max_steps_rejected_before_allocating(self):
-        # verify's bump is 5.5 wide: 5.5e8 nodes in each of several complex arrays
+    @pytest.mark.parametrize(
+        "e, target, match",
+        [(1e14 + 1j, 1e-5, "more than 1000000"), (1 + 1j, 1e-20, "too much rounding")],
+        ids=["past-max-steps", "below-rounding"],
+    )
+    def test_unreachable_grid_raises_before_allocating(self, e, target, match):
+        # a first pass of 5.5e8 nodes at E = 1e14; a target so small that the
+        # rounding of u, over the step squared, passes it on any grid
         f = TestFunction("gaussian_bump", 3.0, 0.5)
 
         def call():
-            with pytest.raises(ContractError, match="steps"):
-                check_resolvent_identity(SquareBarrier(5, 1, 2), 1 + 1j, f, quad_step=1e-8)
+            with pytest.raises(DomainError, match=match):
+                check_resolvent_identity(SquareBarrier(5, 1, 2), e, f, target=target)
 
         assert _peak_bytes(call) < 2**20
+
+    @pytest.mark.parametrize("e, most", [(1 + 1j, 2000), (3000 + 1j, 4000)], ids=["E1", "E3000"])
+    def test_node_count_stays_bounded(self, monkeypatch, e, most):
+        # both passes together, against 5497 nodes on the one 1e-3 grid this
+        # check used to lay; a rule that refines everywhere must fail here.
+        # At E = 3000 the Simpson error sets the step: one sized from the
+        # fourth derivative of u alone read 1.8e-2
+        points = []
+
+        def counted(r, *args, **kwargs):
+            points.append(len(r))
+            return apply_hamiltonian_fd(r, *args, **kwargs)
+
+        monkeypatch.setattr(oracle_module, "apply_hamiltonian_fd", counted)
+        f = TestFunction("gaussian_bump", 3.0, 0.5)
+        rep = check_resolvent_identity(SquareBarrier(5, 1, 2), e, f)
+        assert rep.passed and rep.max_residual <= 2.5e-5
+        assert rep.samples + rep.excluded <= sum(points) <= most
+
+    @pytest.mark.parametrize("p", [SquareBarrier(5, 1, 2), SquareBarrier(-2e4, 1, 1.05)], ids=["barrier", "well"])
+    def test_scaled_kernel_fails(self, monkeypatch, p):
+        # the steps follow the check's own residual, which must not absorb a wrong kernel
+        def scaled(*args):
+            chi, om, w = wave_pair(*args)
+            return chi, om, 1.001 * w
+
+        monkeypatch.setattr(oracle_module, "wave_pair", scaled)
+        rep = check_resolvent_identity(p, 1 + 1j, TestFunction("gaussian_bump", max(p.b + 1.0, 3.0), 0.5))
+        assert not rep.passed and rep.max_residual > 5e-4
 
     def test_adjoint_direction_returns_bump(self, barrier):
         # apply the kernel to (E - h) g and expect g back: no finite
@@ -579,20 +655,18 @@ class TestResolventIdentity:
         assert rep.passed
 
     def test_quadrature_image_matches_brute_force(self, barrier):
-        # the prefix/suffix assembly must agree with naively integrating the
-        # kernel row (trapezoids are enough to cross-check at 1e-5)
-        from sqgreen import resolvent_kernel
-
+        # the prefix/suffix assembly, chained across the breakpoints 1 and 2,
+        # must agree with naively integrating the kernel row (trapezoids are
+        # enough to cross-check at 1e-5)
         e = 1 + 1j
-        f = TestFunction("compact_polynomial_bump", 3.5, 1.0)
-        r_grid, u = _resolvent_image(barrier, e, f, 1e-3)
-        s_grid, u = r_grid[1:-1], u[1:-1]
-        for idx in (150, 987, 1500):
-            r = float(s_grid[idx])
-            g_row = np.array(
-                [resolvent_kernel(barrier, e, r, float(s)) for s in s_grid[::4]]
-            )
-            brute = np.trapezoid(g_row * f(s_grid[::4]), dx=4e-3)
+        f = TestFunction("compact_polynomial_bump", 2.0, 1.5)
+        image = _resolvent_image(barrier, e, f, [0.5, 1.0, 2.0, 3.5], [500, 1000, 1500])
+        assert [r.size for r, _, _, _ in image] == [501, 1001, 1501]
+        s_grid = 0.5 + 4e-3 * np.arange(751)
+        for j, idx in ((0, 250), (1, 487), (2, 0), (2, 700)):
+            r, u, _, _ = image[j]
+            g_row = kernel_grid(barrier, e, [float(r[idx])], s_grid)[0]
+            brute = np.trapezoid(g_row * f(s_grid), dx=4e-3)
             assert abs(u[idx] - brute) < 1e-5
 
 
@@ -722,14 +796,10 @@ class TestRunVerification:
         with pytest.raises(DomainError, match="more than 1000000"):
             run_verification(p, e)
 
-    @pytest.mark.parametrize("a, b", [(1.0, 1.001), (1.0, 1.004), (0.001, 2.0)])
-    def test_thin_region_raises_before_any_draw_or_check(self, monkeypatch, a, b):
-        # each used to end in a ContractError from check_jump or
-        # apply_hamiltonian_fd after up to four checks had run
-        p = SquareBarrier(5.0, a, b)
-        r = np.arange(2501) * oracle_module.LATTICE
-        with pytest.raises(ContractError, match="too coarse"):
-            apply_hamiltonian_fd(r, np.sin(r), p, oracle_module.LATTICE)
+    def test_thin_last_region_raises_before_any_draw_or_check(self, monkeypatch):
+        # the jump check's probes at the midpoint 1.0005 would sit within 1e-3
+        # of both breakpoints: a ContractError after up to four checks had run
+        p = SquareBarrier(5.0, 1.0, 1.001)
 
         def nothing(*args, **kwargs):
             raise AssertionError("a draw or a check ran")
@@ -743,7 +813,7 @@ class TestRunVerification:
             "boundary_limits",
         ):
             monkeypatch.setattr(verification, name, nothing)
-        with pytest.raises(DomainError, match="16 steps"):
+        with pytest.raises(DomainError, match="within 1e-3"):
             run_verification(p, 1.0)
 
     @pytest.mark.parametrize("e", [-1.0, 0.0, math.nan, math.inf, 1.0 + 1.0j, "x"])
