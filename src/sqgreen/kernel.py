@@ -238,6 +238,12 @@ def boundary_limit(
     if not 0.0 < mu0 <= 0.1 * e:
         raise DomainError(f"mu0 must lie in (0, 0.1 E], got {mu0}")
 
+    mus, samples, converged = _limit_walk(p, e, r, s, direction, mu0)
+    return LimitStudy(mus, samples, formal_green(p, e, r, s, direction), converged)
+
+
+def _limit_walk(p, e: float, r: float, s: float, direction: str, mu0: float):
+    """(mu sequence, samples, converged) of a checked :func:`boundary_limit` request, off its sweep."""
     mus, energies, chi, om, w, finite_waves = _engine_sweep(p, e, mu0)
     lo, hi = (r, s) if r <= s else (s, r)
     with np.errstate(all="ignore"):
@@ -263,8 +269,7 @@ def boundary_limit(
             break
         prev = g
     kept = k + 1
-    formal = formal_green(p, e, r, s, direction)
-    return LimitStudy(tuple(mus[:kept].tolist()), tuple(values[:kept]), formal, converged)
+    return tuple(mus[:kept].tolist()), tuple(values[:kept]), converged
 
 
 def boundary_limits(p, e: float, r: float, s: float, directions,

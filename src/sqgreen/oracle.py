@@ -390,6 +390,14 @@ def _richardson(values: list[complex], side: int, h0: float) -> complex:
 _RICHARDSON_GAIN = sum(abs(_richardson(list(unit), 1, 1.0)) for unit in np.eye(RICHARDSON_LEVELS + 1)[1:])
 
 
+def _factor(wave: PiecewiseWave, r: np.ndarray, s: float, mask: np.ndarray) -> np.ndarray:
+    """``wave`` at the radii of ``r`` under ``mask`` and its frozen value at s elsewhere, from one call."""
+    v = wave.value(np.append(r[mask], s))
+    out = np.full(r.shape, v[-1])
+    out[mask] = v[:-1]
+    return out
+
+
 class _KernelSlice(NamedTuple):
     """The waves and Wronskian of G(., s) for a formal kernel at real E."""
 
@@ -397,24 +405,14 @@ class _KernelSlice(NamedTuple):
     om: PiecewiseWave
     w: complex
 
-    def factors(self, r, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """chi(min(r, s)) and omega(max(r, s)) at every radius of ``r``.
+    def values(self, r, s: float) -> np.ndarray:
+        """G(r, s) at the radii ``r``, from chi(min(r, s)) and omega(max(r, s)), one call per wave.
 
-        Each wave takes one call: chi at the radii up to s and omega at those
-        beyond, each with s appended for the factor that stays frozen there.
+        Unscaled, this is a :func:`~sqgreen.kernel.kernel_grid` column.
         """
         r = np.asarray(r, dtype=float)
         below = r <= s
-        chi_v = self.chi.value(np.append(r[below], s))
-        om_v = self.om.value(np.append(r[~below], s))
-        chi_lo, om_hi = np.full(r.shape, chi_v[-1]), np.full(r.shape, om_v[-1])
-        chi_lo[below], om_hi[~below] = chi_v[:-1], om_v[:-1]
-        return chi_lo, om_hi
-
-    def values(self, r, s: float) -> np.ndarray:
-        """G(r, s) at the radii ``r``; unscaled, a :func:`~sqgreen.kernel.kernel_grid` column."""
-        chi_lo, om_hi = self.factors(r, s)
-        return chi_lo * om_hi / self.w
+        return _factor(self.chi, r, s, below) * _factor(self.om, r, s, ~below) / self.w
 
 
 def _require_scale(scale, error: type[Exception] = DomainError) -> float:
@@ -689,12 +687,23 @@ def check_distributional_equation(
     before any wave is built.  A ``wronskian_scale`` so large that the kernel
     underflows to 0 beside s raises :class:`DomainError`.
     """
+    return _distributional_reports(p, e, s, (direction,), wronskian_scale)[0]
+
+
+def _distributional_reports(p, e: float, s: float, directions, wronskian_scale: float):
+    """The :func:`check_distributional_equation` report of each direction, in order.
+
+    The RK4 plan, the stencils and probe radii, and chi at the probes, at the
+    left run's nodes and at the breakpoints below s are shared; each direction
+    has its own omega, seeds, RK4 runs and report, bit for bit those of its own request.
+    """
     e = real_energy(e, "the distributional check")
     (s,) = radii_floats(s)
     left, right = rk4_runs(p, e, s)
     r_out = right[0][0]
 
-    kernel = _kernel_slice(p, e, direction, wronskian_scale)
+    kernels = [_kernel_slice(p, e, direction, wronskian_scale) for direction in directions]
+    chi = kernels[0].chi
     probe_cap = 2.0 / (1.0 + _momentum_scale(p.heights, e))
     dist0 = min(s, min(p.breakpoints) if p.breakpoints else s)
     dist_s = min([abs(s - bp) for bp in p.breakpoints] + [s, 1.0, probe_cap])
@@ -709,61 +718,56 @@ def check_distributional_equation(
     )
     probes = np.array([1e-2, 1e-3, 1e-4]) * min(1.0, dist_s)
     radii = [x for stencil in stencils for x in _richardson_radii(*stencil)]
-    radii += [x for h in probes.tolist() for x in (s + h, s - h)] + [r_out]
-    chi_lo, om_hi = kernel.factors(radii, s)
-    values = chi_lo * om_hi / kernel.w
-    d_right, d_left, slope0, slope_out, slope_right, slope_left = _derivatives(
-        values.tolist(), stencils
-    )
-    jump_report = _jump_report(d_right, d_left)
+    radii = np.array(radii + [x for h in probes.tolist() for x in (s + h, s - h)] + [r_out])
+    chi_lo = _factor(chi, radii, s, radii <= s)
+    chi_sides = chi.one_sided(np.array([bp for bp in p.breakpoints if bp < s]))
+    chi_left, reports = None, []
+    for kernel in kernels:
+        om_hi = _factor(kernel.om, radii, s, radii > s)
+        values = chi_lo * om_hi / kernel.w
+        d_right, d_left, slope0, slope_out, slope_right, slope_left = _derivatives(
+            values.tolist(), stencils
+        )
+        jump_report = _jump_report(d_right, d_left)
 
-    # left of the diagonal: start from G(0, s) = 0 with a measured slope
-    traj = _rk4_run(p, e, 0.0, slope0, *left)
-    kern = kernel.values(traj.r, s)
-    # right of the diagonal: integrate inward from beyond the potential, where
-    # the tail solution dominates; integrating outward from s would amplify
-    # the seed error exponentially through evanescent regions
-    traj_r = _rk4_run(p, e, values[-1], slope_out, *right)
-    kern_r = kernel.values(traj_r.r, s)
-    scale, scale_r = float(np.max(np.abs(kern))), float(np.max(np.abs(kern_r)))
-    if not (scale > 0.0 and scale_r > 0.0):  # a Wronskian scaled past 1e300 leaves only zeros
-        raise DomainError(f"the kernel at E={e} beside s={s} underflows to 0")
-    left_resid = float(np.max(np.abs(traj.values - kern))) / scale
-    right_resid = float(np.max(np.abs(traj_r.values - kern_r))) / scale_r
-    ode_report = ResidualReport.build(
-        "offdiagonal_radial_equation",
-        samples=traj.r.size + traj_r.r.size,
-        max_residual=max(left_resid, right_resid),
-        tolerance=1e-7,
-    )
+        # left of the diagonal: start from G(0, s) = 0 with a measured slope
+        traj = _rk4_run(p, e, 0.0, slope0, *left)
+        if chi_left is None:  # the left run's nodes are the same in every direction
+            chi_left = _factor(chi, traj.r, s, traj.r <= s)
+        kern = chi_left * _factor(kernel.om, traj.r, s, traj.r > s) / kernel.w
+        # right of the diagonal: integrate inward from beyond the potential, where
+        # the tail solution dominates; integrating outward from s would amplify
+        # the seed error exponentially through evanescent regions
+        traj_r = _rk4_run(p, e, values[-1], slope_out, *right)
+        kern_r = kernel.values(traj_r.r, s)
+        scale, scale_r = float(np.max(np.abs(kern))), float(np.max(np.abs(kern_r)))
+        if not (scale > 0.0 and scale_r > 0.0):  # a Wronskian scaled past 1e300 leaves only zeros
+            raise DomainError(f"the kernel at E={e} beside s={s} underflows to 0")
+        left_resid = float(np.max(np.abs(traj.values - kern))) / scale
+        right_resid = float(np.max(np.abs(traj_r.values - kern_r))) / scale_r
+        ode_report = ResidualReport.build("offdiagonal_radial_equation", traj.r.size + traj_r.r.size,
+                                          max(left_resid, right_resid), 1e-7)
+        del traj, traj_r, kern, kern_r  # so that the next direction's runs do not sit beside these
 
-    # continuity at the potential jumps, value and slope, both as one-sided limits;
-    # G(., s) varies through chi left of the diagonal and through omega right of
-    # it, times the frozen omega(s) or chi(s), the factors of the probe at r = s
-    interface_resid = 0.0
-    for radial, frozen, inside in ((kernel.chi, om_hi[0], True), (kernel.om, chi_lo[0], False)):
-        bps = np.array([bp for bp in p.breakpoints if (bp < s) == inside])
-        v_left, v_right, dv_left, dv_right = radial.one_sided(bps)
-        g_here = np.abs(v_right * frozen / kernel.w)
-        jumps = np.abs([v_left - v_right, dv_left - dv_right]) * abs(frozen) / abs(kernel.w)
-        interface_resid = max(interface_resid, float((jumps / (1.0 + g_here)).max(initial=0.0)))
-    interface_report = ResidualReport.build(
-        "interface_continuity",
-        samples=4 * len(p.breakpoints),
-        max_residual=interface_resid,
-        tolerance=1e-10,
-    )
+        # continuity at the potential jumps, value and slope, both as one-sided limits;
+        # G(., s) varies through chi left of the diagonal and through omega right of
+        # it, times the frozen omega(s) or chi(s), the factors of the probe at r = s
+        interface_resid = 0.0
+        om_sides = kernel.om.one_sided(np.array([bp for bp in p.breakpoints if bp >= s]))
+        for (v_left, v_right, dv_left, dv_right), frozen in ((chi_sides, om_hi[0]), (om_sides, chi_lo[0])):
+            g_here = np.abs(v_right * frozen / kernel.w)
+            jumps = np.abs([v_left - v_right, dv_left - dv_right]) * abs(frozen) / abs(kernel.w)
+            interface_resid = max(interface_resid, float((jumps / (1.0 + g_here)).max(initial=0.0)))
+        interface_report = ResidualReport.build("interface_continuity", 4 * len(p.breakpoints),
+                                                interface_resid, 1e-10)
 
-    # continuity across the diagonal: the gap must vanish linearly in h
-    gap_values = values[len(stencils) * (RICHARDSON_LEVELS + 1) : -1]
-    gaps = np.abs(gap_values[0::2] - gap_values[1::2])
-    slope_scale = abs(slope_right) + abs(slope_left) + 1.0
-    diag_resid = float(gaps[-1] / (probes[-1] * slope_scale))
-    diag_report = ResidualReport.build(
-        "diagonal_continuity", samples=probes.size, max_residual=diag_resid, tolerance=10.0
-    )
-
-    return ResidualReport.combine(
-        "distributional_equation",
-        (jump_report, ode_report, interface_report, diag_report),
-    )
+        # continuity across the diagonal: the gap must vanish linearly in h
+        gap_values = values[len(stencils) * (RICHARDSON_LEVELS + 1) : -1]
+        gaps = np.abs(gap_values[0::2] - gap_values[1::2])
+        slope_scale = abs(slope_right) + abs(slope_left) + 1.0
+        diag_resid = float(gaps[-1] / (probes[-1] * slope_scale))
+        diag_report = ResidualReport.build("diagonal_continuity", probes.size, diag_resid, 10.0)
+        reports.append(ResidualReport.combine(
+            "distributional_equation", (jump_report, ode_report, interface_report, diag_report)
+        ))
+    return reports

@@ -19,22 +19,21 @@ from random import Random
 
 import numpy as np
 
-from .eigenfunctions import wronskian
 from .errors import ConfigError, DomainError
-from .kernel import boundary_limits, kernel_grid, wave_pair
+from .kernel import _limit_walk, kernel_grid, wave_pair
 from .model import PiecewisePotential, branch_sqrt, real_energy
 from .oracle import (
     ResidualReport,
     TestFunction,
+    _distributional_reports,
     _jump_stencils,
     _require_scale,
-    check_distributional_equation,
     check_resolvent_identity,
     propagate,
     rk4_runs,
 )
 
-#: the most random instances one run draws (about 1 ms each)
+#: the most random instances one run draws (about 0.3 ms each on a 2-vCPU x86-64 host)
 MAX_RANDOM_INSTANCES = 10**4
 
 
@@ -59,34 +58,37 @@ def _reference(p: PiecewisePotential, e: complex):
     return starts, [y * w1 - dy * w0 for w0, w1, _ in starts[1:]]
 
 
-def _wave_continuity(p: PiecewisePotential, waves) -> float:
-    """The largest relative jump of a wave's value or slope at a breakpoint; one call per wave."""
-    # rows (value-, value+, derivative-, derivative+) of every wave
-    sides = np.array([w.one_sided(p.breakpoints) for w in waves])
-    left, right = sides[:, 0::2], sides[:, 1::2]
-    return float((np.abs(left - right) / (1.0 + np.abs(right))).max())
+def _wave_agreement(p: PiecewisePotential, waves, exact) -> tuple[float, float]:
+    """(continuity, wronskian) residuals of the waves, from one evaluation per wave.
 
-
-def _wronskian_agreement(p: PiecewisePotential, e: complex, waves) -> float:
-    """The kernels' Wronskian mid-region and beyond the last step, against the exact flow."""
-    edges = (0.0,) + p.breakpoints
+    Continuity is the largest relative jump of a wave's value or slope at a
+    breakpoint; the Wronskians of the kernels, mid-region and beyond the last
+    step, are read on the right-side values and set against the ``exact`` ones
+    of :func:`_reference`.
+    """
+    edges, n = (0.0,) + p.breakpoints, len(p.breakpoints)
     points = [0.5 * (x1 + x2) for x1, x2 in zip(edges, edges[1:])] + [edges[-1] + 1.0]
-    exact = np.array(_reference(p, e)[1])[:, None]
-    values = np.array([wronskian(waves[0], om, points) for om in waves[1:]])
+    # rows (value-, value+, derivative-, derivative+) of every wave, breakpoints first
+    sides = np.array([w.one_sided(p.breakpoints + tuple(points)) for w in waves])
+    left, right = sides[:, 0:4:2, :n], sides[:, 1:4:2, :n]
+    continuity = float((np.abs(left - right) / (1.0 + np.abs(right))).max())
+    (chi, dchi), (om, dom) = sides[0, 1::2, n:], sides[1:, 1::2, n:].transpose(1, 0, 2)
+    values = chi * dom - dchi * om
+    exact = np.array(exact)[:, None]
     # each value's distance to the exact Wronskian and to the farthest other value
     spread = np.abs(values[:, :, None] - values[:, None, :]).max(axis=2)
-    return float((np.maximum(np.abs(values - exact), spread) / np.abs(exact)).max())
+    return continuity, float((np.maximum(np.abs(values - exact), spread) / np.abs(exact)).max())
 
 
-def _engine_agreement(p: PiecewisePotential, e: complex, waves, rng: Random) -> float:
-    """The engine's waves and kernels against the exact flow, at Im E > 0.
+def _engine_agreement(p: PiecewisePotential, e: complex, waves, reference, rng: Random) -> float:
+    """The engine's waves and kernels against the exact flow of ``reference``, at Im E > 0.
 
     The three waves are compared at 8 drawn radii and the kernel at the 4 pairs
     of them, 28 values in all.
     """
     hi = p.breakpoints[-1] + 2.0
     radii = np.array([0.05 + (hi - 0.05) * rng.random() for _ in range(8)])
-    starts, (w_plus, _) = _reference(p, e)
+    starts, (w_plus, _) = reference
     exact = np.array([[propagate(p, e, *start, r)[0] for r in radii] for start in starts])
     engine = np.array([w.value(radii) for w in waves])
     wave_resid = np.abs(exact - engine) / (np.abs(exact) + 1.0)
@@ -102,13 +104,18 @@ def _engine_agreement(p: PiecewisePotential, e: complex, waves, rng: Random) -> 
 
 
 def _limit_agreement(p: PiecewisePotential, e: float, rng: Random) -> float:
-    worst, hi = 0.0, p.breakpoints[-1] + 2.0
-    for _ in range(3):
-        r = 0.1 + (hi - 0.1) * rng.random()
-        s = 0.1 + (hi - 0.1) * rng.random()
-        for study in boundary_limits(p, e, r, s, ("plus", "minus")):
-            worst = max(worst, study.abs_diff)
-    return worst
+    """The largest ``abs_diff`` of the :func:`boundary_limits` studies at 3 drawn points.
+
+    Each point's "plus" trajectory is walked once and reflected for "minus",
+    and each direction's formal kernels come from one :func:`kernel_grid`.
+    """
+    hi = p.breakpoints[-1] + 2.0
+    pairs = [(0.1 + (hi - 0.1) * rng.random(), 0.1 + (hi - 0.1) * rng.random()) for _ in range(3)]
+    # boundary_limit's default mu0 = 0.05 E
+    ends = [_limit_walk(p, e, r, s, "plus", 0.05 * e)[1][-1] for r, s in pairs]
+    rs, ss = zip(*pairs)
+    plus, minus = (kernel_grid(p, e, rs, ss, d).diagonal().tolist() for d in ("plus", "minus"))
+    return max(max(abs(g - f), abs(g.conjugate() - h)) for g, f, h in zip(ends, plus, minus))
 
 
 def _random_instances(rng: Random, n: int):
@@ -174,15 +181,16 @@ def run_verification(
     rk4_runs(p, e, s_mid, DomainError)
     _jump_stencils(p, e, s_mid, DomainError)
     ec = complex(e, 1.0)
-    waves = _engine_waves(p, ec)
+    waves, reference = _engine_waves(p, ec), _reference(p, ec)
+    continuity, wronskian = _wave_agreement(p, waves, reference[1])
     rng = Random(seed)
     n = len(p.breakpoints)
     checks = [
-        ResidualReport.build("continuity", 6 * n, _wave_continuity(p, waves), 1e-10),
-        ResidualReport.build("wronskian", 2 * (n + 1), _wronskian_agreement(p, ec, waves), 1e-10),
+        ResidualReport.build("continuity", 6 * n, continuity, 1e-10),
+        ResidualReport.build("wronskian", 2 * (n + 1), wronskian, 1e-10),
     ]
-    for direction in ("plus", "minus"):
-        dist = check_distributional_equation(p, e, s_mid, direction, wronskian_scale)
+    directions = ("plus", "minus")
+    for direction, dist in zip(directions, _distributional_reports(p, e, s_mid, directions, wronskian_scale)):
         checks += [replace(c, name=f"{c.name}_{direction}") for c in dist.components]
     bump = TestFunction("gaussian_bump", center=max(p.breakpoints[-1] + 1.0, 3.0), width=0.5)
     checks.append(check_resolvent_identity(p, ec, bump))
@@ -190,7 +198,7 @@ def run_verification(
         ResidualReport.build(
             "engine_equivalence",
             samples=28,
-            max_residual=_engine_agreement(p, ec, waves, rng),
+            max_residual=_engine_agreement(p, ec, waves, reference, rng),
             tolerance=1e-12,
         )
     )
@@ -206,9 +214,8 @@ def run_verification(
     worst_random = 0.0
     for rp, re_ in _random_instances(rng, n_random):
         rec = complex(re_, 1.0)
-        rwaves = _engine_waves(rp, rec)
-        worst_random = max(worst_random, _wave_continuity(rp, rwaves))
-        worst_random = max(worst_random, _wronskian_agreement(rp, rec, rwaves))
+        residuals = _wave_agreement(rp, _engine_waves(rp, rec), _reference(rp, rec)[1])
+        worst_random = max(worst_random, *residuals)
     if n_random > 0:
         checks.append(
             ResidualReport.build(

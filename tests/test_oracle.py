@@ -21,7 +21,7 @@ from sqgreen import (
     kernel_grid,
     propagate,
 )
-from sqgreen.eigenfunctions import PiecewiseWave
+from sqgreen.eigenfunctions import PiecewiseWave, wronskian
 import sqgreen.oracle as oracle_module
 import sqgreen.verification as verification
 import sqgreen.kernel as kernel_module
@@ -808,9 +808,9 @@ class TestRunVerification:
         for name in (
             "wave_pair",
             "propagate",
-            "check_distributional_equation",
+            "_distributional_reports",
             "check_resolvent_identity",
-            "boundary_limits",
+            "_limit_walk",
         ):
             monkeypatch.setattr(verification, name, nothing)
         with pytest.raises(DomainError, match="within 1e-3"):
@@ -824,7 +824,7 @@ class TestRunVerification:
             raise AssertionError("a draw or a check ran")
 
         monkeypatch.setattr(verification, "Random", nothing)
-        for name in ("wave_pair", "check_distributional_equation"):
+        for name in ("wave_pair", "_distributional_reports"):
             monkeypatch.setattr(verification, name, nothing)
         with pytest.raises(DomainError, match="real E > 0"):
             run_verification(barrier, e)
@@ -868,7 +868,7 @@ class TestRunVerification:
             raise AssertionError("a draw or a check ran")
 
         monkeypatch.setattr(verification, "Random", nothing)
-        monkeypatch.setattr(verification, "check_distributional_equation", nothing)
+        monkeypatch.setattr(verification, "_distributional_reports", nothing)
         monkeypatch.setattr(verification, "wave_pair", nothing)
         with pytest.raises(ConfigError):
             run_verification(p, 1.0, **kwargs)
@@ -879,7 +879,7 @@ class TestRunVerification:
             raise AssertionError("a draw or a check ran")
 
         monkeypatch.setattr(verification, "Random", nothing)
-        for name in ("wave_pair", "propagate", "check_distributional_equation"):
+        for name in ("wave_pair", "propagate", "_distributional_reports"):
             monkeypatch.setattr(verification, name, nothing)
         with pytest.raises(DomainError, match="at least one breakpoint"):
             run_verification(PiecewisePotential((), (0.0,)), 1.0)
@@ -891,7 +891,7 @@ class TestRunVerification:
             raise AssertionError("a draw or a check ran")
 
         monkeypatch.setattr(verification, "Random", nothing)
-        for name in ("wave_pair", "propagate", "check_distributional_equation"):
+        for name in ("wave_pair", "propagate", "_distributional_reports"):
             monkeypatch.setattr(verification, name, nothing)
         with pytest.raises(DomainError, match="more than 1000000"):
             run_verification(PiecewisePotential((1.0, 1e4), (0.0, 1.0, 0.0)), 2.0)
@@ -917,7 +917,8 @@ class TestRunVerification:
         monkeypatch.setattr(verification, "kernel_grid", recorded)
         e = 1.5 + 1.0j
         waves = verification._engine_waves(STAIRCASE, e)
-        worst = verification._engine_agreement(STAIRCASE, e, waves, np.random.default_rng(3))
+        reference = verification._reference(STAIRCASE, e)
+        worst = verification._engine_agreement(STAIRCASE, e, waves, reference, np.random.default_rng(3))
         assert worst <= 1e-12
         radii = np.random.default_rng(3).uniform(0.05, 5.0, size=8)
         assert calls == [(e, list(radii[0::2]), list(radii[1::2]), None)]
@@ -961,14 +962,74 @@ def _count_evaluations(monkeypatch) -> list[int]:
 
 
 def test_verification_evaluates_waves_in_batches(monkeypatch):
-    # each check evaluates a wave on all its radii at once: this run takes 57
-    # evaluations over 25 190 radii, where one evaluation per probe radius and
-    # a frozen factor at every RK4 node took 327 over 39 348
+    # each check evaluates a wave on all its radii at once: this run takes 32
+    # evaluations over 3 639 radii, where one evaluation per probe radius and
+    # a frozen factor at every RK4 node took 327 over 39 348, and reading each
+    # wave once per check and per direction took 51 over 3 871
     sizes = _count_evaluations(monkeypatch)
     report = run_verification(SquareBarrier(5.0, 1.0, 2.0), 1.0, seed=7, n_random=1)
     assert report["pass"]
-    assert len(sizes) <= 60
-    assert sum(sizes) <= 26_000
+    assert len(sizes) <= 34
+    assert sum(sizes) <= 3_700
+
+
+#: the fixed instances and seeded random staircases the shared paths of ``verify`` are checked on
+_SHARED_CASES = [(SquareBarrier(5.0, 1.0, 2.0), 1.0), (STAIRCASE, 1.5),
+                 *verification._random_instances(random.Random(34), 12)]
+_SHARED_IDS = ["barrier", "staircase", *(f"random{j}" for j in range(12))]
+
+
+def _last_midpoint(p) -> float:
+    return 0.5 * (((0.0,) + p.breakpoints)[-2] + p.breakpoints[-1])
+
+
+class TestSharedPaths:
+    """Each path ``verify`` shares between waves or directions gives the bits of its single requests."""
+
+    @pytest.mark.parametrize("p, e", _SHARED_CASES[:2], ids=_SHARED_IDS[:2])
+    @pytest.mark.parametrize("scale", [1.0, 1.001])
+    def test_report_components_are_the_single_direction_checks(self, p, e, scale):
+        report = run_verification(p, e, n_random=0, wronskian_scale=scale)
+        got = {c["name"]: c for c in report["checks"]}
+        for direction in ("plus", "minus"):
+            single = check_distributional_equation(p, e, _last_midpoint(p), direction, scale)
+            for c in single.components:
+                assert got[f"{c.name}_{direction}"] == {**c.to_dict(), "name": f"{c.name}_{direction}"}
+
+    @pytest.mark.parametrize("p, e", _SHARED_CASES, ids=_SHARED_IDS)
+    @pytest.mark.parametrize("scale", [1.0, 1.001])
+    def test_both_directions_in_one_pass(self, p, e, scale):
+        s = _last_midpoint(p)
+        pair = oracle_module._distributional_reports(p, e, s, ("plus", "minus"), scale)
+        single = [check_distributional_equation(p, e, s, d, scale) for d in ("plus", "minus")]
+        assert [r.to_dict() for r in pair] == [r.to_dict() for r in single]
+
+    @pytest.mark.parametrize("p, e", _SHARED_CASES, ids=_SHARED_IDS)
+    def test_limit_agreement_is_the_largest_abs_diff(self, p, e):
+        for seed in (0, 7):
+            got = verification._limit_agreement(p, e, random.Random(seed))
+            rng, hi = random.Random(seed), p.breakpoints[-1] + 2.0
+            pairs = [(0.1 + (hi - 0.1) * rng.random(), 0.1 + (hi - 0.1) * rng.random()) for _ in range(3)]
+            studies = [x for r, s in pairs for x in kernel_module.boundary_limits(p, e, r, s, ("plus", "minus"))]
+            assert got == max(study.abs_diff for study in studies)
+
+    @pytest.mark.parametrize("p, e", _SHARED_CASES, ids=_SHARED_IDS)
+    def test_wave_residuals_from_one_evaluation_per_wave(self, p, e):
+        e = complex(e, 1.0)
+        waves = verification._engine_waves(p, e)
+        exact = verification._reference(p, e)[1]
+        # continuity from each wave's own one_sided at the breakpoints
+        sides = np.array([w.one_sided(p.breakpoints) for w in waves])
+        left, right = sides[:, 0::2], sides[:, 1::2]
+        continuity = float((np.abs(left - right) / (1.0 + np.abs(right))).max())
+        # the Wronskians from wronskian(), which evaluates each pair of waves anew
+        edges = (0.0,) + p.breakpoints
+        points = [0.5 * (x1 + x2) for x1, x2 in zip(edges, edges[1:])] + [edges[-1] + 1.0]
+        values = np.array([wronskian(waves[0], om, points) for om in waves[1:]])
+        spread = np.abs(values[:, :, None] - values[:, None, :]).max(axis=2)
+        exact_col = np.array(exact)[:, None]
+        agreement = float((np.maximum(np.abs(values - exact_col), spread) / np.abs(exact_col)).max())
+        assert verification._wave_agreement(p, waves, exact) == (continuity, agreement)
 
 
 def test_kernel_grid_evaluates_each_wave_once_on_its_axes(monkeypatch):
@@ -1030,16 +1091,17 @@ class TestDrawStream:
 
             return call
 
-        for name in ("kernel_grid", "boundary_limits", "_engine_waves"):
+        for name in ("kernel_grid", "_limit_walk", "_engine_waves"):
             monkeypatch.setattr(verification, name, recorded(name, getattr(verification, name)))
         for seed in _STREAM_SEEDS:
             seen.clear()
             run_verification(barrier, 1.0, seed=seed, n_random=3)
             radii, pairs, instances = _verify_draws(seed, barrier.b, 3)
-            ((_, _, r, s),) = seen["kernel_grid"]
+            # the engine's kernel at the drawn radii, then the formal kernels at the limit pairs
+            (_, _, r, s), *formal = seen["kernel_grid"]
             assert (r.tolist(), s.tolist()) == (radii[0::2], radii[1::2]), seed
-            limits = [args[2:] for args in seen["boundary_limits"]]
-            assert limits == [(*pair, ("plus", "minus")) for pair in pairs], seed
+            assert formal == [(barrier, 1.0, *zip(*pairs), d) for d in ("plus", "minus")], seed
+            assert [args[2:4] for args in seen["_limit_walk"]] == pairs, seed
             # the first waves are the configured instance's
             waves = seen["_engine_waves"][1:]
             drawn = [(list(p.breakpoints), list(p.heights), e.real) for p, e in waves]
