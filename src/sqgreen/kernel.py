@@ -17,9 +17,9 @@ repeat gets the very objects a cold request builds, bit for bit:
 :func:`wave_pair` keeps one chi per (potential, E) for the ``WAVE_MEMO`` = 2
 latest, and each omega once it is asked for.  The limit studies keep the
 last engine sweep (``SWEEP_MEMO`` = 1), which runs above the axis only and
-serves both directions: the potential is real, so
-G(E - i mu) = conj G(E + i mu), and every step of the sweep (+, -, *, /,
-exp, and the odd or even arctan2, sin and cos of the roots) commutes exactly
+serves both directions: the potential is real, so G(E - i mu) = conj G(E + i mu),
+and every step of the sweep (+, -, *, /, exp, sin, cos, and sqrt, which C99
+Annex G requires to satisfy csqrt(conj z) = conj csqrt(z)) commutes exactly
 with conjugation, so the "minus" trajectory is the conjugate of the "plus"
 one, bit for bit.  The formal "minus" kernel is still built from omega_minus.
 :func:`boundary_limits` thus takes one :func:`boundary_limit` per (r, s)
@@ -470,7 +470,8 @@ def _moment_roots(bounds, count: int, z: np.ndarray, q: np.ndarray) -> np.ndarra
     In w = (E - c) / rho, with c the box's center and rho its half-diagonal,
     the moments s_k = sum(q w^k) are the power sums of the zeros.  Newton's
     identities turn s_1, ..., s_N into the coefficients of the monic
-    polynomial with those roots, and Durand-Kerner iterations find them.
+    polynomial with those roots, the eigenvalues of its companion matrix
+    (``np.roots``).  A non-finite coefficient gives no roots: the box is quadrisected.
     """
     re_min, re_max, im_min, im_max = bounds
     c = complex(re_min + re_max, im_min + im_max) / 2
@@ -480,16 +481,9 @@ def _moment_roots(bounds, count: int, z: np.ndarray, q: np.ndarray) -> np.ndarra
         q = q * w
         sums.append(complex(q.sum()))
         coeffs.append(-sum(coeffs[k - i] * sums[i - 1] for i in range(1, k + 1)) / k)
-    roots = (0.4 + 0.9j) ** np.arange(count)
-    with np.errstate(all="ignore"):
-        for _ in range(100):
-            gaps = roots[:, None] - roots
-            np.fill_diagonal(gaps, 1.0)
-            step = np.polyval(coeffs, roots) / gaps.prod(axis=1)
-            roots = roots - step
-            if not np.abs(step).max() > 1e-15:
-                break
-    return c + rho * roots
+    if not all(map(cmath.isfinite, coeffs)):  # np.roots would raise LinAlgError
+        return np.empty(0, dtype=complex)
+    return c + rho * np.roots(coeffs)
 
 
 def _near(z: np.ndarray, p, margin: float) -> np.ndarray:
@@ -599,12 +593,12 @@ def find_kernel_poles(
     the matching sweep carries by the chain rule.  Where :func:`zero_count`
     certifies the box, its contour pass gives the roots too: the moments of
     c-'/c- on its nodes are the power sums of the zeros (Delves & Lyness,
-    Math. Comp. 21, 543, 1967; :func:`_moment_roots`), and each root is
-    polished by at most 30 Newton steps.  A box of more than
-    ``_MOMENT_ROOTS`` zeros, or whose roots fall short of its count under
-    the rules below, is quadrisected and each quadrant counted again, at
-    most ``_SPLIT_DEPTH`` levels deep.  A box, or quadrant, without a count
-    runs 60 Newton steps from each seed of a grid of spacing
+    Math. Comp. 21, 543, 1967), whose polynomial :func:`_moment_roots` solves
+    by ``np.roots``; each root is polished by at most 30 Newton steps.  A box
+    of more than ``_MOMENT_ROOTS`` zeros, or whose roots fall short of its
+    count under the rules below, is quadrisected and each quadrant counted
+    again, at most ``_SPLIT_DEPTH`` levels deep.  A box, or quadrant, without
+    a count runs 60 Newton steps from each seed of a grid of spacing
     ``seed_density`` (:func:`_screen`), O(n_seeds) memory: about 25 MB at
     ``MAX_SEEDS``.
 

@@ -4,11 +4,11 @@ and the check of a real-axis energy.
 A :class:`PiecewisePotential` is the one description of a potential; a
 :class:`SquareBarrier` is the staircase (0, v0, 0) on the breakpoints (a, b).
 
-Every momentum in this package is produced by :func:`branch_sqrt`, which maps
-arg(z) from (-pi, pi] to (-pi/2, pi/2].  The negative real axis is included in
-the domain and is sent to the positive imaginary axis, so energies just above
-the cut and energies on the cut agree, while energies just below disagree:
-that discontinuity *is* the resolvent cut.
+Every momentum in this package is produced by :func:`branch_sqrt`, the root of
+``cmath.sqrt`` with arg in (-pi/2, pi/2].  The negative real axis, for either
+sign of a zero imaginary part, is sent to the positive imaginary axis, so
+energies just above the cut and energies on the cut agree, while energies just
+below disagree: that discontinuity *is* the resolvent cut.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from .errors import BranchPointError, DomainError, EPS_BRANCH
 def branch_sqrt(z: complex) -> complex:
     """Square root with arg(result) in (-pi/2, pi/2].
 
-    The angle is computed explicitly and halved; the host language's default
-    complex sqrt is never consulted, so negative real inputs (arg = pi) always
-    come out on the positive imaginary axis regardless of the sign of a zero
-    imaginary part.
+    Off the real axis this is ``cmath.sqrt``.  On it the root is taken of the
+    real part alone, so a negative real input always comes out on the positive
+    imaginary axis, where ``cmath.sqrt`` follows the sign of a zero imaginary part.
 
     Raises
     ------
@@ -47,31 +46,21 @@ def branch_sqrt(z: complex) -> complex:
         if z.real < 0.0:
             return complex(0.0, math.sqrt(-z.real))
         return complex(math.sqrt(z.real), 0.0)
-    theta = math.atan2(z.imag, z.real)
-    rho = math.sqrt(abs(z))
-    half = 0.5 * theta
-    return complex(rho * math.cos(half), rho * math.sin(half))
+    return cmath.sqrt(z)
 
 
 def _branch_sqrt_array(z) -> np.ndarray:
     """:func:`branch_sqrt` over an array of finite complex numbers.
 
-    On the real axis, for either sign of a zero imaginary part, every entry
-    equals the scalar result bit for bit: the root is taken of the real part
-    alone and the other part is exactly +0.0.  Off the axis the same halved
-    angle is used, with numpy's transcendental functions.  The axis entries
-    are patched only when there are any.
+    Off the real axis this is ``np.sqrt``.  The axis entries, if there are any,
+    are then patched to the scalar result bit for bit, for either sign of a zero
+    imaginary part: the root of the real part alone, the other part exactly +0.0.
     """
     z = np.asarray(z, dtype=complex)
-    re, im = z.real, z.imag
-    rho = np.sqrt(np.abs(z))
-    half = 0.5 * np.arctan2(im, re)
-    out = np.empty(z.shape, dtype=complex)
-    out.real = rho * np.cos(half)
-    out.imag = rho * np.sin(half)
-    axis = im == 0.0
+    out = np.sqrt(z, out=np.empty_like(z))  # an array, for a 0-d z too
+    axis = z.imag == 0.0
     if axis.any():
-        x = re[axis]
+        x = z.real[axis]
         neg = x < 0.0
         root = np.sqrt(np.where(neg, -x, x))  # sqrt(-0.0) is -0.0, as in branch_sqrt
         out.real[axis] = np.where(neg, 0.0, root)

@@ -466,7 +466,8 @@ class TestBatchedLimitStudy:
             assert study.converged is converged
             scale = max(abs(g) for g in samples)
             assert all(type(g) is complex for g in study.samples)
-            assert max(abs(a - b) for a, b in zip(study.samples, samples)) <= 1e-12 * scale
+            # the worst of these requests reads 2.6e-14
+            assert max(abs(a - b) for a, b in zip(study.samples, samples)) <= 5e-14 * scale
 
     def test_minus_study_equals_the_direct_minus_sweep(self):
         # the minus trajectory is the conjugate of the sweep above the axis; the
@@ -723,7 +724,7 @@ class TestPoleScan:
 
     def test_barrier_resonance(self, barrier):
         roots = find_kernel_poles(barrier, (3.0, 6.0, -1.0, -0.01), seed_density=0.25)
-        assert roots == [4.202900168796607 - 0.25564393159876403j]
+        assert roots == [4.202900168796609 - 0.25564393159876436j]
         for z in roots:
             assert kernel_pole_residual(barrier, z) < 1e-10
 
@@ -889,6 +890,41 @@ class TestPoleScan:
         short = find_kernel_poles(p, box)
         assert short.certified == 4 and len(short) < 4 and set(short) <= set(roots)
 
+    @pytest.mark.parametrize("count", range(1, 7))
+    def test_moment_roots_recover_known_roots_from_exact_moments(self, count):
+        # unit weights on the roots themselves: the moments are exactly their power sums
+        rng = random.Random(count)
+        bounds = (1.0, 3.0, -2.0, -0.5)
+        roots = np.array([complex(rng.uniform(1.0, 3.0), rng.uniform(-2.0, -0.5))
+                          for _ in range(count)])
+        got = kernel_module._moment_roots(bounds, count, roots, np.ones(count, dtype=complex))
+        assert len(got) == count
+        for z in roots:
+            assert np.min(np.abs(got - z)) <= 1e-12
+
+    def test_a_non_finite_moment_coefficient_quadrisects_the_box(self, monkeypatch):
+        # moments near 1e300 overflow the polynomial's coefficients: no roots
+        # and no error come back, and the quadrants give the roots
+        p, box = SquareBarrier(12.0, 1.0, 3.0), (0.5, 40.0, -6.0, -0.01)
+        reference = find_kernel_poles(p, box)
+        moment_roots, calls = kernel_module._moment_roots, []
+
+        def overflowing(bounds, count, z, q):
+            calls.append(bounds)
+            if len(calls) == 1:
+                q = q / np.abs(q).max() * 1e300
+                assert len(moment_roots(bounds, count, z, q)) == 0
+            return moment_roots(bounds, count, z, q)
+
+        monkeypatch.setattr(kernel_module, "_moment_roots", overflowing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = find_kernel_poles(p, box)
+        assert calls[0] == box and len(calls) > 1
+        assert len(roots) == roots.certified == 4
+        for z, w in zip(roots, reference):
+            assert abs(z - w) <= 1e-12 * abs(w)
+
 
 def _scan_barriers(n: int) -> list:
     """Barriers drawn as the benchmark's scan workload draws them, from a fixed seed."""
@@ -1037,6 +1073,22 @@ def test_array_branch_sqrt_is_scalar_on_real_axis():
         assert np.array([g.real, g.imag]).tobytes() == np.array([want.real, want.imag]).tobytes(), z
 
 
+def _off_axis_sample(n: int) -> list[tuple[float, float]]:
+    """Seeded (re, im) pairs off both axes, of magnitudes 1e-150 to 1e150.
+
+    Past that range a part of the root can be subnormal, and numpy and cmath
+    round a subnormal part differently.
+    """
+    rng = random.Random(35)
+
+    def part():
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-150.0, 150.0)
+
+    return [(part(), part()) for _ in range(n)] + [
+        (rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)) for _ in range(n)
+    ]
+
+
 @pytest.mark.parametrize(
     "parts",
     [
@@ -1045,39 +1097,28 @@ def test_array_branch_sqrt_is_scalar_on_real_axis():
         [(-4.0, 0.0), (-4.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (2.5, 0.0), (-1.0, 1e-300),
          (3.0, -2.0)],
         [(-1e300, -0.0), (1e-300, 0.0), (-2.0, 0.0)],  # all on the axis
+        _off_axis_sample(1000),
     ],
-    ids=["off_axis", "mixed", "on_axis"],
+    ids=["off_axis", "mixed", "on_axis", "seeded"],
 )
 def test_array_branch_sqrt_is_scalar_with_and_without_axis_entries(parts):
-    # the axis entries are patched only when there are any. They take the
-    # scalar's bits, and every entry keeps the bits of the form that patched
-    # with nested np.where on every call (numpy's cos and sin may differ from
-    # the scalar's libm in the last bit off the axis)
+    # the axis entries are patched only when there are any; every entry takes
+    # the scalar's bits, except that on the imaginary axis (Re z = +-0) numpy's
+    # sqrt may differ from cmath's by one unit in the last place
     def bits(z):
         return np.array([z.real, z.imag]).tobytes()
 
-    def nested_where(z):
-        re, im = z.real, z.imag
-        rho, half = np.sqrt(np.abs(z)), 0.5 * np.arctan2(im, re)
-        axis = im == 0.0
-        neg = axis & (re < 0.0)
-        root = np.sqrt(np.where(neg, -re, np.where(axis, re, 0.0)))
-        out = np.empty(z.shape, dtype=complex)
-        out.real = np.where(neg, 0.0, np.where(axis, root, rho * np.cos(half)))
-        out.imag = np.where(neg, root, np.where(axis, 0.0, rho * np.sin(half)))
-        return out
-
     zs = [complex(x, y) for x, y in parts]
-    batches = [np.array(zs), np.array(zs).reshape(1, -1), *(np.array(z) for z in zs)]
+    batches = [np.array(zs), np.array(zs).reshape(1, -1), *(np.array(z) for z in zs[:20])]
     for batch in batches:
         got = _branch_sqrt_array(batch).ravel().tolist()
-        reference = nested_where(batch).ravel().tolist()
-        for z, g, ref in zip(batch.ravel().tolist(), got, reference):
-            assert bits(g) == bits(ref), z
-            if z.imag == 0.0:
-                assert bits(g) == bits(branch_sqrt(z)), z
+        for z, g in zip(batch.ravel().tolist(), got):
+            want = branch_sqrt(z)
+            if z.real == 0.0 and z.imag != 0.0:
+                assert abs(g.real - want.real) <= math.ulp(want.real), z
+                assert abs(g.imag - want.imag) <= math.ulp(want.imag), z
             else:
-                assert abs(g - branch_sqrt(z)) <= 1e-15 * abs(g), z
+                assert bits(g) == bits(want), z
 
 
 def test_zero_count_of_an_overflowing_box_warns_nothing():

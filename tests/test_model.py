@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from sqgreen import (
     resolvent_kernel,
     run_verification,
 )
-from sqgreen.model import complex_energy, real_energy
+from sqgreen.model import _branch_sqrt_array, complex_energy, real_energy
 
 from conftest import close
 
@@ -102,6 +103,20 @@ class TestBranchSqrt:
         assert abs(down + 1j * root) <= mu
         # the cut itself belongs to the upper side
         assert branch_sqrt(complex(x, 0.0)) == 1j * root
+
+    @pytest.mark.parametrize("z", [complex(-4.0, 1e-10), complex(-2.5, 1e-14)])
+    def test_small_real_part_beside_the_cut_is_accurate(self, z):
+        # beside the cut Re sqrt(z) is tiny against |sqrt(z)|: a root formed as
+        # sqrt|z| cos(arg z / 2) misses it by 5e-6 relative at -4 + 1e-10i and
+        # by 3% at -2.5 + 1e-14i
+        with localcontext() as ctx:
+            ctx.prec = 50
+            x, y = Decimal(z.real), Decimal(z.imag)
+            im = (((x * x + y * y).sqrt() - x) / 2).sqrt()
+            want = complex(float(y / (2 * im)), float(im))  # Re = y / (2 Im), no cancellation
+        for got in (branch_sqrt(z), _branch_sqrt_array(np.array([z]))[0]):
+            assert abs(got.real - want.real) <= math.ulp(want.real), got
+            assert got.imag == want.imag, got
 
 
 class TestSquareBarrier:

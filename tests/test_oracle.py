@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import tracemalloc
@@ -219,6 +220,19 @@ class TestPropagate:
             propagate(SquareBarrier(1e6, 1, 3), 1.0, 0, 1, 0, 3)
 
 
+def _rk4_step(c, h, y, d):
+    """One four-stage RK4 step of (y, d)' = (d, c y)."""
+    k1y, k1d = d, c * y
+    k2y = d + 0.5 * h * k1d
+    k2d = c * (y + 0.5 * h * k1y)
+    k3y = d + 0.5 * h * k2d
+    k3d = c * (y + 0.5 * h * k2y)
+    k4y = d + h * k3d
+    k4d = c * (y + h * k3y)
+    return (y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+            d + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d))
+
+
 def _reference_rk4(p, e, y0, dy0, r_from, r_to, step):
     """RK4 stepped node by node, the reference for the powers of the one-step matrix."""
     pw = PiecewisePotential(p.breakpoints, p.heights)
@@ -230,18 +244,30 @@ def _reference_rk4(p, e, y0, dy0, r_from, r_to, step):
     y, d = complex(y0), complex(dy0)
     ys[0], ds[0] = y, d
     for j in range(n):
-        c = pw.value_at(r_from + (j + 0.5) * h) - e
-        k1y, k1d = d, c * y
-        k2y = d + 0.5 * h * k1d
-        k2d = c * (y + 0.5 * h * k1y)
-        k3y = d + 0.5 * h * k2d
-        k3d = c * (y + 0.5 * h * k2y)
-        k4y = d + h * k3d
-        k4d = c * (y + h * k3y)
-        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        d = d + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        y, d = _rk4_step(pw.value_at(r_from + (j + 0.5) * h) - e, h, y, d)
         ys[j + 1], ds[j + 1] = y, d
     return r_from + h * np.arange(n + 1), ys, ds
+
+
+@pytest.mark.parametrize("kind", ["oscillating", "evanescent", "complex"])
+def test_rk4_step_matrix_is_the_four_stage_step(kind):
+    # the closed form against the four stages run on (1, 0) and (0, 1): c = v - E
+    # below 0 (E above a well or barrier), above 0 (E below a barrier) or complex,
+    # for x = c h^2 up to the stability bound |x| = RK4_STABILITY^2 and steps of
+    # 1e-4 to 1; each entry within a few units in the last place of its terms
+    rng = random.Random(35)
+    eps = np.finfo(float).eps
+    for _ in range(500):
+        h = 10.0 ** rng.uniform(-4.0, 0.0)
+        size = rng.uniform(0.0, oracle_module.RK4_STABILITY**2)
+        x = {"oscillating": -size, "evanescent": size}.get(kind)
+        if x is None:
+            x = size * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        c = x / (h * h)
+        want = np.array([_rk4_step(c, h, 1.0, 0.0), _rk4_step(c, h, 0.0, 1.0)], dtype=complex).T
+        a, b = 1.0 + size / 2.0 + size * size / 24.0, h * (1.0 + size / 6.0)
+        scale = np.array([[a, b], [abs(c) * b, a]])
+        assert np.all(np.abs(oracle_module.rk4_step_matrix(c, h) - want) <= 4.0 * eps * scale), c
 
 
 @pytest.mark.parametrize(
