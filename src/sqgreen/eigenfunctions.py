@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError, DomainError
-from .model import radii_array
+from .errors import DomainError
+from .model import of_type, radii_array, same_problem
 
 _TWO_I = 2j
 
@@ -177,12 +177,6 @@ def _plane_waves(constants, idx: np.ndarray, x: np.ndarray, derivative: bool) ->
     return value, constants[0].take(idx) * (waves[0] - waves[1])
 
 
-def _require_same_problem(f: PiecewiseWave, g: PiecewiseWave) -> None:
-    """Refuse two waves of different potentials or energies: their Wronskian means nothing."""
-    if (f.breakpoints, f.heights, f.energy) != (g.breakpoints, g.heights, g.energy):
-        raise ContractError("waves belong to different problems")
-
-
 def wronskian(f: PiecewiseWave, g: PiecewiseWave, r):
     """f(r) g'(r) - f'(r) g(r); constant in r for two solutions at one energy.
 
@@ -190,7 +184,7 @@ def wronskian(f: PiecewiseWave, g: PiecewiseWave, r):
     array.  Each wave is evaluated once and the Wronskian is formed once, in
     numpy; a radius is the single entry of a one-radius array.
     """
-    _require_same_problem(f, g)
+    same_problem(of_type(f, PiecewiseWave), of_type(g, PiecewiseWave))
     radii = radii_array(r)
     fv, fd = f.value_and_derivative(radii.ravel())
     gv, gd = g.value_and_derivative(radii.ravel())

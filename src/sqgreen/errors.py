@@ -1,21 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each rule on an argument raises one of them."""
 
 
 class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of the operation."""
+    """A value the computation cannot take: a number not finite, out of range or off its grid."""
 
 
 class BranchPointError(DomainError):
     """The energy sits on (or too close to) a branch point of the momentum map.
 
-    Raised when |E| or |E - V_j| falls below the hard cutoff ``EPS_BRANCH``;
-    the plane-wave basis degenerates there and the kernels diverge.  Callers
-    probing the limit should approach along a sequence of nearby energies.
+    Raised when |E| or |E - V_j| falls below the hard cutoff ``EPS_BRANCH``.
+    Only E = 0 is a branch point of G; at an inner height G is analytic, but
+    the plane-wave basis of that region degenerates.  Callers probing the
+    limit should approach along a sequence of nearby energies.
     """
 
 
 class ContractError(ValueError):
-    """An operation was called in a way that violates its usage contract."""
+    """A call the API does not define: a wrong type or choice, Im E = 0 for the resolvent, mismatched shapes."""
 
 
 class PoleError(ArithmeticError):

@@ -48,8 +48,8 @@ from .errors import (
 )
 from .eigenfunctions import PiecewiseWave, _overflow, _require_finite
 from .model import (
-    complex_energy, radii_array, radii_floats, real_array, real_energy, real_number,
-    region_momenta_array, require_off_branch,
+    choice, of_type, off_axis_energy, radii_array, radii_floats, real_array, real_energy,
+    real_number, region_momenta_array, require_off_branch, search_box,
 )
 from .piecewise import (
     _chi_regions,
@@ -60,7 +60,6 @@ from .piecewise import (
     chi_outer_amplitudes,
     outer_wronskian,
     pole_function_array,
-    require_direction,
 )
 
 
@@ -120,7 +119,7 @@ def wave_pair(p, e: complex, direction: str) -> tuple[PiecewiseWave, PiecewiseWa
     built; E = x + 0j and x - 0j share an entry.  A wave that raises is not
     kept.  Any direction but "plus" or "minus" raises :class:`ContractError` first.
     """
-    require_direction(direction)
+    choice(direction, "direction")
     waves = _waves(p, e)
     if direction not in waves:
         om = build_omega(p, e, direction)
@@ -136,15 +135,12 @@ def _kernel_request(p, e, radii, direction: str | None) -> tuple[complex, str, n
     kernel at real E > 0, whose pole test :func:`kernel_grid` makes on its
     waves.  Every radius must be a finite, nonnegative real number.
     """
+    of_type(p)
     if direction is None:
-        e = complex_energy(e)
-        if e.imag == 0.0:
-            raise ContractError(
-                "resolvent_kernel requires Im E != 0; use formal_green or boundary_limit on the axis"
-            )
+        e = off_axis_energy(e, "resolvent_kernel")
         direction = "plus" if e.imag > 0.0 else "minus"
     else:
-        require_direction(direction)
+        choice(direction, "direction")
         e = real_energy(e, "the formal kernel")
     return complex(e), direction, radii_array(radii)
 
@@ -230,13 +226,10 @@ def boundary_limit(
     gets the checks :func:`resolvent_kernel` makes on its value, and then
     the stop rule, so no sample past the cut is checked.
     """
-    require_direction(direction)  # to _kernel_request, None asks for the resolvent kernel
+    choice(direction, "direction")  # to _kernel_request, None asks for the resolvent kernel
+    r, s = radii_floats(r, s)
     e = _kernel_request(p, e, (r, s), direction)[0].real
-    if mu0 is None:
-        mu0 = 0.05 * e
-    mu0 = real_number(mu0, "mu0")
-    if not 0.0 < mu0 <= 0.1 * e:
-        raise DomainError(f"mu0 must lie in (0, 0.1 E], got {mu0}")
+    mu0 = real_number(0.05 * e if mu0 is None else mu0, "mu0", 0.0, 0.1 * e)
 
     mus, samples, converged = _limit_walk(p, e, r, s, direction, mu0)
     return LimitStudy(mus, samples, formal_green(p, e, r, s, direction), converged)
@@ -288,7 +281,7 @@ def boundary_limits(p, e: float, r: float, s: float, directions,
     except TypeError:
         raise ContractError(f"each direction must be 'plus' or 'minus', got {directions!r}") from None
     for direction in directions:
-        require_direction(direction)
+        choice(direction, "direction")
     if not directions:
         return []
     first = boundary_limit(p, e, r, s, directions[0], mu0)
@@ -358,20 +351,6 @@ class KernelPoles(list):
         super().__init__(roots)
         self.residuals = list(residuals)
         self.certified = certified
-
-
-def _search_box(box) -> tuple[float, float, float, float]:
-    """``box`` as four floats (re_min, re_max, im_min, im_max); raises for a bad box."""
-    entries = real_array(box, "search box entries")
-    if entries.shape != (4,):
-        raise DomainError(f"search box must be four real numbers, got {box}")
-    bounds = tuple(entries.tolist())
-    re_min, re_max, im_min, im_max = bounds
-    if not all(math.isfinite(x) for x in bounds):
-        raise DomainError(f"search box entries must be finite, got {box}")
-    if not (re_min < re_max and im_min < im_max):
-        raise DomainError(f"degenerate search box {box}")
-    return bounds
 
 
 #: the positive nodes of the 16-point Gauss-Legendre rule on [-1, 1] and their
@@ -460,7 +439,7 @@ def zero_count(p, box) -> int | None:
     an integer.  Raises :class:`DomainError` for a non-finite or degenerate
     box.
     """
-    contour = _contour(p, _search_box(box))
+    contour = _contour(of_type(p), search_box(box))
     return None if contour is None else contour[0]
 
 
@@ -615,10 +594,8 @@ def find_kernel_poles(
     ``seed_density`` that is not a finite, positive real number, or a seed
     grid that would hold more than ``MAX_SEEDS`` seeds.
     """
-    bounds = _search_box(box)
-    seed_density = real_number(seed_density, "seed_density")
-    if not (math.isfinite(seed_density) and seed_density > 0.0):
-        raise DomainError(f"seed_density must be finite and positive, got {seed_density}")
+    p, bounds = of_type(p), search_box(box)
+    seed_density = real_number(seed_density, "seed_density", 0.0)
     contour = _contour(p, bounds)
     accepted: dict[complex, float] = {}
     _find(p, bounds, contour, seed_density, accepted, 0)

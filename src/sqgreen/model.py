@@ -1,5 +1,5 @@
 """The staircase potential, its region momenta, the branch of the square root
-and the check of a real-axis energy.
+and the readers of every argument of the package's entry points.
 
 A :class:`PiecewisePotential` is the one description of a potential; a
 :class:`SquareBarrier` is the staircase (0, v0, 0) on the breakpoints (a, b).
@@ -8,7 +8,8 @@ Every momentum in this package is produced by :func:`branch_sqrt`, the root of
 ``cmath.sqrt`` with arg in (-pi/2, pi/2].  The negative real axis, for either
 sign of a zero imaginary part, is sent to the positive imaginary axis, so
 energies just above the cut and energies on the cut agree, while energies just
-below disagree: that discontinuity *is* the resolvent cut.
+below disagree: that discontinuity *is* the resolvent cut.  Each reader
+applies one rule and raises the one class of :mod:`sqgreen.errors` it names.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchPointError, DomainError, EPS_BRANCH
+from .errors import BranchPointError, ContractError, DomainError, EPS_BRANCH
 
 
 def branch_sqrt(z: complex) -> complex:
@@ -82,7 +83,7 @@ class PiecewisePotential:
 
     def __post_init__(self):
         try:
-            bps = tuple(real_number(x, "breakpoints") for x in self.breakpoints)
+            bps = tuple(real_number(x, "breakpoints", 0.0) for x in self.breakpoints)
             hts = tuple(real_number(v, "heights") for v in self.heights)
         except TypeError:  # from iter(): a bare number, not a sequence
             raise DomainError("breakpoints and heights must be sequences of numbers") from None
@@ -90,10 +91,6 @@ class PiecewisePotential:
         object.__setattr__(self, "heights", hts)
         if len(hts) != len(bps) + 1:
             raise DomainError("need exactly one more height than breakpoints")
-        if any(not math.isfinite(x) for x in bps + hts):
-            raise DomainError("breakpoints and heights must be finite")
-        if any(x <= 0.0 for x in bps):
-            raise DomainError("breakpoints must be positive")
         if any(x2 <= x1 for x1, x2 in zip(bps, bps[1:])):
             raise DomainError("breakpoints must be strictly ascending")
         if hts[-1] != 0.0:
@@ -140,6 +137,14 @@ def complex_energy(e, what: str = "the energy") -> complex:
         raise DomainError(f"{what} must be a number, got {e!r}") from None
 
 
+def off_axis_energy(e, what: str) -> complex:
+    """:func:`complex_energy` of ``e``; :class:`ContractError`, naming ``what``, if Im E = 0."""
+    e = complex_energy(e)
+    if e.imag == 0.0:
+        raise ContractError(f"{what} requires Im E != 0")
+    return e
+
+
 def real_array(x, what: str) -> np.ndarray:
     """``x``, a real number or an array of them, as a float array of its shape.
 
@@ -173,18 +178,73 @@ def radii_floats(*radii) -> list[float]:
     return arr.tolist()
 
 
-def real_number(x, what: str, error: type[Exception] = DomainError) -> float:
-    """``x`` as a float; ``error``, naming ``what``, unless ``float`` reads it as a real number.
+def real_number(x, what: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """``x`` as a float; :class:`DomainError`, naming ``what``, unless it is a finite real number in (lo, hi].
 
     A numeric string such as "5" is read, as ``float`` reads it; a complex
     number is refused, even one with a zero imaginary part, and not cast.
     """
     try:
         if not np.iscomplexobj(x):
-            return float(x)
+            v = float(x)
+            if math.isfinite(v) and lo < v <= hi:
+                return v
     except (TypeError, ValueError, OverflowError):
         pass
-    raise error(f"{what} must be a real number, got {x!r}")
+    bounds = (f" above {lo}" if lo > -math.inf else "") + (f" and at most {hi}" if hi < math.inf else "")
+    raise DomainError(f"{what} must be a finite real number{bounds}, got {x!r}")
+
+
+def nonzero_real(x, what: str) -> float:
+    """:func:`real_number` of ``x``; :class:`DomainError`, naming ``what``, if it is 0."""
+    v = real_number(x, what)
+    if v == 0.0:
+        raise DomainError(f"{what} must be a finite real number other than 0, got {x!r}")
+    return v
+
+
+#: the most steps of one RK4 run or Simpson grid; a finer step raises before anything is allocated
+MAX_STEPS = 10**6
+
+
+def step_count(count: float, what: str) -> None:
+    """:class:`DomainError` if ``what``, a run or a grid, takes more than ``MAX_STEPS`` steps."""
+    if not count <= MAX_STEPS:
+        raise DomainError(f"{what} needs {count:.4g} steps, more than {MAX_STEPS}")
+
+
+def search_box(box) -> tuple[float, float, float, float]:
+    """``box`` as four floats (re_min, re_max, im_min, im_max); :class:`DomainError` for a bad box."""
+    entries = real_array(box, "search box entries")
+    if entries.shape != (4,):
+        raise DomainError(f"search box must be four real numbers, got {box}")
+    bounds = tuple(entries.tolist())
+    re_min, re_max, im_min, im_max = bounds
+    if not all(math.isfinite(x) for x in bounds):
+        raise DomainError(f"search box entries must be finite, got {box}")
+    if not (re_min < re_max and im_min < im_max):
+        raise DomainError(f"degenerate search box {box}")
+    return bounds
+
+
+def choice(x, what: str, options: tuple[str, ...] = ("plus", "minus")) -> str:
+    """``x``; :class:`ContractError`, naming ``what``, unless it is one of ``options``, directions by default."""
+    if not (isinstance(x, str) and x in options):
+        raise ContractError(f"{what} must be {' or '.join(map(repr, options))}, got {x!r}")
+    return x
+
+
+def of_type(x, cls: type = PiecewisePotential):
+    """``x``; :class:`ContractError` unless it is a ``cls``, a potential by default."""
+    if not isinstance(x, cls):
+        raise ContractError(f"expected a {cls.__name__}, got {x!r}")
+    return x
+
+
+def same_problem(f, g) -> None:
+    """:class:`ContractError` unless the waves ``f`` and ``g`` share a potential and an energy."""
+    if (f.breakpoints, f.heights, f.energy) != (g.breakpoints, g.heights, g.energy):
+        raise ContractError("waves belong to different problems")
 
 
 def require_off_branch(p: PiecewisePotential, e: complex) -> None:
@@ -200,7 +260,7 @@ def region_momenta(p: PiecewisePotential, e: complex) -> tuple[complex, ...]:
     For real E below a step's height the momentum there is +i*sqrt(v_j - E).
     """
     e = complex_energy(e)
-    require_off_branch(p, e)
+    require_off_branch(of_type(p), e)
     return tuple(branch_sqrt(e - v) for v in p.heights)
 
 

@@ -27,7 +27,10 @@ import numpy as np
 from .eigenfunctions import PiecewiseWave
 from .errors import ContractError, DomainError
 from .kernel import wave_pair
-from .model import branch_sqrt, complex_energy, radii_floats, real_array, real_energy, real_number
+from .model import (
+    branch_sqrt, choice, complex_energy, nonzero_real, of_type, off_axis_energy,
+    radii_floats, real_array, real_energy, real_number, step_count,
+)
 
 #: Gaussian bumps count as supported within this many widths of the center.
 GAUSSIAN_SUPPORT_WIDTHS = 5.5
@@ -35,8 +38,6 @@ GAUSSIAN_SUPPORT_WIDTHS = 5.5
 RK4_STABILITY = 2.0**1.5
 #: one Richardson derivative combines the difference quotients at h0 / 2^j for j below this
 RICHARDSON_LEVELS = 5
-#: the most steps of one RK4 run or Simpson grid; a finer step raises before anything is allocated
-MAX_STEPS = 10**6
 #: the inward RK4 run of the distributional check starts this far beyond the last breakpoint
 TAIL_START = 5.0
 #: the resolvent check sizes its steps for this residual, relative to max |f|
@@ -62,12 +63,9 @@ class TestFunction:
     width: float
 
     def __post_init__(self):
-        if self.kind not in ("gaussian_bump", "compact_polynomial_bump"):
-            raise DomainError(f"unknown test-function kind {self.kind!r}")
-        for name in ("center", "width"):
-            object.__setattr__(self, name, real_number(getattr(self, name), name))
-        if not (math.isfinite(self.center) and math.isfinite(self.width)) or self.width <= 0.0:
-            raise DomainError("center and width must be finite, width positive")
+        choice(self.kind, "kind", ("gaussian_bump", "compact_polynomial_bump"))
+        object.__setattr__(self, "center", real_number(self.center, "center"))
+        object.__setattr__(self, "width", real_number(self.width, "width", 0.0))
         lo = self.support[0]
         if lo <= 0.0:
             raise DomainError(
@@ -83,27 +81,16 @@ class TestFunction:
             half = self.width
         return (self.center - half, self.center + half)
 
-    def _scaled(self, r) -> np.ndarray:
-        """(r - center) / width, clipped where the bump and f'' reach 0; r must be finite."""
+    def __call__(self, r):
+        """The bump at the finite radii ``r``, read 0 past where it reaches 0."""
         r = real_array(r, "radii")
         if not np.isfinite(r).all():
             raise DomainError("radii must be finite")
         reach = (40.0 if self.kind == "gaussian_bump" else 1.0) * self.width
-        return np.clip(r - self.center, -reach, reach) / self.width
-
-    def __call__(self, r):
-        t = self._scaled(r)
+        t = np.clip(r - self.center, -reach, reach) / self.width
         if self.kind == "gaussian_bump":
             return np.exp(-0.5 * t * t)
         return (1.0 - t * t) ** 4
-
-    def second_derivative(self, r):
-        t = self._scaled(r)
-        w2 = self.width * self.width
-        if self.kind == "gaussian_bump":
-            return (t * t - 1.0) / w2 * np.exp(-0.5 * t * t)
-        core = 1.0 - t * t
-        return 8.0 * core * core * (7.0 * t * t - 1.0) / w2
 
 
 @dataclass(frozen=True)
@@ -168,35 +155,19 @@ class Trajectory(NamedTuple):
     derivatives: np.ndarray
 
 
-def _require_step(step: float, name: str = "step") -> float:
-    """``step`` as a float; :class:`ContractError` unless it is a finite, positive real number."""
-    h = real_number(step, name, ContractError)
-    if not 0.0 < h < math.inf:
-        raise ContractError(f"{name} must be finite and positive, got {step}")
-    return h
-
-
-def _require_steps(count: float, step: float) -> None:
-    """:class:`ContractError` if a grid of ``count`` steps of ``step`` exceeds ``MAX_STEPS``."""
-    if not count <= MAX_STEPS:
-        raise ContractError(f"a step of {step} needs {count:.4g} steps, more than {MAX_STEPS}")
-
-
 def _aligned_steps(r_from: float, r_to: float, step: float, breakpoints) -> tuple[int, float]:
-    step = _require_step(step)
+    step = real_number(step, "step", 0.0)
     span = r_to - r_from
-    _require_steps(abs(span) / step, step)
+    step_count(abs(span) / step, f"a step of {step}")
     n = int(round(abs(span) / step))
     if n < 1 or abs(n * step - abs(span)) > 1e-9 * max(step, abs(span)):
-        raise ContractError(
-            f"step {step} does not divide the interval [{r_from}, {r_to}]"
-        )
+        raise DomainError(f"step {step} does not divide the interval [{r_from}, {r_to}]")
     h = math.copysign(step, span)
     lo, hi = min(r_from, r_to), max(r_from, r_to)
     for bp in [x for x in breakpoints if lo < x < hi]:
         t = (bp - r_from) / h  # at most n, so finite
         if abs(t - round(t)) > 1e-9 * max(1.0, abs(t)):
-            raise ContractError(f"breakpoint {bp} is not aligned with the integration grid")
+            raise DomainError(f"breakpoint {bp} is not aligned with the integration grid")
     return n, h
 
 
@@ -221,13 +192,11 @@ def integrate_schrodinger(
     last state of the one before.  A step longer than ``RK4_STABILITY`` over
     the largest momentum of the regions the run crosses raises
     :class:`DomainError`: RK4 would grow even an oscillating wave to NaN.
-    So does a start state that is not a number, a radius that is not a
-    finite, nonnegative real number, and a trajectory that is not finite,
-    such as an evanescent one grown past double precision.  A step that is
-    not a finite, positive real number, or that needs more than
-    ``MAX_STEPS`` steps, raises :class:`ContractError`.
+    So does a trajectory that is not finite, such as an evanescent one
+    grown past double precision, and a step that does not fit the grid or
+    needs more than ``MAX_STEPS`` steps.
     """
-    e = complex_energy(e)
+    p, e = of_type(p), complex_energy(e)
     y0, dy0 = complex_energy(y0, "the start state"), complex_energy(dy0, "the start state")
     r_from, r_to = radii_floats(r_from, r_to)
     n, h = _aligned_steps(r_from, r_to, step, p.breakpoints)
@@ -281,10 +250,9 @@ def propagate(p, e: complex, y: complex, dy: complex, r_from: float, r_to: float
     w -> cos(kd) w + sin(kd)/k w' and w' -> -k sin(kd) w + cos(kd) w', with
     k^2 = E - v.  The map is even in k, so no branch of the root is chosen,
     and no plane-wave amplitude is formed.  Raises :class:`DomainError` for
-    a radius that is not a finite, nonnegative real number, or a state that
-    is not a number or not finite.
+    a state that is not finite.
     """
-    e = complex_energy(e)
+    p, e = of_type(p), complex_energy(e)
     y, dy = complex_energy(y, "the start state"), complex_energy(dy, "the start state")
     r_from, r_to = radii_floats(r_from, r_to)
     lo, hi = min(r_from, r_to), max(r_from, r_to)
@@ -297,7 +265,7 @@ def propagate(p, e: complex, y: complex, dy: complex, r_from: float, r_to: float
             c, s = cmath.cos(k * d), cmath.sin(k * d)
             y, dy = c * y + (s / k if k else d) * dy, -k * s * y + c * dy
         finite = cmath.isfinite(y) and cmath.isfinite(dy)
-    except OverflowError:
+    except (OverflowError, ValueError):  # cmath's "math domain error" at an infinite phase
         finite = False
     if not finite:
         raise DomainError(f"the flow at E={e} from r={r_from} to {r_to} is not finite")
@@ -317,12 +285,10 @@ def apply_hamiltonian_fd(
     two end nodes and wherever the stencil [r - h, r + h] has a breakpoint
     strictly inside it; callers keep those out of residual norms and report
     them.  A grid within one region, such as each grid of
-    :func:`check_resolvent_identity`, so loses only its ends.  A step that is
-    not a finite, positive real number, or a grid not uniform at it, raises
-    :class:`ContractError`; radii that are not real numbers or values that
-    are not numbers raise :class:`DomainError`.
+    :func:`check_resolvent_identity`, so loses only its ends.  A grid not
+    uniform at its step raises :class:`DomainError`.
     """
-    r = real_array(r, "radii")
+    p, r = of_type(p), real_array(r, "radii")
     try:
         u = np.asarray(u, dtype=complex)
     except (TypeError, ValueError):
@@ -330,10 +296,10 @@ def apply_hamiltonian_fd(
     if r.ndim != 1 or r.shape != u.shape or r.size < 3:
         raise ContractError("need matching 1-d arrays with at least 3 samples")
     steps = np.diff(r)
-    h = _require_step(steps[0] if step is None else step)
+    h = real_number(steps[0] if step is None else step, "step", 0.0)
     # each node of a uniform grid is rounded to a double
     if np.any(np.abs(steps - h) > 1e-9 * h + 2.0 * np.spacing(max(-r[0], r[-1]))):
-        raise ContractError("grid must be uniform with the declared step")
+        raise DomainError("grid must be uniform with the declared step")
 
     v = np.asarray(p.heights)[np.searchsorted(p.breakpoints, r, side="right")]
     hu = np.zeros_like(u, dtype=complex)
@@ -402,21 +368,13 @@ class _KernelSlice(NamedTuple):
         return _factor(self.chi, r, s, below) * _factor(self.om, r, s, ~below) / self.w
 
 
-def _require_scale(scale, error: type[Exception] = DomainError) -> float:
-    """``scale`` as a float; ``error`` unless it is a finite, nonzero real number."""
-    x = real_number(scale, "wronskian_scale", error)
-    if not (math.isfinite(x) and x != 0.0):
-        raise error(f"wronskian_scale must be finite and nonzero, got {x}")
-    return x
-
-
 def _kernel_slice(p, e: float, direction: str, wronskian_scale: float = 1.0) -> _KernelSlice:
     """G(., s) of a formal kernel at real E; the scale hooks the negative control.
 
     A ``wronskian_scale`` that is not a finite, nonzero real number raises
     :class:`DomainError` before any wave is built.
     """
-    scale = _require_scale(wronskian_scale)
+    scale = nonzero_real(wronskian_scale, "wronskian_scale")
     chi, om, w = wave_pair(p, complex(float(e)), direction)
     return _KernelSlice(chi, om, w * scale)
 
@@ -436,24 +394,22 @@ def check_jump(p, e: float, s: float, direction: str, wronskian_scale: float = 1
     to ``_RICHARDSON_GAIN`` (80.1) * u / h0 per unit slope of G; where that
     exceeds the 1e-6 tolerance (s = 1e9 at h0 = 1/6) it raises :class:`DomainError`.
     """
-    e = real_energy(e, "the jump check")
+    p, e = of_type(p), real_energy(e, "the jump check")
     (s,) = radii_floats(s)
-    kernel = _kernel_slice(p, e, direction, wronskian_scale)
     stencils = _jump_stencils(p, e, s)
+    kernel = _kernel_slice(p, e, direction, wronskian_scale)
     radii = [x for stencil in stencils for x in _richardson_radii(*stencil)]
     return _jump_report(*_derivatives(kernel.values(radii, s).tolist(), stencils))
 
 
-def _jump_stencils(
-    p, e: float, s: float, error: type[Exception] = ContractError
-) -> tuple[tuple[float, int, float], ...]:
+def _jump_stencils(p, e: float, s: float) -> tuple[tuple[float, int, float], ...]:
     """The (x, side, h0) of the right and left derivatives at r = s that :func:`check_jump` takes.
 
-    ``error`` is raised for an s within 1e-3 of a breakpoint or the origin.
+    :class:`DomainError` for an s within 1e-3 of a breakpoint or the origin.
     """
     dist = min([abs(s - bp) for bp in p.breakpoints] + [s])
     if dist < 1e-3:
-        raise error(f"s={s} is within 1e-3 of a potential breakpoint or the origin")
+        raise DomainError(f"s={s} is within 1e-3 of a potential breakpoint or the origin")
     # probes must resolve the fastest oscillation of the kernel
     h0 = min(dist, 2.0 / (1.0 + _momentum_scale(p.heights, e))) / 4.0
     if _RICHARDSON_GAIN * math.ulp(s + h0) / h0 > 1e-6:
@@ -521,14 +477,12 @@ def check_resolvent_identity(
     sqrt(target / R), but never past the step at which the rounding of u,
     over the step squared, would reach ``target``.  A region too thin for
     ``MIN_REGION_STEPS`` such steps is integrated but not differenced, and
-    its nodes count as excluded.  A target that is not finite and positive
-    raises :class:`ContractError`; grids past ``MAX_STEPS`` steps raise
+    its nodes count as excluded.  Grids past ``MAX_STEPS`` steps raise
     :class:`DomainError` before they are allocated.
     """
-    e = complex_energy(e)
-    if e.imag == 0.0:
-        raise ContractError("resolvent identity requires Im E != 0")
-    target = _require_step(target, "target")
+    p, f = of_type(p), of_type(f, TestFunction)
+    e = off_axis_energy(e, "the resolvent identity")
+    target = real_number(target, "target", 0.0)
     lo, hi = f.support
     cuts = [lo, *(x for x in p.breakpoints if lo < x < hi), hi]
     widths = np.diff(cuts)
@@ -569,11 +523,7 @@ def _region_steps(counts: np.ndarray, target: float) -> list[int]:
     alternating errors the two leave in u cancel.  Raises
     :class:`DomainError` past ``MAX_STEPS`` steps in all.
     """
-    total = float(np.sum(counts))
-    if not total <= MAX_STEPS:
-        raise DomainError(
-            f"the resolvent check at target {target} needs {total:.4g} steps, more than {MAX_STEPS}"
-        )
+    step_count(float(np.sum(counts)), f"the resolvent check at target {target}")
     return [max(MIN_REGION_STEPS, math.ceil(n)) | 1 for n in counts.tolist()]
 
 
@@ -620,7 +570,7 @@ def _resolvent_image(p, e: complex, f: TestFunction, cuts, counts):
     return image
 
 
-def rk4_runs(p, e: float, s: float, error: type[Exception] = ContractError):
+def rk4_runs(p, e: float, s: float):
     """The RK4 runs of :func:`check_distributional_equation` to s, from 0 and from beyond V.
 
     Each run, from 0 or from ``TAIL_START`` past the last breakpoint (past 1
@@ -628,7 +578,7 @@ def rk4_runs(p, e: float, s: float, error: type[Exception] = ContractError):
     cuts[j + 1], cut at s and at the breakpoints.  A region of width d and
     momentum k takes ceil(d max(|k|, 1) / theta) steps, with theta = 0.01 min(1,
     (300 / Phi)^(1/4)) for the run's phase Phi = sum d max(|k|, 1): RK4's error
-    grows as Phi theta^4.  A run past ``MAX_STEPS`` steps raises ``error``.
+    grows as Phi theta^4.  A run past ``MAX_STEPS`` steps raises :class:`DomainError`.
     """
     r_out = (p.breakpoints[-1] if p.breakpoints else 1.0) + TAIL_START
     runs = []
@@ -638,9 +588,7 @@ def rk4_runs(p, e: float, s: float, error: type[Exception] = ContractError):
         phases = [abs(x1 - x0) * max(abs(e - p.heights[bisect_right(p.breakpoints, (x0 + x1) / 2)]), 1.0)
                   ** 0.5 for x0, x1 in zip(cuts, cuts[1:])]
         per_rad = 100.0 * max(1.0, (sum(phases) / 300.0) ** 0.25)  # 1 / theta, inf at most
-        if not per_rad * sum(phases) <= MAX_STEPS:
-            raise error(f"the RK4 run from r={r_from} to s={s} at E={e} needs "
-                        f"{per_rad * sum(phases):.4g} steps, more than {MAX_STEPS}")
+        step_count(per_rad * sum(phases), f"the RK4 run from r={r_from} to s={s} at E={e}")
         runs.append((cuts, [math.ceil(per_rad * x) for x in phases]))
     return runs
 
@@ -670,7 +618,7 @@ def check_distributional_equation(
     continuity at the potential jumps, and kernel continuity across r = s
     (the gap must shrink linearly with the probe offset).  The RK4 runs step
     region by region (:func:`rk4_runs`), so s and the breakpoints may sit
-    anywhere; a run past ``MAX_STEPS`` steps raises :class:`ContractError`
+    anywhere; a run past ``MAX_STEPS`` steps raises :class:`DomainError`
     before any wave is built.  A ``wronskian_scale`` so large that the kernel
     underflows to 0 beside s raises :class:`DomainError`.
     """
@@ -684,10 +632,11 @@ def _distributional_reports(p, e: float, s: float, directions, wronskian_scale: 
     left run's nodes and at the breakpoints below s are shared; each direction
     has its own omega, seeds, RK4 runs and report, bit for bit those of its own request.
     """
-    e = real_energy(e, "the distributional check")
+    p, e = of_type(p), real_energy(e, "the distributional check")
     (s,) = radii_floats(s)
     left, right = rk4_runs(p, e, s)
     r_out = right[0][0]
+    jump = _jump_stencils(p, e, s)
 
     kernels = [_kernel_slice(p, e, direction, wronskian_scale) for direction in directions]
     chi = kernels[0].chi
@@ -697,7 +646,7 @@ def _distributional_reports(p, e: float, s: float, directions, wronskian_scale: 
     # every probe radius in one call, starting at s: the jump at s, the seed
     # slopes at 0 and r_out, the slopes beside the diagonal, the diagonal gaps
     # and the seed G(r_out, s)
-    stencils = _jump_stencils(p, e, s) + (
+    stencils = jump + (
         (0.0, +1, min(dist0, probe_cap) / 4.0),
         (r_out, -1, min(1.0, probe_cap) / 4.0),
         (s, +1, dist_s / 4.0),

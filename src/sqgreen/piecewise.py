@@ -18,9 +18,8 @@ import cmath
 
 import numpy as np
 
-from .errors import ContractError
-from .eigenfunctions import PiecewiseWave, Region, _overflow, _require_same_problem
-from .model import complex_energy, region_momenta, region_momenta_array
+from .eigenfunctions import PiecewiseWave, Region, _overflow
+from .model import choice, complex_energy, of_type, region_momenta, region_momenta_array, same_problem
 
 
 def _amplitudes_at(value: complex, deriv: complex, k: complex) -> tuple[complex, complex]:
@@ -217,15 +216,9 @@ def build_chi(p, e: complex) -> PiecewiseWave:
     return _wave(p, e, _chi_regions)
 
 
-def require_direction(direction) -> None:
-    """:class:`ContractError` unless ``direction`` is "plus" or "minus"."""
-    if not (isinstance(direction, str) and direction in ("plus", "minus")):
-        raise ContractError(f"direction must be 'plus' or 'minus', got {direction!r}")
-
-
 def build_omega(p, e: complex, direction: str) -> PiecewiseWave:
     """Tail solution pinned to exp(+-i k r) beyond the last step, propagated inward."""
-    require_direction(direction)
+    choice(direction, "direction")
     return _wave(p, e, _omega_regions, direction)
 
 
@@ -236,7 +229,7 @@ def outer_wronskian(f: PiecewiseWave, g: PiecewiseWave) -> complex:
     reference point; this is the canonical r-free value used to normalize
     kernels built from engine waves.
     """
-    _require_same_problem(f, g)
+    same_problem(of_type(f, PiecewiseWave), of_type(g, PiecewiseWave))
     return _plane_wronskian(f.regions[-1], g.regions[-1])
 
 

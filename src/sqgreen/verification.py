@@ -21,13 +21,12 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .kernel import _limit_walk, kernel_grid, wave_pair
-from .model import PiecewisePotential, branch_sqrt, real_energy
+from .model import PiecewisePotential, nonzero_real, of_type, real_energy
 from .oracle import (
     ResidualReport,
     TestFunction,
     _distributional_reports,
     _jump_stencils,
-    _require_scale,
     check_resolvent_identity,
     propagate,
     rk4_runs,
@@ -47,10 +46,13 @@ def _reference(p: PiecewisePotential, e: complex):
 
     The starts are for :func:`propagate`: chi starts at (0, k0) at the origin,
     as the engine's sin(k0 r) does, and omega+- at exp(+-ikR) at the last
-    breakpoint R, where the Wronskians are read.
+    breakpoint R, where the Wronskians are read.  Both roots are
+    ``cmath.sqrt``'s, never the engine's ``branch_sqrt``, so a wrong branch
+    in the engine cannot pass as a reference that shares it.  At Im E != 0
+    the two agree bit for bit; the sign of k0 only normalizes chi.
     """
-    k, outer = branch_sqrt(e), p.breakpoints[-1]
-    starts = [(0j, branch_sqrt(e - p.heights[0]), 0.0)]
+    k, outer = cmath.sqrt(e), p.breakpoints[-1]
+    starts = [(0j, cmath.sqrt(e - p.heights[0]), 0.0)]
     for sign in (1.0, -1.0):
         phase = cmath.exp(sign * 1j * k * outer)
         starts.append((phase, sign * 1j * k * phase, outer))
@@ -149,9 +151,9 @@ def run_verification(
     ``random.Random(seed).random()``, whose stream CPython keeps from version
     to version for a given seed.  Before any draw or check it
     raises :class:`ConfigError` for a ``seed`` or ``n_random`` that is not an
-    integer, a negative ``seed``, an ``n_random`` outside
-    [0, ``MAX_RANDOM_INSTANCES``] or a ``wronskian_scale`` that is not
-    finite and nonzero, and :class:`DomainError` for an energy that is not
+    integer, a negative ``seed`` or an ``n_random`` outside
+    [0, ``MAX_RANDOM_INSTANCES``], and :class:`DomainError` for a
+    ``wronskian_scale`` that is not finite and nonzero, an energy that is not
     real, finite and positive, for a potential without breakpoints, for a
     last region so thin that the jump probes at its midpoint come within
     1e-3 of a breakpoint, or if a run of the distributional check's RK4
@@ -171,15 +173,15 @@ def run_verification(
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     if not 0 <= n_random <= MAX_RANDOM_INSTANCES:
         raise ConfigError(f"n_random must lie in [0, {MAX_RANDOM_INSTANCES}], got {n_random}")
-    wronskian_scale = _require_scale(wronskian_scale, ConfigError)
-    e = real_energy(e, "verification")
+    p, e = of_type(p), real_energy(e, "verification")
+    wronskian_scale = nonzero_real(wronskian_scale, "wronskian_scale")
     if not p.breakpoints:
         # the probe radii, the bump and the reference tails sit at the last breakpoint
         raise DomainError("verification needs a potential with at least one breakpoint")
     edges = (0.0,) + p.breakpoints
     s_mid = 0.5 * (edges[-2] + edges[-1])
-    rk4_runs(p, e, s_mid, DomainError)
-    _jump_stencils(p, e, s_mid, DomainError)
+    rk4_runs(p, e, s_mid)
+    _jump_stencils(p, e, s_mid)
     ec = complex(e, 1.0)
     waves, reference = _engine_waves(p, ec), _reference(p, ec)
     continuity, wronskian = _wave_agreement(p, waves, reference[1])

@@ -7,9 +7,12 @@ exact region flow that ``verify`` checks the engine against,
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
+
+from sqgreen import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sqgreen"
@@ -122,3 +125,32 @@ def test_the_rk4_step_rule_stays_in_the_oracle(module):
         "RESOLVENT_TARGET", "COARSE_PHASE", "MIN_REGION_STEPS",
     }
     assert _names(_tree(module)) & rule == set()
+
+
+def test_verify_builds_its_reference_without_the_engine_root():
+    # a reference that took k from branch_sqrt shared a wrong branch with the engine,
+    # so verify passed with every momentum root flipped
+    assert _names(_tree("verification")) & {"branch_sqrt", "_branch_sqrt_array"} == set()
+
+
+def _is_exception_class(node: ast.expr | None) -> bool:
+    """Whether ``node`` names an exception class of ``sqgreen.errors`` or the builtins."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    cls = getattr(errors, name, None) or getattr(builtins, name, None) if name else None
+    return isinstance(cls, type) and issubclass(cls, BaseException)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_takes_an_exception_class(module):
+    # each rule raises one class, stated in errors.py, so no caller picks it
+    for fn in ast.walk(_tree(module)):
+        if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            args = fn.args
+            for default in args.defaults + [d for d in args.kw_defaults if d is not None]:
+                assert not _is_exception_class(default), (module, getattr(fn, "name", "lambda"))
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                annotation = ast.unparse(arg.annotation) if arg.annotation else ""
+                assert "Exception" not in annotation and "Error" not in annotation, (module, arg.arg)
+        elif isinstance(fn, ast.Call) and getattr(fn.func, "id", None) not in ("isinstance", "issubclass"):
+            passed = fn.args + [keyword.value for keyword in fn.keywords]
+            assert not any(map(_is_exception_class, passed)), (module, ast.unparse(fn))

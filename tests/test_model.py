@@ -6,32 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sqgreen.kernel as kernel_module
-import sqgreen.oracle as oracle_module
-import sqgreen.verification as verification_module
 from sqgreen import (
     DomainError,
     PiecewisePotential,
     SquareBarrier,
-    TestFunction,
-    boundary_limit,
-    boundary_limits,
     branch_sqrt,
-    build_chi,
-    build_omega,
-    check_distributional_equation,
-    check_jump,
-    check_resolvent_identity,
-    chi_outer_amplitudes,
     find_kernel_poles,
     formal_green,
-    integrate_schrodinger,
-    kernel_grid,
-    kernel_pole_residual,
-    propagate,
     region_momenta,
     resolvent_kernel,
-    run_verification,
 )
 from sqgreen.model import _branch_sqrt_array, complex_energy, real_energy
 
@@ -169,7 +152,7 @@ class TestSquareBarrier:
     def test_non_real_parameter_rejected(self, make):
         # float() raised a bare TypeError or ValueError, or cast numpy's complex
         # to its real part with only a ComplexWarning
-        with pytest.raises(DomainError, match="heights must be a real number"):
+        with pytest.raises(DomainError, match="heights must be a finite real number"):
             make()
 
     def test_numeric_strings_stay_accepted(self):
@@ -258,31 +241,6 @@ class TestRealEnergy:
             real_energy(e, "a test")
 
 
-#: the complex-energy entry points, each called at the energy ``e``
-_COMPLEX_ENERGY_CALLS = {
-    "resolvent_kernel": lambda p, e: resolvent_kernel(p, e, 1.0, 1.5),
-    "kernel_grid": lambda p, e: kernel_grid(p, e, [1.0], [1.5]),
-    "propagate": lambda p, e: propagate(p, e, 0.0, 1.0, 0.0, 1.0),
-    "integrate_schrodinger": lambda p, e: integrate_schrodinger(p, e, 0.0, 1.0, 0.0, 1.0, 1e-3),
-    "check_resolvent_identity": lambda p, e: check_resolvent_identity(
-        p, e, TestFunction("gaussian_bump", 3.0, 0.5)
-    ),
-    "build_chi": build_chi,
-    "build_omega": lambda p, e: build_omega(p, e, "plus"),
-    "region_momenta": region_momenta,
-    "chi_outer_amplitudes": chi_outer_amplitudes,
-    "kernel_pole_residual": kernel_pole_residual,
-    "branch_sqrt": lambda p, e: branch_sqrt(e),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_COMPLEX_ENERGY_CALLS))
-def test_unreadable_complex_energy_rejected(barrier, name):
-    # complex("x") raised a bare ValueError
-    with pytest.raises(DomainError, match="must be a number, got 'x'"):
-        _COMPLEX_ENERGY_CALLS[name](barrier, "x")
-
-
 @pytest.mark.parametrize("e", ["1.5+0.2j", 2, np.complex128(1.5 - 0.2j), np.float64(1.5)])
 def test_complex_energy_reads_what_complex_reads(e):
     z = complex_energy(e)
@@ -293,30 +251,3 @@ def test_complex_energy_reads_what_complex_reads(e):
 def test_complex_energy_refuses_what_complex_cannot_read(e):
     with pytest.raises(DomainError, match="must be a number"):
         complex_energy(e)
-
-
-#: the real-axis entry points, each called at the energy ``e``
-_REAL_AXIS_CALLS = {
-    "formal_green": lambda p, e: formal_green(p, e, 0.5, 1.5, "plus"),
-    "kernel_grid": lambda p, e: kernel_grid(p, e, [0.5, 1.0], [1.5], "minus"),
-    "boundary_limit": lambda p, e: boundary_limit(p, e, 0.5, 1.5, "plus"),
-    "boundary_limits": lambda p, e: boundary_limits(p, e, 0.5, 1.5, ("plus", "minus")),
-    "run_verification": lambda p, e: run_verification(p, e),
-    "check_distributional_equation": lambda p, e: check_distributional_equation(
-        p, e, 1.5, "plus"
-    ),
-    "check_jump": lambda p, e: check_jump(p, e, 1.5, "plus"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_REAL_AXIS_CALLS))
-def test_real_axis_entry_points_refuse_complex_energy(barrier, monkeypatch, name):
-    # each raised a bare TypeError from float(1+1j)
-    def no_work(*args, **kwargs):
-        raise AssertionError("a wave or a draw was made")
-
-    for module in (kernel_module, oracle_module, verification_module):
-        monkeypatch.setattr(module, "wave_pair", no_work)
-    monkeypatch.setattr(verification_module, "Random", no_work)
-    with pytest.raises(DomainError, match="real E > 0"):
-        _REAL_AXIS_CALLS[name](barrier, 1.0 + 1.0j)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from sqgreen import (
-    ConfigError,
     ContractError,
     DomainError,
     PiecewisePotential,
@@ -48,63 +47,43 @@ def _peak_bytes(call):
 
 class TestTestFunction:
     def test_kinds_validated(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractError):
             TestFunction("triangle", 3.0, 0.5)
         with pytest.raises(DomainError):
             TestFunction("gaussian_bump", 1.0, 0.5)  # support would cross the origin
         with pytest.raises(DomainError):
             TestFunction("compact_polynomial_bump", 0.5, 1.0)
 
-    @pytest.mark.parametrize(
-        "center, width", [(3.0j, 0.5), ("x", 0.5), (3.0, 0.5j)], ids=["complex", "string", "width"]
-    )
-    def test_non_real_center_or_width_rejected(self, center, width):
-        # math.isfinite raised a bare TypeError
-        with pytest.raises(DomainError, match="must be a real number"):
-            TestFunction("gaussian_bump", center, width)
-
     def test_center_and_width_are_floats(self):
         f = TestFunction("gaussian_bump", 3, "0.5")
         assert (f.center, f.width) == (3.0, 0.5) and type(f.center) is float
 
     @pytest.mark.parametrize("r", [np.array([3 + 1j]), 3 + 1j, "x"], ids=["array", "complex", "string"])
-    @pytest.mark.parametrize("read", ["__call__", "second_derivative"])
-    def test_radii_not_real_numbers_rejected(self, read, r):
+    def test_radii_not_real_numbers_rejected(self, r):
         # the complex array lost its imaginary part with only a ComplexWarning;
         # 3+1j raised a bare TypeError and "x" a bare ValueError
         f = TestFunction("gaussian_bump", 3.0, 0.5)
         with pytest.raises(DomainError, match="radii must be real numbers"):
-            getattr(f, read)(r)
+            f(r)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 1e308, -1e308])
-    @pytest.mark.parametrize("read", ["__call__", "second_derivative"])
     @pytest.mark.parametrize("kind", ["gaussian_bump", "compact_polynomial_bump"])
-    def test_far_radii_read_zero_and_non_finite_radii_rejected(self, kind, read, r):
+    def test_far_radii_read_zero_and_non_finite_radii_rejected(self, kind, r):
         # nan came back as NaN, and 1e308 overflowed in (r - c) / w with a RuntimeWarning
         f = TestFunction(kind, 3.0, 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if math.isfinite(r):
-                assert getattr(f, read)(r) == 0.0
+                assert f(r) == 0.0
             else:
                 with pytest.raises(DomainError, match="radii must be finite"):
-                    getattr(f, read)(r)
+                    f(r)
 
     def test_small_at_origin(self):
         f = TestFunction("gaussian_bump", 3.0, 0.5)
         assert abs(f(0.0)) < 1e-7
         g = TestFunction("compact_polynomial_bump", 3.0, 1.0)
         assert g(0.0) == 0.0 and g(1.9) == 0.0 and g(3.0) == 1.0
-
-    def test_second_derivative_matches_finite_difference(self):
-        h = 1e-5
-        for f in (
-            TestFunction("gaussian_bump", 3.0, 0.5),
-            TestFunction("compact_polynomial_bump", 3.0, 1.0),
-        ):
-            r = np.linspace(2.2, 3.8, 17)
-            fd = (f(r + h) - 2.0 * f(r) + f(r - h)) / (h * h)
-            assert np.max(np.abs(fd - f.second_derivative(r))) < 1e-5
 
 
 class TestIntegrateSchrodinger:
@@ -131,10 +110,10 @@ class TestIntegrateSchrodinger:
         assert abs(traj.values[-1] - om.value(0.5)) <= 1e-7
 
     def test_misaligned_breakpoint_rejected(self, barrier):
-        with pytest.raises(ContractError):
+        with pytest.raises(DomainError):
             integrate_schrodinger(barrier, 1.0, 0.0, 1.0, 0.0, 3.0, 0.7)
         # 0.3 divides [0, 3], so only the breakpoint 1 off the grid refuses it
-        with pytest.raises(ContractError, match="breakpoint 1.0 is not aligned"):
+        with pytest.raises(DomainError, match="breakpoint 1.0 is not aligned"):
             integrate_schrodinger(barrier, 1.0, 0.0, 1.0, 0.0, 3.0, 0.3)
 
     @pytest.mark.parametrize("p", [SquareBarrier(5, 1, 2), STAIRCASE], ids=["barrier", "staircase"])
@@ -144,7 +123,7 @@ class TestIntegrateSchrodinger:
         assert [round(x / 1e-3) for x in traj.r] == list(range(6001))
 
     def test_step_must_divide_interval(self, barrier):
-        with pytest.raises(ContractError):
+        with pytest.raises(DomainError):
             integrate_schrodinger(barrier, 1.0, 0.0, 1.0, 0.0, 1.0005, 1e-2)
 
     def test_staircase_supported(self, rng):
@@ -299,30 +278,13 @@ def test_rk4_negative_radius_rejected(barrier):
 
 
 @pytest.mark.parametrize(
-    "r_to, step, error",
+    "r_to, step",
     # an OverflowError and a bare ValueError from rounding the step count
-    [(math.inf, 1e-3, DomainError), (3.0, math.nan, ContractError)],
+    [(math.inf, 1e-3), (3.0, math.nan)],
 )
-def test_rk4_non_finite_radius_or_step_rejected(r_to, step, error):
-    with pytest.raises(error, match="finite"):
+def test_rk4_non_finite_radius_or_step_rejected(r_to, step):
+    with pytest.raises(DomainError, match="finite"):
         integrate_schrodinger(SquareBarrier(5, 1, 2), 1.0, 0, 1, 0.0, r_to, step)
-
-
-#: oracle entry points at a radius that is not a real number
-_NON_REAL_RADIUS_CALLS = {
-    "propagate": lambda p: propagate(p, 1.0, 0, 1, 0.5 + 2j, 1.0),
-    "integrate_schrodinger": lambda p: integrate_schrodinger(p, 1.0, 0, 1, 0, 1 + 1j, 1e-3),
-    "check_jump": lambda p: check_jump(p, 1.0, 0.5 + 1j, "plus"),
-    "propagate_string": lambda p: propagate(p, 1.0, 0, 1, 0.0, "x"),
-    "check_distributional_equation": lambda p: check_distributional_equation(p, 1.0, 1.5j, "plus"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_NON_REAL_RADIUS_CALLS))
-def test_non_real_radius_rejected(barrier, name):
-    # float(r_from) or a comparison with a float raised a bare TypeError
-    with pytest.raises(DomainError, match="radii must be real numbers"):
-        _NON_REAL_RADIUS_CALLS[name](barrier)
 
 
 def test_radius_of_several_numbers_rejected(barrier):
@@ -330,77 +292,6 @@ def test_radius_of_several_numbers_rejected(barrier):
         propagate(barrier, 1.0, 0, 1, [0.0, 0.5], [1.0, 2.0])
     with pytest.raises(DomainError, match="each radius must be one number"):
         barrier.value_at([0.5, 1.5])
-
-
-#: oracle entry points at a start state that is not a number
-_NON_NUMBER_STATE_CALLS = {
-    "propagate": lambda p: propagate(p, 1.0, "x", 1, 0, 1),
-    "propagate_list": lambda p: propagate(p, 1.0, 0, [1, 2], 0, 1),
-    "integrate_schrodinger": lambda p: integrate_schrodinger(p, 1.0, "x", 1, 0, 1, 1e-3),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_NON_NUMBER_STATE_CALLS))
-def test_start_state_not_a_number_rejected(barrier, name):
-    # complex() raised a bare ValueError for "x" and a bare TypeError for [1, 2]
-    with pytest.raises(DomainError, match="the start state must be a number"):
-        _NON_NUMBER_STATE_CALLS[name](barrier)
-
-
-#: oracle entry points at a step ``h``
-_STEP_CALLS = {
-    "integrate_schrodinger": lambda p, h: integrate_schrodinger(p, 1.0, 0, 1, 0, 1, h),
-    "apply_hamiltonian_fd": lambda p, h: apply_hamiltonian_fd(
-        np.arange(5) * 1e-3, np.zeros(5), p, h
-    ),
-}
-
-
-@pytest.mark.parametrize("step", ["x", 1j])
-@pytest.mark.parametrize("name", sorted(_STEP_CALLS))
-def test_step_not_a_real_number_rejected(barrier, name, step):
-    # float(step) raised a bare ValueError for "x" and a bare TypeError for 1j
-    with pytest.raises(ContractError, match="step must be a real number"):
-        _STEP_CALLS[name](barrier, step)
-
-
-@pytest.mark.parametrize("r", [np.arange(5) * 1e-3 + 1j, ["x"] * 5], ids=["complex", "string"])
-def test_fd_radii_not_real_numbers_rejected(barrier, r):
-    # complex radii lost their imaginary part with only a ComplexWarning and
-    # returned a result; string radii raised a bare ValueError
-    with pytest.raises(DomainError, match="radii must be real numbers"):
-        apply_hamiltonian_fd(r, np.zeros(5), barrier, 1e-3)
-
-
-@pytest.mark.parametrize("u", [["a"] * 5, [[1, 2], 3, 4, 5, 6]], ids=["string", "ragged"])
-def test_fd_values_not_numbers_rejected(barrier, u):
-    # the strings raised numpy's UFuncTypeError from the stencil, the ragged
-    # list numpy's bare "inhomogeneous shape" ValueError
-    with pytest.raises(DomainError, match="values u must"):
-        apply_hamiltonian_fd(np.arange(5) * 1e-3, u, barrier, 1e-3)
-
-
-#: the oracle checks that apply a ``wronskian_scale``
-_SCALED_CHECKS = {
-    "check_jump": lambda p, scale: check_jump(p, 1.0, 1.5, "plus", scale),
-    "check_distributional_equation": lambda p, scale: check_distributional_equation(
-        p, 1.0, 1.5, "plus", scale
-    ),
-}
-
-
-@pytest.mark.parametrize("scale", [0.0, math.nan, math.inf, -math.inf, "x", 1j])
-@pytest.mark.parametrize("name", sorted(_SCALED_CHECKS))
-def test_bad_wronskian_scale_raises_before_any_wave(barrier, monkeypatch, name, scale):
-    # a scale of 0 gave check_jump a NaN residual and the distributional check
-    # a misleading "RK4 trajectory ... is not finite"; "x" raised a bare
-    # TypeError from w * "x"
-    def no_waves(*args, **kwargs):
-        raise AssertionError("a wave was built")
-
-    monkeypatch.setattr(oracle_module, "wave_pair", no_waves)
-    with pytest.raises(DomainError, match="wronskian_scale must be"):
-        _SCALED_CHECKS[name](barrier, scale)
 
 
 def test_wronskian_scale_that_underflows_the_kernel_raises(barrier):
@@ -415,7 +306,7 @@ def test_wronskian_scale_that_underflows_the_kernel_raises(barrier):
 def test_rk4_grid_past_max_steps_rejected_before_allocating():
     # 3e9 steps asked for a (2, 3e9 + 1) complex state array, about 96 GB
     def call():
-        with pytest.raises(ContractError, match="steps"):
+        with pytest.raises(DomainError, match="steps"):
             integrate_schrodinger(SquareBarrier(5, 1, 2), 1.0, 0, 1, 0.0, 3.0, 1e-9)
 
     assert _peak_bytes(call) < 2**20
@@ -473,7 +364,7 @@ class TestApplyHamiltonianFd:
     def test_nan_step_rejected(self):
         # the stencil returned NaN values with only a RuntimeWarning
         r = np.linspace(2.2, 2.3, 11)
-        with pytest.raises(ContractError, match="step"):
+        with pytest.raises(DomainError, match="step"):
             apply_hamiltonian_fd(r, np.ones(11), SquareBarrier(5, 1, 2), step=math.nan)
 
     def test_one_region_grid_loses_only_its_ends(self, barrier):
@@ -496,7 +387,7 @@ class TestApplyHamiltonianFd:
         with pytest.raises(ContractError, match="matching 1-d arrays"):
             apply_hamiltonian_fd(r.reshape(1, 11), np.ones((1, 11)), barrier)
         r[5] += 1e-3
-        with pytest.raises(ContractError, match="uniform"):
+        with pytest.raises(DomainError, match="uniform"):
             apply_hamiltonian_fd(r, np.ones(11), barrier)
 
 
@@ -539,13 +430,8 @@ class TestCheckJump:
         assert not rep.passed
 
     def test_probe_too_close_to_interface(self, barrier):
-        with pytest.raises(ContractError):
+        with pytest.raises(DomainError):
             check_jump(barrier, 1.0, barrier.a + 1e-4, "plus")
-
-    def test_list_direction_rejected(self):
-        # a bare TypeError ("unhashable type: 'list'") from the wave memo's key
-        with pytest.raises(ContractError, match="direction must be"):
-            check_jump(SquareBarrier(5, 1, 2), 1.0, 1.5, [1, 2])
 
     @pytest.mark.parametrize("s", [1e9 + 0.5, 1e308])
     def test_probes_lost_to_rounding_rejected(self, s):
@@ -607,12 +493,6 @@ class TestResolventIdentity:
         with pytest.raises(ContractError):
             check_resolvent_identity(barrier, 1.0 + 0j, f)
 
-    @pytest.mark.parametrize("target", [0.0, -1e-5, math.nan, math.inf, "x", 1j])
-    def test_target_not_finite_and_positive_rejected(self, target):
-        f = TestFunction("gaussian_bump", 3.0, 0.5)
-        with pytest.raises(ContractError, match="target must be"):
-            check_resolvent_identity(SquareBarrier(5, 1, 2), 1 + 1j, f, target=target)
-
     @pytest.mark.parametrize(
         "e, target, match",
         [(1e14 + 1j, 1e-5, "more than 1000000"), (1 + 1j, 1e-20, "too much rounding")],
@@ -667,7 +547,9 @@ class TestResolventIdentity:
         h = 1e-3
         s = lo + h * np.arange(int(round((hi - lo) / h)) + 1)
         v_s = np.array([barrier.value_at(x) for x in s])
-        phi = e * g(s) + g.second_derivative(s) - v_s * g(s)
+        t = (s - g.center) / g.width
+        g2 = 8.0 * (1.0 - t * t) ** 2 * (7.0 * t * t - 1.0) / g.width**2  # g'' of the polynomial bump
+        phi = e * g(s) + g2 - v_s * g(s)
         chi, om, w = wave_pair(barrier, e, "plus")
         pc = _cumulative_simpson(chi.value(s) * phi, h)
         po = _cumulative_simpson(om.value(s) * phi, h)
@@ -744,11 +626,6 @@ class TestDistributionalEquation:
             rep = check_distributional_equation(p, e, 0.5 * (p.a + p.b) + 3.7e-4, "plus")
             assert rep.passed, [(c.name, c.max_residual) for c in rep.components]
 
-    def test_list_direction_rejected(self):
-        # a bare TypeError ("unhashable type: 'list'") from the wave memo's key
-        with pytest.raises(ContractError, match="direction must be"):
-            check_distributional_equation(SquareBarrier(5, 1, 2), 1.0, 1.5, [1, 2])
-
     def test_rk4_runs_split_at_the_breakpoints_and_s(self, barrier):
         # a region of width d takes d max(|k|, 1) / 0.01 steps while a run's phase stays
         # below 300; at E = 3000 the right run's 301 rad shrink the phase per step
@@ -771,7 +648,7 @@ class TestDistributionalEquation:
 
         monkeypatch.setattr(oracle_module, "wave_pair", no_work)
         monkeypatch.setattr(oracle_module, "integrate_schrodinger", no_work)
-        with pytest.raises(ContractError, match="more than 1000000"):
+        with pytest.raises(DomainError, match="more than 1000000"):
             check_distributional_equation(SquareBarrier(5, 1, 2), 1.0, s, "plus")
 
     def test_corruption_detected(self, barrier):
@@ -869,35 +746,6 @@ class TestRunVerification:
         assert len(calls) == len(set(calls)) == 4
         assert len({args[:2] for args in calls}) == 2
         assert [args[1:] for args in calls[:2]] == [(1.0 + 1.0j, "plus"), (1.0 + 1.0j, "minus")]
-
-    @pytest.mark.parametrize(
-        "p, kwargs",
-        [
-            # each used to misbehave: numpy's ValueError, ZeroDivisionError,
-            # a NaN residual, and a silent acceptance
-            (SquareBarrier(5.0, 1.0, 2.0), {"seed": -1}),
-            (SquareBarrier(5.0, 1.0, 2.0), {"wronskian_scale": 0.0}),
-            (SquareBarrier(5.0, 1.0, 2.0), {"wronskian_scale": math.nan}),
-            (SquareBarrier(5.0, 1.0, 2.0), {"wronskian_scale": math.inf}),
-            (SquareBarrier(5.0, 1.0, 2.0), {"n_random": -3}),
-            (SquareBarrier(5.0, 1.0, 2.0), {"n_random": verification.MAX_RANDOM_INSTANCES + 1}),
-            # numpy's TypeError, and 3 instances drawn for a report of 2 samples
-            (SquareBarrier(5.0, 1.0, 2.0), {"seed": 1.5}),
-            (SquareBarrier(5.0, 1.0, 2.0), {"n_random": 2.5}),
-            # math.isfinite's bare TypeError
-            (SquareBarrier(5.0, 1.0, 2.0), {"wronskian_scale": 1j}),
-            (SquareBarrier(5.0, 1.0, 2.0), {"wronskian_scale": "x"}),
-        ],
-    )
-    def test_bad_inputs_raise_before_any_draw_or_check(self, monkeypatch, p, kwargs):
-        def nothing(*args, **kwargs):
-            raise AssertionError("a draw or a check ran")
-
-        monkeypatch.setattr(verification, "Random", nothing)
-        monkeypatch.setattr(verification, "_distributional_reports", nothing)
-        monkeypatch.setattr(verification, "wave_pair", nothing)
-        with pytest.raises(ConfigError):
-            run_verification(p, 1.0, **kwargs)
 
     def test_no_breakpoints_raises_before_any_draw_or_check(self, monkeypatch):
         # the probe radii, the bump and the reference tails need a last breakpoint
