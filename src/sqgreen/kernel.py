@@ -226,13 +226,17 @@ def boundary_limit(
     gets the checks :func:`resolvent_kernel` makes on its value, and then
     the stop rule, so no sample past the cut is checked.
     """
+    e, r, s, mu0 = _limit_request(p, e, r, s, direction, mu0)
+    mus, samples, converged = _limit_walk(p, e, r, s, direction, mu0)
+    return LimitStudy(mus, samples, formal_green(p, e, r, s, direction), converged)
+
+
+def _limit_request(p, e, r, s, direction: str, mu0) -> tuple[float, float, float, float]:
+    """(E, r, s, mu0) of a :func:`boundary_limit` request, every argument read; mu0 is 0.05 E by default."""
     choice(direction, "direction")  # to _kernel_request, None asks for the resolvent kernel
     r, s = radii_floats(r, s)
     e = _kernel_request(p, e, (r, s), direction)[0].real
-    mu0 = real_number(0.05 * e if mu0 is None else mu0, "mu0", 0.0, 0.1 * e)
-
-    mus, samples, converged = _limit_walk(p, e, r, s, direction, mu0)
-    return LimitStudy(mus, samples, formal_green(p, e, r, s, direction), converged)
+    return e, r, s, real_number(0.05 * e if mu0 is None else mu0, "mu0", 0.0, 0.1 * e)
 
 
 def _limit_walk(p, e: float, r: float, s: float, direction: str, mu0: float):
@@ -274,7 +278,8 @@ def boundary_limits(p, e: float, r: float, s: float, directions,
     field for field the study :func:`boundary_limit` gives: conjugation
     changes neither a sample's checks nor the stop rule's distances (see the
     module notes).  A direction other than "plus" or "minus", or ``directions``
-    that are not iterable, raise :class:`ContractError` before any study.
+    that are not iterable, raise :class:`ContractError` before any study; with
+    no direction the other arguments are read all the same, and the list is empty.
     """
     try:
         directions = list(directions)
@@ -283,6 +288,7 @@ def boundary_limits(p, e: float, r: float, s: float, directions,
     for direction in directions:
         choice(direction, "direction")
     if not directions:
+        _limit_request(p, e, r, s, "plus", mu0)
         return []
     first = boundary_limit(p, e, r, s, directions[0], mu0)
     return [

@@ -4,11 +4,12 @@ Nothing in this module reuses the matching algebra: waves are re-derived by
 the exact flow of each region (:func:`propagate`) and by fixed-step RK4
 integration of the radial equation, solved in each region by powers of the
 RK4 one-step matrix (:func:`rk4_step_matrix`), the operator is applied
-by a central second difference, one-sided kernel derivatives come from
-Richardson-extrapolated difference quotients of kernel *values*, and the
-resolvent is rebuilt as an integral operator with composite Simpson panels
-split at the diagonal.  The RK4 runs (:func:`rk4_runs`) and the Simpson and
-finite-difference grids of ``verify`` step region by region.  Agreement of
+by a second difference on the nodes' own spacings, one-sided kernel
+derivatives come from Richardson-extrapolated difference quotients of
+kernel *values*, and the resolvent is rebuilt as an integral operator with
+composite Simpson panels split at the diagonal.  The RK4 runs
+(:func:`rk4_runs`) and the Simpson and finite-difference grid of ``verify``
+step region by region.  Agreement of
 these reconstructions with the kernels of matched waves is the package's
 evidence that the construction is right.  A potential is read only through
 its ``breakpoints`` and ``heights``.
@@ -272,21 +273,17 @@ def propagate(p, e: complex, y: complex, dy: complex, r_from: float, r_to: float
     return y, dy
 
 
-def apply_hamiltonian_fd(
-    r: np.ndarray,
-    u: np.ndarray,
-    p,
-    step: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply -u'' + V u by a central second difference on a uniform grid.
+def apply_hamiltonian_fd(r: np.ndarray, u: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
+    """Apply -u'' + V u by the three-point second difference on the nodes' own spacings.
 
-    ``r`` ascends by ``step`` (by its first spacing if None), up to the
-    rounding of its nodes.  Returns (hu, valid): ``valid`` is False at the
-    two end nodes and wherever the stencil [r - h, r + h] has a breakpoint
-    strictly inside it; callers keep those out of residual norms and report
-    them.  A grid within one region, such as each grid of
-    :func:`check_resolvent_identity`, so loses only its ends.  A grid not
-    uniform at its step raises :class:`DomainError`.
+    At a node with spacings h- and h+ to its neighbours, -u'' is
+    -2 [(u+ - u) / h+ - (u - u-) / h-] / (h+ + h-), exact for a quadratic.
+    Returns (hu, valid): ``valid`` is False at the two end nodes and wherever
+    a breakpoint lies strictly between a node's two neighbours; callers keep
+    those out of residual norms and report them.  A grid cut at the
+    breakpoints, such as that of :func:`check_resolvent_identity`, so loses
+    its ends and its cut nodes.  Radii that are not finite and strictly
+    ascending raise :class:`DomainError`.
     """
     p, r = of_type(p), real_array(r, "radii")
     try:
@@ -295,21 +292,18 @@ def apply_hamiltonian_fd(
         raise DomainError(f"values u must form a regular array of numbers, got {u!r}") from None
     if r.ndim != 1 or r.shape != u.shape or r.size < 3:
         raise ContractError("need matching 1-d arrays with at least 3 samples")
-    steps = np.diff(r)
-    h = real_number(steps[0] if step is None else step, "step", 0.0)
-    # each node of a uniform grid is rounded to a double
-    if np.any(np.abs(steps - h) > 1e-9 * h + 2.0 * np.spacing(max(-r[0], r[-1]))):
-        raise DomainError("grid must be uniform with the declared step")
+    h = np.diff(r)
+    if not (np.isfinite(r).all() and (h > 0.0).all()):
+        raise DomainError("radii must be finite and strictly ascending")
 
     v = np.asarray(p.heights)[np.searchsorted(p.breakpoints, r, side="right")]
-    hu = np.zeros_like(u, dtype=complex)
-    hu[1:-1] = -(u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h) + v[1:-1] * u[1:-1]
+    slopes = np.diff(u) / h
+    hu = np.zeros_like(u)
+    hu[1:-1] = -2.0 * (slopes[1:] - slopes[:-1]) / (h[1:] + h[:-1]) + v[1:-1] * u[1:-1]
 
-    valid = np.ones(r.shape, dtype=bool)
-    valid[0] = valid[-1] = False
-    collar = h * (1.0 - 1e-6)
-    for x in p.breakpoints:
-        valid &= np.abs(r - x) >= collar
+    valid = np.zeros(r.shape, dtype=bool)
+    bps = p.breakpoints
+    valid[1:-1] = np.searchsorted(bps, r[2:], side="left") == np.searchsorted(bps, r[:-2], side="right")
     return hu, valid
 
 
@@ -466,9 +460,10 @@ def check_resolvent_identity(
     u(r) = integral of G(r, s; E) f(s) ds is assembled from prefix/suffix
     Simpson integrals of chi*f and omega*f, which is composite Simpson with a
     panel boundary exactly at the kink s = r.  The finite-difference operator
-    then has to return f.  The support of f is cut at the breakpoints, and
-    each region has a uniform grid of its own, at least ``MIN_REGION_STEPS``
-    steps, whose interior nodes are checked; the cuts are excluded.
+    then has to return f.  The support of f is cut at the breakpoints, each
+    region is stepped uniformly, in at least ``MIN_REGION_STEPS`` steps, and
+    one grid holds every region with each cut once; the nodes between the
+    cuts are checked, and the cuts are excluded.
 
     A first pass at ``COARSE_PHASE`` rad per step of the region's wave or of
     the bump measures each region's residual R, relative to max |f|.  Its
@@ -492,9 +487,8 @@ def check_resolvent_identity(
     ])
     counts = _region_steps(widths * rates / COARSE_PHASE, target)
     resid, size, inner, scale = _region_residuals(p, e, f, cuts, counts)
-    # u carries a rounding of eps |size|, and rounding r by eps |r| moves it by
-    # eps |size| |r| rate; the stencil turns a rounding nu into up to 2 nu / h^2
-    noise = np.finfo(float).eps * size * (1.0 + np.abs(cuts[1:]) * rates)
+    # u carries a rounding of eps |size|; the stencil turns a rounding nu into up to 2 nu / h^2
+    noise = np.finfo(float).eps * size
     with np.errstate(divide="ignore"):
         most = widths * np.sqrt(target * scale / (2.0 * noise))
     kept = most >= MIN_REGION_STEPS
@@ -528,46 +522,45 @@ def _region_steps(counts: np.ndarray, target: float) -> list[int]:
 
 
 def _region_residuals(p, e: complex, f: TestFunction, cuts, counts):
-    """Per region: max |(E - h) u - f|, max size of u's terms and interior nodes; and max |f|."""
-    resid, size, inner, scale = [], [], [], 0.0
-    image = _resolvent_image(p, e, f, cuts, counts)
-    for (r, u, f_r, terms), x0, x1, n in zip(image, cuts, cuts[1:], counts):
-        hu, valid = apply_hamiltonian_fd(r, u, p, (x1 - x0) / n)
-        resid.append(float(np.abs(e * u - hu - f_r)[valid].max()))
-        size.append(float(terms.max()))
-        inner.append(int(np.count_nonzero(valid)))
-        scale = max(scale, float(np.abs(f_r).max()))
-    return np.array(resid), np.array(size), np.array(inner), scale
+    """Per region: max |(E - h) u - f|, max size of u's terms and interior nodes; and max |f|: one stencil call."""
+    r, u, f_r, terms, ends = _resolvent_image(p, e, f, cuts, counts)
+    hu, valid = apply_hamiltonian_fd(r, u, p)
+    starts = ends[:-1]
+    resid = np.maximum.reduceat(np.where(valid, np.abs(e * u - hu - f_r), 0.0), starts)
+    inner = np.add.reduceat(valid, starts, dtype=int)
+    return resid, np.maximum.reduceat(terms, starts), inner, float(np.abs(f_r).max())
 
 
 def _resolvent_image(p, e: complex, f: TestFunction, cuts, counts):
-    """[(r_j, u_j, f_j, terms_j)]: the Simpson image u of f under the resolvent kernel, by region.
+    """(r, u, f, terms, ends): the Simpson image u of f under the resolvent kernel, on one grid.
 
-    Region j runs from cuts[j] to cuts[j + 1] in counts[j] steps, and its
-    nodes include both ends.  u = (omega P + chi S) / W, with P the prefix
-    integral of chi*f and S the suffix integral of omega*f, each summed from
-    its own end so that neither is a difference of larger sums; terms_j is
-    (|omega P| + |chi S|) / |W|, which bounds the rounding of u.
+    Region j runs from cuts[j] to cuts[j + 1] in counts[j] steps, from node
+    ends[j] to node ends[j + 1]; each cut is one node.  u = (omega P + chi S) / W,
+    with P the prefix integral of chi*f and S the suffix integral of omega*f,
+    each summed from its own end so that neither is a difference of larger
+    sums; terms is (|omega P| + |chi S|) / |W|, which bounds the rounding of u.
     """
     direction = "plus" if e.imag > 0.0 else "minus"
     chi, om, w = wave_pair(p, e, direction)
-    grids = [np.linspace(x0, x1, n + 1) for x0, x1, n in zip(cuts, cuts[1:], counts)]
-    ends = np.cumsum([0] + [n + 1 for n in counts]).tolist()
-    regions = [slice(a, b) for a, b in zip(ends, ends[1:])]
-    s = np.concatenate(grids)
-    chi_s, om_s, f_s = chi.value(s), om.value(s), f(s)
-    chi_f, om_f = chi_s * f_s, om_s * f_s
+    ends = np.cumsum([0, *counts])
+    r = _joined([np.linspace(x0, x1, n + 1) for x0, x1, n in zip(cuts, cuts[1:], counts)])
+    chi_r, om_r, f_r = chi.value(r), om.value(r), f(r)
+    chi_f, om_f = chi_r * f_r, om_r * f_r
     # each region's prefix integrals of chi*f and, read backwards, suffix integrals of omega*f
-    sums = [_cumulative_simpson(np.stack((chi_f[j], om_f[j][::-1])), (x1 - x0) / n)
-            for j, x0, x1, n in zip(regions, cuts, cuts[1:], counts)]
+    sums = [_cumulative_simpson(np.stack((chi_f[a : b + 1], om_f[a : b + 1][::-1])), (x1 - x0) / n)
+            for a, b, x0, x1, n in zip(ends, ends[1:], cuts, cuts[1:], counts)]
     totals = np.array([part[:, -1] for part in sums])
     before = np.concatenate(([0.0], np.cumsum(totals[:-1, 0])))
     after = np.concatenate((np.cumsum(totals[:0:-1, 1])[::-1], [0.0]))
-    image = []
-    for r, j, part, b, a in zip(grids, regions, sums, before, after):
-        left, right = om_s[j] * (b + part[0]), chi_s[j] * (a + part[1, ::-1])
-        image.append((r, (left + right) / w, f_s[j], (np.abs(left) + np.abs(right)) / abs(w)))
-    return image
+    # chained so, the two regions at a cut give it the same sums to the bit
+    left = om_r * _joined([b + part[0] for b, part in zip(before, sums)])
+    right = chi_r * _joined([a + part[1, ::-1] for a, part in zip(after, sums)])
+    return r, (left + right) / w, f_r, (np.abs(left) + np.abs(right)) / abs(w), ends
+
+
+def _joined(parts) -> np.ndarray:
+    """The per-region arrays ``parts``, each region's first node dropped after the first region's."""
+    return np.concatenate([parts[0], *(part[1:] for part in parts[1:])])
 
 
 def rk4_runs(p, e: float, s: float):

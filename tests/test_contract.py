@@ -91,7 +91,8 @@ REFUSED = {
     "finite_radii": _refused(DomainError, "radii must be real numbers", [1 + 1j], "x")
     + _refused(DomainError, "radii must be finite", nan, [inf], -inf),
     "grid": _refused(DomainError, "radii must be real numbers", GRID + 1j, ["x"] * 5)
-    + _refused(DomainError, "grid must be uniform", [2.2, 2.201, 2.203, 2.204, 2.205])
+    + _refused(DomainError, "finite and strictly ascending", GRID[::-1], [2.2, 2.201, 2.201, 2.203, 2.204],
+               [2.2, nan, 2.202, 2.203, 2.204], [2.2, 2.201, 2.202, 2.203, inf])
     + _refused(ContractError, "matching 1-d arrays", GRID[:4], GRID.reshape(1, 5)),
     "values": _refused(DomainError, "values u must", ["a"] * 5, [[1, 2], 3, 4, 5, 6])
     + _refused(ContractError, "matching 1-d arrays", np.zeros(4)),
@@ -145,6 +146,9 @@ ROWS = {
         boundary_limits, (P, 1.0, 0.5, 1.5, ("plus", "minus"), 0.05),
         ("potential", "real_energy", "radius", "radius", "directions", "mu0"),
     ),
+    "boundary_limits none": (
+        boundary_limits, (P, 1.0, 0.5, 1.5, [], 0.05), ("potential", "real_energy", "radius", "radius", "any", "mu0"),
+    ),
     "find_kernel_poles": (find_kernel_poles, (P, (3.0, 6.0, -1.0, -0.01), 0.25), ("potential", "box", "positive")),
     "formal_green": (formal_green, (P, 1.0, 0.5, 1.5, "plus"), ("potential", "real_energy", "radius", "radius", "direction")),
     "kernel_grid": (kernel_grid, (P, 1 + 1j, [0.5, 1.0], [1.5]), ("potential", "off_axis_energy", "radii", "radii")),
@@ -157,7 +161,7 @@ ROWS = {
     "ResidualReport": (ResidualReport, ("check", 1, 0.5, 1.0, True), ("any",) * 5),
     "TestFunction": (TestFunction, ("gaussian_bump", 3.0, 0.5), ("kind", "real", "positive")),
     "TestFunction.__call__": (BUMP, ([2.5, 3.0],), ("finite_radii",)),
-    "apply_hamiltonian_fd": (apply_hamiltonian_fd, (GRID, np.ones(5), P, 1e-3), ("grid", "values", "potential", "positive")),
+    "apply_hamiltonian_fd": (apply_hamiltonian_fd, (GRID, np.ones(5), P), ("grid", "values", "potential")),
     "check_distributional_equation": (
         check_distributional_equation, (P, 1.0, 1.5, "plus", 1.0),
         ("potential", "real_energy", "probe", "direction", "scale"),

@@ -322,19 +322,17 @@ def test_rk4_trajectory_past_double_precision_raises(r_from, r_to):
 
 class TestApplyHamiltonianFd:
     def test_plane_wave_eigenrelation(self, free):
-        h = 1e-3
-        r = 0.1 + h * np.arange(4001)
+        r = 0.1 + 1e-3 * np.arange(4001)
         u = np.sin(1.3 * r)
-        hu, valid = apply_hamiltonian_fd(r, u, free, h)
+        hu, valid = apply_hamiltonian_fd(r, u, free)
         resid = np.abs(hu - 1.3**2 * u)[valid]
         assert resid.max() < 1e-5
 
     def test_chi_eigenrelation(self, barrier):
         e = 1.0 + 0j
-        h = 1e-3
-        r = h * np.arange(5001)
+        r = 1e-3 * np.arange(5001)
         u = chi_wave(barrier, e).value(r)
-        hu, valid = apply_hamiltonian_fd(r, u, barrier, h)
+        hu, valid = apply_hamiltonian_fd(r, u, barrier)
         resid = np.abs(hu - e * u)[valid]
         # truncation bound (h^2/12) (v0-E)^2 sup|chi| ~ 5e-6 for this instance
         assert resid.max() <= 1e-5
@@ -346,48 +344,64 @@ class TestApplyHamiltonianFd:
         def residual(h):
             r = h * np.arange(int(round(5.0 / h)) + 1)
             u = chi.value(r)
-            hu, valid = apply_hamiltonian_fd(r, u, barrier, h)
+            hu, valid = apply_hamiltonian_fd(r, u, barrier)
             return np.max(np.abs(hu - e * u)[valid])
 
         ratio = residual(2e-3) / residual(1e-3)
         assert 3.0 < ratio < 5.0
 
+    def test_non_uniform_grid_is_exact_on_a_quadratic(self, barrier):
+        # the spacings are the nodes' own: jittered by up to 40% of the mean
+        # step, a quadratic's -u'' still comes back to rounding, in each region
+        rng = np.random.default_rng(7)
+        h = 2.5 / 200
+        r = 0.5 + h * (np.arange(201) + rng.uniform(-0.2, 0.2, 201))
+        u = (3.0 - 1.0j) * r**2 - 2.0 * r + 1.0
+        hu, valid = apply_hamiltonian_fd(r, u, barrier)
+        v = np.where((r > 1.0) & (r < 2.0), 5.0, 0.0)
+        bound = 8.0 * np.finfo(float).eps * np.abs(u).max() / np.diff(r).min() ** 2
+        assert np.abs(hu - (-2.0 * (3.0 - 1.0j) + v * u))[valid].max() <= bound
+        assert np.count_nonzero(~valid) == 6
+
     def test_breakpoint_collars_flagged(self, barrier):
-        h = 1e-3
-        r = h * np.arange(3001)
+        r = 1e-3 * np.arange(3001)
         u = np.ones_like(r, dtype=complex)
-        _, valid = apply_hamiltonian_fd(r, u, barrier, h)
+        _, valid = apply_hamiltonian_fd(r, u, barrier)
         assert not valid[0] and not valid[-1]
         assert not valid[np.argmin(np.abs(r - barrier.a))]
         assert not valid[np.argmin(np.abs(r - barrier.b))]
 
-    def test_nan_step_rejected(self):
-        # the stencil returned NaN values with only a RuntimeWarning
+    def test_nan_radius_rejected(self):
+        # a NaN step returned NaN values with only a RuntimeWarning; the
+        # spacings are now the radii's own, so a NaN radius is refused
         r = np.linspace(2.2, 2.3, 11)
-        with pytest.raises(DomainError, match="step"):
-            apply_hamiltonian_fd(r, np.ones(11), SquareBarrier(5, 1, 2), step=math.nan)
+        r[4] = math.nan
+        with pytest.raises(DomainError, match="finite and strictly ascending"):
+            apply_hamiltonian_fd(r, np.ones(11), SquareBarrier(5, 1, 2))
 
     def test_one_region_grid_loses_only_its_ends(self, barrier):
-        # the grids of the resolvent check: one region, breakpoints at both ends
+        # one region, breakpoints at both ends
         r = np.linspace(1.0, 2.0, 17)
-        _, valid = apply_hamiltonian_fd(r, np.ones(17), barrier, 1.0 / 16)
+        _, valid = apply_hamiltonian_fd(r, np.ones(17), barrier)
         assert valid.tolist() == [False] + [True] * 15 + [False]
 
     def test_coarse_grid_drops_the_nodes_beside_each_breakpoint(self, barrier):
         # a grid of fewer than 16 steps a region used to be refused; a node
         # is dropped only where its stencil reaches across 1 or 2
         r = 0.3 * np.arange(20)
-        _, valid = apply_hamiltonian_fd(r, np.ones(20, dtype=complex), barrier, 0.3)
+        _, valid = apply_hamiltonian_fd(r, np.ones(20, dtype=complex), barrier)
         assert np.flatnonzero(~valid).tolist() == [0, 3, 4, 6, 7, 19]
 
-    def test_mismatched_or_non_uniform_grid_rejected(self, barrier):
+    def test_mismatched_or_non_ascending_grid_rejected(self, barrier):
         r = np.linspace(2.2, 2.3, 11)
         with pytest.raises(ContractError, match="matching 1-d arrays"):
             apply_hamiltonian_fd(r, np.ones(10), barrier)
         with pytest.raises(ContractError, match="matching 1-d arrays"):
             apply_hamiltonian_fd(r.reshape(1, 11), np.ones((1, 11)), barrier)
-        r[5] += 1e-3
-        with pytest.raises(DomainError, match="uniform"):
+        with pytest.raises(DomainError, match="strictly ascending"):
+            apply_hamiltonian_fd(r[::-1], np.ones(11), barrier)
+        r[5] = r[4]
+        with pytest.raises(DomainError, match="strictly ascending"):
             apply_hamiltonian_fd(r, np.ones(11), barrier)
 
 
@@ -568,14 +582,15 @@ class TestResolventIdentity:
         # enough to cross-check at 1e-5)
         e = 1 + 1j
         f = TestFunction("compact_polynomial_bump", 2.0, 1.5)
-        image = _resolvent_image(barrier, e, f, [0.5, 1.0, 2.0, 3.5], [500, 1000, 1500])
-        assert [r.size for r, _, _, _ in image] == [501, 1001, 1501]
+        r, u, _, _, ends = _resolvent_image(barrier, e, f, [0.5, 1.0, 2.0, 3.5], [500, 1000, 1500])
+        assert ends.tolist() == [0, 500, 1500, 3000] and r.size == 3001
+        assert r[ends].tolist() == [0.5, 1.0, 2.0, 3.5]
         s_grid = 0.5 + 4e-3 * np.arange(751)
         for j, idx in ((0, 250), (1, 487), (2, 0), (2, 700)):
-            r, u, _, _ = image[j]
-            g_row = kernel_grid(barrier, e, [float(r[idx])], s_grid)[0]
+            i = ends[j] + idx
+            g_row = kernel_grid(barrier, e, [float(r[i])], s_grid)[0]
             brute = np.trapezoid(g_row * f(s_grid), dx=4e-3)
-            assert abs(u[idx] - brute) < 1e-5
+            assert abs(u[i] - brute) < 1e-5
 
 
 class TestDistributionalEquation:
