@@ -185,7 +185,7 @@ def real_number(x, what: str, lo: float = -math.inf, hi: float = math.inf) -> fl
     number is refused, even one with a zero imaginary part, and not cast.
     """
     try:
-        if not np.iscomplexobj(x):
+        if type(x) in (float, int) or not np.iscomplexobj(x):
             v = float(x)
             if math.isfinite(v) and lo < v <= hi:
                 return v

@@ -1,25 +1,25 @@
 """Independent checks of the kernel construction.
 
 Nothing in this module reuses the matching algebra: waves are re-derived by
-the exact flow of each region (:func:`propagate`) and by fixed-step RK4
-integration of the radial equation, solved in each region by powers of the
-RK4 one-step matrix (:func:`rk4_step_matrix`), the operator is applied
-by a second difference on the nodes' own spacings, one-sided kernel
-derivatives come from Richardson-extrapolated difference quotients of
-kernel *values*, and the resolvent is rebuilt as an integral operator with
-composite Simpson panels split at the diagonal.  The RK4 runs
-(:func:`rk4_runs`) and the Simpson and finite-difference grid of ``verify``
-step region by region.  Agreement of
-these reconstructions with the kernels of matched waves is the package's
-evidence that the construction is right.  A potential is read only through
-its ``breakpoints`` and ``heights``.
+the exact flow of each region (:func:`propagate`; one walk serves all radii of
+a start) and by fixed-step RK4 integration of the radial equation, solved in
+each region by powers of the RK4 one-step matrix (:func:`rk4_step_matrix`),
+the operator is applied by a second difference on the nodes' own spacings,
+one-sided kernel derivatives come from Richardson-extrapolated difference
+quotients of kernel *values*, and the resolvent is rebuilt as an integral
+operator with composite Simpson panels split at the diagonal.  The RK4 runs
+(:func:`rk4_runs`; one pass a side carries every direction's seed) and the
+Simpson and finite-difference grid of ``verify`` step region by region.
+Agreement of these reconstructions with the kernels of matched waves is the
+package's evidence that the construction is right.  A potential is read only
+through its ``breakpoints`` and ``heights``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -156,22 +156,6 @@ class Trajectory(NamedTuple):
     derivatives: np.ndarray
 
 
-def _aligned_steps(r_from: float, r_to: float, step: float, breakpoints) -> tuple[int, float]:
-    step = real_number(step, "step", 0.0)
-    span = r_to - r_from
-    step_count(abs(span) / step, f"a step of {step}")
-    n = int(round(abs(span) / step))
-    if n < 1 or abs(n * step - abs(span)) > 1e-9 * max(step, abs(span)):
-        raise DomainError(f"step {step} does not divide the interval [{r_from}, {r_to}]")
-    h = math.copysign(step, span)
-    lo, hi = min(r_from, r_to), max(r_from, r_to)
-    for bp in [x for x in breakpoints if lo < x < hi]:
-        t = (bp - r_from) / h  # at most n, so finite
-        if abs(t - round(t)) > 1e-9 * max(1.0, abs(t)):
-            raise DomainError(f"breakpoint {bp} is not aligned with the integration grid")
-    return n, h
-
-
 def integrate_schrodinger(
     p,
     e: complex,
@@ -181,55 +165,65 @@ def integrate_schrodinger(
     r_to: float,
     step: float,
 ) -> Trajectory:
-    """Fixed-step RK4 integration of w'' = (V - E) w, forward or backward.
+    """Fixed-step RK4 integration of w'' = (V - E) w, forward or backward: :func:`_rk4` from one seed.
 
-    The step must divide the interval and every breakpoint strictly inside it
-    must land on a grid node, so no step straddles a potential jump; the
-    potential of each step is read at the step midpoint.  Within a region
-    the coefficient is constant, so one RK4 step is a fixed 2x2 matrix M
-    (:func:`rk4_step_matrix`) and the region's states are the powers of M
-    applied to its first state, filled by doubling: once the first b states
-    are known, the next b are M^b times them.  Each region starts from the
-    last state of the one before.  A step longer than ``RK4_STABILITY`` over
-    the largest momentum of the regions the run crosses raises
-    :class:`DomainError`: RK4 would grow even an oscillating wave to NaN.
-    So does a trajectory that is not finite, such as an evanescent one
-    grown past double precision, and a step that does not fit the grid or
-    needs more than ``MAX_STEPS`` steps.
+    The step must divide the interval and every breakpoint strictly inside it must land on
+    a grid node, so no step straddles a potential jump; each step reads the potential at its
+    midpoint, and the nodes are ``r_from + h * arange(n + 1)``.  Raises :class:`DomainError` for a
+    step that does not fit the grid, needs more than ``MAX_STEPS`` steps or advances a wave by more
+    than ``RK4_STABILITY`` rad, and for a trajectory that is not finite.
     """
     p, e = of_type(p), complex_energy(e)
     y0, dy0 = complex_energy(y0, "the start state"), complex_energy(dy0, "the start state")
     r_from, r_to = radii_floats(r_from, r_to)
-    n, h = _aligned_steps(r_from, r_to, step, p.breakpoints)
-    lo, hi = min(r_from, r_to), max(r_from, r_to)
-    crossed = p.heights[bisect_right(p.breakpoints, lo) : bisect_left(p.breakpoints, hi) + 1]
-    phase = _momentum_scale(crossed, e) * step
+    step, span = real_number(step, "step", 0.0), r_to - r_from
+    step_count(abs(span) / step, f"a step of {step}")
+    n, h = int(round(abs(span) / step)), math.copysign(step, span)
+    if n < 1 or abs(n * step - abs(span)) > 1e-9 * max(step, abs(span)):
+        raise DomainError(f"step {step} does not divide the interval [{r_from}, {r_to}]")
+    for bp in [x for x in p.breakpoints if min(r_from, r_to) < x < max(r_from, r_to)]:
+        t = (bp - r_from) / h  # at most n, so finite
+        if abs(t - round(t)) > 1e-9 * max(1.0, abs(t)):
+            raise DomainError(f"breakpoint {bp} is not aligned with the integration grid")
+    regions = np.searchsorted(p.breakpoints, r_from + (np.arange(n) + 0.5) * h, side="right")
+    # the steps [a, b) of one region take state a to states a+1 .. b
+    cuts = [0, *(np.flatnonzero(np.diff(regions)) + 1).tolist(), n]
+    blocks = [(h, p.heights[regions[a]], b - a) for a, b in zip(cuts, cuts[1:])]
+    (states,) = _rk4(e, [(y0, dy0)], blocks, (r_from, r_to))
+    return Trajectory(r_from + h * np.arange(n + 1), *states)
+
+
+def _rk4(e: complex, seeds, blocks, ends) -> np.ndarray:
+    """The (m, 2, n + 1) states of one RK4 run from each of the m ``seeds`` (w, w'), ``ends`` apart.
+
+    ``blocks`` are the run's regions in order, each (h, v, count): count steps of h where
+    V = v.  There one step is a fixed 2x2 matrix M (:func:`rk4_step_matrix`), and the states
+    are the powers of M applied to the region's first, filled by doubling: once b states
+    are known, the next b are M^b times them.  Each seed's states are, bit for bit, those
+    of a run from it alone.  A step longer than ``RK4_STABILITY`` over its region's momentum
+    raises :class:`DomainError`: RK4 would grow even an oscillating wave to NaN.  So does a
+    run that is not finite, such as an evanescent one grown past double precision.
+    """
+    phase, step = max((abs(branch_sqrt(e - v)) * abs(h), abs(h)) for h, v, _ in blocks)
     if phase > RK4_STABILITY:
         raise DomainError(
             f"a step of {step} advances the fastest wave at E={e} by {phase:.4g} rad, "
             f"past the {RK4_STABILITY:.4g} at which RK4 turns unstable"
         )
-
-    r = r_from + h * np.arange(n + 1)
-    mid = r_from + (np.arange(n) + 0.5) * h
-    regions = np.searchsorted(p.breakpoints, mid, side="right")
-    # the steps [a, b) of one region take state a to states a+1 .. b
-    cuts = [0, *(np.flatnonzero(np.diff(regions)) + 1).tolist(), n]
-    states = np.empty((2, n + 1), dtype=complex)
-    states[:, 0] = y0, dy0
+    states = np.empty((len(seeds), 2, 1 + sum(n for *_, n in blocks)), dtype=complex)
+    states[:, :, 0], a = seeds, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in zip(cuts, cuts[1:]):
-            seg, size = states[:, a : b + 1], b + 1 - a
-            power = rk4_step_matrix(p.heights[regions[a]] - e, h)
-            done = 1
-            while done < size:
-                block = min(done, size - done)
-                seg[:, done : done + block] = power @ seg[:, :block]
+        for h, v, n in blocks:
+            seg, power, done = states[:, :, a : a + n + 1], rk4_step_matrix(v - e, h), 1
+            while done <= n:
+                block = min(done, n + 1 - done)
+                seg[:, :, done : done + block] = power @ seg[:, :, :block]
                 done += block
                 power = power @ power
+            a += n
     if not np.isfinite(states).all():
-        raise DomainError(f"the RK4 trajectory at E={e} from r={r_from} to {r_to} is not finite")
-    return Trajectory(r, states[0], states[1])
+        raise DomainError(f"the RK4 trajectory at E={e} from r={ends[0]} to {ends[1]} is not finite")
+    return states
 
 
 def rk4_step_matrix(c: complex, h: float) -> np.ndarray:
@@ -250,27 +244,38 @@ def propagate(p, e: complex, y: complex, dy: complex, r_from: float, r_to: float
     Over a stretch of signed length d in a region of height v the flow is
     w -> cos(kd) w + sin(kd)/k w' and w' -> -k sin(kd) w + cos(kd) w', with
     k^2 = E - v.  The map is even in k, so no branch of the root is chosen,
-    and no plane-wave amplitude is formed.  Raises :class:`DomainError` for
-    a state that is not finite.
+    and no plane-wave amplitude is formed.  This is :func:`_flow` to one
+    radius.  Raises :class:`DomainError` for a state that is not finite.
     """
     p, e = of_type(p), complex_energy(e)
     y, dy = complex_energy(y, "the start state"), complex_energy(dy, "the start state")
     r_from, r_to = radii_floats(r_from, r_to)
-    lo, hi = min(r_from, r_to), max(r_from, r_to)
-    inside = sorted((x for x in p.breakpoints if lo < x < hi), reverse=r_to < r_from)
-    cuts = [r_from, *inside, r_to]
-    try:
+    return _flow(p, e, y, dy, r_from, [r_to])[0]
+
+
+def _flow(p, e: complex, y: complex, dy: complex, r_from: float, radii) -> list[tuple[complex, complex]]:
+    """The :func:`propagate` states from (y, dy) at ``r_from`` at each of the float ``radii``.
+
+    Each stretch between breakpoints is walked once for all radii, so each state is, bit for
+    bit, that of a walk to its radius alone; the first that is not finite raises :class:`DomainError`.
+    """
+    at = {}  # the state at the end of each stretch taken
+    for r in radii:
+        state, lo, hi = (y, dy), min(r_from, r), max(r_from, r)
+        cuts = [r_from, *sorted((x for x in p.breakpoints if lo < x < hi), reverse=r < r_from), r]
         for x0, x1 in zip(cuts, cuts[1:]):
-            d = x1 - x0
-            k = cmath.sqrt(e - p.heights[bisect_right(p.breakpoints, 0.5 * (x0 + x1))])
-            c, s = cmath.cos(k * d), cmath.sin(k * d)
-            y, dy = c * y + (s / k if k else d) * dy, -k * s * y + c * dy
-        finite = cmath.isfinite(y) and cmath.isfinite(dy)
-    except (OverflowError, ValueError):  # cmath's "math domain error" at an infinite phase
-        finite = False
-    if not finite:
-        raise DomainError(f"the flow at E={e} from r={r_from} to {r_to} is not finite")
-    return y, dy
+            if x1 not in at:
+                (w, dw), d = state, x1 - x0
+                try:
+                    k = cmath.sqrt(e - p.heights[bisect_right(p.breakpoints, 0.5 * (x0 + x1))])
+                    c, s = cmath.cos(k * d), cmath.sin(k * d)
+                    at[x1] = c * w + (s / k if k else d) * dw, -k * s * w + c * dw
+                except (OverflowError, ValueError):  # cmath's "math domain error" at an infinite phase
+                    at[x1] = cmath.nan, cmath.nan
+            state = at[x1]
+        if not (cmath.isfinite(state[0]) and cmath.isfinite(state[1])):
+            raise DomainError(f"the flow at E={e} from r={r_from} to {r} is not finite")
+    return [at[r] for r in radii]
 
 
 def apply_hamiltonian_fd(r: np.ndarray, u: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
@@ -586,14 +591,12 @@ def rk4_runs(p, e: float, s: float):
     return runs
 
 
-def _rk4_run(p, e: float, y: complex, dy: complex, cuts, counts) -> Trajectory:
-    """One trajectory from (y, dy) at cuts[0], by counts[j] equal RK4 steps up to each cuts[j + 1]."""
-    parts = [([cuts[0]], [y], [dy])]
-    for x0, x1, n in zip(cuts, cuts[1:], counts):
-        r, ys, dys = integrate_schrodinger(p, complex(e), y, dy, x0, x1, abs(x1 - x0) / n)
-        y, dy = ys[-1], dys[-1]
-        parts.append((r[1:], ys[1:], dys[1:]))
-    return Trajectory(*map(np.concatenate, zip(*parts)))
+def _rk4_pass(p, e: float, seeds, cuts, counts) -> tuple[np.ndarray, np.ndarray]:
+    """(r, states) of :func:`_rk4` from each of ``seeds`` at cuts[0], counts[j] steps to each cuts[j + 1]."""
+    steps = [math.copysign(abs(x1 - x0) / n, x1 - x0) for x0, x1, n in zip(cuts, cuts[1:], counts)]
+    r = _joined([x0 + h * np.arange(n + 1) for x0, h, n in zip(cuts, steps, counts)])
+    heights = [p.heights[bisect_right(p.breakpoints, 0.5 * (x0 + x1))] for x0, x1 in zip(cuts, cuts[1:])]
+    return r, _rk4(complex(e), seeds, list(zip(steps, heights, counts)), (cuts[0], cuts[-1]))
 
 
 def check_distributional_equation(
@@ -622,13 +625,14 @@ def _distributional_reports(p, e: float, s: float, directions, wronskian_scale: 
     """The :func:`check_distributional_equation` report of each direction, in order.
 
     The RK4 plan, the stencils and probe radii, and chi at the probes, at the
-    left run's nodes and at the breakpoints below s are shared; each direction
-    has its own omega, seeds, RK4 runs and report, bit for bit those of its own request.
+    breakpoints below s and at the RK4 nodes are shared.  Each direction has
+    its own omega, seeds and report, bit for bit those of its own request, and
+    one RK4 pass a side carries every direction's seed.
     """
     p, e = of_type(p), real_energy(e, "the distributional check")
     (s,) = radii_floats(s)
-    left, right = rk4_runs(p, e, s)
-    r_out = right[0][0]
+    runs = rk4_runs(p, e, s)
+    r_out = runs[1][0][0]
     jump = _jump_stencils(p, e, s)
 
     kernels = [_kernel_slice(p, e, direction, wronskian_scale) for direction in directions]
@@ -650,40 +654,36 @@ def _distributional_reports(p, e: float, s: float, directions, wronskian_scale: 
     radii = np.array(radii + [x for h in probes.tolist() for x in (s + h, s - h)] + [r_out])
     chi_lo = _factor(chi, radii, s, radii <= s)
     chi_sides = chi.one_sided(np.array([bp for bp in p.breakpoints if bp < s]))
-    chi_left, reports = None, []
-    for kernel in kernels:
-        om_hi = _factor(kernel.om, radii, s, radii > s)
-        values = chi_lo * om_hi / kernel.w
-        d_right, d_left, slope0, slope_out, slope_right, slope_left = _derivatives(
-            values.tolist(), stencils
-        )
+    om_hi = [_factor(kernel.om, radii, s, radii > s) for kernel in kernels]
+    values = [chi_lo * om / kernel.w for om, kernel in zip(om_hi, kernels)]
+    slopes = [_derivatives(v.tolist(), stencils) for v in values]
+    # left of the diagonal each seed starts from G(0, s) = 0 with a measured slope; right of
+    # it, inward from beyond the potential, where the tail solution dominates: outward from s
+    # the seed error would grow exponentially through evanescent regions
+    seeds = [(0.0, d[2]) for d in slopes], [(v[-1], d[3]) for v, d in zip(values, slopes)]
+    passes = [_rk4_pass(p, e, side, *run) for side, run in zip(seeds, runs)]
+    chi_runs = [_factor(chi, r, s, r <= s) for r, _ in passes]
+    reports = []
+    for j, kernel in enumerate(kernels):
+        d_right, d_left, _, _, slope_right, slope_left = slopes[j]
         jump_report = _jump_report(d_right, d_left)
 
-        # left of the diagonal: start from G(0, s) = 0 with a measured slope
-        traj = _rk4_run(p, e, 0.0, slope0, *left)
-        if chi_left is None:  # the left run's nodes are the same in every direction
-            chi_left = _factor(chi, traj.r, s, traj.r <= s)
-        kern = chi_left * _factor(kernel.om, traj.r, s, traj.r > s) / kernel.w
-        # right of the diagonal: integrate inward from beyond the potential, where
-        # the tail solution dominates; integrating outward from s would amplify
-        # the seed error exponentially through evanescent regions
-        traj_r = _rk4_run(p, e, values[-1], slope_out, *right)
-        kern_r = kernel.values(traj_r.r, s)
-        scale, scale_r = float(np.max(np.abs(kern))), float(np.max(np.abs(kern_r)))
-        if not (scale > 0.0 and scale_r > 0.0):  # a Wronskian scaled past 1e300 leaves only zeros
-            raise DomainError(f"the kernel at E={e} beside s={s} underflows to 0")
-        left_resid = float(np.max(np.abs(traj.values - kern))) / scale
-        right_resid = float(np.max(np.abs(traj_r.values - kern_r))) / scale_r
-        ode_report = ResidualReport.build("offdiagonal_radial_equation", traj.r.size + traj_r.r.size,
-                                          max(left_resid, right_resid), 1e-7)
-        del traj, traj_r, kern, kern_r  # so that the next direction's runs do not sit beside these
+        resid = []
+        for (r, states), chi_r in zip(passes, chi_runs):
+            kern = chi_r * _factor(kernel.om, r, s, r > s) / kernel.w
+            scale = float(np.max(np.abs(kern)))
+            if not scale > 0.0:  # a Wronskian scaled past 1e300 leaves only zeros
+                raise DomainError(f"the kernel at E={e} beside s={s} underflows to 0")
+            resid.append(float(np.max(np.abs(states[j, 0] - kern))) / scale)
+        ode_report = ResidualReport.build("offdiagonal_radial_equation", sum(r.size for r, _ in passes),
+                                          max(resid), 1e-7)
 
         # continuity at the potential jumps, value and slope, both as one-sided limits;
         # G(., s) varies through chi left of the diagonal and through omega right of
         # it, times the frozen omega(s) or chi(s), the factors of the probe at r = s
         interface_resid = 0.0
         om_sides = kernel.om.one_sided(np.array([bp for bp in p.breakpoints if bp >= s]))
-        for (v_left, v_right, dv_left, dv_right), frozen in ((chi_sides, om_hi[0]), (om_sides, chi_lo[0])):
+        for (v_left, v_right, dv_left, dv_right), frozen in ((chi_sides, om_hi[j][0]), (om_sides, chi_lo[0])):
             g_here = np.abs(v_right * frozen / kernel.w)
             jumps = np.abs([v_left - v_right, dv_left - dv_right]) * abs(frozen) / abs(kernel.w)
             interface_resid = max(interface_resid, float((jumps / (1.0 + g_here)).max(initial=0.0)))
@@ -691,7 +691,7 @@ def _distributional_reports(p, e: float, s: float, directions, wronskian_scale: 
                                                 interface_resid, 1e-10)
 
         # continuity across the diagonal: the gap must vanish linearly in h
-        gap_values = values[len(stencils) * (RICHARDSON_LEVELS + 1) : -1]
+        gap_values = values[j][len(stencils) * (RICHARDSON_LEVELS + 1) : -1]
         gaps = np.abs(gap_values[0::2] - gap_values[1::2])
         slope_scale = abs(slope_right) + abs(slope_left) + 1.0
         diag_resid = float(gaps[-1] / (probes[-1] * slope_scale))

@@ -26,9 +26,9 @@ from .oracle import (
     ResidualReport,
     TestFunction,
     _distributional_reports,
+    _flow,
     _jump_stencils,
     check_resolvent_identity,
-    propagate,
     rk4_runs,
 )
 
@@ -44,7 +44,7 @@ def _engine_waves(p: PiecewisePotential, e: complex):
 def _reference(p: PiecewisePotential, e: complex):
     """Starts (w, w', r) of chi, omega_plus and omega_minus, and W(chi, omega+-).
 
-    The starts are for :func:`propagate`: chi starts at (0, k0) at the origin,
+    The starts are for :func:`~sqgreen.oracle.propagate`: chi starts at (0, k0) at the origin,
     as the engine's sin(k0 r) does, and omega+- at exp(+-ikR) at the last
     breakpoint R, where the Wronskians are read.  Both roots are
     ``cmath.sqrt``'s, never the engine's ``branch_sqrt``, so a wrong branch
@@ -56,7 +56,7 @@ def _reference(p: PiecewisePotential, e: complex):
     for sign in (1.0, -1.0):
         phase = cmath.exp(sign * 1j * k * outer)
         starts.append((phase, sign * 1j * k * phase, outer))
-    y, dy = propagate(p, e, *starts[0], outer)
+    ((y, dy),) = _flow(p, e, *starts[0], [outer])
     return starts, [y * w1 - dy * w0 for w0, w1, _ in starts[1:]]
 
 
@@ -86,12 +86,12 @@ def _engine_agreement(p: PiecewisePotential, e: complex, waves, reference, rng: 
     """The engine's waves and kernels against the exact flow of ``reference``, at Im E > 0.
 
     The three waves are compared at 8 drawn radii and the kernel at the 4 pairs
-    of them, 28 values in all.
+    of them, 28 values in all; one walk of the exact flow serves each start.
     """
     hi = p.breakpoints[-1] + 2.0
     radii = np.array([0.05 + (hi - 0.05) * rng.random() for _ in range(8)])
     starts, (w_plus, _) = reference
-    exact = np.array([[propagate(p, e, *start, r)[0] for r in radii] for start in starts])
+    exact = np.array([[w for w, _ in _flow(p, e, *start, radii.tolist())] for start in starts])
     engine = np.array([w.value(radii) for w in waves])
     wave_resid = np.abs(exact - engine) / (np.abs(exact) + 1.0)
     # the kernel at the pairs (r, s) of consecutive radii, from the exact chi and omega_plus

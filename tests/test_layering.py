@@ -112,7 +112,11 @@ def test_propagate_does_not_use_the_engine():
     assert _names(_oracle_function("propagate")) & _engine_names() == set()
 
 
-@pytest.mark.parametrize("name", ["integrate_schrodinger", "rk4_step_matrix"])
+def test_flow_does_not_use_the_engine():
+    assert _names(_oracle_function("_flow")) & _engine_names() == set()
+
+
+@pytest.mark.parametrize("name", ["integrate_schrodinger", "_rk4", "_rk4_pass", "rk4_step_matrix"])
 def test_rk4_does_not_use_the_engine(name):
     assert _names(_oracle_function(name)) & _engine_names() == set()
 

@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from sqgreen import PiecewisePotential, SquareBarrier, run_verification
+from sqgreen.kernel import _limit_walk, wave_pair
 from sqgreen.model import _branch_sqrt_array, branch_sqrt, region_momenta, region_momenta_array
 
 CASES = {
@@ -55,6 +56,32 @@ def _scale_inner_momentum(monkeypatch) -> None:
     })
 
 
+def _swap_directions(monkeypatch) -> None:
+    """The outgoing and incoming waves swapped: omega_minus where omega_plus is asked for, and back."""
+    swap = {"plus": "minus", "minus": "plus"}
+    _patch_everywhere(monkeypatch, {wave_pair: lambda p, e, direction: wave_pair(p, e, swap[direction])})
+
+
+def _flip_tail_momentum(monkeypatch) -> None:
+    """The momentum of the outermost region, where V = 0, on the wrong sheet: -k there alone."""
+    def flipped(ks):
+        return [*ks[:-1], -ks[-1]]
+
+    _patch_everywhere(monkeypatch, {
+        region_momenta: lambda p, e: tuple(flipped(region_momenta(p, e))),
+        region_momenta_array: lambda p, e: flipped(region_momenta_array(p, e)),
+    })
+
+
+def _cap_limit_walk(monkeypatch) -> None:
+    """The limit walk stopped after 2 halvings of mu: its first three samples, not converged."""
+    def capped(*args):
+        mus, samples, _ = _limit_walk(*args)
+        return mus[:3], samples[:3], False
+
+    _patch_everywhere(monkeypatch, {_limit_walk: capped})
+
+
 #: mutant -> (the patch, or None, the keyword arguments of the run, and the checks that must fail)
 MUTANTS = {
     "control": (None, {}, set()),
@@ -64,6 +91,11 @@ MUTANTS = {
         "randomized_instances", "resolvent_identity", "wronskian",
     }),
     "corrupt_wronskian": (None, {"wronskian_scale": 1.001}, {"derivative_jump_plus", "derivative_jump_minus"}),
+    "swapped_directions": (_swap_directions, {}, {
+        "wronskian", "engine_equivalence", "limit_equivalence", "randomized_instances",
+    }),
+    "tail_momentum": (_flip_tail_momentum, {}, {"wronskian", "engine_equivalence", "randomized_instances"}),
+    "capped_limit_walk": (_cap_limit_walk, {}, {"limit_equivalence"}),
 }
 
 

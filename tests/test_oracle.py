@@ -30,7 +30,7 @@ from sqgreen.verification import run_verification
 from sqgreen.oracle import _cumulative_simpson, _resolvent_image
 
 from closed_forms import chi_wave, omega_wave
-from conftest import random_instances
+from conftest import random_instances, random_staircase
 
 STAIRCASE = PiecewisePotential((1.0, 2.0, 3.0), (0.0, 4.0, -2.0, 0.0))
 
@@ -193,6 +193,28 @@ class TestPropagate:
         with pytest.raises(DomainError):
             propagate(barrier, e, y, 0.0, r_from, r_to)
 
+    @pytest.mark.parametrize("steps", [1, 2, 4])
+    def test_one_walk_is_each_radius_alone(self, rng, steps):
+        # verify's engine check walks each start once through all its radii: every state, on
+        # either side of the start, on a breakpoint, repeated or at the start itself, must be
+        # propagate's to that radius alone, bit for bit
+        p = random_staircase(rng, steps)
+        for e in (complex(rng.uniform(0.2, 30.0)), complex(rng.uniform(-5.0, 30.0), 1.0), 3.0 - 0.5j):
+            for r_from in (0.0, p.breakpoints[0], p.breakpoints[-1], float(rng.uniform(0.0, 7.0))):
+                radii = [*rng.uniform(0.0, 7.0, size=8).tolist(), *p.breakpoints, p.breakpoints[0], r_from]
+                rng.shuffle(radii)
+                y, dy = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+                walk = oracle_module._flow(p, e, y, dy, r_from, radii)
+                alone = [propagate(p, e, y, dy, r_from, r) for r in radii]
+                assert np.array(walk).tobytes() == np.array(alone).tobytes()
+
+    def test_one_walk_raises_for_its_first_radius_past_double_precision(self):
+        # past the barrier the state overflows: the walk names the first such radius in its order
+        p = SquareBarrier(1e6, 1, 3)
+        assert oracle_module._flow(p, 1.0, 0, 1, 0.0, [0.5, 1.0])[1] == propagate(p, 1.0, 0, 1, 0.0, 1.0)
+        with pytest.raises(DomainError, match="from r=0.0 to 3.5 is not finite"):
+            oracle_module._flow(p, 1.0, 0, 1, 0.0, [0.5, 3.5, 4.0])
+
     def test_overflowing_flow_raises(self):
         # cmath.cos(k d) itself overflows across the barrier (k ~ 1000i, d = 2)
         with pytest.raises(DomainError, match="not finite"):
@@ -270,6 +292,31 @@ def test_rk4_trajectory_is_bit_identical_to_per_step_loop(potential, e, y0, dy0,
     assert traj.r.tobytes() == r.tobytes()
     for got, want in ((traj.values, ys), (traj.derivatives, ds)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 4])
+def test_multi_seed_rk4_pass_is_each_seed_run_alone(rng, steps):
+    # the distributional check steps every direction's seed in one pass a side; each
+    # seed's nodes and states must be, bit for bit, those of its own one-seed pass and
+    # of integrate_schrodinger run region by region from the last state of the one before
+    for _ in range(5):
+        p = random_staircase(rng, steps)
+        e = float(rng.uniform(0.2, 30.0))
+        s = float(rng.uniform(0.1, p.breakpoints[-1] + 1.0))
+        for cuts, counts in oracle_module.rk4_runs(p, e, s):
+            seeds = [tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(3)]
+            r, states = oracle_module._rk4_pass(p, e, seeds, cuts, counts)
+            assert states.shape == (3, 2, r.size)
+            for seed, both in zip(seeds, states):
+                r_alone, (alone,) = oracle_module._rk4_pass(p, e, [seed], cuts, counts)
+                rs, ys, dys = [cuts[0]], [seed[0]], [seed[1]]
+                for x0, x1, n in zip(cuts, cuts[1:], counts):
+                    traj = integrate_schrodinger(p, e, ys[-1], dys[-1], x0, x1, abs(x1 - x0) / n)
+                    rs += traj.r[1:].tolist()
+                    ys += traj.values[1:].tolist()
+                    dys += traj.derivatives[1:].tolist()
+                assert r.tobytes() == r_alone.tobytes() == np.array(rs).tobytes()
+                assert both.tobytes() == alone.tobytes() == np.array([ys, dys], dtype=complex).tobytes()
 
 
 def test_rk4_negative_radius_rejected(barrier):
@@ -662,7 +709,7 @@ class TestDistributionalEquation:
             raise AssertionError("a wave was built or an RK4 step taken")
 
         monkeypatch.setattr(oracle_module, "wave_pair", no_work)
-        monkeypatch.setattr(oracle_module, "integrate_schrodinger", no_work)
+        monkeypatch.setattr(oracle_module, "_rk4", no_work)
         with pytest.raises(DomainError, match="more than 1000000"):
             check_distributional_equation(SquareBarrier(5, 1, 2), 1.0, s, "plus")
 
@@ -698,6 +745,12 @@ class TestDistributionalEquation:
         assert jr.passed
 
 
+def _no_flow_or_rk4_step(monkeypatch, nothing) -> None:
+    """Make every walk of the exact flow and every RK4 run, from any module, call ``nothing``."""
+    for module, name in ((oracle_module, "_flow"), (verification, "_flow"), (oracle_module, "_rk4")):
+        monkeypatch.setattr(module, name, nothing)
+
+
 class TestRunVerification:
     def test_overflowing_amplitudes_raise(self):
         with pytest.raises(DomainError, match="overflow"):
@@ -722,14 +775,9 @@ class TestRunVerification:
         def nothing(*args, **kwargs):
             raise AssertionError("a draw or a check ran")
 
+        _no_flow_or_rk4_step(monkeypatch, nothing)
         monkeypatch.setattr(verification, "Random", nothing)
-        for name in (
-            "wave_pair",
-            "propagate",
-            "_distributional_reports",
-            "check_resolvent_identity",
-            "_limit_walk",
-        ):
+        for name in ("wave_pair", "_distributional_reports", "check_resolvent_identity", "_limit_walk"):
             monkeypatch.setattr(verification, name, nothing)
         with pytest.raises(DomainError, match="within 1e-3"):
             run_verification(p, 1.0)
@@ -767,8 +815,9 @@ class TestRunVerification:
         def nothing(*args, **kwargs):
             raise AssertionError("a draw or a check ran")
 
+        _no_flow_or_rk4_step(monkeypatch, nothing)
         monkeypatch.setattr(verification, "Random", nothing)
-        for name in ("wave_pair", "propagate", "_distributional_reports"):
+        for name in ("wave_pair", "_distributional_reports"):
             monkeypatch.setattr(verification, name, nothing)
         with pytest.raises(DomainError, match="at least one breakpoint"):
             run_verification(PiecewisePotential((), (0.0,)), 1.0)
@@ -779,8 +828,9 @@ class TestRunVerification:
         def nothing(*args, **kwargs):
             raise AssertionError("a draw or a check ran")
 
+        _no_flow_or_rk4_step(monkeypatch, nothing)
         monkeypatch.setattr(verification, "Random", nothing)
-        for name in ("wave_pair", "propagate", "_distributional_reports"):
+        for name in ("wave_pair", "_distributional_reports"):
             monkeypatch.setattr(verification, name, nothing)
         with pytest.raises(DomainError, match="more than 1000000"):
             run_verification(PiecewisePotential((1.0, 1e4), (0.0, 1.0, 0.0)), 2.0)
