@@ -12,7 +12,9 @@ operator with composite Simpson panels split at the diagonal.  The RK4 runs
 Simpson and finite-difference grid of ``verify`` step region by region.
 Agreement of these reconstructions with the kernels of matched waves is the
 package's evidence that the construction is right.  A potential is read only
-through its ``breakpoints`` and ``heights``.
+through its ``breakpoints`` and ``heights``, and the engine only through
+:func:`~sqgreen.kernel.wave_pair` (waves) and :func:`~sqgreen.kernel.kernel_grid`
+(kernel values); a momentum magnitude is sqrt|E - v|, never the engine's root.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eigenfunctions import PiecewiseWave
 from .errors import ContractError, DomainError
-from .kernel import wave_pair
+from .kernel import kernel_grid, wave_pair
 from .model import (
-    branch_sqrt, choice, complex_energy, nonzero_real, of_type, off_axis_energy,
+    choice, complex_energy, nonzero_real, of_type, off_axis_energy,
     radii_floats, real_array, real_energy, real_number, step_count,
 )
 
@@ -204,7 +205,7 @@ def _rk4(e: complex, seeds, blocks, ends) -> np.ndarray:
     raises :class:`DomainError`: RK4 would grow even an oscillating wave to NaN.  So does a
     run that is not finite, such as an evanescent one grown past double precision.
     """
-    phase, step = max((abs(branch_sqrt(e - v)) * abs(h), abs(h)) for h, v, _ in blocks)
+    phase, step = max((math.sqrt(abs(e - v)) * abs(h), abs(h)) for h, v, _ in blocks)
     if phase > RK4_STABILITY:
         raise DomainError(
             f"a step of {step} advances the fastest wave at E={e} by {phase:.4g} rad, "
@@ -342,7 +343,7 @@ def _richardson(values: list[complex], side: int, h0: float) -> complex:
 _RICHARDSON_GAIN = sum(abs(_richardson(list(unit), 1, 1.0)) for unit in np.eye(RICHARDSON_LEVELS + 1)[1:])
 
 
-def _factor(wave: PiecewiseWave, r: np.ndarray, s: float, mask: np.ndarray) -> np.ndarray:
+def _factor(wave, r: np.ndarray, s: float, mask: np.ndarray) -> np.ndarray:
     """``wave`` at the radii of ``r`` under ``mask`` and its frozen value at s elsewhere, from one call."""
     v = wave.value(np.append(r[mask], s))
     out = np.full(r.shape, v[-1])
@@ -350,44 +351,17 @@ def _factor(wave: PiecewiseWave, r: np.ndarray, s: float, mask: np.ndarray) -> n
     return out
 
 
-class _KernelSlice(NamedTuple):
-    """The waves and Wronskian of G(., s) for a formal kernel at real E."""
-
-    chi: PiecewiseWave
-    om: PiecewiseWave
-    w: complex
-
-    def values(self, r, s: float) -> np.ndarray:
-        """G(r, s) at the radii ``r``, from chi(min(r, s)) and omega(max(r, s)), one call per wave.
-
-        Unscaled, this is a :func:`~sqgreen.kernel.kernel_grid` column.
-        """
-        r = np.asarray(r, dtype=float)
-        below = r <= s
-        return _factor(self.chi, r, s, below) * _factor(self.om, r, s, ~below) / self.w
-
-
-def _kernel_slice(p, e: float, direction: str, wronskian_scale: float = 1.0) -> _KernelSlice:
-    """G(., s) of a formal kernel at real E; the scale hooks the negative control.
-
-    A ``wronskian_scale`` that is not a finite, nonzero real number raises
-    :class:`DomainError` before any wave is built.
-    """
-    scale = nonzero_real(wronskian_scale, "wronskian_scale")
-    chi, om, w = wave_pair(p, complex(float(e)), direction)
-    return _KernelSlice(chi, om, w * scale)
-
-
-def _momentum_scale(heights, e: complex) -> float:
-    """Largest |sqrt(E - v)| over the region ``heights``; sets resolvable probe steps."""
-    return max(abs(branch_sqrt(complex(e) - v)) for v in heights)
+def _momentum_scale(heights, e: float) -> float:
+    """Largest sqrt|E - v| over the region ``heights``; sets resolvable probe steps."""
+    return max(math.sqrt(abs(e - v)) for v in heights)
 
 
 def check_jump(p, e: float, s: float, direction: str, wronskian_scale: float = 1.0) -> ResidualReport:
     """Measure the derivative jump of G(., s) across r = s; it must equal 1.
 
     The one-sided derivatives are Richardson extrapolations of plain
-    difference quotients of kernel values, so this check is blind to how the
+    difference quotients of kernel values, one :func:`~sqgreen.kernel.kernel_grid`
+    column over ``wronskian_scale``, so this check is blind to how the
     waves compute their analytic derivatives.  Rounding the probes s +- h0 / 2^j
     to doubles, by at most u / 2 with u = ulp(s + h0), can move the jump by up
     to ``_RICHARDSON_GAIN`` (80.1) * u / h0 per unit slope of G; where that
@@ -396,9 +370,10 @@ def check_jump(p, e: float, s: float, direction: str, wronskian_scale: float = 1
     p, e = of_type(p), real_energy(e, "the jump check")
     (s,) = radii_floats(s)
     stencils = _jump_stencils(p, e, s)
-    kernel = _kernel_slice(p, e, direction, wronskian_scale)
+    scale = nonzero_real(wronskian_scale, "wronskian_scale")
     radii = [x for stencil in stencils for x in _richardson_radii(*stencil)]
-    return _jump_report(*_derivatives(kernel.values(radii, s).tolist(), stencils))
+    values = kernel_grid(p, e, radii, (s,), direction)[:, 0] / scale
+    return _jump_report(*_derivatives(values.tolist(), stencils))
 
 
 def _jump_stencils(p, e: float, s: float) -> tuple[tuple[float, int, float], ...]:
@@ -487,7 +462,7 @@ def check_resolvent_identity(
     cuts = [lo, *(x for x in p.breakpoints if lo < x < hi), hi]
     widths = np.diff(cuts)
     rates = np.array([
-        max(abs(e - p.heights[bisect_right(p.breakpoints, 0.5 * (x0 + x1))]) ** 0.5, 1.0 / f.width)
+        max(math.sqrt(abs(e - p.heights[bisect_right(p.breakpoints, 0.5 * (x0 + x1))])), 1.0 / f.width)
         for x0, x1 in zip(cuts, cuts[1:])
     ])
     counts = _region_steps(widths * rates / COARSE_PHASE, target)
@@ -583,8 +558,8 @@ def rk4_runs(p, e: float, s: float):
     for r_from in (0.0, r_out):
         lo, hi = sorted((r_from, s))
         cuts = sorted({r_from, s, *(x for x in p.breakpoints if lo < x < hi)}, reverse=s < r_from)
-        phases = [abs(x1 - x0) * max(abs(e - p.heights[bisect_right(p.breakpoints, (x0 + x1) / 2)]), 1.0)
-                  ** 0.5 for x0, x1 in zip(cuts, cuts[1:])]
+        heights = [p.heights[bisect_right(p.breakpoints, (x0 + x1) / 2)] for x0, x1 in zip(cuts, cuts[1:])]
+        phases = [abs(x1 - x0) * math.sqrt(max(abs(e - v), 1.0)) for x0, x1, v in zip(cuts, cuts[1:], heights)]
         per_rad = 100.0 * max(1.0, (sum(phases) / 300.0) ** 0.25)  # 1 / theta, inf at most
         step_count(per_rad * sum(phases), f"the RK4 run from r={r_from} to s={s} at E={e}")
         runs.append((cuts, [math.ceil(per_rad * x) for x in phases]))
@@ -612,11 +587,12 @@ def check_distributional_equation(
     equation (RK4 re-integration on both sides of s, seeded purely from
     kernel values and difference-quotient slopes), value/derivative
     continuity at the potential jumps, and kernel continuity across r = s
-    (the gap must shrink linearly with the probe offset).  The RK4 runs step
-    region by region (:func:`rk4_runs`), so s and the breakpoints may sit
-    anywhere; a run past ``MAX_STEPS`` steps raises :class:`DomainError`
-    before any wave is built.  A ``wronskian_scale`` so large that the kernel
-    underflows to 0 beside s raises :class:`DomainError`.
+    (the gap from s - h to s + h, for one small h, must stay within 10 h
+    times the slopes beside s).  The RK4 runs step region by region
+    (:func:`rk4_runs`), so s and the breakpoints may sit anywhere; a run past
+    ``MAX_STEPS`` steps raises :class:`DomainError` before any wave is built.
+    A ``wronskian_scale`` so large that the kernel underflows to 0 beside s
+    raises :class:`DomainError`.
     """
     return _distributional_reports(p, e, s, (direction,), wronskian_scale)[0]
 
@@ -635,13 +611,14 @@ def _distributional_reports(p, e: float, s: float, directions, wronskian_scale: 
     r_out = runs[1][0][0]
     jump = _jump_stencils(p, e, s)
 
-    kernels = [_kernel_slice(p, e, direction, wronskian_scale) for direction in directions]
-    chi = kernels[0].chi
+    scale = nonzero_real(wronskian_scale, "wronskian_scale")
+    pairs = [wave_pair(p, complex(e), direction) for direction in directions]
+    chi, waves = pairs[0][0], [(om, w * scale) for _, om, w in pairs]
     probe_cap = 2.0 / (1.0 + _momentum_scale(p.heights, e))
     dist0 = min(s, min(p.breakpoints) if p.breakpoints else s)
     dist_s = min([abs(s - bp) for bp in p.breakpoints] + [s, 1.0, probe_cap])
     # every probe radius in one call, starting at s: the jump at s, the seed
-    # slopes at 0 and r_out, the slopes beside the diagonal, the diagonal gaps
+    # slopes at 0 and r_out, the slopes beside the diagonal, the diagonal gap
     # and the seed G(r_out, s)
     stencils = jump + (
         (0.0, +1, min(dist0, probe_cap) / 4.0),
@@ -649,13 +626,13 @@ def _distributional_reports(p, e: float, s: float, directions, wronskian_scale: 
         (s, +1, dist_s / 4.0),
         (s, -1, dist_s / 4.0),
     )
-    probes = np.array([1e-2, 1e-3, 1e-4]) * min(1.0, dist_s)
+    h = 1e-4 * min(1.0, dist_s)
     radii = [x for stencil in stencils for x in _richardson_radii(*stencil)]
-    radii = np.array(radii + [x for h in probes.tolist() for x in (s + h, s - h)] + [r_out])
+    radii = np.array(radii + [s + h, s - h, r_out])
     chi_lo = _factor(chi, radii, s, radii <= s)
     chi_sides = chi.one_sided(np.array([bp for bp in p.breakpoints if bp < s]))
-    om_hi = [_factor(kernel.om, radii, s, radii > s) for kernel in kernels]
-    values = [chi_lo * om / kernel.w for om, kernel in zip(om_hi, kernels)]
+    om_hi = [_factor(om, radii, s, radii > s) for om, _ in waves]
+    values = [chi_lo * om_r / w for om_r, (_, w) in zip(om_hi, waves)]
     slopes = [_derivatives(v.tolist(), stencils) for v in values]
     # left of the diagonal each seed starts from G(0, s) = 0 with a measured slope; right of
     # it, inward from beyond the potential, where the tail solution dominates: outward from s
@@ -664,17 +641,17 @@ def _distributional_reports(p, e: float, s: float, directions, wronskian_scale: 
     passes = [_rk4_pass(p, e, side, *run) for side, run in zip(seeds, runs)]
     chi_runs = [_factor(chi, r, s, r <= s) for r, _ in passes]
     reports = []
-    for j, kernel in enumerate(kernels):
+    for j, (om, w) in enumerate(waves):
         d_right, d_left, _, _, slope_right, slope_left = slopes[j]
         jump_report = _jump_report(d_right, d_left)
 
         resid = []
         for (r, states), chi_r in zip(passes, chi_runs):
-            kern = chi_r * _factor(kernel.om, r, s, r > s) / kernel.w
-            scale = float(np.max(np.abs(kern)))
-            if not scale > 0.0:  # a Wronskian scaled past 1e300 leaves only zeros
+            kern = chi_r * _factor(om, r, s, r > s) / w
+            peak = float(np.max(np.abs(kern)))
+            if not peak > 0.0:  # a Wronskian scaled past 1e300 leaves only zeros
                 raise DomainError(f"the kernel at E={e} beside s={s} underflows to 0")
-            resid.append(float(np.max(np.abs(states[j, 0] - kern))) / scale)
+            resid.append(float(np.max(np.abs(states[j, 0] - kern))) / peak)
         ode_report = ResidualReport.build("offdiagonal_radial_equation", sum(r.size for r, _ in passes),
                                           max(resid), 1e-7)
 
@@ -682,20 +659,19 @@ def _distributional_reports(p, e: float, s: float, directions, wronskian_scale: 
         # G(., s) varies through chi left of the diagonal and through omega right of
         # it, times the frozen omega(s) or chi(s), the factors of the probe at r = s
         interface_resid = 0.0
-        om_sides = kernel.om.one_sided(np.array([bp for bp in p.breakpoints if bp >= s]))
+        om_sides = om.one_sided(np.array([bp for bp in p.breakpoints if bp >= s]))
         for (v_left, v_right, dv_left, dv_right), frozen in ((chi_sides, om_hi[j][0]), (om_sides, chi_lo[0])):
-            g_here = np.abs(v_right * frozen / kernel.w)
-            jumps = np.abs([v_left - v_right, dv_left - dv_right]) * abs(frozen) / abs(kernel.w)
+            g_here = np.abs(v_right * frozen / w)
+            jumps = np.abs([v_left - v_right, dv_left - dv_right]) * abs(frozen) / abs(w)
             interface_resid = max(interface_resid, float((jumps / (1.0 + g_here)).max(initial=0.0)))
         interface_report = ResidualReport.build("interface_continuity", 4 * len(p.breakpoints),
                                                 interface_resid, 1e-10)
 
-        # continuity across the diagonal: the gap must vanish linearly in h
-        gap_values = values[j][len(stencils) * (RICHARDSON_LEVELS + 1) : -1]
-        gaps = np.abs(gap_values[0::2] - gap_values[1::2])
+        # continuity across the diagonal: the gap at s +- h, over h times the slopes beside it
         slope_scale = abs(slope_right) + abs(slope_left) + 1.0
-        diag_resid = float(gaps[-1] / (probes[-1] * slope_scale))
-        diag_report = ResidualReport.build("diagonal_continuity", probes.size, diag_resid, 10.0)
+        gap = np.abs(values[j][-3:-2] - values[j][-2:-1])  # numpy's array abs: its scalar abs can round apart
+        diag_resid = float(gap[0] / (h * slope_scale))
+        diag_report = ResidualReport.build("diagonal_continuity", 1, diag_resid, 10.0)
         reports.append(ResidualReport.combine(
             "distributional_equation", (jump_report, ode_report, interface_report, diag_report)
         ))

@@ -133,8 +133,20 @@ def test_the_rk4_step_rule_stays_in_the_oracle(module):
 
 def test_verify_builds_its_reference_without_the_engine_root():
     # a reference that took k from branch_sqrt shared a wrong branch with the engine,
-    # so verify passed with every momentum root flipped
-    assert _names(_tree("verification")) & {"branch_sqrt", "_branch_sqrt_array"} == set()
+    # so verify passed with every momentum root flipped; the oracle takes |k| as sqrt|E - v|
+    for module in ("verification", "oracle"):
+        assert _names(_tree(module)) & {"branch_sqrt", "_branch_sqrt_array"} == set(), module
+
+
+def test_the_oracle_reads_the_engine_only_through_wave_pair_and_kernel_grid():
+    # a wave, momentum or kernel of the oracle's own would be a second engine beside the one it checks
+    tree = _tree("oracle")
+    assert _imported_modules(tree) & {"eigenfunctions", "piecewise"} == set()
+    from_kernel = {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "kernel" for alias in node.names
+    }
+    assert from_kernel == {"kernel_grid", "wave_pair"}
 
 
 def _is_exception_class(node: ast.expr | None) -> bool:

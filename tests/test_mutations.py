@@ -9,6 +9,7 @@ passes.  A new ``verify`` check earns its place by failing a mutant that no
 other check fails.
 """
 
+import dataclasses
 import sys
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from sqgreen import PiecewisePotential, SquareBarrier, run_verification
 from sqgreen.kernel import _limit_walk, wave_pair
 from sqgreen.model import _branch_sqrt_array, branch_sqrt, region_momenta, region_momenta_array
+from sqgreen.piecewise import _omega_regions
 
 CASES = {
     "barrier": (SquareBarrier(5.0, 1.0, 2.0), 3.0),
@@ -73,6 +75,16 @@ def _flip_tail_momentum(monkeypatch) -> None:
     })
 
 
+def _scale_omega_amplitude(monkeypatch) -> None:
+    """A wrong tail solution: omega's c_plus in region 1, the second from the origin, times 1 + 1e-7."""
+    def scaled(*args):
+        regions = _omega_regions(*args)
+        regions[1] = dataclasses.replace(regions[1], c_plus=regions[1].c_plus * (1.0 + 1e-7))
+        return regions
+
+    _patch_everywhere(monkeypatch, {_omega_regions: scaled})
+
+
 def _cap_limit_walk(monkeypatch) -> None:
     """The limit walk stopped after 2 halvings of mu: its first three samples, not converged."""
     def capped(*args):
@@ -82,7 +94,8 @@ def _cap_limit_walk(monkeypatch) -> None:
     _patch_everywhere(monkeypatch, {_limit_walk: capped})
 
 
-#: mutant -> (the patch, or None, the keyword arguments of the run, and the checks that must fail)
+#: mutant -> (the patch, or None, the keyword arguments of the run, and the checks that must
+#: fail, as one set or as a set per case)
 MUTANTS = {
     "control": (None, {}, set()),
     "root_flip": (_flip_root, {}, {"wronskian", "engine_equivalence", "randomized_instances"}),
@@ -96,6 +109,18 @@ MUTANTS = {
     }),
     "tail_momentum": (_flip_tail_momentum, {}, {"wronskian", "engine_equivalence", "randomized_instances"}),
     "capped_limit_walk": (_cap_limit_walk, {}, {"limit_equivalence"}),
+    "omega_amplitude": (_scale_omega_amplitude, {}, {
+        "barrier": {
+            "continuity", "engine_equivalence", "interface_continuity_minus", "interface_continuity_plus",
+            "offdiagonal_radial_equation_minus", "offdiagonal_radial_equation_plus",
+            "randomized_instances", "wronskian",
+        },
+        "staircase": {"continuity", "engine_equivalence", "randomized_instances", "wronskian"},
+        "well": {
+            "continuity", "engine_equivalence", "interface_continuity_minus", "interface_continuity_plus",
+            "randomized_instances", "wronskian",
+        },
+    }),
 }
 
 
@@ -103,6 +128,8 @@ MUTANTS = {
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_verify_rejects_each_mutant(monkeypatch, mutant, case):
     patch, kwargs, must_fail = MUTANTS[mutant]
+    if isinstance(must_fail, dict):
+        must_fail = must_fail[case]
     if patch is not None:
         patch(monkeypatch)
     report = run_verification(*CASES[case], **kwargs)

@@ -901,8 +901,8 @@ def _count_evaluations(monkeypatch) -> list[int]:
 
 
 def test_verification_evaluates_waves_in_batches(monkeypatch):
-    # each check evaluates a wave on all its radii at once: this run takes 32
-    # evaluations over 3 639 radii, where one evaluation per probe radius and
+    # each check evaluates a wave on all its radii at once: this run takes 31
+    # evaluations over 3 623 radii, where one evaluation per probe radius and
     # a frozen factor at every RK4 node took 327 over 39 348, and reading each
     # wave once per check and per direction took 51 over 3 871
     sizes = _count_evaluations(monkeypatch)
@@ -944,6 +944,15 @@ class TestSharedPaths:
         assert [r.to_dict() for r in pair] == [r.to_dict() for r in single]
 
     @pytest.mark.parametrize("p, e", _SHARED_CASES, ids=_SHARED_IDS)
+    @pytest.mark.parametrize("direction", ["plus", "minus"])
+    def test_jump_check_is_the_distributional_jump_component(self, p, e, direction):
+        # check_jump reads G off a kernel_grid column, the distributional check forms
+        # chi omega / W from wave_pair; at a unit scale the two give the same bits
+        s = _last_midpoint(p)
+        jump = check_jump(p, e, s, direction)
+        assert jump.to_dict() == check_distributional_equation(p, e, s, direction).components[0].to_dict()
+
+    @pytest.mark.parametrize("p, e", _SHARED_CASES, ids=_SHARED_IDS)
     def test_limit_agreement_is_the_largest_abs_diff(self, p, e):
         for seed in (0, 7):
             got = verification._limit_agreement(p, e, random.Random(seed))
@@ -976,19 +985,6 @@ def test_kernel_grid_evaluates_each_wave_once_on_its_axes(monkeypatch):
     sizes = _count_evaluations(monkeypatch)
     kernel_grid(SquareBarrier(5.0, 1.0, 2.0), 1.5 + 0.2j, np.linspace(0.0, 4.0, 100), np.linspace(4.0, 0.5, 80))
     assert sizes == [180, 180]
-
-
-@pytest.mark.parametrize("p, e", [(SquareBarrier(5.0, 1.0, 2.0), 2.7), (STAIRCASE, 1.5)],
-                         ids=["barrier", "staircase"])
-@pytest.mark.parametrize("direction", ["plus", "minus"])
-def test_kernel_slice_is_a_kernel_grid_column(p, e, direction):
-    # the probes were re-formed in Python complex arithmetic: on the barrier at
-    # E = 2.7, 162 of these 500 entries differed in their last bits (plus)
-    r = np.random.default_rng(5).uniform(0.0, 5.0, size=500)
-    s = 1.7
-    got = oracle_module._kernel_slice(p, e, direction).values(r, s)
-    want = kernel_grid(p, e, r, [s], direction)[:, 0]
-    assert got.tobytes() == want.tobytes()
 
 
 #: seeds of one to seven 32-bit words; Random's seeding hashes every word
