@@ -172,8 +172,9 @@ def _plane_waves(constants, idx: np.ndarray, x: np.ndarray, derivative: bool) ->
     value = waves[0] + waves[1]
     if not derivative:
         return (value,)
-    # numpy rounds a product written over a one-element 1-d input differently,
-    # so this one gets its own output
+    # numpy rounds a product written in place over one element apart from the
+    # same product out of place (at any length, out-of-place +, *, / and exp
+    # round alike), so this one gets its own output
     return value, constants[0].take(idx) * (waves[0] - waves[1])
 
 

@@ -9,9 +9,14 @@ half-plane (omega_plus above the axis, omega_minus below).  Both waves and
 the Wronskian come from the staircase engine of :mod:`sqgreen.piecewise`,
 for a square barrier as for any other staircase.  On the positive real axis
 the same quotient with real-axis momenta gives the formal outgoing/incoming
-kernels.  :func:`boundary_limit` follows the complex kernel to the axis and
-returns the trajectory together with the formal kernel it should reach, so
-one value holds both sides of that claim and how far apart they ended.
+kernels.  :func:`kernel_grid` forms the kernel on a grid of radii; a scalar
+kernel (:func:`resolvent_kernel`, :func:`formal_green`) reads chi's and
+omega's regions as one-entry numpy lanes and equals its 1 x 1 grid entry
+bit for bit, which a test pins.  :func:`boundary_limit` follows the complex
+kernel to the axis and returns the trajectory together with the formal
+kernel it should reach, so one value holds both sides of that claim and how
+far apart they ended; masks over its sweep flag the samples its checks
+refuse, and the first flagged one raises the scalar kernel's error.
 Two small memos let the checks of one command share their waves, and a
 repeat gets the very objects a cold request builds, bit for bit:
 :func:`wave_pair` keeps one chi per (potential, E) for the ``WAVE_MEMO`` = 2
@@ -42,13 +47,12 @@ import numpy as np
 
 from .errors import (
     EPS_BRANCH,
-    ContractError,
     DomainError,
     PoleError,
 )
-from .eigenfunctions import PiecewiseWave, _overflow, _require_finite
+from .eigenfunctions import PiecewiseWave, Region, _overflow, _require_finite
 from .model import (
-    choice, of_type, off_axis_energy, radii_array, radii_floats, real_array, real_energy,
+    choice, choices, of_type, off_axis_energy, radii_array, radii_floats, real_array, real_energy,
     real_number, region_momenta_array, require_off_branch, search_box,
 )
 from .piecewise import (
@@ -127,13 +131,12 @@ def wave_pair(p, e: complex, direction: str) -> tuple[PiecewiseWave, PiecewiseWa
     return (waves["chi"], *waves[direction])
 
 
-def _kernel_request(p, e, radii, direction: str | None) -> tuple[complex, str, np.ndarray]:
-    """Validate one kernel request and return (E, omega direction, radii as floats).
+def _kernel_energy(p, e, direction: str | None) -> tuple[complex, str]:
+    """Validate the potential, energy and direction of one kernel request: (E, omega direction).
 
     ``direction=None`` asks for the resolvent kernel at Im E != 0, whose tail
     solution follows the sign of Im E.  "plus"/"minus" ask for the formal
-    kernel at real E > 0, whose pole test :func:`kernel_grid` makes on its
-    waves.  Every radius must be a finite, nonnegative real number.
+    kernel at real E > 0, whose pole test :func:`_kernel_waves` makes.
     """
     of_type(p)
     if direction is None:
@@ -142,19 +145,61 @@ def _kernel_request(p, e, radii, direction: str | None) -> tuple[complex, str, n
     else:
         choice(direction, "direction")
         e = real_energy(e, "the formal kernel")
-    return complex(e), direction, radii_array(radii)
+    return complex(e), direction
+
+
+def _kernel_waves(p, e: complex, direction: str) -> tuple[PiecewiseWave, PiecewiseWave, complex]:
+    """:func:`wave_pair` of a validated request; :class:`PoleError` where a formal kernel has a pole.
+
+    On the axis W = 2ik c- (plus) or -2ik c+ (minus), c+- chi's outer
+    amplitudes, and the kernel has a pole where |W / 2k| < 1e-14.
+    """
+    chi, om, w = wave_pair(p, e, direction)
+    if e.imag == 0.0 and abs(w) < 2e-14 * abs(chi.regions[-1].k):
+        raise PoleError(f"kernel denominator vanishes at E={e.real} (direction {direction})")
+    return chi, om, w
+
+
+def _lane(reg: Region) -> Region:
+    """``reg`` with k, c+ and c- as one-entry arrays, so its formula runs in numpy's array loops."""
+    k, c_plus, c_minus = np.array([[reg.k], [reg.c_plus], [reg.c_minus]])
+    return Region(k, reg.form, c_plus, c_minus, reg.ref)
+
+
+def _kernel_entry(p, e, r, s, direction: str | None) -> complex:
+    """The kernel at (r, s), bit for bit the entry of its 1 x 1 :func:`kernel_grid`.
+
+    It reads chi's region at min(r, s) and omega's at max(r, s) as one-entry
+    lanes (:func:`_lane`) and divides their product by W as a one-entry
+    array.  Out-of-place +, *, / and exp round alike at every array length,
+    so each step takes the grid's bits; a Python complex, a numpy scalar or
+    a product written in place over one element would each round apart.
+    Where the value is not finite it raises the grid's error: chi's, then
+    omega's, then the kernel's.
+    """
+    r, s = radii_floats(r, s)
+    e, direction = _kernel_energy(p, e, direction)
+    chi, om, w = _kernel_waves(p, e, direction)
+    lo, hi = (r, s) if r <= s else (s, r)
+    with np.errstate(all="ignore"):
+        chi_lo = _lane(chi.regions[bisect_right(p.breakpoints, lo)]).value(lo)
+        om_hi = _lane(om.regions[bisect_right(p.breakpoints, hi)]).value(hi)
+        value = chi_lo * om_hi / np.array([w])
+    if not np.isfinite(value[0]):
+        _require_finite(bool(np.isfinite(chi_lo[0])), chi.energy)
+        _require_finite(bool(np.isfinite(om_hi[0])), om.energy)
+        _require_finite(False, e)
+    return value.item()
 
 
 def resolvent_kernel(p, e: complex, r: float, s: float) -> complex:
     """Kernel of (E - H)^{-1} at complex E; omega_plus above the axis, omega_minus below."""
-    r, s = radii_floats(r, s)
-    return kernel_grid(p, e, (r,), (s,)).item()
+    return _kernel_entry(p, e, r, s, None)
 
 
 def formal_green(p, e: float, r: float, s: float, direction: str) -> complex:
     """Outgoing/incoming kernel at real E > 0 with real-axis momenta."""
-    r, s = radii_floats(r, s)
-    return kernel_grid(p, e, (r,), (s,), direction).item()
+    return _kernel_entry(p, e, r, s, direction)
 
 
 def kernel_grid(p, e, rs, ss, direction: str | None = None) -> np.ndarray:
@@ -168,18 +213,17 @@ def kernel_grid(p, e, rs, ss, direction: str | None = None) -> np.ndarray:
     omega at max(r, s) off those by broadcasting, and the quotient is formed
     once, in numpy.  Radii are clipped first to the range each wave is read
     at, so a wave that overflows only where no entry reads it is no error.
-    A scalar function is the single entry of its 1 x 1 grid.  Like them, it
-    raises :class:`DomainError` where a value is not finite, and a formal
-    kernel raises :class:`PoleError` where |W / 2k| < 1e-14: on the axis
-    W = 2ik c- (plus) or -2ik c+ (minus), c+- chi's outer amplitudes.
+    A scalar function equals the entry of its 1 x 1 grid bit for bit
+    (:func:`_kernel_entry`).  Like them, it raises :class:`DomainError` where
+    a value is not finite, and a formal kernel raises :class:`PoleError` at a
+    pole (:func:`_kernel_waves`).
     """
     rs, ss = real_array(rs, "radii"), real_array(ss, "radii")
     n = rs.size
     radii = np.concatenate((rs.ravel(), ss.ravel()))
-    e, direction, radii = _kernel_request(p, e, radii, direction)
-    chi, om, w = wave_pair(p, e, direction)
-    if e.imag == 0.0 and abs(w) < 2e-14 * abs(chi.regions[-1].k):
-        raise PoleError(f"kernel denominator vanishes at E={e.real} (direction {direction})")
+    e, direction = _kernel_energy(p, e, direction)
+    radii = radii_array(radii)
+    chi, om, w = _kernel_waves(p, e, direction)
     r, s = radii[:n], radii[n:]
     if not (r.size and s.size):
         return np.empty((r.size, s.size), dtype=complex)
@@ -222,9 +266,11 @@ def boundary_limit(
     The whole mu sequence is one sweep of the wave engine over an array of
     ``MAX_HALVINGS + 1`` energies above the axis (:func:`_engine_sweep`),
     and G(r, s) is read off it at every energy, "minus" taking its conjugate
-    (see the module notes).  One pass then walks the samples in order: each
-    gets the checks :func:`resolvent_kernel` makes on its value, and then
-    the stop rule, so no sample past the cut is checked.
+    (see the module notes).  Masks over the whole sweep flag the samples
+    that the checks :func:`resolvent_kernel` makes on its value would
+    refuse.  One pass then walks the samples in order, making those checks,
+    in that order, at the first flagged one, and then the stop rule, so no
+    sample past the cut can raise.
     """
     e, r, s, mu0 = _limit_request(p, e, r, s, direction, mu0)
     mus, samples, converged = _limit_walk(p, e, r, s, direction, mu0)
@@ -233,9 +279,9 @@ def boundary_limit(
 
 def _limit_request(p, e, r, s, direction: str, mu0) -> tuple[float, float, float, float]:
     """(E, r, s, mu0) of a :func:`boundary_limit` request, every argument read; mu0 is 0.05 E by default."""
-    choice(direction, "direction")  # to _kernel_request, None asks for the resolvent kernel
+    choice(direction, "direction")  # to _kernel_energy, None asks for the resolvent kernel
     r, s = radii_floats(r, s)
-    e = _kernel_request(p, e, (r, s), direction)[0].real
+    e = _kernel_energy(p, e, direction)[0].real
     return e, r, s, real_number(0.05 * e if mu0 is None else mu0, "mu0", 0.0, 0.1 * e)
 
 
@@ -249,15 +295,17 @@ def _limit_walk(p, e: float, r: float, s: float, direction: str, mu0: float):
         values = chi_lo * om_hi / w
     if direction == "minus":  # the Schwarz reflection of the sweep above the axis
         energies, values = energies.conj(), values.conj()
+    # the samples the checks below would refuse; the loop checks only those, the first kept one raising
+    flagged = (_near(energies, p, EPS_BRANCH) | ~finite_waves | ~np.isfinite(values)).tolist()
     values = values.tolist()
     converged, prev = False, None
-    for k, (mu, z, waves_ok, g) in enumerate(
-        zip(mus.tolist(), energies.tolist(), finite_waves.tolist(), values)
-    ):
-        require_off_branch(p, z)
-        if not waves_ok:
-            raise _overflow(z)
-        _require_finite(cmath.isfinite(g), z)
+    for k, (mu, g, bad) in enumerate(zip(mus.tolist(), values, flagged)):
+        if bad:  # the checks resolvent_kernel makes, in its order
+            z = complex(energies[k])
+            require_off_branch(p, z)
+            if not finite_waves[k]:
+                raise _overflow(z)
+            _require_finite(cmath.isfinite(g), z)
         # sample k stops the sequence if mu_k < MU_FLOOR and it is within the
         # Cauchy tolerance of sample k - 1; the tolerance widens for very large
         # kernels, where an absolute 1e-10 would sit inside double-precision noise
@@ -281,12 +329,7 @@ def boundary_limits(p, e: float, r: float, s: float, directions,
     that are not iterable, raise :class:`ContractError` before any study; with
     no direction the other arguments are read all the same, and the list is empty.
     """
-    try:
-        directions = list(directions)
-    except TypeError:
-        raise ContractError(f"each direction must be 'plus' or 'minus', got {directions!r}") from None
-    for direction in directions:
-        choice(direction, "direction")
+    directions = choices(directions, "direction")
     if not directions:
         _limit_request(p, e, r, s, "plus", mu0)
         return []

@@ -234,6 +234,21 @@ def choice(x, what: str, options: tuple[str, ...] = ("plus", "minus")) -> str:
     return x
 
 
+def choices(xs, what: str, options: tuple[str, ...] = ("plus", "minus")) -> list[str]:
+    """``xs`` as a list; :class:`ContractError`, naming ``what``, unless it is an iterable of ``options``.
+
+    Every entry is read by :func:`choice`; ``None`` or a number, which
+    cannot be iterated, is refused with the same rule.
+    """
+    try:
+        items = list(xs)
+    except TypeError:
+        raise ContractError(f"each {what} must be {' or '.join(map(repr, options))}, got {xs!r}") from None
+    for x in items:
+        choice(x, what, options)
+    return items
+
+
 def of_type(x, cls: type = PiecewisePotential):
     """``x``; :class:`ContractError` unless it is a ``cls``, a potential by default."""
     if not isinstance(x, cls):

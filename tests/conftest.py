@@ -1,15 +1,30 @@
+import functools
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
-from sqgreen import PiecewisePotential, SquareBarrier, kernel
+import sqgreen
+from sqgreen import PiecewisePotential, SquareBarrier
 
-#: the kernel's memos, taken before any test can rebind the names they sit under
-_MEMOS = (kernel._waves, kernel._engine_sweep)
+_LRU_CACHE = type(functools.lru_cache()(lambda: None))
+
+
+def _package_memos() -> tuple:
+    """Every ``functools.lru_cache`` object bound at the top level of a ``sqgreen`` module, once each."""
+    modules = [importlib.import_module(f"sqgreen.{m.name}") for m in pkgutil.iter_modules(sqgreen.__path__)]
+    found = {id(obj): obj for mod in modules for obj in vars(mod).values() if isinstance(obj, _LRU_CACHE)}
+    return tuple(found.values())
+
+
+#: the package's memos, taken at import, before any test can rebind the names they sit under
+_MEMOS = _package_memos()
 
 
 @pytest.fixture(autouse=True)
 def _cold_memos():
-    """Start every test with empty kernel memos.
+    """Start every test with empty memos.
 
     A test that monkeypatches the engine beneath a memo must see the engine
     run, not waves that an earlier test built.

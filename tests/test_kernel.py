@@ -30,7 +30,7 @@ from sqgreen import (
 from sqgreen.model import _branch_sqrt_array, region_momenta_array, require_off_branch
 
 from closed_forms import kernel_closed_form
-from conftest import close, random_instances, random_staircase
+from conftest import _MEMOS, close, random_instances, random_staircase
 
 
 class TestResolventKernel:
@@ -305,6 +305,108 @@ class TestFormalGreen:
         assert cmath.isfinite(formal_green(barrier, 1.5, 0.5, 1.5, direction))
 
 
+def _lane_draws(n, seed=40):
+    """(p, E, r, s, direction) draws for the scalar kernels: staircases of 1-4 steps with
+    heights within +-30, real E in both directions and complex E on both sides of the axis
+    (|Im E| from 1e-6 to 30), r and s at 0, on a breakpoint, at r = s, inside chi's sin
+    region, inside the potential and beyond it."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < n:
+        m = int(rng.integers(1, 5))
+        bps = np.sort(rng.uniform(0.1, 6.0, m))
+        if np.any(np.diff(bps) < 0.05):
+            continue
+        p = PiecewisePotential(tuple(bps.tolist()), tuple(rng.uniform(-30.0, 30.0, m).tolist()) + (0.0,))
+        re, kind = float(rng.uniform(0.05, 40.0)), int(rng.integers(0, 4))
+        if kind < 2:
+            e, direction = re, ("plus", "minus")[kind]
+        else:
+            e, direction = complex(re, (-1) ** kind * 10 ** rng.uniform(-6.0, math.log10(30.0))), None
+        if any(abs(e - v) < 1e-3 for v in p.heights):
+            continue
+        places = (0.0, float(rng.choice(bps)), float(rng.uniform(0.0, bps[0])),
+                  float(rng.uniform(0.0, bps[-1])), float(rng.uniform(bps[-1], bps[-1] + 20.0)))
+        r = places[int(rng.integers(0, 5))]
+        s = r if rng.random() < 0.2 else places[int(rng.integers(0, 5))]
+        draws.append((p, e, r, s, direction))
+    return draws
+
+
+def _scalar(p, e, r, s, direction):
+    return resolvent_kernel(p, e, r, s) if direction is None else formal_green(p, e, r, s, direction)
+
+
+def _bits(z):
+    return np.array([z]).view(np.uint64).tolist()
+
+
+def _outcome(call):
+    """The bits of ``call()``, or the class and message of what it raised."""
+    try:
+        return _bits(call())
+    except Exception as error:
+        return type(error), str(error)
+
+
+_BARRIER, _HIGH = SquareBarrier(5.0, 1.0, 2.0), PiecewisePotential((1.0, 3.0), (0.0, 1e6, 0.0))
+
+
+class TestScalarLanes:
+    """A scalar kernel reads one-entry lanes and is its 1 x 1 kernel_grid entry, bit for bit."""
+
+    def test_equals_the_grid_entry_bit_for_bit(self):
+        draws = _lane_draws(300)
+        assert {d for *_, d in draws} == {None, "plus", "minus"}
+        assert {e.imag > 0 for _, e, *_, d in draws if d is None} == {True, False}
+        for p, e, r, s, direction in draws:
+            grid = kernel_grid(p, e, (r,), (s,), direction)[0, 0]
+            got = _scalar(p, e, r, s, direction)
+            assert type(got) is complex
+            assert _bits(got) == _bits(grid), (p, e, r, s, direction)
+
+    @pytest.mark.parametrize(
+        "p, e, r, s, direction",
+        [
+            # the waves overflow at r = s = 600
+            (_BARRIER, 1.5 + 5j, 600.0, 600.0, None),
+            (_BARRIER, 1.5 - 5j, 600.0, 600.0, None),
+            # the amplitudes overflow under a step of height 1e6
+            (_HIGH, 2.0 + 1j, 0.5, 2.0, None),
+            (_HIGH, 2.0, 0.5, 2.0, "plus"),
+            (_HIGH, 2.0, 0.5, 2.0, "minus"),
+            # the barrier top is a branch point
+            (_BARRIER, 5.0, 0.5, 1.5, "plus"),
+            (_BARRIER, 5.0, 0.5, 1.5, "minus"),
+            # chi overflows at r = s = 1e308; omega alone does not
+            (_BARRIER, 1.5 + 1j, 1e308, 1e308, None),
+            (_BARRIER, 1.5 + 1j, 0.5, 1e308, None),
+            (_BARRIER, 1.5, 1e308, 1e308, "plus"),
+        ],
+    )
+    def test_edges_take_the_grid_outcome(self, p, e, r, s, direction):
+        grid = _outcome(lambda: kernel_grid(p, e, (r,), (s,), direction)[0, 0])
+        assert _outcome(lambda: _scalar(p, e, r, s, direction)) == grid
+
+    @pytest.mark.parametrize(
+        "w, e, direction, error",
+        [
+            # W = 0 is a pole of the formal kernel
+            (0j, 1.5, "plus", PoleError),
+            (0j, 1.5, "minus", PoleError),
+            # a subnormal W leaves chi and omega finite and the kernel not: the error names E
+            (5e-324 + 0j, 1.5 + 1j, None, DomainError),
+            (5e-324 + 0j, 1.5 - 1j, None, DomainError),
+        ],
+    )
+    def test_a_spoiled_wronskian_takes_the_grid_error(self, monkeypatch, w, e, direction, error):
+        pair = kernel_module.wave_pair
+        monkeypatch.setattr(kernel_module, "wave_pair", lambda *args: (*pair(*args)[:2], w))
+        grid = _outcome(lambda: kernel_grid(_BARRIER, e, (0.5,), (1.5,), direction)[0, 0])
+        assert grid[0] is error
+        assert _outcome(lambda: _scalar(_BARRIER, e, 0.5, 1.5, direction)) == grid
+
+
 class TestBoundaryLimit:
     def test_matches_formal_kernels(self, rng):
         for p, e in random_instances(rng, 10):
@@ -575,6 +677,11 @@ class TestBatchedLimitStudy:
 
 class TestMemos:
     """wave_pair and the engine sweep of the limit studies keep their recent results."""
+
+    def test_every_kernel_memo_starts_cold_in_each_test(self):
+        # conftest clears the memos it finds; these two must be among them
+        assert kernel_module._waves in _MEMOS
+        assert kernel_module._engine_sweep in _MEMOS
 
     def test_verify_matches_chi_once_per_distinct_pair(self, barrier, monkeypatch):
         # the barrier's chi at E + i and at E, each serving both directions, and
